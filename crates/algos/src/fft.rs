@@ -18,7 +18,7 @@
 
 use vmp_core::prelude::*;
 use vmp_core::scan::route_permutation;
-use vmp_hypercube::collective::exchange;
+use vmp_hypercube::collective::exchange_slab;
 use vmp_hypercube::machine::Hypercube;
 
 /// A complex number (re, im). Deliberately minimal — just what the FFT
@@ -121,7 +121,7 @@ fn fft_impl(hc: &mut Hypercube, v: &DistVector<Cplx>, inverse: bool) -> DistVect
     let local_bits = m.trailing_zeros() as usize;
     let sign = if inverse { 1.0 } else { -1.0 };
 
-    let mut chunks: Vec<Vec<Cplx>> = v.chunks().to_nested();
+    let mut chunks = v.chunks().clone();
 
     // DIF stages, stride t = 2^s from n/2 down to 1.
     for s in (0..q).rev() {
@@ -132,11 +132,11 @@ fn fft_impl(hc: &mut Hypercube, v: &DistVector<Cplx>, inverse: bool) -> DistVect
             // pairwise chunk exchange.
             let cube_dim = (s - local_bits) as u32;
             let node_bit = 1usize << cube_dim;
-            let mut partners = exchange(hc, &chunks, cube_dim);
-            for node in 0..p {
-                let partner_chunk = std::mem::take(&mut partners[node]);
+            let mut partners = chunks.clone();
+            exchange_slab(hc, &mut partners, cube_dim);
+            chunks.for_each_seg_mut(|node, chunk| {
+                let partner_chunk = &partners[node];
                 let lower = node & node_bit == 0;
-                let chunk = &mut chunks[node];
                 for (local, x) in chunk.iter_mut().enumerate() {
                     let g = node * m + local; // my global index
                     let other = partner_chunk[local];
@@ -149,11 +149,11 @@ fn fft_impl(hc: &mut Hypercube, v: &DistVector<Cplx>, inverse: bool) -> DistVect
                         *x = other.sub(*x).mul(w);
                     }
                 }
-            }
+            });
             hc.charge_flops(10 * m);
         } else {
             // Local stage.
-            for (node, chunk) in chunks.iter_mut().enumerate() {
+            chunks.for_each_seg_mut(|node, chunk| {
                 let base = node * m;
                 let mut blk = 0usize;
                 while blk < m {
@@ -170,7 +170,7 @@ fn fft_impl(hc: &mut Hypercube, v: &DistVector<Cplx>, inverse: bool) -> DistVect
                     }
                     blk += 2 * t;
                 }
-            }
+            });
             hc.charge_flops(10 * m);
         }
     }

@@ -13,8 +13,9 @@
 //! exactly this.
 
 use vmp_core::prelude::*;
-use vmp_hypercube::collective::exchange;
+use vmp_hypercube::collective::{allreduce_slab, exchange_slab};
 use vmp_hypercube::machine::Hypercube;
+use vmp_hypercube::slab::NodeSlab;
 
 /// Serial oracle.
 #[must_use]
@@ -34,23 +35,21 @@ pub fn histogram_serial(values: &[usize], bins: usize) -> Vec<u64> {
 pub fn histogram_dense(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) -> Vec<u64> {
     let p = v.layout().grid().p();
     // Local counting.
-    let mut locals: Vec<Vec<u64>> = Vec::with_capacity(p);
-    let mut max_chunk = 0usize;
-    for node in 0..p {
-        let mut h = vec![0u64; bins];
+    let mut locals = NodeSlab::build(p, p * bins, |node, buf| {
+        let start = buf.len();
+        buf.resize(start + bins, 0u64);
+        let h = &mut buf[start..];
         for &x in &v.chunks()[node] {
             assert!(x < bins, "value {x} out of range 0..{bins}");
             h[x] += 1;
         }
-        max_chunk = max_chunk.max(v.chunks()[node].len());
-        locals.push(h);
-    }
-    hc.charge_flops(max_chunk);
+    });
+    hc.charge_flops(v.chunks().max_seg_len());
 
     // Butterfly: all B bins per stage.
     let dims: Vec<u32> = hc.cube().iter_dims().collect();
-    vmp_hypercube::collective::allreduce(hc, &mut locals, &dims, |a, b| a + b);
-    locals.swap_remove(0)
+    allreduce_slab(hc, &mut locals, &dims, |a, b| a + b);
+    locals[0].to_vec()
 }
 
 /// Sparse (data-dependent) histogram: local counts kept as sorted
@@ -61,41 +60,33 @@ pub fn histogram_dense(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) -
 pub fn histogram_sparse(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) -> Vec<u64> {
     let p = v.layout().grid().p();
     // Local sparse counting (sorted by bin).
-    let mut sparse: Vec<Vec<(u32, u64)>> = Vec::with_capacity(p);
-    let mut max_chunk = 0usize;
-    for node in 0..p {
-        let chunk = &v.chunks()[node];
-        max_chunk = max_chunk.max(chunk.len());
+    let mut sparse = NodeSlab::build(p, 0, |node, buf| {
         let mut dense = vec![0u64; bins];
-        for &x in chunk {
+        for &x in &v.chunks()[node] {
             assert!(x < bins, "value {x} out of range 0..{bins}");
             dense[x] += 1;
         }
-        sparse.push(
-            dense
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, c)| c > 0)
-                .map(|(b, c)| (b as u32, c))
-                .collect(),
+        buf.extend(
+            dense.into_iter().enumerate().filter(|&(_, c)| c > 0).map(|(b, c)| (b as u32, c)),
         );
-    }
-    hc.charge_flops(max_chunk);
+    });
+    hc.charge_flops(v.chunks().max_seg_len());
 
     // Butterfly with sparse merge: per stage, exchange the non-zero
     // lists (2 machine words per entry, charged as 2 elements) and merge.
     for d in hc.cube().iter_dims().collect::<Vec<_>>() {
-        let partners = exchange(hc, &sparse, d);
+        let mut partners = sparse.clone();
+        exchange_slab(hc, &mut partners, d);
         // The exchange charged 1 element per (bin, count) pair; charge
         // the second word of each pair explicitly.
-        let extra = partners.iter().map(Vec::len).max().unwrap_or(0);
+        let extra = partners.max_seg_len();
         hc.charge_raw_us(hc.cost().beta * extra as f64);
         let mut merge_work = 0usize;
-        for node in 0..p {
-            let merged = merge_sparse(&sparse[node], &partners[node]);
-            merge_work = merge_work.max(merged.len());
-            sparse[node] = merged;
-        }
+        sparse = NodeSlab::build(p, sparse.total_len() + partners.total_len(), |node, out| {
+            let start = out.len();
+            merge_sparse(&sparse[node], &partners[node], out);
+            merge_work = merge_work.max(out.len() - start);
+        });
         hc.charge_flops(merge_work);
     }
 
@@ -106,9 +97,8 @@ pub fn histogram_sparse(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) 
     out
 }
 
-/// Merge two bin-sorted sparse histograms.
-fn merge_sparse(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// Merge two bin-sorted sparse histograms, appending the result to `out`.
+fn merge_sparse(a: &[(u32, u64)], b: &[(u32, u64)], out: &mut Vec<(u32, u64)>) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].0.cmp(&b[j].0) {
@@ -129,7 +119,6 @@ fn merge_sparse(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -202,9 +191,15 @@ mod tests {
     fn merge_sparse_merges() {
         let a = vec![(1u32, 2u64), (5, 1)];
         let b = vec![(0u32, 3u64), (5, 4), (9, 1)];
-        assert_eq!(merge_sparse(&a, &b), vec![(0, 3), (1, 2), (5, 5), (9, 1)]);
-        assert_eq!(merge_sparse(&[], &b), b);
-        assert_eq!(merge_sparse(&a, &[]), a);
+        let merged = |x: &[(u32, u64)], y: &[(u32, u64)]| {
+            // Appends after what the arena already holds.
+            let mut out = vec![(99u32, 99u64)];
+            merge_sparse(x, y, &mut out);
+            out.split_off(1)
+        };
+        assert_eq!(merged(&a, &b), vec![(0, 3), (1, 2), (5, 5), (9, 1)]);
+        assert_eq!(merged(&[], &b), b);
+        assert_eq!(merged(&a, &[]), a);
     }
 
     #[test]

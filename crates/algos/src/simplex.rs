@@ -120,7 +120,7 @@ fn run_phase_parallel(
     basis: &mut [usize],
     m_constraints: usize,
     obj_row: usize,
-    allowed: impl Fn(usize) -> bool + Copy + Sync,
+    allowed: impl Fn(usize) -> bool + Copy,
     max_iterations: usize,
 ) -> PhaseEnd {
     run_phase_parallel_with(
@@ -142,7 +142,7 @@ fn run_phase_parallel_with(
     basis: &mut [usize],
     m_constraints: usize,
     obj_row: usize,
-    allowed: impl Fn(usize) -> bool + Copy + Sync,
+    allowed: impl Fn(usize) -> bool + Copy,
     max_iterations: usize,
     rule: PivotRule,
 ) -> PhaseEnd {
@@ -167,7 +167,7 @@ pub fn pivot_once(
     basis: &mut [usize],
     m_constraints: usize,
     obj_row: usize,
-    allowed: impl Fn(usize) -> bool + Copy + Sync,
+    allowed: impl Fn(usize) -> bool + Copy,
     rule: PivotRule,
 ) -> PivotOutcome {
     let width = t.shape().cols;

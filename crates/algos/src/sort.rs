@@ -13,7 +13,7 @@
 
 use vmp_core::elem::Scalar;
 use vmp_core::prelude::*;
-use vmp_hypercube::collective::exchange;
+use vmp_hypercube::collective::exchange_slab;
 use vmp_hypercube::machine::Hypercube;
 
 /// Sort a block-distributed vector ascending by `key` (`n` a power of
@@ -27,7 +27,7 @@ use vmp_hypercube::machine::Hypercube;
 pub fn bitonic_sort<T: Scalar, K: PartialOrd>(
     hc: &mut Hypercube,
     v: &DistVector<T>,
-    key: impl Fn(&T) -> K + Sync,
+    key: impl Fn(&T) -> K,
 ) -> DistVector<T> {
     let layout = v.layout().clone();
     assert!(
@@ -43,7 +43,7 @@ pub fn bitonic_sort<T: Scalar, K: PartialOrd>(
     let q = n.trailing_zeros() as usize;
     let local_bits = m.trailing_zeros() as usize;
 
-    let mut chunks: Vec<Vec<T>> = v.chunks().to_nested();
+    let mut chunks = v.chunks().clone();
 
     for k in 1..=q {
         for j in (0..k).rev() {
@@ -53,11 +53,11 @@ pub fn bitonic_sort<T: Scalar, K: PartialOrd>(
                 // exchange along the stride's cube bit.
                 let cube_dim = (j - local_bits) as u32;
                 let node_bit = stride >> local_bits;
-                let mut partners = exchange(hc, &chunks, cube_dim);
-                for node in 0..p {
-                    let partner = std::mem::take(&mut partners[node]);
+                let mut partners = chunks.clone();
+                exchange_slab(hc, &mut partners, cube_dim);
+                chunks.for_each_seg_mut(|node, chunk| {
+                    let partner = &partners[node];
                     let lower = node & node_bit == 0;
-                    let chunk = &mut chunks[node];
                     for (local, x) in chunk.iter_mut().enumerate() {
                         let g = node * m + local;
                         let ascending = (g >> k) & 1 == 0;
@@ -73,11 +73,11 @@ pub fn bitonic_sort<T: Scalar, K: PartialOrd>(
                             *x = o;
                         }
                     }
-                }
+                });
                 hc.charge_flops(m);
             } else {
                 // Local compare-exchange.
-                for (node, chunk) in chunks.iter_mut().enumerate() {
+                chunks.for_each_seg_mut(|node, chunk| {
                     let base = node * m;
                     for ia in 0..m {
                         let g = base + ia;
@@ -95,7 +95,7 @@ pub fn bitonic_sort<T: Scalar, K: PartialOrd>(
                             chunk.swap(ia, ib);
                         }
                     }
-                }
+                });
                 hc.charge_flops(m / 2);
             }
         }

@@ -2,7 +2,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vmp_bench::common::cm2;
+use vmp_bench::experiments::spanning_exp::{node_ids, root_payload};
 use vmp_hypercube::collective;
+use vmp_hypercube::slab::{NodeSlab, SegSlab};
 use vmp_hypercube::spanning::{allreduce_rabenseifner, broadcast_with, BroadcastSchedule};
 
 const DIM: u32 = 8;
@@ -20,8 +22,7 @@ fn bench_broadcast_schedules(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::new(name, len), &len, |b, &len| {
                 b.iter(|| {
                     let mut hc = cm2(DIM);
-                    let mut locals =
-                        hc.locals_from_fn(|n| if n == 0 { vec![1.0f64; len] } else { Vec::new() });
+                    let mut locals = root_payload(hc.p(), len);
                     broadcast_with(&mut hc, &mut locals, &dims, 0, sched);
                     std::hint::black_box(locals)
                 });
@@ -39,15 +40,15 @@ fn bench_allreduce_schedules(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("butterfly", len), &len, |b, &len| {
             b.iter(|| {
                 let mut hc = cm2(DIM);
-                let mut locals = hc.locals_from_fn(|n| vec![n as f64; len]);
-                collective::allreduce(&mut hc, &mut locals, &dims, |a, b| a + b);
+                let mut locals = node_ids(hc.p(), len);
+                collective::allreduce_slab(&mut hc, &mut locals, &dims, |a, b| a + b);
                 std::hint::black_box(locals)
             });
         });
         g.bench_with_input(BenchmarkId::new("rabenseifner", len), &len, |b, &len| {
             b.iter(|| {
                 let mut hc = cm2(DIM);
-                let mut locals = hc.locals_from_fn(|n| vec![n as f64; len]);
+                let mut locals = node_ids(hc.p(), len);
                 allreduce_rabenseifner(&mut hc, &mut locals, &dims, |a, b| a + b);
                 std::hint::black_box(locals)
             });
@@ -63,8 +64,10 @@ fn bench_scan_and_alltoall(c: &mut Criterion) {
     g.bench_function("scan_inclusive_256", |b| {
         b.iter(|| {
             let mut hc = cm2(DIM);
-            let mut locals = hc.locals_from_fn(|n| vec![n as u64; 256]);
-            collective::scan_inclusive(&mut hc, &mut locals, &dims, |a, b| a.wrapping_add(b));
+            let mut locals = NodeSlab::build(hc.p(), hc.p() * 256, |n, buf| {
+                buf.extend(std::iter::repeat_n(n as u64, 256));
+            });
+            collective::scan_inclusive_slab(&mut hc, &mut locals, &dims, |a, b| a.wrapping_add(b));
             std::hint::black_box(locals)
         });
     });
@@ -72,9 +75,13 @@ fn bench_scan_and_alltoall(c: &mut Criterion) {
         b.iter(|| {
             let mut hc = cm2(DIM);
             let p = hc.p();
-            let send: Vec<Vec<Vec<u32>>> =
-                (0..p).map(|s| (0..p).map(|c| vec![(s * p + c) as u32; 16]).collect()).collect();
-            std::hint::black_box(collective::alltoall(&mut hc, send, &dims))
+            let mut send = SegSlab::with_capacity(p, p, p * p * 16);
+            for s in 0..p {
+                for c in 0..p {
+                    send.push_seg(&[(s * p + c) as u32; 16]);
+                }
+            }
+            std::hint::black_box(collective::alltoall_slab(&mut hc, &send, &dims))
         });
     });
     g.finish();

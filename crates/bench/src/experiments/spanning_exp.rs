@@ -1,6 +1,7 @@
 //! F4 — spanning-tree schedule ablation for broadcast and all-reduce.
 
 use vmp_hypercube::collective;
+use vmp_hypercube::slab::NodeSlab;
 use vmp_hypercube::spanning::{allreduce_rabenseifner, broadcast_with, BroadcastSchedule};
 
 use crate::common::cm2;
@@ -13,8 +14,8 @@ pub fn broadcast_times(len: usize, dim: u32) -> (f64, f64, f64) {
     let dims: Vec<u32> = (0..dim).collect();
     let run = |sched| {
         let mut hc = cm2(dim);
-        let mut locals = hc.locals_from_fn(|n| if n == 0 { vec![1.0f64; len] } else { Vec::new() });
-        broadcast_with(&mut hc, &mut locals, &dims, 0, sched);
+        let mut slab = root_payload(hc.p(), len);
+        broadcast_with(&mut hc, &mut slab, &dims, 0, sched);
         hc.elapsed_us()
     };
     (
@@ -29,12 +30,27 @@ pub fn broadcast_times(len: usize, dim: u32) -> (f64, f64, f64) {
 pub fn allreduce_times(len: usize, dim: u32) -> (f64, f64) {
     let dims: Vec<u32> = (0..dim).collect();
     let mut hc1 = cm2(dim);
-    let mut a = hc1.locals_from_fn(|n| vec![n as f64; len]);
-    collective::allreduce(&mut hc1, &mut a, &dims, |x, y| x + y);
+    let mut a = node_ids(hc1.p(), len);
+    collective::allreduce_slab(&mut hc1, &mut a, &dims, |x, y| x + y);
     let mut hc2 = cm2(dim);
-    let mut b = hc2.locals_from_fn(|n| vec![n as f64; len]);
+    let mut b = node_ids(hc2.p(), len);
     allreduce_rabenseifner(&mut hc2, &mut b, &dims, |x, y| x + y);
     (hc1.elapsed_us(), hc2.elapsed_us())
+}
+
+/// `p` segments, node 0's holding `len` ones and the rest empty: a
+/// broadcast payload at the root.
+#[must_use]
+pub fn root_payload(p: usize, len: usize) -> NodeSlab<f64> {
+    let mut lens = vec![0; p];
+    lens[0] = len;
+    NodeSlab::filled(&lens, 1.0)
+}
+
+/// `p` segments of length `len`, node `n`'s filled with `n`.
+#[must_use]
+pub fn node_ids(p: usize, len: usize) -> NodeSlab<f64> {
+    NodeSlab::build(p, p * len, |n, buf| buf.extend(std::iter::repeat_n(n as f64, len)))
 }
 
 /// F4: broadcast/all-reduce schedules vs message size on `p = 1024`.

@@ -6,8 +6,13 @@ use crate::slab::SegSlab;
 
 /// All-to-all personalized exchange over a flat [`SegSlab`]: on entry,
 /// the member at coordinate `s` holds segment `c` = the block bound for
-/// coordinate `c`; on return, the member at coordinate `c` holds the
-/// blocks from every source, indexed by source coordinate.
+/// coordinate `c` (`2^{|dims|}` segments per node); on return, the member
+/// at coordinate `c` holds the blocks from every source, indexed by
+/// source coordinate.
+///
+/// `|dims|` supersteps, each moving half of each node's data, so time is
+/// `|dims| * (alpha + beta * B * 2^{k-1})` for uniform block size `B` —
+/// the classic `O(B p lg p / 2)` transfer volume (Johnsson & Ho TR-610).
 ///
 /// The standard hypercube store-and-forward schedule (step `j` forwards
 /// every in-flight block whose destination differs in coordinate bit
@@ -67,38 +72,6 @@ pub fn alltoall_slab<T: Copy>(hc: &mut Hypercube, send: &SegSlab<T>, dims: &[u32
     out
 }
 
-/// All-to-all personalized exchange within every subcube spanned by
-/// `dims`: on entry, member `s` holds `send[s][c]` = the block bound for
-/// coordinate `c` (a `Vec` of length `2^{|dims|}` per node); on return,
-/// member `c` holds the blocks from every source, indexed by source
-/// coordinate.
-///
-/// Standard hypercube algorithm: `|dims|` supersteps; in step `j` each
-/// node forwards to its `dims[j]` neighbour every in-flight block whose
-/// destination differs in coordinate bit `j`. Each step moves half of
-/// each node's data, so time is `|dims| * (alpha + beta * B * 2^{k-1})`
-/// for uniform block size `B` — the classic `O(B p lg p / 2)` transfer
-/// volume (Johnsson & Ho TR-610). Thin adapter over [`alltoall_slab`].
-pub fn alltoall<T: Copy>(
-    hc: &mut Hypercube,
-    send: Vec<Vec<Vec<T>>>,
-    dims: &[u32],
-) -> Vec<Vec<Vec<T>>> {
-    let cube = hc.cube();
-    check_dims(cube, dims);
-    let blocks_per_node = 1usize << dims.len();
-    assert_eq!(send.len(), cube.nodes());
-    for (node, blocks) in send.iter().enumerate() {
-        assert_eq!(
-            blocks.len(),
-            blocks_per_node,
-            "node {node}: need one block per destination coordinate"
-        );
-    }
-    let slab = SegSlab::from_nested(&send, blocks_per_node);
-    alltoall_slab(hc, &slab, dims).to_nested()
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testutil::unit_machine;
@@ -111,10 +84,10 @@ mod tests {
         // send[s][c] = [s*8 + c]
         let send: Vec<Vec<Vec<u32>>> =
             (0..8).map(|s| (0..8).map(|c| vec![(s * 8 + c) as u32]).collect()).collect();
-        let recv = alltoall(&mut hc, send, &dims);
+        let recv = alltoall_slab(&mut hc, &SegSlab::from_nested(&send, 1 << dims.len()), &dims);
         for c in 0..8 {
             for s in 0..8 {
-                assert_eq!(recv[c][s], vec![(s * 8 + c) as u32], "dst {c} src {s}");
+                assert_eq!(recv.seg(c, s), vec![(s * 8 + c) as u32], "dst {c} src {s}");
             }
         }
         assert_eq!(hc.counters().message_steps, 3);
@@ -128,10 +101,10 @@ mod tests {
         let dims = [0u32, 1];
         let send: Vec<Vec<Vec<u8>>> =
             (0..4).map(|s| (0..4).map(|c| vec![s as u8; c]).collect()).collect();
-        let recv = alltoall(&mut hc, send, &dims);
+        let recv = alltoall_slab(&mut hc, &SegSlab::from_nested(&send, 1 << dims.len()), &dims);
         for c in 0..4 {
             for s in 0..4 {
-                assert_eq!(recv[c][s], vec![s as u8; c], "dst {c} src {s}");
+                assert_eq!(recv.seg(c, s), vec![s as u8; c], "dst {c} src {s}");
             }
         }
     }
@@ -143,13 +116,13 @@ mod tests {
         let dims = [0u32, 1];
         let send: Vec<Vec<Vec<usize>>> =
             (0..16).map(|n| (0..4).map(|c| vec![n * 10 + c]).collect()).collect();
-        let recv = alltoall(&mut hc, send, &dims);
+        let recv = alltoall_slab(&mut hc, &SegSlab::from_nested(&send, 1 << dims.len()), &dims);
         for n in 0..16usize {
             let row_base = n & !0b11;
             let my_c = n & 0b11;
             for s in 0..4usize {
                 let src_node = row_base | s;
-                assert_eq!(recv[n][s], vec![src_node * 10 + my_c], "node {n} from {s}");
+                assert_eq!(recv.seg(n, s), vec![src_node * 10 + my_c], "node {n} from {s}");
             }
         }
     }
@@ -158,9 +131,9 @@ mod tests {
     fn alltoall_empty_dims_returns_own_block() {
         let mut hc = unit_machine(2);
         let send: Vec<Vec<Vec<u8>>> = (0..4).map(|n| vec![vec![n as u8]]).collect();
-        let recv = alltoall(&mut hc, send, &[]);
+        let recv = alltoall_slab(&mut hc, &SegSlab::from_nested(&send, 1), &[]);
         for n in 0..4 {
-            assert_eq!(recv[n], vec![vec![n as u8]]);
+            assert_eq!(recv.seg(n, 0), [n as u8]);
         }
         assert_eq!(hc.elapsed_us(), 0.0);
     }
@@ -175,8 +148,8 @@ mod tests {
         let mut hc1 = unit_machine(3);
         let a = reference::alltoall(&mut hc1, send.clone(), &dims);
         let mut hc2 = unit_machine(3);
-        let b = alltoall(&mut hc2, send, &dims);
-        assert_eq!(a, b);
+        let b = alltoall_slab(&mut hc2, &SegSlab::from_nested(&send, 4), &dims);
+        assert_eq!(b.to_nested(), a);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
     }
@@ -186,6 +159,6 @@ mod tests {
     fn wrong_block_count_panics() {
         let mut hc = unit_machine(2);
         let send: Vec<Vec<Vec<u8>>> = (0..4).map(|_| vec![vec![0u8]]).collect();
-        let _ = alltoall(&mut hc, send, &[0, 1]);
+        let _ = alltoall_slab(&mut hc, &SegSlab::from_nested(&send, 1), &[0, 1]);
     }
 }

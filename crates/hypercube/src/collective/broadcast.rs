@@ -6,8 +6,14 @@ use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
 use crate::topology::NodeId;
 
-/// Broadcast over a flat [`NodeSlab`]: every segment ends holding a copy
-/// of its subcube root's segment.
+/// Broadcast, within every subcube spanned by `dims`, the segment of the
+/// node at subcube coordinate `root_coord` to all other subcube members
+/// (overwriting their segments).
+///
+/// Runs the classic spanning-binomial-tree schedule: `|dims|` supersteps,
+/// step `j` doubling the set of informed nodes along `dims[j]`. Time
+/// `|dims| * (alpha + beta * L)` for buffers of length `L` — the
+/// one-port-optimal start-up count.
 ///
 /// The spanning-binomial-tree *schedule* is charged step by step from
 /// segment lengths alone (every informed sender holds exactly the root's
@@ -80,42 +86,18 @@ pub fn broadcast_slab<T: Copy>(
     slab.swap(&mut out);
 }
 
-/// Broadcast, within every subcube spanned by `dims`, the buffer of the
-/// node at subcube coordinate `root_coord` to all other subcube members
-/// (overwriting their buffers).
-///
-/// Runs the classic spanning-binomial-tree schedule: `|dims|` supersteps,
-/// step `j` doubling the set of informed nodes along `dims[j]`. Time
-/// `|dims| * (alpha + beta * L)` for buffers of length `L` — the
-/// one-port-optimal start-up count. Thin adapter over
-/// [`broadcast_slab`].
-///
-/// # Panics
-/// Panics if `dims` is invalid or `root_coord >= 2^{|dims|}`.
-pub fn broadcast<T: Copy>(
-    hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
-    dims: &[u32],
-    root_coord: usize,
-) {
-    assert_eq!(locals.len(), hc.cube().nodes());
-    let mut slab = NodeSlab::from_nested(locals);
-    broadcast_slab(hc, &mut slab, dims, root_coord);
-    slab.write_nested(locals);
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::unit_machine;
+    use super::super::testutil::{slab_from_fn, unit_machine};
     use super::*;
 
     #[test]
     fn broadcast_whole_cube() {
         let mut hc = unit_machine(4);
         let dims: Vec<u32> = hc.cube().iter_dims().collect();
-        let mut locals = hc.locals_from_fn(|n| if n == 0 { vec![1.0, 2.0, 3.0] } else { vec![] });
-        broadcast(&mut hc, &mut locals, &dims, 0);
-        for buf in &locals {
+        let mut locals = slab_from_fn(&hc, |n| if n == 0 { vec![1.0, 2.0, 3.0] } else { vec![] });
+        broadcast_slab(&mut hc, &mut locals, &dims, 0);
+        for buf in locals.iter_segs() {
             assert_eq!(buf, &vec![1.0, 2.0, 3.0]);
         }
         assert_eq!(hc.counters().message_steps, 4, "d supersteps");
@@ -127,9 +109,9 @@ mod tests {
         let mut hc = unit_machine(3);
         let dims = [0u32, 1, 2];
         let root_coord = 5usize;
-        let mut locals = hc.locals_from_fn(|n| if n == 5 { vec![9u32] } else { vec![0] });
-        broadcast(&mut hc, &mut locals, &dims, root_coord);
-        for buf in &locals {
+        let mut locals = slab_from_fn(&hc, |n| if n == 5 { vec![9u32] } else { vec![0] });
+        broadcast_slab(&mut hc, &mut locals, &dims, root_coord);
+        for buf in locals.iter_segs() {
             assert_eq!(buf, &vec![9u32]);
         }
     }
@@ -141,14 +123,14 @@ mod tests {
         // spreads each row-leader's value across its row only.
         let mut hc = unit_machine(4);
         let row_dims = [0u32, 1];
-        let mut locals = hc.locals_from_fn(|n| vec![(n >> 2) as u32 * 100]); // row id * 100
+        let mut locals = slab_from_fn(&hc, |n| vec![(n >> 2) as u32 * 100]); // row id * 100
                                                                              // Give non-leaders junk to prove it is overwritten.
         for n in hc.cube().iter_nodes() {
             if hc.cube().extract_coords(n, &row_dims) != 0 {
-                locals[n] = vec![u32::MAX];
+                locals[n][0] = u32::MAX;
             }
         }
-        broadcast(&mut hc, &mut locals, &row_dims, 0);
+        broadcast_slab(&mut hc, &mut locals, &row_dims, 0);
         for n in hc.cube().iter_nodes() {
             let row = n >> 2;
             assert_eq!(locals[n], vec![row as u32 * 100], "node {n}");
@@ -159,9 +141,9 @@ mod tests {
     #[test]
     fn broadcast_empty_dims_is_noop() {
         let mut hc = unit_machine(3);
-        let mut locals = hc.locals_from_fn(|n| vec![n]);
+        let mut locals = slab_from_fn(&hc, |n| vec![n]);
         let before = locals.clone();
-        broadcast(&mut hc, &mut locals, &[], 0);
+        broadcast_slab(&mut hc, &mut locals, &[], 0);
         assert_eq!(locals, before);
         assert_eq!(hc.elapsed_us(), 0.0);
     }
@@ -171,8 +153,8 @@ mod tests {
         let mut hc = unit_machine(5);
         let dims = [1u32, 4];
         // Roots: nodes with bits 1 and 4 equal to root_coord=0b10 -> bit1=0, bit4=1.
-        let mut locals = hc.locals_from_fn(|n| vec![n]);
-        broadcast(&mut hc, &mut locals, &dims, 0b10);
+        let mut locals = slab_from_fn(&hc, |n| vec![n]);
+        broadcast_slab(&mut hc, &mut locals, &dims, 0b10);
         for n in hc.cube().iter_nodes() {
             let root = hc.cube().with_coords(n, 0b10, &dims);
             assert_eq!(locals[n], vec![root], "node {n} gets its subcube root's value");
@@ -183,12 +165,12 @@ mod tests {
     fn slab_broadcast_matches_reference_with_ragged_roots() {
         let mut hc1 = unit_machine(4);
         let dims = [0u32, 2];
-        let mut a = hc1.locals_from_fn(|n| vec![n as u64; (n % 3) + 1]);
-        let mut b = a.clone();
+        let mut a: Vec<Vec<u64>> = (0..hc1.p()).map(|n| vec![n as u64; (n % 3) + 1]).collect();
+        let mut b = NodeSlab::from_nested(&a);
         super::super::reference::broadcast(&mut hc1, &mut a, &dims, 1);
         let mut hc2 = unit_machine(4);
-        broadcast(&mut hc2, &mut b, &dims, 1);
-        assert_eq!(a, b);
+        broadcast_slab(&mut hc2, &mut b, &dims, 1);
+        assert_eq!(b.to_nested(), a);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
     }
@@ -197,7 +179,7 @@ mod tests {
     #[should_panic(expected = "root coordinate out of range")]
     fn bad_root_panics() {
         let mut hc = unit_machine(3);
-        let mut locals: Vec<Vec<u8>> = hc.empty_locals();
-        broadcast(&mut hc, &mut locals, &[0, 1], 4);
+        let mut locals: NodeSlab<u8> = NodeSlab::new(hc.p());
+        broadcast_slab(&mut hc, &mut locals, &[0, 1], 4);
     }
 }

@@ -3,75 +3,27 @@
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
 
-/// Compute the exchange schedule: `(pairs, max_len, total)` from the
-/// per-node lengths, exactly as the seed implementation charged it.
-fn exchange_schedule(
-    p: usize,
-    bit: usize,
-    len_of: impl Fn(usize) -> usize,
-) -> (Vec<(usize, usize)>, usize, u64) {
-    let mut max_len = 0usize;
-    let mut total: u64 = 0;
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(p / 2);
-    for node in 0..p {
-        let len = len_of(node ^ bit);
-        max_len = max_len.max(len);
-        total += len as u64;
-        if node & bit == 0 {
-            pairs.push((node, node | bit));
-        }
-    }
-    (pairs, max_len, total)
-}
-
-/// Every node receives a copy of its `dim`-neighbour's buffer (keeping
-/// its own): the primitive step of butterfly algorithms (FFT stages,
-/// bitonic compare-exchange, all-reduce). One superstep,
-/// `alpha + beta * L` on full-duplex channels.
-///
-/// `T: Copy` so the per-node copies compile to `memcpy`; callers that
-/// don't need to keep their own buffer should use
-/// [`exchange_in_place`] (zero-copy) or [`exchange_slab`].
+/// Pairwise exchange over a flat [`NodeSlab`]: each segment ends holding
+/// its `dim`-neighbour's previous content — the primitive step of
+/// butterfly algorithms (FFT stages, bitonic compare-exchange, sparse
+/// all-reduce). One superstep, `alpha + beta * L` on full-duplex
+/// channels. When partner segments have equal lengths (the common,
+/// load-balanced case) this is an in-arena `swap_with_slice`; otherwise
+/// one rebuild pass.
 ///
 /// # Panics
 /// Panics if `dim` is out of range.
-pub fn exchange<T: Copy>(hc: &mut Hypercube, locals: &[Vec<T>], dim: u32) -> Vec<Vec<T>> {
-    let cube = hc.cube();
-    assert!(dim < cube.dim(), "dimension {dim} out of range for cube of dim {}", cube.dim());
-    assert_eq!(locals.len(), cube.nodes());
-    let bit = 1usize << dim;
-    let (pairs, max_len, total) = exchange_schedule(cube.nodes(), bit, |n| locals[n].len());
-    let out: Vec<Vec<T>> = (0..cube.nodes()).map(|node| locals[node ^ bit].to_vec()).collect();
-    hc.charge_exchange_step(&pairs, max_len, total);
-    out
-}
-
-/// As [`exchange`], but **swapping** the per-node buffers in place: node
-/// `n` ends holding what `n ^ 2^dim` held (its own buffer is given
-/// away). Zero element copies — the `Vec` handles are swapped — and no
-/// trait bounds. Same charge as [`exchange`].
-pub fn exchange_in_place<T>(hc: &mut Hypercube, locals: &mut [Vec<T>], dim: u32) {
-    let cube = hc.cube();
-    assert!(dim < cube.dim(), "dimension {dim} out of range for cube of dim {}", cube.dim());
-    assert_eq!(locals.len(), cube.nodes());
-    let bit = 1usize << dim;
-    let (pairs, max_len, total) = exchange_schedule(cube.nodes(), bit, |n| locals[n].len());
-    for &(lo, hi) in &pairs {
-        locals.swap(lo, hi);
-    }
-    hc.charge_exchange_step(&pairs, max_len, total);
-}
-
-/// As [`exchange_in_place`], over a flat [`NodeSlab`]: each segment ends
-/// holding its `dim`-neighbour's previous content. When partner
-/// segments have equal lengths (the common, load-balanced case) this is
-/// an in-arena `swap_with_slice`; otherwise one rebuild pass.
 pub fn exchange_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dim: u32) {
     let cube = hc.cube();
     assert!(dim < cube.dim(), "dimension {dim} out of range for cube of dim {}", cube.dim());
     assert_eq!(slab.p(), cube.nodes());
     let bit = 1usize << dim;
-    let (pairs, max_len, total) = exchange_schedule(cube.nodes(), bit, |n| slab.len_of(n));
+    // Every node receives its partner's segment: the channel load is the
+    // longest segment, the volume is every segment once.
+    let max_len = slab.max_seg_len();
+    let total = slab.total_len() as u64;
+    let pairs: Vec<(usize, usize)> =
+        (0..slab.p()).filter(|node| node & bit == 0).map(|node| (node, node | bit)).collect();
     if pairs.iter().all(|&(lo, hi)| slab.len_of(lo) == slab.len_of(hi)) {
         for &(lo, hi) in &pairs {
             let (a, b) = slab.pair_mut(lo, hi);
@@ -89,16 +41,18 @@ pub fn exchange_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dim: u
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::unit_machine;
+    use super::super::reference;
+    use super::super::testutil::{slab_from_fn, unit_machine};
     use super::*;
 
     #[test]
     fn exchange_swaps_buffers() {
         let mut hc = unit_machine(3);
-        let locals = hc.locals_from_fn(|n| vec![n as u64; n % 3]);
-        let got = exchange(&mut hc, &locals, 1);
+        let before = slab_from_fn(&hc, |n| vec![n as u64; n % 3]);
+        let mut got = before.clone();
+        exchange_slab(&mut hc, &mut got, 1);
         for node in 0..8 {
-            assert_eq!(got[node], locals[node ^ 2], "node {node}");
+            assert_eq!(got[node], before[node ^ 2], "node {node}");
         }
         assert_eq!(hc.counters().message_steps, 1);
     }
@@ -106,29 +60,30 @@ mod tests {
     #[test]
     fn exchange_cost_is_one_superstep_of_the_longest_buffer() {
         let mut hc = unit_machine(2);
-        let locals = hc.locals_from_fn(|n| vec![0u8; if n == 0 { 7 } else { 2 }]);
-        let _ = exchange(&mut hc, &locals, 0);
+        let mut slab = slab_from_fn(&hc, |n| vec![0u8; if n == 0 { 7 } else { 2 }]);
+        exchange_slab(&mut hc, &mut slab, 0);
         assert_eq!(hc.elapsed_us(), 1.0 + 7.0, "alpha + beta * max_len");
     }
 
     #[test]
     fn double_exchange_restores() {
         let mut hc = unit_machine(4);
-        let locals = hc.locals_from_fn(|n| vec![n]);
-        let once = exchange(&mut hc, &locals, 3);
-        let twice = exchange(&mut hc, &once, 3);
-        assert_eq!(twice, locals);
+        let before = slab_from_fn(&hc, |n| vec![n]);
+        let mut slab = before.clone();
+        exchange_slab(&mut hc, &mut slab, 3);
+        exchange_slab(&mut hc, &mut slab, 3);
+        assert_eq!(slab, before);
     }
 
     #[test]
-    fn in_place_exchange_matches_copying_exchange() {
+    fn ragged_exchange_rebuild_matches_reference() {
         let mut hc1 = unit_machine(3);
-        let locals = hc1.locals_from_fn(|n| vec![n as u32; (n % 4) + 1]);
-        let copied = exchange(&mut hc1, &locals, 2);
+        let locals: Vec<Vec<u32>> = (0..hc1.p()).map(|n| vec![n as u32; (n % 4) + 1]).collect();
+        let want = reference::exchange(&mut hc1, &locals, 2);
         let mut hc2 = unit_machine(3);
-        let mut moved = locals.clone();
-        exchange_in_place(&mut hc2, &mut moved, 2);
-        assert_eq!(moved, copied);
+        let mut slab = NodeSlab::from_nested(&locals);
+        exchange_slab(&mut hc2, &mut slab, 2);
+        assert_eq!(slab.to_nested(), want);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
     }
@@ -137,12 +92,13 @@ mod tests {
     fn slab_exchange_matches_for_equal_and_ragged_lengths() {
         for ragged in [false, true] {
             let mut hc1 = unit_machine(3);
-            let locals = hc1.locals_from_fn(|n| vec![n as u16; if ragged { n % 3 } else { 2 }]);
-            let copied = exchange(&mut hc1, &locals, 0);
+            let locals: Vec<Vec<u16>> =
+                (0..hc1.p()).map(|n| vec![n as u16; if ragged { n % 3 } else { 2 }]).collect();
+            let want = reference::exchange(&mut hc1, &locals, 0);
             let mut hc2 = unit_machine(3);
             let mut slab = NodeSlab::from_nested(&locals);
             exchange_slab(&mut hc2, &mut slab, 0);
-            assert_eq!(slab.to_nested(), copied, "ragged={ragged}");
+            assert_eq!(slab.to_nested(), want, "ragged={ragged}");
             assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
             assert_eq!(hc1.counters(), hc2.counters());
         }
@@ -152,7 +108,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_dim_panics() {
         let mut hc = unit_machine(2);
-        let locals: Vec<Vec<u8>> = hc.empty_locals();
-        let _ = exchange(&mut hc, &locals, 2);
+        let mut slab: NodeSlab<u8> = NodeSlab::new(hc.p());
+        exchange_slab(&mut hc, &mut slab, 2);
     }
 }

@@ -81,16 +81,6 @@ pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims:
     slab.swap(&mut out);
 }
 
-/// All-gather within every subcube spanned by `dims`: every member ends
-/// holding the concatenation of all members' buffers in coordinate order.
-/// Thin adapter over [`allgather_slab`].
-pub fn allgather<T: Copy>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u32]) {
-    assert_eq!(locals.len(), hc.cube().nodes());
-    let mut slab = NodeSlab::from_nested(locals);
-    allgather_slab(hc, &mut slab, dims);
-    slab.write_nested(locals);
-}
-
 /// Gather over a flat [`NodeSlab`]: the node at subcube coordinate 0
 /// ends holding the concatenation of all members' segments in
 /// coordinate order; every other member's segment becomes empty.
@@ -143,17 +133,6 @@ pub fn gather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims: &[
         });
     }
     slab.swap(&mut out);
-}
-
-/// Gather to subcube coordinate 0: the root ends holding the
-/// concatenation of all members' buffers in coordinate order; every other
-/// member's buffer is consumed (left empty). Thin adapter over
-/// [`gather_slab`].
-pub fn gather<T: Copy>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u32]) {
-    assert_eq!(locals.len(), hc.cube().nodes());
-    let mut slab = NodeSlab::from_nested(locals);
-    gather_slab(hc, &mut slab, dims);
-    slab.write_nested(locals);
 }
 
 /// Scatter over a flat [`SegSlab`]: each subcube root's `2^{|dims|}`
@@ -228,48 +207,17 @@ pub fn scatter_slab<T: Copy>(
     out
 }
 
-/// Scatter from subcube coordinate 0: the root's `segments` (one per
-/// coordinate, in coordinate order) are distributed so that the member at
-/// coordinate `c` ends holding `segments[c]` as its buffer. Non-root
-/// buffers are overwritten; the root keeps `segments[0]`. Thin adapter
-/// over [`scatter_slab`].
-///
-/// # Panics
-/// Panics unless `segments.len() == 2^{|dims|}` at every subcube root
-/// (roots are identified by coordinate 0; pass `segments[node]` empty
-/// `Vec`s elsewhere — they are ignored).
-pub fn scatter<T: Copy>(
-    hc: &mut Hypercube,
-    segments: Vec<Vec<Vec<T>>>,
-    dims: &[u32],
-) -> Vec<Vec<T>> {
-    let cube = hc.cube();
-    check_dims(cube, dims);
-    let k = dims.len();
-    assert_eq!(segments.len(), cube.nodes());
-    for (node, segs) in segments.iter().enumerate() {
-        let c = cube.extract_coords(node, dims);
-        if c == 0 {
-            assert_eq!(segs.len(), 1usize << k, "root must supply 2^k segments");
-        } else {
-            assert!(segs.is_empty(), "non-root nodes must not supply segments");
-        }
-    }
-    let slab = SegSlab::from_nested(&segments, 1usize << k);
-    scatter_slab(hc, &slab, dims).to_nested()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::unit_machine;
+    use super::super::testutil::{slab_from_fn, unit_machine};
     use super::*;
 
     #[test]
     fn allgather_concatenates_in_coordinate_order() {
         let mut hc = unit_machine(3);
         let dims = [0u32, 1, 2];
-        let mut locals = hc.locals_from_fn(|n| vec![n as u32, 100 + n as u32]);
-        allgather(&mut hc, &mut locals, &dims);
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u32, 100 + n as u32]);
+        allgather_slab(&mut hc, &mut locals, &dims);
         let expected: Vec<u32> = (0..8).flat_map(|n| [n, 100 + n]).collect();
         for n in 0..8 {
             assert_eq!(locals[n], expected, "node {n}");
@@ -281,8 +229,8 @@ mod tests {
     fn allgather_ragged_buffers() {
         let mut hc = unit_machine(2);
         let dims = [0u32, 1];
-        let mut locals = hc.locals_from_fn(|n| vec![n as u8; n]);
-        allgather(&mut hc, &mut locals, &dims);
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u8; n]);
+        allgather_slab(&mut hc, &mut locals, &dims);
         let expected: Vec<u8> = (0..4).flat_map(|n| vec![n as u8; n]).collect();
         for n in 0..4 {
             assert_eq!(locals[n], expected);
@@ -294,8 +242,8 @@ mod tests {
         // dim-4 cube as 4x4 grid, row dims {0,1}: each row gathers its own.
         let mut hc = unit_machine(4);
         let dims = [0u32, 1];
-        let mut locals = hc.locals_from_fn(|n| vec![n]);
-        allgather(&mut hc, &mut locals, &dims);
+        let mut locals = slab_from_fn(&hc, |n| vec![n]);
+        allgather_slab(&mut hc, &mut locals, &dims);
         for n in 0..16usize {
             let row = n >> 2 << 2;
             assert_eq!(locals[n], vec![row, row + 1, row + 2, row + 3]);
@@ -306,8 +254,8 @@ mod tests {
     fn gather_concentrates_at_coordinate_zero() {
         let mut hc = unit_machine(3);
         let dims = [0u32, 1, 2];
-        let mut locals = hc.locals_from_fn(|n| vec![n as u16]);
-        gather(&mut hc, &mut locals, &dims);
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u16]);
+        gather_slab(&mut hc, &mut locals, &dims);
         assert_eq!(locals[0], (0..8).collect::<Vec<u16>>());
         for n in 1..8 {
             assert!(locals[n].is_empty(), "node {n} consumed");
@@ -319,8 +267,8 @@ mod tests {
     fn gather_subset_dims_keeps_other_subcubes_separate() {
         let mut hc = unit_machine(3);
         let dims = [1u32, 2]; // gather within each {bit0}-indexed subcube
-        let mut locals = hc.locals_from_fn(|n| vec![n as u16]);
-        gather(&mut hc, &mut locals, &dims);
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u16]);
+        gather_slab(&mut hc, &mut locals, &dims);
         assert_eq!(locals[0], vec![0, 2, 4, 6]);
         assert_eq!(locals[1], vec![1, 3, 5, 7]);
         for n in 2..8 {
@@ -341,7 +289,8 @@ mod tests {
                 }
             })
             .collect();
-        let locals = scatter(&mut hc, segments, &dims);
+        let locals =
+            scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << dims.len()), &dims);
         for c in 0..8u32 {
             assert_eq!(locals[c as usize], vec![c * 10, c * 10 + 1], "coord {c}");
         }
@@ -355,11 +304,12 @@ mod tests {
         let original: Vec<Vec<u64>> = (0..16).map(|c| vec![c as u64; (c % 3) + 1]).collect();
         let segments: Vec<Vec<Vec<u64>>> =
             (0..16).map(|n| if n == 0 { original.clone() } else { Vec::new() }).collect();
-        let mut locals = scatter(&mut hc, segments, &dims);
+        let mut locals =
+            scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << dims.len()), &dims);
         for c in 0..16usize {
             assert_eq!(locals[c], original[c]);
         }
-        gather(&mut hc, &mut locals, &dims);
+        gather_slab(&mut hc, &mut locals, &dims);
         let flat: Vec<u64> = original.into_iter().flatten().collect();
         assert_eq!(locals[0], flat);
     }
@@ -373,7 +323,8 @@ mod tests {
         let segments: Vec<Vec<Vec<usize>>> = (0..16)
             .map(|n| if n < 4 { (0..4).map(|c| vec![n * 100 + c]).collect() } else { Vec::new() })
             .collect();
-        let locals = scatter(&mut hc, segments, &dims);
+        let locals =
+            scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << dims.len()), &dims);
         for n in 0..16usize {
             let col = n & 0b11;
             let row = n >> 2;
@@ -384,9 +335,9 @@ mod tests {
     #[test]
     fn allgather_empty_dims_is_noop() {
         let mut hc = unit_machine(2);
-        let mut locals = hc.locals_from_fn(|n| vec![n]);
+        let mut locals = slab_from_fn(&hc, |n| vec![n]);
         let before = locals.clone();
-        allgather(&mut hc, &mut locals, &[]);
+        allgather_slab(&mut hc, &mut locals, &[]);
         assert_eq!(locals, before);
     }
 
@@ -394,24 +345,25 @@ mod tests {
     fn slab_paths_match_reference_clocks_on_ragged_inputs() {
         use super::super::reference;
         let dims = [1u32, 2];
+        let ragged: Vec<Vec<u64>> = (0..8).map(|n| vec![n as u64; n % 4]).collect();
         // allgather
         let mut hc1 = unit_machine(3);
-        let mut a = hc1.locals_from_fn(|n| vec![n as u64; n % 4]);
-        let mut b = a.clone();
+        let mut a = ragged.clone();
         reference::allgather(&mut hc1, &mut a, &dims);
         let mut hc2 = unit_machine(3);
-        allgather(&mut hc2, &mut b, &dims);
-        assert_eq!(a, b);
+        let mut b = NodeSlab::from_nested(&ragged);
+        allgather_slab(&mut hc2, &mut b, &dims);
+        assert_eq!(b.to_nested(), a);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
         // gather
         let mut hc3 = unit_machine(3);
-        let mut c = hc3.locals_from_fn(|n| vec![n as u64; n % 4]);
-        let mut d = c.clone();
+        let mut c = ragged.clone();
         reference::gather(&mut hc3, &mut c, &dims);
         let mut hc4 = unit_machine(3);
-        gather(&mut hc4, &mut d, &dims);
-        assert_eq!(c, d);
+        let mut d = NodeSlab::from_nested(&ragged);
+        gather_slab(&mut hc4, &mut d, &dims);
+        assert_eq!(d.to_nested(), c);
         assert_eq!(hc3.elapsed_us(), hc4.elapsed_us());
         assert_eq!(hc3.counters(), hc4.counters());
     }
@@ -432,8 +384,8 @@ mod tests {
         let mut hc1 = unit_machine(3);
         let a = reference::scatter(&mut hc1, segs.clone(), &dims);
         let mut hc2 = unit_machine(3);
-        let b = scatter(&mut hc2, segs, &dims);
-        assert_eq!(a, b);
+        let b = scatter_slab(&mut hc2, &SegSlab::from_nested(&segs, 4), &dims);
+        assert_eq!(b.to_nested(), a);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
     }

@@ -30,12 +30,12 @@ mod reduce;
 pub mod reference;
 mod scan;
 
-pub use alltoall::{alltoall, alltoall_slab};
-pub use broadcast::{broadcast, broadcast_slab};
-pub use exchange::{exchange, exchange_in_place, exchange_slab};
-pub use gather::{allgather, allgather_slab, gather, gather_slab, scatter, scatter_slab};
-pub use reduce::{allreduce, allreduce_slab, reduce, reduce_slab};
-pub use scan::{scan_exclusive, scan_exclusive_slab, scan_inclusive, scan_inclusive_slab};
+pub use alltoall::alltoall_slab;
+pub use broadcast::broadcast_slab;
+pub use exchange::exchange_slab;
+pub use gather::{allgather_slab, gather_slab, scatter_slab};
+pub use reduce::{allreduce_slab, reduce_slab};
+pub use scan::{scan_exclusive_slab, scan_inclusive_slab};
 
 use crate::topology::Cube;
 
@@ -54,14 +54,20 @@ pub(crate) fn check_dims(cube: Cube, dims: &[u32]) {
 pub(crate) mod testutil {
     use crate::cost::CostModel;
     use crate::machine::Hypercube;
+    use crate::slab::NodeSlab;
 
     pub fn unit_machine(dim: u32) -> Hypercube {
         Hypercube::new(dim, CostModel::unit())
     }
 
-    /// Per-node buffers where node `n` holds `len` copies of `n as f64`
+    /// One segment per node of `hc`, node `n`'s being `f(n)`.
+    pub fn slab_from_fn<T>(hc: &Hypercube, f: impl FnMut(usize) -> Vec<T>) -> NodeSlab<T> {
+        NodeSlab::from_nested_owned((0..hc.p()).map(f).collect())
+    }
+
+    /// Per-node segments where node `n` holds `len` copies of `n as f64`
     /// offset by the element index — distinguishable contents.
-    pub fn labelled_locals(hc: &Hypercube, len: usize) -> Vec<Vec<f64>> {
-        hc.locals_from_fn(|n| (0..len).map(|i| (n * 1000 + i) as f64).collect())
+    pub fn labelled_locals(hc: &Hypercube, len: usize) -> NodeSlab<f64> {
+        slab_from_fn(hc, |n| (0..len).map(|i| (n * 1000 + i) as f64).collect())
     }
 }

@@ -89,29 +89,6 @@ pub fn reduce_slab<T: Copy>(
     slab.swap(&mut out);
 }
 
-/// Reduce, within every subcube spanned by `dims`, the equal-length
-/// buffers of all members elementwise with the **commutative associative**
-/// operator `op`, leaving the result in the buffer of the node at subcube
-/// coordinate `root_coord` and **clearing** every other member's buffer
-/// (their partial contents are meaningless after the exchange). Thin
-/// adapter over [`reduce_slab`].
-///
-/// # Panics
-/// Panics if the buffers within a subcube have different lengths, or on an
-/// invalid `dims`/`root_coord`.
-pub fn reduce<T: Copy>(
-    hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
-    dims: &[u32],
-    root_coord: usize,
-    op: impl Fn(T, T) -> T,
-) {
-    assert_eq!(locals.len(), hc.cube().nodes());
-    let mut slab = NodeSlab::from_nested(locals);
-    reduce_slab(hc, &mut slab, dims, root_coord, op);
-    slab.write_nested(locals);
-}
-
 /// All-reduce over a flat [`NodeSlab`]: after the call every segment in
 /// a subcube holds the elementwise `op`-combination of all of them.
 ///
@@ -190,24 +167,9 @@ pub fn allreduce_slab<T: Copy>(
     }
 }
 
-/// All-reduce within every subcube spanned by `dims`: after the call every
-/// member holds the elementwise `op`-combination of all members' buffers.
-/// Thin adapter over [`allreduce_slab`].
-pub fn allreduce<T: Copy>(
-    hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
-    dims: &[u32],
-    op: impl Fn(T, T) -> T,
-) {
-    assert_eq!(locals.len(), hc.cube().nodes());
-    let mut slab = NodeSlab::from_nested(locals);
-    allreduce_slab(hc, &mut slab, dims, op);
-    slab.write_nested(locals);
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{labelled_locals, unit_machine};
+    use super::super::testutil::{labelled_locals, slab_from_fn, unit_machine};
     use super::*;
 
     #[test]
@@ -217,7 +179,7 @@ mod tests {
         let mut locals = labelled_locals(&hc, 3);
         let expected: Vec<f64> =
             (0..3).map(|i| (0..16).map(|n| (n * 1000 + i) as f64).sum()).collect();
-        reduce(&mut hc, &mut locals, &dims, 0, |a, b| a + b);
+        reduce_slab(&mut hc, &mut locals, &dims, 0, |a, b| a + b);
         assert_eq!(locals[0], expected);
         for n in 1..16 {
             assert!(locals[n].is_empty(), "non-root buffers cleared");
@@ -228,8 +190,8 @@ mod tests {
     #[test]
     fn reduce_to_nonzero_root() {
         let mut hc = unit_machine(3);
-        let mut locals = hc.locals_from_fn(|n| vec![n as u64]);
-        reduce(&mut hc, &mut locals, &[0, 1, 2], 6, |a, b| a + b);
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u64]);
+        reduce_slab(&mut hc, &mut locals, &[0, 1, 2], 6, |a, b| a + b);
         assert_eq!(locals[6], vec![(0..8).sum::<u64>()]);
     }
 
@@ -238,11 +200,11 @@ mod tests {
         // dims {2,3} reduce over rows of a 4x4 grid: per column minimum.
         let mut hc = unit_machine(4);
         let col_dims = [2u32, 3];
-        let mut locals = hc.locals_from_fn(|n| vec![((n * 7919) % 97) as i64]);
+        let mut locals = slab_from_fn(&hc, |n| vec![((n * 7919) % 97) as i64]);
         let expected: Vec<i64> = (0..4)
             .map(|col| (0..4).map(|row| (((row << 2 | col) * 7919) % 97) as i64).min().unwrap())
             .collect();
-        reduce(&mut hc, &mut locals, &col_dims, 0, i64::min);
+        reduce_slab(&mut hc, &mut locals, &col_dims, 0, i64::min);
         for col in 0..4usize {
             assert_eq!(locals[col], vec![expected[col]], "column {col}");
         }
@@ -255,7 +217,7 @@ mod tests {
         let mut locals = labelled_locals(&hc, 2);
         let expected: Vec<f64> =
             (0..2).map(|i| (0..16).map(|n| (n * 1000 + i) as f64).sum()).collect();
-        allreduce(&mut hc, &mut locals, &dims, |a, b| a + b);
+        allreduce_slab(&mut hc, &mut locals, &dims, |a, b| a + b);
         for n in 0..16 {
             assert_eq!(locals[n], expected, "node {n}");
         }
@@ -266,8 +228,8 @@ mod tests {
     fn allreduce_subcube_independence() {
         // allreduce along dim {0} only: pairs (2k, 2k+1) sum privately.
         let mut hc = unit_machine(3);
-        let mut locals = hc.locals_from_fn(|n| vec![n as u64]);
-        allreduce(&mut hc, &mut locals, &[0], |a, b| a + b);
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u64]);
+        allreduce_slab(&mut hc, &mut locals, &[0], |a, b| a + b);
         for n in 0..8usize {
             let pair_sum = ((n & !1) + (n | 1)) as u64;
             assert_eq!(locals[n], vec![pair_sum]);
@@ -278,11 +240,11 @@ mod tests {
     fn reduce_and_allreduce_agree() {
         let mut hc1 = unit_machine(5);
         let dims: Vec<u32> = hc1.cube().iter_dims().collect();
-        let mut a = hc1.locals_from_fn(|n| vec![(n as f64).sin(); 4]);
+        let mut a = slab_from_fn(&hc1, |n| vec![(n as f64).sin(); 4]);
         let mut b = a.clone();
-        reduce(&mut hc1, &mut a, &dims, 0, |x, y| x + y);
+        reduce_slab(&mut hc1, &mut a, &dims, 0, |x, y| x + y);
         let mut hc2 = unit_machine(5);
-        allreduce(&mut hc2, &mut b, &dims, |x, y| x + y);
+        allreduce_slab(&mut hc2, &mut b, &dims, |x, y| x + y);
         for (x, y) in a[0].iter().zip(&b[0]) {
             assert!((x - y).abs() < 1e-9);
         }
@@ -291,9 +253,9 @@ mod tests {
     #[test]
     fn reduce_empty_dims_is_noop() {
         let mut hc = unit_machine(3);
-        let mut locals = hc.locals_from_fn(|n| vec![n as u64]);
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u64]);
         let before = locals.clone();
-        reduce(&mut hc, &mut locals, &[], 0, |a, b| a + b);
+        reduce_slab(&mut hc, &mut locals, &[], 0, |a, b| a + b);
         assert_eq!(locals, before);
     }
 
@@ -302,12 +264,12 @@ mod tests {
         use super::super::reference;
         let dims = [0u32, 1, 3];
         let mut hc1 = unit_machine(4);
-        let mut a = hc1.locals_from_fn(|n| vec![(n as f64).sin(); 5]);
-        let mut b = a.clone();
+        let mut a: Vec<Vec<f64>> = (0..hc1.p()).map(|n| vec![(n as f64).sin(); 5]).collect();
+        let mut b = NodeSlab::from_nested(&a);
         reference::reduce(&mut hc1, &mut a, &dims, 2, |x, y| x + y);
         let mut hc2 = unit_machine(4);
-        reduce(&mut hc2, &mut b, &dims, 2, |x, y| x + y);
-        assert_eq!(a, b, "payload bit-identical (same combine order)");
+        reduce_slab(&mut hc2, &mut b, &dims, 2, |x, y| x + y);
+        assert_eq!(b.to_nested(), a, "payload bit-identical (same combine order)");
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
     }
@@ -316,7 +278,7 @@ mod tests {
     #[should_panic(expected = "equal buffer lengths")]
     fn ragged_buffers_panic() {
         let mut hc = unit_machine(2);
-        let mut locals = hc.locals_from_fn(|n| vec![0u8; n]);
-        reduce(&mut hc, &mut locals, &[0, 1], 0, |a, b| a + b);
+        let mut locals = slab_from_fn(&hc, |n| vec![0u8; n]);
+        reduce_slab(&mut hc, &mut locals, &[0, 1], 0, |a, b| a + b);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! 1. **Differential testing** — the slab-backed canonical collectives
 //!    (see the sibling modules) must produce bit-identical payloads,
-//!    simulated clocks, and counters; `tests/slab_equiv.rs` checks that
+//!    simulated clocks, and counters; `tests/data_plane.rs` checks that
 //!    property against these on random shapes, machine sizes, and fault
 //!    plans.
 //! 2. **Wall-clock baselining** — `reproduce -- wallclock` times the
@@ -18,7 +18,7 @@ use super::check_dims;
 use crate::machine::Hypercube;
 use crate::topology::NodeId;
 
-/// Seed [`super::exchange`]: every node receives a copy of its
+/// Seed [`super::exchange_slab`]: every node receives a copy of its
 /// `dim`-neighbour's buffer, cloning one `Vec` per node.
 pub fn exchange<T: Clone>(hc: &mut Hypercube, locals: &[Vec<T>], dim: u32) -> Vec<Vec<T>> {
     let cube = hc.cube();
@@ -43,7 +43,7 @@ pub fn exchange<T: Clone>(hc: &mut Hypercube, locals: &[Vec<T>], dim: u32) -> Ve
     out
 }
 
-/// Seed [`super::allgather`]: recursive doubling with a merged
+/// Seed [`super::allgather_slab`]: recursive doubling with a merged
 /// allocation and a clone per pair per step.
 pub fn allgather<T: Clone>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u32]) {
     let cube = hc.cube();
@@ -80,7 +80,7 @@ pub fn allgather<T: Clone>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u3
     }
 }
 
-/// Seed [`super::gather`]: reverse binomial tree with `mem::take` +
+/// Seed [`super::gather_slab`]: reverse binomial tree with `mem::take` +
 /// `append` per hop.
 pub fn gather<T>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u32]) {
     let cube = hc.cube();
@@ -111,7 +111,7 @@ pub fn gather<T>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u32]) {
     }
 }
 
-/// Seed [`super::scatter`]: binomial tree carrying nested segment lists.
+/// Seed [`super::scatter_slab`]: binomial tree carrying nested segment lists.
 pub fn scatter<T>(hc: &mut Hypercube, segments: Vec<Vec<Vec<T>>>, dims: &[u32]) -> Vec<Vec<T>> {
     let cube = hc.cube();
     check_dims(cube, dims);
@@ -162,7 +162,7 @@ pub fn scatter<T>(hc: &mut Hypercube, segments: Vec<Vec<Vec<T>>>, dims: &[u32]) 
 /// An in-flight item: `(src_coord, dst_coord, payload)`.
 type InFlightItem<T> = (usize, usize, Vec<T>);
 
-/// Seed [`super::alltoall`]: forwards owned block `Vec`s through `k`
+/// Seed [`super::alltoall_slab`]: forwards owned block `Vec`s through `k`
 /// supersteps and reassembles by source coordinate.
 pub fn alltoall<T>(hc: &mut Hypercube, send: Vec<Vec<Vec<T>>>, dims: &[u32]) -> Vec<Vec<Vec<T>>> {
     let cube = hc.cube();
@@ -230,7 +230,7 @@ pub fn alltoall<T>(hc: &mut Hypercube, send: Vec<Vec<Vec<T>>>, dims: &[u32]) -> 
         .collect()
 }
 
-/// Seed [`super::reduce`]: reverse binomial tree taking and folding
+/// Seed [`super::reduce_slab`]: reverse binomial tree taking and folding
 /// whole `Vec`s.
 pub fn reduce<T: Copy>(
     hc: &mut Hypercube,
@@ -279,7 +279,7 @@ pub fn reduce<T: Copy>(
     }
 }
 
-/// Seed [`super::allreduce`]: butterfly combine via `split_at_mut`.
+/// Seed [`super::allreduce_slab`]: butterfly combine via `split_at_mut`.
 pub fn allreduce<T: Copy>(
     hc: &mut Hypercube,
     locals: &mut [Vec<T>],
@@ -324,7 +324,7 @@ pub fn allreduce<T: Copy>(
     }
 }
 
-/// Seed [`super::scan_inclusive`]: butterfly over a full cloned
+/// Seed [`super::scan_inclusive_slab`]: butterfly over a full cloned
 /// `totals` copy of the inputs.
 pub fn scan_inclusive<T: Copy>(
     hc: &mut Hypercube,
@@ -379,7 +379,7 @@ pub fn scan_inclusive<T: Copy>(
     }
 }
 
-/// Seed [`super::scan_exclusive`]: saves a full input copy, seeds the
+/// Seed [`super::scan_exclusive_slab`]: saves a full input copy, seeds the
 /// prefixes with the identity, then runs the same butterfly.
 pub fn scan_exclusive<T: Copy>(
     hc: &mut Hypercube,
@@ -433,7 +433,7 @@ pub fn scan_exclusive<T: Copy>(
     }
 }
 
-/// Seed [`super::broadcast`]: spanning binomial tree cloning the full
+/// Seed [`super::broadcast_slab`]: spanning binomial tree cloning the full
 /// buffer at every hop.
 pub fn broadcast<T: Clone>(
     hc: &mut Hypercube,

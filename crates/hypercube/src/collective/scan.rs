@@ -178,48 +178,17 @@ pub fn scan_exclusive_slab<T: Copy>(
     }
 }
 
-/// Inclusive scan: after the call, the node at coordinate `c` holds the
-/// elementwise `op`-combination of the buffers of coordinates `0..=c`.
-/// Thin adapter over [`scan_inclusive_slab`].
-pub fn scan_inclusive<T: Copy>(
-    hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
-    dims: &[u32],
-    op: impl Fn(T, T) -> T,
-) {
-    assert_eq!(locals.len(), hc.cube().nodes());
-    let mut slab = NodeSlab::from_nested(locals);
-    scan_inclusive_slab(hc, &mut slab, dims, op);
-    slab.write_nested(locals);
-}
-
-/// Exclusive scan with `identity`: coordinate `c` ends with the
-/// combination of coordinates `0..c` (coordinate 0 gets `identity`).
-/// Thin adapter over [`scan_exclusive_slab`].
-pub fn scan_exclusive<T: Copy>(
-    hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
-    dims: &[u32],
-    identity: T,
-    op: impl Fn(T, T) -> T,
-) {
-    assert_eq!(locals.len(), hc.cube().nodes());
-    let mut slab = NodeSlab::from_nested(locals);
-    scan_exclusive_slab(hc, &mut slab, dims, identity, op);
-    slab.write_nested(locals);
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::unit_machine;
+    use super::super::testutil::{slab_from_fn, unit_machine};
     use super::*;
 
     #[test]
     fn inclusive_scan_whole_cube_matches_serial_prefix() {
         let mut hc = unit_machine(4);
         let dims: Vec<u32> = hc.cube().iter_dims().collect();
-        let mut locals = hc.locals_from_fn(|n| vec![n as u64, (n * n) as u64]);
-        scan_inclusive(&mut hc, &mut locals, &dims, |a, b| a + b);
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u64, (n * n) as u64]);
+        scan_inclusive_slab(&mut hc, &mut locals, &dims, |a, b| a + b);
         let mut run0 = 0u64;
         let mut run1 = 0u64;
         for n in 0..16u64 {
@@ -234,8 +203,8 @@ mod tests {
     fn exclusive_scan_matches_shifted_inclusive() {
         let mut hc = unit_machine(3);
         let dims: Vec<u32> = hc.cube().iter_dims().collect();
-        let mut locals = hc.locals_from_fn(|n| vec![(n + 1) as i64]);
-        scan_exclusive(&mut hc, &mut locals, &dims, 0, |a, b| a + b);
+        let mut locals = slab_from_fn(&hc, |n| vec![(n + 1) as i64]);
+        scan_exclusive_slab(&mut hc, &mut locals, &dims, 0, |a, b| a + b);
         let mut run = 0i64;
         for n in 0..8usize {
             assert_eq!(locals[n], vec![run], "node {n}");
@@ -249,8 +218,8 @@ mod tests {
         // distinguishes two independent scans.
         let mut hc = unit_machine(3);
         let dims = [1u32, 2];
-        let mut locals = hc.locals_from_fn(|n| vec![n as u64]);
-        scan_inclusive(&mut hc, &mut locals, &dims, |a, b| a + b);
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u64]);
+        scan_inclusive_slab(&mut hc, &mut locals, &dims, |a, b| a + b);
         for low_bit in 0..2usize {
             let mut run = 0u64;
             for c in 0..4usize {
@@ -270,8 +239,8 @@ mod tests {
         let maps: Vec<(i64, i64)> = (0..8).map(|n| (n % 3 + 1, n - 4)).collect();
         let mut hc = unit_machine(3);
         let dims = [0u32, 1, 2];
-        let mut locals = hc.locals_from_fn(|n| vec![maps[n]]);
-        scan_inclusive(&mut hc, &mut locals, &dims, compose);
+        let mut locals = slab_from_fn(&hc, |n| vec![maps[n]]);
+        scan_inclusive_slab(&mut hc, &mut locals, &dims, compose);
         let mut run = (1i64, 0i64); // identity map
         for n in 0..8usize {
             run = compose(run, maps[n]);
@@ -284,8 +253,8 @@ mod tests {
         let mut hc = unit_machine(4);
         let dims: Vec<u32> = hc.cube().iter_dims().collect();
         let vals: Vec<i64> = (0..16).map(|n| ((n * 7919) % 31) as i64 - 15).collect();
-        let mut locals = hc.locals_from_fn(|n| vec![vals[n]]);
-        scan_inclusive(&mut hc, &mut locals, &dims, i64::max);
+        let mut locals = slab_from_fn(&hc, |n| vec![vals[n]]);
+        scan_inclusive_slab(&mut hc, &mut locals, &dims, i64::max);
         let mut run = i64::MIN;
         for n in 0..16 {
             run = run.max(vals[n]);
@@ -296,9 +265,9 @@ mod tests {
     #[test]
     fn empty_dims_scan_is_noop() {
         let mut hc = unit_machine(2);
-        let mut locals = hc.locals_from_fn(|n| vec![n as u64]);
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u64]);
         let before = locals.clone();
-        scan_inclusive(&mut hc, &mut locals, &[], |a, b| a + b);
+        scan_inclusive_slab(&mut hc, &mut locals, &[], |a, b| a + b);
         assert_eq!(locals, before);
         assert_eq!(hc.elapsed_us(), 0.0);
     }
@@ -309,22 +278,23 @@ mod tests {
         let dims = [2u32, 0];
         // Inclusive, on floats (combine-order sensitive).
         let mut hc1 = unit_machine(3);
-        let mut a = hc1.locals_from_fn(|n| vec![(n as f64).sin(), (n as f64).cos()]);
-        let mut b = a.clone();
+        let mut a: Vec<Vec<f64>> =
+            (0..hc1.p()).map(|n| vec![(n as f64).sin(), (n as f64).cos()]).collect();
+        let mut b = NodeSlab::from_nested(&a);
         reference::scan_inclusive(&mut hc1, &mut a, &dims, |x, y| x + y);
         let mut hc2 = unit_machine(3);
-        scan_inclusive(&mut hc2, &mut b, &dims, |x, y| x + y);
-        assert_eq!(a, b);
+        scan_inclusive_slab(&mut hc2, &mut b, &dims, |x, y| x + y);
+        assert_eq!(b.to_nested(), a);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
         // Exclusive.
         let mut hc3 = unit_machine(3);
-        let mut c = hc3.locals_from_fn(|n| vec![(n as f64).sin(); 3]);
-        let mut d = c.clone();
+        let mut c: Vec<Vec<f64>> = (0..hc3.p()).map(|n| vec![(n as f64).sin(); 3]).collect();
+        let mut d = NodeSlab::from_nested(&c);
         reference::scan_exclusive(&mut hc3, &mut c, &dims, 0.0, |x, y| x + y);
         let mut hc4 = unit_machine(3);
-        scan_exclusive(&mut hc4, &mut d, &dims, 0.0, |x, y| x + y);
-        assert_eq!(c, d);
+        scan_exclusive_slab(&mut hc4, &mut d, &dims, 0.0, |x, y| x + y);
+        assert_eq!(d.to_nested(), c);
         assert_eq!(hc3.elapsed_us(), hc4.elapsed_us());
         assert_eq!(hc3.counters(), hc4.counters());
     }

@@ -101,7 +101,7 @@ mod tests {
     fn identity_permutation_is_free() {
         let mut hc = machine(4);
         let delta: Vec<u32> = (0..4).collect();
-        let mut locals = hc.locals_from_fn(|n| vec![n as u64]);
+        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n as u64]).collect();
         let before = locals.clone();
         dimension_permute(&mut hc, &mut locals, &delta);
         assert_eq!(locals, before);
@@ -120,7 +120,7 @@ mod tests {
     fn permutation_semantics_match_definition() {
         let mut hc = machine(5);
         let delta = shuffle(5, 2);
-        let mut locals = hc.locals_from_fn(|n| vec![n as u64, 100 + n as u64]);
+        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n as u64, 100 + n as u64]).collect();
         dimension_permute(&mut hc, &mut locals, &delta);
         for node in 0..hc.p() {
             let src = permute_address(node, &delta);
@@ -132,7 +132,7 @@ mod tests {
     fn bit_reversal_is_an_involution() {
         let mut hc = machine(6);
         let delta = bit_reversal(6);
-        let mut locals = hc.locals_from_fn(|n| vec![n]);
+        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n]).collect();
         dimension_permute(&mut hc, &mut locals, &delta);
         // Not identity in between (for nodes whose reversed address differs)...
         assert_ne!(locals[1], vec![1]);
@@ -148,7 +148,7 @@ mod tests {
         let d = 4u32;
         let mut hc = machine(d);
         let delta = shuffle(d, 1);
-        let mut locals = hc.locals_from_fn(|n| vec![n as u32]);
+        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n as u32]).collect();
         for _ in 0..d {
             dimension_permute(&mut hc, &mut locals, &delta);
         }
@@ -163,7 +163,7 @@ mod tests {
         let mut hc = machine(6);
         let mut delta: Vec<u32> = (0..6).collect();
         delta.swap(0, 5);
-        let mut locals = hc.locals_from_fn(|n| vec![n as u8; 3]);
+        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n as u8; 3]).collect();
         dimension_permute(&mut hc, &mut locals, &delta);
         assert!(
             hc.counters().message_steps <= 2,
@@ -176,7 +176,7 @@ mod tests {
     fn ragged_buffers_travel_intact() {
         let mut hc = machine(3);
         let delta = bit_reversal(3);
-        let mut locals = hc.locals_from_fn(|n| vec![n as u16; n]);
+        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n as u16; n]).collect();
         dimension_permute(&mut hc, &mut locals, &delta);
         for node in 0..hc.p() {
             let src = permute_address(node, &delta);
@@ -188,7 +188,7 @@ mod tests {
     #[should_panic(expected = "repeated")]
     fn non_permutation_rejected() {
         let mut hc = machine(3);
-        let mut locals: Vec<Vec<u8>> = hc.empty_locals();
+        let mut locals: Vec<Vec<u8>> = (0..hc.p()).map(|_| Vec::new()).collect();
         dimension_permute(&mut hc, &mut locals, &[0, 0, 2]);
     }
 }

@@ -20,8 +20,6 @@
 //!   subsets (rows and columns of a processor grid);
 //! * [`slab`] — the flat arena data plane ([`slab::NodeSlab`] /
 //!   [`slab::SegSlab`]) the collectives operate on;
-//! * [`par`] — the shared, `VMP_PAR_THRESHOLD`-tunable host-parallelism
-//!   threshold;
 //! * [`route`] — blocked dimension-ordered routing for irregular moves;
 //! * [`router`] — the cycle-accurate element-granular general router
 //!   that models the paper's **naive** baseline;
@@ -42,7 +40,6 @@ pub mod dimperm;
 pub mod fault;
 pub mod gray;
 pub mod machine;
-pub mod par;
 pub mod route;
 pub mod router;
 pub mod slab;

@@ -2,10 +2,11 @@
 //!
 //! [`Hypercube`] bundles the cube topology, the cost model, a simulated
 //! clock and event counters. It does **not** own application data:
-//! distributed data lives in per-processor buffers (`Vec<Vec<T>>`, indexed
-//! by [`NodeId`]) held by the caller, and the communication routines in
-//! [`crate::collective`] and [`crate::route`] transform those buffers
-//! while charging the machine for the time the operation would take.
+//! distributed data lives in caller-held per-processor buffers — a flat
+//! [`crate::slab::NodeSlab`] (or [`crate::slab::SegSlab`]) indexed by
+//! [`NodeId`] — and the communication routines in [`crate::collective`]
+//! and [`crate::route`] transform those buffers while charging the
+//! machine for the time the operation would take.
 //!
 //! The accounting discipline is BSP-like and matches the analyses in the
 //! Johnsson/Ho reports: execution is a sequence of *supersteps*; a
@@ -421,64 +422,6 @@ impl Hypercube {
         debug_assert!(us >= 0.0);
         self.clock_us += us;
     }
-
-    /// Allocate an empty per-processor buffer set: one `Vec<T>` per node.
-    #[must_use]
-    pub fn empty_locals<T>(&self) -> Vec<Vec<T>> {
-        (0..self.p()).map(|_| Vec::new()).collect()
-    }
-
-    /// Build per-processor buffers by calling `f(node)` for each node.
-    #[must_use]
-    pub fn locals_from_fn<T>(&self, f: impl FnMut(NodeId) -> Vec<T>) -> Vec<Vec<T>> {
-        (0..self.p()).map(f).collect()
-    }
-}
-
-/// Run a local compute step on every processor's buffer, in parallel on
-/// the host with rayon when the machine-wide work is large enough to pay
-/// for the fork/join, and charge `critical_flops` on `hc`.
-///
-/// `f(node, buf)` must be independent across nodes — the usual SPMD local
-/// phase. `critical_flops` is the max per-processor operation count, which
-/// the caller knows from its load-balance guarantees.
-pub fn local_compute<T: Send, F>(
-    hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
-    critical_flops: usize,
-    f: F,
-) where
-    F: Fn(NodeId, &mut Vec<T>) + Sync,
-{
-    use rayon::prelude::*;
-    // Rough machine-wide work estimate decides host-parallel execution
-    // (shared tunable; see crate::par).
-    let total_work = critical_flops.saturating_mul(locals.len());
-    if crate::par::should_parallelise(total_work) {
-        locals.par_iter_mut().enumerate().for_each(|(node, buf)| f(node, buf));
-    } else {
-        for (node, buf) in locals.iter_mut().enumerate() {
-            f(node, buf);
-        }
-    }
-    hc.charge_flops(critical_flops);
-}
-
-/// As [`local_compute`], but over a flat [`crate::slab::NodeSlab`]: each
-/// node's kernel gets its contiguous segment slice. The fan-out decision
-/// and execution are [`crate::par::for_each_node`] — the same shared
-/// helper the vmp kernel drivers use, so gating semantics cannot drift.
-pub fn local_compute_slab<T: Send, F>(
-    hc: &mut Hypercube,
-    slab: &mut crate::slab::NodeSlab<T>,
-    critical_flops: usize,
-    f: F,
-) where
-    F: Fn(NodeId, &mut [T]) + Sync,
-{
-    let total_work = critical_flops.saturating_mul(slab.p());
-    crate::par::for_each_node(slab, total_work, f);
-    hc.charge_flops(critical_flops);
 }
 
 #[cfg(test)]
@@ -522,20 +465,6 @@ mod tests {
         assert_eq!(hc.elapsed_us(), 0.0);
         assert_eq!(*hc.counters(), Counters::default());
         assert_eq!(hc.p(), 4, "topology survives reset");
-    }
-
-    #[test]
-    fn local_compute_runs_every_node_and_charges() {
-        let mut hc = Hypercube::new(4, CostModel::unit());
-        let mut locals: Vec<Vec<u64>> = hc.locals_from_fn(|n| vec![n as u64]);
-        local_compute(&mut hc, &mut locals, 5, |node, buf| {
-            buf[0] += 100 + node as u64;
-        });
-        for (node, buf) in locals.iter().enumerate() {
-            assert_eq!(buf[0], 100 + 2 * node as u64);
-        }
-        assert_eq!(hc.counters().flops, 5);
-        assert_eq!(hc.elapsed_us(), 5.0);
     }
 
     #[test]
@@ -678,23 +607,6 @@ mod tests {
             assert_eq!(hc.counters().allport_steps, s.steps as u64);
             assert_eq!(hc.counters().message_steps, s.steps as u64, "fault clock advances");
             assert_eq!(hc.counters().elements_transferred, 5000);
-        }
-    }
-
-    #[test]
-    fn local_compute_parallel_path_matches_serial() {
-        // Force the rayon path by a large critical_flops value.
-        let mut hc = Hypercube::new(6, CostModel::unit());
-        let mut locals: Vec<Vec<u64>> = hc.locals_from_fn(|n| vec![n as u64; 16]);
-        local_compute(&mut hc, &mut locals, 1 << 16, |node, buf| {
-            for v in buf.iter_mut() {
-                *v = v.wrapping_mul(3).wrapping_add(node as u64);
-            }
-        });
-        for (node, buf) in locals.iter().enumerate() {
-            for v in buf {
-                assert_eq!(*v, (node as u64).wrapping_mul(3).wrapping_add(node as u64));
-            }
         }
     }
 }

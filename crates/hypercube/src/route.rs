@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn empty_routing_is_free() {
         let mut hc = machine(4);
-        let out: Vec<Vec<Block<u32>>> = hc.empty_locals();
+        let out: Vec<Vec<Block<u32>>> = (0..hc.p()).map(|_| Vec::new()).collect();
         let arrived = route_blocks(&mut hc, out);
         assert!(arrived.iter().all(Vec::is_empty));
         assert_eq!(hc.elapsed_us(), 0.0, "no traffic, no charge");
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn local_block_is_not_charged() {
         let mut hc = machine(3);
-        let mut out = hc.empty_locals();
+        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
         out[5].push(Block::new(5, 0, vec![1.0f64, 2.0]));
         let arrived = route_blocks(&mut hc, out);
         assert_eq!(arrived[5].len(), 1);
@@ -328,7 +328,7 @@ mod tests {
     #[test]
     fn single_block_crosses_hamming_distance_steps() {
         let mut hc = machine(4);
-        let mut out = hc.empty_locals();
+        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
         // 0b0000 -> 0b1011: distance 3, so 3 charged supersteps.
         out[0b0000].push(Block::new(0b1011, 7, vec![42u32; 10]));
         let arrived = route_blocks(&mut hc, out);
@@ -451,7 +451,7 @@ mod tests {
         let mut hc = machine(3);
         // Kill the dim-0 link 0-1 from the start; 0 -> 1 must detour.
         hc.install_faults(FaultPlan::none(1).with_link_fault(0, 1, 0), ResilientConfig::default());
-        let mut out = hc.empty_locals();
+        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
         out[0].push(Block::new(1, 0, vec![7u8; 3]));
         let arrived = route_blocks(&mut hc, out);
         assert_eq!(arrived[1].len(), 1);
@@ -466,7 +466,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_destination_panics() {
         let mut hc = machine(2);
-        let mut out = hc.empty_locals();
+        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
         out[0].push(Block::new(99, 0, vec![1u8]));
         let _ = route_blocks(&mut hc, out);
     }

@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn empty_session_is_free() {
         let mut hc = machine(4);
-        let out: Vec<Vec<ElemMsg<u32>>> = hc.empty_locals();
+        let out: Vec<Vec<ElemMsg<u32>>> = (0..hc.p()).map(|_| Vec::new()).collect();
         let (arrived, stats) = route_elements(&mut hc, out);
         assert!(arrived.iter().all(Vec::is_empty));
         assert_eq!(stats.cycles, 0);
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn self_addressed_elements_arrive_without_cycles() {
         let mut hc = machine(3);
-        let mut out = hc.empty_locals();
+        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
         out[2].push(ElemMsg::new(2, 0, 7u32));
         let (arrived, stats) = route_elements(&mut hc, out);
         assert_eq!(arrived[2], vec![ElemMsg::new(2, 0, 7)]);
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn single_element_takes_hamming_distance_cycles() {
         let mut hc = machine(4);
-        let mut out = hc.empty_locals();
+        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
         out[0b0000].push(ElemMsg::new(0b0111, 0, 1.5f64));
         let (arrived, stats) = route_elements(&mut hc, out);
         assert_eq!(arrived[0b0111].len(), 1);
@@ -255,7 +255,7 @@ mod tests {
         let fanout = |policy: AlgoPolicy| {
             let mut hc = machine(4);
             hc.set_algo_select(AlgoSelect { policy, ..AlgoSelect::default() });
-            let mut out = hc.empty_locals();
+            let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
             for dim in 0..4u64 {
                 out[0].push(ElemMsg::new(1usize << dim, dim, dim));
             }
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn charges_injection_and_cycles() {
         let mut hc = machine(3);
-        let mut out = hc.empty_locals();
+        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
         out[0].push(ElemMsg::new(7, 0, 1u8));
         out[0].push(ElemMsg::new(7, 1, 2u8));
         let (_, stats) = route_elements(&mut hc, out);

@@ -139,21 +139,29 @@ impl<T> NodeSlab<T> {
         (0..self.p()).map(move |i| self.seg(i))
     }
 
-    /// All segments as disjoint mutable slices (for per-node parallel
-    /// kernels).
-    pub fn segs_mut(&mut self) -> Vec<&mut [T]> {
-        let mut out = Vec::with_capacity(self.p());
-        let mut rest: &mut [T] = &mut self.data;
-        let mut consumed = 0usize;
-        for i in 0..self.offsets.len() - 1 {
-            let len = self.offsets[i + 1] - self.offsets[i];
-            debug_assert_eq!(self.offsets[i], consumed);
-            let (head, tail) = rest.split_at_mut(len);
-            out.push(head);
-            rest = tail;
-            consumed += len;
+    /// Run `f(node, segment)` over every segment, in node order — the
+    /// per-node local phase of an SPMD step.
+    pub fn for_each_seg_mut(&mut self, mut f: impl FnMut(usize, &mut [T])) {
+        for node in 0..self.p() {
+            f(node, self.seg_mut(node));
         }
-        out
+    }
+
+    /// Build `p` segments in node order: `f(node, buf)` appends node
+    /// `node`'s segment to `buf`. One allocation for the whole machine
+    /// (`data_capacity` is the size hint), no intermediate copies.
+    ///
+    /// **Contract:** `buf` is the arena's backing store and already holds
+    /// the earlier nodes' segments, so `f` must only append; any in-place
+    /// fix-up must stay within the suffix `buf[start..]`, `start` being
+    /// `buf.len()` at entry.
+    #[must_use]
+    pub fn build(p: usize, data_capacity: usize, mut f: impl FnMut(usize, &mut Vec<T>)) -> Self {
+        let mut slab = NodeSlab::with_capacity(p, data_capacity);
+        for node in 0..p {
+            slab.push_seg_with(|buf| f(node, buf));
+        }
+        slab
     }
 
     /// Append a segment built by `f` directly into the arena (builder
@@ -262,23 +270,11 @@ impl<T: Clone> NodeSlab<T> {
         slab
     }
 
-    /// Copy out to the nested representation (adapter shims; tests).
+    /// Copy out to the nested representation (the boundary to
+    /// [`crate::collective::reference`] and tests).
     #[must_use]
     pub fn to_nested(&self) -> Vec<Vec<T>> {
         (0..self.p()).map(|i| self.seg(i).to_vec()).collect()
-    }
-
-    /// Overwrite `out` (one `Vec` per node, reusing their allocations)
-    /// with this slab's segments.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.p()`.
-    pub fn write_nested(&self, out: &mut [Vec<T>]) {
-        assert_eq!(out.len(), self.p(), "one Vec per node");
-        for (i, buf) in out.iter_mut().enumerate() {
-            buf.clear();
-            buf.extend_from_slice(self.seg(i));
-        }
     }
 }
 
@@ -465,21 +461,28 @@ mod tests {
     }
 
     #[test]
-    fn segs_mut_covers_all_nodes_disjointly() {
+    fn for_each_seg_mut_visits_every_node_in_order() {
         let mut slab = NodeSlab::from_nested(&[vec![1, 2], vec![], vec![3]]);
-        let segs = slab.segs_mut();
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs[0], &[1, 2][..]);
-        assert_eq!(segs[1], &[][..]);
-        assert_eq!(segs[2], &[3][..]);
+        let mut seen = Vec::new();
+        slab.for_each_seg_mut(|node, seg| {
+            seen.push((node, seg.len()));
+            for v in seg.iter_mut() {
+                *v += 10 * node as i32;
+            }
+        });
+        assert_eq!(seen, vec![(0, 2), (1, 0), (2, 1)]);
+        assert_eq!(slab.to_nested(), vec![vec![1, 2], vec![], vec![23]]);
     }
 
     #[test]
-    fn write_nested_reuses_allocations() {
-        let slab = NodeSlab::from_nested(&[vec![1, 2], vec![3]]);
-        let mut out = vec![Vec::with_capacity(4), Vec::with_capacity(4)];
-        slab.write_nested(&mut out);
-        assert_eq!(out, vec![vec![1, 2], vec![3]]);
+    fn build_appends_one_segment_per_node() {
+        let slab = NodeSlab::build(5, 0, |n: usize, buf: &mut Vec<usize>| {
+            buf.extend(std::iter::repeat_n(n, n));
+        });
+        for n in 0..5 {
+            assert_eq!(slab.seg(n), vec![n; n].as_slice());
+        }
+        assert_eq!(slab.total_len(), 10);
     }
 
     #[test]

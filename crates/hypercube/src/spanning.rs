@@ -22,8 +22,9 @@
 //! the crossover: binomial wins small messages (fewer start-ups),
 //! balanced schedules win large ones.
 
-use crate::collective::{allgather, broadcast, gather, scatter};
+use crate::collective::{allgather_slab, broadcast_slab, check_dims, gather_slab, scatter_slab};
 use crate::machine::Hypercube;
+use crate::slab::{NodeSlab, SegSlab};
 use crate::topology::NodeId;
 
 /// Which broadcast schedule to run.
@@ -38,19 +39,19 @@ pub enum BroadcastSchedule {
     AllPortEsbt,
 }
 
-/// Broadcast the buffer at subcube coordinate `root_coord` to all subcube
-/// members using the chosen schedule. Semantics identical to
-/// [`crate::collective::broadcast`]; only the schedule (and hence the
-/// charged time) differs.
+/// Broadcast the segment at subcube coordinate `root_coord` to all
+/// subcube members using the chosen schedule. Semantics identical to
+/// [`crate::collective::broadcast_slab`]; only the schedule (and hence
+/// the charged time) differs.
 pub fn broadcast_with<T: Copy>(
     hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
+    slab: &mut NodeSlab<T>,
     dims: &[u32],
     root_coord: usize,
     schedule: BroadcastSchedule,
 ) {
     match schedule {
-        BroadcastSchedule::Binomial => broadcast(hc, locals, dims, root_coord),
+        BroadcastSchedule::Binomial => broadcast_slab(hc, slab, dims, root_coord),
         BroadcastSchedule::ScatterAllgather => {
             let cube = hc.cube();
             let k = dims.len();
@@ -59,21 +60,17 @@ pub fn broadcast_with<T: Copy>(
             }
             // Move the payload to the coordinate-0 node of each subcube if
             // the root is elsewhere (coordinate relabelling: the scatter
-            // and gather trees here are rooted at coordinate 0).
+            // and gather trees here are rooted at coordinate 0). Only the
+            // charge is needed: the scatter below reads the root's segment
+            // directly, and every segment is overwritten at the end.
             if root_coord != 0 {
-                let mut moves: Vec<(NodeId, NodeId)> = Vec::new();
                 let mut max_len = 0usize;
                 let mut total = 0u64;
                 for node in cube.iter_nodes() {
                     if cube.extract_coords(node, dims) == root_coord {
-                        let dst = cube.with_coords(node, 0, dims);
-                        max_len = max_len.max(locals[node].len());
-                        total += locals[node].len() as u64;
-                        moves.push((node, dst));
+                        max_len = max_len.max(slab.len_of(node));
+                        total += slab.len_of(node) as u64;
                     }
-                }
-                for (src, dst) in moves {
-                    locals[dst] = std::mem::take(&mut locals[src]);
                 }
                 // Distance can be up to k, but the payload moves as one
                 // blocked message along each differing dimension.
@@ -84,22 +81,25 @@ pub fn broadcast_with<T: Copy>(
             }
             // Scatter root's buffer as 2^k near-equal segments...
             let pieces = 1usize << k;
-            let segments: Vec<Vec<Vec<T>>> = (0..cube.nodes())
-                .map(|node| {
-                    if cube.extract_coords(node, dims) == 0 {
-                        split_even(&locals[node], pieces)
-                    } else {
-                        Vec::new()
+            let mut segments = SegSlab::with_capacity(pieces, cube.nodes(), slab.total_len());
+            for node in cube.iter_nodes() {
+                if cube.extract_coords(node, dims) == 0 {
+                    push_split_even(
+                        &mut segments,
+                        &slab[cube.with_coords(node, root_coord, dims)],
+                        pieces,
+                    );
+                } else {
+                    for _ in 0..pieces {
+                        segments.push_seg(&[]);
                     }
-                })
-                .collect();
-            let mut scattered = scatter(hc, segments, dims);
+                }
+            }
+            let mut scattered = scatter_slab(hc, &segments, dims);
             // ...then allgather: every node ends with the concatenation,
             // which equals the original buffer.
-            allgather(hc, &mut scattered, dims);
-            for (node, buf) in scattered.into_iter().enumerate() {
-                locals[node] = buf;
-            }
+            allgather_slab(hc, &mut scattered, dims);
+            slab.swap(&mut scattered);
         }
         BroadcastSchedule::AllPortEsbt => {
             let cube = hc.cube();
@@ -110,21 +110,19 @@ pub fn broadcast_with<T: Copy>(
             // Perform the data movement directly (semantically a clone of
             // the root buffer everywhere), charging the nESBT schedule.
             let mut max_len = 0usize;
-            let mut clones: Vec<(NodeId, NodeId)> = Vec::new();
+            let mut clones = 0u64;
             for node in cube.iter_nodes() {
                 if cube.extract_coords(node, dims) == root_coord {
-                    max_len = max_len.max(locals[node].len());
-                    for member in cube.subcube_nodes(node, dims) {
-                        if member != node {
-                            clones.push((node, member));
-                        }
-                    }
+                    max_len = max_len.max(slab.len_of(node));
+                    clones += cube.subcube_nodes(node, dims).filter(|&m| m != node).count() as u64;
                 }
             }
-            let total: u64 = clones.len() as u64 * max_len as u64;
-            for (src, dst) in clones {
-                locals[dst] = locals[src].clone();
+            let total: u64 = clones * max_len as u64;
+            let mut out = NodeSlab::with_capacity(cube.nodes(), cube.nodes() * max_len);
+            for node in cube.iter_nodes() {
+                out.push_seg(&slab[cube.with_coords(node, root_coord, dims)]);
             }
+            slab.swap(&mut out);
             let piece = max_len.div_ceil(k);
             for _ in 0..k {
                 hc.charge_message_step(piece, total / k as u64);
@@ -136,40 +134,40 @@ pub fn broadcast_with<T: Copy>(
 /// Reduce to subcube coordinate 0 via recursive-halving reduce-scatter
 /// followed by a gather — `2k` start-ups but only `~(beta + gamma) * L`
 /// on the bandwidth/compute terms (vs `k * L` for the binomial tree).
-/// Non-root buffers are cleared, as in [`crate::collective::reduce`].
+/// Non-root segments are emptied, as in [`crate::collective::reduce_slab`].
 pub fn reduce_scatter_gather<T: Copy>(
     hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
+    slab: &mut NodeSlab<T>,
     dims: &[u32],
     op: impl Fn(T, T) -> T + Copy,
 ) {
-    reduce_scatter(hc, locals, dims, op);
-    gather(hc, locals, dims);
+    reduce_scatter(hc, slab, dims, op);
+    gather_slab(hc, slab, dims);
 }
 
 /// All-reduce via reduce-scatter + allgather (Rabenseifner's algorithm):
 /// every member ends with the full elementwise reduction.
 pub fn allreduce_rabenseifner<T: Copy>(
     hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
+    slab: &mut NodeSlab<T>,
     dims: &[u32],
     op: impl Fn(T, T) -> T + Copy,
 ) {
-    reduce_scatter(hc, locals, dims, op);
-    allgather(hc, locals, dims);
+    reduce_scatter(hc, slab, dims, op);
+    allgather_slab(hc, slab, dims);
 }
 
 /// Recursive-halving reduce-scatter: member at coordinate `c` ends with
 /// the fully reduced segment `c` (coordinate-order split) of the buffer.
 fn reduce_scatter<T: Copy>(
     hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
+    slab: &mut NodeSlab<T>,
     dims: &[u32],
     op: impl Fn(T, T) -> T + Copy,
 ) {
     let cube = hc.cube();
-    crate::collective::check_dims(cube, dims);
-    assert_eq!(locals.len(), cube.nodes());
+    check_dims(cube, dims);
+    assert_eq!(slab.p(), cube.nodes());
     let k = dims.len();
     if k == 0 {
         return;
@@ -179,60 +177,38 @@ fn reduce_scatter<T: Copy>(
     // split points are the coordinate-order segment boundaries, so both
     // partners always agree on the current range.
     let p = cube.nodes();
-    let mut range: Vec<(usize, usize)> = Vec::with_capacity(p);
-    let full_len = {
-        let mut len = None;
-        for node in cube.iter_nodes() {
-            match len {
-                None => len = Some(locals[node].len()),
-                Some(l) => assert_eq!(
-                    l,
-                    locals[node].len(),
-                    "reduce-scatter requires equal buffer lengths"
-                ),
-            }
-        }
-        len.unwrap_or(0)
-    };
-    range.resize(p, (0, full_len));
+    let full_len = slab.len_of(0);
+    assert!(
+        (0..p).all(|node| slab.len_of(node) == full_len),
+        "reduce-scatter requires equal buffer lengths"
+    );
+    let mut range: Vec<(usize, usize)> = vec![(0, full_len); p];
 
     for j in (0..k).rev() {
         let chan = 1usize << dims[j];
         let bit = 1usize << j;
         let mut max_len = 0usize;
         let mut total: u64 = 0;
+        let mut out = NodeSlab::with_capacity(p, slab.total_len() / 2 + p);
         for node in cube.iter_nodes() {
-            if node & chan != 0 {
-                continue;
-            }
-            let partner = node | chan;
+            // The lower node (cube bit clear, hence coordinate bit j clear)
+            // keeps [lo, mid); its partner keeps [mid, hi). Both combine
+            // as op(lower's element, upper's element).
+            let (lower, upper) = (node & !chan, node | chan);
             let (lo, hi) = range[node];
-            debug_assert_eq!(range[partner], (lo, hi));
             let mid = lo + (hi - lo) / 2;
-            // Lower-coordinate node keeps [lo, mid); the partner (whose
-            // coordinate bit j is 1) keeps [mid, hi).
-            // vmplint: allow(s1) — splits the host-side nested-Vec view, not slab storage
-            let (lo_part, hi_part) = locals.split_at_mut(partner);
-            let a = &mut lo_part[node]; // covers [lo, hi) locally
-            let b = &mut hi_part[0];
-            let seg =
-                |v: &Vec<T>, from: usize, to: usize| -> Vec<T> { v[from - lo..to - lo].to_vec() };
-            let a_low = seg(a, lo, mid);
-            let a_high = seg(a, mid, hi);
-            let b_low = seg(b, lo, mid);
-            let b_high = seg(b, mid, hi);
-            let xfer = a_high.len().max(b_low.len());
-            max_len = max_len.max(xfer);
-            total += (a_high.len() + b_low.len()) as u64;
-            *a = a_low.iter().zip(&b_low).map(|(&x, &y)| op(x, y)).collect();
-            *b = a_high.iter().zip(&b_high).map(|(&x, &y)| op(x, y)).collect();
-            range[node] = (lo, mid);
-            range[partner] = (mid, hi);
-            // Which physical node is "lower coordinate" depends on the
-            // coordinate packing; with dims[j] mapped to coord bit j and
-            // node having that cube bit clear, node IS the lower one.
-            debug_assert_eq!(cube.extract_coords(node, dims) & bit, 0);
+            let (from, to) = if node == lower { (lo, mid) } else { (mid, hi) };
+            let a = &slab[lower][from - lo..to - lo];
+            let b = &slab[upper][from - lo..to - lo];
+            out.push_seg_with(|buf| buf.extend(a.iter().zip(b).map(|(&x, &y)| op(x, y))));
+            range[node] = (from, to);
+            if node == lower {
+                debug_assert_eq!(cube.extract_coords(node, dims) & bit, 0);
+                max_len = max_len.max((hi - mid).max(mid - lo));
+                total += (hi - lo) as u64;
+            }
         }
+        slab.swap(&mut out);
         hc.charge_message_step(max_len, total);
         hc.charge_flops(max_len);
     }
@@ -368,25 +344,23 @@ impl EsbtForest {
     }
 }
 
-/// Split `buf` into `pieces` contiguous segments of near-equal length
-/// (the first `len % pieces` segments are one element longer).
-fn split_even<T: Clone>(buf: &[T], pieces: usize) -> Vec<Vec<T>> {
-    let len = buf.len();
-    let base = len / pieces;
-    let extra = len % pieces;
-    let mut out = Vec::with_capacity(pieces);
+/// Append `buf` to `out` as `pieces` contiguous segments of near-equal
+/// length (the first `len % pieces` segments are one element longer).
+fn push_split_even<T: Copy>(out: &mut SegSlab<T>, buf: &[T], pieces: usize) {
+    let base = buf.len() / pieces;
+    let extra = buf.len() % pieces;
     let mut at = 0usize;
     for i in 0..pieces {
         let take = base + usize::from(i < extra);
-        out.push(buf[at..at + take].to_vec());
+        out.push_seg(&buf[at..at + take]);
         at += take;
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::testutil::slab_from_fn;
     use crate::cost::CostModel;
 
     fn machine(dim: u32) -> Hypercube {
@@ -452,9 +426,10 @@ mod tests {
     #[test]
     fn split_even_covers_everything() {
         let v: Vec<u32> = (0..10).collect();
-        let parts = split_even(&v, 4);
-        assert_eq!(parts.iter().map(Vec::len).collect::<Vec<_>>(), vec![3, 3, 2, 2]);
-        let flat: Vec<u32> = parts.into_iter().flatten().collect();
+        let mut parts = SegSlab::with_capacity(4, 1, v.len());
+        push_split_even(&mut parts, &v, 4);
+        assert_eq!((0..4).map(|s| parts.seg_len(0, s)).collect::<Vec<_>>(), vec![3, 3, 2, 2]);
+        let flat: Vec<u32> = (0..4).flat_map(|s| parts.seg(0, s).to_vec()).collect();
         assert_eq!(flat, v);
     }
 
@@ -463,9 +438,9 @@ mod tests {
         let mut hc = machine(4);
         let dims: Vec<u32> = hc.cube().iter_dims().collect();
         let payload: Vec<u64> = (0..37).collect();
-        let mut locals = hc.locals_from_fn(|n| if n == 0 { payload.clone() } else { vec![] });
+        let mut locals = slab_from_fn(&hc, |n| if n == 0 { payload.clone() } else { vec![] });
         broadcast_with(&mut hc, &mut locals, &dims, 0, BroadcastSchedule::ScatterAllgather);
-        for (n, buf) in locals.iter().enumerate() {
+        for (n, buf) in locals.iter_segs().enumerate() {
             assert_eq!(buf, &payload, "node {n}");
         }
     }
@@ -475,9 +450,9 @@ mod tests {
         let mut hc = machine(3);
         let dims = [0u32, 1, 2];
         let payload: Vec<u64> = (0..16).collect();
-        let mut locals = hc.locals_from_fn(|n| if n == 5 { payload.clone() } else { vec![] });
+        let mut locals = slab_from_fn(&hc, |n| if n == 5 { payload.clone() } else { vec![] });
         broadcast_with(&mut hc, &mut locals, &dims, 5, BroadcastSchedule::ScatterAllgather);
-        for buf in &locals {
+        for buf in locals.iter_segs() {
             assert_eq!(buf, &payload);
         }
     }
@@ -487,9 +462,9 @@ mod tests {
         let mut hc = machine(3);
         let dims = [0u32, 1, 2];
         let payload: Vec<u64> = (0..24).collect();
-        let mut locals = hc.locals_from_fn(|n| if n == 2 { payload.clone() } else { vec![] });
+        let mut locals = slab_from_fn(&hc, |n| if n == 2 { payload.clone() } else { vec![] });
         broadcast_with(&mut hc, &mut locals, &dims, 2, BroadcastSchedule::AllPortEsbt);
-        for buf in &locals {
+        for buf in locals.iter_segs() {
             assert_eq!(buf, &payload);
         }
     }
@@ -500,7 +475,7 @@ mod tests {
         let dims: Vec<u32> = (0..6).collect();
         let run = |sched| {
             let mut hc = machine(6);
-            let mut locals = hc.locals_from_fn(|n| if n == 0 { vec![1.0f64; len] } else { vec![] });
+            let mut locals = slab_from_fn(&hc, |n| if n == 0 { vec![1.0f64; len] } else { vec![] });
             broadcast_with(&mut hc, &mut locals, &dims, 0, sched);
             hc.elapsed_us()
         };
@@ -517,7 +492,7 @@ mod tests {
         let dims: Vec<u32> = (0..6).collect();
         let run = |sched| {
             let mut hc = Hypercube::new(6, CostModel { alpha: 100.0, ..CostModel::unit() });
-            let mut locals = hc.locals_from_fn(|n| if n == 0 { vec![1.0f64; 4] } else { vec![] });
+            let mut locals = slab_from_fn(&hc, |n| if n == 0 { vec![1.0f64; 4] } else { vec![] });
             broadcast_with(&mut hc, &mut locals, &dims, 0, sched);
             hc.elapsed_us()
         };
@@ -531,13 +506,13 @@ mod tests {
         let mut hc1 = machine(4);
         let dims: Vec<u32> = hc1.cube().iter_dims().collect();
         let make =
-            |hc: &Hypercube| hc.locals_from_fn(|n| (0..33).map(|i| (n * 100 + i) as f64).collect());
+            |hc: &Hypercube| slab_from_fn(hc, |n| (0..33).map(|i| (n * 100 + i) as f64).collect());
         let mut a = make(&hc1);
         reduce_scatter_gather(&mut hc1, &mut a, &dims, |x, y| x + y);
 
         let mut hc2 = machine(4);
         let mut b = make(&hc2);
-        crate::collective::reduce(&mut hc2, &mut b, &dims, 0, |x, y| x + y);
+        crate::collective::reduce_slab(&mut hc2, &mut b, &dims, 0, |x, y| x + y);
 
         assert_eq!(a[0].len(), 33);
         for (x, y) in a[0].iter().zip(&b[0]) {
@@ -550,14 +525,14 @@ mod tests {
         let mut hc1 = machine(3);
         let dims: Vec<u32> = hc1.cube().iter_dims().collect();
         let make = |hc: &Hypercube| {
-            hc.locals_from_fn(|n| (0..17).map(|i| ((n + 1) * (i + 1)) as f64).collect())
+            slab_from_fn(hc, |n| (0..17).map(|i| ((n + 1) * (i + 1)) as f64).collect())
         };
         let mut a = make(&hc1);
         allreduce_rabenseifner(&mut hc1, &mut a, &dims, |x, y| x + y);
 
         let mut hc2 = machine(3);
         let mut b = make(&hc2);
-        crate::collective::allreduce(&mut hc2, &mut b, &dims, |x, y| x + y);
+        crate::collective::allreduce_slab(&mut hc2, &mut b, &dims, |x, y| x + y);
 
         for n in 0..8 {
             assert_eq!(a[n].len(), 17, "node {n}");
@@ -572,11 +547,11 @@ mod tests {
         let dims: Vec<u32> = (0..6).collect();
         let len = 8192usize;
         let mut hc1 = Hypercube::new(6, CostModel::zero_latency());
-        let mut a = hc1.locals_from_fn(|_| vec![1.0f64; len]);
+        let mut a = slab_from_fn(&hc1, |_| vec![1.0f64; len]);
         allreduce_rabenseifner(&mut hc1, &mut a, &dims, |x, y| x + y);
         let mut hc2 = Hypercube::new(6, CostModel::zero_latency());
-        let mut b = hc2.locals_from_fn(|_| vec![1.0f64; len]);
-        crate::collective::allreduce(&mut hc2, &mut b, &dims, |x, y| x + y);
+        let mut b = slab_from_fn(&hc2, |_| vec![1.0f64; len]);
+        crate::collective::allreduce_slab(&mut hc2, &mut b, &dims, |x, y| x + y);
         assert!(hc1.elapsed_us() < 0.7 * hc2.elapsed_us());
     }
 }

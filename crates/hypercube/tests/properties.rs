@@ -9,12 +9,14 @@
 use proptest::prelude::*;
 
 use vmp_hypercube::collective::{
-    allgather, allreduce, alltoall, broadcast, gather, reduce, scan_inclusive, scatter,
+    allgather_slab, allreduce_slab, alltoall_slab, broadcast_slab, gather_slab, reduce_slab,
+    scan_inclusive_slab, scatter_slab,
 };
 use vmp_hypercube::cost::CostModel;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Block};
 use vmp_hypercube::router::{route_elements, ElemMsg};
+use vmp_hypercube::slab::{NodeSlab, SegSlab};
 
 fn machine(dim: u32) -> Hypercube {
     Hypercube::new(dim, CostModel::unit())
@@ -125,8 +127,8 @@ proptest! {
         let submask = cube.dims_mask(&dims);
 
         // allreduce: every node gets the subcube-wide elementwise sum.
-        let mut data = base.clone();
-        allreduce(&mut hc, &mut data, &dims, |a, b| a + b);
+        let mut data = NodeSlab::from_nested(&base);
+        allreduce_slab(&mut hc, &mut data, &dims, |a, b| a + b);
         for node in 0..p {
             for i in 0..len {
                 let expect: i64 = cube
@@ -138,8 +140,8 @@ proptest! {
         }
 
         // reduce to coordinate 0 within each subcube.
-        let mut data = base.clone();
-        reduce(&mut hc, &mut data, &dims, 0, |a, b| a + b);
+        let mut data = NodeSlab::from_nested(&base);
+        reduce_slab(&mut hc, &mut data, &dims, 0, |a, b| a + b);
         for node in 0..p {
             if node & submask == 0 {
                 for i in 0..len {
@@ -152,16 +154,16 @@ proptest! {
         }
 
         // broadcast from coordinate 0.
-        let mut data = base.clone();
-        broadcast(&mut hc, &mut data, &dims, 0);
+        let mut data = NodeSlab::from_nested(&base);
+        broadcast_slab(&mut hc, &mut data, &dims, 0);
         for node in 0..p {
             let root = node & !submask;
             prop_assert_eq!(&data[node], &base[root], "broadcast node {}", node);
         }
 
         // scan (inclusive) in coordinate order.
-        let mut data = base.clone();
-        scan_inclusive(&mut hc, &mut data, &dims, |a, b| a + b);
+        let mut data = NodeSlab::from_nested(&base);
+        scan_inclusive_slab(&mut hc, &mut data, &dims, |a, b| a + b);
         for node in 0..p {
             let my_coord = cube.extract_coords(node, &dims);
             for i in 0..len {
@@ -190,8 +192,8 @@ proptest! {
 
         // allgather: concatenation in coordinate order, identical within
         // a subcube.
-        let mut data = base.clone();
-        allgather(&mut hc, &mut data, &dims);
+        let mut data = NodeSlab::from_nested(&base);
+        allgather_slab(&mut hc, &mut data, &dims);
         for node in 0..p {
             let mut members: Vec<usize> = cube.subcube_nodes(node, &dims).collect();
             members.sort_by_key(|&m| cube.extract_coords(m, &dims));
@@ -200,8 +202,8 @@ proptest! {
         }
 
         // gather then scatter returns everyone's chunk.
-        let mut data = base.clone();
-        gather(&mut hc, &mut data, &dims);
+        let mut data = NodeSlab::from_nested(&base);
+        gather_slab(&mut hc, &mut data, &dims);
         let k = dims.len();
         let segments: Vec<Vec<Vec<u32>>> = (0..p)
             .map(|node| {
@@ -216,7 +218,7 @@ proptest! {
                 }
             })
             .collect();
-        let spread = scatter(&mut hc, segments, &dims);
+        let spread = scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << k), &dims);
         for node in 0..p {
             prop_assert_eq!(&spread[node], &base[node], "roundtrip node {}", node);
         }
@@ -240,14 +242,14 @@ proptest! {
                     .collect()
             })
             .collect();
-        let recv = alltoall(&mut hc, send, &dims);
+        let recv = alltoall_slab(&mut hc, &SegSlab::from_nested(&send, 1 << k), &dims);
         for node in 0..p {
             let my_c = cube.extract_coords(node, &dims);
             for src_c in 0..(1usize << k) {
                 let src_node = cube.with_coords(node, src_c, &dims);
                 let expect: Vec<u32> =
                     (0..blk).map(|e| (src_node * 1000 + my_c * 10 + e) as u32).collect();
-                prop_assert_eq!(&recv[node][src_c], &expect, "node {} src {}", node, src_c);
+                prop_assert_eq!(recv.seg(node, src_c), &expect[..], "node {} src {}", node, src_c);
             }
         }
     }

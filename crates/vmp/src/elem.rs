@@ -9,9 +9,9 @@
 //! ratio test) consume.
 
 /// Element types storable in distributed matrices and vectors.
-pub trait Scalar: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
+pub trait Scalar: Copy + PartialEq + std::fmt::Debug + 'static {}
 
-impl<T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static> Scalar for T {}
+impl<T: Copy + PartialEq + std::fmt::Debug + 'static> Scalar for T {}
 
 /// Numeric scalars with the arithmetic the primitives and algorithms use.
 pub trait Numeric:
@@ -85,7 +85,7 @@ impl_numeric_int!(i64);
 
 /// A commutative, associative combining operator with identity, as
 /// required by `reduce`.
-pub trait ReduceOp<T>: Copy + Sync {
+pub trait ReduceOp<T>: Copy {
     /// The identity element (`combine(identity, x) == x`).
     fn identity(&self) -> T;
     /// Combine two values.

@@ -49,13 +49,12 @@ impl<T: Scalar> DistMatrix<T> {
     pub fn map<U: Scalar>(
         &self,
         hc: &mut Hypercube,
-        f: impl Fn(usize, usize, T) -> U + Sync,
+        f: impl Fn(usize, usize, T) -> U,
     ) -> DistMatrix<U> {
         let layout = self.layout().clone();
         let p = layout.grid().p();
-        let work = layout.max_local_len().saturating_mul(p);
         let locals = self.locals();
-        let out = crate::par::build_nodes(p, work, locals.total_len(), |node, o| {
+        let out = NodeSlab::build(p, locals.total_len(), |node, o| {
             let buf = &locals[node];
             if buf.is_empty() {
                 return;
@@ -74,10 +73,9 @@ impl<T: Scalar> DistMatrix<T> {
     }
 
     /// In-place elementwise update: `self[i][j] = f(i, j, self[i][j])`.
-    pub fn map_inplace(&mut self, hc: &mut Hypercube, f: impl Fn(usize, usize, T) -> T + Sync) {
+    pub fn map_inplace(&mut self, hc: &mut Hypercube, f: impl Fn(usize, usize, T) -> T) {
         let layout = self.layout().clone();
-        let work = layout.max_local_len().saturating_mul(layout.grid().p());
-        crate::par::for_each_node(self.locals_mut(), work, |node, buf| {
+        self.locals_mut().for_each_seg_mut(|node, buf| {
             if buf.is_empty() {
                 return;
             }
@@ -99,15 +97,14 @@ impl<T: Scalar> DistMatrix<T> {
         &self,
         hc: &mut Hypercube,
         other: &DistMatrix<U>,
-        f: impl Fn(T, U) -> V + Sync,
+        f: impl Fn(T, U) -> V,
     ) -> DistMatrix<V> {
         assert_eq!(self.layout(), other.layout(), "elementwise operands must share a layout");
         let layout = self.layout().clone();
         let p = layout.grid().p();
-        let work = layout.max_local_len().saturating_mul(p);
         let lhs = self.locals();
         let rhs = other.locals();
-        let out = crate::par::build_nodes(p, work, lhs.total_len(), |node, o| {
+        let out = NodeSlab::build(p, lhs.total_len(), |node, o| {
             o.extend(lhs[node].iter().zip(&rhs[node]).map(|(&x, &y)| f(x, y)));
         });
         hc.charge_flops(layout.max_local_len());
@@ -129,15 +126,14 @@ impl<T: Scalar> DistMatrix<T> {
         hc: &mut Hypercube,
         axis: Axis,
         v: &DistVector<U>,
-        f: impl Fn(usize, usize, T, U) -> V + Sync,
+        f: impl Fn(usize, usize, T, U) -> V,
     ) -> DistMatrix<V> {
         self.check_axis_aligned(axis, v);
         let layout = self.layout().clone();
         let p = layout.grid().p();
-        let work = layout.max_local_len().saturating_mul(p);
         let locals = self.locals();
         let v_locals = v.locals();
-        let out = crate::par::build_nodes(p, work, locals.total_len(), |node, o| {
+        let out = NodeSlab::build(p, locals.total_len(), |node, o| {
             let buf = &locals[node];
             if buf.is_empty() {
                 return;
@@ -177,13 +173,12 @@ impl<T: Scalar> DistMatrix<T> {
         hc: &mut Hypercube,
         axis: Axis,
         v: &DistVector<U>,
-        f: impl Fn(usize, usize, T, U) -> T + Sync,
+        f: impl Fn(usize, usize, T, U) -> T,
     ) {
         self.check_axis_aligned(axis, v);
         let layout = self.layout().clone();
-        let work = layout.max_local_len().saturating_mul(layout.grid().p());
         let v_locals = v.locals();
-        crate::par::for_each_node(self.locals_mut(), work, |node, buf| {
+        self.locals_mut().for_each_seg_mut(|node, buf| {
             if buf.is_empty() {
                 return;
             }
@@ -221,15 +216,14 @@ impl<T: Scalar> DistMatrix<T> {
         hc: &mut Hypercube,
         col: &DistVector<U>,
         row: &DistVector<V>,
-        f: impl Fn(usize, usize, T, U, V) -> T + Sync,
+        f: impl Fn(usize, usize, T, U, V) -> T,
     ) {
         self.check_axis_aligned(Axis::Col, col);
         self.check_axis_aligned(Axis::Row, row);
         let layout = self.layout().clone();
-        let work = layout.max_local_len().saturating_mul(layout.grid().p());
         let col_locals = col.locals();
         let row_locals = row.locals();
-        crate::par::for_each_node(self.locals_mut(), work, |node, buf| {
+        self.locals_mut().for_each_seg_mut(|node, buf| {
             if buf.is_empty() {
                 return;
             }
@@ -264,7 +258,7 @@ impl<T: Scalar> DistMatrix<T> {
         row: &DistVector<V>,
         rows: std::ops::Range<usize>,
         cols: std::ops::Range<usize>,
-        f: impl Fn(usize, usize, T, U, V) -> T + Sync,
+        f: impl Fn(usize, usize, T, U, V) -> T,
     ) {
         self.check_axis_aligned(Axis::Col, col);
         self.check_axis_aligned(Axis::Row, row);
@@ -279,8 +273,7 @@ impl<T: Scalar> DistMatrix<T> {
         }
         let col_locals = col.locals();
         let row_locals = row.locals();
-        let work = critical.saturating_mul(grid.p());
-        crate::par::for_each_node(self.locals_mut(), work, |node, buf| {
+        self.locals_mut().for_each_seg_mut(|node, buf| {
             let (gr, gc) = grid.grid_coords(node);
             let li_range = layout.rows().local_slot_range(gr, rows.start, rows.end);
             let lj_range = layout.cols().local_slot_range(gc, cols.start, cols.end);
@@ -326,11 +319,7 @@ impl<T: Scalar> DistMatrix<T> {
 impl<T: Scalar> DistVector<T> {
     /// Elementwise map with the global index: `out[i] = f(i, self[i])`.
     #[must_use]
-    pub fn map<U: Scalar>(
-        &self,
-        hc: &mut Hypercube,
-        f: impl Fn(usize, T) -> U + Sync,
-    ) -> DistVector<U> {
+    pub fn map<U: Scalar>(&self, hc: &mut Hypercube, f: impl Fn(usize, T) -> U) -> DistVector<U> {
         let layout = self.layout().clone();
         let locals = self.locals();
         let p = locals.p();
@@ -362,7 +351,7 @@ impl<T: Scalar> DistVector<T> {
         &self,
         hc: &mut Hypercube,
         other: &DistVector<U>,
-        f: impl Fn(usize, T, U) -> V + Sync,
+        f: impl Fn(usize, T, U) -> V,
     ) -> DistVector<V> {
         assert_eq!(self.layout(), other.layout(), "zip operands must share a layout");
         let layout = self.layout().clone();

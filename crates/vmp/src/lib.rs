@@ -51,7 +51,6 @@ pub mod elementwise;
 pub mod indexing;
 pub mod matrix;
 pub mod naive;
-pub(crate) mod par;
 pub mod primitives;
 pub mod remap;
 pub mod scan;

@@ -176,8 +176,7 @@ pub fn panel_gemm<T: Numeric>(
         assert_eq!(b_slab.len(), width * lc, "row-panel slab shape at node {node}");
         critical = critical.max(lr * lc * width);
     }
-    let work = critical.saturating_mul(layout.grid().p());
-    crate::par::for_each_node(c.locals_mut(), work, |node, buf| {
+    c.locals_mut().for_each_seg_mut(|node, buf| {
         let (lr, lc) = layout.local_shape(node);
         let a_slab = col_panel.slab(node);
         let b_slab = row_panel.slab(node);

@@ -23,7 +23,6 @@ fn local_fold<T: Scalar, O: ReduceOp<T>>(
 ) -> NodeSlab<T> {
     let layout = m.layout();
     let p = layout.grid().p();
-    let work = layout.max_local_len().saturating_mul(p);
     let locals = m.locals();
     let total_hint: usize = (0..p)
         .map(|node| {
@@ -34,7 +33,7 @@ fn local_fold<T: Scalar, O: ReduceOp<T>>(
             }
         })
         .sum();
-    let partials = crate::par::build_nodes(p, work, total_hint, |node, out| {
+    let partials = NodeSlab::build(p, total_hint, |node, out| {
         let (lr, lc) = layout.local_shape(node);
         let buf = &locals[node];
         match axis {

@@ -20,6 +20,7 @@
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Block};
+use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, MatrixLayout, Placement, VecEmbedding, VectorLayout};
 
 use crate::elem::Scalar;
@@ -172,17 +173,15 @@ pub fn remap_vector<T: Scalar>(
     // Unpack: each new-primary node walks its new chunk in slot order,
     // recomputes each element's old primary holder, and pulls the next
     // element from that source's block.
-    let mut locals: Vec<Vec<T>> = vec![Vec::new(); p];
     let mut max_unpacked = 0usize;
-    for dst in 0..p {
+    let mut locals = NodeSlab::build(p, new_layout.n(), |dst, chunk| {
         if !is_primary_holder(&new_layout, dst) {
-            continue;
+            return;
         }
         let part = new_layout.part_of(dst);
         let len = new_layout.dist().count(part);
         max_unpacked = max_unpacked.max(len);
         let mut cursors: Vec<(u64, usize)> = arrived[dst].iter().map(|b| (b.tag, 0usize)).collect();
-        let mut chunk = Vec::with_capacity(len);
         for slot in 0..len {
             let i = new_layout.dist().global_index(part, slot);
             let src = old.primary_holder(i) as u64;
@@ -195,8 +194,7 @@ pub fn remap_vector<T: Scalar>(
             chunk.push(arrived[dst][bi].data[*cursor]);
             *cursor += 1;
         }
-        locals[dst] = chunk;
-    }
+    });
     hc.charge_moves(max_unpacked);
 
     // Replicated target: broadcast from the primary line.
@@ -209,10 +207,10 @@ pub fn remap_vector<T: Scalar>(
         };
         // Primary holders sit on grid line 0, whose subcube coordinate is
         // encoding(0) == 0 for both encodings.
-        collective::broadcast(hc, &mut locals, &dims, 0);
+        collective::broadcast_slab(hc, &mut locals, &dims, 0);
     }
 
-    DistVector::from_parts(new_layout, locals)
+    DistVector::from_slab(new_layout, locals)
 }
 
 /// Transpose a matrix: the result has the transposed shape on the

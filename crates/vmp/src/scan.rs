@@ -17,6 +17,7 @@
 
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
+use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, Dist, Placement, VecEmbedding, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
@@ -80,15 +81,10 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
     };
 
     // 1. Local pass: per-chunk inclusive scan, remembering the total.
-    let mut locals: Vec<Vec<T>> = Vec::with_capacity(p);
-    let mut totals: Vec<Vec<T>> = Vec::with_capacity(p);
-    let mut max_chunk = 0usize;
-    for node in 0..p {
-        let chunk = &v.locals()[node];
-        max_chunk = max_chunk.max(chunk.len());
+    let mut totals: Vec<T> = Vec::with_capacity(p);
+    let mut locals = NodeSlab::build(p, v.locals().total_len(), |node, out| {
         let mut acc = op.identity();
-        let mut out = Vec::with_capacity(chunk.len());
-        for &x in chunk {
+        for &x in &v.locals()[node] {
             if inclusive {
                 acc = op.combine(acc, x);
                 out.push(acc);
@@ -97,9 +93,9 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
                 acc = op.combine(acc, x);
             }
         }
-        locals.push(out);
-        totals.push(vec![acc]);
-    }
+        totals.push(acc);
+    });
+    let max_chunk = v.locals().max_seg_len();
     hc.charge_flops(max_chunk);
 
     // 2. Exclusive scan of chunk totals across the chunk coordinate.
@@ -111,44 +107,40 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
     // simplest correct scheme — allgather the (part, total) pairs and
     // fold locally in part order. `2^k` tiny elements per node; the
     // extra bandwidth is `p_c` scalars, well below one chunk.
-    let mut tagged: Vec<Vec<(usize, T)>> = (0..p)
+    let mut tagged =
+        NodeSlab::build(p, p, |node, buf| buf.push((layout.part_of(node), totals[node])));
+    collective::allgather_slab(hc, &mut tagged, &chunk_dims);
+    let parts = 1usize << chunk_dims.len();
+    let offsets: Vec<T> = (0..p)
         .map(|node| {
-            let part = layout.part_of(node);
-            vec![(part, totals[node][0])]
+            let my_part = layout.part_of(node);
+            let mut sorted: Vec<Option<T>> = vec![None; parts];
+            for &(part, t) in &tagged[node] {
+                sorted[part] = Some(t);
+            }
+            let mut acc = op.identity();
+            for (part, entry) in sorted.into_iter().enumerate() {
+                if part == my_part {
+                    break;
+                }
+                if let Some(t) = entry {
+                    acc = op.combine(acc, t);
+                }
+            }
+            acc
         })
         .collect();
-    collective::allgather(hc, &mut tagged, &chunk_dims);
-    let parts = 1usize << chunk_dims.len();
-    let mut offsets: Vec<Vec<T>> = Vec::with_capacity(p);
-    for node in 0..p {
-        let my_part = layout.part_of(node);
-        let mut sorted: Vec<Option<T>> = vec![None; parts];
-        for &(part, t) in &tagged[node] {
-            sorted[part] = Some(t);
-        }
-        let mut acc = op.identity();
-        for (part, entry) in sorted.into_iter().enumerate() {
-            if part == my_part {
-                break;
-            }
-            if let Some(t) = entry {
-                acc = op.combine(acc, t);
-            }
-        }
-        offsets.push(vec![acc]);
-    }
     hc.charge_flops(parts);
 
     // 3. Local fix-up.
-    for node in 0..p {
-        let off = offsets[node][0];
-        for x in &mut locals[node] {
-            *x = op.combine(off, *x);
+    locals.for_each_seg_mut(|node, chunk| {
+        for x in chunk {
+            *x = op.combine(offsets[node], *x);
         }
-    }
+    });
     hc.charge_flops(max_chunk);
 
-    DistVector::from_parts(layout, locals)
+    DistVector::from_slab(layout, locals)
 }
 
 /// A segment-boundary flag: `true` starts a new segment at that index.
@@ -247,28 +239,28 @@ pub fn route_permutation<T: Scalar>(
     }
     hc.charge_moves(max_packed);
     let arrived = route_blocks(hc, outgoing);
-    let mut locals: Vec<Vec<T>> = vec![Vec::new(); p];
-    for dst in 0..p {
+    let mut locals = NodeSlab::build(p, layout.n(), |dst, out| {
         let part = layout.part_of(dst);
         let len = layout.dist().count(part);
         if len == 0 {
-            continue;
+            return;
         }
         let i0 = layout.dist().global_index(part, 0);
         if layout.primary_holder(i0) != dst {
-            continue;
+            return;
         }
         let mut chunk: Vec<Option<T>> = vec![None; len];
         for b in &arrived[dst] {
             let j = b.tag as usize;
             chunk[layout.dist().local_index(j)] = Some(b.data[0]);
         }
-        locals[dst] = chunk
-            .into_iter()
-            // vmplint: allow(p1) — documented contract: callers without a fill value must cover every position
-            .map(|slot| slot.or(fill).expect("uncovered position with no fill value"))
-            .collect();
-    }
+        out.extend(
+            chunk
+                .into_iter()
+                // vmplint: allow(p1) — documented contract: callers without a fill value must cover every position
+                .map(|slot| slot.or(fill).expect("uncovered position with no fill value")),
+        );
+    });
     // Replicated targets: broadcast along orthogonal dims.
     if let VecEmbedding::Aligned { axis, placement: Placement::Replicated } = layout.embedding() {
         let grid = layout.grid().clone();
@@ -276,9 +268,9 @@ pub fn route_permutation<T: Scalar>(
             Axis::Row => grid.row_dims().to_vec(),
             Axis::Col => grid.col_dims().to_vec(),
         };
-        collective::broadcast(hc, &mut locals, &dims, 0);
+        collective::broadcast_slab(hc, &mut locals, &dims, 0);
     }
-    DistVector::from_parts(layout, locals)
+    DistVector::from_slab(layout, locals)
 }
 
 /// Exclusive count of `true`s before each position — Blelloch's

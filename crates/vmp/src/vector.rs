@@ -104,12 +104,12 @@ impl<T: Scalar> DistVector<T> {
     /// # Panics
     /// Panics if any node's chunk length disagrees with the layout.
     #[must_use]
-    pub fn from_chunks(layout: VectorLayout, locals: Vec<Vec<T>>) -> Self {
-        assert_eq!(locals.len(), layout.grid().p(), "one chunk per node");
-        for (node, buf) in locals.iter().enumerate() {
-            assert_eq!(buf.len(), layout.local_len(node), "node {node} chunk length");
+    pub fn from_chunks(layout: VectorLayout, locals: NodeSlab<T>) -> Self {
+        assert_eq!(locals.p(), layout.grid().p(), "one chunk per node");
+        for node in 0..locals.p() {
+            assert_eq!(locals.len_of(node), layout.local_len(node), "node {node} chunk length");
         }
-        DistVector { layout, locals: NodeSlab::from_nested_owned(locals) }
+        DistVector { layout, locals }
     }
 
     /// Read-only view of the per-node chunks (backend counterpart of

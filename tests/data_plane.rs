@@ -84,31 +84,36 @@ proptest! {
         let nested = ragged_locals(dim, max_len, salt);
         let dims: Vec<u32> = Cube::new(dim).iter_dims().collect();
 
-        // exchange along each dimension in turn
-        for d in 0..dim {
-            let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-            let want = reference::exchange(&mut hc_seed, &nested, d);
-            let got = collective::exchange(&mut hc_slab, &nested, d);
-            prop_assert_eq!(&want, &got, "exchange dim {} payload", d);
-            assert_machines_identical(&hc_seed, &hc_slab, "exchange");
+        // exchange along each dimension in turn, on the ragged buffers
+        // (rebuild pass) and on uniform ones (in-arena swap)
+        let uniform = uniform_locals(dim, max_len, salt);
+        for input in [&nested, &uniform] {
+            for d in 0..dim {
+                let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
+                let want = reference::exchange(&mut hc_seed, input, d);
+                let mut got = NodeSlab::from_nested(input);
+                collective::exchange_slab(&mut hc_slab, &mut got, d);
+                prop_assert_eq!(&want, &got.to_nested(), "exchange dim {} payload", d);
+                assert_machines_identical(&hc_seed, &hc_slab, "exchange");
+            }
         }
 
         // allgather over the whole cube
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::allgather(&mut hc_seed, &mut want, &dims);
-        let mut got = nested.clone();
-        collective::allgather(&mut hc_slab, &mut got, &dims);
-        prop_assert_eq!(&want, &got, "allgather payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::allgather_slab(&mut hc_slab, &mut got, &dims);
+        prop_assert_eq!(&want, &got.to_nested(), "allgather payload");
         assert_machines_identical(&hc_seed, &hc_slab, "allgather");
 
         // gather to coordinate 0
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::gather(&mut hc_seed, &mut want, &dims);
-        let mut got = nested.clone();
-        collective::gather(&mut hc_slab, &mut got, &dims);
-        prop_assert_eq!(&want, &got, "gather payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::gather_slab(&mut hc_slab, &mut got, &dims);
+        prop_assert_eq!(&want, &got.to_nested(), "gather payload");
         assert_machines_identical(&hc_seed, &hc_slab, "gather");
     }
 
@@ -128,33 +133,33 @@ proptest! {
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::allreduce(&mut hc_seed, &mut want, &dims, |a, b| a + b);
-        let mut got = nested.clone();
-        collective::allreduce(&mut hc_slab, &mut got, &dims, |a, b| a + b);
-        prop_assert_eq!(&want, &got, "allreduce payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::allreduce_slab(&mut hc_slab, &mut got, &dims, |a, b| a + b);
+        prop_assert_eq!(&want, &got.to_nested(), "allreduce payload");
         assert_machines_identical(&hc_seed, &hc_slab, "allreduce");
 
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::reduce(&mut hc_seed, &mut want, &dims, root, |a, b| a + b);
-        let mut got = nested.clone();
-        collective::reduce(&mut hc_slab, &mut got, &dims, root, |a, b| a + b);
-        prop_assert_eq!(&want, &got, "reduce payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::reduce_slab(&mut hc_slab, &mut got, &dims, root, |a, b| a + b);
+        prop_assert_eq!(&want, &got.to_nested(), "reduce payload");
         assert_machines_identical(&hc_seed, &hc_slab, "reduce");
 
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::scan_inclusive(&mut hc_seed, &mut want, &dims, |a, b| a + b);
-        let mut got = nested.clone();
-        collective::scan_inclusive(&mut hc_slab, &mut got, &dims, |a, b| a + b);
-        prop_assert_eq!(&want, &got, "scan_inclusive payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::scan_inclusive_slab(&mut hc_slab, &mut got, &dims, |a, b| a + b);
+        prop_assert_eq!(&want, &got.to_nested(), "scan_inclusive payload");
         assert_machines_identical(&hc_seed, &hc_slab, "scan_inclusive");
 
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::scan_exclusive(&mut hc_seed, &mut want, &dims, 0.0, |a, b| a + b);
-        let mut got = nested.clone();
-        collective::scan_exclusive(&mut hc_slab, &mut got, &dims, 0.0, |a, b| a + b);
-        prop_assert_eq!(&want, &got, "scan_exclusive payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::scan_exclusive_slab(&mut hc_slab, &mut got, &dims, 0.0, |a, b| a + b);
+        prop_assert_eq!(&want, &got.to_nested(), "scan_exclusive payload");
         assert_machines_identical(&hc_seed, &hc_slab, "scan_exclusive");
     }
 
@@ -175,9 +180,9 @@ proptest! {
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::broadcast(&mut hc_seed, &mut want, &dims, root);
-        let mut got = nested.clone();
-        collective::broadcast(&mut hc_slab, &mut got, &dims, root);
-        prop_assert_eq!(&want, &got, "broadcast payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::broadcast_slab(&mut hc_slab, &mut got, &dims, root);
+        prop_assert_eq!(&want, &got.to_nested(), "broadcast payload");
         assert_machines_identical(&hc_seed, &hc_slab, "broadcast");
 
         let send: Vec<Vec<Vec<f64>>> = (0..p)
@@ -314,6 +319,14 @@ fn collectives_match_reference_under_link_fault() {
 
         assert_eq!(want, got.to_nested(), "payload under faults");
         assert_machines_identical(&hc_seed, &hc_slab, "allreduce under faults");
+
+        // A ragged exchange across the dead link's dimension detours too.
+        let ragged = ragged_locals(dim, 6, plan_seed as usize);
+        let want = reference::exchange(&mut hc_seed, &ragged, 2);
+        let mut got = NodeSlab::from_nested(&ragged);
+        collective::exchange_slab(&mut hc_slab, &mut got, 2);
+        assert_eq!(want, got.to_nested(), "ragged exchange payload under faults");
+        assert_machines_identical(&hc_seed, &hc_slab, "exchange under faults");
         let c = hc_seed.counters();
         fault_events += c.transient_drops + c.retries + c.reroutes + c.detour_hops;
     }

@@ -325,7 +325,7 @@ proptest! {
             delta.swap(i, j);
         }
         let mut hc = Hc::cm2(dim);
-        let mut locals = hc.locals_from_fn(|n| vec![n as u64]);
+        let mut locals: Vec<Vec<u64>> = (0..hc.p()).map(|n| vec![n as u64]).collect();
         dimension_permute(&mut hc, &mut locals, &delta);
         for node in 0..hc.p() {
             prop_assert_eq!(&locals[node], &vec![permute_address(node, &delta) as u64]);
