@@ -6,7 +6,7 @@
 //! ROADMAP asks for. Each primitive is timed twice over the same data:
 //!
 //! * **seed**: the pre-slab implementation — per-node `Vec<Vec<T>>`
-//!   buffers, hop-by-hop collectives from [`reference`], per-element
+//!   buffers, hop-by-hop collectives from [`reference`](mod@reference), per-element
 //!   `off / lc` address arithmetic — reproduced verbatim here;
 //! * **slab**: the current arena-backed path (one contiguous allocation
 //!   per container, analytic collective schedules, tiled kernels).

@@ -1,22 +1,24 @@
-//! All-port schedule plumbing shared by the slab collectives.
+//! How the slab collectives run and charge the all-port schedules.
 //!
 //! The all-port engine follows the repo's charge-then-place discipline:
 //! the *data movement* of every collective is performed by the same code
 //! in the same combine order regardless of schedule, so payloads are
-//! bit-identical across policies (and against `collective::reference`);
+//! bit-identical across schedules (and against `collective::reference`);
 //! only the simulated clock follows the selected schedule. A collective
 //! therefore does:
 //!
-//! 1. `hc.choose_algo(kind, k, max_len)` once, up front — consulting the
-//!    machine's [`AlgoSelect`] policy, cost model, and live fault state
-//!    (any live fault forces [`Algo::SinglePort`], whose exchange steps
-//!    carry the detour/retry machinery);
+//! 1. `hc.choose_algo(kind, k, max_len)` once, up front — the machine's
+//!    cost model picks the schedule ([`crate::cost::CostModel::choose`]):
+//!    single-port under a one-port model or any live fault (its exchange
+//!    steps carry the detour/retry machinery), otherwise the cheaper of
+//!    single-port and pipelined all-port;
 //! 2. the movement passes, with per-superstep charges only under
-//!    [`Algo::SinglePort`];
-//! 3. under [`Algo::AllPort`], one [`charge`] call for the whole
-//!    schedule — `steps` concurrent supersteps of `message(per_port)`
-//!    plus the per-step critical-path combines, priced by
-//!    [`crate::cost::allport_schedule`].
+//!    [`crate::cost::Algo::SinglePort`];
+//! 3. under [`crate::cost::Algo::AllPort`], one
+//!    [`crate::machine::Hypercube::charge_allport`] call for the whole
+//!    schedule — `steps` concurrent supersteps of
+//!    `message(per_port)` plus the per-step critical-path combines,
+//!    priced by [`crate::cost::allport_schedule`].
 //!
 //! The schedules are the Johnsson & Ho (TR-610) all-port constructions
 //! over the `k` edge-disjoint spanning binomial trees of
@@ -27,29 +29,10 @@
 //! allgather absorbs `2^k - 1` segments over `k` ports in
 //! `ceil((2^k - 1)/k)` supersteps.
 
-pub use crate::cost::{Algo, AlgoPolicy, AlgoSelect, Collective};
-use crate::machine::Hypercube;
-
-/// Charge the whole all-port schedule for one collective call:
-/// `kind` over `k` dimensions, critical-path segment length `max_len`,
-/// `chunks` pipeline cells, `total_elements` machine-wide elements
-/// moved (for the counters). No-op price changes never touch payloads —
-/// the movement already happened (or happens after) in reference order.
-pub(crate) fn charge(
-    hc: &mut Hypercube,
-    kind: Collective,
-    k: usize,
-    max_len: usize,
-    chunks: usize,
-    total_elements: u64,
-) {
-    hc.charge_allport(kind, k, max_len, chunks, total_elements);
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::cost::{allport_schedule, esbt_height, CostModel};
+    use crate::cost::{allport_schedule, esbt_height, Algo, Collective, CostModel};
+    use crate::machine::Hypercube;
     use crate::spanning::EsbtForest;
 
     #[test]
@@ -73,7 +56,7 @@ mod tests {
     #[test]
     fn charge_is_priced_like_collective_time() {
         let mut hc = Hypercube::new(5, CostModel::cm2_allport());
-        charge(&mut hc, Collective::Allgather, 5, 333, 4, 10_000);
+        hc.charge_allport(Collective::Allgather, 5, 333, 4, 10_000);
         let want = CostModel::cm2_allport().collective_time(
             Collective::Allgather,
             5,
@@ -90,8 +73,7 @@ mod tests {
         // spot-check the two acceptance collectives at p = 1024.
         let c = CostModel::cm2_allport();
         for kind in [Collective::Broadcast, Collective::Allgather] {
-            let sel = AlgoSelect::default();
-            let algo = sel.choose(&c, kind, 10, 16384, false);
+            let algo = c.choose(kind, 10, 16384, false);
             assert!(matches!(algo, Algo::AllPort { .. }), "{kind:?} should go all-port");
             let sp = c.collective_time(kind, 10, 16384, Algo::SinglePort);
             let ap = c.collective_time(kind, 10, 16384, algo);

@@ -1,6 +1,6 @@
 //! One-to-all broadcast within subcubes (spanning binomial tree).
 
-use super::{allport, check_dims};
+use super::check_dims;
 use crate::cost::{Algo, Collective};
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
@@ -74,7 +74,7 @@ pub fn broadcast_slab<T: Copy>(
                 .filter(|&(node, &r)| node != r)
                 .map(|(_, &r)| slab.len_of(r) as u64)
                 .sum();
-            allport::charge(hc, Collective::Broadcast, k, root_len, chunks, total);
+            hc.charge_allport(Collective::Broadcast, k, root_len, chunks, total);
         }
     }
 

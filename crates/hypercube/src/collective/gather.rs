@@ -12,7 +12,7 @@
 //! materialised in a single pass. This removes the `O(total * steps)`
 //! host copying of the nested-`Vec` data plane.
 
-use super::{allport, check_dims};
+use super::check_dims;
 use crate::cost::{Algo, Collective};
 use crate::machine::Hypercube;
 use crate::slab::{NodeSlab, SegSlab};
@@ -62,7 +62,7 @@ pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims:
         }
     }
     if let Algo::AllPort { chunks } = algo {
-        allport::charge(hc, Collective::Allgather, k, seg_len, chunks, allport_total);
+        hc.charge_allport(Collective::Allgather, k, seg_len, chunks, allport_total);
     }
     if k == 0 {
         return;

@@ -16,10 +16,10 @@
 //! supersteps, charging `alpha + beta * L` for the busiest channel plus
 //! `gamma` per critical-path combine, exactly as analysed in Johnsson &
 //! Ho, *Optimum Broadcasting and Personalized Communication in
-//! Hypercubes* (TR-610, reproduced in the source booklet). Machines
-//! whose [`crate::cost::AlgoSelect`] policy admits all-port schedules
-//! charge the ported model instead (see [`allport`]); payload movement
-//! and combine order are identical under every schedule.
+//! Hypercubes* (TR-610, reproduced in the source booklet). Healthy
+//! machines whose cost model lets a node drive all its ports charge the
+//! ported model instead wherever it is cheaper (see [`allport`]); payload
+//! movement and combine order are identical under every schedule.
 
 pub mod allport;
 mod alltoall;

@@ -1,6 +1,6 @@
 //! All-to-one reduction and all-reduce within subcubes.
 
-use super::{allport, check_dims};
+use super::check_dims;
 use crate::cost::{Algo, Collective};
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
@@ -78,7 +78,7 @@ pub fn reduce_slab<T: Copy>(
         }
     }
     if let Algo::AllPort { chunks } = algo {
-        allport::charge(hc, Collective::Reduce, k, slab.max_seg_len(), chunks, allport_total);
+        hc.charge_allport(Collective::Reduce, k, slab.max_seg_len(), chunks, allport_total);
     }
 
     // Compact: roots keep their combined segment, everyone else empties.
@@ -156,8 +156,7 @@ pub fn allreduce_slab<T: Copy>(
         }
     }
     if let Algo::AllPort { chunks } = algo {
-        allport::charge(
-            hc,
+        hc.charge_allport(
             Collective::Allreduce,
             dims.len(),
             slab.max_seg_len(),

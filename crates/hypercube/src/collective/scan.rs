@@ -15,7 +15,7 @@
 //! buffer the seed allocated anyway. Combine order is unchanged, so
 //! results are bit-identical.
 
-use super::{allport, check_dims};
+use super::check_dims;
 use crate::cost::{Algo, Collective};
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
@@ -149,7 +149,7 @@ pub fn scan_inclusive_slab<T: Copy>(
 
     skipped_total += butterfly_steps(hc, slab, &mut totals, dims, 1, &op, algo);
     if let Algo::AllPort { chunks } = algo {
-        allport::charge(hc, Collective::Scan, dims.len(), seg_len, chunks, skipped_total);
+        hc.charge_allport(Collective::Scan, dims.len(), seg_len, chunks, skipped_total);
     }
 }
 
@@ -174,7 +174,7 @@ pub fn scan_exclusive_slab<T: Copy>(
     let mut totals = std::mem::replace(slab, NodeSlab::filled(&lens, identity));
     let skipped_total = butterfly_steps(hc, slab, &mut totals, dims, 0, &op, algo);
     if let Algo::AllPort { chunks } = algo {
-        allport::charge(hc, Collective::Scan, dims.len(), seg_len, chunks, skipped_total);
+        hc.charge_allport(Collective::Scan, dims.len(), seg_len, chunks, skipped_total);
     }
 }
 

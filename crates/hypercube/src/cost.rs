@@ -21,7 +21,8 @@ use serde::{Deserialize, Serialize};
 /// Whether a node can use one channel at a time or all `d` channels
 /// concurrently. The CM-2 NEWS/hypercube hardware supported concurrent
 /// channel use; one-port is the conservative model most algorithms are
-/// analysed under. Only the spanning-tree ablation routines consult this.
+/// analysed under. [`CostModel::choose`] consults this: one-port machines
+/// always run the single-port collective schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PortModel {
     /// One channel per node active per step.
@@ -60,91 +61,9 @@ pub enum Algo {
     },
 }
 
-/// Schedule-selection policy threaded through the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AlgoPolicy {
-    /// Pick the cheaper of single-port and all-port under the cost
-    /// model (single-port whenever `ports` is [`PortModel::OnePort`]).
-    Auto,
-    /// Always the one-dimension-per-superstep schedules.
-    ForceSinglePort,
-    /// Always all-port, unpipelined (`chunks = 1`).
-    ForceAllPort,
-    /// Always all-port with pipelined chunking (`chunks >= 2`).
-    ForcePipelined,
-}
-
-/// Default pipeline cell: chunks are sized so one cell rides each tree
-/// edge per superstep once a tree's share exceeds this many elements.
+/// Pipeline cell: chunks are sized so one cell rides each tree edge per
+/// superstep once a tree's share exceeds this many elements.
 pub const DEFAULT_PIPELINE_CELL: usize = 256;
-
-/// The all-port schedule selector: policy plus the pipeline cell size.
-/// Live fault state always overrides the policy — degraded or faulty
-/// machines fall back to the single-port schedules, whose exchange
-/// steps carry the detour/retry machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AlgoSelect {
-    /// Which schedules are eligible.
-    pub policy: AlgoPolicy,
-    /// Pipeline cell size in elements (see [`DEFAULT_PIPELINE_CELL`]).
-    pub cell: usize,
-}
-
-impl Default for AlgoSelect {
-    fn default() -> Self {
-        AlgoSelect { policy: AlgoPolicy::Auto, cell: DEFAULT_PIPELINE_CELL }
-    }
-}
-
-impl AlgoSelect {
-    /// Pipeline depth for a length-`len` payload split over `k` trees:
-    /// `ceil(ceil(len/k) / cell)` cells per tree, at least 1.
-    #[must_use]
-    pub fn pipeline_chunks(&self, k: usize, len: usize) -> usize {
-        if k == 0 {
-            return 1;
-        }
-        len.div_ceil(k).div_ceil(self.cell.max(1)).max(1)
-    }
-
-    /// Choose the schedule for one collective call: `k = |dims|`, `len`
-    /// the critical-path segment length, `live_faults` whether the
-    /// machine currently has a non-empty fault plan or degradation
-    /// remaps installed (which force the single-port fallback).
-    #[must_use]
-    pub fn choose(
-        &self,
-        cost: &CostModel,
-        kind: Collective,
-        k: usize,
-        len: usize,
-        live_faults: bool,
-    ) -> Algo {
-        if k == 0 || len == 0 || live_faults {
-            return Algo::SinglePort;
-        }
-        match self.policy {
-            AlgoPolicy::ForceSinglePort => Algo::SinglePort,
-            AlgoPolicy::ForceAllPort => Algo::AllPort { chunks: 1 },
-            AlgoPolicy::ForcePipelined => {
-                Algo::AllPort { chunks: self.pipeline_chunks(k, len).max(2) }
-            }
-            AlgoPolicy::Auto => {
-                if cost.ports == PortModel::OnePort {
-                    return Algo::SinglePort;
-                }
-                let ap = Algo::AllPort { chunks: self.pipeline_chunks(k, len) };
-                if cost.collective_time(kind, k, len, ap)
-                    < cost.collective_time(kind, k, len, Algo::SinglePort)
-                {
-                    ap
-                } else {
-                    Algo::SinglePort
-                }
-            }
-        }
-    }
-}
 
 /// Height (edge depth) of one edge-disjoint spanning binomial tree of a
 /// `k`-cube, source edge included: `k + 1` for `k >= 2`, else `k`. The
@@ -290,7 +209,7 @@ impl CostModel {
     }
 
     /// CM-2 constants with concurrent channel use enabled — the preset
-    /// under which [`AlgoPolicy::Auto`] considers all-port schedules.
+    /// under which [`CostModel::choose`] considers all-port schedules.
     #[must_use]
     pub fn cm2_allport() -> Self {
         CostModel { ports: PortModel::AllPort, ..Self::cm2() }
@@ -330,6 +249,28 @@ impl CostModel {
                 let s = allport_schedule(kind, k, len, chunks);
                 s.steps as f64 * (self.message(s.per_port) + self.flops(s.per_step_flops))
             }
+        }
+    }
+
+    /// Choose the schedule for one collective call: `k = |dims|`, `len`
+    /// the critical-path segment length, `live_faults` whether the
+    /// machine currently has a non-empty fault plan or degradation
+    /// remaps installed. Single-port under a one-port model or live
+    /// faults (its exchange steps carry the detour/retry machinery);
+    /// otherwise the cheaper of single-port and all-port, pipelined in
+    /// [`DEFAULT_PIPELINE_CELL`]-element cells.
+    #[must_use]
+    pub fn choose(&self, kind: Collective, k: usize, len: usize, live_faults: bool) -> Algo {
+        if k == 0 || len == 0 || live_faults || self.ports == PortModel::OnePort {
+            return Algo::SinglePort;
+        }
+        let ap = Algo::AllPort { chunks: len.div_ceil(k).div_ceil(DEFAULT_PIPELINE_CELL) };
+        if self.collective_time(kind, k, len, ap)
+            < self.collective_time(kind, k, len, Algo::SinglePort)
+        {
+            ap
+        } else {
+            Algo::SinglePort
         }
     }
 
@@ -446,7 +387,6 @@ mod tests {
 
     #[test]
     fn auto_policy_is_single_port_on_one_port_presets() {
-        let sel = AlgoSelect::default();
         for kind in [
             Collective::Broadcast,
             Collective::Reduce,
@@ -454,15 +394,14 @@ mod tests {
             Collective::Allgather,
             Collective::Scan,
         ] {
-            assert_eq!(sel.choose(&CostModel::cm2(), kind, 10, 1 << 14, false), Algo::SinglePort);
+            assert_eq!(CostModel::cm2().choose(kind, 10, 1 << 14, false), Algo::SinglePort);
         }
     }
 
     #[test]
     fn auto_policy_picks_all_port_for_large_broadcasts() {
-        let sel = AlgoSelect::default();
         let c = CostModel::cm2_allport();
-        let algo = sel.choose(&c, Collective::Broadcast, 10, 1 << 14, false);
+        let algo = c.choose(Collective::Broadcast, 10, 1 << 14, false);
         let Algo::AllPort { chunks } = algo else {
             panic!("expected all-port for a large broadcast, got {algo:?}");
         };
@@ -478,25 +417,11 @@ mod tests {
 
     #[test]
     fn live_faults_force_single_port() {
-        let sel = AlgoSelect { policy: AlgoPolicy::ForceAllPort, cell: 64 };
         let c = CostModel::cm2_allport();
-        assert_eq!(sel.choose(&c, Collective::Broadcast, 8, 4096, true), Algo::SinglePort);
-        assert_eq!(sel.choose(&c, Collective::Broadcast, 0, 4096, false), Algo::SinglePort);
-        assert_eq!(sel.choose(&c, Collective::Broadcast, 8, 0, false), Algo::SinglePort);
-    }
-
-    #[test]
-    fn forced_policies_respected_when_healthy() {
-        let sel = AlgoSelect { policy: AlgoPolicy::ForcePipelined, cell: 8 };
-        let c = CostModel::cm2(); // even one-port presets obey a force
-        match sel.choose(&c, Collective::Allgather, 6, 4096, false) {
-            Algo::AllPort { chunks } => assert!(chunks >= 2),
-            other => panic!("expected pipelined all-port, got {other:?}"),
-        }
-        let sp = AlgoSelect { policy: AlgoPolicy::ForceSinglePort, cell: 8 };
-        assert_eq!(
-            sp.choose(&CostModel::cm2_allport(), Collective::Broadcast, 10, 1 << 14, false),
-            Algo::SinglePort
-        );
+        let healthy = c.choose(Collective::Broadcast, 8, 4096, false);
+        assert!(matches!(healthy, Algo::AllPort { .. }), "healthy payload goes all-port");
+        assert_eq!(c.choose(Collective::Broadcast, 8, 4096, true), Algo::SinglePort);
+        assert_eq!(c.choose(Collective::Broadcast, 0, 4096, false), Algo::SinglePort);
+        assert_eq!(c.choose(Collective::Broadcast, 8, 0, false), Algo::SinglePort);
     }
 }

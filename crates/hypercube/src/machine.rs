@@ -17,7 +17,7 @@
 //! data, results are bit-exact and independently testable against serial
 //! oracles; only the *clock* is modelled.
 
-use crate::cost::{allport_schedule, Algo, AlgoSelect, Collective, CostModel};
+use crate::cost::{allport_schedule, Algo, Collective, CostModel};
 use crate::counters::Counters;
 use crate::fault::{FaultPlan, ResilientConfig};
 use crate::topology::{Cube, NodeId};
@@ -42,7 +42,6 @@ struct FaultCtx {
 pub struct Hypercube {
     cube: Cube,
     cost: CostModel,
-    algo: AlgoSelect,
     clock_us: f64,
     counters: Counters,
     fault: Option<Box<FaultCtx>>,
@@ -55,7 +54,6 @@ impl Hypercube {
         Hypercube {
             cube: Cube::new(dim),
             cost,
-            algo: AlgoSelect::default(),
             clock_us: 0.0,
             counters: Counters::default(),
             fault: None,
@@ -96,18 +94,6 @@ impl Hypercube {
         &self.cost
     }
 
-    /// The collective schedule selector in force.
-    #[inline]
-    #[must_use]
-    pub fn algo_select(&self) -> AlgoSelect {
-        self.algo
-    }
-
-    /// Replace the collective schedule selector (policy + pipeline cell).
-    pub fn set_algo_select(&mut self, algo: AlgoSelect) {
-        self.algo = algo;
-    }
-
     /// Whether the machine currently has live fault state: a non-empty
     /// fault plan, or degradation remaps doubling up hosts. The
     /// collectives fall back to single-port schedules (whose exchange
@@ -121,11 +107,11 @@ impl Hypercube {
     }
 
     /// Choose the schedule for one collective call over `k` dimensions
-    /// with critical-path segment length `max_len`, consulting the
-    /// machine's selector, cost model, and live fault state.
+    /// with critical-path segment length `max_len`: [`CostModel::choose`]
+    /// under the machine's cost model and live fault state.
     #[must_use]
     pub fn choose_algo(&self, kind: Collective, k: usize, max_len: usize) -> Algo {
-        self.algo.choose(&self.cost, kind, k, max_len, self.live_faults())
+        self.cost.choose(kind, k, max_len, self.live_faults())
     }
 
     /// Charge the all-port schedule for one collective: `steps`
@@ -566,11 +552,10 @@ mod tests {
 
     #[test]
     fn choose_algo_falls_back_under_live_faults() {
-        use crate::cost::{Algo, AlgoPolicy, AlgoSelect, Collective};
+        use crate::cost::{Algo, Collective};
         use crate::fault::{FaultPlan, ResilientConfig};
         let mut hc = Hypercube::new(8, CostModel::cm2_allport());
-        hc.set_algo_select(AlgoSelect { policy: AlgoPolicy::ForceAllPort, cell: 64 });
-        assert_eq!(hc.choose_algo(Collective::Broadcast, 8, 4096), Algo::AllPort { chunks: 1 });
+        assert_eq!(hc.choose_algo(Collective::Broadcast, 8, 4096), Algo::AllPort { chunks: 2 });
         hc.install_faults(FaultPlan::none(1).with_drops(0.5, 0, 100), ResilientConfig::default());
         assert_eq!(
             hc.choose_algo(Collective::Broadcast, 8, 4096),

@@ -16,8 +16,9 @@
 //! caller-supplied `tag`, so downstream code can reassemble rows and
 //! columns in global index order without caring about routing order.
 
+use crate::fault::{FaultPlan, ResilientConfig};
 use crate::machine::Hypercube;
-use crate::topology::NodeId;
+use crate::topology::{Cube, NodeId};
 
 /// A routable unit: a contiguous run of elements bound for `dst`.
 ///
@@ -45,10 +46,10 @@ impl<T> Block<T> {
 /// store-and-forward routing, charging the machine one blocked message
 /// superstep per cube dimension that carries any traffic.
 ///
-/// When fault state is installed on the machine the router runs its
-/// fault-tolerant variant: transiently dropped blocks genuinely stay at
-/// the sender and retransmit on a later pass (with backoff), traffic
-/// facing a permanently dead link genuinely detours through a healthy
+/// When fault state is installed on the machine the same sweep consults
+/// it: transiently dropped blocks genuinely stay at the sender and
+/// retransmit on a later pass (with backoff), traffic facing a
+/// permanently dead link genuinely detours through a healthy
 /// perpendicular dimension, and the e-cube sweep repeats until every
 /// block is home — so delivery under any recoverable plan is
 /// bit-identical to the fault-free run, at a higher modeled cost.
@@ -72,11 +73,12 @@ pub fn route_blocks<T>(hc: &mut Hypercube, outgoing: Vec<Vec<Block<T>>>) -> Vec<
         }
     }
 
-    if hc.fault_active() {
-        resilient_sweeps(hc, &mut in_flight);
-    } else {
-        plain_sweep(hc, &mut in_flight);
-    }
+    let faults = hc.fault_plan().zip(hc.resilient_config()).map(|(plan, config)| Faults {
+        plan: plan.clone(),
+        config: *config,
+        hosts: (0..p).map(|n| hc.host_of(n)).collect(),
+    });
+    sweeps(hc, &mut in_flight, faults.as_ref());
 
     for (node, lists) in in_flight.iter_mut().enumerate() {
         debug_assert!(lists.iter().all(|b| b.dst == node), "all blocks delivered");
@@ -85,92 +87,82 @@ pub fn route_blocks<T>(hc: &mut Hypercube, outgoing: Vec<Vec<Block<T>>>) -> Vec<
     in_flight
 }
 
-/// One fault-free e-cube sweep: resolves every block in `d` supersteps.
-fn plain_sweep<T>(hc: &mut Hypercube, in_flight: &mut [Vec<Block<T>>]) {
-    let cube = hc.cube();
-    let p = cube.nodes();
-    for d in cube.iter_dims() {
-        let bit = 1usize << d;
-        // Split each node's holdings into (stay, forward-along-d).
-        let mut max_fwd_elems = 0usize;
-        let mut total_fwd_elems: u64 = 0;
-        let mut any = false;
-        let mut forwarded: Vec<Vec<Block<T>>> = (0..p).map(|_| Vec::new()).collect();
-        for node in 0..p {
-            let held = std::mem::take(&mut in_flight[node]);
-            let mut stay = Vec::with_capacity(held.len());
-            let mut fwd_elems = 0usize;
-            for b in held {
-                if (b.dst ^ node) & bit != 0 {
-                    fwd_elems += b.data.len();
-                    forwarded[node ^ bit].push(b);
-                } else {
-                    stay.push(b);
-                }
+/// The machine's fault state, read once per [`route_blocks`] call.
+struct Faults {
+    plan: FaultPlan,
+    config: ResilientConfig,
+    /// `hosts[logical]` = the physical node hosting it after degradation.
+    hosts: Vec<NodeId>,
+}
+
+/// What happens to a block whose next e-cube hop is `node -> node^bit`.
+enum Hop {
+    /// Crosses the link (or is a local copy between co-hosted nodes).
+    Forward,
+    /// Transiently dropped: stays at `node` and retransmits next pass.
+    Drop,
+    /// The link is dead: two healthy hops via this perpendicular
+    /// dimension land the block with the dimension resolved.
+    Detour(u32),
+    /// The link is dead and no bypass is healthy this step.
+    Stuck,
+}
+
+impl Faults {
+    fn hop(&self, cube: &Cube, node: NodeId, d: u32, step: u64, pass: u32) -> Hop {
+        let (pa, pb) = (self.hosts[node], self.hosts[node ^ (1usize << d)]);
+        if pa == pb {
+            Hop::Forward
+        } else if self.plan.link_dead(pa, pb, step) {
+            self.detour_dim(cube, node, d, step).map_or(Hop::Stuck, Hop::Detour)
+        } else if pass <= self.config.max_retries && self.plan.transient_drop(pa, pb, step, pass) {
+            Hop::Drop
+        } else {
+            Hop::Forward
+        }
+    }
+
+    /// First dimension `d2 != avoid` giving a fully healthy two-hop
+    /// bypass `node -> node^d2 -> node^d2^avoid` around the dead `avoid`
+    /// link.
+    fn detour_dim(&self, cube: &Cube, node: NodeId, avoid: u32, step: u64) -> Option<u32> {
+        let healthy = |a: NodeId, b: NodeId| {
+            let (pa, pb) = (self.hosts[a], self.hosts[b]);
+            pa == pb || !self.plan.link_dead(pa, pb, step)
+        };
+        cube.iter_dims().find(|&d2| {
+            if d2 == avoid {
+                return false;
             }
-            in_flight[node] = stay;
-            if fwd_elems > 0 {
-                any = true;
-                max_fwd_elems = max_fwd_elems.max(fwd_elems);
-                total_fwd_elems += fwd_elems as u64;
-            }
-        }
-        for (node, mut arr) in forwarded.into_iter().enumerate() {
-            in_flight[node].append(&mut arr);
-        }
-        if any {
-            hc.charge_message_step(max_fwd_elems, total_fwd_elems);
-        }
+            let via = node ^ (1usize << d2);
+            healthy(node, via) && healthy(via, via ^ (1usize << avoid))
+        })
     }
 }
 
-/// Repeated fault-aware e-cube sweeps until every block is delivered.
+/// E-cube sweeps until every block is delivered: one sweep resolves
+/// everything on a machine without fault state.
 ///
-/// Pass `k` is retransmission round `k` for any block dropped in pass
-/// `k-1` (the block really stayed put); once the retry budget is spent,
-/// drop decisions stop applying — the escalation path — so delivery is
-/// guaranteed for any plan that leaves the cube connected. Blocks whose
-/// next e-cube hop crosses a dead link take a two-hop bypass through a
-/// healthy perpendicular dimension (`u -> u^d2 -> u^d2^d`), which
-/// *completes* the dead dimension — crucial, because a sidestep that
-/// left dimension `d` unresolved would be undone by the next pass's
-/// ascending sweep whenever `d2 < d`, ping-ponging forever. The bypass
-/// perturbs only dimension `d2`, which a later pass re-resolves over a
-/// different physical link.
-fn resilient_sweeps<T>(hc: &mut Hypercube, in_flight: &mut [Vec<Block<T>>]) {
+/// Under `faults`, pass `k` is retransmission round `k` for any block
+/// dropped in pass `k-1` (the block really stayed put); once the retry
+/// budget is spent, drop decisions stop applying — the escalation path —
+/// so delivery is guaranteed for any plan that leaves the cube
+/// connected. Blocks whose next e-cube hop crosses a dead link take a
+/// two-hop bypass through a healthy perpendicular dimension
+/// (`u -> u^d2 -> u^d2^d`), which *completes* the dead dimension —
+/// crucial, because a sidestep that left dimension `d` unresolved would
+/// be undone by the next pass's ascending sweep whenever `d2 < d`,
+/// ping-ponging forever. The bypass perturbs only dimension `d2`, which
+/// a later pass re-resolves over a different physical link.
+fn sweeps<T>(hc: &mut Hypercube, in_flight: &mut [Vec<Block<T>>], faults: Option<&Faults>) {
     let cube = hc.cube();
     let p = cube.nodes();
-    // vmplint: allow(p1) — only reachable from route_blocks after fault state is confirmed installed
-    let plan = hc.fault_plan().expect("fault state present").clone();
-    // vmplint: allow(p1) — same invariant as the line above
-    let config = *hc.resilient_config().expect("fault state present");
-    let hosts: Vec<NodeId> = (0..p).map(|n| hc.host_of(n)).collect();
-
     let mut pass: u32 = 0;
     loop {
-        let undelivered = in_flight
-            .iter()
-            .enumerate()
-            .flat_map(|(n, lists)| lists.iter().filter(move |b| b.dst != n))
-            .count();
-        if undelivered == 0 {
-            break;
-        }
-        assert!(
-            pass <= config.max_retries + 4 * (cube.dim() + 2),
-            "fault plan leaves {undelivered} block(s) unroutable"
-        );
-        if pass > 0 {
-            // A retransmission round: detection latency plus bounded
-            // exponential backoff before the re-sweep.
-            hc.counters_mut().retries += 1;
-            hc.charge_raw_us(config.detect_latency_us());
-            hc.charge_raw_us(config.backoff_us * f64::from(1u32 << (pass - 1).min(20)));
-        }
-
         // Blocks that took a bypass this pass rest until the next pass,
         // which re-resolves the perturbed perpendicular dimension.
-        let mut parked: Vec<Vec<Block<T>>> = (0..p).map(|_| Vec::new()).collect();
+        // Allocated on the first detour.
+        let mut parked: Vec<Vec<Block<T>>> = Vec::new();
 
         for d in cube.iter_dims() {
             let bit = 1usize << d;
@@ -193,29 +185,24 @@ fn resilient_sweeps<T>(hc: &mut Hypercube, in_flight: &mut [Vec<Block<T>>]) {
                         stay.push(b);
                         continue;
                     }
-                    let target = node ^ bit;
-                    let (pa, pb) = (hosts[node], hosts[target]);
-                    let local = pa == pb;
-                    if !local && plan.link_dead(pa, pb, step) {
-                        if let Some(d2) = detour_dim(&cube, &hosts, &plan, node, d, step) {
-                            // Two healthy hops around the dead link land
-                            // the block with dimension d resolved.
+                    match faults.map_or(Hop::Forward, |f| f.hop(&cube, node, d, step, pass)) {
+                        Hop::Forward => {
+                            fwd_elems += b.data.len();
+                            forwarded[node ^ bit].push(b);
+                        }
+                        Hop::Drop => {
+                            drops += 1;
+                            stay.push(b);
+                        }
+                        Hop::Detour(d2) => {
                             detour_elems += b.data.len();
+                            if parked.is_empty() {
+                                parked.resize_with(p, Vec::new);
+                            }
                             parked[node ^ (1usize << d2) ^ bit].push(b);
                             detours += 1;
-                        } else {
-                            stay.push(b); // no healthy way out this step
                         }
-                    } else if !local
-                        && pass <= config.max_retries
-                        && plan.transient_drop(pa, pb, step, pass)
-                    {
-                        // The block really stays: retransmitted next pass.
-                        drops += 1;
-                        stay.push(b);
-                    } else {
-                        fwd_elems += b.data.len();
-                        forwarded[target].push(b);
+                        Hop::Stuck => stay.push(b),
                     }
                 }
                 in_flight[node] = stay;
@@ -248,51 +235,27 @@ fn resilient_sweeps<T>(hc: &mut Hypercube, in_flight: &mut [Vec<Block<T>>]) {
         for (node, mut arr) in parked.into_iter().enumerate() {
             in_flight[node].append(&mut arr);
         }
-        pass += 1;
-    }
-}
 
-/// First dimension `d2 != avoid` giving a fully healthy two-hop bypass
-/// `node -> node^d2 -> node^d2^avoid` around the dead `avoid` link.
-fn detour_dim(
-    cube: &crate::topology::Cube,
-    hosts: &[NodeId],
-    plan: &crate::fault::FaultPlan,
-    node: NodeId,
-    avoid: u32,
-    step: u64,
-) -> Option<u32> {
-    let healthy = |a: NodeId, b: NodeId| {
-        let (pa, pb) = (hosts[a], hosts[b]);
-        pa == pb || !plan.link_dead(pa, pb, step)
-    };
-    cube.iter_dims().find(|&d2| {
-        if d2 == avoid {
-            return false;
+        let Some(f) = faults else { break };
+        let undelivered = in_flight
+            .iter()
+            .enumerate()
+            .flat_map(|(n, lists)| lists.iter().filter(move |b| b.dst != n))
+            .count();
+        if undelivered == 0 {
+            break;
         }
-        let via = node ^ (1usize << d2);
-        healthy(node, via) && healthy(via, via ^ (1usize << avoid))
-    })
-}
-
-/// Route single elements as one-element blocks, returning per-node values
-/// sorted by tag. A convenience wrapper used for small amounts of control
-/// data (pivot indices, scalars).
-pub fn route_values<T>(
-    hc: &mut Hypercube,
-    outgoing: Vec<Vec<(NodeId, u64, T)>>,
-) -> Vec<Vec<(u64, T)>> {
-    let blocks = outgoing
-        .into_iter()
-        .map(|list| list.into_iter().map(|(dst, tag, v)| Block::new(dst, tag, vec![v])).collect())
-        .collect();
-    route_blocks(hc, blocks)
-        .into_iter()
-        .map(|arr| {
-            // vmplint: allow(p1) — every block was built with vec![v] four lines up
-            arr.into_iter().map(|mut b| (b.tag, b.data.pop().expect("one-element block"))).collect()
-        })
-        .collect()
+        pass += 1;
+        assert!(
+            pass <= f.config.max_retries + 4 * (cube.dim() + 2),
+            "fault plan leaves {undelivered} block(s) unroutable"
+        );
+        // A retransmission round: detection latency plus bounded
+        // exponential backoff before the re-sweep.
+        hc.counters_mut().retries += 1;
+        hc.charge_raw_us(f.config.detect_latency_us());
+        hc.charge_raw_us(f.config.backoff_us * f64::from(1u32 << (pass - 1).min(20)));
+    }
 }
 
 #[cfg(test)]
@@ -391,19 +354,6 @@ mod tests {
             hc.counters().max_channel_load >= 8 * 8 / 2,
             "tree concentration loads late channels"
         );
-    }
-
-    #[test]
-    fn route_values_delivers_scalars() {
-        let mut hc = machine(3);
-        let p = hc.p();
-        let out: Vec<Vec<(NodeId, u64, f64)>> =
-            (0..p).map(|n| vec![((n + 1) % p, n as u64, n as f64)]).collect();
-        let arrived = route_values(&mut hc, out);
-        for n in 0..p {
-            let src = (n + p - 1) % p;
-            assert_eq!(arrived[n], vec![(src as u64, src as f64)]);
-        }
     }
 
     #[test]

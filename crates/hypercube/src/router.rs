@@ -87,13 +87,6 @@ pub fn route_elements<T: Copy>(
     }
 
     let mut in_network: u64 = queues.iter().map(|q| q.len() as u64).sum();
-    // Under the ForceSinglePort policy a node drives at most one of its
-    // channels per cycle — the one-port counterpart to the all-port
-    // collective schedules, so the router honours the same AlgoSelect
-    // knob the collectives consult. Every other policy keeps the
-    // hardware behaviour: all d channels concurrent.
-    let ports_per_node =
-        if hc.algo_select().policy == crate::cost::AlgoPolicy::ForceSinglePort { 1 } else { d };
     // Reusable per-cycle staging: (dest_node, element).
     let mut moved: Vec<(NodeId, ElemMsg<T>)> = Vec::new();
 
@@ -109,7 +102,6 @@ pub fn route_elements<T: Copy>(
             // for each still-free channel; e-cube: an element uses its
             // lowest differing dimension.
             let mut used = vec![false; d];
-            let mut sent = 0usize;
             let qlen = queues[node].len();
             let mut kept = 0usize;
             for _ in 0..qlen {
@@ -118,9 +110,8 @@ pub fn route_elements<T: Copy>(
                 let diff = m.dst ^ node;
                 debug_assert!(diff != 0);
                 let dim = diff.trailing_zeros() as usize;
-                if sent < ports_per_node && !used[dim] {
+                if !used[dim] {
                     used[dim] = true;
-                    sent += 1;
                     moved.push((node ^ (1usize << dim), m));
                     stats.hops += 1;
                 } else {
@@ -245,28 +236,6 @@ mod tests {
         let mut sorted = tags.clone();
         sorted.sort_unstable();
         assert_eq!(tags, sorted);
-    }
-
-    #[test]
-    fn single_port_policy_throttles_router_fanout() {
-        use crate::cost::{AlgoPolicy, AlgoSelect};
-        // One node fans out to d distinct neighbours: all-port drains in
-        // one cycle, a single-port node needs d cycles.
-        let fanout = |policy: AlgoPolicy| {
-            let mut hc = machine(4);
-            hc.set_algo_select(AlgoSelect { policy, ..AlgoSelect::default() });
-            let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
-            for dim in 0..4u64 {
-                out[0].push(ElemMsg::new(1usize << dim, dim, dim));
-            }
-            let (arrived, stats) = route_elements(&mut hc, out);
-            for dim in 0..4usize {
-                assert_eq!(arrived[1 << dim].len(), 1);
-            }
-            stats.cycles
-        };
-        assert_eq!(fanout(AlgoPolicy::Auto), 1, "default keeps concurrent channels");
-        assert_eq!(fanout(AlgoPolicy::ForceSinglePort), 4, "one element per node per cycle");
     }
 
     #[test]

@@ -13,6 +13,8 @@ use vmp_hypercube::collective::{
     scan_inclusive_slab, scatter_slab,
 };
 use vmp_hypercube::cost::CostModel;
+use vmp_hypercube::counters::Counters;
+use vmp_hypercube::fault::{FaultPlan, ResilientConfig};
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Block};
 use vmp_hypercube::router::{route_elements, ElemMsg};
@@ -57,6 +59,12 @@ proptest! {
                 tag += 1;
             }
         }
+        let replay_out = outgoing.clone();
+        let blocks: Vec<(usize, usize, usize)> = outgoing
+            .iter()
+            .enumerate()
+            .flat_map(|(src, list)| list.iter().map(move |b| (src, b.dst, b.data.len())))
+            .collect();
         let arrived = route_blocks(&mut hc, outgoing);
         for node in 0..p {
             expected[node].sort_by_key(|(t, _)| *t);
@@ -64,6 +72,41 @@ proptest! {
                 arrived[node].iter().map(|b| (b.tag, b.data.clone())).collect();
             prop_assert_eq!(got, expected[node].clone(), "node {}", node);
         }
+
+        // Independent e-cube model: while dimension `d` is resolved a
+        // block sits at its destination's bits below `d` over its
+        // source's bits from `d` up. Each ascending dimension that moves
+        // any element costs one message of the busiest node's forwarded
+        // elements.
+        let mut clock = 0.0f64;
+        let mut want = Counters::default();
+        for d in 0..dim {
+            let bit = 1usize << d;
+            let low = bit - 1;
+            let mut fwd = vec![0usize; p];
+            for &(src, dst, len) in &blocks {
+                if (src ^ dst) & bit != 0 {
+                    fwd[(dst & low) | (src & !low)] += len;
+                }
+            }
+            let max = fwd.iter().copied().max().unwrap_or(0);
+            if max > 0 {
+                clock += CostModel::unit().message(max);
+                want.message_steps += 1;
+                want.elements_transferred += fwd.iter().sum::<usize>() as u64;
+                want.max_channel_load = want.max_channel_load.max(max as u64);
+            }
+        }
+        prop_assert_eq!(hc.elapsed_us(), clock);
+        prop_assert_eq!(*hc.counters(), want);
+
+        // An installed but empty fault plan changes nothing.
+        let mut resil = machine(dim);
+        resil.install_faults(FaultPlan::none(seed), ResilientConfig::default());
+        let replayed = route_blocks(&mut resil, replay_out);
+        prop_assert_eq!(replayed, arrived);
+        prop_assert_eq!(resil.elapsed_us(), hc.elapsed_us());
+        prop_assert_eq!(resil.counters(), hc.counters());
     }
 
     #[test]

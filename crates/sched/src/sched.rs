@@ -17,7 +17,7 @@
 //! currently fits — a cheap approximation of shortest-job-first that
 //! needs no oracle, only the cost model.
 //!
-//! **Faults.** A [`FailureEvent`] quarantines a node in the allocator.
+//! **Faults.** A [`FailureEvent`](crate::FailureEvent) quarantines a node in the allocator.
 //! If the node was inside a running job's subcube, that job is aborted
 //! (its in-flight completion goes stale), its subcube is released —
 //! shedding the dead leaf — and the job returns to the head of the

@@ -17,7 +17,7 @@
 //! *simulated* machine agrees with the formulas, and that the optimality
 //! predicates behave as claimed across the `m = p lg p` threshold.
 
-use vmp_hypercube::cost::{AlgoSelect, Collective, CostModel};
+use vmp_hypercube::cost::{Collective, CostModel};
 use vmp_layout::MatrixLayout;
 
 /// Per-processor block bound `ceil(n_r/p_r) * ceil(n_c/p_c)` — the local
@@ -28,15 +28,15 @@ pub fn local_block(layout: &MatrixLayout) -> usize {
 }
 
 /// Predicted time of one collective of `kind` over `k` dimensions with
-/// critical-path segment length `len`, under the **default** schedule
-/// selector and a healthy machine — exactly what a default-configured
-/// [`vmp_hypercube::machine::Hypercube`] with this cost model charges.
+/// critical-path segment length `len` on a healthy machine — exactly
+/// what a [`vmp_hypercube::machine::Hypercube`] with this cost model
+/// charges, since both ask [`CostModel::choose`] for the schedule.
 /// One-port cost models make this the classic single-port formula; an
 /// all-port model prices the same ported schedule the machine runs, so
 /// predictions track charges under either port model.
 #[must_use]
 pub fn collective_cost(cost: &CostModel, kind: Collective, k: usize, len: usize) -> f64 {
-    let algo = AlgoSelect::default().choose(cost, kind, k, len, false);
+    let algo = cost.choose(kind, k, len, false);
     cost.collective_time(kind, k, len, algo)
 }
 

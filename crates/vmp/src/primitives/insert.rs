@@ -1,11 +1,11 @@
 //! `insert`: overwrite one row (or column) of a matrix with a vector.
 
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Block};
 use vmp_layout::{Axis, Placement, VecEmbedding};
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
+use crate::remap::concentrate;
 use crate::vector::DistVector;
 
 /// Overwrite row `index` (`Axis::Row`) or column `index` (`Axis::Col`) of
@@ -48,50 +48,22 @@ pub fn insert<T: Scalar>(
         "vector chunking must match the matrix's {axis:?} distribution"
     );
 
-    // The grid line owning the target row/column.
+    // The grid line owning the target row/column, and `v`'s chunks on
+    // it: `v`'s own segments when it is replicated or already
+    // concentrated there, else one routed move.
     let target_line = match axis {
         Axis::Row => layout.rows().owner(index),
         Axis::Col => layout.cols().owner(index),
     };
-
-    // Chunks available on the target line? (replicated, or concentrated
-    // exactly there)
-    let chunks_on_target: Vec<Vec<T>> = match placement {
-        Placement::Replicated => target_line_chunks(v, axis, target_line),
-        Placement::Concentrated(line) if line == target_line => {
-            target_line_chunks(v, axis, target_line)
+    let moved;
+    let on_target = match placement {
+        Placement::Concentrated(line) if line != target_line => {
+            moved = concentrate(hc, v, target_line);
+            &moved
         }
-        Placement::Concentrated(src_line) => {
-            // Route each chunk from the source line to the target line.
-            let p = grid.p();
-            let mut outgoing: Vec<Vec<Block<T>>> = vec![Vec::new(); p];
-            let parts = match axis {
-                Axis::Row => grid.pc(),
-                Axis::Col => grid.pr(),
-            };
-            for part in 0..parts {
-                let (src, dst) = match axis {
-                    Axis::Row => (grid.node_at(src_line, part), grid.node_at(target_line, part)),
-                    Axis::Col => (grid.node_at(part, src_line), grid.node_at(part, target_line)),
-                };
-                outgoing[src].push(Block::new(dst, part as u64, v.locals()[src].to_vec()));
-            }
-            let arrived = route_blocks(hc, outgoing);
-            let mut chunks = vec![Vec::new(); parts];
-            for (node, blocks) in arrived.into_iter().enumerate() {
-                for b in blocks {
-                    let (gr, gc) = grid.grid_coords(node);
-                    let part = match axis {
-                        Axis::Row => gc,
-                        Axis::Col => gr,
-                    };
-                    debug_assert_eq!(b.tag as usize, part);
-                    chunks[part] = b.data;
-                }
-            }
-            chunks
-        }
+        _ => v,
     };
+    let chunks = on_target.locals();
 
     // Local write on the target line.
     match axis {
@@ -100,7 +72,7 @@ pub fn insert<T: Scalar>(
             for gc in 0..grid.pc() {
                 let node = grid.node_at(target_line, gc);
                 let (_, lc) = layout.local_shape(node);
-                let chunk = &chunks_on_target[gc];
+                let chunk = &chunks[node];
                 debug_assert_eq!(chunk.len(), lc);
                 m.locals_mut()[node][li * lc..(li + 1) * lc].copy_from_slice(chunk);
             }
@@ -111,7 +83,7 @@ pub fn insert<T: Scalar>(
             for gr in 0..grid.pr() {
                 let node = grid.node_at(gr, target_line);
                 let (lr, lc) = layout.local_shape(node);
-                let chunk = &chunks_on_target[gr];
+                let chunk = &chunks[node];
                 debug_assert_eq!(chunk.len(), lr);
                 for li in 0..lr {
                     m.locals_mut()[node][li * lc + lj] = chunk[li];
@@ -120,24 +92,6 @@ pub fn insert<T: Scalar>(
             hc.charge_moves(layout.rows().max_count());
         }
     }
-}
-
-/// The per-part chunks as seen on `line` (indexed by part).
-fn target_line_chunks<T: Scalar>(v: &DistVector<T>, axis: Axis, line: usize) -> Vec<Vec<T>> {
-    let grid = v.layout().grid();
-    let parts = match axis {
-        Axis::Row => grid.pc(),
-        Axis::Col => grid.pr(),
-    };
-    (0..parts)
-        .map(|part| {
-            let node = match axis {
-                Axis::Row => grid.node_at(line, part),
-                Axis::Col => grid.node_at(part, line),
-            };
-            v.locals()[node].to_vec()
-        })
-        .collect()
 }
 
 #[cfg(test)]
