@@ -13,7 +13,7 @@ use vmp_algos::{ge_solve, workloads};
 use vmp_core::degrade::apply_degradation;
 use vmp_core::prelude::*;
 use vmp_hypercube::counters::Counters;
-use vmp_hypercube::{FaultPlan, ResilientConfig};
+use vmp_hypercube::FaultPlan;
 
 use crate::common::{cm2, square_grid};
 use crate::table::{fmt_us, fmt_x, Table};
@@ -57,7 +57,7 @@ pub fn r1() -> Table {
     for (label, plan, dead) in schedules {
         let mut hc = cm2(DIM);
         if let Some(plan) = plan {
-            hc.install_faults(plan, ResilientConfig::default());
+            hc.install_faults(plan);
         }
         if !dead.is_empty() {
             // Resident volume: the augmented matrix each node will hold.

@@ -61,8 +61,8 @@ pub(crate) mod testutil {
     }
 
     /// One segment per node of `hc`, node `n`'s being `f(n)`.
-    pub fn slab_from_fn<T>(hc: &Hypercube, f: impl FnMut(usize) -> Vec<T>) -> NodeSlab<T> {
-        NodeSlab::from_nested_owned((0..hc.p()).map(f).collect())
+    pub fn slab_from_fn<T>(hc: &Hypercube, mut f: impl FnMut(usize) -> Vec<T>) -> NodeSlab<T> {
+        NodeSlab::build(hc.p(), 0, |n, buf| buf.append(&mut f(n)))
     }
 
     /// Per-node segments where node `n` holds `len` copies of `n as f64`

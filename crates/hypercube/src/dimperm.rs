@@ -16,7 +16,8 @@
 //! (TR-617's lower bound is the number of permuted dimensions).
 
 use crate::machine::Hypercube;
-use crate::route::{route_blocks, Block};
+use crate::route::{route_blocks, Traffic};
+use crate::slab::NodeSlab;
 use crate::topology::NodeId;
 
 /// Validate that `delta` is a permutation of `0..d`.
@@ -47,10 +48,10 @@ pub fn permute_address(node: NodeId, delta: &[u32]) -> NodeId {
 /// Charged as the blocked routed move it is: one superstep per cube
 /// dimension that actually carries traffic (at most the number of
 /// non-fixed points of `delta`).
-pub fn dimension_permute<T>(hc: &mut Hypercube, locals: &mut [Vec<T>], delta: &[u32]) {
+pub fn dimension_permute<T: Clone>(hc: &mut Hypercube, locals: &mut NodeSlab<T>, delta: &[u32]) {
     let cube = hc.cube();
     check_perm(cube.dim(), delta);
-    assert_eq!(locals.len(), cube.nodes());
+    assert_eq!(locals.p(), cube.nodes());
 
     // Destination of node x's data: the y with permute_address(y) == x,
     // i.e. y = inverse-permuted address.
@@ -59,19 +60,16 @@ pub fn dimension_permute<T>(hc: &mut Hypercube, locals: &mut [Vec<T>], delta: &[
         inverse[src as usize] = i as u32;
     }
 
-    let outgoing: Vec<Vec<Block<T>>> = locals
-        .iter_mut()
-        .enumerate()
-        .map(|(node, buf)| {
-            let dst = permute_address(node, &inverse);
-            vec![Block::new(dst, node as u64, std::mem::take(buf))]
-        })
-        .collect();
-    let mut arrived = route_blocks(hc, outgoing);
-    for (node, blocks) in arrived.iter_mut().enumerate() {
-        debug_assert_eq!(blocks.len(), 1);
-        locals[node] = std::mem::take(&mut blocks[0].data);
+    let mut traffic = Traffic::new(cube.nodes());
+    for (node, buf) in locals.iter_segs().enumerate() {
+        traffic.post(node, permute_address(node, &inverse), node as u64, buf.iter().cloned());
     }
+    route_blocks(hc, &mut traffic);
+    *locals = NodeSlab::build(cube.nodes(), locals.total_len(), |node, buf| {
+        for (_, payload) in traffic.inbox(node) {
+            buf.extend_from_slice(payload);
+        }
+    });
 }
 
 /// The bit-reversal permutation `delta(i) = d-1-i` (FFT reordering).
@@ -91,17 +89,13 @@ pub fn shuffle(d: u32, k: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
-
-    fn machine(dim: u32) -> Hypercube {
-        Hypercube::new(dim, CostModel::unit())
-    }
+    use crate::collective::testutil::{slab_from_fn, unit_machine as machine};
 
     #[test]
     fn identity_permutation_is_free() {
         let mut hc = machine(4);
         let delta: Vec<u32> = (0..4).collect();
-        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n as u64]).collect();
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u64]);
         let before = locals.clone();
         dimension_permute(&mut hc, &mut locals, &delta);
         assert_eq!(locals, before);
@@ -120,7 +114,7 @@ mod tests {
     fn permutation_semantics_match_definition() {
         let mut hc = machine(5);
         let delta = shuffle(5, 2);
-        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n as u64, 100 + n as u64]).collect();
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u64, 100 + n as u64]);
         dimension_permute(&mut hc, &mut locals, &delta);
         for node in 0..hc.p() {
             let src = permute_address(node, &delta);
@@ -132,7 +126,7 @@ mod tests {
     fn bit_reversal_is_an_involution() {
         let mut hc = machine(6);
         let delta = bit_reversal(6);
-        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n]).collect();
+        let mut locals = slab_from_fn(&hc, |n| vec![n]);
         dimension_permute(&mut hc, &mut locals, &delta);
         // Not identity in between (for nodes whose reversed address differs)...
         assert_ne!(locals[1], vec![1]);
@@ -148,7 +142,7 @@ mod tests {
         let d = 4u32;
         let mut hc = machine(d);
         let delta = shuffle(d, 1);
-        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n as u32]).collect();
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u32]);
         for _ in 0..d {
             dimension_permute(&mut hc, &mut locals, &delta);
         }
@@ -163,7 +157,7 @@ mod tests {
         let mut hc = machine(6);
         let mut delta: Vec<u32> = (0..6).collect();
         delta.swap(0, 5);
-        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n as u8; 3]).collect();
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u8; 3]);
         dimension_permute(&mut hc, &mut locals, &delta);
         assert!(
             hc.counters().message_steps <= 2,
@@ -176,7 +170,7 @@ mod tests {
     fn ragged_buffers_travel_intact() {
         let mut hc = machine(3);
         let delta = bit_reversal(3);
-        let mut locals: Vec<Vec<_>> = (0..hc.p()).map(|n| vec![n as u16; n]).collect();
+        let mut locals = slab_from_fn(&hc, |n| vec![n as u16; n]);
         dimension_permute(&mut hc, &mut locals, &delta);
         for node in 0..hc.p() {
             let src = permute_address(node, &delta);
@@ -188,7 +182,7 @@ mod tests {
     #[should_panic(expected = "repeated")]
     fn non_permutation_rejected() {
         let mut hc = machine(3);
-        let mut locals: Vec<Vec<u8>> = (0..hc.p()).map(|_| Vec::new()).collect();
+        let mut locals = slab_from_fn(&hc, |_| Vec::<u8>::new());
         dimension_permute(&mut hc, &mut locals, &[0, 0, 2]);
     }
 }

@@ -9,14 +9,14 @@
 //! seed: every fault decision is a pure hash of
 //! `(seed, step, canonical link, attempt)` with no hidden state.
 //!
-//! A [`ResilientConfig`] describes *what the machine does about it*:
-//! how failures are detected, how many bounded-exponential-backoff
-//! retransmissions are attempted for transient drops, before traffic is
-//! escalated to a detour around the link (charged as extra hops). The
-//! recovery machinery only affects the modeled clock and counters; the
-//! simulator still really moves the data, so results under any
-//! recoverable plan are bit-identical to the fault-free run — which is
-//! exactly what the chaos tests assert.
+//! What the machine does about it is fixed: a checksum detects a drop
+//! as the message arrives, up to [`MAX_RETRIES`] retransmissions with
+//! bounded exponential backoff from [`BACKOFF_US`] follow, and traffic
+//! still failing is escalated to a detour around the link (charged as
+//! extra hops). The recovery machinery only affects the modeled clock
+//! and counters; the simulator still really moves the data, so results
+//! under any recoverable plan are bit-identical to the fault-free run —
+//! which is exactly what the chaos tests assert.
 
 use crate::topology::NodeId;
 use serde::{Deserialize, Serialize};
@@ -156,50 +156,15 @@ impl FaultPlan {
     }
 }
 
-/// How the receiver detects a failed transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Detect {
-    /// End-to-end checksum verified as the message arrives: a drop is
-    /// known at the end of the superstep, so retransmission starts
-    /// immediately (no extra detection latency beyond the backoff).
-    Checksum,
-    /// Timeout-based detection: each failed round additionally costs the
-    /// given latency before the retransmission can start.
-    Timeout {
-        /// Detection latency per failed round, in microseconds.
-        us: f64,
-    },
-}
+/// Retransmissions of a dropped message before the traffic is
+/// escalated to a detour around the link.
+pub const MAX_RETRIES: u32 = 4;
 
-/// Recovery policy for the machine's resilient communication path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ResilientConfig {
-    /// Maximum retransmissions of a dropped message before the traffic
-    /// is escalated to a detour around the link.
-    pub max_retries: u32,
-    /// Base backoff before the first retransmission, in microseconds;
-    /// round `r` waits `backoff_us * 2^r` (bounded exponential backoff).
-    pub backoff_us: f64,
-    /// Failure-detection mechanism.
-    pub detect: Detect,
-}
-
-impl Default for ResilientConfig {
-    fn default() -> Self {
-        ResilientConfig { max_retries: 4, backoff_us: 1.0, detect: Detect::Checksum }
-    }
-}
-
-impl ResilientConfig {
-    /// Detection latency added to each failed round, in microseconds.
-    #[must_use]
-    pub fn detect_latency_us(&self) -> f64 {
-        match self.detect {
-            Detect::Checksum => 0.0,
-            Detect::Timeout { us } => us,
-        }
-    }
-}
+/// Backoff before the first retransmission, in microseconds; round `r`
+/// waits `BACKOFF_US * 2^r` (bounded exponential backoff). Drops are
+/// detected by an end-to-end checksum as the message arrives, so no
+/// detection latency is added on top.
+pub const BACKOFF_US: f64 = 1.0;
 
 /// Canonical (unordered) form of a link.
 #[inline]
@@ -280,15 +245,5 @@ mod tests {
         let varied = (0..64u64)
             .any(|step| plan.transient_drop(0, 1, step, 0) != plan.transient_drop(0, 1, step, 1));
         assert!(varied);
-    }
-
-    #[test]
-    fn default_config_is_bounded_checksum_retry() {
-        let cfg = ResilientConfig::default();
-        assert_eq!(cfg.max_retries, 4);
-        assert_eq!(cfg.detect, Detect::Checksum);
-        assert_eq!(cfg.detect_latency_us(), 0.0);
-        let t = ResilientConfig { detect: Detect::Timeout { us: 5.0 }, ..cfg };
-        assert_eq!(t.detect_latency_us(), 5.0);
     }
 }

@@ -13,16 +13,19 @@
 //! * [`machine`] — the [`machine::Hypercube`] simulator: a BSP-style
 //!   clock and event counters over caller-owned per-processor buffers;
 //! * [`fault`] — seeded deterministic fault plans (link/node failures,
-//!   transient drops) and the bounded-retry/reroute recovery policy the
-//!   machine applies when one is installed;
+//!   transient drops) and the constants of the fixed bounded-retry/reroute
+//!   recovery policy the machine applies when one is installed;
 //! * [`collective`] — broadcast / reduce / allreduce / scan / gather /
 //!   scatter / allgather / all-to-all on arbitrary subcube dimension
 //!   subsets (rows and columns of a processor grid);
 //! * [`slab`] — the flat arena data plane ([`slab::NodeSlab`] /
 //!   [`slab::SegSlab`]) the collectives operate on;
-//! * [`route`] — blocked dimension-ordered routing for irregular moves;
+//! * [`route`] — the message plane ([`route::Traffic`]: one payload
+//!   arena, routed headers, per-node inboxes) and blocked
+//!   dimension-ordered routing for irregular moves;
 //! * [`router`] — the cycle-accurate element-granular general router
-//!   that models the paper's **naive** baseline;
+//!   over the same message plane, modelling the paper's **naive**
+//!   baseline;
 //! * [`spanning`] — alternative (balanced / all-port) broadcast and
 //!   reduction schedules for the spanning-tree ablation.
 //!
@@ -48,7 +51,7 @@ pub mod topology;
 
 pub use cost::{CostModel, PortModel};
 pub use counters::Counters;
-pub use fault::{Detect, FaultPlan, LinkFault, NodeFault, ResilientConfig};
+pub use fault::{FaultPlan, LinkFault, NodeFault};
 pub use machine::Hypercube;
 pub use slab::{NodeSlab, SegSlab};
 pub use topology::{Cube, NodeId};

@@ -19,16 +19,15 @@
 
 use crate::cost::{allport_schedule, Algo, Collective, CostModel};
 use crate::counters::Counters;
-use crate::fault::{FaultPlan, ResilientConfig};
+use crate::fault::{FaultPlan, BACKOFF_US, MAX_RETRIES};
 use crate::topology::{Cube, NodeId};
 
-/// Fault-injection state installed on a machine: the plan, the recovery
-/// policy, and the logical→physical host map used for graceful
-/// degradation after node failures.
+/// Fault-injection state installed on a machine: the plan and the
+/// logical→physical host map used for graceful degradation after node
+/// failures.
 #[derive(Debug, Clone)]
 struct FaultCtx {
     plan: FaultPlan,
-    config: ResilientConfig,
     /// `host_map[logical] = physical` — which healthy node actually
     /// hosts each logical node's block after degradation remaps.
     host_map: Vec<NodeId>,
@@ -170,12 +169,13 @@ impl Hypercube {
 
     // ----- fault injection & graceful degradation ----------------------
 
-    /// Install a fault plan and recovery policy. Until this is called
-    /// (or after [`Hypercube::clear_faults`]) the machine takes the
-    /// plain communication paths with zero overhead.
-    pub fn install_faults(&mut self, plan: FaultPlan, config: ResilientConfig) {
+    /// Install a fault plan; the machine recovers from it with the fixed
+    /// policy in [`crate::fault`]. Until this is called (or after
+    /// [`Hypercube::clear_faults`]) the machine takes the plain
+    /// communication paths with zero overhead.
+    pub fn install_faults(&mut self, plan: FaultPlan) {
         let host_map = (0..self.p()).collect();
-        self.fault = Some(Box::new(FaultCtx { plan, config, host_map, load_factor: 1 }));
+        self.fault = Some(Box::new(FaultCtx { plan, host_map, load_factor: 1 }));
     }
 
     /// Remove any installed fault state (host map included).
@@ -183,23 +183,10 @@ impl Hypercube {
         self.fault = None;
     }
 
-    /// Whether a fault plan is installed.
-    #[inline]
-    #[must_use]
-    pub fn fault_active(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// The installed fault plan, if any.
     #[must_use]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_deref().map(|ctx| &ctx.plan)
-    }
-
-    /// The installed recovery policy, if any.
-    #[must_use]
-    pub fn resilient_config(&self) -> Option<&ResilientConfig> {
-        self.fault.as_deref().map(|ctx| &ctx.config)
     }
 
     /// The current fault clock: message supersteps executed so far.
@@ -240,7 +227,7 @@ impl Hypercube {
         assert!(dead != host, "cannot host a dead node on itself");
         assert!(self.cube.contains(dead) && self.cube.contains(host), "remap node out of range");
         if self.fault.is_none() {
-            self.install_faults(FaultPlan::none(0), ResilientConfig::default());
+            self.install_faults(FaultPlan::none(0));
         }
         let ctx = self.fault.as_deref_mut().expect("fault ctx just installed");
         assert!(ctx.host_map[host] == host, "target host {host} is itself remapped away");
@@ -288,10 +275,10 @@ impl Hypercube {
     /// * traffic over permanently dead links detours around the link
     ///   (two extra hops charged on the critical path, counted under
     ///   `reroutes`/`detour_hops`);
-    /// * transient drops are detected per [`ResilientConfig::detect`]
-    ///   and retransmitted with bounded exponential backoff (counted
-    ///   under `transient_drops`/`retries`); links still dropping after
-    ///   `max_retries` rounds escalate to a detour, so the superstep
+    /// * transient drops are detected by checksum on arrival and
+    ///   retransmitted with bounded exponential backoff (counted under
+    ///   `transient_drops`/`retries`); links still dropping after
+    ///   [`MAX_RETRIES`] rounds escalate to a detour, so the superstep
     ///   always completes.
     ///
     /// All fault decisions are keyed to the fault-clock value at entry,
@@ -345,14 +332,13 @@ impl Hypercube {
                 break;
             }
             self.counters.transient_drops += pending.len() as u64;
-            self.charge_raw_us(ctx.config.detect_latency_us());
-            if attempt >= ctx.config.max_retries {
+            if attempt >= MAX_RETRIES {
                 // Retries exhausted: route the stuck traffic around.
                 self.charge_detour(pending.len() as u64, max_per_channel);
                 break;
             }
             self.counters.retries += 1;
-            self.charge_raw_us(ctx.config.backoff_us * f64::from(1u32 << attempt.min(20)));
+            self.charge_raw_us(BACKOFF_US * f64::from(1u32 << attempt.min(20)));
             self.charge_message_step(
                 max_per_channel,
                 pending.len() as u64 * max_per_channel as u64,
@@ -466,10 +452,10 @@ mod tests {
 
     #[test]
     fn exchange_step_with_empty_plan_is_zero_overhead() {
-        use crate::fault::{FaultPlan, ResilientConfig};
+        use crate::fault::FaultPlan;
         let mut plain = Hypercube::new(3, CostModel::unit());
         let mut resil = Hypercube::new(3, CostModel::unit());
-        resil.install_faults(FaultPlan::none(17), ResilientConfig::default());
+        resil.install_faults(FaultPlan::none(17));
         for i in 0..10usize {
             let pairs = [(i % 8, (i % 8) ^ 1)];
             plain.charge_exchange_step(&pairs, 4, 4);
@@ -481,9 +467,9 @@ mod tests {
 
     #[test]
     fn dead_link_charges_detour_and_counts_reroute() {
-        use crate::fault::{FaultPlan, ResilientConfig};
+        use crate::fault::FaultPlan;
         let mut hc = Hypercube::new(3, CostModel::unit());
-        hc.install_faults(FaultPlan::none(1).with_link_fault(0, 1, 0), ResilientConfig::default());
+        hc.install_faults(FaultPlan::none(1).with_link_fault(0, 1, 0));
         hc.charge_exchange_step(&[(0, 1)], 5, 5);
         assert_eq!(hc.counters().reroutes, 1);
         assert_eq!(hc.counters().detour_hops, 2);
@@ -494,18 +480,19 @@ mod tests {
 
     #[test]
     fn certain_drop_retries_until_escalation() {
-        use crate::fault::{FaultPlan, ResilientConfig};
+        use crate::fault::FaultPlan;
         let mut hc = Hypercube::new(3, CostModel::unit());
-        let cfg = ResilientConfig { max_retries: 2, backoff_us: 1.0, ..Default::default() };
-        hc.install_faults(FaultPlan::none(1).with_drops(1.0, 0, u64::MAX), cfg);
+        hc.install_faults(FaultPlan::none(1).with_drops(1.0, 0, u64::MAX));
         hc.charge_exchange_step(&[(0, 1)], 2, 2);
-        // rate 1.0 drops every attempt: 2 retries then detour escalation.
-        assert_eq!(hc.counters().retries, 2);
-        assert_eq!(hc.counters().transient_drops, 3, "initial try + 2 retries all dropped");
+        // rate 1.0 drops every attempt: 4 retries then detour escalation.
+        assert_eq!(hc.counters().retries, 4);
+        assert_eq!(hc.counters().transient_drops, 5, "initial try + 4 retries all dropped");
         assert_eq!(hc.counters().reroutes, 1, "escalated after retry budget");
-        // backoff 1*2^0 + 1*2^1 = 3us on top of message charges.
+        // Base try + 4 retransmissions + 2 detour hops, plus backoff
+        // 1 + 2 + 4 + 8 = 15us.
         let msg = 1.0 + 2.0;
-        assert_eq!(hc.elapsed_us(), 5.0 * msg + 3.0);
+        assert_eq!(hc.counters().message_steps, 7);
+        assert_eq!(hc.elapsed_us(), 7.0 * msg + 15.0);
     }
 
     #[test]
@@ -514,8 +501,7 @@ mod tests {
         let mut hc = Hypercube::new(2, CostModel::unit());
         assert_eq!(hc.host_of(3), 3);
         hc.remap_node(3, 1);
-        assert!(hc.fault_active(), "remap auto-installs an empty plan");
-        assert!(hc.fault_plan().expect("plan installed").is_empty());
+        assert!(hc.fault_plan().expect("remap auto-installs an empty plan").is_empty());
         assert_eq!(hc.host_of(3), 1);
         assert_eq!(hc.load_factor(), 2);
         assert_eq!(hc.counters().node_remaps, 1);
@@ -537,13 +523,13 @@ mod tests {
 
     #[test]
     fn live_faults_tracks_plan_and_degradation() {
-        use crate::fault::{FaultPlan, ResilientConfig};
+        use crate::fault::FaultPlan;
         let mut hc = Hypercube::new(3, CostModel::unit());
         assert!(!hc.live_faults());
-        hc.install_faults(FaultPlan::none(7), ResilientConfig::default());
-        assert!(hc.fault_active());
+        hc.install_faults(FaultPlan::none(7));
+        assert!(hc.fault_plan().is_some());
         assert!(!hc.live_faults(), "an empty installed plan is not live");
-        hc.install_faults(FaultPlan::none(7).with_link_fault(0, 1, 0), ResilientConfig::default());
+        hc.install_faults(FaultPlan::none(7).with_link_fault(0, 1, 0));
         assert!(hc.live_faults());
         hc.clear_faults();
         hc.remap_node(3, 1);
@@ -553,10 +539,10 @@ mod tests {
     #[test]
     fn choose_algo_falls_back_under_live_faults() {
         use crate::cost::{Algo, Collective};
-        use crate::fault::{FaultPlan, ResilientConfig};
+        use crate::fault::FaultPlan;
         let mut hc = Hypercube::new(8, CostModel::cm2_allport());
         assert_eq!(hc.choose_algo(Collective::Broadcast, 8, 4096), Algo::AllPort { chunks: 2 });
-        hc.install_faults(FaultPlan::none(1).with_drops(0.5, 0, 100), ResilientConfig::default());
+        hc.install_faults(FaultPlan::none(1).with_drops(0.5, 0, 100));
         assert_eq!(
             hc.choose_algo(Collective::Broadcast, 8, 4096),
             Algo::SinglePort,

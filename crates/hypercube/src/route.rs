@@ -1,44 +1,121 @@
-//! Blocked dimension-ordered (e-cube) routing.
+//! The message plane and blocked dimension-ordered (e-cube) routing.
 //!
-//! [`route_blocks`] is the workhorse for every irregular data movement in
-//! the library (embedding changes, transposes, extract/insert traffic):
-//! each node posts *blocks* addressed to arbitrary destination nodes, and
-//! the router delivers them in `d` store-and-forward supersteps, resolving
-//! dimension 0 first, then 1, and so on. In each superstep a node bundles
-//! everything it holds that still differs from its destination in the
-//! current dimension into **one** message to the corresponding neighbour,
-//! so the start-up cost is at most `d * alpha` regardless of how many
-//! blocks are in flight — this blocking is precisely what the paper's
+//! Every irregular data movement in the library (embedding changes,
+//! transposes, extract/insert traffic, the naive element router) posts
+//! its messages into one [`Traffic`]: each payload is appended to a
+//! single arena and described by a header `(at, dst, tag, range)`. The
+//! routers move headers, never payloads, and finish by sorting the
+//! headers by `(dst, tag)` into a per-node inbox index that callers read
+//! through [`Traffic::inbox`].
+//!
+//! [`route_blocks`] is the blocked router: it delivers the posted blocks
+//! in `d` store-and-forward supersteps, resolving dimension 0 first,
+//! then 1, and so on. In each superstep a node bundles everything it
+//! holds that still differs from its destination in the current
+//! dimension into **one** message to the corresponding neighbour, so the
+//! start-up cost is at most `d * alpha` regardless of how many blocks
+//! are in flight — this blocking is precisely what the paper's
 //! primitives buy over the naive element-per-message router (see
 //! [`crate::router`] for that baseline).
 //!
-//! Delivery is deterministic: arrivals at each node are sorted by the
-//! caller-supplied `tag`, so downstream code can reassemble rows and
-//! columns in global index order without caring about routing order.
+//! Delivery is deterministic: arrivals at each node are ordered by the
+//! caller-supplied `tag` (unique per destination), so downstream code
+//! can reassemble rows and columns in global index order without caring
+//! about routing or posting order.
 
-use crate::fault::{FaultPlan, ResilientConfig};
+use crate::fault::{FaultPlan, BACKOFF_US, MAX_RETRIES};
 use crate::machine::Hypercube;
 use crate::topology::{Cube, NodeId};
 
-/// A routable unit: a contiguous run of elements bound for `dst`.
-///
-/// `tag` orders arrivals at the destination; callers use global indices
-/// (e.g. the first global element index of the run) so reassembly is
-/// order-independent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Block<T> {
-    /// Destination node.
-    pub dst: NodeId,
-    /// Arrival-ordering key (unique per destination for determinism).
-    pub tag: u64,
-    /// Payload elements.
-    pub data: Vec<T>,
+/// One posted message: the node holding it now, its destination, its
+/// arrival key, and its payload's range in the arena.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Header {
+    pub(crate) at: NodeId,
+    pub(crate) dst: NodeId,
+    tag: u64,
+    start: usize,
+    len: usize,
+    /// Took a detour this pass; rests until the next pass.
+    parked: bool,
 }
 
-impl<T> Block<T> {
-    /// Convenience constructor.
-    pub fn new(dst: NodeId, tag: u64, data: Vec<T>) -> Self {
-        Block { dst, tag, data }
+/// The machine's message plane: every posted payload in one arena, one
+/// header per message.
+///
+/// Post with [`Traffic::post`], route with [`route_blocks`] or
+/// [`crate::router::route_elements`], then read each node's arrivals,
+/// ordered by tag, with [`Traffic::inbox`].
+#[derive(Debug, Clone)]
+pub struct Traffic<T> {
+    p: usize,
+    arena: Vec<T>,
+    pub(crate) heads: Vec<Header>,
+    /// After delivery: `p + 1` offsets into `heads`, which are then
+    /// sorted by `(dst, tag)`; node `n`'s inbox is
+    /// `heads[inbox[n]..inbox[n + 1]]`. Empty until delivered.
+    inbox: Vec<usize>,
+}
+
+impl<T> Traffic<T> {
+    /// An empty message plane for a `p`-node machine.
+    #[must_use]
+    pub fn new(p: usize) -> Self {
+        Traffic { p, arena: Vec::new(), heads: Vec::new(), inbox: Vec::new() }
+    }
+
+    /// Post `payload` from node `src` to node `dst`. `tag` orders
+    /// arrivals at `dst` and must be unique per destination; callers use
+    /// global indices (e.g. the first global element index of the run) so
+    /// reassembly is order-independent.
+    ///
+    /// # Panics
+    /// Panics if `src` or `dst` is out of range.
+    pub fn post(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        payload: impl IntoIterator<Item = T>,
+    ) {
+        assert!(src < self.p, "source {src} out of range");
+        assert!(dst < self.p, "destination {dst} out of range");
+        let start = self.arena.len();
+        self.arena.extend(payload);
+        let len = self.arena.len() - start;
+        self.heads.push(Header { at: src, dst, tag, start, len, parked: false });
+        self.inbox.clear();
+    }
+
+    /// Number of nodes the traffic is addressed over.
+    #[must_use]
+    pub fn p(&self) -> usize {
+        self.p
+    }
+
+    /// Node `node`'s arrivals as `(tag, payload)`, in ascending tag order.
+    ///
+    /// # Panics
+    /// Panics if the traffic has not been routed since the last post.
+    pub fn inbox(&self, node: NodeId) -> impl ExactSizeIterator<Item = (u64, &[T])> + '_ {
+        assert!(!self.inbox.is_empty(), "traffic read before it was routed");
+        self.heads[self.inbox[node]..self.inbox[node + 1]]
+            .iter()
+            .map(|h| (h.tag, &self.arena[h.start..h.start + h.len]))
+    }
+
+    /// Sort the delivered headers by `(dst, tag)` and index them per node.
+    pub(crate) fn deliver(&mut self) {
+        debug_assert!(self.heads.iter().all(|h| h.at == h.dst), "all messages delivered");
+        self.heads.sort_by_key(|h| (h.dst, h.tag));
+        self.inbox.clear();
+        self.inbox.resize(self.p + 1, 0);
+        for h in &self.heads {
+            self.inbox[h.dst + 1] += 1;
+        }
+        for n in 0..self.p {
+            self.inbox[n + 1] += self.inbox[n];
+        }
     }
 }
 
@@ -54,43 +131,22 @@ impl<T> Block<T> {
 /// block is home — so delivery under any recoverable plan is
 /// bit-identical to the fault-free run, at a higher modeled cost.
 ///
-/// Returns the per-node arrival lists, each sorted by `Block::tag`.
-///
 /// # Panics
-/// Panics if `outgoing.len() != hc.p()` or any block's `dst` is out of
-/// range, or if the installed fault plan leaves some block with no
-/// usable route.
-pub fn route_blocks<T>(hc: &mut Hypercube, outgoing: Vec<Vec<Block<T>>>) -> Vec<Vec<Block<T>>> {
-    let cube = hc.cube();
-    let p = cube.nodes();
-    assert_eq!(outgoing.len(), p, "one outgoing list per node expected");
-
-    // `in_flight[n]` = blocks currently held at node n (en route or home).
-    let mut in_flight = outgoing;
-    for lists in &in_flight {
-        for b in lists {
-            assert!(cube.contains(b.dst), "block destination {} out of range", b.dst);
-        }
-    }
-
-    let faults = hc.fault_plan().zip(hc.resilient_config()).map(|(plan, config)| Faults {
-        plan: plan.clone(),
-        config: *config,
-        hosts: (0..p).map(|n| hc.host_of(n)).collect(),
-    });
-    sweeps(hc, &mut in_flight, faults.as_ref());
-
-    for (node, lists) in in_flight.iter_mut().enumerate() {
-        debug_assert!(lists.iter().all(|b| b.dst == node), "all blocks delivered");
-        lists.sort_by_key(|b| b.tag);
-    }
-    in_flight
+/// Panics if `traffic` was posted for a different machine size, or if
+/// the installed fault plan leaves some block with no usable route.
+pub fn route_blocks<T>(hc: &mut Hypercube, traffic: &mut Traffic<T>) {
+    let p = hc.p();
+    assert_eq!(traffic.p, p, "traffic posted for a {}-node machine", traffic.p);
+    let faults = hc
+        .fault_plan()
+        .map(|plan| Faults { plan: plan.clone(), hosts: (0..p).map(|n| hc.host_of(n)).collect() });
+    sweeps(hc, &mut traffic.heads, faults.as_ref());
+    traffic.deliver();
 }
 
 /// The machine's fault state, read once per [`route_blocks`] call.
 struct Faults {
     plan: FaultPlan,
-    config: ResilientConfig,
     /// `hosts[logical]` = the physical node hosting it after degradation.
     hosts: Vec<NodeId>,
 }
@@ -115,7 +171,7 @@ impl Faults {
             Hop::Forward
         } else if self.plan.link_dead(pa, pb, step) {
             self.detour_dim(cube, node, d, step).map_or(Hop::Stuck, Hop::Detour)
-        } else if pass <= self.config.max_retries && self.plan.transient_drop(pa, pb, step, pass) {
+        } else if pass <= MAX_RETRIES && self.plan.transient_drop(pa, pb, step, pass) {
             Hop::Drop
         } else {
             Hop::Forward
@@ -140,6 +196,39 @@ impl Faults {
     }
 }
 
+/// Per-node element counts of one superstep, reset on every read.
+struct Loads {
+    per_node: Vec<usize>,
+    touched: Vec<NodeId>,
+}
+
+impl Loads {
+    fn new(p: usize) -> Self {
+        Loads { per_node: vec![0; p], touched: Vec::new() }
+    }
+
+    fn add(&mut self, node: NodeId, elems: usize) {
+        if elems == 0 {
+            return;
+        }
+        if self.per_node[node] == 0 {
+            self.touched.push(node);
+        }
+        self.per_node[node] += elems;
+    }
+
+    /// `(busiest node's elements, machine-wide elements)`, then reset.
+    fn take(&mut self) -> (usize, u64) {
+        let (mut max, mut total) = (0usize, 0u64);
+        for node in self.touched.drain(..) {
+            let elems = std::mem::take(&mut self.per_node[node]);
+            max = max.max(elems);
+            total += elems as u64;
+        }
+        (max, total)
+    }
+}
+
 /// E-cube sweeps until every block is delivered: one sweep resolves
 /// everything on a machine without fault state.
 ///
@@ -154,107 +243,74 @@ impl Faults {
 /// be undone by the next pass's ascending sweep whenever `d2 < d`,
 /// ping-ponging forever. The bypass perturbs only dimension `d2`, which
 /// a later pass re-resolves over a different physical link.
-fn sweeps<T>(hc: &mut Hypercube, in_flight: &mut [Vec<Block<T>>], faults: Option<&Faults>) {
+fn sweeps(hc: &mut Hypercube, heads: &mut [Header], faults: Option<&Faults>) {
     let cube = hc.cube();
-    let p = cube.nodes();
+    let mut forwarded = Loads::new(cube.nodes());
+    let mut detoured = Loads::new(cube.nodes());
     let mut pass: u32 = 0;
     loop {
-        // Blocks that took a bypass this pass rest until the next pass,
-        // which re-resolves the perturbed perpendicular dimension.
-        // Allocated on the first detour.
-        let mut parked: Vec<Vec<Block<T>>> = Vec::new();
-
         for d in cube.iter_dims() {
             let bit = 1usize << d;
             let step = hc.fault_step();
-            let mut max_fwd_elems = 0usize;
-            let mut total_fwd_elems: u64 = 0;
-            let mut any = false;
-            let mut max_detour_elems = 0usize;
-            let mut total_detour_elems: u64 = 0;
             let mut drops = 0u64;
             let mut detours = 0u64;
-            let mut forwarded: Vec<Vec<Block<T>>> = (0..p).map(|_| Vec::new()).collect();
-            for node in 0..p {
-                let held = std::mem::take(&mut in_flight[node]);
-                let mut stay = Vec::with_capacity(held.len());
-                let mut fwd_elems = 0usize;
-                let mut detour_elems = 0usize;
-                for b in held {
-                    if (b.dst ^ node) & bit == 0 {
-                        stay.push(b);
-                        continue;
+            for h in heads.iter_mut() {
+                if h.parked || (h.dst ^ h.at) & bit == 0 {
+                    continue;
+                }
+                let node = h.at;
+                match faults.map_or(Hop::Forward, |f| f.hop(&cube, node, d, step, pass)) {
+                    Hop::Forward => {
+                        forwarded.add(node, h.len);
+                        h.at ^= bit;
                     }
-                    match faults.map_or(Hop::Forward, |f| f.hop(&cube, node, d, step, pass)) {
-                        Hop::Forward => {
-                            fwd_elems += b.data.len();
-                            forwarded[node ^ bit].push(b);
-                        }
-                        Hop::Drop => {
-                            drops += 1;
-                            stay.push(b);
-                        }
-                        Hop::Detour(d2) => {
-                            detour_elems += b.data.len();
-                            if parked.is_empty() {
-                                parked.resize_with(p, Vec::new);
-                            }
-                            parked[node ^ (1usize << d2) ^ bit].push(b);
-                            detours += 1;
-                        }
-                        Hop::Stuck => stay.push(b),
+                    Hop::Drop => drops += 1,
+                    Hop::Detour(d2) => {
+                        // Blocks that took a bypass rest until the next
+                        // pass, which re-resolves the perturbed dimension.
+                        detoured.add(node, h.len);
+                        h.at = node ^ (1usize << d2) ^ bit;
+                        h.parked = true;
+                        detours += 1;
                     }
-                }
-                in_flight[node] = stay;
-                if fwd_elems > 0 {
-                    any = true;
-                    max_fwd_elems = max_fwd_elems.max(fwd_elems);
-                    total_fwd_elems += fwd_elems as u64;
-                }
-                if detour_elems > 0 {
-                    max_detour_elems = max_detour_elems.max(detour_elems);
-                    total_detour_elems += detour_elems as u64;
+                    Hop::Stuck => {}
                 }
             }
-            for (node, mut arr) in forwarded.into_iter().enumerate() {
-                in_flight[node].append(&mut arr);
+            let (max_fwd, total_fwd) = forwarded.take();
+            if max_fwd > 0 {
+                hc.charge_message_step(max_fwd, total_fwd);
             }
-            if any {
-                hc.charge_message_step(max_fwd_elems, total_fwd_elems);
-            }
-            if total_detour_elems > 0 {
+            let (max_detour, total_detour) = detoured.take();
+            if total_detour > 0 {
                 // The bypass is two store-and-forward hops.
-                hc.charge_message_step(max_detour_elems, total_detour_elems);
-                hc.charge_message_step(max_detour_elems, total_detour_elems);
+                hc.charge_message_step(max_detour, total_detour);
+                hc.charge_message_step(max_detour, total_detour);
             }
             let counters = hc.counters_mut();
             counters.transient_drops += drops;
             counters.reroutes += detours;
             counters.detour_hops += 2 * detours;
         }
-        for (node, mut arr) in parked.into_iter().enumerate() {
-            in_flight[node].append(&mut arr);
+        for h in heads.iter_mut() {
+            h.parked = false;
         }
 
-        let Some(f) = faults else { break };
-        let undelivered = in_flight
-            .iter()
-            .enumerate()
-            .flat_map(|(n, lists)| lists.iter().filter(move |b| b.dst != n))
-            .count();
+        if faults.is_none() {
+            break;
+        }
+        let undelivered = heads.iter().filter(|h| h.at != h.dst).count();
         if undelivered == 0 {
             break;
         }
         pass += 1;
         assert!(
-            pass <= f.config.max_retries + 4 * (cube.dim() + 2),
+            pass <= MAX_RETRIES + 4 * (cube.dim() + 2),
             "fault plan leaves {undelivered} block(s) unroutable"
         );
-        // A retransmission round: detection latency plus bounded
-        // exponential backoff before the re-sweep.
+        // A retransmission round: bounded exponential backoff before the
+        // re-sweep.
         hc.counters_mut().retries += 1;
-        hc.charge_raw_us(f.config.detect_latency_us());
-        hc.charge_raw_us(f.config.backoff_us * f64::from(1u32 << (pass - 1).min(20)));
+        hc.charge_raw_us(BACKOFF_US * f64::from(1u32 << (pass - 1).min(20)));
     }
 }
 
@@ -262,17 +318,23 @@ fn sweeps<T>(hc: &mut Hypercube, in_flight: &mut [Vec<Block<T>>], faults: Option
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use crate::fault::FaultPlan;
 
     fn machine(dim: u32) -> Hypercube {
         Hypercube::new(dim, CostModel::unit())
     }
 
+    /// Every node's inbox as owned `(tag, payload)` pairs.
+    fn inboxes<T: Clone>(traffic: &Traffic<T>) -> Vec<Vec<(u64, Vec<T>)>> {
+        (0..traffic.p()).map(|n| traffic.inbox(n).map(|(t, d)| (t, d.to_vec())).collect()).collect()
+    }
+
     #[test]
     fn empty_routing_is_free() {
         let mut hc = machine(4);
-        let out: Vec<Vec<Block<u32>>> = (0..hc.p()).map(|_| Vec::new()).collect();
-        let arrived = route_blocks(&mut hc, out);
-        assert!(arrived.iter().all(Vec::is_empty));
+        let mut traffic: Traffic<u32> = Traffic::new(hc.p());
+        route_blocks(&mut hc, &mut traffic);
+        assert!((0..hc.p()).all(|n| traffic.inbox(n).len() == 0));
         assert_eq!(hc.elapsed_us(), 0.0, "no traffic, no charge");
         assert_eq!(hc.counters().message_steps, 0);
     }
@@ -280,23 +342,21 @@ mod tests {
     #[test]
     fn local_block_is_not_charged() {
         let mut hc = machine(3);
-        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
-        out[5].push(Block::new(5, 0, vec![1.0f64, 2.0]));
-        let arrived = route_blocks(&mut hc, out);
-        assert_eq!(arrived[5].len(), 1);
-        assert_eq!(arrived[5][0].data, vec![1.0, 2.0]);
+        let mut traffic = Traffic::new(hc.p());
+        traffic.post(5, 5, 0, [1.0f64, 2.0]);
+        route_blocks(&mut hc, &mut traffic);
+        assert_eq!(inboxes(&traffic)[5], vec![(0, vec![1.0, 2.0])]);
         assert_eq!(hc.counters().message_steps, 0);
     }
 
     #[test]
     fn single_block_crosses_hamming_distance_steps() {
         let mut hc = machine(4);
-        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
+        let mut traffic = Traffic::new(hc.p());
         // 0b0000 -> 0b1011: distance 3, so 3 charged supersteps.
-        out[0b0000].push(Block::new(0b1011, 7, vec![42u32; 10]));
-        let arrived = route_blocks(&mut hc, out);
-        assert_eq!(arrived[0b1011].len(), 1);
-        assert_eq!(arrived[0b1011][0].data, vec![42u32; 10]);
+        traffic.post(0b0000, 0b1011, 7, [42u32; 10]);
+        route_blocks(&mut hc, &mut traffic);
+        assert_eq!(inboxes(&traffic)[0b1011], vec![(7, vec![42u32; 10])]);
         assert_eq!(hc.counters().message_steps, 3);
         // Each step carries the full 10 elements on the critical channel.
         assert_eq!(hc.elapsed_us(), 3.0 * (1.0 + 10.0));
@@ -306,16 +366,14 @@ mod tests {
     fn all_to_one_concentrates_and_sorts_by_tag() {
         let mut hc = machine(3);
         let p = hc.p();
-        let out: Vec<Vec<Block<usize>>> =
-            (0..p).map(|n| vec![Block::new(0, (p - n) as u64, vec![n])]).collect();
-        let arrived = route_blocks(&mut hc, out);
-        assert_eq!(arrived[0].len(), p);
-        let tags: Vec<u64> = arrived[0].iter().map(|b| b.tag).collect();
-        let mut sorted = tags.clone();
-        sorted.sort_unstable();
-        assert_eq!(tags, sorted, "arrivals sorted by tag");
-        // Everyone except node 0 posted one block.
-        let values: Vec<usize> = arrived[0].iter().map(|b| b.data[0]).collect();
+        let mut traffic = Traffic::new(p);
+        for n in 0..p {
+            traffic.post(n, 0, (p - n) as u64, [n]);
+        }
+        route_blocks(&mut hc, &mut traffic);
+        let tags: Vec<u64> = traffic.inbox(0).map(|(t, _)| t).collect();
+        assert_eq!(tags, (1..=p as u64).collect::<Vec<_>>(), "arrivals sorted by tag");
+        let values: Vec<usize> = traffic.inbox(0).map(|(_, d)| d[0]).collect();
         assert_eq!(values, (0..p).rev().collect::<Vec<_>>());
     }
 
@@ -326,12 +384,13 @@ mod tests {
         let mut hc = machine(5);
         let p = hc.p();
         let mask = p - 1;
-        let out: Vec<Vec<Block<usize>>> =
-            (0..p).map(|n| vec![Block::new(n ^ mask, n as u64, vec![n; 4])]).collect();
-        let arrived = route_blocks(&mut hc, out);
+        let mut traffic = Traffic::new(p);
         for n in 0..p {
-            assert_eq!(arrived[n].len(), 1);
-            assert_eq!(arrived[n][0].data, vec![n ^ mask; 4]);
+            traffic.post(n, n ^ mask, n as u64, vec![n; 4]);
+        }
+        route_blocks(&mut hc, &mut traffic);
+        for (n, inbox) in inboxes(&traffic).into_iter().enumerate() {
+            assert_eq!(inbox, vec![((n ^ mask) as u64, vec![n ^ mask; 4])]);
         }
         assert_eq!(hc.counters().message_steps, 5, "exactly d supersteps");
         // Each node forwards exactly its one 4-element block per step.
@@ -340,16 +399,16 @@ mod tests {
 
     #[test]
     fn congestion_shows_up_as_channel_load() {
-        // All nodes send 8 elements to node 0: the last dimension's channel
-        // into 0 carries half the machine's data in one superstep under
-        // dimension-ordered routing... actually dimension 0 concentrates
-        // first; check max_channel_load grows beyond a single block.
+        // All nodes send 8 elements to node 0: dimension-ordered routing
+        // concentrates the traffic as it goes, so late channels carry
+        // many blocks at once.
         let mut hc = machine(4);
         let p = hc.p();
-        let out: Vec<Vec<Block<u8>>> = (0..p)
-            .map(|n| if n == 0 { vec![] } else { vec![Block::new(0, n as u64, vec![0u8; 8])] })
-            .collect();
-        route_blocks(&mut hc, out);
+        let mut traffic = Traffic::new(p);
+        for n in 1..p {
+            traffic.post(n, 0, n as u64, [0u8; 8]);
+        }
+        route_blocks(&mut hc, &mut traffic);
         assert!(
             hc.counters().max_channel_load >= 8 * 8 / 2,
             "tree concentration loads late channels"
@@ -358,38 +417,37 @@ mod tests {
 
     #[test]
     fn resilient_route_with_empty_plan_matches_plain_cost() {
-        use crate::fault::{FaultPlan, ResilientConfig};
-        let mk_out = |hc: &Hypercube| -> Vec<Vec<Block<u32>>> {
-            let p = hc.p();
-            (0..p).map(|n| vec![Block::new((n * 5 + 3) % p, n as u64, vec![n as u32; 6])]).collect()
+        let mk = |p: usize| {
+            let mut traffic = Traffic::new(p);
+            for n in 0..p {
+                traffic.post(n, (n * 5 + 3) % p, n as u64, [n as u32; 6]);
+            }
+            traffic
         };
         let mut plain = machine(4);
-        let out = mk_out(&plain);
-        let plain_arr = route_blocks(&mut plain, out);
+        let mut plain_traffic = mk(plain.p());
+        route_blocks(&mut plain, &mut plain_traffic);
         let mut resil = machine(4);
-        resil.install_faults(FaultPlan::none(3), ResilientConfig::default());
-        let out = mk_out(&resil);
-        let resil_arr = route_blocks(&mut resil, out);
-        assert_eq!(plain_arr, resil_arr, "identical delivery");
+        resil.install_faults(FaultPlan::none(3));
+        let mut resil_traffic = mk(resil.p());
+        route_blocks(&mut resil, &mut resil_traffic);
+        assert_eq!(inboxes(&plain_traffic), inboxes(&resil_traffic), "identical delivery");
         assert_eq!(plain.elapsed_us(), resil.elapsed_us(), "identical modeled cost");
         assert_eq!(plain.counters(), resil.counters());
     }
 
     #[test]
     fn dropped_blocks_really_retry_and_still_deliver() {
-        use crate::fault::{FaultPlan, ResilientConfig};
         let mut hc = machine(3);
-        hc.install_faults(
-            FaultPlan::none(11).with_drops(0.6, 0, u64::MAX),
-            ResilientConfig::default(),
-        );
+        hc.install_faults(FaultPlan::none(11).with_drops(0.6, 0, u64::MAX));
         let p = hc.p();
-        let out: Vec<Vec<Block<usize>>> =
-            (0..p).map(|n| vec![Block::new(p - 1 - n, n as u64, vec![n; 4])]).collect();
-        let arrived = route_blocks(&mut hc, out);
+        let mut traffic = Traffic::new(p);
         for n in 0..p {
-            assert_eq!(arrived[n].len(), 1, "node {n}");
-            assert_eq!(arrived[n][0].data, vec![p - 1 - n; 4]);
+            traffic.post(n, p - 1 - n, n as u64, [n; 4]);
+        }
+        route_blocks(&mut hc, &mut traffic);
+        for (n, inbox) in inboxes(&traffic).into_iter().enumerate() {
+            assert_eq!(inbox, vec![((p - 1 - n) as u64, vec![p - 1 - n; 4])], "node {n}");
         }
         assert!(hc.counters().transient_drops > 0, "plan actually fired");
         assert!(hc.counters().retries > 0, "recovery actually retried");
@@ -397,15 +455,13 @@ mod tests {
 
     #[test]
     fn dead_link_blocks_really_detour_and_still_deliver() {
-        use crate::fault::{FaultPlan, ResilientConfig};
         let mut hc = machine(3);
         // Kill the dim-0 link 0-1 from the start; 0 -> 1 must detour.
-        hc.install_faults(FaultPlan::none(1).with_link_fault(0, 1, 0), ResilientConfig::default());
-        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
-        out[0].push(Block::new(1, 0, vec![7u8; 3]));
-        let arrived = route_blocks(&mut hc, out);
-        assert_eq!(arrived[1].len(), 1);
-        assert_eq!(arrived[1][0].data, vec![7u8; 3]);
+        hc.install_faults(FaultPlan::none(1).with_link_fault(0, 1, 0));
+        let mut traffic = Traffic::new(hc.p());
+        traffic.post(0, 1, 0, [7u8; 3]);
+        route_blocks(&mut hc, &mut traffic);
+        assert_eq!(inboxes(&traffic)[1], vec![(0, vec![7u8; 3])]);
         assert!(hc.counters().reroutes > 0, "detour actually taken");
         assert!(hc.counters().detour_hops > 0);
         // Direct route is 1 hop; the detour path is longer.
@@ -415,9 +471,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_destination_panics() {
-        let mut hc = machine(2);
-        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
-        out[0].push(Block::new(99, 0, vec![1u8]));
-        let _ = route_blocks(&mut hc, out);
+        let mut traffic = Traffic::new(4);
+        traffic.post(0, 99, 0, [1u8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "before it was routed")]
+    fn unrouted_inbox_panics() {
+        let mut traffic = Traffic::new(4);
+        traffic.post(0, 1, 0, [1u8]);
+        let _ = traffic.inbox(1);
     }
 }

@@ -21,27 +21,9 @@
 use std::collections::VecDeque;
 
 use crate::machine::Hypercube;
-use crate::topology::NodeId;
+use crate::route::Traffic;
 
-/// An individually routed element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElemMsg<T> {
-    /// Destination node.
-    pub dst: NodeId,
-    /// Arrival-ordering key.
-    pub tag: u64,
-    /// Payload.
-    pub val: T,
-}
-
-impl<T> ElemMsg<T> {
-    /// Convenience constructor.
-    pub fn new(dst: NodeId, tag: u64, val: T) -> Self {
-        ElemMsg { dst, tag, val }
-    }
-}
-
-/// Statistics of one router session, returned alongside the arrivals.
+/// Statistics of one router session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStats {
     /// Petit cycles until the network drained.
@@ -54,91 +36,83 @@ pub struct RouterStats {
     pub hops: u64,
 }
 
-/// Route every element to its destination through the cycle-accurate
-/// general router, charging the machine, and return per-node arrivals
-/// sorted by tag plus the session statistics.
-pub fn route_elements<T: Copy>(
-    hc: &mut Hypercube,
-    outgoing: Vec<Vec<ElemMsg<T>>>,
-) -> (Vec<Vec<ElemMsg<T>>>, RouterStats) {
+/// Route every posted message through the cycle-accurate general router
+/// as one individually addressed element, charging the machine, and
+/// return the session statistics. Arrivals are read back through
+/// [`Traffic::inbox`], sorted by tag.
+///
+/// Each node injects its messages in the order it posted them; the
+/// cycle count depends on that order, not on how different sources'
+/// posts interleave.
+///
+/// # Panics
+/// Panics if `traffic` was posted for a different machine size.
+pub fn route_elements<T>(hc: &mut Hypercube, traffic: &mut Traffic<T>) -> RouterStats {
     let cube = hc.cube();
     let p = cube.nodes();
-    let d = cube.dim() as usize;
-    assert_eq!(outgoing.len(), p, "one outgoing list per node expected");
+    assert_eq!(traffic.p(), p, "traffic posted for a {}-node machine", traffic.p());
+    let heads = &mut traffic.heads;
 
-    let mut stats = RouterStats::default();
-
-    // Per-node queue of elements awaiting their next hop, plus arrivals.
-    let mut queues: Vec<VecDeque<ElemMsg<T>>> = Vec::with_capacity(p);
-    let mut arrived: Vec<Vec<ElemMsg<T>>> = (0..p).map(|_| Vec::new()).collect();
-    for (node, list) in outgoing.into_iter().enumerate() {
-        stats.injected += list.len() as u64;
-        stats.max_injected_per_node = stats.max_injected_per_node.max(list.len() as u64);
-        let mut q = VecDeque::with_capacity(list.len());
-        for m in list {
-            assert!(cube.contains(m.dst), "element destination {} out of range", m.dst);
-            if m.dst == node {
-                arrived[node].push(m);
-            } else {
-                q.push_back(m);
-            }
+    // Per-node FIFO of header indices awaiting their next hop.
+    let mut queues: Vec<VecDeque<usize>> = (0..p).map(|_| VecDeque::new()).collect();
+    let mut injected = vec![0u64; p];
+    for (k, h) in heads.iter().enumerate() {
+        injected[h.at] += 1;
+        if h.at != h.dst {
+            queues[h.at].push_back(k);
         }
-        queues.push(q);
     }
+    let mut stats = RouterStats {
+        injected: heads.len() as u64,
+        max_injected_per_node: injected.into_iter().max().unwrap_or(0),
+        ..RouterStats::default()
+    };
 
-    let mut in_network: u64 = queues.iter().map(|q| q.len() as u64).sum();
-    // Reusable per-cycle staging: (dest_node, element).
-    let mut moved: Vec<(NodeId, ElemMsg<T>)> = Vec::new();
+    let mut in_network: usize = queues.iter().map(VecDeque::len).sum();
+    // Reusable per-cycle staging: (dest_node, header index).
+    let mut moved: Vec<(usize, usize)> = Vec::new();
+    let mut used = vec![false; cube.dim() as usize];
 
     while in_network > 0 {
         stats.cycles += 1;
         moved.clear();
-        for node in 0..p {
-            if queues[node].is_empty() {
+        for (node, queue) in queues.iter_mut().enumerate() {
+            if queue.is_empty() {
                 continue;
             }
             // Each directed channel (node, dim) carries at most one element
-            // this cycle. Scan the queue once, picking the first element
-            // for each still-free channel; e-cube: an element uses its
-            // lowest differing dimension.
-            let mut used = vec![false; d];
-            let qlen = queues[node].len();
-            let mut kept = 0usize;
-            for _ in 0..qlen {
-                // vmplint: allow(p1) — loop bound is the queue length captured two lines up
-                let m = queues[node].pop_front().expect("queue length checked");
-                let diff = m.dst ^ node;
+            // this cycle: the first queued element for each still-free
+            // channel moves, the rest keep their order. E-cube: an element
+            // uses its lowest differing dimension.
+            used.fill(false);
+            queue.retain(|&k| {
+                let diff = heads[k].dst ^ node;
                 debug_assert!(diff != 0);
                 let dim = diff.trailing_zeros() as usize;
-                if !used[dim] {
-                    used[dim] = true;
-                    moved.push((node ^ (1usize << dim), m));
-                    stats.hops += 1;
-                } else {
-                    queues[node].push_back(m);
-                    kept += 1;
+                if used[dim] {
+                    return true;
                 }
-            }
-            debug_assert_eq!(queues[node].len(), kept);
+                used[dim] = true;
+                moved.push((node ^ (1usize << dim), k));
+                false
+            });
         }
         debug_assert!(!moved.is_empty(), "router deadlock: nothing moved");
-        for &(dest, m) in &moved {
-            if m.dst == dest {
-                arrived[dest].push(m);
+        stats.hops += moved.len() as u64;
+        for &(dest, k) in &moved {
+            heads[k].at = dest;
+            if heads[k].dst == dest {
                 in_network -= 1;
             } else {
-                queues[dest].push_back(m);
+                queues[dest].push_back(k);
             }
         }
     }
 
-    for list in &mut arrived {
-        list.sort_by_key(|m| m.tag);
-    }
-
+    traffic.deliver();
     hc.charge_router_injection(stats.max_injected_per_node as usize, stats.injected);
     hc.charge_router_cycles(stats.cycles);
-    (arrived, stats)
+    stats
 }
 
 #[cfg(test)]
@@ -150,12 +124,17 @@ mod tests {
         Hypercube::new(dim, CostModel::unit())
     }
 
+    /// Node `node`'s arrivals as `(tag, value)` pairs.
+    fn arrivals<T: Copy>(traffic: &Traffic<T>, node: usize) -> Vec<(u64, T)> {
+        traffic.inbox(node).map(|(t, d)| (t, d[0])).collect()
+    }
+
     #[test]
     fn empty_session_is_free() {
         let mut hc = machine(4);
-        let out: Vec<Vec<ElemMsg<u32>>> = (0..hc.p()).map(|_| Vec::new()).collect();
-        let (arrived, stats) = route_elements(&mut hc, out);
-        assert!(arrived.iter().all(Vec::is_empty));
+        let mut traffic: Traffic<u32> = Traffic::new(hc.p());
+        let stats = route_elements(&mut hc, &mut traffic);
+        assert!((0..hc.p()).all(|n| traffic.inbox(n).len() == 0));
         assert_eq!(stats.cycles, 0);
         assert_eq!(hc.elapsed_us(), 0.0);
     }
@@ -163,10 +142,10 @@ mod tests {
     #[test]
     fn self_addressed_elements_arrive_without_cycles() {
         let mut hc = machine(3);
-        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
-        out[2].push(ElemMsg::new(2, 0, 7u32));
-        let (arrived, stats) = route_elements(&mut hc, out);
-        assert_eq!(arrived[2], vec![ElemMsg::new(2, 0, 7)]);
+        let mut traffic = Traffic::new(hc.p());
+        traffic.post(2, 2, 0, [7u32]);
+        let stats = route_elements(&mut hc, &mut traffic);
+        assert_eq!(arrivals(&traffic, 2), vec![(0, 7)]);
         assert_eq!(stats.cycles, 0);
         assert_eq!(stats.hops, 0);
     }
@@ -174,10 +153,10 @@ mod tests {
     #[test]
     fn single_element_takes_hamming_distance_cycles() {
         let mut hc = machine(4);
-        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
-        out[0b0000].push(ElemMsg::new(0b0111, 0, 1.5f64));
-        let (arrived, stats) = route_elements(&mut hc, out);
-        assert_eq!(arrived[0b0111].len(), 1);
+        let mut traffic = Traffic::new(hc.p());
+        traffic.post(0b0000, 0b0111, 0, [1.5f64]);
+        let stats = route_elements(&mut hc, &mut traffic);
+        assert_eq!(traffic.inbox(0b0111).len(), 1);
         assert_eq!(stats.cycles, 3);
         assert_eq!(stats.hops, 3);
     }
@@ -187,12 +166,13 @@ mod tests {
         let mut hc = machine(5);
         let p = hc.p();
         let mask = p - 1;
-        let out: Vec<Vec<ElemMsg<usize>>> =
-            (0..p).map(|n| vec![ElemMsg::new(n ^ mask, 0, n)]).collect();
-        let (arrived, stats) = route_elements(&mut hc, out);
+        let mut traffic = Traffic::new(p);
         for n in 0..p {
-            assert_eq!(arrived[n].len(), 1);
-            assert_eq!(arrived[n][0].val, n ^ mask);
+            traffic.post(n, n ^ mask, 0, [n]);
+        }
+        let stats = route_elements(&mut hc, &mut traffic);
+        for n in 0..p {
+            assert_eq!(arrivals(&traffic, n), vec![(0, n ^ mask)]);
         }
         assert_eq!(stats.injected, p as u64);
         assert_eq!(stats.hops, (p * 5) as u64, "every element crosses all 5 dims");
@@ -205,17 +185,14 @@ mod tests {
         let mut hc = machine(4);
         let p = hc.p();
         let k = 4usize;
-        let out: Vec<Vec<ElemMsg<u32>>> = (0..p)
-            .map(|n| {
-                if n == 0 {
-                    vec![]
-                } else {
-                    (0..k).map(|j| ElemMsg::new(0, (n * k + j) as u64, n as u32)).collect()
-                }
-            })
-            .collect();
-        let (arrived, stats) = route_elements(&mut hc, out);
-        assert_eq!(arrived[0].len(), (p - 1) * k);
+        let mut traffic = Traffic::new(p);
+        for n in 1..p {
+            for j in 0..k {
+                traffic.post(n, 0, (n * k + j) as u64, [n as u32]);
+            }
+        }
+        let stats = route_elements(&mut hc, &mut traffic);
+        assert_eq!(traffic.inbox(0).len(), (p - 1) * k);
         let total = ((p - 1) * k) as u64;
         assert!(
             stats.cycles >= total / 4,
@@ -229,22 +206,22 @@ mod tests {
     fn arrivals_are_tag_sorted() {
         let mut hc = machine(3);
         let p = hc.p();
-        let out: Vec<Vec<ElemMsg<usize>>> =
-            (0..p).map(|n| vec![ElemMsg::new(3, (p - n) as u64, n)]).collect();
-        let (arrived, _) = route_elements(&mut hc, out);
-        let tags: Vec<u64> = arrived[3].iter().map(|m| m.tag).collect();
-        let mut sorted = tags.clone();
-        sorted.sort_unstable();
-        assert_eq!(tags, sorted);
+        let mut traffic = Traffic::new(p);
+        for n in 0..p {
+            traffic.post(n, 3, (p - n) as u64, [n]);
+        }
+        route_elements(&mut hc, &mut traffic);
+        let tags: Vec<u64> = traffic.inbox(3).map(|(t, _)| t).collect();
+        assert_eq!(tags, (1..=p as u64).collect::<Vec<_>>());
     }
 
     #[test]
     fn charges_injection_and_cycles() {
         let mut hc = machine(3);
-        let mut out: Vec<Vec<_>> = (0..hc.p()).map(|_| Vec::new()).collect();
-        out[0].push(ElemMsg::new(7, 0, 1u8));
-        out[0].push(ElemMsg::new(7, 1, 2u8));
-        let (_, stats) = route_elements(&mut hc, out);
+        let mut traffic = Traffic::new(hc.p());
+        traffic.post(0, 7, 0, [1u8]);
+        traffic.post(0, 7, 1, [2u8]);
+        let stats = route_elements(&mut hc, &mut traffic);
         // unit model: router_alpha = 1 per injected element on busiest
         // node (2), router_cycle = 1 per cycle.
         assert_eq!(hc.elapsed_us(), 2.0 + stats.cycles as f64);
@@ -257,22 +234,27 @@ mod tests {
         // The whole point of the paper: same permutation traffic, the
         // blocked e-cube router pays d start-ups; the element router pays
         // one overhead per element and cycles per element-hop.
-        use crate::route::{route_blocks, Block};
+        use crate::route::route_blocks;
         let k = 64usize; // elements per node
                          // Use the CM-2 preset: the naive penalty is the per-element router
                          // overhead, which the unit model deliberately understates.
         let mut hc_blocked = Hypercube::new(5, CostModel::cm2());
         let p = hc_blocked.p();
         let mask = p - 1;
-        let out_blocks: Vec<Vec<Block<u32>>> =
-            (0..p).map(|n| vec![Block::new(n ^ mask, 0, vec![n as u32; k])]).collect();
-        route_blocks(&mut hc_blocked, out_blocks);
+        let mut blocks = Traffic::new(p);
+        for n in 0..p {
+            blocks.post(n, n ^ mask, 0, vec![n as u32; k]);
+        }
+        route_blocks(&mut hc_blocked, &mut blocks);
 
         let mut hc_naive = Hypercube::new(5, CostModel::cm2());
-        let out_elems: Vec<Vec<ElemMsg<u32>>> = (0..p)
-            .map(|n| (0..k).map(|j| ElemMsg::new(n ^ mask, j as u64, n as u32)).collect())
-            .collect();
-        route_elements(&mut hc_naive, out_elems);
+        let mut elems = Traffic::new(p);
+        for n in 0..p {
+            for j in 0..k {
+                elems.post(n, n ^ mask, j as u64, [n as u32]);
+            }
+        }
+        route_elements(&mut hc_naive, &mut elems);
 
         assert!(
             hc_naive.elapsed_us() > 2.0 * hc_blocked.elapsed_us(),

@@ -182,19 +182,6 @@ impl<T> NodeSlab<T> {
         std::mem::swap(&mut self.offsets, &mut other.offsets);
         std::mem::swap(&mut self.data, &mut other.data);
     }
-
-    /// Move the nested representation into a slab (one copy per
-    /// element, no per-node clones needed afterwards).
-    #[must_use]
-    pub fn from_nested_owned(nested: Vec<Vec<T>>) -> Self {
-        let total: usize = nested.iter().map(Vec::len).sum();
-        let mut slab = NodeSlab::with_capacity(nested.len(), total);
-        for mut buf in nested {
-            slab.data.append(&mut buf);
-            slab.offsets.push(slab.data.len());
-        }
-        slab
-    }
 }
 
 impl<T: Copy> NodeSlab<T> {
@@ -504,12 +491,6 @@ mod tests {
         let slab = SegSlab::from_nested(&nested, 2);
         assert_eq!(slab.seg_len(1, 0), 0);
         assert_eq!(slab.seg_len(1, 1), 0);
-    }
-
-    #[test]
-    fn from_nested_owned_moves_data() {
-        let slab = NodeSlab::from_nested_owned(vec![vec![1i64, 2], vec![3]]);
-        assert_eq!(slab.to_nested(), vec![vec![1, 2], vec![3]]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use vmp_hypercube::collective::{
     allgather_slab, allreduce_slab, broadcast_slab, reduce_slab, reference, scan_inclusive_slab,
 };
 use vmp_hypercube::cost::CostModel;
-use vmp_hypercube::fault::{FaultPlan, ResilientConfig};
+use vmp_hypercube::fault::FaultPlan;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
 use vmp_hypercube::spanning::EsbtForest;
@@ -213,7 +213,7 @@ fn recoverable_faults_force_exact_single_port_fallback() {
         let run = |cost: CostModel| {
             let mut data = NodeSlab::from_nested(&payloads(p, len, 3));
             let mut hc = Hypercube::new(dim, cost);
-            hc.install_faults(plan.clone(), ResilientConfig::default());
+            hc.install_faults(plan.clone());
             allreduce_slab(&mut hc, &mut data, &dims, |a, b| a + b);
             hc.clear_faults();
             (data, hc.elapsed_us(), *hc.counters())
@@ -271,11 +271,12 @@ fn slab_allreduce_matches_reference_under_allport() {
     let mut copied = NodeSlab::from_nested(&payloads(p, 16, 11));
     let mut hc1 = Hypercube::new(dim, CostModel::cm2_allport());
     allreduce_slab(&mut hc1, &mut copied, &dims, |a, b| a + b);
-    let mut moved = NodeSlab::from_nested_owned(payloads(p, 16, 11));
+    let rows = payloads(p, 16, 11);
+    let mut built = NodeSlab::build(p, p * 16, |n, buf| buf.extend_from_slice(&rows[n]));
     let mut hc2 = Hypercube::new(dim, CostModel::cm2_allport());
-    allreduce_slab(&mut hc2, &mut moved, &dims, |a, b| a + b);
+    allreduce_slab(&mut hc2, &mut built, &dims, |a, b| a + b);
     assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
     assert_eq!(hc1.counters(), hc2.counters());
-    assert_eq!(copied, moved);
+    assert_eq!(copied, built);
     assert_eq!(copied.to_nested(), want);
 }

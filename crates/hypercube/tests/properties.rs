@@ -14,14 +14,42 @@ use vmp_hypercube::collective::{
 };
 use vmp_hypercube::cost::CostModel;
 use vmp_hypercube::counters::Counters;
-use vmp_hypercube::fault::{FaultPlan, ResilientConfig};
+use vmp_hypercube::fault::FaultPlan;
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Block};
-use vmp_hypercube::router::{route_elements, ElemMsg};
+use vmp_hypercube::route::{route_blocks, Traffic};
+use vmp_hypercube::router::route_elements;
 use vmp_hypercube::slab::{NodeSlab, SegSlab};
 
 fn machine(dim: u32) -> Hypercube {
     Hypercube::new(dim, CostModel::unit())
+}
+
+/// One posted block: `(src, dst, tag, payload)`.
+type Post = (usize, usize, u64, Vec<u64>);
+
+/// Every node's arrivals as `(tag, payload)` pairs.
+type Inboxes = Vec<Vec<(u64, Vec<u64>)>>;
+
+/// Post `posts` in iteration order on a fresh unit-cost `dim`-cube
+/// (with `plan` installed, if any), route them blocked, and return every
+/// node's inbox with the machine that routed them.
+fn route_posted<'a>(
+    dim: u32,
+    plan: Option<FaultPlan>,
+    posts: impl Iterator<Item = &'a Post>,
+) -> (Inboxes, Hypercube) {
+    let mut hc = machine(dim);
+    if let Some(plan) = plan {
+        hc.install_faults(plan);
+    }
+    let mut traffic = Traffic::new(hc.p());
+    for (src, dst, tag, data) in posts {
+        traffic.post(*src, *dst, *tag, data.iter().copied());
+    }
+    route_blocks(&mut hc, &mut traffic);
+    let inboxes =
+        (0..hc.p()).map(|n| traffic.inbox(n).map(|(t, d)| (t, d.to_vec())).collect()).collect();
+    (inboxes, hc)
 }
 
 /// A strategy for a dimension subset of a `dim`-cube, as a bitmask.
@@ -38,40 +66,30 @@ proptest! {
         dim in 0u32..=6,
         seed in 0u64..10_000,
     ) {
-        let mut hc = machine(dim);
-        let p = hc.p();
+        let p = 1usize << dim;
         // Pseudo-random traffic: each node posts 0..4 blocks.
         let mut s = seed;
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (s >> 33) as usize
         };
-        let mut expected: Vec<Vec<(u64, Vec<u64>)>> = vec![Vec::new(); p];
-        let mut outgoing: Vec<Vec<Block<u64>>> = vec![Vec::new(); p];
-        let mut tag = 0u64;
+        let mut expected: Inboxes = vec![Vec::new(); p];
+        let mut posts: Vec<Post> = Vec::new();
         for src in 0..p {
             for _ in 0..(next() % 4) {
                 let dst = next() % p;
                 let len = next() % 5;
                 let data: Vec<u64> = (0..len).map(|_| next() as u64).collect();
+                let tag = posts.len() as u64;
                 expected[dst].push((tag, data.clone()));
-                outgoing[src].push(Block::new(dst, tag, data));
-                tag += 1;
+                posts.push((src, dst, tag, data));
             }
         }
-        let replay_out = outgoing.clone();
-        let blocks: Vec<(usize, usize, usize)> = outgoing
-            .iter()
-            .enumerate()
-            .flat_map(|(src, list)| list.iter().map(move |b| (src, b.dst, b.data.len())))
-            .collect();
-        let arrived = route_blocks(&mut hc, outgoing);
+        let (arrived, hc) = route_posted(dim, None, posts.iter());
         for node in 0..p {
             expected[node].sort_by_key(|(t, _)| *t);
-            let got: Vec<(u64, Vec<u64>)> =
-                arrived[node].iter().map(|b| (b.tag, b.data.clone())).collect();
-            prop_assert_eq!(got, expected[node].clone(), "node {}", node);
         }
+        prop_assert_eq!(&arrived, &expected);
 
         // Independent e-cube model: while dimension `d` is resolved a
         // block sits at its destination's bits below `d` over its
@@ -84,9 +102,9 @@ proptest! {
             let bit = 1usize << d;
             let low = bit - 1;
             let mut fwd = vec![0usize; p];
-            for &(src, dst, len) in &blocks {
+            for (src, dst, _, data) in &posts {
                 if (src ^ dst) & bit != 0 {
-                    fwd[(dst & low) | (src & !low)] += len;
+                    fwd[(dst & low) | (src & !low)] += data.len();
                 }
             }
             let max = fwd.iter().copied().max().unwrap_or(0);
@@ -100,13 +118,29 @@ proptest! {
         prop_assert_eq!(hc.elapsed_us(), clock);
         prop_assert_eq!(*hc.counters(), want);
 
-        // An installed but empty fault plan changes nothing.
-        let mut resil = machine(dim);
-        resil.install_faults(FaultPlan::none(seed), ResilientConfig::default());
-        let replayed = route_blocks(&mut resil, replay_out);
-        prop_assert_eq!(replayed, arrived);
+        // Posting order changes nothing, and neither does an installed
+        // but empty fault plan.
+        let (reversed, hc_rev) = route_posted(dim, None, posts.iter().rev());
+        prop_assert_eq!(&reversed, &arrived);
+        prop_assert_eq!(hc_rev.elapsed_us(), hc.elapsed_us());
+        prop_assert_eq!(hc_rev.counters(), hc.counters());
+        let (replayed, resil) = route_posted(dim, Some(FaultPlan::none(seed)), posts.iter());
+        prop_assert_eq!(&replayed, &arrived);
         prop_assert_eq!(resil.elapsed_us(), hc.elapsed_us());
         prop_assert_eq!(resil.counters(), hc.counters());
+
+        // Under drops and a dead link (detours, parking, retries) the
+        // delivery is unchanged and the charge is still independent of
+        // posting order. A 1-cube has no bypass around its one link.
+        if dim >= 2 {
+            let plan = FaultPlan::none(seed).with_drops(0.3, 0, u64::MAX).with_link_fault(0, 1, 0);
+            let (faulty, hc_f) = route_posted(dim, Some(plan.clone()), posts.iter());
+            let (faulty_rev, hc_f_rev) = route_posted(dim, Some(plan), posts.iter().rev());
+            prop_assert_eq!(&faulty, &arrived);
+            prop_assert_eq!(&faulty_rev, &arrived);
+            prop_assert_eq!(hc_f_rev.elapsed_us(), hc_f.elapsed_us());
+            prop_assert_eq!(hc_f_rev.counters(), hc_f.counters());
+        }
     }
 
     #[test]
@@ -123,36 +157,37 @@ proptest! {
         let traffic: Vec<(usize, usize, u64)> = (0..p * 2)
             .map(|k| (next() % p, next() % p, k as u64))
             .collect();
+        let grouped: Vec<(usize, usize, u64)> = (0..p)
+            .flat_map(|n| traffic.iter().copied().filter(move |&(src, _, _)| src == n))
+            .collect();
+        let post = |order: &[(usize, usize, u64)]| {
+            let mut t = Traffic::new(p);
+            for &(src, dst, v) in order {
+                t.post(src, dst, v, [v]);
+            }
+            t
+        };
+        let values = |t: &Traffic<u64>| -> Vec<Vec<u64>> {
+            (0..p).map(|n| t.inbox(n).map(|(_, d)| d[0]).collect()).collect()
+        };
 
         let mut hc1 = machine(dim);
-        let out1: Vec<Vec<ElemMsg<u64>>> = (0..p)
-            .map(|n| {
-                traffic
-                    .iter()
-                    .filter(|(src, _, _)| *src == n)
-                    .map(|&(_, dst, v)| ElemMsg::new(dst, v, v))
-                    .collect()
-            })
-            .collect();
-        let (arr1, _) = route_elements(&mut hc1, out1);
+        let mut elems1 = post(&grouped);
+        let stats1 = route_elements(&mut hc1, &mut elems1);
 
+        // Interleaving the sources' posts, each source's own order kept,
+        // injects the same queues: same cycles, same arrivals.
         let mut hc2 = machine(dim);
-        let out2: Vec<Vec<Block<u64>>> = (0..p)
-            .map(|n| {
-                traffic
-                    .iter()
-                    .filter(|(src, _, _)| *src == n)
-                    .map(|&(_, dst, v)| Block::new(dst, v, vec![v]))
-                    .collect()
-            })
-            .collect();
-        let arr2 = route_blocks(&mut hc2, out2);
+        let mut elems2 = post(&traffic);
+        let stats2 = route_elements(&mut hc2, &mut elems2);
+        prop_assert_eq!(stats2, stats1);
+        prop_assert_eq!(values(&elems2), values(&elems1));
+        prop_assert_eq!(hc2.elapsed_us(), hc1.elapsed_us());
 
-        for node in 0..p {
-            let a: Vec<u64> = arr1[node].iter().map(|m| m.val).collect();
-            let b: Vec<u64> = arr2[node].iter().map(|bl| bl.data[0]).collect();
-            prop_assert_eq!(a, b, "node {}", node);
-        }
+        let mut hc3 = machine(dim);
+        let mut blocks = post(&grouped);
+        route_blocks(&mut hc3, &mut blocks);
+        prop_assert_eq!(values(&blocks), values(&elems1));
     }
 
     #[test]

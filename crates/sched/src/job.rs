@@ -27,7 +27,7 @@ use vmp_core::degrade::apply_degradation;
 use vmp_core::{analysis, DistMatrix, DistVector};
 use vmp_hypercube::cost::CostModel;
 use vmp_hypercube::counters::Counters;
-use vmp_hypercube::fault::{FaultPlan, ResilientConfig};
+use vmp_hypercube::fault::FaultPlan;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::topology::{Cube, NodeId};
 use vmp_layout::{Axis, Dist, MatShape, MatrixLayout, Placement, ProcGrid, VectorLayout};
@@ -226,7 +226,7 @@ impl JobSpec {
         }
         let plan = self.plan();
         if !plan.is_empty() {
-            hc.install_faults(plan, ResilientConfig::default());
+            hc.install_faults(plan);
         }
     }
 }

@@ -8,7 +8,8 @@
 //! operations in the surrounding corpus.
 
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Block};
+use vmp_hypercube::route::{route_blocks, Traffic};
+use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::VecEmbedding;
 
 use crate::elem::Scalar;
@@ -36,50 +37,38 @@ pub fn gather_by_index<T: Scalar>(
     let p = layout.grid().p();
 
     // Phase 1: requests. Each position i asks the owner of index[i].
-    let mut requests: Vec<Vec<Block<usize>>> = vec![Vec::new(); p];
+    let mut requests = Traffic::new(p);
     for src in 0..p {
         let part = layout.part_of(src);
         for (slot, &t) in index.chunks()[src].iter().enumerate() {
             assert!(t < n, "index {t} out of range 0..{n}");
             let i = layout.dist().global_index(part, slot);
-            let owner = layout.primary_holder(t);
-            requests[src].push(Block::new(owner, i as u64, vec![t]));
+            requests.post(src, layout.primary_holder(t), i as u64, [t]);
         }
     }
-    let arrived = route_blocks(hc, requests);
+    route_blocks(hc, &mut requests);
 
     // Phase 2: replies. Owners look up and send back to the asker's
     // owner, tagged with the asking index.
-    let mut replies: Vec<Vec<Block<T>>> = vec![Vec::new(); p];
+    let mut replies = Traffic::new(p);
     let mut lookup_work = 0usize;
     for node in 0..p {
-        lookup_work = lookup_work.max(arrived[node].len());
-        for req in &arrived[node] {
-            let t = req.data[0];
-            let v = values.chunks()[node][layout.dist().local_index(t)];
-            let asker = req.tag as usize;
-            replies[node].push(Block::new(layout.primary_holder(asker), req.tag, vec![v]));
+        lookup_work = lookup_work.max(requests.inbox(node).len());
+        for (asker, payload) in requests.inbox(node) {
+            let v = values.chunks()[node][layout.dist().local_index(payload[0])];
+            replies.post(node, layout.primary_holder(asker as usize), asker, [v]);
         }
     }
     hc.charge_flops(lookup_work);
-    let answered = route_blocks(hc, replies);
+    route_blocks(hc, &mut replies);
 
-    // Assemble.
-    let mut locals: Vec<Vec<T>> = vec![Vec::new(); p];
-    for node in 0..p {
-        let len = layout.local_len(node);
-        if len == 0 {
-            continue;
-        }
-        let mut chunk: Vec<Option<T>> = vec![None; len];
-        for b in &answered[node] {
-            let i = b.tag as usize;
-            chunk[layout.dist().local_index(i)] = Some(b.data[0]);
-        }
-        // vmplint: allow(p1) — the request phase sends exactly one tag per local slot, so every slot is answered
-        locals[node] = chunk.into_iter().map(|s| s.expect("every request answered")).collect();
-    }
-    DistVector::from_parts(layout, locals)
+    // Assemble: every local slot asked exactly once, and slots ascend
+    // with the global index, so each inbox in tag order is the chunk.
+    let locals = NodeSlab::build(p, n, |node, out| {
+        debug_assert_eq!(replies.inbox(node).len(), layout.local_len(node));
+        out.extend(replies.inbox(node).map(|(_, payload)| payload[0]));
+    });
+    DistVector::from_slab(layout, locals)
 }
 
 #[cfg(test)]

@@ -108,15 +108,6 @@ impl<T: Scalar> DistMatrix<T> {
         &mut self.locals
     }
 
-    /// Assemble from nested per-node buffers (crate-internal).
-    pub(crate) fn from_parts(layout: MatrixLayout, locals: Vec<Vec<T>>) -> Self {
-        debug_assert_eq!(locals.len(), layout.grid().p());
-        for (node, buf) in locals.iter().enumerate() {
-            debug_assert_eq!(buf.len(), layout.local_len(node), "node {node} buffer length");
-        }
-        DistMatrix { layout, locals: NodeSlab::from_nested_owned(locals) }
-    }
-
     /// Assemble directly from an arena (crate-internal; the hot path —
     /// no per-node allocations).
     pub(crate) fn from_slab(layout: MatrixLayout, locals: NodeSlab<T>) -> Self {

@@ -18,8 +18,12 @@
 //! Bench T3/F3 measure the resulting gap under the CM-2 cost preset.
 
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::router::{route_elements, ElemMsg};
-use vmp_layout::{Axis, Dist, MatShape, MatrixLayout, Placement, VecEmbedding, VectorLayout};
+use vmp_hypercube::route::Traffic;
+use vmp_hypercube::router::route_elements;
+use vmp_hypercube::slab::NodeSlab;
+use vmp_layout::{
+    Axis, Dist, MatShape, MatrixLayout, Placement, ProcGrid, VecEmbedding, VectorLayout,
+};
 
 use crate::elem::{ReduceOp, Scalar};
 use crate::matrix::DistMatrix;
@@ -47,17 +51,27 @@ pub fn naive_reduce<T: Scalar, O: ReduceOp<T>>(
         Placement::Replicated,
         layout.vector_dist(axis).kind(),
     );
+    // Grid coordinates of `node`: is it on primary line 0 of the
+    // orthogonal direction, and which result part does it hold?
+    let primary_part = |node: usize| {
+        let (gr, gc) = grid.grid_coords(node);
+        match axis {
+            Axis::Row => (gr == 0, gc),
+            Axis::Col => (gc == 0, gr),
+        }
+    };
 
     // Local fold (same as optimized: the obvious code is local here).
-    let mut partials: Vec<Vec<T>> = Vec::with_capacity(p);
-    for node in 0..p {
+    let partials = NodeSlab::build(p, n * lines_across(&grid, axis), |node, out| {
         let (lr, lc) = layout.local_shape(node);
         let buf = &m.locals()[node];
         let out_len = match axis {
             Axis::Row => lc,
             Axis::Col => lr,
         };
-        let mut acc = vec![op.identity(); out_len];
+        let start = out.len();
+        out.resize(start + out_len, op.identity());
+        let acc = &mut out[start..];
         for li in 0..lr {
             for lj in 0..lc {
                 let v = buf[li * lc + lj];
@@ -68,66 +82,45 @@ pub fn naive_reduce<T: Scalar, O: ReduceOp<T>>(
                 acc[slot] = op.combine(acc[slot], v);
             }
         }
-        partials.push(acc);
-    }
+    });
     hc.charge_flops(layout.max_local_len());
 
     // Route every partial element individually to the primary holder of
     // its result index (grid line 0 of the orthogonal direction).
     let dist = result_layout.dist();
-    let mut outgoing: Vec<Vec<ElemMsg<T>>> = vec![Vec::new(); p];
+    let mut traffic = Traffic::new(p);
     for node in 0..p {
-        let (gr, gc) = grid.grid_coords(node);
-        let part = match axis {
-            Axis::Row => gc,
-            Axis::Col => gr,
-        };
-        let is_primary = match axis {
-            Axis::Row => gr == 0,
-            Axis::Col => gc == 0,
-        };
+        let (is_primary, part) = primary_part(node);
         if is_primary {
             continue; // already home; folds locally below
         }
         for (slot, &v) in partials[node].iter().enumerate() {
             let i = dist.global_index(part, slot);
-            let dst = result_layout.primary_holder(i);
-            outgoing[node].push(ElemMsg::new(dst, (i * p + node) as u64, v));
+            traffic.post(node, result_layout.primary_holder(i), (i * p + node) as u64, [v]);
         }
     }
-    let (arrived, _) = route_elements(hc, outgoing);
+    route_elements(hc, &mut traffic);
 
     // Serial fold of arrivals at each primary node.
-    let mut result: Vec<Vec<T>> = vec![Vec::new(); p];
     let mut max_folds = 0usize;
-    for node in 0..p {
-        let (gr, gc) = grid.grid_coords(node);
-        let is_primary = match axis {
-            Axis::Row => gr == 0,
-            Axis::Col => gc == 0,
-        };
-        if !is_primary {
-            continue;
+    let result = NodeSlab::build(p, n, |node, out| {
+        if !primary_part(node).0 {
+            return;
         }
-        let part = match axis {
-            Axis::Row => gc,
-            Axis::Col => gr,
-        };
-        let mut acc = std::mem::take(&mut partials[node]);
-        max_folds = max_folds.max(arrived[node].len());
-        for msg in &arrived[node] {
-            let i = msg.tag as usize / p;
-            let slot = dist.local_index(i);
-            acc[slot] = op.combine(acc[slot], msg.val);
+        let start = out.len();
+        out.extend_from_slice(&partials[node]);
+        let acc = &mut out[start..];
+        max_folds = max_folds.max(traffic.inbox(node).len());
+        for (tag, payload) in traffic.inbox(node) {
+            let slot = dist.local_index(tag as usize / p);
+            acc[slot] = op.combine(acc[slot], payload[0]);
         }
-        let _ = part;
-        result[node] = acc;
-    }
+    });
     hc.charge_flops(max_folds);
 
     // Replicate element-by-element through the router, too.
-    naive_replicate_from_primary(hc, &result_layout, &mut result);
-    DistVector::from_parts(result_layout, result)
+    let replicated = naive_fan_out(hc, &grid, axis, 0, &result);
+    DistVector::from_slab(result_layout, replicated)
 }
 
 /// Naive `distribute`: every node fetches each element of its chunk
@@ -145,45 +138,17 @@ pub fn naive_distribute<T: Scalar>(
         VecEmbedding::Linear => panic!("distribute requires an axis-aligned vector"),
     };
     let grid = vl.grid().clone();
-    let p = grid.p();
 
     // Everyone needs a copy of its chunk; a naive program pulls each
     // element individually from the (single) holder.
-    let mut chunks: Vec<Vec<T>> = v.locals().to_nested();
-    if let Placement::Concentrated(line) = placement {
-        let mut outgoing: Vec<Vec<ElemMsg<T>>> = vec![Vec::new(); p];
-        for node in 0..p {
-            let (gr, gc) = grid.grid_coords(node);
-            let (src_ok, part) = match axis {
-                Axis::Row => (gr == line, gc),
-                Axis::Col => (gc == line, gr),
-            };
-            if !src_ok {
-                continue;
-            }
-            // The holder pushes each element to every other node of its
-            // grid line (orthogonal direction).
-            let lines = match axis {
-                Axis::Row => grid.pr(),
-                Axis::Col => grid.pc(),
-            };
-            for other in (0..lines).filter(|&l| l != line) {
-                let dst = match axis {
-                    Axis::Row => grid.node_at(other, part),
-                    Axis::Col => grid.node_at(part, other),
-                };
-                for (slot, &x) in v.locals()[node].iter().enumerate() {
-                    outgoing[node].push(ElemMsg::new(dst, slot as u64, x));
-                }
-            }
+    let fetched;
+    let chunks = match placement {
+        Placement::Concentrated(line) => {
+            fetched = naive_fan_out(hc, &grid, axis, line, v.locals());
+            &fetched
         }
-        let (arrived, _) = route_elements(hc, outgoing);
-        for node in 0..p {
-            if !arrived[node].is_empty() {
-                chunks[node] = arrived[node].iter().map(|m| m.val).collect();
-            }
-        }
-    }
+        Placement::Replicated => v.locals(),
+    };
 
     // Local replication (same as optimized).
     let shape = match axis {
@@ -194,11 +159,9 @@ pub fn naive_distribute<T: Scalar>(
         Axis::Row => MatrixLayout::new(shape, grid.clone(), stack_kind, vl.dist().kind()),
         Axis::Col => MatrixLayout::new(shape, grid.clone(), vl.dist().kind(), stack_kind),
     };
-    let mut locals: Vec<Vec<T>> = Vec::with_capacity(p);
-    for node in 0..p {
+    let locals = NodeSlab::build(grid.p(), shape.rows * shape.cols, |node, buf| {
         let (lr, lc) = layout.local_shape(node);
         let chunk = &chunks[node];
-        let mut buf = Vec::with_capacity(lr * lc);
         match axis {
             Axis::Row => {
                 for _ in 0..lr {
@@ -207,16 +170,13 @@ pub fn naive_distribute<T: Scalar>(
             }
             Axis::Col => {
                 for &x in chunk {
-                    for _ in 0..lc {
-                        buf.push(x);
-                    }
+                    buf.extend(std::iter::repeat_n(x, lc));
                 }
             }
         }
-        locals.push(buf);
-    }
+    });
     hc.charge_moves(layout.max_local_len());
-    DistMatrix::from_parts(layout, locals)
+    DistMatrix::from_slab(layout, locals)
 }
 
 /// Naive `extract` + replication: the owning grid line's nodes send each
@@ -231,45 +191,13 @@ pub fn naive_extract_replicated<T: Scalar>(
     // Local pull of the line (same as optimized extract)...
     let v = crate::primitives::extract(hc, m, axis, index);
     let layout = v.layout().clone();
-    let grid = layout.grid().clone();
-    let p = grid.p();
     let line = match layout.embedding() {
         VecEmbedding::Aligned { placement: Placement::Concentrated(l), .. } => *l,
         _ => unreachable!("extract returns a concentrated vector"),
     };
     // ...then element-granular fan-out instead of a tree broadcast.
-    let mut chunks = v.locals().to_nested();
-    let mut outgoing: Vec<Vec<ElemMsg<T>>> = vec![Vec::new(); p];
-    for node in 0..p {
-        let (gr, gc) = grid.grid_coords(node);
-        let (src_ok, part) = match axis {
-            Axis::Row => (gr == line, gc),
-            Axis::Col => (gc == line, gr),
-        };
-        if !src_ok {
-            continue;
-        }
-        let lines = match axis {
-            Axis::Row => grid.pr(),
-            Axis::Col => grid.pc(),
-        };
-        for other in (0..lines).filter(|&l| l != line) {
-            let dst = match axis {
-                Axis::Row => grid.node_at(other, part),
-                Axis::Col => grid.node_at(part, other),
-            };
-            for (slot, &x) in v.locals()[node].iter().enumerate() {
-                outgoing[node].push(ElemMsg::new(dst, slot as u64, x));
-            }
-        }
-    }
-    let (arrived, _) = route_elements(hc, outgoing);
-    for node in 0..p {
-        if !arrived[node].is_empty() {
-            chunks[node] = arrived[node].iter().map(|msg| msg.val).collect();
-        }
-    }
-    DistVector::from_parts(layout.with_placement(Placement::Replicated), chunks)
+    let chunks = naive_fan_out(hc, layout.grid(), axis, line, v.locals());
+    DistVector::from_slab(layout.with_placement(Placement::Replicated), chunks)
 }
 
 /// Naive `insert`: each holder of the vector sends each element
@@ -282,15 +210,14 @@ pub fn naive_insert<T: Scalar>(
     v: &DistVector<T>,
 ) {
     let layout = m.layout().clone();
-    let grid = layout.grid().clone();
-    let p = grid.p();
+    let p = layout.grid().p();
     assert_eq!(
         v.layout().dist(),
         layout.vector_dist(axis),
         "vector chunking must match the matrix's {axis:?} distribution"
     );
     // Primary holders push each element to the owning matrix node.
-    let mut outgoing: Vec<Vec<ElemMsg<T>>> = vec![Vec::new(); p];
+    let mut traffic = Traffic::new(p);
     for src in 0..p {
         if v.locals()[src].is_empty() {
             continue;
@@ -306,61 +233,67 @@ pub fn naive_insert<T: Scalar>(
                 Axis::Row => (index, gi),
                 Axis::Col => (gi, index),
             };
-            let dst = layout.owner(i, j);
-            outgoing[src].push(ElemMsg::new(dst, layout.local_offset(i, j) as u64, x));
+            traffic.post(src, layout.owner(i, j), layout.local_offset(i, j) as u64, [x]);
         }
     }
-    let (arrived, _) = route_elements(hc, outgoing);
-    for node in 0..p {
-        for msg in &arrived[node] {
-            m.locals_mut()[node][msg.tag as usize] = msg.val;
+    route_elements(hc, &mut traffic);
+    m.locals_mut().for_each_seg_mut(|node, buf| {
+        for (offset, payload) in traffic.inbox(node) {
+            buf[offset as usize] = payload[0];
         }
+    });
+}
+
+/// Grid lines across the `axis` direction: the number of copies a
+/// replicated `axis`-aligned vector has.
+fn lines_across(grid: &ProcGrid, axis: Axis) -> usize {
+    match axis {
+        Axis::Row => grid.pr(),
+        Axis::Col => grid.pc(),
     }
 }
 
-/// Element-granular replication of a vector from its primary line to all
-/// lines (helper for [`naive_reduce`]).
-fn naive_replicate_from_primary<T: Scalar>(
+/// Element-granular fan-out of an `axis`-aligned vector's chunks from
+/// grid line `line` to every other line: each holder sends each element
+/// individually to the node holding the same part on every other line.
+/// Nodes that receive nothing keep their chunk from `chunks`.
+fn naive_fan_out<T: Scalar>(
     hc: &mut Hypercube,
-    layout: &VectorLayout,
-    locals: &mut [Vec<T>],
-) {
-    let (axis, _) = match layout.embedding() {
-        VecEmbedding::Aligned { axis, placement } => (*axis, *placement),
-        VecEmbedding::Linear => return,
-    };
-    let grid = layout.grid().clone();
+    grid: &ProcGrid,
+    axis: Axis,
+    line: usize,
+    chunks: &NodeSlab<T>,
+) -> NodeSlab<T> {
     let p = grid.p();
-    let mut outgoing: Vec<Vec<ElemMsg<T>>> = vec![Vec::new(); p];
+    let lines = lines_across(grid, axis);
+    let mut traffic = Traffic::new(p);
     for node in 0..p {
         let (gr, gc) = grid.grid_coords(node);
-        let (is_primary, part) = match axis {
-            Axis::Row => (gr == 0, gc),
-            Axis::Col => (gc == 0, gr),
+        let (src_ok, part) = match axis {
+            Axis::Row => (gr == line, gc),
+            Axis::Col => (gc == line, gr),
         };
-        if !is_primary {
+        if !src_ok {
             continue;
         }
-        let lines = match axis {
-            Axis::Row => grid.pr(),
-            Axis::Col => grid.pc(),
-        };
-        for other in 1..lines {
+        for other in (0..lines).filter(|&l| l != line) {
             let dst = match axis {
                 Axis::Row => grid.node_at(other, part),
                 Axis::Col => grid.node_at(part, other),
             };
-            for (slot, &x) in locals[node].iter().enumerate() {
-                outgoing[node].push(ElemMsg::new(dst, slot as u64, x));
+            for (slot, &x) in chunks[node].iter().enumerate() {
+                traffic.post(node, dst, slot as u64, [x]);
             }
         }
     }
-    let (arrived, _) = route_elements(hc, outgoing);
-    for node in 0..p {
-        if !arrived[node].is_empty() {
-            locals[node] = arrived[node].iter().map(|m| m.val).collect();
+    route_elements(hc, &mut traffic);
+    NodeSlab::build(p, chunks.total_len() * lines, |node, buf| {
+        if traffic.inbox(node).len() == 0 {
+            buf.extend_from_slice(&chunks[node]);
+        } else {
+            buf.extend(traffic.inbox(node).map(|(_, payload)| payload[0]));
         }
-    }
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! `extract`: pull one row (or column) of a matrix out as a vector.
 
 use vmp_hypercube::machine::Hypercube;
+use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, Placement, VectorLayout};
 
 use crate::elem::Scalar;
@@ -25,19 +26,23 @@ pub fn extract<T: Scalar>(
     let layout = m.layout();
     let grid = layout.grid().clone();
     let shape = layout.shape();
-    let p = grid.p();
-    let mut locals: Vec<Vec<T>> = vec![Vec::new(); p];
+    let cube = grid.cube();
 
     match axis {
         Axis::Row => {
             assert!(index < shape.rows, "row {index} out of range 0..{}", shape.rows);
             let gr = layout.rows().owner(index);
             let li = layout.rows().local_index(index);
-            for gc in 0..grid.pc() {
-                let node = grid.node_at(gr, gc);
-                let (_, lc) = layout.local_shape(node);
-                locals[node] = m.locals()[node][li * lc..(li + 1) * lc].to_vec();
-            }
+            // Grid row `gr` is the subcube whose row-dim bits match its
+            // first node's.
+            let mask = cube.dims_mask(grid.row_dims());
+            let on_line = grid.node_at(gr, 0) & mask;
+            let locals = NodeSlab::build(grid.p(), shape.cols, |node, buf| {
+                if node & mask == on_line {
+                    let lc = layout.local_shape(node).1;
+                    buf.extend_from_slice(&m.locals()[node][li * lc..(li + 1) * lc]);
+                }
+            });
             hc.charge_moves(layout.cols().max_count());
             let vl = VectorLayout::aligned(
                 shape.cols,
@@ -46,17 +51,20 @@ pub fn extract<T: Scalar>(
                 Placement::Concentrated(gr),
                 layout.cols().kind(),
             );
-            DistVector::from_parts(vl, locals)
+            DistVector::from_slab(vl, locals)
         }
         Axis::Col => {
             assert!(index < shape.cols, "column {index} out of range 0..{}", shape.cols);
             let gc = layout.cols().owner(index);
             let lj = layout.cols().local_index(index);
-            for gr in 0..grid.pr() {
-                let node = grid.node_at(gr, gc);
-                let (lr, lc) = layout.local_shape(node);
-                locals[node] = (0..lr).map(|li| m.locals()[node][li * lc + lj]).collect();
-            }
+            let mask = cube.dims_mask(grid.col_dims());
+            let on_line = grid.node_at(0, gc) & mask;
+            let locals = NodeSlab::build(grid.p(), shape.rows, |node, buf| {
+                if node & mask == on_line {
+                    let (lr, lc) = layout.local_shape(node);
+                    buf.extend((0..lr).map(|li| m.locals()[node][li * lc + lj]));
+                }
+            });
             hc.charge_moves(layout.rows().max_count());
             let vl = VectorLayout::aligned(
                 shape.rows,
@@ -65,7 +73,7 @@ pub fn extract<T: Scalar>(
                 Placement::Concentrated(gc),
                 layout.rows().kind(),
             );
-            DistVector::from_parts(vl, locals)
+            DistVector::from_slab(vl, locals)
         }
     }
 }

@@ -8,7 +8,8 @@
 //! [`panel_gemm`], the local `C += A_panel * B_panel` kernel.
 
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Block};
+use vmp_hypercube::route::{route_blocks, Traffic};
+use vmp_hypercube::slab::NodeSlab;
 
 use crate::elem::{Numeric, Scalar};
 use crate::matrix::DistMatrix;
@@ -22,7 +23,7 @@ pub struct ColPanel<T> {
     pub t0: usize,
     /// Panel width.
     pub width: usize,
-    slabs: Vec<Vec<T>>,
+    slabs: NodeSlab<T>,
 }
 
 impl<T: Scalar> ColPanel<T> {
@@ -41,7 +42,7 @@ pub struct RowPanel<T> {
     pub t0: usize,
     /// Panel height.
     pub width: usize,
-    slabs: Vec<Vec<T>>,
+    slabs: NodeSlab<T>,
 }
 
 impl<T: Scalar> RowPanel<T> {
@@ -67,7 +68,7 @@ pub fn extract_col_panel_replicated<T: Numeric>(
     assert!(t0 + width <= layout.shape().cols, "column panel out of range");
     let grid = layout.grid().clone();
     let p = grid.p();
-    let mut outgoing: Vec<Vec<Block<T>>> = vec![Vec::new(); p];
+    let mut traffic = Traffic::new(p);
     let mut max_packed = 0usize;
     for dt in 0..width {
         let j = t0 + dt;
@@ -80,25 +81,22 @@ pub fn extract_col_panel_replicated<T: Numeric>(
             max_packed = max_packed.max(chunk.len() * width);
             for dst_gc in 0..grid.pc() {
                 let dst = grid.node_at(gr, dst_gc);
-                outgoing[src].push(Block::new(dst, dt as u64, chunk.clone()));
+                traffic.post(src, dst, dt as u64, chunk.iter().copied());
             }
         }
     }
     hc.charge_moves(max_packed);
-    let arrived = route_blocks(hc, outgoing);
-    let slabs = (0..p)
-        .map(|node| {
-            let lr = layout.local_shape(node).0;
-            let mut slab = vec![T::ZERO; lr * width];
-            for bl in &arrived[node] {
-                let dt = bl.tag as usize;
-                for (li, &v) in bl.data.iter().enumerate() {
-                    slab[li * width + dt] = v;
-                }
+    route_blocks(hc, &mut traffic);
+    let slabs = NodeSlab::build(p, layout.shape().rows * grid.pc() * width, |node, buf| {
+        let start = buf.len();
+        buf.resize(start + layout.local_shape(node).0 * width, T::ZERO);
+        let slab = &mut buf[start..];
+        for (dt, column) in traffic.inbox(node) {
+            for (li, &v) in column.iter().enumerate() {
+                slab[li * width + dt as usize] = v;
             }
-            slab
-        })
-        .collect();
+        }
+    });
     ColPanel { t0, width, slabs }
 }
 
@@ -116,7 +114,7 @@ pub fn extract_row_panel_replicated<T: Numeric>(
     assert!(t0 + width <= layout.shape().rows, "row panel out of range");
     let grid = layout.grid().clone();
     let p = grid.p();
-    let mut outgoing: Vec<Vec<Block<T>>> = vec![Vec::new(); p];
+    let mut traffic = Traffic::new(p);
     let mut max_packed = 0usize;
     for dt in 0..width {
         let i = t0 + dt;
@@ -129,23 +127,22 @@ pub fn extract_row_panel_replicated<T: Numeric>(
             max_packed = max_packed.max(chunk.len() * width);
             for dst_gr in 0..grid.pr() {
                 let dst = grid.node_at(dst_gr, gc);
-                outgoing[src].push(Block::new(dst, dt as u64, chunk.clone()));
+                traffic.post(src, dst, dt as u64, chunk.iter().copied());
             }
         }
     }
     hc.charge_moves(max_packed);
-    let arrived = route_blocks(hc, outgoing);
-    let slabs = (0..p)
-        .map(|node| {
-            let lc = layout.local_shape(node).1;
-            let mut slab = vec![T::ZERO; width * lc];
-            for bl in &arrived[node] {
-                let dt = bl.tag as usize;
-                slab[dt * lc..(dt + 1) * lc].copy_from_slice(&bl.data);
-            }
-            slab
-        })
-        .collect();
+    route_blocks(hc, &mut traffic);
+    let slabs = NodeSlab::build(p, width * layout.shape().cols * grid.pr(), |node, buf| {
+        let lc = layout.local_shape(node).1;
+        let start = buf.len();
+        buf.resize(start + width * lc, T::ZERO);
+        let slab = &mut buf[start..];
+        for (dt, row) in traffic.inbox(node) {
+            let dt = dt as usize;
+            slab[dt * lc..(dt + 1) * lc].copy_from_slice(row);
+        }
+    });
     RowPanel { t0, width, slabs }
 }
 

@@ -19,7 +19,7 @@
 
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Block};
+use vmp_hypercube::route::{route_blocks, Traffic};
 use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, MatrixLayout, Placement, VecEmbedding, VectorLayout};
 
@@ -78,17 +78,12 @@ pub fn concentrate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>, line: usize
         Placement::Concentrated(src) if src == line => v.clone(),
         Placement::Replicated => {
             // Free: keep only the target line's copies.
-            let locals =
-                (0..v.locals().p())
-                    .map(|node| {
-                        if new_layout.holds(node) {
-                            v.locals()[node].to_vec()
-                        } else {
-                            Vec::new()
-                        }
-                    })
-                    .collect();
-            DistVector::from_parts(new_layout, locals)
+            let locals = NodeSlab::build(v.locals().p(), new_layout.n(), |node, buf| {
+                if new_layout.holds(node) {
+                    buf.extend_from_slice(&v.locals()[node]);
+                }
+            });
+            DistVector::from_slab(new_layout, locals)
         }
         Placement::Concentrated(src_line) => {
             let grid = v.layout().grid().clone();
@@ -96,28 +91,21 @@ pub fn concentrate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>, line: usize
                 Axis::Row => grid.pc(),
                 Axis::Col => grid.pr(),
             };
-            let mut outgoing: Vec<Vec<Block<T>>> = vec![Vec::new(); grid.p()];
+            let mut traffic = Traffic::new(grid.p());
             for part in 0..parts {
                 let (src, dst) = match axis {
                     Axis::Row => (grid.node_at(src_line, part), grid.node_at(line, part)),
                     Axis::Col => (grid.node_at(part, src_line), grid.node_at(part, line)),
                 };
-                outgoing[src].push(Block::new(dst, part as u64, v.locals()[src].to_vec()));
+                traffic.post(src, dst, part as u64, v.locals()[src].iter().copied());
             }
-            let arrived = route_blocks(hc, outgoing);
-            let locals = arrived
-                .into_iter()
-                .map(
-                    |mut blocks| {
-                        if blocks.is_empty() {
-                            Vec::new()
-                        } else {
-                            blocks.swap_remove(0).data
-                        }
-                    },
-                )
-                .collect();
-            DistVector::from_parts(new_layout, locals)
+            route_blocks(hc, &mut traffic);
+            let locals = NodeSlab::build(grid.p(), new_layout.n(), |node, buf| {
+                for (_, payload) in traffic.inbox(node) {
+                    buf.extend_from_slice(payload);
+                }
+            });
+            DistVector::from_slab(new_layout, locals)
         }
     }
 }
@@ -143,7 +131,7 @@ pub fn remap_vector<T: Scalar>(
 
     // Pack: every old-primary node buckets its chunk by new-primary
     // destination, in ascending global index order (= slot order).
-    let mut outgoing: Vec<Vec<Block<T>>> = vec![Vec::new(); p];
+    let mut traffic = Traffic::new(p);
     let mut max_packed = 0usize;
     for src in 0..p {
         if !is_primary_holder(old, src) {
@@ -163,12 +151,12 @@ pub fn remap_vector<T: Scalar>(
             }
         }
         for (dst, data) in buckets {
-            outgoing[src].push(Block::new(dst, src as u64, data));
+            traffic.post(src, dst, src as u64, data);
         }
     }
     hc.charge_moves(max_packed);
 
-    let arrived = route_blocks(hc, outgoing);
+    route_blocks(hc, &mut traffic);
 
     // Unpack: each new-primary node walks its new chunk in slot order,
     // recomputes each element's old primary holder, and pulls the next
@@ -181,18 +169,18 @@ pub fn remap_vector<T: Scalar>(
         let part = new_layout.part_of(dst);
         let len = new_layout.dist().count(part);
         max_unpacked = max_unpacked.max(len);
-        let mut cursors: Vec<(u64, usize)> = arrived[dst].iter().map(|b| (b.tag, 0usize)).collect();
+        let arrived: Vec<(u64, &[T])> = traffic.inbox(dst).collect();
+        let mut cursors = vec![0usize; arrived.len()];
         for slot in 0..len {
             let i = new_layout.dist().global_index(part, slot);
             let src = old.primary_holder(i) as u64;
-            let bi = arrived[dst]
+            let bi = arrived
                 .iter()
-                .position(|b| b.tag == src)
+                .position(|&(tag, _)| tag == src)
                 // vmplint: allow(p1) — the send phase computed the same owner arithmetic, so the block is present
                 .expect("block from the predicted source");
-            let cursor = &mut cursors[bi].1;
-            chunk.push(arrived[dst][bi].data[*cursor]);
-            *cursor += 1;
+            chunk.push(arrived[bi].1[cursors[bi]]);
+            cursors[bi] += 1;
         }
     });
     hc.charge_moves(max_unpacked);
@@ -264,7 +252,7 @@ fn remap_matrix<T: Scalar>(
 
     // Pack: bucket local elements by destination node, ordered by the
     // destination's local offset so the receiver can unpack positionally.
-    let mut outgoing: Vec<Vec<Block<T>>> = vec![Vec::new(); p];
+    let mut traffic = Traffic::new(p);
     let mut max_packed = 0usize;
     for src in 0..p {
         let buf = &m.locals()[src];
@@ -279,46 +267,37 @@ fn remap_matrix<T: Scalar>(
             staged.push((dst, new_layout.local_offset(ni, nj), buf[off]));
         }
         staged.sort_unstable_by_key(|&(dst, noff, _)| (dst, noff));
-        let mut iter = staged.into_iter().peekable();
-        while let Some(&(dst, _, _)) = iter.peek() {
-            let mut data = Vec::new();
-            while matches!(iter.peek(), Some(&(d, _, _)) if d == dst) {
-                // vmplint: allow(p1) — peek just returned Some for this destination
-                data.push(iter.next().expect("peeked").2);
-            }
-            outgoing[src].push(Block::new(dst, src as u64, data));
+        for run in staged.chunk_by(|a, b| a.0 == b.0) {
+            traffic.post(src, run[0].0, src as u64, run.iter().map(|&(_, _, x)| x));
         }
     }
     hc.charge_moves(max_packed);
 
-    let arrived = route_blocks(hc, outgoing);
+    route_blocks(hc, &mut traffic);
 
     // Unpack: walk new local offsets in order; each element's source node
     // is recomputed via `inv`, and elements from one source arrive in
     // new-offset order.
-    let mut locals: Vec<Vec<T>> = Vec::with_capacity(p);
     let mut max_unpacked = 0usize;
-    for dst in 0..p {
-        let len = new_layout.local_len(dst);
-        max_unpacked = max_unpacked.max(len);
-        let mut cursors = vec![0usize; arrived[dst].len()];
-        let mut buf = Vec::with_capacity(len);
+    let locals = NodeSlab::build(p, m.locals().total_len(), |dst, buf| {
+        max_unpacked = max_unpacked.max(new_layout.local_len(dst));
+        let arrived: Vec<(u64, &[T])> = traffic.inbox(dst).collect();
+        let mut cursors = vec![0usize; arrived.len()];
         for (ni, nj, _off) in new_layout.local_elements(dst) {
             let (i, j) = inv(ni, nj);
             let src = old.owner(i, j) as u64;
-            let bi = arrived[dst]
+            let bi = arrived
                 .iter()
-                .position(|b| b.tag == src)
+                .position(|&(tag, _)| tag == src)
                 // vmplint: allow(p1) — the send phase computed the same owner arithmetic, so the block is present
                 .expect("block from the predicted source");
-            buf.push(arrived[dst][bi].data[cursors[bi]]);
+            buf.push(arrived[bi].1[cursors[bi]]);
             cursors[bi] += 1;
         }
-        locals.push(buf);
-    }
+    });
     hc.charge_moves(max_unpacked);
 
-    DistMatrix::from_parts(new_layout, locals)
+    DistMatrix::from_slab(new_layout, locals)
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
+use vmp_hypercube::route::{route_blocks, Traffic};
 use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, Dist, Placement, VecEmbedding, VectorLayout};
 
@@ -215,10 +216,9 @@ pub fn route_permutation<T: Scalar>(
     dest: impl Fn(usize) -> Option<usize>,
     fill: Option<T>,
 ) -> DistVector<T> {
-    use vmp_hypercube::route::{route_blocks, Block};
     let layout = v.layout().clone();
     let p = layout.grid().p();
-    let mut outgoing: Vec<Vec<Block<T>>> = vec![Vec::new(); p];
+    let mut traffic = Traffic::new(p);
     let mut max_packed = 0usize;
     for src in 0..p {
         if v.locals()[src].is_empty() {
@@ -234,11 +234,11 @@ pub fn route_permutation<T: Scalar>(
             let Some(j) = dest(i) else { continue };
             debug_assert!(j < layout.n(), "destination index out of range");
             let dst = layout.primary_holder(j);
-            outgoing[src].push(Block::new(dst, j as u64, vec![x]));
+            traffic.post(src, dst, j as u64, [x]);
         }
     }
     hc.charge_moves(max_packed);
-    let arrived = route_blocks(hc, outgoing);
+    route_blocks(hc, &mut traffic);
     let mut locals = NodeSlab::build(p, layout.n(), |dst, out| {
         let part = layout.part_of(dst);
         let len = layout.dist().count(part);
@@ -250,9 +250,8 @@ pub fn route_permutation<T: Scalar>(
             return;
         }
         let mut chunk: Vec<Option<T>> = vec![None; len];
-        for b in &arrived[dst] {
-            let j = b.tag as usize;
-            chunk[layout.dist().local_index(j)] = Some(b.data[0]);
+        for (j, payload) in traffic.inbox(dst) {
+            chunk[layout.dist().local_index(j as usize)] = Some(payload[0]);
         }
         out.extend(
             chunk
@@ -291,7 +290,6 @@ pub fn pack<T: Scalar>(
     v: &DistVector<T>,
     mask: &DistVector<bool>,
 ) -> DistVector<T> {
-    use vmp_hypercube::route::{route_blocks, Block};
     assert_eq!(v.layout(), mask.layout(), "mask must share the value vector's layout");
     let old = v.layout().clone();
     let positions = enumerate(hc, mask);
@@ -300,7 +298,7 @@ pub fn pack<T: Scalar>(
     let grid = old.grid().clone();
     let new_layout = VectorLayout::linear(kept, grid, Dist::Block);
     let p = old.grid().p();
-    let mut outgoing: Vec<Vec<Block<T>>> = vec![Vec::new(); p];
+    let mut traffic = Traffic::new(p);
     for src in 0..p {
         if v.locals()[src].is_empty() {
             continue;
@@ -316,25 +314,17 @@ pub fn pack<T: Scalar>(
             }
             let target = positions.get(i);
             let dst = new_layout.primary_holder(target);
-            outgoing[src].push(Block::new(dst, target as u64, vec![x]));
+            traffic.post(src, dst, target as u64, [x]);
         }
     }
-    let arrived = route_blocks(hc, outgoing);
-    let mut locals: Vec<Vec<T>> = vec![Vec::new(); p];
-    for (dst, local) in locals.iter_mut().enumerate() {
-        let len = new_layout.local_len(dst);
-        if len == 0 {
-            continue;
-        }
-        let mut chunk: Vec<Option<T>> = vec![None; len];
-        for b in &arrived[dst] {
-            let t = b.tag as usize;
-            chunk[new_layout.dist().local_index(t)] = Some(b.data[0]);
-        }
-        // vmplint: allow(p1) — pack ranks are a permutation of 0..len, so the chunk is dense by construction
-        *local = chunk.into_iter().map(|s| s.expect("dense packing")).collect();
-    }
-    DistVector::from_parts(new_layout, locals)
+    route_blocks(hc, &mut traffic);
+    // Pack ranks are a permutation of 0..kept and a block chunk holds
+    // ascending ranks, so each inbox, in tag order, is the dense chunk.
+    let locals = NodeSlab::build(p, kept, |dst, out| {
+        debug_assert_eq!(traffic.inbox(dst).len(), new_layout.local_len(dst));
+        out.extend(traffic.inbox(dst).map(|(_, payload)| payload[0]));
+    });
+    DistVector::from_slab(new_layout, locals)
 }
 
 /// The segmented-operator transform: associative on `(flag, value)`

@@ -84,12 +84,6 @@ impl<T: Scalar> DistVector<T> {
         &self.locals
     }
 
-    /// Assemble from nested per-node chunks (crate-internal).
-    pub(crate) fn from_parts(layout: VectorLayout, locals: Vec<Vec<T>>) -> Self {
-        debug_assert_eq!(locals.len(), layout.grid().p());
-        DistVector { layout, locals: NodeSlab::from_nested_owned(locals) }
-    }
-
     /// Assemble directly from an arena (crate-internal; the hot path).
     pub(crate) fn from_slab(layout: VectorLayout, locals: NodeSlab<T>) -> Self {
         debug_assert_eq!(locals.p(), layout.grid().p());

@@ -16,7 +16,7 @@ use four_vmp::algos::{checkpoint, forward_eliminate, ge_solve, simplex, workload
 use four_vmp::core::degrade::apply_degradation;
 use four_vmp::core::elem::Sum;
 use four_vmp::core::primitives;
-use four_vmp::hypercube::{Cube, FaultPlan, ResilientConfig};
+use four_vmp::hypercube::{Cube, FaultPlan};
 use four_vmp::prelude::*;
 
 /// The primitive chain whose outputs must survive any recoverable plan.
@@ -52,7 +52,7 @@ proptest! {
         let want = primitive_workload(&mut plain, rows, cols);
 
         let mut resilient = Hypercube::cm2(dim);
-        resilient.install_faults(FaultPlan::none(seed), ResilientConfig::default());
+        resilient.install_faults(FaultPlan::none(seed));
         let got = primitive_workload(&mut resilient, rows, cols);
 
         prop_assert_eq!(got, want);
@@ -74,7 +74,7 @@ proptest! {
 
         let mut faulty = Hypercube::cm2(dim);
         let plan = FaultPlan::none(seed).with_drops(f64::from(rate_pct) / 100.0, 0, u64::MAX);
-        faulty.install_faults(plan, ResilientConfig::default());
+        faulty.install_faults(plan);
         let got = primitive_workload(&mut faulty, rows, cols);
 
         prop_assert_eq!(got, want);
@@ -99,8 +99,7 @@ proptest! {
         let bit = link_bit % dim;
         let mut faulty = Hypercube::cm2(dim);
         faulty.install_faults(
-            FaultPlan::none(seed).with_link_fault(0, 1 << bit, 0),
-            ResilientConfig::default(),
+            FaultPlan::none(seed).with_link_fault(0, 1 << bit, 0)
         );
         let node = dead_node % (1 << dim);
         if node != 0 {
@@ -126,7 +125,6 @@ fn ge_solve_is_bit_identical_under_heavy_chaos() {
     let mut faulty = Hypercube::cm2(4);
     faulty.install_faults(
         FaultPlan::none(42).with_drops(0.25, 0, u64::MAX).with_link_fault(2, 3, 100),
-        ResilientConfig::default(),
     );
     let (x, stats) =
         ge_solve(&mut faulty, &a, &b, ProcGrid::square(Cube::new(4))).expect("nonsingular");
@@ -147,10 +145,7 @@ fn simplex_is_bit_identical_under_heavy_chaos() {
     let want = simplex::solve_parallel(&mut plain, &lp, ProcGrid::square(Cube::new(4)), 500);
 
     let mut faulty = Hypercube::cm2(4);
-    faulty.install_faults(
-        FaultPlan::none(7).with_drops(0.3, 0, u64::MAX),
-        ResilientConfig::default(),
-    );
+    faulty.install_faults(FaultPlan::none(7).with_drops(0.3, 0, u64::MAX));
     let got = simplex::solve_parallel(&mut faulty, &lp, ProcGrid::square(Cube::new(4)), 500);
 
     assert_eq!(got.status, want.status);
@@ -175,7 +170,7 @@ fn checkpointed_restart_under_chaos_matches_clean_run() {
 
     let mut cks: Vec<Vec<u8>> = Vec::new();
     let mut hc1 = Hypercube::cm2(4);
-    hc1.install_faults(FaultPlan::none(5).with_drops(0.2, 0, u64::MAX), ResilientConfig::default());
+    hc1.install_faults(FaultPlan::none(5).with_drops(0.2, 0, u64::MAX));
     let mut aug1 = four_vmp::algos::build_augmented(&a, &b, grid());
     checkpoint::forward_eliminate_checkpointed(&mut hc1, &mut aug1, 4, |ck| {
         cks.push(ck.to_bytes());
@@ -185,10 +180,7 @@ fn checkpointed_restart_under_chaos_matches_clean_run() {
 
     let ck = GeCheckpoint::from_bytes(&cks[0]).expect("round trip");
     let mut hc2 = Hypercube::cm2(4);
-    hc2.install_faults(
-        FaultPlan::none(999).with_drops(0.2, 0, u64::MAX).with_link_fault(0, 4, 0),
-        ResilientConfig::default(),
-    );
+    hc2.install_faults(FaultPlan::none(999).with_drops(0.2, 0, u64::MAX).with_link_fault(0, 4, 0));
     let (aug2, stats2) =
         checkpoint::resume_forward_eliminate(&mut hc2, &ck, grid()).expect("nonsingular");
 
@@ -210,7 +202,7 @@ fn resumed_simplex_under_chaos_matches_clean_run() {
 
     let mut cks = Vec::new();
     let mut hc1 = Hypercube::cm2(3);
-    hc1.install_faults(FaultPlan::none(1).with_drops(0.2, 0, u64::MAX), ResilientConfig::default());
+    hc1.install_faults(FaultPlan::none(1).with_drops(0.2, 0, u64::MAX));
     let _ = checkpoint::solve_parallel_checkpointed(
         &mut hc1,
         &lp,
@@ -223,10 +215,7 @@ fn resumed_simplex_under_chaos_matches_clean_run() {
 
     let mid = &cks[cks.len() / 2];
     let mut hc2 = Hypercube::cm2(3);
-    hc2.install_faults(
-        FaultPlan::none(77).with_drops(0.3, 0, u64::MAX),
-        ResilientConfig::default(),
-    );
+    hc2.install_faults(FaultPlan::none(77).with_drops(0.3, 0, u64::MAX));
     let got = checkpoint::resume_solve_parallel(&mut hc2, &lp, grid(), mid, 500);
 
     assert_eq!(got.status, want.status);

@@ -154,3 +154,74 @@ proptest! {
         prop_assert!(hc.elapsed_us() >= t3);
     }
 }
+
+/// `scan::pack`, `indexing::gather_by_index` (through `listrank`) and
+/// `dimperm::dimension_permute` route traffic but appear in no
+/// reproduced table, so the golden-table check cannot see their
+/// charges. Pin them exactly, fault-free and under transient drops.
+#[test]
+fn routed_paths_outside_the_tables_charge_exactly() {
+    use four_vmp::algos::listrank;
+    use four_vmp::core::scan;
+    use four_vmp::hypercube::dimperm::{dimension_permute, shuffle};
+    use four_vmp::hypercube::{Counters, FaultPlan, NodeSlab};
+
+    let drops = FaultPlan::none(5).with_drops(0.2, 0, u64::MAX);
+    let machine = |plan: Option<&FaultPlan>| {
+        let mut hc = Hypercube::cm2(4);
+        if let Some(plan) = plan {
+            hc.install_faults(plan.clone());
+        }
+        hc
+    };
+    let pack = |hc: &mut Hypercube| {
+        let layout = VectorLayout::linear(50, ProcGrid::square(hc.cube()), Dist::Block);
+        let v = DistVector::from_fn(layout.clone(), |i| i as f64 * 0.5);
+        let mask = DistVector::from_fn(layout, |i| i % 3 != 1);
+        let packed = scan::pack(hc, &v, &mask);
+        let want: Vec<f64> = (0..50).filter(|i| i % 3 != 1).map(|i| i as f64 * 0.5).collect();
+        assert_eq!(packed.to_dense(), want);
+    };
+    let list_rank = |hc: &mut Hypercube| {
+        let next = listrank::random_list(40, 7);
+        let layout = VectorLayout::linear(40, ProcGrid::square(hc.cube()), Dist::Block);
+        let ranks = listrank::list_rank(hc, &DistVector::from_fn(layout, |i| next[i]));
+        assert_eq!(ranks.to_dense(), listrank::list_rank_serial(&next));
+    };
+    let permute = |hc: &mut Hypercube| {
+        let mut locals =
+            NodeSlab::build(hc.p(), 0, |n, buf| buf.extend(std::iter::repeat_n(n as u32, n % 5)));
+        dimension_permute(hc, &mut locals, &shuffle(4, 1));
+    };
+    let msgs = |message_steps, elements_transferred, max_channel_load, flops| Counters {
+        message_steps,
+        elements_transferred,
+        max_channel_load,
+        flops,
+        ..Counters::default()
+    };
+    let with_drops =
+        |c: Counters, transient_drops, retries| Counters { transient_drops, retries, ..c };
+
+    type Path<'a> = &'a dyn Fn(&mut Hypercube);
+    let cases: [(&str, Path, Option<&FaultPlan>, f64, Counters); 6] = [
+        ("pack", &pack, None, 271.6, msgs(8, 304, 8, 36)),
+        ("list_rank", &list_rank, None, 3375.150000000001, msgs(96, 1936, 19, 169)),
+        ("dimension_permute", &permute, None, 136.0, msgs(4, 60, 4, 0)),
+        ("pack", &pack, Some(&drops), 598.6000000000001, with_drops(msgs(18, 331, 8, 36), 21, 10)),
+        (
+            "list_rank",
+            &list_rank,
+            Some(&drops),
+            7199.1500000000015,
+            with_drops(msgs(212, 1936, 17, 169), 553, 62),
+        ),
+        ("dimension_permute", &permute, Some(&drops), 243.0, with_drops(msgs(7, 60, 5, 0), 11, 3)),
+    ];
+    for (name, run, plan, elapsed_us, counters) in cases {
+        let mut hc = machine(plan);
+        run(&mut hc);
+        assert_eq!(hc.elapsed_us(), elapsed_us, "{name} under {plan:?}");
+        assert_eq!(*hc.counters(), counters, "{name} under {plan:?}");
+    }
+}

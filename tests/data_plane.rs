@@ -20,7 +20,7 @@ use four_vmp::core::elem::Sum;
 use four_vmp::core::primitives;
 use four_vmp::hypercube::collective::{self, reference};
 use four_vmp::hypercube::slab::{NodeSlab, SegSlab};
-use four_vmp::hypercube::{Cube, FaultPlan, ResilientConfig};
+use four_vmp::hypercube::{Cube, FaultPlan};
 use four_vmp::prelude::*;
 
 /// A cheap deterministic pseudo-random f64 in roughly `[-1, 1]`.
@@ -40,7 +40,7 @@ fn machine_pair(dim: u32, fault: Option<(u64, f64)>) -> (Hypercube, Hypercube) {
         let mut hc = Hypercube::cm2(dim);
         if let Some((seed, rate)) = fault {
             let plan = FaultPlan::none(seed).with_drops(rate, 0, u64::MAX);
-            hc.install_faults(plan, ResilientConfig::default());
+            hc.install_faults(plan);
         }
         hc
     };
@@ -305,7 +305,6 @@ fn collectives_match_reference_under_link_fault() {
             let mut hc = Hypercube::cm2(dim);
             hc.install_faults(
                 FaultPlan::none(plan_seed).with_drops(0.25, 0, u64::MAX).with_link_fault(0, 4, 0),
-                ResilientConfig::default(),
             );
             hc
         };

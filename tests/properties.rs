@@ -315,7 +315,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         use four_vmp::hypercube::dimperm::{dimension_permute, permute_address};
-        use four_vmp::hypercube::Hypercube as Hc;
+        use four_vmp::hypercube::{Hypercube as Hc, NodeSlab};
         // Build a pseudo-random permutation of 0..dim from the seed.
         let mut delta: Vec<u32> = (0..dim).collect();
         let mut s = seed;
@@ -325,10 +325,10 @@ proptest! {
             delta.swap(i, j);
         }
         let mut hc = Hc::cm2(dim);
-        let mut locals: Vec<Vec<u64>> = (0..hc.p()).map(|n| vec![n as u64]).collect();
+        let mut locals = NodeSlab::build(hc.p(), hc.p(), |n, buf| buf.push(n as u64));
         dimension_permute(&mut hc, &mut locals, &delta);
         for node in 0..hc.p() {
-            prop_assert_eq!(&locals[node], &vec![permute_address(node, &delta) as u64]);
+            prop_assert_eq!(&locals[node], &[permute_address(node, &delta) as u64][..]);
         }
     }
 
