@@ -6,31 +6,29 @@
 //! cargo run --release -p vmp-bench --bin reproduce -- r1      # fault sweep
 //! cargo run --release -p vmp-bench --bin reproduce -- --list  # what exists
 //! cargo run --release -p vmp-bench --bin reproduce -- --json out.json
-//! cargo run --release -p vmp-bench --bin reproduce -- wallclock --smoke
-//! cargo run --release -p vmp-bench --bin reproduce -- sched --smoke
-//! cargo run --release -p vmp-bench --bin reproduce -- allport --smoke
-//! cargo run --release -p vmp-bench --bin reproduce -- wallclock --json-path /tmp/wc.json
-//! cargo run --release -p vmp-bench --bin reproduce -- wallclock --force
+//! cargo run --release -p vmp-bench --bin reproduce -- sched allport
 //! ```
+//!
+//! `sched` and `allport` also rewrite `BENCH_sched.json` and
+//! `BENCH_allport.json` in the working directory. Stdout and both
+//! artifacts are golden files: CI diffs a full run against
+//! `results_reproduce.txt` and the committed artifacts.
 //!
 //! Exit codes: 0 on success, 2 for unknown flags/ids or bad usage, 1
 //! for I/O failures while writing `--json` output.
 
 use std::io::Write;
 
-use vmp_bench::experiments::{self, RunOpts, ALL_IDS, DESCRIPTIONS};
+use vmp_bench::experiments::{self, ALL_IDS, DESCRIPTIONS};
 use vmp_bench::table::Table;
 
 fn usage() -> String {
     format!(
-        "usage: reproduce [--list] [--smoke] [--force] [--json PATH] [--json-path PATH] [ID ...]\n\
+        "usage: reproduce [--list] [--json PATH] [ID ...]\n\
          known experiment ids: {}\n\
          run with no ids to reproduce everything; --list describes each id;\n\
-         --smoke shrinks the wallclock, allport and sched experiments to CI-sized inputs;\n\
-         --json-path overrides where an experiment writes its BENCH_*.json artifact\n\
-         (select one artifact-writing experiment when using it);\n\
-         --force overwrites a BENCH_*.json baseline the guard would otherwise keep\n\
-         (a full-sized baseline during a smoke run, or one newer than this binary)",
+         sched and allport also write BENCH_sched.json and BENCH_allport.json\n\
+         to the working directory",
         ALL_IDS.join(" ")
     )
 }
@@ -38,24 +36,13 @@ fn usage() -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_path: Option<String> = None;
-    let mut opts = RunOpts::default();
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
-        if a == "--smoke" {
-            opts.smoke = true;
-        } else if a == "--force" {
-            opts.force = true;
-        } else if a == "--json" {
+        if a == "--json" {
             json_path = it.next();
             if json_path.is_none() {
                 eprintln!("--json requires a path\n{}", usage());
-                std::process::exit(2);
-            }
-        } else if a == "--json-path" {
-            opts.json_path = it.next();
-            if opts.json_path.is_none() {
-                eprintln!("--json-path requires a path\n{}", usage());
                 std::process::exit(2);
             }
         } else if a == "--list" {
@@ -103,7 +90,7 @@ fn main() {
 
     let mut tables: Vec<Table> = Vec::new();
     for id in &ids {
-        match experiments::run_with(id, &opts) {
+        match experiments::run(id) {
             Some(t) => {
                 writeln!(out, "{}", t.render()).expect("stdout");
                 tables.push(t);

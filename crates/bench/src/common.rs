@@ -1,5 +1,6 @@
 //! Shared setup for the reproduction experiments.
 
+use serde::Serialize;
 use vmp_core::prelude::*;
 use vmp_hypercube::topology::Cube;
 
@@ -46,6 +47,16 @@ pub fn hash_entry(i: usize, j: usize) -> f64 {
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     (h as f64 / u64::MAX as f64) * 2.0 - 1.0
+}
+
+/// Write `value` as pretty-printed JSON to `path` (relative to the
+/// working directory) and return the table note saying so. Every
+/// `BENCH_*.json` artifact is a golden file that CI regenerates and
+/// diffs, so a failed write panics rather than leaving a stale file.
+pub fn write_artifact<T: Serialize>(path: &str, value: &T) -> String {
+    let json = serde_json::to_string_pretty(value).expect("serialisable artifact");
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    format!("wrote {path}")
 }
 
 #[cfg(test)]

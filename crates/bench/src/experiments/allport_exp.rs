@@ -1,26 +1,22 @@
 //! ALLPORT — the all-port collective engine vs the single-port
-//! schedules, as simulated-time speedups plus host wall-clock deltas.
+//! schedules, as simulated-time speedups.
 //!
 //! Every collective runs twice over identical data: once on a machine
 //! with the one-port CM-2 model (`CostModel::cm2()`) and once on the
-//! all-port variant (`CostModel::cm2_allport()`), both under the default
-//! `Auto` schedule selector. The payloads are asserted **bit-identical**
-//! between the two runs before any number is reported — the port model
-//! may only change the simulated clock, never the data plane (both arms
-//! execute the same movement and combine order; see
+//! all-port variant (`CostModel::cm2_allport()`), each picking its
+//! schedule with `CostModel::choose`. The payloads are asserted
+//! **bit-identical** between the two runs before any number is reported
+//! — the port model may only change the simulated clock, never the data
+//! plane (both arms execute the same movement and combine order; see
 //! `crates/hypercube/src/collective/allport.rs`).
 //!
 //! `len` is the per-node segment length, except for `allgather` where it
 //! is the **gathered** result length per node (the input segment is
 //! `len / p`); sweeping the raw segment length there would square the
-//! working set with `p`. Host times include per-iteration buffer
-//! construction, identical across arms.
+//! working set with `p`.
 //!
-//! Results land in `BENCH_allport.json` (guarded; see
-//! [`crate::baseline`]) for regression tracking.
-
-use std::hint::black_box;
-use std::time::Instant;
+//! Results land in `BENCH_allport.json`, a golden file: every field is
+//! simulated, so CI regenerates it and fails on any diff.
 
 use serde::Serialize;
 use vmp_hypercube::collective;
@@ -29,9 +25,7 @@ use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
 use vmp_hypercube::topology::Cube;
 
-use crate::baseline::guarded_write;
-use crate::common::hash_entry;
-use crate::experiments::RunOpts;
+use crate::common::{hash_entry, write_artifact};
 use crate::table::{fmt_us, Table};
 
 /// One measurement, as serialised into `BENCH_allport.json`.
@@ -52,13 +46,6 @@ pub struct AllportEntry {
     pub sim_speedup: f64,
     /// Schedule the selector chose on the all-port machine.
     pub algo: String,
-    /// Host nanoseconds per iteration, one-port arm (includes buffer
-    /// setup).
-    pub host_single_ns: f64,
-    /// Host nanoseconds per iteration, all-port arm (same setup).
-    pub host_all_ns: f64,
-    /// Host iterations timed per arm.
-    pub iters: usize,
 }
 
 /// The five ported collectives, in presentation order.
@@ -88,19 +75,10 @@ fn algo_name(algo: Algo) -> String {
     }
 }
 
-struct Sizes {
-    dims: Vec<u32>,
-    lens: Vec<usize>,
-    iters: usize,
-}
-
-fn sizes(smoke: bool) -> Sizes {
-    if smoke {
-        Sizes { dims: vec![4], lens: vec![64, 256], iters: 2 }
-    } else {
-        Sizes { dims: vec![6, 8, 10], lens: vec![256, 4096, 16384], iters: 3 }
-    }
-}
+/// Cube dimensions swept: p = 64, 256 and 1024.
+const DIMS: [u32; 3] = [6, 8, 10];
+/// Message lengths swept (see the module doc for `allgather`).
+const LENS: [usize; 3] = [256, 4096, 16384];
 
 /// A fresh slab whose every segment holds `seg` deterministic entries.
 fn fill_slab(p: usize, seg: usize) -> NodeSlab<f64> {
@@ -128,26 +106,14 @@ fn run_collective(hc: &mut Hypercube, kind: Collective, dims: &[u32], seg: usize
     slab.data().to_vec()
 }
 
-fn time_ns<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
-    black_box(f()); // warm-up: page in buffers, stabilise the allocator
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// ALLPORT: simulated speedup of the all-port collective engine over the
-/// single-port schedules, across machine sizes and message lengths.
-#[must_use]
-pub fn allport(opts: &RunOpts) -> Table {
-    let s = sizes(opts.smoke);
+/// Run every collective at every `(dim, len)` point on both port
+/// models, asserting payload bit-identity.
+fn sweep(cube_dims: &[u32], lens: &[usize]) -> Vec<AllportEntry> {
     let mut entries: Vec<AllportEntry> = Vec::new();
-
-    for &dim in &s.dims {
+    for &dim in cube_dims {
         let p = 1usize << dim;
         let dims: Vec<u32> = Cube::new(dim).iter_dims().collect();
-        for &len in &s.lens {
+        for &len in lens {
             for kind in KINDS {
                 // Allgather sweeps the gathered length; everyone else
                 // the per-node segment.
@@ -168,15 +134,6 @@ pub fn allport(opts: &RunOpts) -> Table {
                 );
                 let algo = hc_ap.choose_algo(kind, dims.len(), seg);
 
-                let host_single_ns = time_ns(s.iters, || {
-                    let mut hc = Hypercube::new(dim, CostModel::cm2());
-                    run_collective(&mut hc, kind, &dims, seg)
-                });
-                let host_all_ns = time_ns(s.iters, || {
-                    let mut hc = Hypercube::new(dim, CostModel::cm2_allport());
-                    run_collective(&mut hc, kind, &dims, seg)
-                });
-
                 entries.push(AllportEntry {
                     collective: kind_name(kind).into(),
                     p,
@@ -185,41 +142,39 @@ pub fn allport(opts: &RunOpts) -> Table {
                     all_port_us: hc_ap.elapsed_us(),
                     sim_speedup: hc_sp.elapsed_us() / hc_ap.elapsed_us(),
                     algo: algo_name(algo),
-                    host_single_ns,
-                    host_all_ns,
-                    iters: s.iters,
                 });
             }
         }
     }
+    entries
+}
 
-    if !opts.smoke {
-        // The PR's acceptance bar: broadcast and allgather at p = 1024,
-        // largest message, must gain at least 2x simulated time.
-        let max_len = *s.lens.iter().max().expect("non-empty sweep");
-        for kind in ["broadcast", "allgather"] {
-            let e = entries
-                .iter()
-                .find(|e| e.collective == kind && e.p == 1024 && e.len == max_len)
-                .expect("acceptance point measured");
-            assert!(
-                e.sim_speedup >= 2.0,
-                "{kind} at p=1024 len={max_len}: speedup {:.2} below the 2x bar",
-                e.sim_speedup
-            );
-        }
+/// ALLPORT: simulated speedup of the all-port collective engine over the
+/// single-port schedules, across machine sizes and message lengths.
+#[must_use]
+pub fn allport() -> Table {
+    let entries = sweep(&DIMS, &LENS);
+
+    // The acceptance bar: broadcast and allgather at p = 1024, largest
+    // message, must gain at least 2x simulated time.
+    let max_len = *LENS.iter().max().expect("non-empty sweep");
+    for kind in ["broadcast", "allgather"] {
+        let e = entries
+            .iter()
+            .find(|e| e.collective == kind && e.p == 1024 && e.len == max_len)
+            .expect("acceptance point measured");
+        assert!(
+            e.sim_speedup >= 2.0,
+            "{kind} at p=1024 len={max_len}: speedup {:.2} below the 2x bar",
+            e.sim_speedup
+        );
     }
 
-    let path = opts.json_path.as_deref().unwrap_or("BENCH_allport.json");
-    let outcome = guarded_write(path, &entries, opts.smoke, opts.force);
+    let written = write_artifact("BENCH_allport.json", &entries);
 
     let mut t = Table::new(
         "ALLPORT",
-        if opts.smoke {
-            "all-port collective engine vs single-port schedules (smoke sizes)"
-        } else {
-            "all-port collective engine vs single-port schedules"
-        },
+        "all-port collective engine vs single-port schedules",
         "lg p edge-disjoint spanning binomial trees; same data plane, ported clock",
         &["collective", "p", "len", "single-port", "all-port", "speedup", "schedule"],
     );
@@ -234,12 +189,9 @@ pub fn allport(opts: &RunOpts) -> Table {
             e.algo.clone(),
         ]);
     }
-    t.note(outcome.describe(path));
+    t.note(written);
     t.note("payloads asserted bit-identical between the one-port and all-port machines");
     t.note("allgather's len column is the gathered length per node (input segment = len/p)");
-    if opts.smoke {
-        t.note("smoke sizes — speedups indicative only; run without --smoke for the baseline");
-    }
     t
 }
 
@@ -247,31 +199,23 @@ pub fn allport(opts: &RunOpts) -> Table {
 mod tests {
     use super::*;
 
-    fn tmp_opts() -> RunOpts {
-        let mut p = std::env::temp_dir();
-        p.push(format!("vmp-allport-test-{}.json", std::process::id()));
-        RunOpts { smoke: true, force: true, json_path: Some(p.to_string_lossy().into_owned()) }
-    }
-
     #[test]
-    fn smoke_run_covers_every_collective_and_writes_json() {
-        let opts = tmp_opts();
-        let t = allport(&opts);
-        assert_eq!(t.rows.len(), 2 * KINDS.len(), "2 lens x 5 collectives on one cube");
-        let path = opts.json_path.expect("tmp path");
-        let json = std::fs::read_to_string(&path).expect("bench json written");
-        let _ = std::fs::remove_file(&path);
-        assert!(json.contains("\"smoke\": true"), "{json}");
+    fn small_sweep_covers_every_collective_and_serialises() {
+        let entries = sweep(&[4], &[64, 256]);
+        assert_eq!(entries.len(), 2 * KINDS.len(), "2 lens x 5 collectives on one cube");
+        let json = serde_json::to_string_pretty(&entries).expect("serialisable entries");
         for kind in KINDS {
             assert!(json.contains(kind_name(kind)), "missing {} rows", kind_name(kind));
         }
+        assert!(!json.contains("host"), "the artifact holds simulated fields only: {json}");
     }
 
     #[test]
     fn all_port_clock_never_loses_to_single_port() {
-        // Auto falls back to the single-port schedule whenever the
-        // ported one would be slower, so the all-port machine's clock is
-        // bounded by the one-port machine's on every sweep point.
+        // `CostModel::choose` falls back to the single-port schedule
+        // whenever the ported one would be slower, so the all-port
+        // machine's clock is bounded by the one-port machine's on every
+        // sweep point.
         let dims: Vec<u32> = Cube::new(4).iter_dims().collect();
         for kind in KINDS {
             for seg in [1usize, 7, 64, 500] {

@@ -11,40 +11,21 @@ pub mod optimality_exp;
 pub mod primitives_exp;
 pub mod sched_exp;
 pub mod spanning_exp;
-pub mod wallclock_exp;
 
 use crate::table::Table;
 
 /// All experiment ids in presentation order (T/F reproduce the paper's
 /// evaluation; X are this library's extensions; R are robustness;
 /// `sched` is the multi-tenant scheduler study; `allport` the all-port
-/// collective engine; `wallclock` measures the simulator's own host
-/// time).
-pub const ALL_IDS: [&str; 19] = [
-    "t1",
-    "t2",
-    "t3",
-    "t4",
-    "t5",
-    "f1",
-    "f2",
-    "f3",
-    "f4",
-    "x1",
-    "x2",
-    "x3",
-    "x4",
-    "x5",
-    "x6",
-    "r1",
-    "sched",
-    "allport",
-    "wallclock",
+/// collective engine).
+pub const ALL_IDS: [&str; 18] = [
+    "t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f4", "x1", "x2", "x3", "x4", "x5", "x6", "r1",
+    "sched", "allport",
 ];
 
 /// `(id, one-line description)` for every experiment, in [`ALL_IDS`]
 /// order — what `reproduce --list` prints.
-pub const DESCRIPTIONS: [(&str, &str); 19] = [
+pub const DESCRIPTIONS: [(&str, &str); 18] = [
     ("t1", "primitive timings vs matrix size (p = 1024, CM-2 model)"),
     ("t2", "primitive timings vs machine size (n = 1024, CM-2 model)"),
     ("t3", "naive (general router) vs primitives, application kernels (p = 256)"),
@@ -69,45 +50,11 @@ pub const DESCRIPTIONS: [(&str, &str); 19] = [
         "allport",
         "all-port collectives vs single-port schedules (p up to 1024, + BENCH_allport.json)",
     ),
-    (
-        "wallclock",
-        "host wall-clock: slab data plane vs seed nested-Vec path (+ BENCH_wallclock.json)",
-    ),
 ];
-
-/// Knobs shared by the experiment drivers. Only the artifact-emitting
-/// experiments (`allport`, `wallclock`, `sched`) read them; the
-/// simulated-time experiments' sizes are part of what they reproduce.
-#[derive(Debug, Clone, Default)]
-pub struct RunOpts {
-    /// Shrink to CI-sized inputs.
-    pub smoke: bool,
-    /// Overwrite protected `BENCH_*.json` baselines (see
-    /// [`crate::baseline`]).
-    pub force: bool,
-    /// Override the `BENCH_*.json` output path (`allport` and
-    /// `wallclock`; select one experiment when setting this, or they
-    /// will write to the same file).
-    pub json_path: Option<String>,
-}
 
 /// Run one experiment by id (case-insensitive). `None` for unknown ids.
 #[must_use]
 pub fn run(id: &str) -> Option<Table> {
-    run_with(id, &RunOpts::default())
-}
-
-/// As [`run`], shrinking the wall-clock, all-port and scheduler
-/// experiments to CI-sized inputs when `smoke` is set.
-#[must_use]
-pub fn run_opts(id: &str, smoke: bool) -> Option<Table> {
-    run_with(id, &RunOpts { smoke, ..RunOpts::default() })
-}
-
-/// As [`run`], with the full knob set.
-#[must_use]
-pub fn run_with(id: &str, opts: &RunOpts) -> Option<Table> {
-    let smoke = opts.smoke;
     match id.to_ascii_lowercase().as_str() {
         "t1" => Some(primitives_exp::t1()),
         "t2" => Some(primitives_exp::t2()),
@@ -125,9 +72,8 @@ pub fn run_with(id: &str, opts: &RunOpts) -> Option<Table> {
         "x5" => Some(extensions_exp::x5()),
         "x6" => Some(extensions_exp::x6()),
         "r1" => Some(fault_exp::r1()),
-        "sched" => Some(sched_exp::sched(smoke)),
-        "allport" => Some(allport_exp::allport(opts)),
-        "wallclock" => Some(wallclock_exp::wallclock(opts)),
+        "sched" => Some(sched_exp::sched()),
+        "allport" => Some(allport_exp::allport()),
         _ => None,
     }
 }
@@ -167,7 +113,6 @@ mod tests {
                         | "r1"
                         | "sched"
                         | "allport"
-                        | "wallclock"
                 ),
                 "{id} should be dispatchable"
             );

@@ -17,12 +17,14 @@
 //! scheduled job's result words are asserted bit-identical to a
 //! standalone run of the same job — space-sharing may change when a job
 //! runs, never what it computes. Results also land in
-//! `BENCH_sched.json` for regression tracking.
+//! `BENCH_sched.json`, a golden file: every field is simulated, so CI
+//! regenerates it and fails on any diff.
 
 use serde::Serialize;
 use vmp_hypercube::cost::CostModel;
 use vmp_sched::{run_fcfs, run_trace, Metrics, Policy, SimConfig, SimOutcome, Trace, TraceParams};
 
+use crate::common::write_artifact;
 use crate::table::{fmt_us, Table};
 
 /// What `BENCH_sched.json` holds: the trace shape plus one metrics
@@ -53,11 +55,10 @@ fn assert_bit_identical(trace: &Trace, out: &SimOutcome, cost: CostModel, label:
     }
 }
 
-/// SCHED: subcube space-sharing vs exclusive FCFS on one seeded trace.
-/// `smoke` shrinks the machine to 64 nodes and the trace to 12 jobs.
-#[must_use]
-pub fn sched(smoke: bool) -> Table {
-    let params = if smoke { TraceParams::smoke() } else { TraceParams::full() };
+/// Replay the seeded trace for `params` through the three schedulers,
+/// asserting bit-identity and that both subcube policies beat FCFS on
+/// throughput and p99 wait.
+fn measure(params: TraceParams) -> SchedBench {
     let seed = 1989u64;
     let cost = CostModel::cm2();
     let trace = Trace::generate(params, seed);
@@ -86,26 +87,25 @@ pub fn sched(smoke: bool) -> Table {
         );
     }
 
-    let bench = SchedBench {
+    SchedBench {
         p: 1usize << params.dim,
         seed,
         jobs: trace.jobs.len(),
         failures: trace.failures.len(),
-        schedulers: vec![base.metrics.clone(), fifo.metrics.clone(), spjf.metrics.clone()],
-    };
-    let json = serde_json::to_string_pretty(&bench).expect("serialisable bench");
-    let path = "BENCH_sched.json";
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: cannot write {path}: {e}");
+        schedulers: vec![base.metrics, fifo.metrics, spjf.metrics],
     }
+}
+
+/// SCHED: subcube space-sharing vs exclusive FCFS on the full `p = 1024`
+/// trace.
+#[must_use]
+pub fn sched() -> Table {
+    let bench = measure(TraceParams::full());
+    let written = write_artifact("BENCH_sched.json", &bench);
 
     let mut t = Table::new(
         "SCHED",
-        if smoke {
-            "multi-tenant subcube scheduling vs whole-machine FCFS (smoke trace, p = 64)"
-        } else {
-            "multi-tenant subcube scheduling vs whole-machine FCFS (p = 1024)"
-        },
+        "multi-tenant subcube scheduling vs whole-machine FCFS (p = 1024)",
         "load-balanced subcube embeddings let one machine serve many jobs: \
          space-sharing wins throughput and tail latency at identical result bits",
         &["scheduler", "done", "thru (jobs/s)", "p50 wait", "p99 wait", "util", "aborts", "degr"],
@@ -123,14 +123,11 @@ pub fn sched(smoke: bool) -> Table {
         ]);
     }
     t.note(format!(
-        "trace: {} jobs, {} node failures, seed {seed}; every scheduled result \
+        "trace: {} jobs, {} node failures, seed {}; every scheduled result \
          asserted bit-identical to its standalone run",
-        bench.jobs, bench.failures
+        bench.jobs, bench.failures, bench.seed
     ));
-    t.note(format!("wrote {path}"));
-    if smoke {
-        t.note("smoke trace — run without --smoke for the p = 1024 claim");
-    }
+    t.note(written);
     t
 }
 
@@ -139,11 +136,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_run_reports_three_schedulers_and_writes_json() {
-        let t = sched(true);
-        assert_eq!(t.rows.len(), 3, "baseline + two policies");
-        let json = std::fs::read_to_string("BENCH_sched.json").expect("bench json written");
-        let _ = std::fs::remove_file("BENCH_sched.json");
+    fn smoke_trace_reports_three_schedulers_and_serialises() {
+        let bench = measure(TraceParams::smoke());
+        assert_eq!(bench.schedulers.len(), 3, "baseline + two policies");
+        let json = serde_json::to_string_pretty(&bench).expect("serialisable bench");
         assert!(json.contains("subcube-spjf"));
         assert!(json.contains("fcfs-whole-machine"));
     }

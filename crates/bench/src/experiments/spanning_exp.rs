@@ -40,16 +40,14 @@ pub fn allreduce_times(len: usize, dim: u32) -> (f64, f64) {
 
 /// `p` segments, node 0's holding `len` ones and the rest empty: a
 /// broadcast payload at the root.
-#[must_use]
-pub fn root_payload(p: usize, len: usize) -> NodeSlab<f64> {
+fn root_payload(p: usize, len: usize) -> NodeSlab<f64> {
     let mut lens = vec![0; p];
     lens[0] = len;
     NodeSlab::filled(&lens, 1.0)
 }
 
 /// `p` segments of length `len`, node `n`'s filled with `n`.
-#[must_use]
-pub fn node_ids(p: usize, len: usize) -> NodeSlab<f64> {
+fn node_ids(p: usize, len: usize) -> NodeSlab<f64> {
     NodeSlab::build(p, p * len, |n, buf| buf.extend(std::iter::repeat_n(n as f64, len)))
 }
 

@@ -13,14 +13,16 @@
 //! | F1/F2 | the `m > p lg p` optimality claims as curves |
 //! | F4 | spanning-tree collective schedule ablation |
 //! | SCHED | multi-tenant subcube scheduler vs whole-machine FCFS (`BENCH_sched.json`) |
+//! | ALLPORT | all-port collectives vs single-port schedules (`BENCH_allport.json`) |
 //!
 //! Run everything with `cargo run --release -p vmp-bench --bin reproduce`,
-//! or a subset with e.g. `-- t1 f4`. Criterion wall-clock benches of the
-//! same kernels live in `benches/`.
+//! or a subset with e.g. `-- t1 f4`. Every number here is on the
+//! simulated clock, so the output and both `BENCH_*.json` artifacts are
+//! golden files that CI regenerates and diffs. Host time is measured
+//! separately by the `perfbench/` package.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod common;
 pub mod experiments;
 pub mod table;

@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn allport_beats_single_port_where_it_should() {
-        // The selection criterion is the priced comparison itself, so
+        // The selection rule is the priced comparison itself, so
         // spot-check the two acceptance collectives at p = 1024.
         let c = CostModel::cm2_allport();
         for kind in [Collective::Broadcast, Collective::Allgather] {

@@ -1,15 +1,11 @@
 //! The seed nested-`Vec` collective implementations, kept verbatim.
 //!
 //! These are the original, straightforward `Vec<Vec<T>>` data-plane
-//! versions of every collective. They exist for two reasons:
-//!
-//! 1. **Differential testing** — the slab-backed canonical collectives
-//!    (see the sibling modules) must produce bit-identical payloads,
-//!    simulated clocks, and counters; `tests/data_plane.rs` checks that
-//!    property against these on random shapes, machine sizes, and fault
-//!    plans.
-//! 2. **Wall-clock baselining** — `reproduce -- wallclock` times the
-//!    slab data plane against this one to quantify the host-side win.
+//! versions of every collective. They are the differential-test oracle:
+//! the slab-backed canonical collectives (see the sibling modules) must
+//! produce bit-identical payloads, simulated clocks, and counters;
+//! `tests/data_plane.rs` checks that property against these on random
+//! shapes, machine sizes, and fault plans.
 //!
 //! Do not "optimise" this module: its value is being the known-good
 //! seed semantics.

@@ -17,8 +17,10 @@ fn main() {
     let dim: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
 
     let grid = ProcGrid::square(vmp_cube(dim));
+    // Small integers sum exactly in any order, so the serial naive fold
+    // and the butterfly-ordered blocked fold agree bit for bit.
     let a = DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), grid), |i, j| {
-        ((i * 31 + j * 17) % 101) as f64 / 101.0
+        ((i * 31 + j * 17) % 101) as f64
     });
     println!("n = {n}, p = {}, m/p = {}\n", 1usize << dim, (n * n) >> dim);
     println!("{:<22} {:>12} {:>12} {:>9}", "primitive", "naive", "blocked", "speedup");
