@@ -43,8 +43,9 @@ pub struct GeStats {
 
 /// Componentwise sum on `(f64, f64, f64)` — folds the three back-
 /// substitution quantities (dot product, rhs, diagonal) in one butterfly.
+/// Shared with the LU solve.
 #[derive(Debug, Clone, Copy, Default)]
-struct Sum3;
+pub(crate) struct Sum3;
 
 impl ReduceOp<(f64, f64, f64)> for Sum3 {
     fn identity(&self) -> (f64, f64, f64) {
@@ -176,14 +177,13 @@ pub fn back_substitute_col(hc: &mut Hypercube, aug: &DistMatrix<f64>, rhs_col: u
 
     for k in (0..n).rev() {
         let row = primitives::extract_replicated(hc, aug, Axis::Row, k);
-        let triple = row.zip(hc, &x, move |j, r, xj| {
+        let (dot, rhs, akk) = row.zip_reduce(hc, &x, Sum3, move |j, r, xj| {
             (
                 if j > k && j < n { r * xj } else { 0.0 }, // dot with known part
                 if j == rhs_col { r } else { 0.0 },        // rhs_k
                 if j == k { r } else { 0.0 },              // a_kk
             )
         });
-        let (dot, rhs, akk) = triple.reduce_all(hc, Sum3);
         let xk = (rhs - dot) / akk;
         x = x.map(hc, move |j, v| if j == k { xk } else { v });
     }
@@ -446,6 +446,40 @@ mod tests {
             for (x, x0) in s.iter().zip(&solutions[0]) {
                 assert!((x - x0).abs() < 1e-10 * (1.0 + x0.abs()), "solution to roundoff");
             }
+        }
+    }
+
+    /// The back-substitution triple folded by `zip_reduce` against the
+    /// spelled-out `zip` + `reduce_all` with [`Sum3`], on every vector
+    /// embedding: same bits in all three sums, same clock, same counters.
+    #[test]
+    fn sum3_zip_reduce_is_bit_identical_to_zip_then_reduce_all() {
+        let grid = ProcGrid::new(Cube::new(4), 2);
+        let (xs, ys) = (workloads::random_vector(37, 31), workloads::random_vector(37, 32));
+        for layout in [
+            VectorLayout::linear(37, grid.clone(), Dist::Block),
+            VectorLayout::aligned(37, grid.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
+            VectorLayout::aligned(
+                37,
+                grid.clone(),
+                Axis::Col,
+                Placement::Concentrated(1),
+                Dist::Cyclic,
+            ),
+        ] {
+            let (a, b) =
+                (DistVector::from_slice(layout.clone(), &xs), DistVector::from_slice(layout, &ys));
+            let f = |j: usize, r: f64, x: f64| {
+                (if j > 5 { r * x } else { 0.0 }, if j == 3 { r } else { 0.0 }, r / (1.0 + x * x))
+            };
+            let (mut hc_ref, _) = machine_and_grid(4);
+            let want = a.zip(&mut hc_ref, &b, f).reduce_all(&mut hc_ref, Sum3);
+            let (mut hc, _) = machine_and_grid(4);
+            let got = a.zip_reduce(&mut hc, &b, Sum3, f);
+            let bits = |t: (f64, f64, f64)| (t.0.to_bits(), t.1.to_bits(), t.2.to_bits());
+            assert_eq!(bits(got), bits(want));
+            assert_eq!(hc.elapsed_us().to_bits(), hc_ref.elapsed_us().to_bits());
+            assert_eq!(hc.counters(), hc_ref.counters());
         }
     }
 }

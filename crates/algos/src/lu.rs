@@ -14,21 +14,8 @@ use vmp_core::prelude::*;
 use vmp_core::primitives;
 use vmp_hypercube::machine::Hypercube;
 
-use crate::gauss::{GeError, GE_EPS};
+use crate::gauss::{GeError, Sum3, GE_EPS};
 use crate::serial::Dense;
-
-/// Componentwise 3-sum (shared with back substitution).
-#[derive(Debug, Clone, Copy, Default)]
-struct Sum3;
-
-impl vmp_core::elem::ReduceOp<(f64, f64, f64)> for Sum3 {
-    fn identity(&self) -> (f64, f64, f64) {
-        (0.0, 0.0, 0.0)
-    }
-    fn combine(&self, a: (f64, f64, f64), b: (f64, f64, f64)) -> (f64, f64, f64) {
-        (a.0 + b.0, a.1 + b.1, a.2 + b.2)
-    }
-}
 
 /// A distributed LU factorisation with partial pivoting: `P A = L U`,
 /// stored compactly (unit-diagonal `L` strictly below, `U` on and
@@ -116,9 +103,7 @@ impl DistLu {
         let mut y = DistVector::constant(layout.clone(), 0.0f64);
         for k in 0..n {
             let row = primitives::extract_replicated(hc, &self.lu, Axis::Row, k);
-            let dot = row
-                .zip(hc, &y, move |j, l, yj| if j < k { l * yj } else { 0.0 })
-                .reduce_all(hc, Sum);
+            let dot = row.zip_reduce(hc, &y, Sum, move |j, l, yj| if j < k { l * yj } else { 0.0 });
             let yk = pb[k] - dot;
             y = y.map(hc, move |j, v| if j == k { yk } else { v });
         }
@@ -127,10 +112,9 @@ impl DistLu {
         for k in (0..n).rev() {
             let row = primitives::extract_replicated(hc, &self.lu, Axis::Row, k);
             let yk = y.reduce_lifted(hc, Sum, move |j, v| if j == k { v } else { 0.0 });
-            let triple = row.zip(hc, &x, move |j, u, xj| {
+            let (dot, _, ukk) = row.zip_reduce(hc, &x, Sum3, move |j, u, xj| {
                 (if j > k { u * xj } else { 0.0 }, 0.0, if j == k { u } else { 0.0 })
             });
-            let (dot, _, ukk) = triple.reduce_all(hc, Sum3);
             let xk = (yk - dot) / ukk;
             x = x.map(hc, move |j, v| if j == k { xk } else { v });
         }

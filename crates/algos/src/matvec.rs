@@ -5,13 +5,14 @@
 //! then `reduce` along the rows:
 //!
 //! ```text
-//! y  =  reduce(+, Row,  A .* distribute(x))      -- conceptually
-//!    =  reduce(+, Row,  zip_axis(A, Col, x, *))  -- fused, no temporary
+//! y  =  reduce(+, Row,  A .* distribute(x))        -- conceptually
+//!    =  reduce_zip(A, Col, x, *, Row, +)            -- fused, no temporary
 //! ```
 //!
 //! Both the distribute-then-multiply spelling and the fused spelling are
 //! provided; they are semantically identical, and the pair shows what the
-//! elementwise combinators buy (one less `m`-element temporary).
+//! fused fold buys: the distribute spelling costs one extra `m`-element
+//! temporary and pass.
 
 use vmp_core::elem::{Numeric, Sum};
 use vmp_core::prelude::*;
@@ -29,8 +30,7 @@ pub fn vecmat<T: Numeric>(
     a: &DistMatrix<T>,
 ) -> DistVector<T> {
     let x = align(hc, x, a, Axis::Col);
-    let prod = a.zip_axis(hc, Axis::Col, &x, |_, _, aij, xi| aij * xi);
-    primitives::reduce(hc, &prod, Axis::Row, Sum)
+    primitives::reduce_zip(hc, a, Axis::Col, &x, |_, _, aij, xi| aij * xi, Axis::Row, Sum)
 }
 
 /// `y = A x`: `x` is a row-aligned vector of length `cols`, the result a
@@ -41,14 +41,13 @@ pub fn matvec<T: Numeric>(
     x: &DistVector<T>,
 ) -> DistVector<T> {
     let x = align(hc, x, a, Axis::Row);
-    let prod = a.zip_axis(hc, Axis::Row, &x, |_, _, aij, xj| aij * xj);
-    primitives::reduce(hc, &prod, Axis::Col, Sum)
+    primitives::reduce_zip(hc, a, Axis::Row, &x, |_, _, aij, xj| aij * xj, Axis::Col, Sum)
 }
 
 /// The unfused spelling of [`vecmat`] through `distribute`: materialises
 /// the `rows x cols` replication of `x`, multiplies elementwise, reduces.
-/// Same result; one extra `m`-element temporary and elementwise pass —
-/// used by the ablation bench.
+/// Same result; one extra `m`-element temporary and pass — used by the
+/// ablation bench.
 pub fn vecmat_via_distribute<T: Numeric>(
     hc: &mut Hypercube,
     x: &DistVector<T>,

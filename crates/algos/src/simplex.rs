@@ -215,14 +215,13 @@ pub fn pivot_once(
     //    a_iq > EPS.
     let col_q = primitives::extract_replicated(hc, t, Axis::Col, q);
     let rhs = primitives::extract_replicated(hc, t, Axis::Col, rhs_col);
-    let ratios = col_q.zip(hc, &rhs, move |i, c, b| {
+    let leaving = col_q.zip_reduce(hc, &rhs, ArgMin, move |i, c, b| {
         if i < m_constraints && c > EPS {
             Loc::new(b / c, i)
         } else {
             Loc::new(f64::MAX, usize::MAX)
         }
     });
-    let leaving = ratios.reduce_all(hc, ArgMin);
     if leaving.index == usize::MAX {
         return PivotOutcome::Unbounded;
     }

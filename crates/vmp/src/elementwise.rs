@@ -34,7 +34,7 @@ use crate::vector::DistVector;
 /// element. `gi[li]` is the global row of local row `li`; `gj[lj]` the
 /// global column of local column `lj`. `gj.len()` is the local column
 /// count, i.e. the row stride of the block.
-fn index_tables(layout: &MatrixLayout, node: usize) -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn index_tables(layout: &MatrixLayout, node: usize) -> (Vec<usize>, Vec<usize>) {
     let (gr, gc) = layout.grid().grid_coords(node);
     let (lr, lc) = layout.local_shape(node);
     let gi = (0..lr).map(|li| layout.rows().global_index(gr, li)).collect();
@@ -120,6 +120,8 @@ impl<T: Scalar> DistMatrix<T> {
     /// Panics unless `v` is aligned along `axis`, replicated, and chunked
     /// exactly like the matrix's corresponding axis — the alignment that
     /// makes the operation local. (Use `replicate`/`remap` to get there.)
+    /// A product that is only reduced is better folded in place by
+    /// [`crate::primitives::reduce_zip`].
     #[must_use]
     pub fn zip_axis<U: Scalar, V: Scalar>(
         &self,
@@ -165,46 +167,6 @@ impl<T: Scalar> DistMatrix<T> {
         });
         hc.charge_flops(layout.max_local_len());
         DistMatrix::from_slab(layout, out)
-    }
-
-    /// In-place variant of [`DistMatrix::zip_axis`].
-    pub fn zip_axis_inplace<U: Scalar>(
-        &mut self,
-        hc: &mut Hypercube,
-        axis: Axis,
-        v: &DistVector<U>,
-        f: impl Fn(usize, usize, T, U) -> T,
-    ) {
-        self.check_axis_aligned(axis, v);
-        let layout = self.layout().clone();
-        let v_locals = v.locals();
-        self.locals_mut().for_each_seg_mut(|node, buf| {
-            if buf.is_empty() {
-                return;
-            }
-            let chunk = &v_locals[node];
-            let (gi, gj) = index_tables(&layout, node);
-            match axis {
-                Axis::Row => {
-                    for (li, row) in buf.chunks_exact_mut(gj.len()).enumerate() {
-                        let i = gi[li];
-                        for ((&j, &u), x) in gj.iter().zip(chunk).zip(row.iter_mut()) {
-                            *x = f(i, j, *x, u);
-                        }
-                    }
-                }
-                Axis::Col => {
-                    for (li, row) in buf.chunks_exact_mut(gj.len()).enumerate() {
-                        let i = gi[li];
-                        let u = chunk[li];
-                        for (&j, x) in gj.iter().zip(row.iter_mut()) {
-                            *x = f(i, j, *x, u);
-                        }
-                    }
-                }
-            }
-        });
-        hc.charge_flops(layout.max_local_len());
     }
 
     /// The rank-1 update kernel shared by Gaussian elimination and
@@ -298,7 +260,7 @@ impl<T: Scalar> DistMatrix<T> {
         hc.charge_flops(2 * critical);
     }
 
-    fn check_axis_aligned<U: Scalar>(&self, axis: Axis, v: &DistVector<U>) {
+    pub(crate) fn check_axis_aligned<U: Scalar>(&self, axis: Axis, v: &DistVector<U>) {
         use vmp_layout::{Placement, VecEmbedding};
         let expected_dist = self.layout().vector_dist(axis);
         match v.layout().embedding() {
@@ -464,26 +426,6 @@ mod tests {
             for j in 0..3 {
                 assert_eq!(out.get(i, j), (i * 10 + j) as f64 * (i * i) as f64);
             }
-        }
-    }
-
-    #[test]
-    fn zip_axis_inplace_matches_zip_axis() {
-        for axis in [Axis::Row, Axis::Col] {
-            let (mut hc, layout) = setup(6, 6);
-            let m = DistMatrix::from_fn(layout.clone(), |i, j| (i * 6 + j) as f64);
-            let vl = VectorLayout::aligned(
-                6,
-                layout.grid().clone(),
-                axis,
-                Placement::Replicated,
-                Dist::Cyclic,
-            );
-            let v = DistVector::from_fn(vl, |k| (k * 3 + 1) as f64);
-            let pure = m.zip_axis(&mut hc, axis, &v, |i, j, a, x| a * x + (i + j) as f64);
-            let mut inplace = m.clone();
-            inplace.zip_axis_inplace(&mut hc, axis, &v, |i, j, a, x| a * x + (i + j) as f64);
-            assert_eq!(inplace.to_dense(), pure.to_dense(), "{axis:?}");
         }
     }
 

@@ -11,9 +11,9 @@
 //!
 //! Alongside the primitives:
 //!
-//! * [`elementwise`] — the communication-free local combinators
-//!   (`map`, `zip`, `zip_axis`, `rank1_update`) that, together with the
-//!   four primitives, form the whole programming model;
+//! * [`elementwise`] — the communication-free local combinators (`map`,
+//!   `zip`, `zip_axis`, `rank1_update`; [`primitives::reduce_zip`] folds
+//!   one in place) that, with the four primitives, form the whole model;
 //! * [`remap`] — explicit embedding changes (replicate / concentrate /
 //!   general vector remap / matrix transpose & redistribution);
 //! * [`naive`] — element-per-router-message implementations of the same

@@ -6,7 +6,7 @@
 //!
 //! | primitive | here | communication structure |
 //! |---|---|---|
-//! | `reduce` | [`reduce`] / [`reduce_to`] | local fold + `d_r`-step (all)reduce over the grid-row dims |
+//! | `reduce` | [`reduce`] / [`reduce_to`] / [`reduce_zip`] | local fold + `d_r`-step (all)reduce over the grid-row dims |
 //! | `distribute` | [`distribute`] | (optional `d_r`-step broadcast) + local replication |
 //! | `extract` | [`extract`] / [`extract_replicated`] | local copy on the owning grid line (+ optional broadcast) |
 //! | `insert` | [`insert`] | local write, or a blocked route between two grid lines |
@@ -35,4 +35,4 @@ pub use insert::insert;
 pub use panel::{
     extract_col_panel_replicated, extract_row_panel_replicated, panel_gemm, ColPanel, RowPanel,
 };
-pub use reduce::{reduce, reduce_to};
+pub use reduce::{reduce, reduce_to, reduce_zip};

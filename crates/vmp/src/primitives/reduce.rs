@@ -3,67 +3,63 @@
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, Placement, VectorLayout};
+use vmp_layout::{Axis, MatrixLayout, Placement, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
+use crate::elementwise::index_tables;
 use crate::matrix::DistMatrix;
 use crate::vector::DistVector;
 
-/// Fold every node's local block along `axis` into a partial vector:
-/// for `Axis::Row`, partial `[lj] = op-fold over li`; for `Axis::Col`,
-/// partial `[li] = op-fold over lj`. Returns the per-node partials (one
-/// arena) and charges the local flops. The fold streams the block with
-/// `chunks_exact` — contiguous row slices, same combine order as the
-/// naive offset walk.
-fn local_fold<T: Scalar, O: ReduceOp<T>>(
+/// The one fold kernel: fold every node's local block along `axis` into
+/// a partial vector (for `Axis::Row`, partial `[lj] = op-fold over li`;
+/// for `Axis::Col`, partial `[li] = op-fold over lj`), reading element
+/// `(li, lj)` as `lift(li, lj, x)` with `lift = at(node)`. Rows stream
+/// with `chunks_exact` in local offset order, the combine order of the
+/// naive offset walk. Charges the fold's flops.
+fn local_fold<T: Scalar, U: Scalar, O: ReduceOp<U>, L: Fn(usize, usize, T) -> U>(
     hc: &mut Hypercube,
     m: &DistMatrix<T>,
     axis: Axis,
     op: O,
-) -> NodeSlab<T> {
+    at: impl Fn(usize) -> L,
+) -> NodeSlab<U> {
     let layout = m.layout();
     let p = layout.grid().p();
     let locals = m.locals();
-    let total_hint: usize = (0..p)
-        .map(|node| {
-            let (lr, lc) = layout.local_shape(node);
-            match axis {
-                Axis::Row => lc,
-                Axis::Col => lr,
-            }
-        })
-        .sum();
-    let partials = NodeSlab::build(p, total_hint, |node, out| {
+    let partial_len = |node| {
         let (lr, lc) = layout.local_shape(node);
+        match axis {
+            Axis::Row => lc,
+            Axis::Col => lr,
+        }
+    };
+    let total_hint: usize = (0..p).map(partial_len).sum();
+    let partials = NodeSlab::build(p, total_hint, |node, out| {
+        // `out` may already hold earlier nodes' segments (the builder
+        // hands one shared buffer); fold into this node's suffix only.
+        let start = out.len();
+        out.extend(std::iter::repeat_with(|| op.identity()).take(partial_len(node)));
         let buf = &locals[node];
+        if buf.is_empty() {
+            return;
+        }
+        let lift = at(node);
+        let acc = &mut out[start..];
+        let rows = buf.chunks_exact(layout.local_shape(node).1).enumerate();
         match axis {
             Axis::Row => {
-                // `out` may already hold earlier nodes' segments (the
-                // builder hands one shared buffer); fold into this
-                // node's freshly appended suffix only.
-                let start = out.len();
-                out.extend(std::iter::repeat_with(|| op.identity()).take(lc));
-                if lc > 0 {
-                    let acc = &mut out[start..];
-                    for row in buf.chunks_exact(lc) {
-                        for (a, &v) in acc.iter_mut().zip(row) {
-                            *a = op.combine(*a, v);
-                        }
+                for (li, row) in rows {
+                    for (lj, (a, &x)) in acc.iter_mut().zip(row).enumerate() {
+                        *a = op.combine(*a, lift(li, lj, x));
                     }
                 }
             }
             Axis::Col => {
-                if lc == 0 {
-                    out.extend(std::iter::repeat_with(|| op.identity()).take(lr));
-                } else {
-                    out.reserve(lr);
-                    for row in buf.chunks_exact(lc) {
-                        let mut a = op.identity();
-                        for &v in row {
-                            a = op.combine(a, v);
-                        }
-                        out.push(a);
-                    }
+                for ((li, row), a) in rows.zip(acc) {
+                    *a = row
+                        .iter()
+                        .enumerate()
+                        .fold(*a, |a, (lj, &x)| op.combine(a, lift(li, lj, x)));
                 }
             }
         }
@@ -72,25 +68,36 @@ fn local_fold<T: Scalar, O: ReduceOp<T>>(
     partials
 }
 
-/// The dims the partials must be combined over, and the result layout
-/// factory.
-fn comm_dims(m_layout: &vmp_layout::MatrixLayout, axis: Axis) -> Vec<u32> {
-    match axis {
-        // Combining all matrix rows means combining across grid rows,
-        // i.e. over the cube dims that encode the grid-row index.
-        Axis::Row => m_layout.grid().row_dims().to_vec(),
-        Axis::Col => m_layout.grid().col_dims().to_vec(),
-    }
-}
-
-fn result_layout(
-    m_layout: &vmp_layout::MatrixLayout,
+/// Combine the partials over the cube dims encoding the grid-row
+/// (`Axis::Row`) or grid-column (`Axis::Col`) index: a butterfly for a
+/// replicated result, a binomial tree for a concentrated one.
+fn combine_partials<U: Scalar, O: ReduceOp<U>>(
+    hc: &mut Hypercube,
+    layout: &MatrixLayout,
     axis: Axis,
+    op: O,
+    mut partials: NodeSlab<U>,
     placement: Placement,
-) -> VectorLayout {
-    let n = m_layout.shape().vector_len(axis);
-    let kind = m_layout.vector_dist(axis).kind();
-    VectorLayout::aligned(n, m_layout.grid().clone(), axis, placement, kind)
+) -> DistVector<U> {
+    let grid = layout.grid();
+    let dims = match axis {
+        Axis::Row => grid.row_dims(),
+        Axis::Col => grid.col_dims(),
+    };
+    match placement {
+        Placement::Replicated => {
+            collective::allreduce_slab(hc, &mut partials, dims, |a, b| op.combine(a, b));
+        }
+        Placement::Concentrated(line) => {
+            let root = match axis {
+                Axis::Row => grid.row_coord(line),
+                Axis::Col => grid.col_coord(line),
+            };
+            collective::reduce_slab(hc, &mut partials, dims, root, |a, b| op.combine(a, b));
+        }
+    }
+    let (n, kind) = (layout.shape().vector_len(axis), layout.vector_dist(axis).kind());
+    DistVector::from_slab(VectorLayout::aligned(n, grid.clone(), axis, placement, kind), partials)
 }
 
 /// Reduce all rows (`Axis::Row`) or columns (`Axis::Col`) of `m` into one
@@ -99,7 +106,8 @@ fn result_layout(
 /// The result comes back **aligned and replicated** — the embedding an
 /// all-reduce produces for free, and the one `distribute` and the
 /// elementwise `zip_axis` combinators consume without further
-/// communication.
+/// communication. A combination of `m` with an aligned vector that is
+/// only reduced (the matvec shape) is folded in place by [`reduce_zip`].
 ///
 /// Cost: `gamma * ceil(n_r/p_r) * ceil(n_c/p_c)` local fold +
 /// `d_r * (alpha + (beta + gamma) * ceil(n_c/p_c))` butterfly (Row case).
@@ -109,10 +117,46 @@ pub fn reduce<T: Scalar, O: ReduceOp<T>>(
     axis: Axis,
     op: O,
 ) -> DistVector<T> {
-    let mut partials = local_fold(hc, m, axis, op);
-    let dims = comm_dims(m.layout(), axis);
-    collective::allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
-    DistVector::from_slab(result_layout(m.layout(), axis, Placement::Replicated), partials)
+    let partials = local_fold(hc, m, axis, op, |_| |_, _, x| x);
+    combine_partials(hc, m.layout(), axis, op, partials, Placement::Replicated)
+}
+
+/// `reduce(hc, &m.zip_axis(hc, along, v, f), axis, op)` without the
+/// `m`-sized temporary: each `f(i, j, m[i][j], v[..])` is folded as soon
+/// as it is formed. Payload, clock and counters are bit-identical to the
+/// two-step spelling: same fold order, and the zip pass and the fold are
+/// charged as two separate flop charges.
+///
+/// # Panics
+/// As [`DistMatrix::zip_axis`]: unless `v` is `along`-aligned,
+/// replicated and chunked exactly like the matrix's `along` axis.
+pub fn reduce_zip<T: Scalar, W: Scalar, U: Scalar, O: ReduceOp<U>>(
+    hc: &mut Hypercube,
+    m: &DistMatrix<T>,
+    along: Axis,
+    v: &DistVector<W>,
+    f: impl Fn(usize, usize, T, W) -> U,
+    axis: Axis,
+    op: O,
+) -> DistVector<U> {
+    m.check_axis_aligned(along, v);
+    let layout = m.layout();
+    hc.charge_flops(layout.max_local_len()); // the zip pass
+    let (f, v_locals) = (&f, v.locals());
+    let partials = local_fold(hc, m, axis, op, |node| {
+        let chunk = &v_locals[node];
+        let (gi, gj) = index_tables(layout, node);
+        move |li: usize, lj: usize, x| {
+            // A row vector is indexed by the column slot, a column
+            // vector by the row slot.
+            let u = match along {
+                Axis::Row => chunk[lj],
+                Axis::Col => chunk[li],
+            };
+            f(gi[li], gj[lj], x, u)
+        }
+    });
+    combine_partials(hc, layout, axis, op, partials, Placement::Replicated)
 }
 
 /// As [`reduce`], but the result is **concentrated** on one grid line
@@ -127,24 +171,19 @@ pub fn reduce_to<T: Scalar, O: ReduceOp<T>>(
     op: O,
     line: usize,
 ) -> DistVector<T> {
-    let mut partials = local_fold(hc, m, axis, op);
-    let dims = comm_dims(m.layout(), axis);
-    let grid = m.layout().grid();
-    let root_coord = match axis {
-        Axis::Row => grid.row_coord(line),
-        Axis::Col => grid.col_coord(line),
-    };
-    collective::reduce_slab(hc, &mut partials, &dims, root_coord, |a, b| op.combine(a, b));
-    DistVector::from_slab(result_layout(m.layout(), axis, Placement::Concentrated(line)), partials)
+    let partials = local_fold(hc, m, axis, op, |_| |_, _, x| x);
+    combine_partials(hc, m.layout(), axis, op, partials, Placement::Concentrated(line))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::elem::{Max, Min, Sum};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
-    use vmp_layout::{Dist, MatShape, MatrixLayout, ProcGrid};
+    use vmp_layout::{Dist, MatShape, ProcGrid};
 
     fn setup(
         rows: usize,
@@ -262,5 +301,98 @@ mod tests {
         for (a, b) in w.to_dense().iter().zip(&expect2) {
             assert!((a - b).abs() < 1e-9);
         }
+    }
+
+    /// The fused fold against the spelled-out `zip_axis` + `reduce` on
+    /// random non-integer data, where any change in fold order shows:
+    /// same payload bits in every replica, same clock bits, same counters.
+    #[test]
+    fn reduce_zip_is_bit_identical_to_zip_then_reduce() {
+        let mut rng = StdRng::seed_from_u64(1989);
+        // (rows, cols, dim, dr): square grid, non-square grid, empty local
+        // blocks (rows < p_r), one processor.
+        for (rows, cols, dim, dr) in [(13, 11, 4, 2), (9, 14, 5, 2), (3, 10, 4, 3), (7, 5, 0, 0)] {
+            for kind in [Dist::Block, Dist::Cyclic] {
+                let layout = MatrixLayout::new(
+                    MatShape::new(rows, cols),
+                    ProcGrid::new(Cube::new(dim), dr),
+                    kind,
+                    kind,
+                );
+                let m = DistMatrix::from_fn(layout.clone(), |_, _| rng.gen_range(-1.0..1.0));
+                for along in [Axis::Row, Axis::Col] {
+                    let vl = VectorLayout::aligned(
+                        layout.shape().vector_len(along),
+                        layout.grid().clone(),
+                        along,
+                        Placement::Replicated,
+                        kind,
+                    );
+                    let v = DistVector::from_fn(vl, |_| rng.gen_range(-1.0..1.0));
+                    let f =
+                        |i: usize, j: usize, a: f64, x: f64| a * x + (i as f64 - j as f64) / 7.0;
+                    for axis in [Axis::Row, Axis::Col] {
+                        for cost in [CostModel::cm2(), CostModel::cm2_allport()] {
+                            let case =
+                                format!("{rows}x{cols} dim {dim} {kind:?} {along:?}/{axis:?}");
+                            // A clock that already reads a fraction, so one
+                            // merged charge `2a` would round differently from
+                            // the two charges `a`, `a`.
+                            let machine = || {
+                                let mut hc = Hypercube::new(dim, cost);
+                                hc.charge_moves(1);
+                                hc
+                            };
+                            let mut hc_ref = machine();
+                            let prod = m.zip_axis(&mut hc_ref, along, &v, f);
+                            let want = reduce(&mut hc_ref, &prod, axis, Sum);
+                            let mut hc = machine();
+                            let got = reduce_zip(&mut hc, &m, along, &v, f, axis, Sum);
+                            assert_eq!(got.layout(), want.layout(), "{case}");
+                            let bits = |v: &DistVector<f64>| {
+                                v.chunks().data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                            };
+                            assert_eq!(bits(&got), bits(&want), "{case}");
+                            assert_eq!(
+                                hc.elapsed_us().to_bits(),
+                                hc_ref.elapsed_us().to_bits(),
+                                "{case}"
+                            );
+                            assert_eq!(hc.counters(), hc_ref.counters(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "aligned and replicated")]
+    fn reduce_zip_rejects_concentrated_vectors() {
+        let (mut hc, m) = setup(4, 4, 4, 2, Dist::Cyclic);
+        let vl = VectorLayout::aligned(
+            4,
+            m.layout().grid().clone(),
+            Axis::Row,
+            Placement::Concentrated(0),
+            Dist::Cyclic,
+        );
+        let v = DistVector::from_fn(vl, |_| 0.0f64);
+        let _ = reduce_zip(&mut hc, &m, Axis::Row, &v, |_, _, a, _| a, Axis::Col, Sum);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunking must match")]
+    fn reduce_zip_rejects_mismatched_chunking() {
+        let (mut hc, m) = setup(4, 4, 4, 2, Dist::Cyclic);
+        let vl = VectorLayout::aligned(
+            4,
+            m.layout().grid().clone(),
+            Axis::Row,
+            Placement::Replicated,
+            Dist::Block, // matrix is cyclic
+        );
+        let v = DistVector::from_fn(vl, |_| 0.0f64);
+        let _ = reduce_zip(&mut hc, &m, Axis::Row, &v, |_, _, a, _| a, Axis::Col, Sum);
     }
 }

@@ -149,63 +149,81 @@ impl<T: Scalar> DistVector<T> {
         op: O,
         lift: impl Fn(usize, T) -> U,
     ) -> U {
-        let grid = self.layout.grid().clone();
+        let lift = &lift;
+        self.fold(hc, op, |_| move |i, _, x| lift(i, x))
+    }
+
+    /// `self.zip(hc, other, f).reduce_all(hc, op)` without the temporary:
+    /// `f(i, self[i], other[i])` is folded as soon as it is formed. Payload,
+    /// clock and counters are bit-identical to the two-step spelling (same
+    /// fold order; the zip pass and the fold are charged separately).
+    ///
+    /// # Panics
+    /// Panics unless the two vectors share a layout.
+    pub fn zip_reduce<W: Scalar, U: Scalar, O: ReduceOp<U>>(
+        &self,
+        hc: &mut Hypercube,
+        other: &DistVector<W>,
+        op: O,
+        f: impl Fn(usize, T, W) -> U,
+    ) -> U {
+        assert_eq!(self.layout(), other.layout(), "zip operands must share a layout");
+        hc.charge_flops(self.locals.max_seg_len()); // the zip pass
+        let f = &f;
+        self.fold(hc, op, |node| {
+            let b = &other.locals[node];
+            move |i, slot: usize, x| f(i, x, b[slot])
+        })
+    }
+
+    /// The one vector fold: every node folds its chunk, reading `slot`
+    /// (global index `i`) as `lift(i, slot, x)` with `lift = at(node)`;
+    /// then the partials combine machine-wide.
+    fn fold<U: Scalar, O: ReduceOp<U>, L: Fn(usize, usize, T) -> U>(
+        &self,
+        hc: &mut Hypercube,
+        op: O,
+        at: impl Fn(usize) -> L,
+    ) -> U {
+        let grid = self.layout.grid();
         let p = self.locals.p();
         // Local fold over the chunk: one scalar per node, in one arena.
-        let mut partials: NodeSlab<U> = NodeSlab::with_capacity(p, p);
-        let mut max_chunk = 0usize;
-        for node in 0..p {
+        let mut partials = NodeSlab::build(p, p, |node, out| {
             let buf = &self.locals[node];
-            if buf.is_empty() {
-                partials.push_seg_with(|data| data.push(op.identity()));
-                continue;
-            }
-            max_chunk = max_chunk.max(buf.len());
-            let part = self.layout.part_of(node);
             let mut acc = op.identity();
-            for (slot, &v) in buf.iter().enumerate() {
-                let i = self.layout.dist().global_index(part, slot);
-                acc = op.combine(acc, lift(i, v));
-            }
-            partials.push_seg_with(|data| data.push(acc));
-        }
-        hc.charge_flops(max_chunk);
-
-        // Combine partials machine-wide. Replicated embeddings hold each
-        // chunk `r` times; combining over ALL cube dims would fold each
-        // chunk `r` times, which is wrong for non-idempotent ops (sum).
-        // Instead: combine over the chunked direction, then broadcast-by-
-        // allreduce over the orthogonal direction using a "first wins"
-        // blend is unsound for identities... the clean way: zero out the
-        // non-primary replicas first, then allreduce everywhere.
-        match self.layout.embedding() {
-            VecEmbedding::Linear => {
-                let dims: Vec<u32> = grid.cube().iter_dims().collect();
-                allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
-            }
-            VecEmbedding::Aligned { axis, placement } => {
-                let primary_line = match placement {
-                    Placement::Replicated => None, // keep only grid line 0
-                    Placement::Concentrated(line) => Some(*line),
-                };
-                for node in 0..p {
-                    let (gr, gc) = grid.grid_coords(node);
-                    let ortho = match axis {
-                        Axis::Row => gr,
-                        Axis::Col => gc,
-                    };
-                    let keep = match primary_line {
-                        None => ortho == 0,
-                        Some(line) => ortho == line,
-                    };
-                    if !keep {
-                        partials[node][0] = op.identity();
-                    }
+            if !buf.is_empty() {
+                let (dist, part, lift) = (self.layout.dist(), self.layout.part_of(node), at(node));
+                for (slot, &v) in buf.iter().enumerate() {
+                    acc = op.combine(acc, lift(dist.global_index(part, slot), slot, v));
                 }
-                let dims: Vec<u32> = grid.cube().iter_dims().collect();
-                allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
+            }
+            out.push(acc);
+        });
+        hc.charge_flops(self.locals.max_seg_len());
+
+        // Combine partials machine-wide over every cube dim. A replicated
+        // embedding holds each chunk `r` times, and folding every copy
+        // would be wrong for non-idempotent ops (sum), so the partials of
+        // all but the primary grid line (line 0, or the concentrating
+        // line) are reset to the identity first.
+        if let VecEmbedding::Aligned { axis, placement } = self.layout.embedding() {
+            let primary = match placement {
+                Placement::Replicated => 0,
+                Placement::Concentrated(line) => *line,
+            };
+            for node in 0..p {
+                let (gr, gc) = grid.grid_coords(node);
+                let ortho = match axis {
+                    Axis::Row => gr,
+                    Axis::Col => gc,
+                };
+                if ortho != primary {
+                    partials[node][0] = op.identity();
+                }
             }
         }
+        let dims: Vec<u32> = grid.cube().iter_dims().collect();
+        allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
         partials[0][0]
     }
 
@@ -216,22 +234,24 @@ impl<T: Scalar> DistVector<T> {
 }
 
 impl<T: crate::elem::Numeric> DistVector<T> {
-    /// Dot product with an identically laid-out vector: one elementwise
-    /// pass plus a reduce-to-scalar (replicated result).
+    /// Dot product with an identically laid-out vector: one fused
+    /// elementwise pass and reduce-to-scalar (replicated result).
     pub fn dot(&self, hc: &mut Hypercube, other: &DistVector<T>) -> T {
-        self.zip(hc, other, |_, a, b| a * b).reduce_all(hc, crate::elem::Sum)
+        self.zip_reduce(hc, other, crate::elem::Sum, |_, a, b| a * b)
     }
 
     /// Squared 2-norm.
     pub fn norm2_sq(&self, hc: &mut Hypercube) -> T {
-        self.dot(hc, &self.clone())
+        self.zip_reduce(hc, self, crate::elem::Sum, |_, a, b| a * b)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elem::{ArgMaxAbs, Loc, Max, Sum};
+    use crate::elem::{ArgMaxAbs, ArgMin, Loc, Max, Sum};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
     use vmp_layout::{Dist, ProcGrid};
@@ -334,5 +354,58 @@ mod tests {
         let g = grid(2, 1);
         let layout = VectorLayout::linear(5, g, Dist::Block);
         let _ = DistVector::from_slice(layout, &[1.0f64; 4]);
+    }
+
+    /// The fused fold against the spelled-out `zip` + `reduce_all` on
+    /// random non-integer data: same result bits, clock bits and counters
+    /// for every embedding, for a sum of products and for an arg-min whose
+    /// ties only the index order breaks.
+    #[test]
+    fn zip_reduce_is_bit_identical_to_zip_then_reduce_all() {
+        fn both<U: Scalar, O: ReduceOp<U>>(
+            a: &DistVector<f64>,
+            b: &DistVector<f64>,
+            op: O,
+            f: impl Fn(usize, f64, f64) -> U + Copy,
+        ) -> (U, U) {
+            // A clock that already reads a fraction, so one merged charge
+            // `2a` would round differently from the two charges `a`, `a`.
+            let machine = || {
+                let mut hc = Hypercube::new(a.layout().grid().cube().dim(), CostModel::cm2());
+                hc.charge_moves(1);
+                hc
+            };
+            let mut hc_ref = machine();
+            let want = a.zip(&mut hc_ref, b, f).reduce_all(&mut hc_ref, op);
+            let mut hc = machine();
+            let got = a.zip_reduce(&mut hc, b, op, f);
+            assert_eq!(hc.elapsed_us().to_bits(), hc_ref.elapsed_us().to_bits());
+            assert_eq!(hc.counters(), hc_ref.counters());
+            (got, want)
+        }
+        let mut rng = StdRng::seed_from_u64(1989);
+        let g = grid(4, 2);
+        for layout in [
+            // One node: no collective step follows the fold, so the clock
+            // shows the two flop charges as they are.
+            VectorLayout::linear(60, grid(0, 0), Dist::Cyclic),
+            VectorLayout::linear(60, g.clone(), Dist::Block),
+            VectorLayout::aligned(60, g.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
+            VectorLayout::aligned(
+                60,
+                g.clone(),
+                Axis::Col,
+                Placement::Concentrated(2),
+                Dist::Block,
+            ),
+        ] {
+            let a = DistVector::from_fn(layout.clone(), |_| rng.gen_range(-1.0..1.0));
+            let b = DistVector::from_fn(layout, |_| rng.gen_range(-1.0..1.0));
+            let (got, want) = both(&a, &b, Sum, |i, x, y| x * y + i as f64 / 7.0);
+            assert_eq!(got.to_bits(), want.to_bits());
+            // Rounded to three values, so most candidates tie.
+            let (got, want) = both(&a, &b, ArgMin, |i, x, y| Loc::new((x + y).round(), i));
+            assert_eq!((got.value.to_bits(), got.index), (want.value.to_bits(), want.index));
+        }
     }
 }
