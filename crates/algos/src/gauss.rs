@@ -185,7 +185,7 @@ pub fn back_substitute_col(hc: &mut Hypercube, aug: &DistMatrix<f64>, rhs_col: u
             )
         });
         let xk = (rhs - dot) / akk;
-        x = x.map(hc, move |j, v| if j == k { xk } else { v });
+        x.map_inplace(hc, |j, v| if j == k { xk } else { v });
     }
     x.to_dense()[..n].to_vec()
 }

@@ -105,7 +105,7 @@ impl DistLu {
             let row = primitives::extract_replicated(hc, &self.lu, Axis::Row, k);
             let dot = row.zip_reduce(hc, &y, Sum, move |j, l, yj| if j < k { l * yj } else { 0.0 });
             let yk = pb[k] - dot;
-            y = y.map(hc, move |j, v| if j == k { yk } else { v });
+            y.map_inplace(hc, |j, v| if j == k { yk } else { v });
         }
         // Back substitution: x_k = (y_k - sum_{j>k} U_kj x_j) / U_kk.
         let mut x = DistVector::constant(layout, 0.0f64);
@@ -116,7 +116,7 @@ impl DistLu {
                 (if j > k { u * xj } else { 0.0 }, 0.0, if j == k { u } else { 0.0 })
             });
             let xk = (yk - dot) / ukk;
-            x = x.map(hc, move |j, v| if j == k { xk } else { v });
+            x.map_inplace(hc, |j, v| if j == k { xk } else { v });
         }
         x.to_dense()
     }

@@ -29,44 +29,52 @@ pub fn alltoall_slab<T: Copy>(hc: &mut Hypercube, send: &SegSlab<T>, dims: &[u32
     check_dims(cube, dims);
     let k = dims.len();
     let blocks_per_node = 1usize << k;
-    assert_eq!(send.p(), cube.nodes());
+    let p = cube.nodes();
+    assert_eq!(send.p(), p);
     assert_eq!(send.nseg(), blocks_per_node, "need one block per destination coordinate");
+
+    // Coordinate tables, built once: each node's coordinate, and the
+    // address bits of each coordinate (so a subcube member is
+    // `(node & !mask) | coord_bits[c]`).
+    let mask = cube.dims_mask(dims);
+    let coord_bits: Vec<usize> =
+        (0..blocks_per_node).map(|c| cube.deposit_coords(c, dims)).collect();
+    let coords: Vec<usize> = (0..p).map(|node| cube.extract_coords(node, dims)).collect();
 
     for j in 0..k {
         let bit = 1usize << j;
         let chan = 1usize << dims[j];
         let low_mask = bit - 1;
-        let mut max_fwd = 0usize;
-        let mut total: u64 = 0;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            let my_c = cube.extract_coords(node, dims);
-            // Held blocks (s, d): s ≡ my_c on bits >= j, d ≡ my_c on
-            // bits < j. Forwarded now: those whose d bit j differs.
-            let mut fwd_elems = 0usize;
+        // Held blocks (s, d) at `node`: s ≡ my_c on bits >= j, d ≡ my_c
+        // on bits < j. Forwarded now: those whose d bit j differs.
+        let fwd_elems = |node: usize| -> usize {
+            let my_c = coords[node];
+            let mut elems = 0usize;
             for s_low in 0..bit {
-                let s = (my_c & !low_mask) | s_low;
-                let src_node = cube.with_coords(node, s, dims);
+                let src_node = (node & !mask) | coord_bits[(my_c & !low_mask) | s_low];
                 for d_high in 0..(1usize << (k - j - 1)) {
                     let d = (my_c & low_mask) | ((my_c ^ bit) & bit) | (d_high << (j + 1));
-                    fwd_elems += send.seg_len(src_node, d);
+                    elems += send.seg_len(src_node, d);
                 }
             }
-            if fwd_elems > 0 {
-                pairs.push((node, node ^ chan));
-            }
-            max_fwd = max_fwd.max(fwd_elems);
-            total += fwd_elems as u64;
+            elems
+        };
+        let mut max_fwd = 0usize;
+        let mut total: u64 = 0;
+        for node in 0..p {
+            let elems = fwd_elems(node);
+            max_fwd = max_fwd.max(elems);
+            total += elems as u64;
         }
-        hc.charge_exchange_step(&pairs, max_fwd, total);
+        let senders = (0..p).filter(|&node| fwd_elems(node) > 0);
+        hc.charge_exchange_step(senders.map(|node| (node, node ^ chan)), max_fwd, total);
     }
 
     // One placement pass: at each node, blocks indexed by source coord.
-    let mut out = SegSlab::with_capacity(blocks_per_node, cube.nodes(), send.total_len());
-    for node in cube.iter_nodes() {
-        let my_c = cube.extract_coords(node, dims);
-        for s in 0..blocks_per_node {
-            out.push_seg(send.seg(cube.with_coords(node, s, dims), my_c));
+    let mut out = SegSlab::with_capacity(blocks_per_node, p, send.total_len());
+    for node in 0..p {
+        for &s_bits in &coord_bits {
+            out.push_seg(send.seg((node & !mask) | s_bits, coords[node]));
         }
     }
     out

@@ -1,10 +1,9 @@
 //! One-to-all broadcast within subcubes (spanning binomial tree).
 
-use super::check_dims;
+use super::{check_dims, nodes_where};
 use crate::cost::{Algo, Collective};
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
-use crate::topology::NodeId;
 
 /// Broadcast, within every subcube spanned by `dims`, the segment of the
 /// node at subcube coordinate `root_coord` to all other subcube members
@@ -16,12 +15,13 @@ use crate::topology::NodeId;
 /// one-port-optimal start-up count.
 ///
 /// The spanning-binomial-tree *schedule* is charged step by step from
-/// segment lengths alone (every informed sender holds exactly the root's
-/// buffer, so each step's load is known analytically); the data is then
-/// placed in **one** pass instead of being recopied at every hop. Same
-/// simulated clock, counters, and fault interaction as the hop-by-hop
-/// seed implementation ([`super::reference::broadcast`]), `k` times less
-/// host copying.
+/// the roots' segment lengths alone: every informed sender holds exactly
+/// its root's buffer, so step `j`'s busiest channel carries the longest
+/// root segment and its volume is `2^j` times the roots' total. The data
+/// is then placed in **one** pass instead of being recopied at every
+/// hop. Same simulated clock, counters, and fault interaction as the
+/// hop-by-hop seed implementation ([`super::reference::broadcast`]), `k`
+/// times less host copying.
 ///
 /// # Panics
 /// Panics if `dims` is invalid or `root_coord >= 2^{|dims|}`.
@@ -40,48 +40,41 @@ pub fn broadcast_slab<T: Copy>(
         return;
     }
 
-    // Each node's subcube root and that root's buffer length — the only
-    // payload any informed node ever holds.
-    let root_of: Vec<usize> =
-        (0..slab.p()).map(|node| cube.with_coords(node, root_coord, dims)).collect();
+    // Each node's subcube root is the node with its `dims` bits replaced
+    // by `root_bits`; the roots' segments are the only payload any
+    // informed node ever holds.
+    let p = slab.p();
+    let mask = cube.dims_mask(dims);
+    let root_bits = cube.deposit_coords(root_coord, dims);
+    let (root_len, root_total) = nodes_where(p, mask, root_bits)
+        .map(|root| slab.len_of(root))
+        .fold((0usize, 0u64), |(max, total), len| (max.max(len), total + len as u64));
 
-    let root_len = root_of.iter().map(|&r| slab.len_of(r)).max().unwrap_or(0);
     match hc.choose_algo(Collective::Broadcast, k, root_len) {
         Algo::SinglePort => {
             for (j, &d) in dims.iter().enumerate() {
-                let bit = 1usize << j;
-                let mut transfers: Vec<(NodeId, NodeId)> = Vec::new();
-                let mut max_len = 0usize;
-                let mut total: u64 = 0;
-                for node in cube.iter_nodes() {
-                    let c = cube.extract_coords(node, dims);
-                    let x = c ^ root_coord;
-                    if x < bit {
-                        let partner = cube.neighbor(node, d);
-                        let len = slab.len_of(root_of[node]);
-                        max_len = max_len.max(len);
-                        total += len as u64;
-                        transfers.push((node, partner));
-                    }
-                }
-                hc.charge_exchange_step(&transfers, max_len, total);
+                let chan = 1usize << d;
+                // Informed senders: relative coordinate below 2^j, i.e.
+                // bits `dims[j..]` agree with the root's.
+                let side = cube.dims_mask(&dims[j..]);
+                let senders = nodes_where(p, side, root_bits & side);
+                hc.charge_exchange_step(
+                    senders.map(|node| (node, node ^ chan)),
+                    root_len,
+                    root_total << j,
+                );
             }
         }
         Algo::AllPort { chunks } => {
-            let total: u64 = root_of
-                .iter()
-                .enumerate()
-                .filter(|&(node, &r)| node != r)
-                .map(|(_, &r)| slab.len_of(r) as u64)
-                .sum();
+            // Every non-root member receives its root's segment once.
+            let total = root_total * ((1u64 << k) - 1);
             hc.charge_allport(Collective::Broadcast, k, root_len, chunks, total);
         }
     }
 
-    let total_out: usize = root_of.iter().map(|&r| slab.len_of(r)).sum();
-    let mut out = NodeSlab::with_capacity(slab.p(), total_out);
-    for &root in &root_of {
-        out.push_seg(&slab[root]);
+    let mut out = NodeSlab::with_capacity(p, (root_total as usize) << k);
+    for node in 0..p {
+        out.push_seg(&slab[(node & !mask) | root_bits]);
     }
     slab.swap(&mut out);
 }

@@ -1,5 +1,6 @@
 //! Pairwise exchange along one cube dimension.
 
+use super::channel_pairs;
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
 
@@ -22,10 +23,9 @@ pub fn exchange_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dim: u
     // longest segment, the volume is every segment once.
     let max_len = slab.max_seg_len();
     let total = slab.total_len() as u64;
-    let pairs: Vec<(usize, usize)> =
-        (0..slab.p()).filter(|node| node & bit == 0).map(|node| (node, node | bit)).collect();
-    if pairs.iter().all(|&(lo, hi)| slab.len_of(lo) == slab.len_of(hi)) {
-        for &(lo, hi) in &pairs {
+    let pairs = channel_pairs(slab.p(), bit);
+    if pairs.clone().all(|(lo, hi)| slab.len_of(lo) == slab.len_of(hi)) {
+        for (lo, hi) in pairs.clone() {
             let (a, b) = slab.pair_mut(lo, hi);
             a.swap_with_slice(b);
         }
@@ -36,7 +36,7 @@ pub fn exchange_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dim: u
         }
         slab.swap(&mut out);
     }
-    hc.charge_exchange_step(&pairs, max_len, total);
+    hc.charge_exchange_step(pairs, max_len, total);
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! materialised in a single pass. This removes the `O(total * steps)`
 //! host copying of the nested-`Vec` data plane.
 
-use super::check_dims;
+use super::{channel_pairs, check_dims, nodes_where};
 use crate::cost::{Algo, Collective};
 use crate::machine::Hypercube;
 use crate::slab::{NodeSlab, SegSlab};
@@ -29,6 +29,7 @@ pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims:
     check_dims(cube, dims);
     assert_eq!(slab.p(), cube.nodes());
     let k = dims.len();
+    let p = slab.p();
 
     let seg_len = slab.max_seg_len();
     let algo = hc.choose_algo(Collective::Allgather, k, seg_len);
@@ -37,27 +38,21 @@ pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims:
     // Walk the recursive-doubling schedule from lengths alone (the
     // merged lengths are needed for the totals under every schedule);
     // charge per step only on the single-port path.
-    let mut lens: Vec<usize> = (0..slab.p()).map(|n| slab.len_of(n)).collect();
+    let mut lens: Vec<usize> = (0..p).map(|n| slab.len_of(n)).collect();
     for &d in dims {
         let chan = 1usize << d;
         let mut max_len = 0usize;
         let mut total: u64 = 0;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            if node & chan != 0 {
-                continue;
-            }
-            let partner = node | chan;
-            pairs.push((node, partner));
-            let (lo_len, hi_len) = (lens[node], lens[partner]);
+        for (lo, hi) in channel_pairs(p, chan) {
+            let (lo_len, hi_len) = (lens[lo], lens[hi]);
             max_len = max_len.max(lo_len.max(hi_len));
             total += (lo_len + hi_len) as u64;
             let merged = lo_len + hi_len;
-            lens[node] = merged;
-            lens[partner] = merged;
+            lens[lo] = merged;
+            lens[hi] = merged;
         }
         match algo {
-            Algo::SinglePort => hc.charge_exchange_step(&pairs, max_len, total),
+            Algo::SinglePort => hc.charge_exchange_step(channel_pairs(p, chan), max_len, total),
             Algo::AllPort { .. } => allport_total += total,
         }
     }
@@ -70,11 +65,11 @@ pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims:
 
     // One placement pass: node <- concat of its subcube, coordinate order.
     let total_out: usize = lens.iter().sum();
-    let mut out = NodeSlab::with_capacity(slab.p(), total_out);
-    for node in 0..slab.p() {
+    let mut out = NodeSlab::with_capacity(p, total_out);
+    for node in 0..p {
         out.push_seg_with(|data| {
-            for c in 0..(1usize << k) {
-                data.extend_from_slice(&slab[cube.with_coords(node, c, dims)]);
+            for member in cube.subcube_nodes(node, dims) {
+                data.extend_from_slice(&slab[member]);
             }
         });
     }
@@ -92,42 +87,38 @@ pub fn gather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims: &[
     check_dims(cube, dims);
     assert_eq!(slab.p(), cube.nodes());
     let k = dims.len();
+    let p = slab.p();
 
-    let mut lens: Vec<usize> = (0..slab.p()).map(|n| slab.len_of(n)).collect();
+    let mut lens: Vec<usize> = (0..p).map(|n| slab.len_of(n)).collect();
     for (j, &d) in dims.iter().enumerate() {
-        let bit = 1usize << j;
         let chan = 1usize << d;
+        // Senders this step: coordinate bit j set, bits below j clear.
+        let side = cube.dims_mask(&dims[..=j]);
+        let senders = nodes_where(p, side, chan);
         let mut max_len = 0usize;
         let mut total: u64 = 0;
-        let mut sends: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            let c = cube.extract_coords(node, dims);
-            // Senders this step: coordinate has bit j set, bits < j clear.
-            if c & bit != 0 && c & (bit - 1) == 0 {
-                let dst = node ^ chan;
-                let len = lens[node];
-                max_len = max_len.max(len);
-                total += len as u64;
-                sends.push((node, dst));
-            }
-        }
-        for &(src, dst) in &sends {
-            lens[dst] += lens[src];
+        for src in senders.clone() {
+            // A receiver never sends in the same step, so updating it
+            // here cannot change a length this step still reads.
+            let len = lens[src];
+            max_len = max_len.max(len);
+            total += len as u64;
+            lens[src ^ chan] += len;
             lens[src] = 0;
         }
-        hc.charge_exchange_step(&sends, max_len, total);
+        hc.charge_exchange_step(senders.map(|src| (src, src ^ chan)), max_len, total);
     }
     if k == 0 {
         return;
     }
 
-    let mut out = NodeSlab::with_capacity(slab.p(), slab.total_len());
-    for node in 0..slab.p() {
-        let c = cube.extract_coords(node, dims);
+    let mask = cube.dims_mask(dims);
+    let mut out = NodeSlab::with_capacity(p, slab.total_len());
+    for node in 0..p {
         out.push_seg_with(|data| {
-            if c == 0 {
-                for cc in 0..(1usize << k) {
-                    data.extend_from_slice(&slab[cube.with_coords(node, cc, dims)]);
+            if node & mask == 0 {
+                for member in cube.subcube_nodes(node, dims) {
+                    data.extend_from_slice(&slab[member]);
                 }
             }
         });
@@ -152,26 +143,27 @@ pub fn scatter_slab<T: Copy>(
     check_dims(cube, dims);
     let k = dims.len();
     let nseg = 1usize << k;
-    assert_eq!(segments.p(), cube.nodes());
+    let p = cube.nodes();
+    assert_eq!(segments.p(), p);
     assert_eq!(segments.nseg(), nseg, "root must supply 2^k segments");
 
-    // Per-root prefix sums over segment lengths; non-root nodes must be
-    // empty.
-    let mut prefix: Vec<Vec<usize>> = vec![Vec::new(); cube.nodes()];
-    for node in cube.iter_nodes() {
-        let c = cube.extract_coords(node, dims);
-        if c == 0 {
+    // Prefix sums over each root's segment lengths, in root order;
+    // non-root nodes must be empty.
+    let mask = cube.dims_mask(dims);
+    for node in (0..p).filter(|node| node & mask != 0) {
+        let held: usize = (0..nseg).map(|s| segments.seg_len(node, s)).sum();
+        assert_eq!(held, 0, "non-root nodes must not supply segments");
+    }
+    let prefix: Vec<Vec<usize>> = nodes_where(p, mask, 0)
+        .map(|root| {
             let mut ps = Vec::with_capacity(nseg + 1);
             ps.push(0usize);
             for s in 0..nseg {
-                ps.push(ps[s] + segments.seg_len(node, s));
+                ps.push(ps[s] + segments.seg_len(root, s));
             }
-            prefix[node] = ps;
-        } else {
-            let held: usize = (0..nseg).map(|s| segments.seg_len(node, s)).sum();
-            assert_eq!(held, 0, "non-root nodes must not supply segments");
-        }
-    }
+            ps
+        })
+        .collect();
 
     // Charge the binomial-tree schedule: before step j (descending), the
     // holders are the coordinates that are multiples of 2^{j+1}, each
@@ -182,27 +174,21 @@ pub fn scatter_slab<T: Copy>(
         let chan = 1usize << dims[j];
         let mut max_len = 0usize;
         let mut total: u64 = 0;
-        let mut sends: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            let c = cube.extract_coords(node, dims);
-            if c & ((bit << 1) - 1) == 0 {
-                let root = cube.with_coords(node, 0, dims);
-                let ps = &prefix[root];
+        for ps in &prefix {
+            for c in (0..nseg).step_by(bit << 1) {
                 let len = ps[c + (bit << 1)] - ps[c + bit];
                 max_len = max_len.max(len);
                 total += len as u64;
-                sends.push((node, node ^ chan));
             }
         }
-        hc.charge_exchange_step(&sends, max_len, total);
+        let holders = nodes_where(p, cube.dims_mask(&dims[..=j]), 0);
+        hc.charge_exchange_step(holders.map(|node| (node, node ^ chan)), max_len, total);
     }
 
     // One placement pass: coordinate c receives its root's segment c.
-    let mut out = NodeSlab::with_capacity(cube.nodes(), segments.total_len());
-    for node in cube.iter_nodes() {
-        let c = cube.extract_coords(node, dims);
-        let root = cube.with_coords(node, 0, dims);
-        out.push_seg(segments.seg(root, c));
+    let mut out = NodeSlab::with_capacity(p, segments.total_len());
+    for node in 0..p {
+        out.push_seg(segments.seg(node & !mask, cube.extract_coords(node, dims)));
     }
     out
 }

@@ -37,7 +37,7 @@ pub use gather::{allgather_slab, gather_slab, scatter_slab};
 pub use reduce::{allreduce_slab, reduce_slab};
 pub use scan::{scan_exclusive_slab, scan_inclusive_slab};
 
-use crate::topology::Cube;
+use crate::topology::{Cube, NodeId};
 
 /// Validate a dimension subset: all in range and pairwise distinct.
 pub(crate) fn check_dims(cube: Cube, dims: &[u32]) {
@@ -47,6 +47,55 @@ pub(crate) fn check_dims(cube: Cube, dims: &[u32]) {
         let bit = 1usize << d;
         assert_eq!(mask & bit, 0, "dimension {d} listed twice");
         mask |= bit;
+    }
+}
+
+/// The nodes of a `p`-node cube whose address bits under `mask` equal
+/// `fixed`, in ascending order. Only the matching nodes are visited, so
+/// the cost is the number of matches, not `p`: this is how the step
+/// loops find one side of a subcube step (e.g. the senders of a
+/// binomial-tree step) by mask arithmetic alone.
+pub(crate) fn nodes_where(
+    p: usize,
+    mask: usize,
+    fixed: usize,
+) -> impl Iterator<Item = NodeId> + Clone {
+    debug_assert!(p.is_power_of_two() && fixed & !mask == 0);
+    let free = (p - 1) & !mask;
+    // Ascending submasks of `free`: add one, letting the carry jump
+    // over the fixed bits.
+    std::iter::successors(Some(0usize), move |&sub| {
+        let next = (sub | !free).wrapping_add(1) & free;
+        (next != 0).then_some(next)
+    })
+    .map(move |sub| fixed | sub)
+}
+
+/// The `(lo, lo | chan)` partner pairs across the channel `chan` (a
+/// single address bit) of a `p`-node cube, in ascending order.
+pub(crate) fn channel_pairs(
+    p: usize,
+    chan: usize,
+) -> impl Iterator<Item = (NodeId, NodeId)> + Clone {
+    nodes_where(p, chan, 0).map(move |lo| (lo, lo | chan))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nodes_where_enumerates_exactly_the_matches() {
+        for dim in 0..=6u32 {
+            let p = 1usize << dim;
+            for mask in 0..p {
+                for fixed in (0..p).filter(|f| f & !mask == 0) {
+                    let want: Vec<usize> = (0..p).filter(|n| n & mask == fixed).collect();
+                    let got: Vec<usize> = nodes_where(p, mask, fixed).collect();
+                    assert_eq!(got, want, "p {p} mask {mask:#b} fixed {fixed:#b}");
+                }
+            }
+        }
     }
 }
 

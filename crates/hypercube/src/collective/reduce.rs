@@ -1,6 +1,6 @@
 //! All-to-one reduction and all-reduce within subcubes.
 
-use super::check_dims;
+use super::{channel_pairs, check_dims, nodes_where};
 use crate::cost::{Algo, Collective};
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
@@ -13,8 +13,8 @@ use crate::slab::NodeSlab;
 ///
 /// Reverse spanning-binomial-tree: `|dims|` supersteps, each costing
 /// `alpha + (beta + gamma) * L`. Combines run in place through
-/// [`NodeSlab::pair_mut`] — no buffer is taken, cloned, or reallocated
-/// until one final compaction pass.
+/// [`NodeSlab::pair_mut`] — no buffer is taken, cloned, or reallocated;
+/// one final [`NodeSlab::retain_segs`] pass empties the non-roots.
 ///
 /// # Panics
 /// Panics if the segments within a subcube have different lengths, or on
@@ -37,41 +37,37 @@ pub fn reduce_slab<T: Copy>(
 
     let algo = hc.choose_algo(Collective::Reduce, k, slab.max_seg_len());
     let mut allport_total: u64 = 0;
+    let p = slab.p();
+    let root_bits = cube.deposit_coords(root_coord, dims);
 
-    // Live lengths: a sender's segment is logically consumed (the slab
-    // keeps its stale bytes until the final compaction).
-    let mut lens: Vec<usize> = (0..slab.p()).map(|n| slab.len_of(n)).collect();
+    // A node sends once, at the step of the top bit of its coordinate
+    // relative to the root, and until then holds its whole segment, so
+    // every length read here is the node's original one.
     for j in (0..k).rev() {
-        let bit = 1usize << j;
-        // Senders: relative coordinate x in [2^j, 2^{j+1}).
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let chan = 1usize << dims[j];
+        // Senders: relative coordinate in [2^j, 2^{j+1}), i.e. bit
+        // `dims[j]` differs from the root's and bits `dims[j+1..]` agree.
+        let side = cube.dims_mask(&dims[j + 1..]) | chan;
+        let senders = nodes_where(p, side, (root_bits ^ chan) & side);
         let mut max_len = 0usize;
         let mut total: u64 = 0;
-        for node in cube.iter_nodes() {
-            let x = cube.extract_coords(node, dims) ^ root_coord;
-            if x >= bit && x < bit << 1 {
-                let partner = cube.neighbor(node, dims[j]);
-                let len = lens[node];
-                max_len = max_len.max(len);
-                total += len as u64;
-                pairs.push((node, partner));
-            }
-        }
-        for &(src, dst) in &pairs {
-            let sent_len = lens[src];
+        for src in senders.clone() {
+            let len = slab.len_of(src);
             assert_eq!(
-                sent_len, lens[dst],
+                len,
+                slab.len_of(src ^ chan),
                 "reduce requires equal buffer lengths within a subcube"
             );
-            lens[src] = 0;
-            let (s, d) = slab.pair_mut(src, dst);
-            for (acc, &v) in d[..sent_len].iter_mut().zip(&s[..sent_len]) {
+            max_len = max_len.max(len);
+            total += len as u64;
+            let (s, d) = slab.pair_mut(src, src ^ chan);
+            for (acc, &v) in d.iter_mut().zip(s.iter()) {
                 *acc = op(*acc, v);
             }
         }
         match algo {
             Algo::SinglePort => {
-                hc.charge_exchange_step(&pairs, max_len, total);
+                hc.charge_exchange_step(senders.map(|src| (src, src ^ chan)), max_len, total);
                 hc.charge_flops(max_len);
             }
             Algo::AllPort { .. } => allport_total += total,
@@ -81,12 +77,9 @@ pub fn reduce_slab<T: Copy>(
         hc.charge_allport(Collective::Reduce, k, slab.max_seg_len(), chunks, allport_total);
     }
 
-    // Compact: roots keep their combined segment, everyone else empties.
-    let mut out = NodeSlab::with_capacity(slab.p(), lens.iter().sum());
-    for node in 0..slab.p() {
-        out.push_seg(&slab[node][..lens[node]]);
-    }
-    slab.swap(&mut out);
+    // Roots keep their combined segment, everyone else empties.
+    let mask = cube.dims_mask(dims);
+    slab.retain_segs(|node| node & mask == root_bits);
 }
 
 /// All-reduce over a flat [`NodeSlab`]: after the call every segment in
@@ -109,47 +102,46 @@ pub fn allreduce_slab<T: Copy>(
 
     let algo = hc.choose_algo(Collective::Allreduce, dims.len(), slab.max_seg_len());
     let mut allport_total: u64 = 0;
+    let p = slab.p();
     // Uniform segment lengths (the common balanced-layout case) take the
     // block-combine fast path: one straight-line pass per dimension via
     // [`NodeSlab::butterfly_combine`], bit-identical to the per-pair
-    // loop but without per-pair offset lookups.
-    let uniform = slab.uniform_seg_len().filter(|&l| l > 0);
+    // loop, with each step's load known without visiting a pair (every
+    // channel carries `L` each way).
+    let uniform = slab.uniform_seg_len();
 
     for &d in dims {
-        let bit = 1usize << d;
-        let mut max_len = 0usize;
-        let mut total: u64 = 0;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        // Process each pair once: the node with the d-bit clear drives.
-        for node in cube.iter_nodes() {
-            if node & bit != 0 {
-                continue;
+        let chan = 1usize << d;
+        let (max_len, total) = match uniform {
+            Some(len) => {
+                slab.butterfly_combine(chan, &op);
+                (len, (p * len) as u64)
             }
-            let partner = node | bit;
-            pairs.push((node, partner));
-            assert_eq!(
-                slab.len_of(node),
-                slab.len_of(partner),
-                "allreduce requires equal buffer lengths within a subcube"
-            );
-            let len = slab.len_of(node);
-            max_len = max_len.max(len);
-            total += 2 * len as u64;
-            if uniform.is_none() {
-                let (lo, hi) = slab.pair_mut(node, partner);
-                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let combined = op(*a, *b);
-                    *a = combined;
-                    *b = combined;
+            None => {
+                let mut max_len = 0usize;
+                let mut total: u64 = 0;
+                for (lo, hi) in channel_pairs(p, chan) {
+                    let len = slab.len_of(lo);
+                    assert_eq!(
+                        len,
+                        slab.len_of(hi),
+                        "allreduce requires equal buffer lengths within a subcube"
+                    );
+                    max_len = max_len.max(len);
+                    total += 2 * len as u64;
+                    let (a, b) = slab.pair_mut(lo, hi);
+                    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+                        let combined = op(*x, *y);
+                        *x = combined;
+                        *y = combined;
+                    }
                 }
+                (max_len, total)
             }
-        }
-        if uniform.is_some() {
-            slab.butterfly_combine(bit, &op);
-        }
+        };
         match algo {
             Algo::SinglePort => {
-                hc.charge_exchange_step(&pairs, max_len, total);
+                hc.charge_exchange_step(channel_pairs(p, chan), max_len, total);
                 hc.charge_flops(max_len);
             }
             Algo::AllPort { .. } => allport_total += total,

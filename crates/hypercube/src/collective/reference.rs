@@ -35,7 +35,7 @@ pub fn exchange<T: Clone>(hc: &mut Hypercube, locals: &[Vec<T>], dim: u32) -> Ve
             buf.clone()
         })
         .collect();
-    hc.charge_exchange_step(&pairs, max_len, total);
+    hc.charge_exchange_step(pairs.iter().copied(), max_len, total);
     out
 }
 
@@ -72,7 +72,7 @@ pub fn allgather<T: Clone>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u3
             *lo = merged.clone();
             *hi = merged;
         }
-        hc.charge_exchange_step(&pairs, max_len, total);
+        hc.charge_exchange_step(pairs.iter().copied(), max_len, total);
     }
 }
 
@@ -103,7 +103,7 @@ pub fn gather<T>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u32]) {
             let mut sent = std::mem::take(&mut locals[src]);
             locals[dst].append(&mut sent);
         }
-        hc.charge_exchange_step(&sends, max_len, total);
+        hc.charge_exchange_step(sends.iter().copied(), max_len, total);
     }
 }
 
@@ -146,7 +146,7 @@ pub fn scatter<T>(hc: &mut Hypercube, segments: Vec<Vec<Vec<T>>>, dims: &[u32]) 
         for (_src, dst, segs) in sends {
             holdings[dst] = segs;
         }
-        hc.charge_exchange_step(&pairs, max_len, total);
+        hc.charge_exchange_step(pairs.iter().copied(), max_len, total);
     }
 
     holdings
@@ -209,7 +209,7 @@ pub fn alltoall<T>(hc: &mut Hypercube, send: Vec<Vec<Vec<T>>>, dims: &[u32]) -> 
         for (dst_node, item) in moved {
             in_flight[dst_node].push(item);
         }
-        hc.charge_exchange_step(&pairs, max_fwd, total);
+        hc.charge_exchange_step(pairs.iter().copied(), max_fwd, total);
     }
 
     in_flight
@@ -270,7 +270,7 @@ pub fn reduce<T: Copy>(
                 *acc = op(*acc, v);
             }
         }
-        hc.charge_exchange_step(&pairs, max_len, total);
+        hc.charge_exchange_step(pairs.iter().copied(), max_len, total);
         hc.charge_flops(max_len);
     }
 }
@@ -315,7 +315,7 @@ pub fn allreduce<T: Copy>(
                 *b = combined;
             }
         }
-        hc.charge_exchange_step(&pairs, max_len, total);
+        hc.charge_exchange_step(pairs.iter().copied(), max_len, total);
         hc.charge_flops(max_len);
     }
 }
@@ -370,7 +370,7 @@ pub fn scan_inclusive<T: Copy>(
                 locals[partner][i] = op(lo_v, locals[partner][i]);
             }
         }
-        hc.charge_exchange_step(&pairs, max_len, total_elems);
+        hc.charge_exchange_step(pairs.iter().copied(), max_len, total_elems);
         hc.charge_flops(2 * max_len);
     }
 }
@@ -424,7 +424,7 @@ pub fn scan_exclusive<T: Copy>(
                 locals[partner][i] = op(lo_v, locals[partner][i]);
             }
         }
-        hc.charge_exchange_step(&pairs, max_len, total_elems);
+        hc.charge_exchange_step(pairs.iter().copied(), max_len, total_elems);
         hc.charge_flops(2 * max_len);
     }
 }
@@ -465,6 +465,6 @@ pub fn broadcast<T: Clone>(
         for &(src, dst) in &transfers {
             locals[dst] = locals[src].clone();
         }
-        hc.charge_exchange_step(&transfers, max_len, total);
+        hc.charge_exchange_step(transfers.iter().copied(), max_len, total);
     }
 }

@@ -15,7 +15,7 @@
 //! buffer the seed allocated anyway. Combine order is unchanged, so
 //! results are bit-identical.
 
-use super::check_dims;
+use super::{channel_pairs, check_dims};
 use crate::cost::{Algo, Collective};
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
@@ -35,19 +35,12 @@ fn butterfly_steps<T: Copy>(
     algo: Algo,
 ) -> u64 {
     let mut skipped_total: u64 = 0;
-    let cube = hc.cube();
-    for (j, &d) in dims.iter().enumerate().skip(start) {
-        let bit_in_coord = 1usize << j;
+    let p = totals.p();
+    for &d in dims.iter().skip(start) {
         let chan = 1usize << d;
         let mut max_len = 0usize;
         let mut total_elems: u64 = 0;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            if node & chan != 0 {
-                continue;
-            }
-            let partner = node | chan;
-            pairs.push((node, partner));
+        for (node, partner) in channel_pairs(p, chan) {
             let len = totals.len_of(node);
             assert_eq!(len, totals.len_of(partner), "scan requires equal buffer lengths");
             max_len = max_len.max(len);
@@ -56,10 +49,8 @@ fn butterfly_steps<T: Copy>(
             let (lo_total, hi_total) = totals.pair_mut(node, partner);
             let hi_prefix = prefix.seg_mut(partner);
 
-            // The node whose coordinate bit j is 1 is "upper": the lower
+            // The partner (coordinate bit j set) is "upper": the lower
             // node's total is a prefix for it.
-            let node_coord = cube.extract_coords(node, dims);
-            debug_assert_eq!(node_coord & bit_in_coord, 0);
             for i in 0..len {
                 let lo_v = lo_total[i];
                 let hi_v = hi_total[i];
@@ -72,7 +63,7 @@ fn butterfly_steps<T: Copy>(
         }
         match algo {
             Algo::SinglePort => {
-                hc.charge_exchange_step(&pairs, max_len, total_elems);
+                hc.charge_exchange_step(channel_pairs(p, chan), max_len, total_elems);
                 hc.charge_flops(2 * max_len);
             }
             Algo::AllPort { .. } => skipped_total += total_elems,
@@ -110,15 +101,10 @@ pub fn scan_inclusive_slab<T: Copy>(
     // fresh (no input copy), then the upper prefixes are combined in
     // place.
     let chan0 = 1usize << dims[0];
+    let p = slab.p();
     let mut max_len = 0usize;
     let mut total_elems: u64 = 0;
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for node in cube.iter_nodes() {
-        if node & chan0 != 0 {
-            continue;
-        }
-        let partner = node | chan0;
-        pairs.push((node, partner));
+    for (node, partner) in channel_pairs(p, chan0) {
         let len = slab.len_of(node);
         assert_eq!(len, slab.len_of(partner), "scan requires equal buffer lengths");
         max_len = max_len.max(len);
@@ -132,7 +118,7 @@ pub fn scan_inclusive_slab<T: Copy>(
             data.extend(lo.iter().zip(hi).map(|(&x, &y)| op(x, y)));
         });
     }
-    for &(lo, hi) in &pairs {
+    for (lo, hi) in channel_pairs(p, chan0) {
         let (lo_s, hi_s) = slab.pair_mut(lo, hi);
         for (x, y) in lo_s.iter().zip(hi_s.iter_mut()) {
             *y = op(*x, *y);
@@ -141,7 +127,7 @@ pub fn scan_inclusive_slab<T: Copy>(
     let mut skipped_total: u64 = 0;
     match algo {
         Algo::SinglePort => {
-            hc.charge_exchange_step(&pairs, max_len, total_elems);
+            hc.charge_exchange_step(channel_pairs(p, chan0), max_len, total_elems);
             hc.charge_flops(2 * max_len);
         }
         Algo::AllPort { .. } => skipped_total += total_elems,

@@ -36,6 +36,13 @@ struct FaultCtx {
     load_factor: usize,
 }
 
+impl FaultCtx {
+    /// A non-empty plan, or degradation remaps doubling up hosts.
+    fn is_live(&self) -> bool {
+        !self.plan.is_empty() || self.load_factor > 1
+    }
+}
+
 /// A simulated Boolean-cube multiprocessor: topology + cost accounting.
 #[derive(Debug, Clone)]
 pub struct Hypercube {
@@ -102,7 +109,7 @@ impl Hypercube {
     #[inline]
     #[must_use]
     pub fn live_faults(&self) -> bool {
-        self.fault.as_deref().is_some_and(|ctx| !ctx.plan.is_empty() || ctx.load_factor > 1)
+        self.fault.as_deref().is_some_and(FaultCtx::is_live)
     }
 
     /// Choose the schedule for one collective call over `k` dimensions
@@ -263,12 +270,14 @@ impl Hypercube {
         self.counters.max_channel_load = self.counters.max_channel_load.max(max_per_channel as u64);
     }
 
-    /// Charge one blocked message superstep over the explicit set of
-    /// `(src, dst)` transfer `pairs` — the fault-aware variant of
+    /// Charge one blocked message superstep whose `(src, dst)` transfers
+    /// are described lazily by `pairs` — the fault-aware variant of
     /// [`Hypercube::charge_message_step`] used by every collective.
     ///
-    /// Without installed fault state this delegates to the plain charge
-    /// (identical clock and counters — zero overhead). With fault state:
+    /// `pairs` is evaluated only while [`Hypercube::live_faults`] holds.
+    /// Otherwise (no fault state, or an empty plan without remaps) this
+    /// is exactly the plain charge: identical clock and counters, and no
+    /// host work that grows with `p`. Under live faults:
     ///
     /// * pairs mapped to the same physical host by degradation are
     ///   local copies, not channel traffic;
@@ -285,21 +294,27 @@ impl Hypercube {
     /// so a given program and plan replay identically.
     pub fn charge_exchange_step(
         &mut self,
-        pairs: &[(NodeId, NodeId)],
+        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
         max_per_channel: usize,
         total_elements: u64,
     ) {
-        let Some(ctx) = self.fault.take() else {
-            self.charge_message_step(max_per_channel, total_elements);
-            return;
+        let ctx = match self.fault.take() {
+            Some(ctx) if ctx.is_live() => ctx,
+            idle => {
+                self.fault = idle;
+                self.charge_message_step(max_per_channel, total_elements);
+                return;
+            }
         };
         let step = self.counters.message_steps;
 
         // Physical channels in use after the degradation host map,
         // canonicalized and deduplicated.
+        let mut any_pairs = false;
         let mut links: Vec<(NodeId, NodeId)> = pairs
-            .iter()
-            .map(|&(a, b)| {
+            .into_iter()
+            .map(|(a, b)| {
+                any_pairs = true;
                 let (pa, pb) = (ctx.host_map[a], ctx.host_map[b]);
                 (pa.min(pb), pa.max(pb))
             })
@@ -308,7 +323,7 @@ impl Hypercube {
         links.sort_unstable();
         links.dedup();
 
-        if !pairs.is_empty() && links.is_empty() {
+        if any_pairs && links.is_empty() {
             // Degradation made every transfer intra-host: local copies.
             self.charge_moves(max_per_channel);
             self.fault = Some(ctx);
@@ -445,7 +460,7 @@ mod tests {
         let mut resil = Hypercube::new(3, CostModel::unit());
         let pairs = [(0usize, 1usize), (2, 3)];
         plain.charge_message_step(6, 12);
-        resil.charge_exchange_step(&pairs, 6, 12);
+        resil.charge_exchange_step(pairs, 6, 12);
         assert_eq!(plain.elapsed_us(), resil.elapsed_us());
         assert_eq!(plain.counters(), resil.counters());
     }
@@ -458,11 +473,74 @@ mod tests {
         resil.install_faults(FaultPlan::none(17));
         for i in 0..10usize {
             let pairs = [(i % 8, (i % 8) ^ 1)];
-            plain.charge_exchange_step(&pairs, 4, 4);
-            resil.charge_exchange_step(&pairs, 4, 4);
+            plain.charge_exchange_step(pairs, 4, 4);
+            resil.charge_exchange_step(pairs, 4, 4);
         }
         assert_eq!(plain.elapsed_us(), resil.elapsed_us());
         assert_eq!(plain.counters(), resil.counters());
+    }
+
+    /// A pair description that counts how often it is evaluated and
+    /// panics when evaluated while `allowed` is false.
+    struct Probe<'a> {
+        pairs: &'a [(NodeId, NodeId)],
+        evals: &'a std::cell::Cell<usize>,
+        allowed: bool,
+    }
+
+    impl<'a> IntoIterator for Probe<'a> {
+        type Item = (NodeId, NodeId);
+        type IntoIter = std::iter::Copied<std::slice::Iter<'a, (NodeId, NodeId)>>;
+
+        fn into_iter(self) -> Self::IntoIter {
+            assert!(self.allowed, "pair description evaluated without live faults");
+            self.evals.set(self.evals.get() + 1);
+            self.pairs.iter().copied()
+        }
+    }
+
+    #[test]
+    fn exchange_step_evaluates_pairs_only_under_live_faults() {
+        use crate::fault::FaultPlan;
+        // One exchange step per dimension of a 3-cube, all pairs active,
+        // and one step whose only pair the remap below makes local.
+        let mut steps: Vec<Vec<(NodeId, NodeId)>> = (0..3u32)
+            .map(|d| (0..8usize).filter(|n| n >> d & 1 == 0).map(|n| (n, n | 1 << d)).collect())
+            .collect();
+        steps.push(vec![(4, 5)]);
+        let setup = |what: &str, hc: &mut Hypercube| match what {
+            "no plan" => {}
+            "empty plan" => hc.install_faults(FaultPlan::none(5)),
+            "drops and a dead link" => hc.install_faults(
+                FaultPlan::none(5).with_drops(0.3, 0, u64::MAX).with_link_fault(2, 6, 0),
+            ),
+            _ => hc.remap_node(5, 4),
+        };
+        let states = [
+            ("no plan", false),
+            ("empty plan", false),
+            ("drops and a dead link", true),
+            ("remap", true),
+        ];
+        for (what, live) in states {
+            let mut lazy = Hypercube::new(3, CostModel::unit());
+            let mut eager = Hypercube::new(3, CostModel::unit());
+            setup(what, &mut lazy);
+            setup(what, &mut eager);
+            let evals = std::cell::Cell::new(0);
+            for _round in 0..3 {
+                for pairs in &steps {
+                    lazy.charge_exchange_step(Probe { pairs, evals: &evals, allowed: live }, 4, 16);
+                    eager.charge_exchange_step(pairs.iter().copied(), 4, 16);
+                }
+            }
+            let want = if live { 3 * steps.len() } else { 0 };
+            assert_eq!(evals.get(), want, "{what}: evaluations");
+            assert_eq!(lazy.elapsed_us().to_bits(), eager.elapsed_us().to_bits(), "{what}: clock");
+            assert_eq!(lazy.counters(), eager.counters(), "{what}: counters");
+            let recovered = lazy.counters().reroutes + lazy.counters().local_moves;
+            assert_eq!(recovered > 0, live, "{what}: the fault state took effect");
+        }
     }
 
     #[test]
@@ -470,7 +548,7 @@ mod tests {
         use crate::fault::FaultPlan;
         let mut hc = Hypercube::new(3, CostModel::unit());
         hc.install_faults(FaultPlan::none(1).with_link_fault(0, 1, 0));
-        hc.charge_exchange_step(&[(0, 1)], 5, 5);
+        hc.charge_exchange_step([(0, 1)], 5, 5);
         assert_eq!(hc.counters().reroutes, 1);
         assert_eq!(hc.counters().detour_hops, 2);
         // Base superstep + two detour hops, each alpha + 5*beta.
@@ -483,7 +561,7 @@ mod tests {
         use crate::fault::FaultPlan;
         let mut hc = Hypercube::new(3, CostModel::unit());
         hc.install_faults(FaultPlan::none(1).with_drops(1.0, 0, u64::MAX));
-        hc.charge_exchange_step(&[(0, 1)], 2, 2);
+        hc.charge_exchange_step([(0, 1)], 2, 2);
         // rate 1.0 drops every attempt: 4 retries then detour escalation.
         assert_eq!(hc.counters().retries, 4);
         assert_eq!(hc.counters().transient_drops, 5, "initial try + 4 retries all dropped");
@@ -506,7 +584,7 @@ mod tests {
         assert_eq!(hc.load_factor(), 2);
         assert_eq!(hc.counters().node_remaps, 1);
         // Traffic 1<->3 is now co-hosted: a local-move superstep.
-        hc.charge_exchange_step(&[(1, 3)], 4, 4);
+        hc.charge_exchange_step([(1, 3)], 4, 4);
         assert_eq!(hc.counters().message_steps, 0);
         assert_eq!(hc.counters().local_moves, 4);
         // Compute serializes 2x on the doubled-up host.

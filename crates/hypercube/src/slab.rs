@@ -223,6 +223,26 @@ impl<T: Copy> NodeSlab<T> {
             }
         }
     }
+
+    /// Empty every segment whose node fails `keep`, sliding the kept
+    /// segments down in place: no new allocation, and only the kept
+    /// elements are copied.
+    pub fn retain_segs(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let p = self.p();
+        let mut write = 0usize;
+        for node in 0..p {
+            // `offsets[node + 1]` is still the old end: only entries up
+            // to `node` have been rewritten.
+            let (start, end) = (self.offsets[node], self.offsets[node + 1]);
+            self.offsets[node] = write;
+            if keep(node) {
+                self.data.copy_within(start..end, write);
+                write += end - start;
+            }
+        }
+        self.offsets[p] = write;
+        self.data.truncate(write);
+    }
 }
 
 impl<T: Clone> NodeSlab<T> {
@@ -505,6 +525,21 @@ mod tests {
         assert_eq!(NodeSlab::filled(&[3, 3, 2, 3], 0u8).uniform_seg_len(), None);
         assert_eq!(NodeSlab::filled(&[0, 0], 0u8).uniform_seg_len(), Some(0));
         assert_eq!(NodeSlab::<u8>::new(0).uniform_seg_len(), None);
+    }
+
+    #[test]
+    fn retain_segs_compacts_in_place() {
+        let nested: Vec<Vec<u32>> = (0..6).map(|n| vec![n; n as usize % 4]).collect();
+        let mut slab = NodeSlab::from_nested(&nested);
+        slab.retain_segs(|n| n % 2 == 1);
+        let want: Vec<Vec<u32>> = nested
+            .iter()
+            .enumerate()
+            .map(|(n, seg)| if n % 2 == 1 { seg.clone() } else { Vec::new() })
+            .collect();
+        assert_eq!(slab.to_nested(), want);
+        assert_eq!(slab.total_len(), want.iter().map(Vec::len).sum::<usize>());
+        assert_eq!(slab.data().len(), slab.total_len());
     }
 
     #[test]

@@ -25,12 +25,17 @@ pub enum GridEncoding {
 }
 
 /// A `2^{d_r} x 2^{d_c}` processor grid over a Boolean cube.
+///
+/// Invariant: the grid-column index occupies the low `d_c` address bits
+/// (cube dims `0..d_c`, in order) and the grid-row index the `d_r` bits
+/// above them. [`ProcGrid::grid_coords`] relies on it to split a node
+/// address with one shift and one mask.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProcGrid {
     dim: u32,
-    /// Cube dims encoding the grid-*column* index (low dims by convention).
+    /// Cube dims encoding the grid-*column* index: `0..d_c`.
     col_dims: Vec<u32>,
-    /// Cube dims encoding the grid-*row* index (high dims).
+    /// Cube dims encoding the grid-*row* index: `d_c..d`.
     row_dims: Vec<u32>,
     encoding: GridEncoding,
 }
@@ -141,13 +146,13 @@ impl ProcGrid {
             | cube.deposit_coords(self.encode(gc), &self.col_dims)
     }
 
-    /// The grid position `(gr, gc)` of `node`.
+    /// The grid position `(gr, gc)` of `node`: the column index is the
+    /// low `d_c` address bits, the row index the bits above them.
     #[must_use]
     pub fn grid_coords(&self, node: NodeId) -> (usize, usize) {
-        let cube = self.cube();
-        let gr = self.decode(cube.extract_coords(node, &self.row_dims));
-        let gc = self.decode(cube.extract_coords(node, &self.col_dims));
-        (gr, gc)
+        debug_assert!(node < self.p(), "node {node} out of range");
+        let dc = self.col_dims.len();
+        (self.decode(node >> dc), self.decode(node & ((1usize << dc) - 1)))
     }
 
     /// The *subcube coordinate* (packed address bits at `row_dims`) of
@@ -182,7 +187,7 @@ mod tests {
 
     #[test]
     fn node_coords_roundtrip() {
-        for dim in 0..7u32 {
+        for dim in 0..=10u32 {
             for dr in 0..=dim {
                 for enc in [GridEncoding::Binary, GridEncoding::Gray] {
                     let g = ProcGrid::with_encoding(Cube::new(dim), dr, enc);

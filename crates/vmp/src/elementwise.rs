@@ -225,35 +225,28 @@ impl<T: Scalar> DistMatrix<T> {
         self.check_axis_aligned(Axis::Col, col);
         self.check_axis_aligned(Axis::Row, row);
         let layout = self.layout().clone();
-        let grid = layout.grid().clone();
-        let mut critical = 0usize;
-        for node in 0..grid.p() {
-            let (gr, gc) = grid.grid_coords(node);
-            let li_range = layout.rows().local_slot_range(gr, rows.start, rows.end);
-            let lj_range = layout.cols().local_slot_range(gc, cols.start, cols.end);
-            critical = critical.max(li_range.len() * lj_range.len());
-        }
+        let (row_dist, col_dist) = (layout.rows(), layout.cols());
         let col_locals = col.locals();
         let row_locals = row.locals();
+        let mut critical = 0usize;
         self.locals_mut().for_each_seg_mut(|node, buf| {
-            let (gr, gc) = grid.grid_coords(node);
-            let li_range = layout.rows().local_slot_range(gr, rows.start, rows.end);
-            let lj_range = layout.cols().local_slot_range(gc, cols.start, cols.end);
+            let (gr, gc) = layout.grid().grid_coords(node);
+            let li_range = row_dist.local_slot_range(gr, rows.start, rows.end);
+            let lj_range = col_dist.local_slot_range(gc, cols.start, cols.end);
+            critical = critical.max(li_range.len() * lj_range.len());
             if li_range.is_empty() || lj_range.is_empty() {
                 return;
             }
-            let lc = layout.local_shape(node).1;
+            let lc = col_dist.count(gc);
             let col_chunk = &col_locals[node];
             let row_window = &row_locals[node][lj_range.clone()];
-            let gj: Vec<usize> =
-                lj_range.clone().map(|lj| layout.cols().global_index(gc, lj)).collect();
             for li in li_range {
-                let i = layout.rows().global_index(gr, li);
+                let i = row_dist.global_index(gr, li);
                 let c = col_chunk[li];
                 let base = li * lc;
                 let window = &mut buf[base + lj_range.start..base + lj_range.end];
-                for ((&j, &r), a) in gj.iter().zip(row_window).zip(window.iter_mut()) {
-                    *a = f(i, j, *a, c, r);
+                for ((lj, &r), a) in lj_range.clone().zip(row_window).zip(window.iter_mut()) {
+                    *a = f(i, col_dist.global_index(gc, lj), *a, c, r);
                 }
             }
         });
@@ -305,6 +298,25 @@ impl<T: Scalar> DistVector<T> {
         }
         hc.charge_flops(max_chunk);
         DistVector::from_slab(layout, out)
+    }
+
+    /// In-place elementwise update with the global index:
+    /// `self[i] = f(i, self[i])`. Charged exactly like
+    /// [`DistVector::map`], without building a new vector.
+    pub fn map_inplace(&mut self, hc: &mut Hypercube, f: impl Fn(usize, T) -> T) {
+        let (layout, locals) = self.layout_and_locals_mut();
+        let mut max_chunk = 0usize;
+        locals.for_each_seg_mut(|node, buf| {
+            max_chunk = max_chunk.max(buf.len());
+            if buf.is_empty() {
+                return;
+            }
+            let part = layout.part_of(node);
+            for (slot, x) in buf.iter_mut().enumerate() {
+                *x = f(layout.dist().global_index(part, slot), *x);
+            }
+        });
+        hc.charge_flops(max_chunk);
     }
 
     /// Elementwise combination of two identically laid out vectors.
@@ -465,8 +477,10 @@ mod tests {
 
     #[test]
     fn rank1_update_ranged_touches_only_the_window() {
-        for kind in [Dist::Block, Dist::Cyclic] {
-            let grid = ProcGrid::new(Cube::new(4), 2);
+        for (kind, dr) in
+            [Dist::Block, Dist::Cyclic].into_iter().flat_map(|k| (0..=4).map(move |dr| (k, dr)))
+        {
+            let grid = ProcGrid::new(Cube::new(4), dr);
             let layout = MatrixLayout::new(MatShape::new(9, 9), grid, kind, kind);
             let mut hc = Hypercube::new(4, CostModel::unit());
             let mut m = DistMatrix::from_fn(layout.clone(), |i, j| (i * 9 + j) as f64);
@@ -487,15 +501,22 @@ mod tests {
             );
             let col = DistVector::from_fn(col_l, |i| (i + 1) as f64);
             let row = DistVector::from_fn(row_l, |j| (j + 2) as f64);
-            m.rank1_update_ranged(&mut hc, &col, &row, 3..7, 2..9, |_, _, a, c, r| a - c * r);
+            // `f` reads the global indices, so a wrong index shows.
+            m.rank1_update_ranged(&mut hc, &col, &row, 3..7, 2..9, |i, j, a, c, r| {
+                a - c * r + (i * 100 + j) as f64
+            });
+            let mut window_slots = vec![0usize; layout.grid().p()];
             for (i, row_e) in expect.iter_mut().enumerate() {
                 for (j, e) in row_e.iter_mut().enumerate() {
                     if (3..7).contains(&i) && (2..9).contains(&j) {
-                        *e -= (i + 1) as f64 * (j + 2) as f64;
+                        *e += (i * 100 + j) as f64 - (i + 1) as f64 * (j + 2) as f64;
+                        window_slots[layout.owner(i, j)] += 1;
                     }
                 }
             }
-            assert_eq!(m.to_dense(), expect, "{kind:?}");
+            assert_eq!(m.to_dense(), expect, "{kind:?} dr {dr}");
+            let critical = window_slots.into_iter().max().unwrap_or(0);
+            assert_eq!(hc.counters().flops, 2 * critical as u64, "{kind:?} dr {dr}: charge");
         }
     }
 
@@ -546,6 +567,42 @@ mod tests {
         assert_eq!(w.to_dense(), (0..10).map(|i| 3 * i as i64).collect::<Vec<_>>());
         let z = v.zip(&mut hc, &w, |_, a, b| a + b);
         assert_eq!(z.to_dense(), (0..10).map(|i| 4 * i as i64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn vector_map_inplace_is_bit_identical_to_map() {
+        let grid = ProcGrid::new(Cube::new(4), 2);
+        let layouts = [
+            VectorLayout::linear(13, grid.clone(), Dist::Block),
+            VectorLayout::aligned(11, grid.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
+            VectorLayout::aligned(
+                9,
+                grid.clone(),
+                Axis::Col,
+                Placement::Concentrated(2),
+                Dist::Block,
+            ),
+            VectorLayout::linear(3, ProcGrid::new(Cube::new(0), 0), Dist::Cyclic),
+        ];
+        for layout in layouts {
+            let dim = layout.grid().cube().dim();
+            let v = DistVector::from_fn(layout.clone(), |i| (i as f64 * 0.7).sin());
+            let f = |i: usize, x: f64| if i % 3 == 1 { x * 1.1 + 0.3 } else { x / 7.0 };
+            // Pre-charged clocks, so a charge merged into another shows.
+            let mut hc_map = Hypercube::new(dim, CostModel::cm2());
+            let mut hc_inplace = Hypercube::new(dim, CostModel::cm2());
+            hc_map.charge_flops(3);
+            hc_inplace.charge_flops(3);
+            let want = v.map(&mut hc_map, f);
+            let mut got = v.clone();
+            got.map_inplace(&mut hc_inplace, f);
+            let bits = |v: &DistVector<f64>| -> Vec<Vec<u64>> {
+                v.chunks().iter_segs().map(|s| s.iter().map(|x| x.to_bits()).collect()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{layout:?}: payload");
+            assert_eq!(hc_inplace.elapsed_us().to_bits(), hc_map.elapsed_us().to_bits());
+            assert_eq!(hc_inplace.counters(), hc_map.counters());
+        }
     }
 
     #[test]

@@ -84,6 +84,12 @@ impl<T: Scalar> DistVector<T> {
         &self.locals
     }
 
+    /// The layout together with the per-node chunks, mutably
+    /// (crate-internal; in-place kernels).
+    pub(crate) fn layout_and_locals_mut(&mut self) -> (&VectorLayout, &mut NodeSlab<T>) {
+        (&self.layout, &mut self.locals)
+    }
+
     /// Assemble directly from an arena (crate-internal; the hot path).
     pub(crate) fn from_slab(layout: VectorLayout, locals: NodeSlab<T>) -> Self {
         debug_assert_eq!(locals.p(), layout.grid().p());

@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use four_vmp::core::elem::Sum;
 use four_vmp::core::primitives;
 use four_vmp::hypercube::collective::{self, reference};
+use four_vmp::hypercube::cost::{Algo, Collective};
 use four_vmp::hypercube::slab::{NodeSlab, SegSlab};
 use four_vmp::hypercube::{Cube, FaultPlan};
 use four_vmp::prelude::*;
@@ -31,20 +32,6 @@ fn val(i: usize, j: usize) -> f64 {
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     (h as f64 / u64::MAX as f64) * 2.0 - 1.0
-}
-
-/// Two identically configured machines (same cost model, same fault
-/// plan) — one drives the seed path, one the slab path.
-fn machine_pair(dim: u32, fault: Option<(u64, f64)>) -> (Hypercube, Hypercube) {
-    let make = || {
-        let mut hc = Hypercube::cm2(dim);
-        if let Some((seed, rate)) = fault {
-            let plan = FaultPlan::none(seed).with_drops(rate, 0, u64::MAX);
-            hc.install_faults(plan);
-        }
-        hc
-    };
-    (make(), make())
 }
 
 /// Per-node buffers with node-dependent lengths (some empty).
@@ -66,8 +53,290 @@ fn uniform_locals(dim: u32, len: usize, salt: usize) -> Vec<Vec<f64>> {
 }
 
 fn assert_machines_identical(seed: &Hypercube, slab: &Hypercube, what: &str) {
-    assert_eq!(seed.elapsed_us(), slab.elapsed_us(), "{what}: simulated clock diverged");
+    assert_eq!(
+        seed.elapsed_us().to_bits(),
+        slab.elapsed_us().to_bits(),
+        "{what}: simulated clock diverged"
+    );
     assert_eq!(seed.counters(), slab.counters(), "{what}: event counters diverged");
+}
+
+/// Payload bits, so `-0.0` vs `0.0` or a NaN payload cannot hide.
+fn bits(v: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    v.iter().map(|seg| seg.iter().map(|x| x.to_bits()).collect()).collect()
+}
+
+/// The machine states every differential case runs under.
+#[derive(Debug, Clone, Copy)]
+enum State {
+    NoPlan,
+    EmptyPlan,
+    DropsAndDeadLink,
+    Remap,
+}
+
+const STATES: [State; 4] = [State::NoPlan, State::EmptyPlan, State::DropsAndDeadLink, State::Remap];
+
+/// One differential case: a cube, a subset of its dimensions in a random
+/// order, a root coordinate, a payload shape and a port model.
+#[derive(Debug, Clone)]
+struct Case {
+    dim: u32,
+    dims: Vec<u32>,
+    root: usize,
+    len: usize,
+    salt: usize,
+    cost: CostModel,
+}
+
+/// Cases on cubes of up to 32 nodes with payloads of up to `max_len`
+/// elements, long enough for the all-port schedules to be chosen.
+fn cases(max_len: usize) -> impl Strategy<Value = Case> {
+    (
+        0u32..=5,
+        0usize..32,
+        0u64..1 << 40,
+        0usize..32,
+        0usize..=max_len,
+        0usize..=100,
+        proptest::bool::ANY,
+    )
+        .prop_map(|(dim, mask, order, root, len, salt, allport)| {
+            let mut dims: Vec<u32> = (0..dim).filter(|&d| (mask >> d) & 1 == 1).collect();
+            // Fisher-Yates, driven by `order`.
+            let mut h = order;
+            for i in (1..dims.len()).rev() {
+                h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xBF58_476D_1CE4_E5B9);
+                dims.swap(i, ((h >> 17) % (i as u64 + 1)) as usize);
+            }
+            let root = root & ((1usize << dims.len()) - 1);
+            let cost = if allport { CostModel::cm2_allport() } else { CostModel::cm2() };
+            Case { dim, dims, root, len, salt, cost }
+        })
+}
+
+impl Case {
+    fn p(&self) -> usize {
+        1usize << self.dim
+    }
+
+    /// A fresh machine in `state`. The dead link lies on the first
+    /// listed dimension, so the collective's own traffic meets it; the
+    /// remap doubles node `p - 1` onto node 0.
+    fn machine(&self, state: State) -> Hypercube {
+        let mut hc = Hypercube::new(self.dim, self.cost);
+        let seed = self.salt as u64;
+        match state {
+            State::NoPlan => {}
+            State::EmptyPlan => hc.install_faults(FaultPlan::none(seed)),
+            State::DropsAndDeadLink => {
+                let mut plan = FaultPlan::none(seed + 1).with_drops(0.2, 0, u64::MAX);
+                if let Some(&d) = self.dims.first() {
+                    plan = plan.with_link_fault(0, 1 << d, 0);
+                }
+                hc.install_faults(plan);
+            }
+            State::Remap => {
+                if self.p() > 1 {
+                    hc.remap_node(self.p() - 1, 0);
+                }
+            }
+        }
+        hc
+    }
+
+    /// The reference run's machine in `state`, charged as the slab path
+    /// must be charged. Where the machine picks the all-port schedule
+    /// for this call (`ported`: the collective and the critical-path
+    /// length it selects on), that is the schedule priced from the
+    /// reference's element total; otherwise the reference's own
+    /// single-port supersteps.
+    fn oracle(
+        &self,
+        state: State,
+        ported: Option<(Collective, usize)>,
+        mut reference: impl FnMut(&mut Hypercube),
+    ) -> Hypercube {
+        let mut hc = self.machine(state);
+        if let Some((kind, max_len)) = ported {
+            if let Algo::AllPort { chunks } = hc.choose_algo(kind, self.dims.len(), max_len) {
+                let mut walked = self.machine(state);
+                reference(&mut walked);
+                let total = walked.counters().elements_transferred;
+                hc.charge_allport(kind, self.dims.len(), max_len, chunks, total);
+                return hc;
+            }
+        }
+        reference(&mut hc);
+        hc
+    }
+}
+
+/// Longest segment among the subcube roots at coordinate `root`.
+fn root_len(case: &Case, locals: &[Vec<f64>]) -> usize {
+    let cube = Cube::new(case.dim);
+    (0..case.p())
+        .filter(|&n| cube.extract_coords(n, &case.dims) == case.root)
+        .map(|n| locals[n].len())
+        .max()
+        .unwrap_or(0)
+}
+
+/// Move collectives (exchange / allgather / gather) on ragged buffers.
+fn check_move_collectives(case: &Case) {
+    let nested = ragged_locals(case.dim, case.len, case.salt);
+    let uniform = uniform_locals(case.dim, case.len, case.salt);
+    let seg_len = nested.iter().map(Vec::len).max().unwrap_or(0);
+    for state in STATES {
+        let what = |op: &str| format!("{op} {state:?} {case:?}");
+
+        // exchange along each listed dimension, on the ragged buffers
+        // (rebuild pass) and on uniform ones (in-arena swap)
+        for input in [&nested, &uniform] {
+            for &d in &case.dims {
+                let mut want = Vec::new();
+                let hc_ref =
+                    case.oracle(state, None, |hc| want = reference::exchange(hc, input, d));
+                let mut hc = case.machine(state);
+                let mut got = NodeSlab::from_nested(input);
+                collective::exchange_slab(&mut hc, &mut got, d);
+                assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("exchange"));
+                assert_machines_identical(&hc_ref, &hc, &what("exchange"));
+            }
+        }
+
+        let mut want = nested.clone();
+        let hc_ref = case.oracle(state, Some((Collective::Allgather, seg_len)), |hc| {
+            want = nested.clone();
+            reference::allgather(hc, &mut want, &case.dims);
+        });
+        let mut hc = case.machine(state);
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::allgather_slab(&mut hc, &mut got, &case.dims);
+        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("allgather"));
+        assert_machines_identical(&hc_ref, &hc, &what("allgather"));
+
+        let mut want = nested.clone();
+        let hc_ref = case.oracle(state, None, |hc| {
+            want = nested.clone();
+            reference::gather(hc, &mut want, &case.dims);
+        });
+        let mut hc = case.machine(state);
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::gather_slab(&mut hc, &mut got, &case.dims);
+        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("gather"));
+        assert_machines_identical(&hc_ref, &hc, &what("gather"));
+    }
+}
+
+/// Combine collectives (reduce / allreduce / scans) on uniform buffers.
+fn check_combine_collectives(case: &Case) {
+    let nested = uniform_locals(case.dim, case.len, case.salt);
+    let add = |a: f64, b: f64| a + b;
+    for state in STATES {
+        let what = |op: &str| format!("{op} {state:?} {case:?}");
+        let mut want = nested.clone();
+        let mut got = NodeSlab::from_nested(&nested);
+        let mut hc = case.machine(state);
+
+        let hc_ref = case.oracle(state, Some((Collective::Allreduce, case.len)), |hc| {
+            want = nested.clone();
+            reference::allreduce(hc, &mut want, &case.dims, add);
+        });
+        collective::allreduce_slab(&mut hc, &mut got, &case.dims, add);
+        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("allreduce"));
+        assert_machines_identical(&hc_ref, &hc, &what("allreduce"));
+
+        let mut got = NodeSlab::from_nested(&nested);
+        let mut hc = case.machine(state);
+        let hc_ref = case.oracle(state, Some((Collective::Reduce, case.len)), |hc| {
+            want = nested.clone();
+            reference::reduce(hc, &mut want, &case.dims, case.root, add);
+        });
+        collective::reduce_slab(&mut hc, &mut got, &case.dims, case.root, add);
+        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("reduce"));
+        assert_machines_identical(&hc_ref, &hc, &what("reduce"));
+
+        let mut got = NodeSlab::from_nested(&nested);
+        let mut hc = case.machine(state);
+        let hc_ref = case.oracle(state, Some((Collective::Scan, case.len)), |hc| {
+            want = nested.clone();
+            reference::scan_inclusive(hc, &mut want, &case.dims, add);
+        });
+        collective::scan_inclusive_slab(&mut hc, &mut got, &case.dims, add);
+        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("scan_inclusive"));
+        assert_machines_identical(&hc_ref, &hc, &what("scan_inclusive"));
+
+        let mut got = NodeSlab::from_nested(&nested);
+        let mut hc = case.machine(state);
+        let hc_ref = case.oracle(state, Some((Collective::Scan, case.len)), |hc| {
+            want = nested.clone();
+            reference::scan_exclusive(hc, &mut want, &case.dims, 0.0, add);
+        });
+        collective::scan_exclusive_slab(&mut hc, &mut got, &case.dims, 0.0, add);
+        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("scan_exclusive"));
+        assert_machines_identical(&hc_ref, &hc, &what("scan_exclusive"));
+    }
+}
+
+/// Broadcast (ragged, so only the roots' lengths may set the load),
+/// all-to-all and scatter: the redistribution collectives.
+fn check_redistribution_collectives(case: &Case) {
+    let p = case.p();
+    let k = case.dims.len();
+    let nested = ragged_locals(case.dim, case.len, case.salt);
+    let send: Vec<Vec<Vec<f64>>> = (0..p)
+        .map(|src| {
+            (0..1usize << k)
+                .map(|c| {
+                    (0..(src + c + case.salt) % (case.len + 1))
+                        .map(|i| val(src * p + c, i))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    // Scatter: every subcube's coordinate-0 node supplies 2^k segments.
+    let mask = Cube::new(case.dim).dims_mask(&case.dims);
+    let segments: Vec<Vec<Vec<f64>>> =
+        (0..p).map(|n| if n & mask == 0 { send[n].clone() } else { Vec::new() }).collect();
+    for state in STATES {
+        let what = |op: &str| format!("{op} {state:?} {case:?}");
+
+        let mut want = nested.clone();
+        let ported = Some((Collective::Broadcast, root_len(case, &nested)));
+        let hc_ref = case.oracle(state, ported, |hc| {
+            want = nested.clone();
+            reference::broadcast(hc, &mut want, &case.dims, case.root);
+        });
+        let mut hc = case.machine(state);
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::broadcast_slab(&mut hc, &mut got, &case.dims, case.root);
+        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("broadcast"));
+        assert_machines_identical(&hc_ref, &hc, &what("broadcast"));
+
+        let mut want = Vec::new();
+        let hc_ref =
+            case.oracle(state, None, |hc| want = reference::alltoall(hc, send.clone(), &case.dims));
+        let mut hc = case.machine(state);
+        let got =
+            collective::alltoall_slab(&mut hc, &SegSlab::from_nested(&send, 1 << k), &case.dims);
+        let got = got.to_nested();
+        assert_eq!(want.len(), got.len(), "{}", what("alltoall"));
+        for (w, g) in want.iter().zip(&got) {
+            assert_eq!(bits(w), bits(g), "{}", what("alltoall"));
+        }
+        assert_machines_identical(&hc_ref, &hc, &what("alltoall"));
+
+        let mut want = Vec::new();
+        let hc_ref = case
+            .oracle(state, None, |hc| want = reference::scatter(hc, segments.clone(), &case.dims));
+        let mut hc = case.machine(state);
+        let got =
+            collective::scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << k), &case.dims);
+        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("scatter"));
+        assert_machines_identical(&hc_ref, &hc, &what("scatter"));
+    }
 }
 
 proptest! {
@@ -75,125 +344,39 @@ proptest! {
 
     /// Move collectives (exchange / allgather / gather) on ragged buffers.
     #[test]
-    fn move_collectives_match_reference(
-        dim in 0u32..=4,
-        max_len in 0usize..=9,
-        salt in 0usize..=100,
-        drops in prop_oneof![Just(None), (1u64..=50, Just(0.2f64)).prop_map(Some)],
-    ) {
-        let nested = ragged_locals(dim, max_len, salt);
-        let dims: Vec<u32> = Cube::new(dim).iter_dims().collect();
-
-        // exchange along each dimension in turn, on the ragged buffers
-        // (rebuild pass) and on uniform ones (in-arena swap)
-        let uniform = uniform_locals(dim, max_len, salt);
-        for input in [&nested, &uniform] {
-            for d in 0..dim {
-                let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-                let want = reference::exchange(&mut hc_seed, input, d);
-                let mut got = NodeSlab::from_nested(input);
-                collective::exchange_slab(&mut hc_slab, &mut got, d);
-                prop_assert_eq!(&want, &got.to_nested(), "exchange dim {} payload", d);
-                assert_machines_identical(&hc_seed, &hc_slab, "exchange");
-            }
-        }
-
-        // allgather over the whole cube
-        let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-        let mut want = nested.clone();
-        reference::allgather(&mut hc_seed, &mut want, &dims);
-        let mut got = NodeSlab::from_nested(&nested);
-        collective::allgather_slab(&mut hc_slab, &mut got, &dims);
-        prop_assert_eq!(&want, &got.to_nested(), "allgather payload");
-        assert_machines_identical(&hc_seed, &hc_slab, "allgather");
-
-        // gather to coordinate 0
-        let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-        let mut want = nested.clone();
-        reference::gather(&mut hc_seed, &mut want, &dims);
-        let mut got = NodeSlab::from_nested(&nested);
-        collective::gather_slab(&mut hc_slab, &mut got, &dims);
-        prop_assert_eq!(&want, &got.to_nested(), "gather payload");
-        assert_machines_identical(&hc_seed, &hc_slab, "gather");
+    fn move_collectives_match_reference(case in cases(40)) {
+        check_move_collectives(&case);
     }
 
     /// Combine collectives (reduce / allreduce / scans) on uniform buffers.
     #[test]
-    fn combine_collectives_match_reference(
-        dim in 0u32..=4,
-        len in 0usize..=9,
-        salt in 0usize..=100,
-        root in 0usize..=15,
-        drops in prop_oneof![Just(None), (1u64..=50, Just(0.2f64)).prop_map(Some)],
-    ) {
-        let nested = uniform_locals(dim, len, salt);
-        let dims: Vec<u32> = Cube::new(dim).iter_dims().collect();
-        let root = root & ((1usize << dims.len()) - 1);
-
-        let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-        let mut want = nested.clone();
-        reference::allreduce(&mut hc_seed, &mut want, &dims, |a, b| a + b);
-        let mut got = NodeSlab::from_nested(&nested);
-        collective::allreduce_slab(&mut hc_slab, &mut got, &dims, |a, b| a + b);
-        prop_assert_eq!(&want, &got.to_nested(), "allreduce payload");
-        assert_machines_identical(&hc_seed, &hc_slab, "allreduce");
-
-        let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-        let mut want = nested.clone();
-        reference::reduce(&mut hc_seed, &mut want, &dims, root, |a, b| a + b);
-        let mut got = NodeSlab::from_nested(&nested);
-        collective::reduce_slab(&mut hc_slab, &mut got, &dims, root, |a, b| a + b);
-        prop_assert_eq!(&want, &got.to_nested(), "reduce payload");
-        assert_machines_identical(&hc_seed, &hc_slab, "reduce");
-
-        let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-        let mut want = nested.clone();
-        reference::scan_inclusive(&mut hc_seed, &mut want, &dims, |a, b| a + b);
-        let mut got = NodeSlab::from_nested(&nested);
-        collective::scan_inclusive_slab(&mut hc_slab, &mut got, &dims, |a, b| a + b);
-        prop_assert_eq!(&want, &got.to_nested(), "scan_inclusive payload");
-        assert_machines_identical(&hc_seed, &hc_slab, "scan_inclusive");
-
-        let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-        let mut want = nested.clone();
-        reference::scan_exclusive(&mut hc_seed, &mut want, &dims, 0.0, |a, b| a + b);
-        let mut got = NodeSlab::from_nested(&nested);
-        collective::scan_exclusive_slab(&mut hc_slab, &mut got, &dims, 0.0, |a, b| a + b);
-        prop_assert_eq!(&want, &got.to_nested(), "scan_exclusive payload");
-        assert_machines_identical(&hc_seed, &hc_slab, "scan_exclusive");
+    fn combine_collectives_match_reference(case in cases(40)) {
+        check_combine_collectives(&case);
     }
 
-    /// Broadcast and all-to-all (the redistribution collectives).
+    /// Broadcast, all-to-all and scatter (the redistribution collectives).
     #[test]
-    fn redistribution_collectives_match_reference(
-        dim in 0u32..=4,
-        len in 0usize..=6,
-        salt in 0usize..=100,
-        root in 0usize..=15,
-        drops in prop_oneof![Just(None), (1u64..=50, Just(0.2f64)).prop_map(Some)],
-    ) {
-        let p = 1usize << dim;
-        let dims: Vec<u32> = Cube::new(dim).iter_dims().collect();
-        let root = root & (p - 1);
-
-        let nested = uniform_locals(dim, len, salt);
-        let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-        let mut want = nested.clone();
-        reference::broadcast(&mut hc_seed, &mut want, &dims, root);
-        let mut got = NodeSlab::from_nested(&nested);
-        collective::broadcast_slab(&mut hc_slab, &mut got, &dims, root);
-        prop_assert_eq!(&want, &got.to_nested(), "broadcast payload");
-        assert_machines_identical(&hc_seed, &hc_slab, "broadcast");
-
-        let send: Vec<Vec<Vec<f64>>> = (0..p)
-            .map(|src| (0..p).map(|c| (0..len).map(|i| val(src * p + c, i + salt)).collect()).collect())
-            .collect();
-        let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-        let want = reference::alltoall(&mut hc_seed, send.clone(), &dims);
-        let got_slab = collective::alltoall_slab(&mut hc_slab, &SegSlab::from_nested(&send, p), &dims);
-        prop_assert_eq!(&want, &got_slab.to_nested(), "alltoall payload");
-        assert_machines_identical(&hc_seed, &hc_slab, "alltoall");
+    fn redistribution_collectives_match_reference(case in cases(40)) {
+        check_redistribution_collectives(&case);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The three sweeps above, 2,000 cases each: the mask arithmetic of
+    /// the step loops is where a dimension-order bug would hide.
+    #[test]
+    #[ignore = "deep sweep; CI runs it"]
+    fn collectives_match_reference_deep_sweep(case in cases(40)) {
+        check_move_collectives(&case);
+        check_combine_collectives(&case);
+        check_redistribution_collectives(&case);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tiled `reduce` local fold + slab butterfly is bit-identical to
     /// the seed per-node fold + hop-by-hop butterfly (f64: combine order
