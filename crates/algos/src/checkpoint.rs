@@ -19,8 +19,8 @@ use vmp_core::prelude::*;
 use vmp_hypercube::machine::Hypercube;
 
 use crate::gauss::{forward_eliminate_range, GeError, GeStats};
-use crate::serial::simplex::{PivotRule, SimplexResult, SimplexStatus, StandardLp};
-use crate::simplex::{assemble, pivot_once, PivotOutcome};
+use crate::serial::simplex::{PivotRule, SimplexResult, StandardLp};
+use crate::simplex::{assemble, pivot_to_end};
 
 const MAGIC: u32 = 0x564d_5043; // "VMPC"
 const VERSION: u16 = 1;
@@ -374,37 +374,6 @@ impl SimplexCheckpoint {
     }
 }
 
-/// The shared single-phase pivot loop: pivots until optimal, unbounded,
-/// or out of budget, emitting a checkpoint to `sink` after every pivot
-/// that leaves the run still in progress.
-#[allow(clippy::too_many_arguments)]
-fn pivot_to_end(
-    hc: &mut Hypercube,
-    t: &mut DistMatrix<f64>,
-    basis: &mut [usize],
-    m: usize,
-    rhs_col: usize,
-    start_iteration: usize,
-    max_iterations: usize,
-    rule: PivotRule,
-    sink: &mut impl FnMut(&SimplexCheckpoint),
-) -> (SimplexStatus, usize) {
-    let mut done = start_iteration;
-    while done < max_iterations {
-        match pivot_once(hc, t, basis, m, m, move |j| j < rhs_col, rule) {
-            PivotOutcome::Optimal => return (SimplexStatus::Optimal, done),
-            PivotOutcome::Unbounded => return (SimplexStatus::Unbounded, done),
-            PivotOutcome::Pivoted(..) => {
-                done += 1;
-                if done < max_iterations {
-                    sink(&SimplexCheckpoint::capture(t, basis, done, rule));
-                }
-            }
-        }
-    }
-    (SimplexStatus::MaxIterations, max_iterations)
-}
-
 /// As [`crate::simplex::solve_parallel_with`], emitting a checkpoint to
 /// `sink` after every pivot. Checkpoints are host-side copies and charge
 /// nothing. The returned result is bit-identical to the plain solver's.
@@ -420,8 +389,11 @@ pub fn solve_parallel_checkpointed(
     let mut t = crate::simplex::build_tableau(lp, grid);
     let (m, n) = (lp.m(), lp.n());
     let mut basis: Vec<usize> = (n..n + m).collect();
+    let mut capture = |t: &DistMatrix<f64>, basis: &[usize], done| {
+        sink(&SimplexCheckpoint::capture(t, basis, done, rule));
+    };
     let (status, iterations) =
-        pivot_to_end(hc, &mut t, &mut basis, m, n + m, 0, max_iterations, rule, &mut sink);
+        pivot_to_end(hc, &mut t, &mut basis, m, m, n + m, 0, max_iterations, rule, &mut capture);
     assemble(status, &t, &basis, lp, iterations)
 }
 
@@ -441,17 +413,17 @@ pub fn resume_solve_parallel(
     assert_eq!(ck.cols, n + m + 1, "checkpoint is for a different LP shape");
     let mut t = ck.restore(grid);
     let mut basis = ck.basis.clone();
-    let mut sink = |_: &SimplexCheckpoint| {};
     let (status, iterations) = pivot_to_end(
         hc,
         &mut t,
         &mut basis,
         m,
+        m,
         n + m,
         ck.iterations,
         max_iterations,
         ck.rule,
-        &mut sink,
+        &mut |_, _, _| {},
     );
     assemble(status, &t, &basis, lp, iterations)
 }
@@ -460,6 +432,7 @@ pub fn resume_solve_parallel(
 mod tests {
     use super::*;
     use crate::gauss::{build_augmented, forward_eliminate};
+    use crate::serial::simplex::SimplexStatus;
     use crate::simplex::solve_parallel_with;
     use crate::workloads;
     use vmp_hypercube::cost::CostModel;

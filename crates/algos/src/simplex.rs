@@ -54,49 +54,55 @@ pub fn solve_parallel_with(
 ) -> SimplexResult {
     let mut t = build_tableau(lp, grid);
     let (m, n) = (lp.m(), lp.n());
-    let rhs_col = n + m;
     let mut basis: Vec<usize> = (n..n + m).collect();
-    let (status, iterations) = match run_phase_parallel_with(
+    let (status, iterations) = pivot_to_end(
         hc,
         &mut t,
         &mut basis,
         m,
         m,
-        move |j| j < rhs_col,
+        n + m,
+        0,
         max_iterations,
         rule,
-    ) {
-        PhaseEnd::Optimal(i) => (SimplexStatus::Optimal, i),
-        PhaseEnd::Unbounded(i) => (SimplexStatus::Unbounded, i),
-        PhaseEnd::MaxIterations => (SimplexStatus::MaxIterations, max_iterations),
-    };
+        &mut |_, _, _| {},
+    );
     assemble(status, &t, &basis, lp, iterations)
 }
 
-/// The pivot loop on an already-distributed tableau; returns the final
-/// status, basis, and iteration count. Exposed for benches that want to
-/// time a fixed number of pivots.
-pub fn pivot_loop(
+/// The one pivot loop: pivots until optimal, unbounded, or
+/// `max_iterations` pivots in all, counting the `done` already made.
+/// The objective is row `obj_row`, entering columns are `j < n_allowed`
+/// and the ratio test runs over rows `0..m`. After every pivot that
+/// leaves the run in progress, `after_pivot(t, basis, pivots so far)`
+/// runs (a checkpoint capture, or nothing). Returns the status and the
+/// total pivot count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pivot_to_end(
     hc: &mut Hypercube,
     t: &mut DistMatrix<f64>,
+    basis: &mut [usize],
     m: usize,
-    n: usize,
+    obj_row: usize,
+    n_allowed: usize,
+    mut done: usize,
     max_iterations: usize,
-) -> (SimplexStatus, Vec<usize>, usize) {
-    debug_assert_eq!(t.shape(), MatShape::new(m + 1, n + m + 1));
-    let mut basis: Vec<usize> = (n..n + m).collect();
-    let rhs_col = n + m;
-    match run_phase_parallel(hc, t, &mut basis, m, m, move |j| j < rhs_col, max_iterations) {
-        PhaseEnd::Optimal(iters) => (SimplexStatus::Optimal, basis, iters),
-        PhaseEnd::Unbounded(iters) => (SimplexStatus::Unbounded, basis, iters),
-        PhaseEnd::MaxIterations => (SimplexStatus::MaxIterations, basis, max_iterations),
+    rule: PivotRule,
+    after_pivot: &mut impl FnMut(&DistMatrix<f64>, &[usize], usize),
+) -> (SimplexStatus, usize) {
+    while done < max_iterations {
+        match pivot_once(hc, t, basis, m, obj_row, move |j| j < n_allowed, rule) {
+            PivotOutcome::Optimal => return (SimplexStatus::Optimal, done),
+            PivotOutcome::Unbounded => return (SimplexStatus::Unbounded, done),
+            PivotOutcome::Pivoted(..) => {
+                done += 1;
+                if done < max_iterations {
+                    after_pivot(t, basis, done);
+                }
+            }
+        }
     }
-}
-
-enum PhaseEnd {
-    Optimal(usize),
-    Unbounded(usize),
-    MaxIterations,
+    (SimplexStatus::MaxIterations, max_iterations)
 }
 
 /// Outcome of a single simplex pivot attempt.
@@ -108,52 +114,6 @@ pub enum PivotOutcome {
     Unbounded,
     /// One pivot `(entering, leaving-row)` was performed.
     Pivoted(usize, usize),
-}
-
-/// One simplex phase on a distributed tableau: objective row `obj_row`,
-/// entering columns restricted by `allowed`, ratio test over rows
-/// `0..m_constraints`, every tableau row updated per pivot. Mirrors the
-/// serial `run_phase` arithmetic exactly (bit-identical iterates).
-fn run_phase_parallel(
-    hc: &mut Hypercube,
-    t: &mut DistMatrix<f64>,
-    basis: &mut [usize],
-    m_constraints: usize,
-    obj_row: usize,
-    allowed: impl Fn(usize) -> bool + Copy,
-    max_iterations: usize,
-) -> PhaseEnd {
-    run_phase_parallel_with(
-        hc,
-        t,
-        basis,
-        m_constraints,
-        obj_row,
-        allowed,
-        max_iterations,
-        PivotRule::Dantzig,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_phase_parallel_with(
-    hc: &mut Hypercube,
-    t: &mut DistMatrix<f64>,
-    basis: &mut [usize],
-    m_constraints: usize,
-    obj_row: usize,
-    allowed: impl Fn(usize) -> bool + Copy,
-    max_iterations: usize,
-    rule: PivotRule,
-) -> PhaseEnd {
-    for iterations in 0..max_iterations {
-        match pivot_once(hc, t, basis, m_constraints, obj_row, allowed, rule) {
-            PivotOutcome::Optimal => return PhaseEnd::Optimal(iterations),
-            PivotOutcome::Unbounded => return PhaseEnd::Unbounded(iterations),
-            PivotOutcome::Pivoted(..) => {}
-        }
-    }
-    PhaseEnd::MaxIterations
 }
 
 /// Perform at most one simplex pivot on a distributed tableau — the
@@ -263,27 +223,26 @@ pub fn solve_general_parallel(
     let mut used = 0usize;
 
     // Phase 1.
+    let rule = PivotRule::Dantzig;
     if n_art > 0 {
-        match run_phase_parallel(
+        let (status, iterations) = pivot_to_end(
             hc,
             &mut t,
             &mut basis,
             m,
             m + 1,
-            move |j| j < rhs_col,
+            rhs_col,
+            0,
             max_iterations,
-        ) {
-            PhaseEnd::Optimal(iters) => used += iters,
-            PhaseEnd::Unbounded(_) => unreachable!("phase-1 objective is bounded above by 0"),
-            PhaseEnd::MaxIterations => {
-                return assemble_general(
-                    SimplexStatus::MaxIterations,
-                    &t,
-                    &basis,
-                    lp,
-                    max_iterations,
-                )
+            rule,
+            &mut |_, _, _| {},
+        );
+        match status {
+            SimplexStatus::Optimal => used = iterations,
+            SimplexStatus::MaxIterations => {
+                return assemble_general(status, &t, &basis, lp, iterations)
             }
+            _ => unreachable!("phase-1 objective is bounded above by 0"),
         }
         // Infeasibility check: the w-row rhs (a single element read
         // through the primitive path).
@@ -294,20 +253,21 @@ pub fn solve_general_parallel(
         }
     }
 
-    // Phase 2: artificials barred from entering.
-    let budget = max_iterations.saturating_sub(used);
-    let nm = n + m;
-    match run_phase_parallel(hc, &mut t, &mut basis, m, m, move |j| j < nm, budget) {
-        PhaseEnd::Optimal(iters) => {
-            assemble_general(SimplexStatus::Optimal, &t, &basis, lp, used + iters)
-        }
-        PhaseEnd::Unbounded(iters) => {
-            assemble_general(SimplexStatus::Unbounded, &t, &basis, lp, used + iters)
-        }
-        PhaseEnd::MaxIterations => {
-            assemble_general(SimplexStatus::MaxIterations, &t, &basis, lp, max_iterations)
-        }
-    }
+    // Phase 2: artificials barred from entering; the budget counts both
+    // phases.
+    let (status, iterations) = pivot_to_end(
+        hc,
+        &mut t,
+        &mut basis,
+        m,
+        m,
+        n + m,
+        used,
+        max_iterations,
+        rule,
+        &mut |_, _, _| {},
+    );
+    assemble_general(status, &t, &basis, lp, iterations)
 }
 
 fn assemble_general(
@@ -480,31 +440,65 @@ mod tests {
         }
     }
 
+    /// Six random LPs made general: some constraints flipped to `>=`
+    /// form by negating rows and rhs (keeps the same feasible set).
+    fn mixed_sign_lps() -> Vec<GeneralLp> {
+        (0..6u64)
+            .map(|seed| {
+                let base = workloads::random_dense_lp(6, 5, seed);
+                let mut rows = Vec::new();
+                let mut b = Vec::new();
+                for i in 0..base.m() {
+                    let flip = i % 3 == 1;
+                    let row: Vec<f64> = (0..base.n())
+                        .map(|j| if flip { -base.a.get(i, j) } else { base.a.get(i, j) })
+                        .collect();
+                    rows.push(row);
+                    b.push(if flip { -0.5 } else { base.b[i] }); // some >= 0.5 lower bounds
+                }
+                GeneralLp::new(Dense::from_rows(&rows), b, base.c.clone())
+            })
+            .collect()
+    }
+
     #[test]
     fn two_phase_random_mixed_sign_lps() {
-        use crate::serial::simplex::{solve_general, GeneralLp};
-        for seed in 0..6u64 {
-            // Random LP made general: flip some constraints to >= form by
-            // negating rows and rhs (keeps the same feasible set).
-            let base = workloads::random_dense_lp(6, 5, seed);
-            let mut rows = Vec::new();
-            let mut b = Vec::new();
-            for i in 0..base.m() {
-                let flip = i % 3 == 1;
-                let row: Vec<f64> = (0..base.n())
-                    .map(|j| if flip { -base.a.get(i, j) } else { base.a.get(i, j) })
-                    .collect();
-                rows.push(row);
-                b.push(if flip { -0.5 } else { base.b[i] }); // some >= 0.5 lower bounds
-            }
-            let g = GeneralLp::new(Dense::from_rows(&rows), b, base.c.clone());
-            let serial = solve_general(&g, 1000);
+        use crate::serial::simplex::solve_general;
+        for (seed, g) in mixed_sign_lps().iter().enumerate() {
+            let serial = solve_general(g, 1000);
             let (mut hc, grid) = machine_and_grid(3);
-            let par = solve_general_parallel(&mut hc, &g, grid, 1000);
+            let par = solve_general_parallel(&mut hc, g, grid, 1000);
             assert_eq!(par.status, serial.status, "seed {seed}");
             assert_eq!(par.objective, serial.objective, "seed {seed}");
             assert_eq!(par.x, serial.x, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn two_phase_iteration_budgets_match_serial() {
+        use crate::serial::simplex::solve_general;
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut cases = 0;
+        let mut exhausted = 0;
+        for (seed, g) in mixed_sign_lps().iter().enumerate() {
+            // Every budget from none to one past the pivots the solve
+            // needs: exhaustion in phase 1, in phase 2, and enough.
+            let pivots = solve_general(g, 1000).iterations;
+            for budget in 0..=pivots + 1 {
+                let serial = solve_general(g, budget);
+                let (mut hc, grid) = machine_and_grid(3);
+                let par = solve_general_parallel(&mut hc, g, grid, budget);
+                let what = format!("seed {seed} budget {budget}");
+                assert_eq!(par.status, serial.status, "{what}");
+                assert_eq!(par.iterations, serial.iterations, "{what}");
+                assert_eq!(par.objective.to_bits(), serial.objective.to_bits(), "{what}");
+                assert_eq!(bits(&par.x), bits(&serial.x), "{what}");
+                cases += 1;
+                exhausted += usize::from(par.status == SimplexStatus::MaxIterations);
+            }
+        }
+        assert_eq!(cases, 44);
+        assert!(exhausted > 0 && exhausted < cases, "{exhausted} of {cases} ran out of budget");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use std::io::Write;
 
-use vmp_bench::experiments::{self, ALL_IDS, DESCRIPTIONS};
+use vmp_bench::experiments::{self, EXPERIMENTS};
 use vmp_bench::table::Table;
 
 fn usage() -> String {
@@ -29,7 +29,7 @@ fn usage() -> String {
          run with no ids to reproduce everything; --list describes each id;\n\
          sched and allport also write BENCH_sched.json and BENCH_allport.json\n\
          to the working directory",
-        ALL_IDS.join(" ")
+        EXPERIMENTS.map(|(id, _, _)| id).join(" ")
     )
 }
 
@@ -46,7 +46,7 @@ fn main() {
                 std::process::exit(2);
             }
         } else if a == "--list" {
-            for (id, desc) in DESCRIPTIONS {
+            for (id, desc, _) in EXPERIMENTS {
                 println!("{id:4} {desc}");
             }
             // Not an experiment, but part of reproducing the repo's
@@ -69,14 +69,16 @@ fn main() {
         }
     }
     // Validate up front so a typo late in the list doesn't waste a run.
+    let mut chosen = Vec::with_capacity(ids.len());
     for id in &ids {
-        if !ALL_IDS.contains(&id.to_ascii_lowercase().as_str()) {
+        let Some(experiment) = experiments::find(id) else {
             eprintln!("unknown experiment id: {id}\n{}", usage());
             std::process::exit(2);
-        }
+        };
+        chosen.push(experiment);
     }
-    if ids.is_empty() {
-        ids = ALL_IDS.iter().map(ToString::to_string).collect();
+    if chosen.is_empty() {
+        chosen = EXPERIMENTS.iter().collect();
     }
 
     let stdout = std::io::stdout();
@@ -89,19 +91,10 @@ fn main() {
     .expect("stdout");
 
     let mut tables: Vec<Table> = Vec::new();
-    for id in &ids {
-        match experiments::run(id) {
-            Some(t) => {
-                writeln!(out, "{}", t.render()).expect("stdout");
-                tables.push(t);
-            }
-            None => {
-                // Unreachable after up-front validation, but keep the
-                // defence for direct library misuse.
-                eprintln!("unknown experiment id: {id}\n{}", usage());
-                std::process::exit(2);
-            }
-        }
+    for (_, _, driver) in chosen {
+        let t = driver();
+        writeln!(out, "{}", t.render()).expect("stdout");
+        tables.push(t);
     }
 
     if let Some(path) = json_path {

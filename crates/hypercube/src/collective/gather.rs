@@ -1,10 +1,11 @@
-//! Gather, scatter and all-gather within subcubes.
+//! Scatter and all-gather within subcubes.
 //!
 //! Concatenation/segmentation order is subcube **coordinate order**. The
-//! gather/scatter roots are at subcube coordinate 0 (callers needing a
-//! different root compose with a routed move — none of the primitives do).
+//! scatter root is at subcube coordinate 0 (a caller needing a different
+//! root moves the payload there first, as
+//! [`crate::spanning::broadcast_with`] does).
 //!
-//! All three run **charge-then-place** over the flat slab: the per-step
+//! Both run **charge-then-place** over the flat slab: the per-step
 //! loads of the binomial/recursive-doubling schedules are computed
 //! analytically from segment lengths (each step is charged exactly as
 //! the hop-by-hop seed implementation in [`super::reference`] charges
@@ -15,7 +16,7 @@
 use super::{channel_pairs, check_dims, nodes_where};
 use crate::cost::{Algo, Collective};
 use crate::machine::Hypercube;
-use crate::slab::{NodeSlab, SegSlab};
+use crate::slab::NodeSlab;
 
 /// All-gather over a flat [`NodeSlab`]: every segment ends holding the
 /// concatenation of its subcube's segments in coordinate order.
@@ -76,121 +77,66 @@ pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims:
     slab.swap(&mut out);
 }
 
-/// Gather over a flat [`NodeSlab`]: the node at subcube coordinate 0
-/// ends holding the concatenation of all members' segments in
-/// coordinate order; every other member's segment becomes empty.
+/// Where piece `c` of a `len`-element buffer cut into `2^k` pieces
+/// starts: the first `len mod 2^k` pieces are one element longer.
+fn piece_start(len: usize, k: usize, c: usize) -> usize {
+    c * (len >> k) + c.min(len & ((1usize << k) - 1))
+}
+
+/// Scatter over a flat [`NodeSlab`]: each subcube's coordinate-0
+/// segment is cut into `2^{|dims|}` contiguous pieces of near-equal
+/// length (the first `len mod 2^{|dims|}` one element longer), and the
+/// member at coordinate `c` ends holding piece `c`.
 ///
-/// Reverse binomial tree: at step `j` the nodes whose coordinate is an
-/// odd multiple of `2^j` forward their accumulation down `dims[j]`.
-pub fn gather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims: &[u32]) {
+/// Binomial tree from coordinate 0: step `j` (descending) hands the
+/// upper half of every holder's pieces down `dims[j]`.
+///
+/// # Panics
+/// Panics unless every node off coordinate 0 holds an empty segment.
+pub fn scatter_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims: &[u32]) {
     let cube = hc.cube();
     check_dims(cube, dims);
     assert_eq!(slab.p(), cube.nodes());
     let k = dims.len();
     let p = slab.p();
-
-    let mut lens: Vec<usize> = (0..p).map(|n| slab.len_of(n)).collect();
-    for (j, &d) in dims.iter().enumerate() {
-        let chan = 1usize << d;
-        // Senders this step: coordinate bit j set, bits below j clear.
-        let side = cube.dims_mask(&dims[..=j]);
-        let senders = nodes_where(p, side, chan);
-        let mut max_len = 0usize;
-        let mut total: u64 = 0;
-        for src in senders.clone() {
-            // A receiver never sends in the same step, so updating it
-            // here cannot change a length this step still reads.
-            let len = lens[src];
-            max_len = max_len.max(len);
-            total += len as u64;
-            lens[src ^ chan] += len;
-            lens[src] = 0;
-        }
-        hc.charge_exchange_step(senders.map(|src| (src, src ^ chan)), max_len, total);
-    }
-    if k == 0 {
-        return;
-    }
-
     let mask = cube.dims_mask(dims);
-    let mut out = NodeSlab::with_capacity(p, slab.total_len());
-    for node in 0..p {
-        out.push_seg_with(|data| {
-            if node & mask == 0 {
-                for member in cube.subcube_nodes(node, dims) {
-                    data.extend_from_slice(&slab[member]);
-                }
-            }
-        });
-    }
-    slab.swap(&mut out);
-}
+    let roots = nodes_where(p, mask, 0);
+    let root_total: usize = roots.clone().map(|root| slab.len_of(root)).sum();
+    assert_eq!(root_total, slab.total_len(), "non-root nodes must not supply segments");
 
-/// Scatter over a flat [`SegSlab`]: each subcube root's `2^{|dims|}`
-/// segments (coordinate order) are distributed so the member at
-/// coordinate `c` ends holding segment `c`. Non-root nodes must carry
-/// only empty segments.
-///
-/// # Panics
-/// Panics unless `segments.nseg() == 2^{|dims|}` and every non-root
-/// node's segments are empty.
-pub fn scatter_slab<T: Copy>(
-    hc: &mut Hypercube,
-    segments: &SegSlab<T>,
-    dims: &[u32],
-) -> NodeSlab<T> {
-    let cube = hc.cube();
-    check_dims(cube, dims);
-    let k = dims.len();
-    let nseg = 1usize << k;
-    let p = cube.nodes();
-    assert_eq!(segments.p(), p);
-    assert_eq!(segments.nseg(), nseg, "root must supply 2^k segments");
-
-    // Prefix sums over each root's segment lengths, in root order;
-    // non-root nodes must be empty.
-    let mask = cube.dims_mask(dims);
-    for node in (0..p).filter(|node| node & mask != 0) {
-        let held: usize = (0..nseg).map(|s| segments.seg_len(node, s)).sum();
-        assert_eq!(held, 0, "non-root nodes must not supply segments");
-    }
-    let prefix: Vec<Vec<usize>> = nodes_where(p, mask, 0)
-        .map(|root| {
-            let mut ps = Vec::with_capacity(nseg + 1);
-            ps.push(0usize);
-            for s in 0..nseg {
-                ps.push(ps[s] + segments.seg_len(root, s));
-            }
-            ps
-        })
-        .collect();
-
-    // Charge the binomial-tree schedule: before step j (descending), the
-    // holders are the coordinates that are multiples of 2^{j+1}, each
-    // holding its root's segments [c, c + 2^{j+1}); step j sends the
-    // upper half [c + 2^j, c + 2^{j+1}) along dims[j].
+    // Charge the binomial-tree schedule: before step j, the holders are
+    // the coordinates that are multiples of 2^{j+1}, each holding its
+    // root's pieces [c, c + 2^{j+1}); step j sends the upper half
+    // [c + 2^j, c + 2^{j+1}) along dims[j].
     for j in (0..k).rev() {
         let bit = 1usize << j;
         let chan = 1usize << dims[j];
         let mut max_len = 0usize;
         let mut total: u64 = 0;
-        for ps in &prefix {
-            for c in (0..nseg).step_by(bit << 1) {
-                let len = ps[c + (bit << 1)] - ps[c + bit];
-                max_len = max_len.max(len);
-                total += len as u64;
+        for root in roots.clone() {
+            let len = slab.len_of(root);
+            for c in (0..1usize << k).step_by(bit << 1) {
+                let sent = piece_start(len, k, c + (bit << 1)) - piece_start(len, k, c + bit);
+                max_len = max_len.max(sent);
+                total += sent as u64;
             }
         }
         let holders = nodes_where(p, cube.dims_mask(&dims[..=j]), 0);
         hc.charge_exchange_step(holders.map(|node| (node, node ^ chan)), max_len, total);
     }
-
-    // One placement pass: coordinate c receives its root's segment c.
-    let mut out = NodeSlab::with_capacity(p, segments.total_len());
-    for node in 0..p {
-        out.push_seg(segments.seg(node & !mask, cube.extract_coords(node, dims)));
+    if k == 0 {
+        return;
     }
-    out
+
+    // One placement pass: coordinate c receives its root's piece c.
+    let mut out = NodeSlab::build(p, slab.total_len(), |node, buf| {
+        let root = &slab[node & !mask];
+        let c = cube.extract_coords(node, dims);
+        buf.extend_from_slice(
+            &root[piece_start(root.len(), k, c)..piece_start(root.len(), k, c + 1)],
+        );
+    });
+    slab.swap(&mut out);
 }
 
 #[cfg(test)]
@@ -237,46 +183,17 @@ mod tests {
     }
 
     #[test]
-    fn gather_concentrates_at_coordinate_zero() {
-        let mut hc = unit_machine(3);
-        let dims = [0u32, 1, 2];
-        let mut locals = slab_from_fn(&hc, |n| vec![n as u16]);
-        gather_slab(&mut hc, &mut locals, &dims);
-        assert_eq!(locals[0], (0..8).collect::<Vec<u16>>());
-        for n in 1..8 {
-            assert!(locals[n].is_empty(), "node {n} consumed");
-        }
-        assert_eq!(hc.counters().message_steps, 3);
-    }
-
-    #[test]
-    fn gather_subset_dims_keeps_other_subcubes_separate() {
-        let mut hc = unit_machine(3);
-        let dims = [1u32, 2]; // gather within each {bit0}-indexed subcube
-        let mut locals = slab_from_fn(&hc, |n| vec![n as u16]);
-        gather_slab(&mut hc, &mut locals, &dims);
-        assert_eq!(locals[0], vec![0, 2, 4, 6]);
-        assert_eq!(locals[1], vec![1, 3, 5, 7]);
-        for n in 2..8 {
-            assert!(locals[n].is_empty());
-        }
-    }
-
-    #[test]
     fn scatter_delivers_segments_in_coordinate_order() {
         let mut hc = unit_machine(3);
         let dims = [0u32, 1, 2];
-        let segments: Vec<Vec<Vec<u32>>> = (0..8)
-            .map(|n| {
-                if n == 0 {
-                    (0..8).map(|c| vec![c * 10, c * 10 + 1]).collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let locals =
-            scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << dims.len()), &dims);
+        let mut locals = slab_from_fn(&hc, |n| {
+            if n == 0 {
+                (0..8).flat_map(|c| [c * 10, c * 10 + 1]).collect()
+            } else {
+                Vec::new()
+            }
+        });
+        scatter_slab(&mut hc, &mut locals, &dims);
         for c in 0..8u32 {
             assert_eq!(locals[c as usize], vec![c * 10, c * 10 + 1], "coord {c}");
         }
@@ -287,30 +204,28 @@ mod tests {
     fn scatter_then_gather_roundtrips() {
         let mut hc = unit_machine(4);
         let dims = [0u32, 1, 2, 3];
-        let original: Vec<Vec<u64>> = (0..16).map(|c| vec![c as u64; (c % 3) + 1]).collect();
-        let segments: Vec<Vec<Vec<u64>>> =
-            (0..16).map(|n| if n == 0 { original.clone() } else { Vec::new() }).collect();
-        let mut locals =
-            scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << dims.len()), &dims);
-        for c in 0..16usize {
-            assert_eq!(locals[c], original[c]);
+        // 37 = 16 * 2 + 5: the first five pieces get three elements.
+        let original: Vec<u64> = (0..37).collect();
+        let mut locals = slab_from_fn(&hc, |n| if n == 0 { original.clone() } else { Vec::new() });
+        scatter_slab(&mut hc, &mut locals, &dims);
+        let lens: Vec<usize> = (0..16).map(|c| locals.len_of(c)).collect();
+        assert_eq!(lens, [3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]);
+        allgather_slab(&mut hc, &mut locals, &dims);
+        for n in 0..16 {
+            assert_eq!(locals[n], original, "node {n}");
         }
-        gather_slab(&mut hc, &mut locals, &dims);
-        let flat: Vec<u64> = original.into_iter().flatten().collect();
-        assert_eq!(locals[0], flat);
     }
 
     #[test]
     fn scatter_within_columns() {
         // 4x4 grid, column dims {2,3}: each column root (nodes 0..4)
-        // scatters 4 segments down its column.
+        // scatters 4 pieces down its column.
         let mut hc = unit_machine(4);
         let dims = [2u32, 3];
-        let segments: Vec<Vec<Vec<usize>>> = (0..16)
-            .map(|n| if n < 4 { (0..4).map(|c| vec![n * 100 + c]).collect() } else { Vec::new() })
-            .collect();
-        let locals =
-            scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << dims.len()), &dims);
+        let column_root =
+            |n: usize| if n < 4 { (0..4).map(|c| n * 100 + c).collect() } else { vec![] };
+        let mut locals = slab_from_fn(&hc, column_root);
+        scatter_slab(&mut hc, &mut locals, &dims);
         for n in 0..16usize {
             let col = n & 0b11;
             let row = n >> 2;
@@ -332,7 +247,6 @@ mod tests {
         use super::super::reference;
         let dims = [1u32, 2];
         let ragged: Vec<Vec<u64>> = (0..8).map(|n| vec![n as u64; n % 4]).collect();
-        // allgather
         let mut hc1 = unit_machine(3);
         let mut a = ragged.clone();
         reference::allgather(&mut hc1, &mut a, &dims);
@@ -342,35 +256,39 @@ mod tests {
         assert_eq!(b.to_nested(), a);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
-        // gather
-        let mut hc3 = unit_machine(3);
-        let mut c = ragged.clone();
-        reference::gather(&mut hc3, &mut c, &dims);
-        let mut hc4 = unit_machine(3);
-        let mut d = NodeSlab::from_nested(&ragged);
-        gather_slab(&mut hc4, &mut d, &dims);
-        assert_eq!(d.to_nested(), c);
-        assert_eq!(hc3.elapsed_us(), hc4.elapsed_us());
-        assert_eq!(hc3.counters(), hc4.counters());
     }
 
     #[test]
     fn slab_scatter_matches_reference_clock() {
         use super::super::reference;
         let dims = [0u32, 2];
+        // Roots 0 and 2 hold 7 and 10 elements: pieces of 2,2,2,1 and
+        // 3,3,2,2.
+        let lens = [7usize, 0, 10, 0, 0, 0, 0, 0];
+        let buf = |n: usize| -> Vec<u32> { (0..lens[n]).map(|i| (n * 100 + i) as u32).collect() };
+        let pieces = |n: usize, sizes: [usize; 4]| -> Vec<Vec<u32>> {
+            let b = buf(n);
+            let mut at = 0;
+            sizes
+                .iter()
+                .map(|&s| {
+                    at += s;
+                    b[at - s..at].to_vec()
+                })
+                .collect()
+        };
         let segs: Vec<Vec<Vec<u32>>> = (0..8)
-            .map(|n| {
-                if n == 0 || n == 2 {
-                    (0..4).map(|c| vec![(n * 100 + c) as u32; c + 1]).collect()
-                } else {
-                    Vec::new()
-                }
+            .map(|n| match n {
+                0 => pieces(0, [2, 2, 2, 1]),
+                2 => pieces(2, [3, 3, 2, 2]),
+                _ => Vec::new(),
             })
             .collect();
         let mut hc1 = unit_machine(3);
-        let a = reference::scatter(&mut hc1, segs.clone(), &dims);
+        let a = reference::scatter(&mut hc1, segs, &dims);
         let mut hc2 = unit_machine(3);
-        let b = scatter_slab(&mut hc2, &SegSlab::from_nested(&segs, 4), &dims);
+        let mut b = slab_from_fn(&hc2, buf);
+        scatter_slab(&mut hc2, &mut b, &dims);
         assert_eq!(b.to_nested(), a);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());

@@ -9,8 +9,8 @@
 //!
 //! Within a subcube, a node is identified by its *coordinate*: the packed
 //! value of its address bits at `dims` (see [`Cube::extract_coords`]).
-//! Orderings (scan order, gather concatenation order) are coordinate
-//! order.
+//! Orderings (scan order, allgather concatenation order, scatter piece
+//! order) are coordinate order.
 //!
 //! Cost accounting: each routine issues `O(|dims|)` blocked message
 //! supersteps, charging `alpha + beta * L` for the busiest channel plus
@@ -22,7 +22,6 @@
 //! movement and combine order are identical under every schedule.
 
 pub mod allport;
-mod alltoall;
 mod broadcast;
 mod exchange;
 mod gather;
@@ -30,12 +29,11 @@ mod reduce;
 pub mod reference;
 mod scan;
 
-pub use alltoall::alltoall_slab;
 pub use broadcast::broadcast_slab;
 pub use exchange::exchange_slab;
-pub use gather::{allgather_slab, gather_slab, scatter_slab};
+pub use gather::{allgather_slab, scatter_slab};
 pub use reduce::{allreduce_slab, reduce_slab};
-pub use scan::{scan_exclusive_slab, scan_inclusive_slab};
+pub use scan::scan_inclusive_slab;
 
 use crate::topology::{Cube, NodeId};
 

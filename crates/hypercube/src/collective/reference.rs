@@ -76,38 +76,9 @@ pub fn allgather<T: Clone>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u3
     }
 }
 
-/// Seed [`super::gather_slab`]: reverse binomial tree with `mem::take` +
-/// `append` per hop.
-pub fn gather<T>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u32]) {
-    let cube = hc.cube();
-    check_dims(cube, dims);
-    assert_eq!(locals.len(), cube.nodes());
-
-    for (j, &d) in dims.iter().enumerate() {
-        let bit = 1usize << j;
-        let chan = 1usize << d;
-        let mut max_len = 0usize;
-        let mut total: u64 = 0;
-        let mut sends: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            let c = cube.extract_coords(node, dims);
-            if c & bit != 0 && c & (bit - 1) == 0 {
-                let dst = node ^ chan;
-                let len = locals[node].len();
-                max_len = max_len.max(len);
-                total += len as u64;
-                sends.push((node, dst));
-            }
-        }
-        for &(src, dst) in &sends {
-            let mut sent = std::mem::take(&mut locals[src]);
-            locals[dst].append(&mut sent);
-        }
-        hc.charge_exchange_step(sends.iter().copied(), max_len, total);
-    }
-}
-
-/// Seed [`super::scatter_slab`]: binomial tree carrying nested segment lists.
+/// Seed [`super::scatter_slab`]: binomial tree carrying nested segment
+/// lists. Each root supplies its `2^k` segments explicitly; the slab
+/// version cuts the root's buffer into them evenly.
 pub fn scatter<T>(hc: &mut Hypercube, segments: Vec<Vec<Vec<T>>>, dims: &[u32]) -> Vec<Vec<T>> {
     let cube = hc.cube();
     check_dims(cube, dims);
@@ -152,77 +123,6 @@ pub fn scatter<T>(hc: &mut Hypercube, segments: Vec<Vec<Vec<T>>>, dims: &[u32]) 
     holdings
         .into_iter()
         .map(|mut segs| if segs.is_empty() { Vec::new() } else { segs.swap_remove(0) })
-        .collect()
-}
-
-/// An in-flight item: `(src_coord, dst_coord, payload)`.
-type InFlightItem<T> = (usize, usize, Vec<T>);
-
-/// Seed [`super::alltoall_slab`]: forwards owned block `Vec`s through `k`
-/// supersteps and reassembles by source coordinate.
-pub fn alltoall<T>(hc: &mut Hypercube, send: Vec<Vec<Vec<T>>>, dims: &[u32]) -> Vec<Vec<Vec<T>>> {
-    let cube = hc.cube();
-    check_dims(cube, dims);
-    let k = dims.len();
-    let blocks_per_node = 1usize << k;
-    assert_eq!(send.len(), cube.nodes());
-
-    let mut in_flight: Vec<Vec<InFlightItem<T>>> = Vec::with_capacity(cube.nodes());
-    for (node, blocks) in send.into_iter().enumerate() {
-        assert_eq!(
-            blocks.len(),
-            blocks_per_node,
-            "node {node}: need one block per destination coordinate"
-        );
-        let src = cube.extract_coords(node, dims);
-        in_flight
-            .push(blocks.into_iter().enumerate().map(|(dst, data)| (src, dst, data)).collect());
-    }
-
-    for j in 0..k {
-        let bit = 1usize << j;
-        let chan = 1usize << dims[j];
-        let mut max_fwd = 0usize;
-        let mut total: u64 = 0;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        let mut moved: Vec<(usize, InFlightItem<T>)> = Vec::new();
-        for node in cube.iter_nodes() {
-            let my_c = cube.extract_coords(node, dims);
-            let held = std::mem::take(&mut in_flight[node]);
-            let mut stay = Vec::with_capacity(held.len());
-            let mut fwd_elems = 0usize;
-            for item in held {
-                if (item.1 ^ my_c) & bit != 0 {
-                    fwd_elems += item.2.len();
-                    moved.push((node ^ chan, item));
-                } else {
-                    stay.push(item);
-                }
-            }
-            in_flight[node] = stay;
-            if fwd_elems > 0 {
-                pairs.push((node, node ^ chan));
-            }
-            max_fwd = max_fwd.max(fwd_elems);
-            total += fwd_elems as u64;
-        }
-        for (dst_node, item) in moved {
-            in_flight[dst_node].push(item);
-        }
-        hc.charge_exchange_step(pairs.iter().copied(), max_fwd, total);
-    }
-
-    in_flight
-        .into_iter()
-        .map(|items| {
-            let mut slots: Vec<Option<Vec<T>>> = (0..blocks_per_node).map(|_| None).collect();
-            for (src, _dst, data) in items {
-                debug_assert!(slots[src].is_none(), "duplicate block from source {src}");
-                slots[src] = Some(data);
-            }
-            // vmplint: allow(p1) — seed reference body preserved verbatim; the all-to-all schedule delivers exactly one block per source (debug_assert above)
-            slots.into_iter().map(|s| s.expect("one block from every source")).collect()
-        })
         .collect()
 }
 
@@ -359,60 +259,6 @@ pub fn scan_inclusive<T: Copy>(
             let lo_total = &mut lo_part[node];
             let hi_total = &mut hi_part[0];
 
-            let node_coord = cube.extract_coords(node, dims);
-            debug_assert_eq!(node_coord & bit_in_coord, 0);
-            for i in 0..len {
-                let lo_v = lo_total[i];
-                let hi_v = hi_total[i];
-                let combined = op(lo_v, hi_v);
-                lo_total[i] = combined;
-                hi_total[i] = combined;
-                locals[partner][i] = op(lo_v, locals[partner][i]);
-            }
-        }
-        hc.charge_exchange_step(pairs.iter().copied(), max_len, total_elems);
-        hc.charge_flops(2 * max_len);
-    }
-}
-
-/// Seed [`super::scan_exclusive_slab`]: saves a full input copy, seeds the
-/// prefixes with the identity, then runs the same butterfly.
-pub fn scan_exclusive<T: Copy>(
-    hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
-    dims: &[u32],
-    identity: T,
-    op: impl Fn(T, T) -> T,
-) {
-    let cube = hc.cube();
-    check_dims(cube, dims);
-    let inputs: Vec<Vec<T>> = locals.to_vec();
-    for buf in locals.iter_mut() {
-        for v in buf.iter_mut() {
-            *v = identity;
-        }
-    }
-    let mut totals = inputs;
-    for (j, &d) in dims.iter().enumerate() {
-        let bit_in_coord = 1usize << j;
-        let chan = 1usize << d;
-        let mut max_len = 0usize;
-        let mut total_elems: u64 = 0;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            if node & chan != 0 {
-                continue;
-            }
-            let partner = node | chan;
-            pairs.push((node, partner));
-            let len = totals[node].len();
-            assert_eq!(len, totals[partner].len(), "scan requires equal buffer lengths");
-            max_len = max_len.max(len);
-            total_elems += 2 * len as u64;
-            // vmplint: allow(s1) — seed reference body preserved verbatim; splits the host-side nested-Vec view, not slab storage
-            let (lo_part, hi_part) = totals.split_at_mut(partner);
-            let lo_total = &mut lo_part[node];
-            let hi_total = &mut hi_part[0];
             let node_coord = cube.extract_coords(node, dims);
             debug_assert_eq!(node_coord & bit_in_coord, 0);
             for i in 0..len {

@@ -15,11 +15,12 @@
 //! * [`fault`] — seeded deterministic fault plans (link/node failures,
 //!   transient drops) and the constants of the fixed bounded-retry/reroute
 //!   recovery policy the machine applies when one is installed;
-//! * [`collective`] — broadcast / reduce / allreduce / scan / gather /
-//!   scatter / allgather / all-to-all on arbitrary subcube dimension
-//!   subsets (rows and columns of a processor grid);
-//! * [`slab`] — the flat arena data plane ([`slab::NodeSlab`] /
-//!   [`slab::SegSlab`]) the collectives operate on;
+//! * [`collective`] — broadcast / reduce / allreduce / allgather /
+//!   exchange / inclusive scan / scatter on arbitrary subcube dimension
+//!   subsets (rows and columns of a processor grid): the collectives the
+//!   primitives, applications and experiments call, and no others;
+//! * [`slab`] — the flat arena data plane ([`slab::NodeSlab`]) the
+//!   collectives operate on;
 //! * [`route`] — the message plane ([`route::Traffic`]: one payload
 //!   arena, routed headers, per-node inboxes) and blocked
 //!   dimension-ordered routing for irregular moves;
@@ -53,5 +54,5 @@ pub use cost::{CostModel, PortModel};
 pub use counters::Counters;
 pub use fault::{FaultPlan, LinkFault, NodeFault};
 pub use machine::Hypercube;
-pub use slab::{NodeSlab, SegSlab};
+pub use slab::NodeSlab;
 pub use topology::{Cube, NodeId};

@@ -3,10 +3,10 @@
 //! [`Hypercube`] bundles the cube topology, the cost model, a simulated
 //! clock and event counters. It does **not** own application data:
 //! distributed data lives in caller-held per-processor buffers — a flat
-//! [`crate::slab::NodeSlab`] (or [`crate::slab::SegSlab`]) indexed by
-//! [`NodeId`] — and the communication routines in [`crate::collective`]
-//! and [`crate::route`] transform those buffers while charging the
-//! machine for the time the operation would take.
+//! [`crate::slab::NodeSlab`] indexed by [`NodeId`] — and the
+//! communication routines in [`crate::collective`] and [`crate::route`]
+//! transform those buffers while charging the machine for the time the
+//! operation would take.
 //!
 //! The accounting discipline is BSP-like and matches the analyses in the
 //! Johnsson/Ho reports: execution is a sequence of *supersteps*; a

@@ -1,15 +1,11 @@
 //! Flat arena-backed per-node buffers — the machine's data plane.
 //!
-//! The seed implementation carried per-node payloads as `Vec<Vec<T>>`
-//! (and per-node/per-destination payloads as `Vec<Vec<Vec<T>>>`): one
-//! heap allocation per node per collective round, cloned at every
-//! superstep. This module replaces that with two CSR-style flat views:
-//!
-//! * [`NodeSlab<T>`] — **one** contiguous `data` allocation plus a
-//!   `p + 1` entry `offsets` table; node `i`'s buffer is the slice
-//!   `data[offsets[i]..offsets[i + 1]]`.
-//! * [`SegSlab<T>`] — the same idea with `nseg` segments per node
-//!   (per-destination blocks for all-to-all and scatter).
+//! The seed implementation carried per-node payloads as `Vec<Vec<T>>`:
+//! one heap allocation per node per collective round, cloned at every
+//! superstep. [`NodeSlab<T>`] replaces that with one CSR-style flat
+//! view: **one** contiguous `data` allocation plus a `p + 1` entry
+//! `offsets` table; node `i`'s buffer is the slice
+//! `data[offsets[i]..offsets[i + 1]]`.
 //!
 //! ### Aliasing rules
 //!
@@ -298,122 +294,6 @@ impl<T> IndexMut<usize> for NodeSlab<T> {
     }
 }
 
-/// Per-node, per-destination segmented arena: `p * nseg` variable-length
-/// segments in one allocation, laid out node-major (`node * nseg + s`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegSlab<T> {
-    nseg: usize,
-    /// `p * nseg + 1` monotone offsets into `data`.
-    offsets: Vec<usize>,
-    data: Vec<T>,
-}
-
-impl<T> SegSlab<T> {
-    /// A slab with `p * nseg` empty segments.
-    #[must_use]
-    pub fn new(p: usize, nseg: usize) -> Self {
-        SegSlab { nseg, offsets: vec![0; p * nseg + 1], data: Vec::new() }
-    }
-
-    /// An empty builder for `p` nodes of `nseg` segments each; push
-    /// `p * nseg` segments in `(node, seg)` lexicographic order.
-    #[must_use]
-    pub fn with_capacity(nseg: usize, p: usize, data_capacity: usize) -> Self {
-        let mut offsets = Vec::with_capacity(p * nseg + 1);
-        offsets.push(0);
-        SegSlab { nseg, offsets, data: Vec::with_capacity(data_capacity) }
-    }
-
-    /// Segments per node.
-    #[must_use]
-    pub fn nseg(&self) -> usize {
-        self.nseg
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn p(&self) -> usize {
-        (self.offsets.len() - 1).checked_div(self.nseg).unwrap_or(0)
-    }
-
-    /// Total elements across all segments.
-    #[must_use]
-    pub fn total_len(&self) -> usize {
-        // vmplint: allow(p1) — offsets holds at least the leading 0 by construction in every constructor
-        *self.offsets.last().expect("offsets never empty")
-    }
-
-    fn slot(&self, node: usize, s: usize) -> usize {
-        debug_assert!(s < self.nseg);
-        node * self.nseg + s
-    }
-
-    /// Length of segment `s` on `node`.
-    #[must_use]
-    pub fn seg_len(&self, node: usize, s: usize) -> usize {
-        let k = self.slot(node, s);
-        self.offsets[k + 1] - self.offsets[k]
-    }
-
-    /// Segment `s` on `node`.
-    #[must_use]
-    pub fn seg(&self, node: usize, s: usize) -> &[T] {
-        let k = self.slot(node, s);
-        &self.data[self.offsets[k]..self.offsets[k + 1]]
-    }
-
-    /// Segment `s` on `node`, mutably.
-    pub fn seg_mut(&mut self, node: usize, s: usize) -> &mut [T] {
-        let k = self.slot(node, s);
-        &mut self.data[self.offsets[k]..self.offsets[k + 1]]
-    }
-
-    /// Append the next segment built by `f` (builder API; `(node, seg)`
-    /// order).
-    pub fn push_seg_with(&mut self, f: impl FnOnce(&mut Vec<T>)) {
-        f(&mut self.data);
-        self.offsets.push(self.data.len());
-    }
-}
-
-impl<T: Clone> SegSlab<T> {
-    /// Append the next segment copied from a slice (builder API).
-    pub fn push_seg(&mut self, seg: &[T]) {
-        self.data.extend_from_slice(seg);
-        self.offsets.push(self.data.len());
-    }
-
-    /// Copy a nested `Vec<Vec<Vec<T>>>` (node → seg → elements) into a
-    /// slab. All nodes must carry the same number of segments; nodes
-    /// with no segments at all are treated as `nseg` empty ones.
-    #[must_use]
-    pub fn from_nested(nested: &[Vec<Vec<T>>], nseg: usize) -> Self {
-        let total: usize = nested.iter().flat_map(|n| n.iter().map(Vec::len)).sum();
-        let mut slab = SegSlab::with_capacity(nseg, nested.len(), total);
-        for node in nested {
-            if node.is_empty() {
-                for _ in 0..nseg {
-                    slab.offsets.push(slab.data.len());
-                }
-            } else {
-                assert_eq!(node.len(), nseg, "uniform segment count per node");
-                for seg in node {
-                    slab.push_seg(seg);
-                }
-            }
-        }
-        slab
-    }
-
-    /// Copy out to the nested representation.
-    #[must_use]
-    pub fn to_nested(&self) -> Vec<Vec<Vec<T>>> {
-        (0..self.p())
-            .map(|node| (0..self.nseg).map(|s| self.seg(node, s).to_vec()).collect())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,27 +370,6 @@ mod tests {
             assert_eq!(slab.seg(n), vec![n; n].as_slice());
         }
         assert_eq!(slab.total_len(), 10);
-    }
-
-    #[test]
-    fn seg_slab_roundtrip() {
-        let nested =
-            vec![vec![vec![1], vec![2, 3]], vec![vec![], vec![4]], vec![vec![5, 6], vec![]]];
-        let slab = SegSlab::from_nested(&nested, 2);
-        assert_eq!(slab.p(), 3);
-        assert_eq!(slab.nseg(), 2);
-        assert_eq!(slab.total_len(), 6);
-        assert_eq!(slab.seg(0, 1), &[2, 3][..]);
-        assert_eq!(slab.seg_len(1, 0), 0);
-        assert_eq!(slab.to_nested(), nested);
-    }
-
-    #[test]
-    fn seg_slab_accepts_empty_nodes() {
-        let nested = vec![vec![vec![1u8], vec![2]], vec![]];
-        let slab = SegSlab::from_nested(&nested, 2);
-        assert_eq!(slab.seg_len(1, 0), 0);
-        assert_eq!(slab.seg_len(1, 1), 0);
     }
 
     #[test]

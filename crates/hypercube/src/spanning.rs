@@ -10,8 +10,8 @@
 //!
 //! * **scatter + allgather** broadcast (`2k` start-ups,
 //!   `~2 * beta * L` transfer) — the "balanced tree" one-port schedule;
-//! * **reduce-scatter + gather/allgather** reductions (Rabenseifner) with
-//!   the same trade;
+//! * **reduce-scatter + allgather** all-reduce (Rabenseifner) with the
+//!   same trade;
 //! * **all-port pipelined broadcast** over `k` edge-disjoint spanning
 //!   binomial trees (nESBT): data movement is modelled (the clone is
 //!   performed directly) but the charge follows the nESBT schedule,
@@ -22,9 +22,9 @@
 //! the crossover: binomial wins small messages (fewer start-ups),
 //! balanced schedules win large ones.
 
-use crate::collective::{allgather_slab, broadcast_slab, check_dims, gather_slab, scatter_slab};
+use crate::collective::{allgather_slab, broadcast_slab, check_dims, scatter_slab};
 use crate::machine::Hypercube;
-use crate::slab::{NodeSlab, SegSlab};
+use crate::slab::NodeSlab;
 use crate::topology::NodeId;
 
 /// Which broadcast schedule to run.
@@ -59,10 +59,9 @@ pub fn broadcast_with<T: Copy>(
                 return;
             }
             // Move the payload to the coordinate-0 node of each subcube if
-            // the root is elsewhere (coordinate relabelling: the scatter
-            // and gather trees here are rooted at coordinate 0). Only the
-            // charge is needed: the scatter below reads the root's segment
-            // directly, and every segment is overwritten at the end.
+            // the root is elsewhere (the scatter tree is rooted at
+            // coordinate 0). Only the charge is needed here: the staging
+            // below copies the root's segment directly.
             if root_coord != 0 {
                 let mut max_len = 0usize;
                 let mut total = 0u64;
@@ -79,27 +78,19 @@ pub fn broadcast_with<T: Copy>(
                     hc.charge_message_step(max_len, total);
                 }
             }
-            // Scatter root's buffer as 2^k near-equal segments...
-            let pieces = 1usize << k;
-            let mut segments = SegSlab::with_capacity(pieces, cube.nodes(), slab.total_len());
-            for node in cube.iter_nodes() {
-                if cube.extract_coords(node, dims) == 0 {
-                    push_split_even(
-                        &mut segments,
-                        &slab[cube.with_coords(node, root_coord, dims)],
-                        pieces,
-                    );
-                } else {
-                    for _ in 0..pieces {
-                        segments.push_seg(&[]);
-                    }
+            // Stage each root's buffer at coordinate 0 and scatter it as
+            // 2^k near-equal pieces...
+            let mask = cube.dims_mask(dims);
+            let mut staged = NodeSlab::build(cube.nodes(), slab.total_len(), |node, buf| {
+                if node & mask == 0 {
+                    buf.extend_from_slice(&slab[cube.with_coords(node, root_coord, dims)]);
                 }
-            }
-            let mut scattered = scatter_slab(hc, &segments, dims);
+            });
+            scatter_slab(hc, &mut staged, dims);
             // ...then allgather: every node ends with the concatenation,
             // which equals the original buffer.
-            allgather_slab(hc, &mut scattered, dims);
-            slab.swap(&mut scattered);
+            allgather_slab(hc, &mut staged, dims);
+            slab.swap(&mut staged);
         }
         BroadcastSchedule::AllPortEsbt => {
             let cube = hc.cube();
@@ -129,20 +120,6 @@ pub fn broadcast_with<T: Copy>(
             }
         }
     }
-}
-
-/// Reduce to subcube coordinate 0 via recursive-halving reduce-scatter
-/// followed by a gather — `2k` start-ups but only `~(beta + gamma) * L`
-/// on the bandwidth/compute terms (vs `k * L` for the binomial tree).
-/// Non-root segments are emptied, as in [`crate::collective::reduce_slab`].
-pub fn reduce_scatter_gather<T: Copy>(
-    hc: &mut Hypercube,
-    slab: &mut NodeSlab<T>,
-    dims: &[u32],
-    op: impl Fn(T, T) -> T + Copy,
-) {
-    reduce_scatter(hc, slab, dims, op);
-    gather_slab(hc, slab, dims);
 }
 
 /// All-reduce via reduce-scatter + allgather (Rabenseifner's algorithm):
@@ -344,19 +321,6 @@ impl EsbtForest {
     }
 }
 
-/// Append `buf` to `out` as `pieces` contiguous segments of near-equal
-/// length (the first `len % pieces` segments are one element longer).
-fn push_split_even<T: Copy>(out: &mut SegSlab<T>, buf: &[T], pieces: usize) {
-    let base = buf.len() / pieces;
-    let extra = buf.len() % pieces;
-    let mut at = 0usize;
-    for i in 0..pieces {
-        let take = base + usize::from(i < extra);
-        out.push_seg(&buf[at..at + take]);
-        at += take;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,16 +385,6 @@ mod tests {
                 assert_ne!(*c, 0, "no tree edge points into the source");
             }
         }
-    }
-
-    #[test]
-    fn split_even_covers_everything() {
-        let v: Vec<u32> = (0..10).collect();
-        let mut parts = SegSlab::with_capacity(4, 1, v.len());
-        push_split_even(&mut parts, &v, 4);
-        assert_eq!((0..4).map(|s| parts.seg_len(0, s)).collect::<Vec<_>>(), vec![3, 3, 2, 2]);
-        let flat: Vec<u32> = (0..4).flat_map(|s| parts.seg(0, s).to_vec()).collect();
-        assert_eq!(flat, v);
     }
 
     #[test]
@@ -499,25 +453,6 @@ mod tests {
         let binomial = run(BroadcastSchedule::Binomial);
         let balanced = run(BroadcastSchedule::ScatterAllgather);
         assert!(binomial < balanced, "binomial {binomial} vs balanced {balanced}");
-    }
-
-    #[test]
-    fn reduce_scatter_gather_matches_binomial_reduce() {
-        let mut hc1 = machine(4);
-        let dims: Vec<u32> = hc1.cube().iter_dims().collect();
-        let make =
-            |hc: &Hypercube| slab_from_fn(hc, |n| (0..33).map(|i| (n * 100 + i) as f64).collect());
-        let mut a = make(&hc1);
-        reduce_scatter_gather(&mut hc1, &mut a, &dims, |x, y| x + y);
-
-        let mut hc2 = machine(4);
-        let mut b = make(&hc2);
-        crate::collective::reduce_slab(&mut hc2, &mut b, &dims, 0, |x, y| x + y);
-
-        assert_eq!(a[0].len(), 33);
-        for (x, y) in a[0].iter().zip(&b[0]) {
-            assert!((x - y).abs() < 1e-9);
-        }
     }
 
     #[test]

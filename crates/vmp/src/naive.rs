@@ -21,12 +21,11 @@ use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::Traffic;
 use vmp_hypercube::router::route_elements;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{
-    Axis, Dist, MatShape, MatrixLayout, Placement, ProcGrid, VecEmbedding, VectorLayout,
-};
+use vmp_layout::{Axis, Dist, Placement, ProcGrid, VecEmbedding, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
 use crate::matrix::DistMatrix;
+use crate::primitives::{local_fold, stack};
 use crate::vector::DistVector;
 
 /// Naive `reduce`: every node routes each element of its local partial
@@ -61,29 +60,8 @@ pub fn naive_reduce<T: Scalar, O: ReduceOp<T>>(
         }
     };
 
-    // Local fold (same as optimized: the obvious code is local here).
-    let partials = NodeSlab::build(p, n * lines_across(&grid, axis), |node, out| {
-        let (lr, lc) = layout.local_shape(node);
-        let buf = &m.locals()[node];
-        let out_len = match axis {
-            Axis::Row => lc,
-            Axis::Col => lr,
-        };
-        let start = out.len();
-        out.resize(start + out_len, op.identity());
-        let acc = &mut out[start..];
-        for li in 0..lr {
-            for lj in 0..lc {
-                let v = buf[li * lc + lj];
-                let slot = match axis {
-                    Axis::Row => lj,
-                    Axis::Col => li,
-                };
-                acc[slot] = op.combine(acc[slot], v);
-            }
-        }
-    });
-    hc.charge_flops(layout.max_local_len());
+    // The local fold is the optimized one: the obvious code is local here.
+    let partials = local_fold(hc, m, axis, op, |_| |_, _, x| x);
 
     // Route every partial element individually to the primary holder of
     // its result index (grid line 0 of the orthogonal direction).
@@ -132,51 +110,25 @@ pub fn naive_distribute<T: Scalar>(
     count: usize,
     stack_kind: Dist,
 ) -> DistMatrix<T> {
-    let vl = v.layout().clone();
+    let vl = v.layout();
     let (axis, placement) = match vl.embedding() {
         VecEmbedding::Aligned { axis, placement } => (*axis, *placement),
         VecEmbedding::Linear => panic!("distribute requires an axis-aligned vector"),
     };
-    let grid = vl.grid().clone();
 
     // Everyone needs a copy of its chunk; a naive program pulls each
     // element individually from the (single) holder.
     let fetched;
     let chunks = match placement {
         Placement::Concentrated(line) => {
-            fetched = naive_fan_out(hc, &grid, axis, line, v.locals());
+            fetched = naive_fan_out(hc, vl.grid(), axis, line, v.locals());
             &fetched
         }
         Placement::Replicated => v.locals(),
     };
 
-    // Local replication (same as optimized).
-    let shape = match axis {
-        Axis::Row => MatShape::new(count, vl.n()),
-        Axis::Col => MatShape::new(vl.n(), count),
-    };
-    let layout = match axis {
-        Axis::Row => MatrixLayout::new(shape, grid.clone(), stack_kind, vl.dist().kind()),
-        Axis::Col => MatrixLayout::new(shape, grid.clone(), vl.dist().kind(), stack_kind),
-    };
-    let locals = NodeSlab::build(grid.p(), shape.rows * shape.cols, |node, buf| {
-        let (lr, lc) = layout.local_shape(node);
-        let chunk = &chunks[node];
-        match axis {
-            Axis::Row => {
-                for _ in 0..lr {
-                    buf.extend_from_slice(chunk);
-                }
-            }
-            Axis::Col => {
-                for &x in chunk {
-                    buf.extend(std::iter::repeat_n(x, lc));
-                }
-            }
-        }
-    });
-    hc.charge_moves(layout.max_local_len());
-    DistMatrix::from_slab(layout, locals)
+    // The local replication is the optimized one.
+    stack(hc, vl, chunks, axis, count, stack_kind)
 }
 
 /// Naive `extract` + replication: the owning grid line's nodes send each
@@ -303,7 +255,7 @@ mod tests {
     use crate::primitives;
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
-    use vmp_layout::ProcGrid;
+    use vmp_layout::{MatShape, MatrixLayout};
 
     fn setup(rows: usize, cols: usize) -> (Hypercube, DistMatrix<f64>) {
         let layout = MatrixLayout::new(

@@ -4,7 +4,7 @@
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, Dist, MatShape, MatrixLayout, Placement, VecEmbedding};
+use vmp_layout::{Axis, Dist, MatShape, MatrixLayout, Placement, VecEmbedding, VectorLayout};
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
@@ -53,7 +53,22 @@ pub fn distribute<T: Scalar>(
         collective::broadcast_slab(hc, &mut chunks, &dims, root);
     }
 
-    // Local replication into the block.
+    stack(hc, &vl, &chunks, axis, count, stack_kind)
+}
+
+/// The local phase of [`distribute`]: every node replicates its chunk of
+/// the `axis`-aligned vector laid out as `vl` into its block of the
+/// `count x n` (Row) or `n x count` (Col) matrix. No communication;
+/// charges the moves.
+pub(crate) fn stack<T: Scalar>(
+    hc: &mut Hypercube,
+    vl: &VectorLayout,
+    chunks: &NodeSlab<T>,
+    axis: Axis,
+    count: usize,
+    stack_kind: Dist,
+) -> DistMatrix<T> {
+    let grid = vl.grid();
     let shape = match axis {
         Axis::Row => MatShape::new(count, vl.n()),
         Axis::Col => MatShape::new(vl.n(), count),

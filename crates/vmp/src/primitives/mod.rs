@@ -30,9 +30,11 @@ mod panel;
 mod reduce;
 
 pub use distribute::distribute;
+pub(crate) use distribute::stack;
 pub use extract::{extract, extract_replicated};
 pub use insert::insert;
 pub use panel::{
     extract_col_panel_replicated, extract_row_panel_replicated, panel_gemm, ColPanel, RowPanel,
 };
+pub(crate) use reduce::local_fold;
 pub use reduce::{reduce, reduce_to, reduce_zip};

@@ -16,7 +16,7 @@ use crate::vector::DistVector;
 /// `(li, lj)` as `lift(li, lj, x)` with `lift = at(node)`. Rows stream
 /// with `chunks_exact` in local offset order, the combine order of the
 /// naive offset walk. Charges the fold's flops.
-fn local_fold<T: Scalar, U: Scalar, O: ReduceOp<U>, L: Fn(usize, usize, T) -> U>(
+pub(crate) fn local_fold<T: Scalar, U: Scalar, O: ReduceOp<U>, L: Fn(usize, usize, T) -> U>(
     hc: &mut Hypercube,
     m: &DistMatrix<T>,
     axis: Axis,
