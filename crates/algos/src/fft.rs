@@ -69,12 +69,6 @@ impl Cplx {
         Cplx::new(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
     }
 
-    /// Conjugate.
-    #[must_use]
-    pub fn conj(self) -> Cplx {
-        Cplx::new(self.re, -self.im)
-    }
-
     /// Scale by a real.
     #[must_use]
     pub fn scale(self, s: f64) -> Cplx {

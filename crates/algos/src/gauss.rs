@@ -17,7 +17,7 @@
 //! `O(ceil(n/p_r) * ceil(n/p_c))` — this is why the default layout for
 //! elimination is cyclic (bench T4 includes the block-layout ablation).
 
-use vmp_core::elem::{ArgMaxAbs, Loc, ReduceOp, Sum};
+use vmp_core::elem::{ArgMaxAbs, Loc, ReduceOp};
 use vmp_core::prelude::*;
 use vmp_core::primitives;
 use vmp_hypercube::machine::Hypercube;
@@ -43,9 +43,8 @@ pub struct GeStats {
 
 /// Componentwise sum on `(f64, f64, f64)` — folds the three back-
 /// substitution quantities (dot product, rhs, diagonal) in one butterfly.
-/// Shared with the LU solve.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Sum3;
+struct Sum3;
 
 impl ReduceOp<(f64, f64, f64)> for Sum3 {
     fn identity(&self) -> (f64, f64, f64) {
@@ -82,11 +81,11 @@ pub fn forward_eliminate(
     Ok(stats)
 }
 
-/// Forward elimination restricted to columns `from..to` — the resumable
-/// core of [`forward_eliminate`]. Column `k`'s step depends only on the
-/// matrix contents, so eliminating `0..n` in one call or in several
-/// ranges (as [`crate::checkpoint`] does across a restart) produces
-/// bit-identical results.
+/// Forward elimination restricted to columns `from..to` — the core of
+/// [`forward_eliminate`]. Column `k`'s step depends only on the matrix
+/// contents, so eliminating `0..n` in one call or in several ranges
+/// (one column at a time, say, to time each step) produces bit-identical
+/// results, clock and counters.
 ///
 /// # Errors
 /// [`GeError::Singular`] if a pivot column is numerically zero.
@@ -156,15 +155,16 @@ fn eliminate_column(
     Ok(())
 }
 
-/// Back substitution on a forward-eliminated augmented matrix, using the
-/// right-hand side stored in `rhs_col`. The solution is maintained as a
-/// replicated row-aligned vector and filled from the bottom up; each
-/// step needs one row extraction and one fused three-way reduction.
+/// Back substitution on a forward-eliminated augmented matrix `[A | b]`,
+/// reading the right-hand side from column `n`. The solution is
+/// maintained as a replicated row-aligned vector and filled from the
+/// bottom up; each step needs one row extraction and one fused
+/// three-way reduction.
 #[must_use]
-pub fn back_substitute_col(hc: &mut Hypercube, aug: &DistMatrix<f64>, rhs_col: usize) -> Vec<f64> {
+pub fn back_substitute(hc: &mut Hypercube, aug: &DistMatrix<f64>) -> Vec<f64> {
     let n = aug.shape().rows;
     let width = aug.shape().cols;
-    assert!(rhs_col >= n && rhs_col < width, "rhs column out of range");
+    assert!(width > n, "augmented matrix expected (at least one rhs column)");
     let layout = VectorLayout::aligned(
         width,
         aug.layout().grid().clone(),
@@ -180,7 +180,7 @@ pub fn back_substitute_col(hc: &mut Hypercube, aug: &DistMatrix<f64>, rhs_col: u
         let (dot, rhs, akk) = row.zip_reduce(hc, &x, Sum3, move |j, r, xj| {
             (
                 if j > k && j < n { r * xj } else { 0.0 }, // dot with known part
-                if j == rhs_col { r } else { 0.0 },        // rhs_k
+                if j == n { r } else { 0.0 },              // rhs_k
                 if j == k { r } else { 0.0 },              // a_kk
             )
         });
@@ -188,39 +188,6 @@ pub fn back_substitute_col(hc: &mut Hypercube, aug: &DistMatrix<f64>, rhs_col: u
         x.map_inplace(hc, |j, v| if j == k { xk } else { v });
     }
     x.to_dense()[..n].to_vec()
-}
-
-/// Back substitution for the single-rhs augmented form `[A | b]`.
-#[must_use]
-pub fn back_substitute(hc: &mut Hypercube, aug: &DistMatrix<f64>) -> Vec<f64> {
-    back_substitute_col(hc, aug, aug.shape().rows)
-}
-
-/// Solve `A X = B` for `k` right-hand sides at once: one forward
-/// elimination over the `n x (n+k)` augmented matrix, then one back
-/// substitution per column — the multiple-rhs amortisation the banded
-/// solver reports in the surrounding corpus rely on.
-///
-/// # Errors
-/// [`GeError::Singular`] for singular systems.
-pub fn ge_solve_multi(
-    hc: &mut Hypercube,
-    a: &Dense,
-    bs: &[Vec<f64>],
-    grid: ProcGrid,
-) -> Result<Vec<Vec<f64>>, GeError> {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "square system expected");
-    let k = bs.len();
-    assert!(k > 0, "need at least one right-hand side");
-    for b in bs {
-        assert_eq!(b.len(), n, "rhs length");
-    }
-    let layout = MatrixLayout::cyclic(MatShape::new(n, n + k), grid);
-    let mut aug =
-        DistMatrix::from_fn(layout, |i, j| if j < n { a.get(i, j) } else { bs[j - n][i] });
-    forward_eliminate(hc, &mut aug)?;
-    Ok((0..k).map(|c| back_substitute_col(hc, &aug, n + c)).collect())
 }
 
 /// Solve `A x = b` end to end on the machine: build the augmented
@@ -249,37 +216,6 @@ pub fn ge_solve_dist(
 ) -> Result<(Vec<f64>, GeStats), GeError> {
     let stats = forward_eliminate(hc, aug)?;
     Ok((back_substitute(hc, aug), stats))
-}
-
-/// A no-pivoting variant (ablation; only safe for diagonally dominant
-/// systems): skips the arg-max search and the row swaps. Used by bench
-/// T4 to price what pivoting costs in primitive operations.
-///
-/// # Errors
-/// [`GeError::Singular`] if a diagonal entry is numerically zero.
-pub fn forward_eliminate_no_pivot(
-    hc: &mut Hypercube,
-    aug: &mut DistMatrix<f64>,
-) -> Result<(), GeError> {
-    let n = aug.shape().rows;
-    let width = aug.shape().cols;
-    assert!(width > n, "augmented matrix expected");
-    for k in 0..n {
-        let row_k = primitives::extract_replicated(hc, aug, Axis::Row, k);
-        let col_k = primitives::extract_replicated(hc, aug, Axis::Col, k);
-        let akk = row_k.reduce_lifted(hc, Sum, |j, v| if j == k { v } else { 0.0 });
-        if akk.abs() < GE_EPS {
-            return Err(GeError::Singular);
-        }
-        aug.rank1_update_ranged(hc, &col_k, &row_k, k + 1..n, k..width, move |_, j, a, c, r| {
-            if j == k {
-                0.0
-            } else {
-                a - (c / akk) * r
-            }
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -348,49 +284,52 @@ mod tests {
         }
     }
 
+    /// Eliminating in column ranges of any width — one column at a
+    /// time as a per-step tracer does, or a few at a time — is one
+    /// `forward_eliminate` call in payload bits, clock bits, counters
+    /// and stats, fault-free and under transient drops.
     #[test]
-    fn multi_rhs_solves_match_single_solves() {
-        let n = 12;
-        let a = workloads::random_matrix(n, n, 31);
-        let bs: Vec<Vec<f64>> = (0..3).map(|k| workloads::random_vector(n, 40 + k)).collect();
-        let (mut hc, grid) = machine_and_grid(4);
-        let xs = ge_solve_multi(&mut hc, &a, &bs, grid).expect("nonsingular");
-        assert_eq!(xs.len(), 3);
-        for (b, x) in bs.iter().zip(&xs) {
-            let (mut hc1, grid1) = machine_and_grid(4);
-            let (x1, _) = ge_solve(&mut hc1, &a, b, grid1).expect("nonsingular");
-            for (u, v) in x.iter().zip(&x1) {
-                assert!((u - v).abs() < 1e-9, "multi-rhs column agrees with single solve");
-            }
-            // Residual check against the original system.
-            let ax = a.matvec(x);
-            for (lhs, rhs) in ax.iter().zip(b) {
-                assert!((lhs - rhs).abs() < 1e-7);
+    fn ranged_elimination_is_bit_identical_to_one_call() {
+        use vmp_hypercube::fault::FaultPlan;
+        let n = 13;
+        let a = workloads::pivot_stress_matrix(n, 3);
+        let b = workloads::random_vector(n, 4);
+        let bits = |m: &DistMatrix<f64>| -> Vec<u64> {
+            m.to_dense().into_iter().flatten().map(f64::to_bits).collect()
+        };
+        for dim in [2u32, 5] {
+            for drops in [false, true] {
+                let machine = || {
+                    let (mut hc, grid) = machine_and_grid(dim);
+                    if drops {
+                        hc.install_faults(FaultPlan::none(9).with_drops(0.2, 0, u64::MAX));
+                    }
+                    (hc, grid)
+                };
+                let (mut hc_one, grid) = machine();
+                let mut aug_one = build_augmented(&a, &b, grid);
+                let stats_one = forward_eliminate(&mut hc_one, &mut aug_one).expect("nonsingular");
+                assert!(stats_one.row_swaps > 0, "the stress matrix must pivot");
+                if drops {
+                    assert!(hc_one.counters().transient_drops > 0, "drops must fire");
+                }
+                for chunk in [1usize, 3, 7, n] {
+                    let (mut hc, grid) = machine();
+                    let mut aug = build_augmented(&a, &b, grid);
+                    let mut stats = GeStats::default();
+                    for from in (0..n).step_by(chunk) {
+                        let to = (from + chunk).min(n);
+                        forward_eliminate_range(&mut hc, &mut aug, from, to, &mut stats)
+                            .expect("nonsingular");
+                    }
+                    let case = format!("dim {dim}, drops {drops}, chunk {chunk}");
+                    assert_eq!(bits(&aug), bits(&aug_one), "{case}");
+                    assert_eq!(hc.elapsed_us().to_bits(), hc_one.elapsed_us().to_bits(), "{case}");
+                    assert_eq!(hc.counters(), hc_one.counters(), "{case}");
+                    assert_eq!(stats, stats_one, "{case}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn multi_rhs_amortises_elimination() {
-        // k solves via one elimination should be much cheaper than k
-        // separate eliminations.
-        let n = 24;
-        let a = workloads::random_matrix(n, n, 8);
-        let bs: Vec<Vec<f64>> = (0..4).map(|k| workloads::random_vector(n, k)).collect();
-        let (mut hc_multi, grid) = machine_and_grid(4);
-        let _ = ge_solve_multi(&mut hc_multi, &a, &bs, grid).expect("nonsingular");
-        let mut separate = 0.0;
-        for b in &bs {
-            let (mut hc1, grid1) = machine_and_grid(4);
-            let _ = ge_solve(&mut hc1, &a, b, grid1).expect("nonsingular");
-            separate += hc1.elapsed_us();
-        }
-        assert!(
-            hc_multi.elapsed_us() < 0.6 * separate,
-            "multi {} vs separate {}",
-            hc_multi.elapsed_us(),
-            separate
-        );
     }
 
     #[test]
@@ -402,22 +341,6 @@ mod tests {
         ]);
         let (mut hc, grid) = machine_and_grid(2);
         assert_eq!(ge_solve(&mut hc, &a, &[1.0, 2.0, 0.5], grid).unwrap_err(), GeError::Singular);
-    }
-
-    #[test]
-    fn no_pivot_variant_agrees_on_dominant_systems() {
-        let n = 12;
-        let (a, b, _) = workloads::diag_dominant_system(n, 9);
-        let (mut hc1, grid1) = machine_and_grid(4);
-        let mut aug1 = build_augmented(&a, &b, grid1);
-        forward_eliminate_no_pivot(&mut hc1, &mut aug1).expect("dominant");
-        let x1 = back_substitute(&mut hc1, &aug1);
-        let (mut hc2, grid2) = machine_and_grid(4);
-        let (x2, stats) = ge_solve(&mut hc2, &a, &b, grid2).expect("dominant");
-        assert_eq!(stats.row_swaps, 0, "dominant diagonal needs no swaps");
-        for (a1, a2) in x1.iter().zip(&x2) {
-            assert_eq!(a1, a2, "identical pivot sequence, identical floats");
-        }
     }
 
     #[test]

@@ -24,44 +24,31 @@
 //! * [`cg`] — conjugate gradient on the primitives' matvec;
 //! * [`stencil`] — Jacobi/Poisson relaxation via NEWS shifts on the
 //!   Gray-coded embedding;
-//! * [`tridiag`] — tridiagonal systems by parallel cyclic reduction;
 //! * [`fft`] — the hypercube FFT (node stages are neighbour exchanges);
 //! * [`sort`] — Batcher bitonic sort on the same stage structure;
 //! * [`histogram`] — dense vs sparse all-to-all histogram reduction
 //!   (TR-682's comparison);
-//! * [`lu`] — distributed LU factorisation with reusable factors;
-//! * [`listrank`] — pointer-jumping list ranking on indexed gathers;
-//! * [`checkpoint`] — checkpoint/restart for the elimination and simplex
-//!   solvers: interrupted runs resume bit-identically from host-side
-//!   snapshots.
+//! * [`listrank`] — pointer-jumping list ranking on indexed gathers.
 
 #![warn(missing_docs)]
 
 pub mod cg;
-pub mod checkpoint;
-pub mod components;
 pub mod fft;
 pub mod gauss;
 pub mod histogram;
 pub mod listrank;
-pub mod lu;
 pub mod matmul;
 pub mod matvec;
 pub mod serial;
 pub mod simplex;
 pub mod sort;
 pub mod stencil;
-pub mod tridiag;
 pub mod workloads;
 
 pub use cg::{cg_solve, CgOptions, CgOutcome};
-pub use checkpoint::{
-    forward_eliminate_checkpointed, resume_forward_eliminate, resume_solve_parallel,
-    solve_parallel_checkpointed, CheckpointError, GeCheckpoint, SimplexCheckpoint,
-};
 pub use gauss::{
-    back_substitute, back_substitute_col, build_augmented, forward_eliminate,
-    forward_eliminate_range, ge_solve, ge_solve_dist, ge_solve_multi, GeError, GeStats,
+    back_substitute, build_augmented, forward_eliminate, forward_eliminate_range, ge_solve,
+    ge_solve_dist, GeError, GeStats,
 };
 pub use matmul::{matmul, matmul_panelled};
 pub use matvec::{matvec, vecmat, vecmat_via_distribute};

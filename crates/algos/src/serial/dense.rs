@@ -80,11 +80,6 @@ impl Dense {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable row access.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Swap two rows.
     pub fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {

@@ -55,30 +55,18 @@ pub fn solve_parallel_with(
     let mut t = build_tableau(lp, grid);
     let (m, n) = (lp.m(), lp.n());
     let mut basis: Vec<usize> = (n..n + m).collect();
-    let (status, iterations) = pivot_to_end(
-        hc,
-        &mut t,
-        &mut basis,
-        m,
-        m,
-        n + m,
-        0,
-        max_iterations,
-        rule,
-        &mut |_, _, _| {},
-    );
+    let (status, iterations) =
+        pivot_to_end(hc, &mut t, &mut basis, m, m, n + m, 0, max_iterations, rule);
     assemble(status, &t, &basis, lp, iterations)
 }
 
 /// The one pivot loop: pivots until optimal, unbounded, or
 /// `max_iterations` pivots in all, counting the `done` already made.
 /// The objective is row `obj_row`, entering columns are `j < n_allowed`
-/// and the ratio test runs over rows `0..m`. After every pivot that
-/// leaves the run in progress, `after_pivot(t, basis, pivots so far)`
-/// runs (a checkpoint capture, or nothing). Returns the status and the
+/// and the ratio test runs over rows `0..m`. Returns the status and the
 /// total pivot count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pivot_to_end(
+fn pivot_to_end(
     hc: &mut Hypercube,
     t: &mut DistMatrix<f64>,
     basis: &mut [usize],
@@ -88,18 +76,12 @@ pub(crate) fn pivot_to_end(
     mut done: usize,
     max_iterations: usize,
     rule: PivotRule,
-    after_pivot: &mut impl FnMut(&DistMatrix<f64>, &[usize], usize),
 ) -> (SimplexStatus, usize) {
     while done < max_iterations {
         match pivot_once(hc, t, basis, m, obj_row, move |j| j < n_allowed, rule) {
             PivotOutcome::Optimal => return (SimplexStatus::Optimal, done),
             PivotOutcome::Unbounded => return (SimplexStatus::Unbounded, done),
-            PivotOutcome::Pivoted(..) => {
-                done += 1;
-                if done < max_iterations {
-                    after_pivot(t, basis, done);
-                }
-            }
+            PivotOutcome::Pivoted(..) => done += 1,
         }
     }
     (SimplexStatus::MaxIterations, max_iterations)
@@ -119,8 +101,8 @@ pub enum PivotOutcome {
 /// Perform at most one simplex pivot on a distributed tableau — the
 /// resumable unit of the solver. One run of `k` pivots and two runs of
 /// `j` then `k - j` pivots over the same tableau produce bit-identical
-/// iterates (each pivot depends only on the tableau and basis), which is
-/// what [`crate::checkpoint`] relies on.
+/// iterates (each pivot depends only on the tableau and basis), so a
+/// caller may drive the solver one pivot at a time.
 pub fn pivot_once(
     hc: &mut Hypercube,
     t: &mut DistMatrix<f64>,
@@ -225,18 +207,8 @@ pub fn solve_general_parallel(
     // Phase 1.
     let rule = PivotRule::Dantzig;
     if n_art > 0 {
-        let (status, iterations) = pivot_to_end(
-            hc,
-            &mut t,
-            &mut basis,
-            m,
-            m + 1,
-            rhs_col,
-            0,
-            max_iterations,
-            rule,
-            &mut |_, _, _| {},
-        );
+        let (status, iterations) =
+            pivot_to_end(hc, &mut t, &mut basis, m, m + 1, rhs_col, 0, max_iterations, rule);
         match status {
             SimplexStatus::Optimal => used = iterations,
             SimplexStatus::MaxIterations => {
@@ -255,18 +227,8 @@ pub fn solve_general_parallel(
 
     // Phase 2: artificials barred from entering; the budget counts both
     // phases.
-    let (status, iterations) = pivot_to_end(
-        hc,
-        &mut t,
-        &mut basis,
-        m,
-        m,
-        n + m,
-        used,
-        max_iterations,
-        rule,
-        &mut |_, _, _| {},
-    );
+    let (status, iterations) =
+        pivot_to_end(hc, &mut t, &mut basis, m, m, n + m, used, max_iterations, rule);
     assemble_general(status, &t, &basis, lp, iterations)
 }
 
@@ -288,7 +250,7 @@ fn assemble_general(
     SimplexResult { status, objective: t.get(lp.m(), rhs_col), x, iterations }
 }
 
-pub(crate) fn assemble(
+fn assemble(
     status: SimplexStatus,
     t: &DistMatrix<f64>,
     basis: &[usize],

@@ -1,7 +1,7 @@
 //! Communication/arithmetic cost model.
 //!
 //! The whole TMC/Yale corpus the paper sits in (Johnsson & Ho's collective
-//! communication reports, the tridiagonal and banded solver papers) uses
+//! communication reports, the banded-system solver papers) uses
 //! the same two-parameter channel model: sending `n` elements between
 //! neighbours costs `alpha + n * beta` — a start-up (latency) term plus a
 //! per-element transfer term — and an arithmetic operation costs `gamma`.

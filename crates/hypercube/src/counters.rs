@@ -54,23 +54,16 @@ impl Counters {
         *self = Counters::default();
     }
 
-    /// A copy of the current tallies, for bracketing a measured region
-    /// (pair with [`Counters::since`]). Never panics.
-    #[must_use]
-    pub fn snapshot(&self) -> Counters {
-        *self
-    }
-
     /// Run `f` on the machine and return its result together with the
-    /// counter deltas the run produced — the snapshot/since bracket as
-    /// one call, so callers cannot pair a snapshot with the wrong
+    /// counter deltas the run produced — a copy/[`Counters::since`]
+    /// bracket as one call, so callers cannot pair a copy with the wrong
     /// machine or forget the diff. This is how the multi-tenant
     /// scheduler scopes counters per job.
     pub fn scoped<R>(
         hc: &mut crate::machine::Hypercube,
         f: impl FnOnce(&mut crate::machine::Hypercube) -> R,
     ) -> (R, Counters) {
-        let before = hc.counters().snapshot();
+        let before = *hc.counters();
         let result = f(hc);
         let delta = hc.counters().since(&before);
         (result, delta)
@@ -154,10 +147,8 @@ mod tests {
 
     #[test]
     fn snapshot_copies_and_since_saturates() {
-        let c = Counters { message_steps: 3, transient_drops: 2, ..Default::default() };
-        let snap = c.snapshot();
-        assert_eq!(snap, c);
-        // A snapshot taken before a reset is "later" than the live
+        let snap = Counters { message_steps: 3, transient_drops: 2, ..Default::default() };
+        // A copy taken before a reset is "later" than the live
         // counters; since() must not panic on the underflow.
         let fresh = Counters::default();
         let d = fresh.since(&snap);

@@ -1,13 +1,18 @@
 //! Deterministic fault injection for the simulated machine.
 //!
 //! A [`FaultPlan`] describes *what goes wrong and when*: permanent link
-//! failures, permanent node failures (each with an activation step), and
-//! a transient message-drop process over a step window. "When" is
-//! measured on the **fault clock** — the machine's cumulative count of
-//! blocked message supersteps ([`crate::counters::Counters::message_steps`]) —
-//! so a plan replays identically for a given program, cost model and
-//! seed: every fault decision is a pure hash of
-//! `(seed, step, canonical link, attempt)` with no hidden state.
+//! failures (each with an activation step) and a transient message-drop
+//! process over a step window. "When" is measured on the **fault
+//! clock** — the machine's cumulative count of blocked message
+//! supersteps ([`crate::counters::Counters::message_steps`]) — so a plan
+//! replays identically for a given program, cost model and seed: every
+//! fault decision is a pure hash of `(seed, step, canonical link,
+//! attempt)` with no hidden state.
+//!
+//! Whole-node failures are not part of a plan. The layout layer models
+//! a dead node by concentrating its block onto a healthy neighbour (the
+//! `vmp-layout` degradation module), after which the machine's host map
+//! makes the dead node's traffic local to its host.
 //!
 //! What the machine does about it is fixed: a checksum detects a drop
 //! as the message arrives, up to [`MAX_RETRIES`] retransmissions with
@@ -33,20 +38,6 @@ pub struct LinkFault {
     pub from_step: u64,
 }
 
-/// A permanent failure of a whole node, active from `from_step` onward.
-///
-/// The machine does not act on node faults by itself: the layout layer
-/// reacts by concentrating the dead node's block onto a healthy
-/// neighbour (see the `vmp-layout` degradation module), after which the
-/// machine's host map makes the dead node's traffic local to its host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NodeFault {
-    /// The failing node.
-    pub node: NodeId,
-    /// First fault-clock step at which the node is dead.
-    pub from_step: u64,
-}
-
 /// A seeded, deterministic schedule of injected faults.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -54,8 +45,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Permanent link failures.
     pub link_faults: Vec<LinkFault>,
-    /// Permanent node failures.
-    pub node_faults: Vec<NodeFault>,
     /// Per-(link, step, attempt) probability of a transient message drop
     /// in `[0, 1]`.
     pub drop_rate: f64,
@@ -74,7 +63,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             link_faults: Vec::new(),
-            node_faults: Vec::new(),
             drop_rate: 0.0,
             drop_from_step: 0,
             drop_until_step: u64::MAX,
@@ -85,13 +73,6 @@ impl FaultPlan {
     #[must_use]
     pub fn with_link_fault(mut self, a: NodeId, b: NodeId, from_step: u64) -> Self {
         self.link_faults.push(LinkFault { a, b, from_step });
-        self
-    }
-
-    /// Add a permanent node failure (builder style).
-    #[must_use]
-    pub fn with_node_fault(mut self, node: NodeId, from_step: u64) -> Self {
-        self.node_faults.push(NodeFault { node, from_step });
         self
     }
 
@@ -112,7 +93,7 @@ impl FaultPlan {
     /// Whether the plan injects no faults at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.link_faults.is_empty() && self.node_faults.is_empty() && self.drop_rate == 0.0
+        self.link_faults.is_empty() && self.drop_rate == 0.0
     }
 
     /// Is the link `{a, b}` permanently dead at fault-clock `step`?
@@ -120,22 +101,6 @@ impl FaultPlan {
     pub fn link_dead(&self, a: NodeId, b: NodeId, step: u64) -> bool {
         let (lo, hi) = canonical(a, b);
         self.link_faults.iter().any(|f| canonical(f.a, f.b) == (lo, hi) && step >= f.from_step)
-    }
-
-    /// Is `node` permanently dead at fault-clock `step`?
-    #[must_use]
-    pub fn node_dead(&self, node: NodeId, step: u64) -> bool {
-        self.node_faults.iter().any(|f| f.node == node && step >= f.from_step)
-    }
-
-    /// Nodes that are dead at fault-clock `step`.
-    #[must_use]
-    pub fn dead_nodes_at(&self, step: u64) -> Vec<NodeId> {
-        let mut dead: Vec<NodeId> =
-            self.node_faults.iter().filter(|f| step >= f.from_step).map(|f| f.node).collect();
-        dead.sort_unstable();
-        dead.dedup();
-        dead
     }
 
     /// Does the message on link `{a, b}` at fault-clock `step` get
@@ -193,7 +158,6 @@ mod tests {
         let plan = FaultPlan::none(42);
         assert!(plan.is_empty());
         assert!(!plan.link_dead(0, 1, 0));
-        assert!(!plan.node_dead(3, 1000));
         assert!(!plan.transient_drop(0, 1, 5, 0));
     }
 
@@ -204,16 +168,6 @@ mod tests {
         assert!(plan.link_dead(4, 5, 10));
         assert!(plan.link_dead(5, 4, 11), "orientation-independent");
         assert!(!plan.link_dead(4, 6, 10), "other links unaffected");
-    }
-
-    #[test]
-    fn node_fault_schedule() {
-        let plan = FaultPlan::none(1).with_node_fault(7, 3).with_node_fault(2, 8);
-        assert!(!plan.node_dead(7, 2));
-        assert!(plan.node_dead(7, 3));
-        assert_eq!(plan.dead_nodes_at(2), vec![]);
-        assert_eq!(plan.dead_nodes_at(5), vec![7]);
-        assert_eq!(plan.dead_nodes_at(8), vec![2, 7]);
     }
 
     #[test]

@@ -28,16 +28,6 @@ pub fn gray_inverse(mut g: usize) -> usize {
     g
 }
 
-/// The cube dimension in which `gray(i)` and `gray(i + 1)` differ.
-///
-/// Equal to the number of trailing ones of `i`, i.e. the ruler sequence.
-/// Useful for walking a Gray-coded ring one channel at a time.
-#[inline]
-#[must_use]
-pub fn gray_step_dim(i: usize) -> u32 {
-    (i + 1).trailing_zeros()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,14 +63,6 @@ mod tests {
         for i in 0..(1usize << 12) {
             let diff = gray(i) ^ gray(i + 1);
             assert_eq!(diff.count_ones(), 1, "i = {i}");
-        }
-    }
-
-    #[test]
-    fn gray_step_dim_matches_actual_difference() {
-        for i in 0..(1usize << 12) {
-            let diff = gray(i) ^ gray(i + 1);
-            assert_eq!(1usize << gray_step_dim(i), diff, "i = {i}");
         }
     }
 

@@ -12,7 +12,7 @@
 //!   iPSC/1 presets) used throughout the contemporaneous literature;
 //! * [`machine`] — the [`machine::Hypercube`] simulator: a BSP-style
 //!   clock and event counters over caller-owned per-processor buffers;
-//! * [`fault`] — seeded deterministic fault plans (link/node failures,
+//! * [`fault`] — seeded deterministic fault plans (link failures and
 //!   transient drops) and the constants of the fixed bounded-retry/reroute
 //!   recovery policy the machine applies when one is installed;
 //! * [`collective`] — broadcast / reduce / allreduce / allgather /
@@ -40,7 +40,6 @@
 pub mod collective;
 pub mod cost;
 pub mod counters;
-pub mod dimperm;
 pub mod fault;
 pub mod gray;
 pub mod machine;
@@ -52,7 +51,7 @@ pub mod topology;
 
 pub use cost::{CostModel, PortModel};
 pub use counters::Counters;
-pub use fault::{FaultPlan, LinkFault, NodeFault};
+pub use fault::{FaultPlan, LinkFault};
 pub use machine::Hypercube;
 pub use slab::NodeSlab;
 pub use topology::{Cube, NodeId};

@@ -39,16 +39,6 @@ impl Cube {
         Cube { dim }
     }
 
-    /// The smallest cube with at least `n` nodes.
-    #[must_use]
-    pub fn with_at_least(n: usize) -> Self {
-        let mut dim = 0;
-        while (1usize << dim) < n {
-            dim += 1;
-        }
-        Cube::new(dim)
-    }
-
     /// Cube dimension `d`.
     #[inline]
     #[must_use]
@@ -201,15 +191,6 @@ mod tests {
         assert_eq!(c.nodes(), 1);
         assert!(c.contains(0));
         assert_eq!(c.iter_dims().count(), 0);
-    }
-
-    #[test]
-    fn with_at_least_rounds_up() {
-        assert_eq!(Cube::with_at_least(1).nodes(), 1);
-        assert_eq!(Cube::with_at_least(2).nodes(), 2);
-        assert_eq!(Cube::with_at_least(3).nodes(), 4);
-        assert_eq!(Cube::with_at_least(1024).nodes(), 1024);
-        assert_eq!(Cube::with_at_least(1025).nodes(), 2048);
     }
 
     #[test]

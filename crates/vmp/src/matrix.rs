@@ -47,20 +47,6 @@ impl<T: Scalar> DistMatrix<T> {
         Self::from_fn(layout, |_, _| value)
     }
 
-    /// Materialise from a dense row-major `rows x cols` host matrix.
-    ///
-    /// # Panics
-    /// Panics if `dense` does not match the layout's shape.
-    #[must_use]
-    pub fn from_dense(layout: MatrixLayout, dense: &[Vec<T>]) -> Self {
-        let shape = layout.shape();
-        assert_eq!(dense.len(), shape.rows, "row count mismatch");
-        for row in dense {
-            assert_eq!(row.len(), shape.cols, "column count mismatch");
-        }
-        Self::from_fn(layout, |i, j| dense[i][j])
-    }
-
     /// The embedding.
     #[must_use]
     pub fn layout(&self) -> &MatrixLayout {
@@ -160,14 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn to_dense_matches_from_dense() {
-        let dense: Vec<Vec<f64>> =
-            (0..5).map(|i| (0..6).map(|j| (i as f64) * 2.5 - j as f64).collect()).collect();
-        let m = DistMatrix::from_dense(layout(5, 6, 3, 1, Dist::Cyclic), &dense);
-        assert_eq!(m.to_dense(), dense);
-    }
-
-    #[test]
     fn constant_fills_everything() {
         let m = DistMatrix::constant(layout(4, 4, 2, 1, Dist::Block), 7i32);
         assert!(m.to_dense().into_iter().flatten().all(|v| v == 7));
@@ -185,12 +163,5 @@ mod tests {
         let m = DistMatrix::from_fn(layout(8, 8, 3, 2, Dist::Cyclic), |i, j| (i * 8 + j) as i64);
         assert_eq!(m.locals().total_len(), 64, "all elements in one allocation");
         assert_eq!(m.locals().offsets().len(), m.layout().grid().p() + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "row count mismatch")]
-    fn from_dense_checks_shape() {
-        let rows = vec![vec![1.0f64; 3]; 2];
-        let _ = DistMatrix::from_dense(layout(3, 3, 1, 1, Dist::Block), &rows);
     }
 }

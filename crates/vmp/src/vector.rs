@@ -245,11 +245,6 @@ impl<T: crate::elem::Numeric> DistVector<T> {
     pub fn dot(&self, hc: &mut Hypercube, other: &DistVector<T>) -> T {
         self.zip_reduce(hc, other, crate::elem::Sum, |_, a, b| a * b)
     }
-
-    /// Squared 2-norm.
-    pub fn norm2_sq(&self, hc: &mut Hypercube) -> T {
-        self.zip_reduce(hc, self, crate::elem::Sum, |_, a, b| a * b)
-    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,7 @@
 
 use proptest::prelude::*;
 
-use four_vmp::algos::serial::simplex::PivotRule;
-use four_vmp::algos::{checkpoint, forward_eliminate, ge_solve, simplex, workloads, GeCheckpoint};
+use four_vmp::algos::{ge_solve, simplex, workloads};
 use four_vmp::core::degrade::apply_degradation;
 use four_vmp::core::elem::Sum;
 use four_vmp::core::primitives;
@@ -153,73 +152,4 @@ fn simplex_is_bit_identical_under_heavy_chaos() {
     assert_eq!(got.objective, want.objective, "bit-identical objective under chaos");
     assert_eq!(got.x, want.x, "bit-identical solution under chaos");
     assert!(faulty.counters().retries > 0, "faults must have fired");
-}
-
-#[test]
-fn checkpointed_restart_under_chaos_matches_clean_run() {
-    // A run is interrupted mid-elimination on a faulty machine; the
-    // checkpoint crosses the byte codec and resumes on a *different*
-    // faulty machine. The final matrix must match the clean run's bits.
-    let n = 15;
-    let (a, b, _) = workloads::diag_dominant_system(n, 23);
-    let grid = || ProcGrid::square(Cube::new(4));
-
-    let mut clean = Hypercube::cm2(4);
-    let mut aug_clean = four_vmp::algos::build_augmented(&a, &b, grid());
-    let stats_clean = forward_eliminate(&mut clean, &mut aug_clean).expect("nonsingular");
-
-    let mut cks: Vec<Vec<u8>> = Vec::new();
-    let mut hc1 = Hypercube::cm2(4);
-    hc1.install_faults(FaultPlan::none(5).with_drops(0.2, 0, u64::MAX));
-    let mut aug1 = four_vmp::algos::build_augmented(&a, &b, grid());
-    checkpoint::forward_eliminate_checkpointed(&mut hc1, &mut aug1, 4, |ck| {
-        cks.push(ck.to_bytes());
-    })
-    .expect("nonsingular");
-    assert!(!cks.is_empty());
-
-    let ck = GeCheckpoint::from_bytes(&cks[0]).expect("round trip");
-    let mut hc2 = Hypercube::cm2(4);
-    hc2.install_faults(FaultPlan::none(999).with_drops(0.2, 0, u64::MAX).with_link_fault(0, 4, 0));
-    let (aug2, stats2) =
-        checkpoint::resume_forward_eliminate(&mut hc2, &ck, grid()).expect("nonsingular");
-
-    assert_eq!(aug2.to_dense(), aug_clean.to_dense(), "restart under chaos is bit-exact");
-    assert_eq!(stats2, stats_clean);
-    assert!(
-        hc2.counters().transient_drops > 0 || hc2.counters().reroutes > 0,
-        "the resumed run really ran under faults"
-    );
-}
-
-#[test]
-fn resumed_simplex_under_chaos_matches_clean_run() {
-    let lp = workloads::random_dense_lp(7, 5, 3);
-    let grid = || ProcGrid::square(Cube::new(3));
-
-    let mut clean = Hypercube::cm2(3);
-    let want = simplex::solve_parallel(&mut clean, &lp, grid(), 500);
-
-    let mut cks = Vec::new();
-    let mut hc1 = Hypercube::cm2(3);
-    hc1.install_faults(FaultPlan::none(1).with_drops(0.2, 0, u64::MAX));
-    let _ = checkpoint::solve_parallel_checkpointed(
-        &mut hc1,
-        &lp,
-        grid(),
-        500,
-        PivotRule::Dantzig,
-        |ck| cks.push(ck.clone()),
-    );
-    assert!(!cks.is_empty(), "LP must pivot at least once");
-
-    let mid = &cks[cks.len() / 2];
-    let mut hc2 = Hypercube::cm2(3);
-    hc2.install_faults(FaultPlan::none(77).with_drops(0.3, 0, u64::MAX));
-    let got = checkpoint::resume_solve_parallel(&mut hc2, &lp, grid(), mid, 500);
-
-    assert_eq!(got.status, want.status);
-    assert_eq!(got.iterations, want.iterations);
-    assert_eq!(got.objective, want.objective);
-    assert_eq!(got.x, want.x);
 }

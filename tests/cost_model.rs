@@ -155,16 +155,15 @@ proptest! {
     }
 }
 
-/// `scan::pack`, `indexing::gather_by_index` (through `listrank`) and
-/// `dimperm::dimension_permute` route traffic but appear in no
-/// reproduced table, so the golden-table check cannot see their
-/// charges. Pin them exactly, fault-free and under transient drops.
+/// `scan::pack` and `indexing::gather_by_index` (through `listrank`)
+/// route traffic but appear in no reproduced table, so the golden-table
+/// check cannot see their charges. Pin them exactly, fault-free and
+/// under transient drops.
 #[test]
 fn routed_paths_outside_the_tables_charge_exactly() {
     use four_vmp::algos::listrank;
     use four_vmp::core::scan;
-    use four_vmp::hypercube::dimperm::{dimension_permute, shuffle};
-    use four_vmp::hypercube::{Counters, FaultPlan, NodeSlab};
+    use four_vmp::hypercube::{Counters, FaultPlan};
 
     let drops = FaultPlan::none(5).with_drops(0.2, 0, u64::MAX);
     let machine = |plan: Option<&FaultPlan>| {
@@ -188,11 +187,6 @@ fn routed_paths_outside_the_tables_charge_exactly() {
         let ranks = listrank::list_rank(hc, &DistVector::from_fn(layout, |i| next[i]));
         assert_eq!(ranks.to_dense(), listrank::list_rank_serial(&next));
     };
-    let permute = |hc: &mut Hypercube| {
-        let mut locals =
-            NodeSlab::build(hc.p(), 0, |n, buf| buf.extend(std::iter::repeat_n(n as u32, n % 5)));
-        dimension_permute(hc, &mut locals, &shuffle(4, 1));
-    };
     let msgs = |message_steps, elements_transferred, max_channel_load, flops| Counters {
         message_steps,
         elements_transferred,
@@ -204,10 +198,9 @@ fn routed_paths_outside_the_tables_charge_exactly() {
         |c: Counters, transient_drops, retries| Counters { transient_drops, retries, ..c };
 
     type Path<'a> = &'a dyn Fn(&mut Hypercube);
-    let cases: [(&str, Path, Option<&FaultPlan>, f64, Counters); 6] = [
+    let cases: [(&str, Path, Option<&FaultPlan>, f64, Counters); 4] = [
         ("pack", &pack, None, 271.6, msgs(8, 304, 8, 36)),
         ("list_rank", &list_rank, None, 3375.150000000001, msgs(96, 1936, 19, 169)),
-        ("dimension_permute", &permute, None, 136.0, msgs(4, 60, 4, 0)),
         ("pack", &pack, Some(&drops), 598.6000000000001, with_drops(msgs(18, 331, 8, 36), 21, 10)),
         (
             "list_rank",
@@ -216,7 +209,6 @@ fn routed_paths_outside_the_tables_charge_exactly() {
             7199.1500000000015,
             with_drops(msgs(212, 1936, 17, 169), 553, 62),
         ),
-        ("dimension_permute", &permute, Some(&drops), 243.0, with_drops(msgs(7, 60, 5, 0), 11, 3)),
     ];
     for (name, run, plan, elapsed_us, counters) in cases {
         let mut hc = machine(plan);

@@ -310,29 +310,6 @@ proptest! {
     }
 
     #[test]
-    fn dimension_permutations_relabel_addresses(
-        dim in 0u32..=6,
-        seed in 0u64..1000,
-    ) {
-        use four_vmp::hypercube::dimperm::{dimension_permute, permute_address};
-        use four_vmp::hypercube::{Hypercube as Hc, NodeSlab};
-        // Build a pseudo-random permutation of 0..dim from the seed.
-        let mut delta: Vec<u32> = (0..dim).collect();
-        let mut s = seed;
-        for i in (1..delta.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (s >> 33) as usize % (i + 1);
-            delta.swap(i, j);
-        }
-        let mut hc = Hc::cm2(dim);
-        let mut locals = NodeSlab::build(hc.p(), hc.p(), |n, buf| buf.push(n as u64));
-        dimension_permute(&mut hc, &mut locals, &delta);
-        for node in 0..hc.p() {
-            prop_assert_eq!(&locals[node], &[permute_address(node, &delta) as u64][..]);
-        }
-    }
-
-    #[test]
     fn matmul_matches_serial_exactly_on_integers(
         m in 1usize..10,
         k in 1usize..10,
@@ -419,23 +396,6 @@ proptest! {
     }
 
     #[test]
-    fn pcr_tridiagonal_matches_thomas(
-        n in 1usize..60,
-        seed in 0u64..200,
-        dim in 0u32..=4,
-    ) {
-        use four_vmp::algos::tridiag::{random_tridiag, thomas_solve, DistTridiag};
-        let (a, b, c, d, _) = random_tridiag(n, seed);
-        let serial = thomas_solve(&a, &b, &c, &d);
-        let mut hc = Hypercube::cm2(dim);
-        let sys = DistTridiag::from_diagonals(ProcGrid::square(Cube::new(dim)), &a, &b, &c, &d);
-        let x = sys.solve_pcr(&mut hc).to_dense();
-        for i in 0..n {
-            prop_assert!((x[i] - serial[i]).abs() < 1e-8, "i = {}", i);
-        }
-    }
-
-    #[test]
     fn histograms_match_serial_both_ways(
         n in 1usize..80,
         bins_log in 1u32..=8,
@@ -457,38 +417,6 @@ proptest! {
         prop_assert_eq!(histogram_dense(&mut h1, &v, bins), expect.clone());
         let mut h2 = Hypercube::cm2(dim);
         prop_assert_eq!(histogram_sparse(&mut h2, &v, bins), expect);
-    }
-
-    #[test]
-    fn component_labels_match_serial_on_random_images(
-        rows in 1usize..10,
-        cols in 1usize..10,
-        colours in 1usize..4,
-        seed in 0u64..500,
-        dim in 0u32..=4,
-    ) {
-        use four_vmp::algos::components::{label_components, label_components_serial};
-        let img: Vec<Vec<i64>> = (0..rows)
-            .map(|i| {
-                (0..cols)
-                    .map(|j| {
-                        let h = ((i * 31 + j) as u64)
-                            .wrapping_mul(seed.wrapping_add(11))
-                            .wrapping_mul(0xC2B2AE3D27D4EB4F);
-                        ((h >> 45) as usize % colours) as i64
-                    })
-                    .collect()
-            })
-            .collect();
-        let serial = label_components_serial(&img);
-        let grid = ProcGrid::square(Cube::new(dim));
-        let m = DistMatrix::from_fn(
-            MatrixLayout::block(MatShape::new(rows, cols), grid),
-            |i, j| img[i][j],
-        );
-        let mut hc = Hypercube::cm2(dim);
-        let (labels, _) = label_components(&mut hc, &m);
-        prop_assert_eq!(labels.to_dense(), serial);
     }
 
     #[test]
