@@ -14,8 +14,6 @@ pub struct Lu {
     pub lu: Dense,
     /// Row permutation: `perm[k]` is the original index of pivot row `k`.
     pub perm: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    pub sign: f64,
 }
 
 /// Why a factorisation or solve failed.
@@ -35,7 +33,6 @@ pub fn lu_factor(a: &Dense) -> Result<Lu, LuError> {
     let n = a.rows();
     let mut lu = a.clone();
     let mut perm: Vec<usize> = (0..n).collect();
-    let mut sign = 1.0;
 
     for k in 0..n {
         // Partial pivot: largest |a_ik| for i >= k.
@@ -49,7 +46,6 @@ pub fn lu_factor(a: &Dense) -> Result<Lu, LuError> {
         if piv_row != k {
             lu.swap_rows(k, piv_row);
             perm.swap(k, piv_row);
-            sign = -sign;
         }
         let pivot = lu.get(k, k);
         for i in k + 1..n {
@@ -61,7 +57,7 @@ pub fn lu_factor(a: &Dense) -> Result<Lu, LuError> {
             }
         }
     }
-    Ok(Lu { lu, perm, sign })
+    Ok(Lu { lu, perm })
 }
 
 impl Lu {
@@ -90,33 +86,6 @@ impl Lu {
         }
         x
     }
-
-    /// Determinant of the original matrix.
-    #[must_use]
-    pub fn det(&self) -> f64 {
-        let n = self.lu.rows();
-        (0..n).map(|i| self.lu.get(i, i)).product::<f64>() * self.sign
-    }
-
-    /// Reconstruct `P A` as `L * U` (test helper).
-    #[must_use]
-    pub fn reconstruct(&self) -> Dense {
-        let n = self.lu.rows();
-        let l = Dense::from_fn(n, n, |i, j| match i.cmp(&j) {
-            std::cmp::Ordering::Greater => self.lu.get(i, j),
-            std::cmp::Ordering::Equal => 1.0,
-            std::cmp::Ordering::Less => 0.0,
-        });
-        let u = Dense::from_fn(n, n, |i, j| if j >= i { self.lu.get(i, j) } else { 0.0 });
-        l.matmul(&u)
-    }
-
-    /// The permuted original rows `P A` for comparison with
-    /// [`Lu::reconstruct`] (test helper; takes the original matrix).
-    #[must_use]
-    pub fn permuted(&self, a: &Dense) -> Dense {
-        Dense::from_fn(a.rows(), a.cols(), |i, j| a.get(self.perm[i], j))
-    }
 }
 
 /// Convenience: factor and solve in one call.
@@ -130,6 +99,44 @@ pub fn solve(a: &Dense, b: &[f64]) -> Result<Vec<f64>, LuError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Determinant of the factorised matrix: the product of `U`'s
+    /// diagonal times the parity of `perm` (even when `n` minus its
+    /// cycle count is even).
+    fn det(f: &Lu) -> f64 {
+        let n = f.lu.rows();
+        let mut seen = vec![false; n];
+        let mut cycles = 0;
+        for start in 0..n {
+            if !seen[start] {
+                cycles += 1;
+                let mut i = start;
+                while !seen[i] {
+                    seen[i] = true;
+                    i = f.perm[i];
+                }
+            }
+        }
+        let sign = if (n - cycles) % 2 == 0 { 1.0 } else { -1.0 };
+        (0..n).map(|i| f.lu.get(i, i)).product::<f64>() * sign
+    }
+
+    /// `L * U`, which equals `P A`.
+    fn reconstruct(f: &Lu) -> Dense {
+        let n = f.lu.rows();
+        let l = Dense::from_fn(n, n, |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Greater => f.lu.get(i, j),
+            std::cmp::Ordering::Equal => 1.0,
+            std::cmp::Ordering::Less => 0.0,
+        });
+        let u = Dense::from_fn(n, n, |i, j| if j >= i { f.lu.get(i, j) } else { 0.0 });
+        l.matmul(&u)
+    }
+
+    /// The rows of `a` in pivot order, `P A`.
+    fn permuted(f: &Lu, a: &Dense) -> Dense {
+        Dense::from_fn(a.rows(), a.cols(), |i, j| a.get(f.perm[i], j))
+    }
 
     fn wilkinsonish(n: usize) -> Dense {
         // A well-conditioned but pivot-requiring test matrix.
@@ -147,8 +154,8 @@ mod tests {
         for n in [1usize, 2, 3, 5, 8, 13] {
             let a = wilkinsonish(n);
             let f = lu_factor(&a).expect("nonsingular");
-            let pa = f.permuted(&a);
-            let lu = f.reconstruct();
+            let pa = permuted(&f, &a);
+            let lu = reconstruct(&f);
             assert!(pa.max_abs_diff(&lu) < 1e-10, "n = {n}: residual {}", pa.max_abs_diff(&lu));
         }
     }
@@ -192,8 +199,11 @@ mod tests {
         let n = 4;
         let a = Dense::from_fn(n, n, |i, j| if i + j == n - 1 { 1.0 } else { 0.0 });
         let f = lu_factor(&a).expect("nonsingular");
-        assert!((f.det() - 1.0).abs() < 1e-12, "reversal of 4 has sign +1");
-        let det2 = lu_factor(&Dense::from_rows(&[vec![2.0, 0.0], vec![0.0, 3.0]])).unwrap().det();
+        assert!((det(&f) - 1.0).abs() < 1e-12, "reversal of 4 has sign +1");
+        let det2 = det(&lu_factor(&Dense::from_rows(&[vec![2.0, 0.0], vec![0.0, 3.0]])).unwrap());
         assert!((det2 - 6.0).abs() < 1e-12);
+        // One swap: det [[0, 1], [1, 0]] = -1.
+        let f = lu_factor(&Dense::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]])).unwrap();
+        assert!((det(&f) + 1.0).abs() < 1e-12, "a single swap is odd");
     }
 }

@@ -13,7 +13,7 @@ use crate::slab::NodeSlab;
 ///
 /// Reverse spanning-binomial-tree: `|dims|` supersteps, each costing
 /// `alpha + (beta + gamma) * L`. Combines run in place through
-/// [`NodeSlab::pair_mut`] — no buffer is taken, cloned, or reallocated;
+/// `NodeSlab::fold_seg` — no buffer is taken, cloned, or reallocated;
 /// one final [`NodeSlab::retain_segs`] pass empties the non-roots.
 ///
 /// # Panics
@@ -60,10 +60,7 @@ pub fn reduce_slab<T: Copy>(
             );
             max_len = max_len.max(len);
             total += len as u64;
-            let (s, d) = slab.pair_mut(src, src ^ chan);
-            for (acc, &v) in d.iter_mut().zip(s.iter()) {
-                *acc = op(*acc, v);
-            }
+            slab.fold_seg(src ^ chan, src, &op);
         }
         match algo {
             Algo::SinglePort => {
@@ -85,11 +82,25 @@ pub fn reduce_slab<T: Copy>(
 /// All-reduce over a flat [`NodeSlab`]: after the call every segment in
 /// a subcube holds the elementwise `op`-combination of all of them.
 ///
-/// Butterfly exchange: `|dims|` supersteps of pairwise exchange+combine,
-/// `alpha + (beta + gamma) * L` each — same time as [`reduce_slab`] but
-/// the result is replicated, which is how a row/column reduction keeps a
-/// vector aligned with the grid (no separate broadcast needed). Fully in
-/// place: the only writes are the combines themselves.
+/// Charged as the butterfly exchange: `|dims|` supersteps of pairwise
+/// exchange+combine, `alpha + (beta + gamma) * L` each — same time as
+/// [`reduce_slab`] but the result is replicated, which is how a row/column
+/// reduction keeps a vector aligned with the grid (no separate broadcast
+/// needed). Every step is charged from the longest and the total segment
+/// length: a butterfly step moves every segment once each way.
+///
+/// The host computes each subcube's combine tree once. After butterfly
+/// step `j` every member of a `dims[0..=j]` sub-subcube holds the same
+/// bits, so at step `j` only the nodes whose bits `dims[0..=j]` are all
+/// zero combine `op(lo, lo | chan)` — the butterfly's own operands, in
+/// its own order — and one final pass copies each subcube's result to
+/// its other members. Payload bits are the butterfly's, from
+/// `p - p / 2^{|dims|}` combines per element slot where the butterfly
+/// made `p * |dims| / 2`.
+///
+/// # Panics
+/// Panics if the segments within a subcube have different lengths, or on
+/// an invalid `dims`.
 pub fn allreduce_slab<T: Copy>(
     hc: &mut Hypercube,
     slab: &mut NodeSlab<T>,
@@ -99,46 +110,25 @@ pub fn allreduce_slab<T: Copy>(
     let cube = hc.cube();
     check_dims(cube, dims);
     assert_eq!(slab.p(), cube.nodes());
-
-    let algo = hc.choose_algo(Collective::Allreduce, dims.len(), slab.max_seg_len());
-    let mut allport_total: u64 = 0;
     let p = slab.p();
-    // Uniform segment lengths (the common balanced-layout case) take the
-    // block-combine fast path: one straight-line pass per dimension via
-    // [`NodeSlab::butterfly_combine`], bit-identical to the per-pair
-    // loop, with each step's load known without visiting a pair (every
-    // channel carries `L` each way).
-    let uniform = slab.uniform_seg_len();
+    // A subcube's representative is its member with every `dims` bit
+    // clear: the node the last combine writes. The combine tree folds
+    // every other member into a node of its subcube exactly once, and
+    // `fold_seg` asserts the two lengths agree, so the representatives'
+    // lengths are all the lengths there are.
+    let mask = cube.dims_mask(dims);
+    let max_len = nodes_where(p, mask, 0).map(|rep| slab.len_of(rep)).max().unwrap_or(0);
+    let total = slab.total_len() as u64;
 
+    let algo = hc.choose_algo(Collective::Allreduce, dims.len(), max_len);
+    let mut allport_total: u64 = 0;
+    let mut combined = 0usize;
     for &d in dims {
         let chan = 1usize << d;
-        let (max_len, total) = match uniform {
-            Some(len) => {
-                slab.butterfly_combine(chan, &op);
-                (len, (p * len) as u64)
-            }
-            None => {
-                let mut max_len = 0usize;
-                let mut total: u64 = 0;
-                for (lo, hi) in channel_pairs(p, chan) {
-                    let len = slab.len_of(lo);
-                    assert_eq!(
-                        len,
-                        slab.len_of(hi),
-                        "allreduce requires equal buffer lengths within a subcube"
-                    );
-                    max_len = max_len.max(len);
-                    total += 2 * len as u64;
-                    let (a, b) = slab.pair_mut(lo, hi);
-                    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-                        let combined = op(*x, *y);
-                        *x = combined;
-                        *y = combined;
-                    }
-                }
-                (max_len, total)
-            }
-        };
+        combined |= chan;
+        for lo in nodes_where(p, combined, 0) {
+            slab.fold_seg(lo, lo | chan, &op);
+        }
         match algo {
             Algo::SinglePort => {
                 hc.charge_exchange_step(channel_pairs(p, chan), max_len, total);
@@ -148,13 +138,18 @@ pub fn allreduce_slab<T: Copy>(
         }
     }
     if let Algo::AllPort { chunks } = algo {
-        hc.charge_allport(
-            Collective::Allreduce,
-            dims.len(),
-            slab.max_seg_len(),
-            chunks,
-            allport_total,
-        );
+        hc.charge_allport(Collective::Allreduce, dims.len(), max_len, chunks, allport_total);
+    }
+
+    // Copy out. A subcube's members come in runs of `2^t` consecutive
+    // nodes, `t` being how many of the lowest address bits `dims` spans:
+    // each run's first node takes the result, then the run fills itself.
+    let run = 1usize << mask.trailing_ones();
+    for first in (0..p).step_by(run) {
+        if first & mask != 0 {
+            slab.copy_seg(first & !mask, first);
+        }
+        slab.fill_run(first, run);
     }
 }
 
@@ -263,6 +258,16 @@ mod tests {
         assert_eq!(b.to_nested(), a, "payload bit-identical (same combine order)");
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
+    }
+
+    #[test]
+    #[should_panic(expected = "equal segment lengths")]
+    fn allreduce_rejects_ragged_subcubes() {
+        // Node 6 is the only member of its {0, 1} subcube with a longer
+        // segment; the combine tree still meets it.
+        let mut hc = unit_machine(3);
+        let mut locals = slab_from_fn(&hc, |n| vec![0u8; 1 + usize::from(n == 6)]);
+        allreduce_slab(&mut hc, &mut locals, &[0, 1], |a, b| a + b);
     }
 
     #[test]

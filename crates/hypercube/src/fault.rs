@@ -24,11 +24,10 @@
 //! which is exactly what the chaos tests assert.
 
 use crate::topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A permanent failure of the channel between two neighbouring nodes,
 /// active from `from_step` (fault clock) onward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkFault {
     /// One endpoint (order does not matter; links are canonicalized).
     pub a: NodeId,
@@ -39,7 +38,7 @@ pub struct LinkFault {
 }
 
 /// A seeded, deterministic schedule of injected faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for all pseudo-random fault decisions.
     pub seed: u64,

@@ -12,7 +12,9 @@
 //! Segments never overlap and are stored in node order, so two distinct
 //! nodes' buffers can be borrowed mutably at once through
 //! [`NodeSlab::pair_mut`] (a `split_at_mut` under the hood) — this is
-//! what lets butterfly combines run in place with zero copies. The
+//! what lets the combine collectives fold one partner into the other,
+//! and the all-reduce copy a subcube's result to its members, in place
+//! with no buffer taken or cloned. The
 //! simulated-clock charging of the collectives is computed from segment
 //! *lengths* only and is therefore unchanged by the representation; see
 //! DESIGN.md § Data plane.
@@ -107,18 +109,6 @@ impl<T> NodeSlab<T> {
         }
     }
 
-    /// `Some(l)` when every segment has the same length `l` (the common
-    /// case after a balanced distribute), else `None`.
-    #[must_use]
-    pub fn uniform_seg_len(&self) -> Option<usize> {
-        let p = self.p();
-        if p == 0 {
-            return None;
-        }
-        let l = self.len_of(0);
-        (1..p).all(|i| self.len_of(i) == l).then_some(l)
-    }
-
     /// The raw backing storage (all segments, in node order).
     #[must_use]
     pub fn data(&self) -> &[T] {
@@ -181,42 +171,41 @@ impl<T> NodeSlab<T> {
 }
 
 impl<T: Copy> NodeSlab<T> {
-    /// Combine every butterfly partner pair `(node, node | chan_bit)`
-    /// elementwise in one pass, writing the combined value to **both**
-    /// partners: `lo[i] = hi[i] = op(lo[i], hi[i])`.
-    ///
-    /// Requires uniform segment lengths. Because node ids ascend in
-    /// storage order, the nodes with `chan_bit` clear/set alternate as
-    /// runs of `chan_bit` consecutive segments, so each partner pair is
-    /// a `lo`/`hi` half of one contiguous `2 * chan_bit * l` block —
-    /// the whole exchange is `p/2` straight-line slice combines with no
-    /// per-pair offset lookups. Combine order and results are identical
-    /// to looping [`NodeSlab::pair_mut`] with `op(lo, hi)` per element
-    /// (the op is applied elementwise either way).
-    ///
-    /// # Panics
-    /// Panics when segment lengths are not uniform, or `chan_bit` is not
-    /// a power of two below `p`.
-    pub fn butterfly_combine(&mut self, chan_bit: usize, op: impl Fn(T, T) -> T) {
-        let p = self.p();
-        assert!(
-            chan_bit.is_power_of_two() && chan_bit < p,
-            "chan_bit {chan_bit} is not a channel of a {p}-node slab"
-        );
-        let Some(l) = self.uniform_seg_len() else {
-            panic!("butterfly_combine requires uniform segment lengths");
-        };
-        if l == 0 {
-            return;
+    /// Fold node `src`'s segment into node `dst`'s, elementwise and in
+    /// place: `dst[i] = op(dst[i], src[i])`. The segments must have the
+    /// same length.
+    pub(crate) fn fold_seg(&mut self, dst: usize, src: usize, op: impl Fn(T, T) -> T) {
+        let (d, s, len) = (self.offsets[dst], self.offsets[src], self.len_of(dst));
+        assert_eq!(len, self.len_of(src), "fold_seg needs equal segment lengths");
+        for i in 0..len {
+            self.data[d + i] = op(self.data[d + i], self.data[s + i]);
         }
-        let half = chan_bit * l;
-        for block in self.data.chunks_exact_mut(2 * half) {
-            let (lo, hi) = block.split_at_mut(half);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let combined = op(*a, *b);
-                *a = combined;
-                *b = combined;
-            }
+    }
+
+    /// Overwrite the `count - 1` segments after node `first`'s with
+    /// copies of it, in `lg count` doubling block copies. All `count`
+    /// segments must have `first`'s length.
+    pub(crate) fn fill_run(&mut self, first: usize, count: usize) {
+        let (start, len) = (self.offsets[first], self.len_of(first));
+        assert!(
+            (1..=count).all(|i| self.offsets[first + i] == start + i * len),
+            "fill_run needs equal segment lengths"
+        );
+        let mut filled = 1;
+        while filled < count {
+            let n = filled.min(count - filled);
+            self.data.copy_within(start..start + n * len, start + filled * len);
+            filled += n;
+        }
+    }
+
+    /// Overwrite node `dst`'s segment with a copy of node `src`'s, which
+    /// must have the same length.
+    pub(crate) fn copy_seg(&mut self, src: usize, dst: usize) {
+        let (d, s, len) = (self.offsets[dst], self.offsets[src], self.len_of(dst));
+        assert_eq!(len, self.len_of(src), "copy_seg needs equal segment lengths");
+        for i in 0..len {
+            self.data[d + i] = self.data[s + i];
         }
     }
 
@@ -379,11 +368,23 @@ mod tests {
     }
 
     #[test]
-    fn uniform_seg_len_detects_uniformity() {
-        assert_eq!(NodeSlab::filled(&[3, 3, 3, 3], 0u8).uniform_seg_len(), Some(3));
-        assert_eq!(NodeSlab::filled(&[3, 3, 2, 3], 0u8).uniform_seg_len(), None);
-        assert_eq!(NodeSlab::filled(&[0, 0], 0u8).uniform_seg_len(), Some(0));
-        assert_eq!(NodeSlab::<u8>::new(0).uniform_seg_len(), None);
+    fn fold_seg_copy_seg_and_fill_run_touch_only_their_targets() {
+        let mut slab = NodeSlab::from_nested(&[vec![1.0, 2.0], vec![9.0], vec![10.0, 20.0]]);
+        slab.fold_seg(2, 0, |a: f64, b| a - 0.5 * b);
+        assert_eq!(slab.to_nested(), vec![vec![1.0, 2.0], vec![9.0], vec![9.5, 19.0]]);
+        slab.copy_seg(2, 0);
+        assert_eq!(slab.to_nested(), vec![vec![9.5, 19.0], vec![9.0], vec![9.5, 19.0]]);
+        let mut slab =
+            NodeSlab::from_nested(&[vec![7], vec![1, 2], vec![3, 4], vec![5, 6], vec![8, 9]]);
+        slab.fill_run(1, 3);
+        assert_eq!(slab.to_nested(), vec![vec![7], vec![1, 2], vec![1, 2], vec![1, 2], vec![8, 9]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal segment lengths")]
+    fn fill_run_rejects_ragged_runs() {
+        let mut slab = NodeSlab::from_nested(&[vec![1, 2], vec![3, 4], vec![5], vec![6, 7, 8]]);
+        slab.fill_run(0, 4);
     }
 
     #[test]
@@ -399,36 +400,5 @@ mod tests {
         assert_eq!(slab.to_nested(), want);
         assert_eq!(slab.total_len(), want.iter().map(Vec::len).sum::<usize>());
         assert_eq!(slab.data().len(), slab.total_len());
-    }
-
-    #[test]
-    fn butterfly_combine_matches_pair_mut_loop() {
-        let p = 8usize;
-        let l = 5usize;
-        let mk = || {
-            NodeSlab::from_nested(
-                &(0..p)
-                    .map(|n| (0..l).map(|i| (n * 31 + i) as f64 * 0.25 - 3.0).collect())
-                    .collect::<Vec<Vec<f64>>>(),
-            )
-        };
-        let op = |a: f64, b: f64| a + b * 0.5;
-        for d in 0..3u32 {
-            let bit = 1usize << d;
-            let mut fast = mk();
-            fast.butterfly_combine(bit, op);
-            let mut slow = mk();
-            for node in 0..p {
-                if node & bit == 0 {
-                    let (lo, hi) = slow.pair_mut(node, node | bit);
-                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                        let combined = op(*a, *b);
-                        *a = combined;
-                        *b = combined;
-                    }
-                }
-            }
-            assert_eq!(fast.data(), slow.data(), "bit {bit}");
-        }
     }
 }

@@ -76,9 +76,7 @@ impl AxisDist {
         match self.kind {
             Dist::Cyclic => i & (self.parts() - 1),
             Dist::Block => {
-                let p = self.parts();
-                let q = self.n / p;
-                let r = self.n % p;
+                let (q, r) = self.quot_rem();
                 // First r parts have q+1 elements, the rest q.
                 let cut = r * (q + 1);
                 if i < cut {
@@ -121,8 +119,8 @@ impl AxisDist {
         debug_assert!(part < self.parts());
         // Identical for both rules: the first `n mod p` parts get one
         // extra element.
-        let p = self.parts();
-        self.n / p + usize::from(part < self.n % p)
+        let (q, r) = self.quot_rem();
+        q + usize::from(part < r)
     }
 
     /// The largest per-part count — the virtual-processing ratio along
@@ -130,15 +128,21 @@ impl AxisDist {
     #[inline]
     #[must_use]
     pub fn max_count(&self) -> usize {
-        self.n.div_ceil(self.parts())
+        let (q, r) = self.quot_rem();
+        q + usize::from(r > 0)
+    }
+
+    /// `(n / parts, n mod parts)`, by shift and mask: the part count is a
+    /// power of two, and the per-node kernels call this for every node.
+    #[inline]
+    fn quot_rem(&self) -> (usize, usize) {
+        (self.n >> self.parts_log2, self.n & (self.parts() - 1))
     }
 
     /// First global index of a block part (Block only).
     fn part_start(&self, part: usize) -> usize {
         debug_assert_eq!(self.kind, Dist::Block);
-        let p = self.parts();
-        let q = self.n / p;
-        let r = self.n % p;
+        let (q, r) = self.quot_rem();
         part * q + part.min(r)
     }
 

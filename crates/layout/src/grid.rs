@@ -28,8 +28,8 @@ pub enum GridEncoding {
 ///
 /// Invariant: the grid-column index occupies the low `d_c` address bits
 /// (cube dims `0..d_c`, in order) and the grid-row index the `d_r` bits
-/// above them. [`ProcGrid::grid_coords`] relies on it to split a node
-/// address with one shift and one mask.
+/// above them. [`ProcGrid::grid_coords`] and [`ProcGrid::node_at`] rely
+/// on it to split and join a node address with one shift and one mask.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProcGrid {
     dim: u32,
@@ -136,14 +136,13 @@ impl ProcGrid {
         }
     }
 
-    /// The node at grid position `(gr, gc)`.
+    /// The node at grid position `(gr, gc)`: the encoded column index in
+    /// the low `d_c` address bits, the encoded row index above them.
     #[must_use]
     pub fn node_at(&self, gr: usize, gc: usize) -> NodeId {
         debug_assert!(gr < self.pr(), "grid row {gr} out of range");
         debug_assert!(gc < self.pc(), "grid col {gc} out of range");
-        let cube = self.cube();
-        cube.deposit_coords(self.encode(gr), &self.row_dims)
-            | cube.deposit_coords(self.encode(gc), &self.col_dims)
+        (self.encode(gr) << self.col_dims.len()) | self.encode(gc)
     }
 
     /// The grid position `(gr, gc)` of `node`: the column index is the

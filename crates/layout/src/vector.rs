@@ -171,6 +171,29 @@ impl VectorLayout {
         }
     }
 
+    /// The primary copy's grid line as a mask test: `node & mask == bits`
+    /// holds exactly on grid line 0 of a replicated vector, on the
+    /// holding line of a concentrated one and on every node of a linear
+    /// one — the nodes [`VectorLayout::primary_holder`] names.
+    #[must_use]
+    pub fn primary_line(&self) -> (usize, usize) {
+        match &self.embedding {
+            VecEmbedding::Aligned { axis, placement } => {
+                let line = match placement {
+                    Placement::Replicated => 0,
+                    Placement::Concentrated(line) => *line,
+                };
+                let (dims, node) = match axis {
+                    Axis::Row => (self.grid.row_dims(), self.grid.node_at(line, 0)),
+                    Axis::Col => (self.grid.col_dims(), self.grid.node_at(0, line)),
+                };
+                let mask = self.grid.cube().dims_mask(dims);
+                (mask, node & mask)
+            }
+            VecEmbedding::Linear => (0, 0),
+        }
+    }
+
     /// The canonical (first) holder of element `i`.
     #[must_use]
     pub fn primary_holder(&self, i: usize) -> NodeId {
@@ -201,6 +224,7 @@ impl VectorLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::GridEncoding;
     use vmp_hypercube::topology::Cube;
 
     fn grid() -> ProcGrid {
@@ -279,6 +303,41 @@ mod tests {
             }
             for n in 0..16 {
                 assert_eq!(per_node[n], layout.local_len(n), "node {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn primary_line_names_the_primary_holders() {
+        for enc in [GridEncoding::Gray, GridEncoding::Binary] {
+            let g = ProcGrid::with_encoding(Cube::new(5), 2, enc);
+            for layout in [
+                VectorLayout::aligned(9, g.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
+                VectorLayout::aligned(9, g.clone(), Axis::Col, Placement::Replicated, Dist::Block),
+                VectorLayout::aligned(
+                    9,
+                    g.clone(),
+                    Axis::Row,
+                    Placement::Concentrated(3),
+                    Dist::Block,
+                ),
+                VectorLayout::aligned(
+                    9,
+                    g.clone(),
+                    Axis::Col,
+                    Placement::Concentrated(5),
+                    Dist::Cyclic,
+                ),
+                VectorLayout::linear(9, g.clone(), Dist::Cyclic),
+            ] {
+                let (mask, bits) = layout.primary_line();
+                // Every part's first node on the line, whatever it holds.
+                let on_line: Vec<NodeId> = (0..32).filter(|&n| n & mask == bits).collect();
+                let parts: Vec<usize> = on_line.iter().map(|&n| layout.part_of(n)).collect();
+                assert_eq!(parts.len(), layout.dist().parts(), "{layout:?}");
+                for i in 0..9 {
+                    assert!(on_line.contains(&layout.primary_holder(i)), "{layout:?} element {i}");
+                }
             }
         }
     }

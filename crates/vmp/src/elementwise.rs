@@ -14,32 +14,48 @@
 //!
 //! Every matrix kernel here is *tiled by local row*: a node's block is
 //! stored row-major in one contiguous slab segment, so the drivers
-//! precompute the global row/column index tables once per node and then
-//! stream each local row with `chunks_exact` — a contiguous,
-//! bounds-check-free inner loop the compiler can autovectorise. The
+//! build the global row/column index tables once per call
+//! (`IndexTables`) and then stream each local row with `chunks_exact`
+//! — a contiguous, bounds-check-free inner loop the compiler can autovectorise. The
 //! visit order (local offset order) and the combine expressions are
 //! exactly those of the naive `local_elements` walk, so results are
 //! bit-identical; only the host-side address arithmetic changed.
 
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, MatrixLayout};
+use vmp_layout::{Axis, AxisDist, MatrixLayout};
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
-use crate::vector::DistVector;
+use crate::vector::{DistVector, Parts};
 
-/// Global row / column index tables for one node's local block: the
-/// tiled kernels look indices up instead of calling `global_index` per
-/// element. `gi[li]` is the global row of local row `li`; `gj[lj]` the
-/// global column of local column `lj`. `gj.len()` is the local column
-/// count, i.e. the row stride of the block.
-pub(crate) fn index_tables(layout: &MatrixLayout, node: usize) -> (Vec<usize>, Vec<usize>) {
-    let (gr, gc) = layout.grid().grid_coords(node);
-    let (lr, lc) = layout.local_shape(node);
-    let gi = (0..lr).map(|li| layout.rows().global_index(gr, li)).collect();
-    let gj = (0..lc).map(|lj| layout.cols().global_index(gc, lj)).collect();
-    (gi, gj)
+/// Global row / column index tables of a matrix layout, built once per
+/// call: the tiled kernels look indices up instead of calling
+/// `global_index` per element. One flat table per axis (`n_r + n_c`
+/// entries in all), segmented by grid line, so a node's two slices are
+/// found from its grid coordinates with no per-node allocation.
+pub(crate) struct IndexTables {
+    /// `rows[gr][li]`: the global row of local row `li` on grid row `gr`.
+    rows: NodeSlab<usize>,
+    /// `cols[gc][lj]`: the global column of local column `lj` on grid
+    /// column `gc`.
+    cols: NodeSlab<usize>,
+}
+
+impl IndexTables {
+    pub(crate) fn new(layout: &MatrixLayout) -> Self {
+        let axis = |dist: &AxisDist| {
+            NodeSlab::build(dist.parts(), dist.n(), |part, buf| buf.extend(dist.part_indices(part)))
+        };
+        IndexTables { rows: axis(layout.rows()), cols: axis(layout.cols()) }
+    }
+
+    /// `(gi, gj)` of the block at grid position `(gr, gc)`: `gi[li]` is
+    /// the global row of local row `li`, `gj[lj]` the global column of
+    /// local column `lj`; `gj.len()` is the block's row stride.
+    pub(crate) fn at(&self, (gr, gc): (usize, usize)) -> (&[usize], &[usize]) {
+        (&self.rows[gr], &self.cols[gc])
+    }
 }
 
 impl<T: Scalar> DistMatrix<T> {
@@ -52,14 +68,15 @@ impl<T: Scalar> DistMatrix<T> {
         f: impl Fn(usize, usize, T) -> U,
     ) -> DistMatrix<U> {
         let layout = self.layout().clone();
-        let p = layout.grid().p();
+        let grid = layout.grid();
         let locals = self.locals();
-        let out = NodeSlab::build(p, locals.total_len(), |node, o| {
+        let tables = IndexTables::new(&layout);
+        let out = NodeSlab::build(grid.p(), locals.total_len(), |node, o| {
             let buf = &locals[node];
             if buf.is_empty() {
                 return;
             }
-            let (gi, gj) = index_tables(&layout, node);
+            let (gi, gj) = tables.at(grid.grid_coords(node));
             o.reserve(buf.len());
             for (li, row) in buf.chunks_exact(gj.len()).enumerate() {
                 let i = gi[li];
@@ -75,11 +92,12 @@ impl<T: Scalar> DistMatrix<T> {
     /// In-place elementwise update: `self[i][j] = f(i, j, self[i][j])`.
     pub fn map_inplace(&mut self, hc: &mut Hypercube, f: impl Fn(usize, usize, T) -> T) {
         let layout = self.layout().clone();
+        let tables = IndexTables::new(&layout);
         self.locals_mut().for_each_seg_mut(|node, buf| {
             if buf.is_empty() {
                 return;
             }
-            let (gi, gj) = index_tables(&layout, node);
+            let (gi, gj) = tables.at(layout.grid().grid_coords(node));
             for (li, row) in buf.chunks_exact_mut(gj.len()).enumerate() {
                 let i = gi[li];
                 for (&j, x) in gj.iter().zip(row.iter_mut()) {
@@ -132,16 +150,17 @@ impl<T: Scalar> DistMatrix<T> {
     ) -> DistMatrix<V> {
         self.check_axis_aligned(axis, v);
         let layout = self.layout().clone();
-        let p = layout.grid().p();
+        let grid = layout.grid();
         let locals = self.locals();
         let v_locals = v.locals();
-        let out = NodeSlab::build(p, locals.total_len(), |node, o| {
+        let tables = IndexTables::new(&layout);
+        let out = NodeSlab::build(grid.p(), locals.total_len(), |node, o| {
             let buf = &locals[node];
             if buf.is_empty() {
                 return;
             }
             let chunk = &v_locals[node];
-            let (gi, gj) = index_tables(&layout, node);
+            let (gi, gj) = tables.at(grid.grid_coords(node));
             o.reserve(buf.len());
             match axis {
                 // A row vector is indexed by the column slot.
@@ -185,11 +204,12 @@ impl<T: Scalar> DistMatrix<T> {
         let layout = self.layout().clone();
         let col_locals = col.locals();
         let row_locals = row.locals();
+        let tables = IndexTables::new(&layout);
         self.locals_mut().for_each_seg_mut(|node, buf| {
             if buf.is_empty() {
                 return;
             }
-            let (gi, gj) = index_tables(&layout, node);
+            let (gi, gj) = tables.at(layout.grid().grid_coords(node));
             let col_chunk = &col_locals[node];
             let row_chunk = &row_locals[node];
             for (li, mrow) in buf.chunks_exact_mut(gj.len()).enumerate() {
@@ -225,32 +245,39 @@ impl<T: Scalar> DistMatrix<T> {
         self.check_axis_aligned(Axis::Col, col);
         self.check_axis_aligned(Axis::Row, row);
         let layout = self.layout().clone();
-        let (row_dist, col_dist) = (layout.rows(), layout.cols());
+        let (grid, row_dist, col_dist) = (layout.grid(), layout.rows(), layout.cols());
+        // The window's local slots on every grid row and grid column: only
+        // the blocks where both are non-empty are visited.
+        let li_ranges: Vec<_> =
+            (0..grid.pr()).map(|gr| row_dist.local_slot_range(gr, rows.start, rows.end)).collect();
+        let lj_ranges: Vec<_> =
+            (0..grid.pc()).map(|gc| col_dist.local_slot_range(gc, cols.start, cols.end)).collect();
         let col_locals = col.locals();
         let row_locals = row.locals();
-        let mut critical = 0usize;
-        self.locals_mut().for_each_seg_mut(|node, buf| {
-            let (gr, gc) = layout.grid().grid_coords(node);
-            let li_range = row_dist.local_slot_range(gr, rows.start, rows.end);
-            let lj_range = col_dist.local_slot_range(gc, cols.start, cols.end);
-            critical = critical.max(li_range.len() * lj_range.len());
-            if li_range.is_empty() || lj_range.is_empty() {
-                return;
-            }
-            let lc = col_dist.count(gc);
-            let col_chunk = &col_locals[node];
-            let row_window = &row_locals[node][lj_range.clone()];
-            for li in li_range {
-                let i = row_dist.global_index(gr, li);
-                let c = col_chunk[li];
-                let base = li * lc;
-                let window = &mut buf[base + lj_range.start..base + lj_range.end];
-                for ((lj, &r), a) in lj_range.clone().zip(row_window).zip(window.iter_mut()) {
-                    *a = f(i, col_dist.global_index(gc, lj), *a, c, r);
+        let locals = self.locals_mut();
+        for (gr, li_range) in li_ranges.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
+            for (gc, lj_range) in lj_ranges.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
+                let node = grid.node_at(gr, gc);
+                let lc = col_dist.count(gc);
+                let col_chunk = &col_locals[node];
+                let row_window = &row_locals[node][lj_range.clone()];
+                let buf = locals.seg_mut(node);
+                for li in li_range.clone() {
+                    let i = row_dist.global_index(gr, li);
+                    let c = col_chunk[li];
+                    let base = li * lc;
+                    let window = &mut buf[base + lj_range.start..base + lj_range.end];
+                    for ((lj, &r), a) in lj_range.clone().zip(row_window).zip(window.iter_mut()) {
+                        *a = f(i, col_dist.global_index(gc, lj), *a, c, r);
+                    }
                 }
             }
-        });
-        hc.charge_flops(2 * critical);
+        }
+        // The busiest block holds the most window rows and window columns.
+        let longest = |ranges: &[std::ops::Range<usize>]| {
+            ranges.iter().map(ExactSizeIterator::len).max().unwrap_or(0)
+        };
+        hc.charge_flops(2 * longest(&li_ranges) * longest(&lj_ranges));
     }
 
     pub(crate) fn check_axis_aligned<U: Scalar>(&self, axis: Axis, v: &DistVector<U>) {
@@ -276,27 +303,18 @@ impl<T: Scalar> DistVector<T> {
     #[must_use]
     pub fn map<U: Scalar>(&self, hc: &mut Hypercube, f: impl Fn(usize, T) -> U) -> DistVector<U> {
         let layout = self.layout().clone();
+        let (dist, parts) = (layout.dist(), Parts::new(&layout));
         let locals = self.locals();
-        let p = locals.p();
-        let mut out = NodeSlab::with_capacity(p, locals.total_len());
-        let mut max_chunk = 0usize;
-        for node in 0..p {
+        let out = NodeSlab::build(locals.p(), locals.total_len(), |node, o| {
             let buf = &locals[node];
-            max_chunk = max_chunk.max(buf.len());
-            out.push_seg_with(|o| {
-                if buf.is_empty() {
-                    return;
-                }
-                let part = layout.part_of(node);
-                o.reserve(buf.len());
-                o.extend(
-                    buf.iter()
-                        .enumerate()
-                        .map(|(slot, &x)| f(layout.dist().global_index(part, slot), x)),
-                );
-            });
-        }
-        hc.charge_flops(max_chunk);
+            if buf.is_empty() {
+                return;
+            }
+            let part = parts.of(node);
+            o.reserve(buf.len());
+            o.extend(buf.iter().enumerate().map(|(slot, &x)| f(dist.global_index(part, slot), x)));
+        });
+        hc.charge_flops(dist.max_count());
         DistVector::from_slab(layout, out)
     }
 
@@ -305,18 +323,17 @@ impl<T: Scalar> DistVector<T> {
     /// [`DistVector::map`], without building a new vector.
     pub fn map_inplace(&mut self, hc: &mut Hypercube, f: impl Fn(usize, T) -> T) {
         let (layout, locals) = self.layout_and_locals_mut();
-        let mut max_chunk = 0usize;
+        let (dist, parts) = (layout.dist(), Parts::new(layout));
         locals.for_each_seg_mut(|node, buf| {
-            max_chunk = max_chunk.max(buf.len());
             if buf.is_empty() {
                 return;
             }
-            let part = layout.part_of(node);
+            let part = parts.of(node);
             for (slot, x) in buf.iter_mut().enumerate() {
-                *x = f(layout.dist().global_index(part, slot), *x);
+                *x = f(dist.global_index(part, slot), *x);
             }
         });
-        hc.charge_flops(max_chunk);
+        hc.charge_flops(dist.max_count());
     }
 
     /// Elementwise combination of two identically laid out vectors.
@@ -329,29 +346,23 @@ impl<T: Scalar> DistVector<T> {
     ) -> DistVector<V> {
         assert_eq!(self.layout(), other.layout(), "zip operands must share a layout");
         let layout = self.layout().clone();
+        let (dist, parts) = (layout.dist(), Parts::new(&layout));
         let locals = self.locals();
-        let p = locals.p();
-        let mut out = NodeSlab::with_capacity(p, locals.total_len());
-        let mut max_chunk = 0usize;
-        for node in 0..p {
-            let a = &locals[node];
-            let b = &other.locals()[node];
-            max_chunk = max_chunk.max(a.len());
-            out.push_seg_with(|o| {
-                if a.is_empty() {
-                    return;
-                }
-                let part = layout.part_of(node);
-                o.reserve(a.len());
-                o.extend(
-                    a.iter()
-                        .zip(b)
-                        .enumerate()
-                        .map(|(slot, (&x, &y))| f(layout.dist().global_index(part, slot), x, y)),
-                );
-            });
-        }
-        hc.charge_flops(max_chunk);
+        let out = NodeSlab::build(locals.p(), locals.total_len(), |node, o| {
+            let (a, b) = (&locals[node], &other.locals()[node]);
+            if a.is_empty() {
+                return;
+            }
+            let part = parts.of(node);
+            o.reserve(a.len());
+            o.extend(
+                a.iter()
+                    .zip(b)
+                    .enumerate()
+                    .map(|(slot, (&x, &y))| f(dist.global_index(part, slot), x, y)),
+            );
+        });
+        hc.charge_flops(dist.max_count());
         DistVector::from_slab(layout, out)
     }
 }
@@ -475,16 +486,23 @@ mod tests {
         );
     }
 
+    /// Every window shape on Gray and binary grids, square and not: a
+    /// general window, one that meets a single grid row or a single grid
+    /// column, empty ones, and the whole matrix. Elements outside the
+    /// window keep their bits, and the charge is exactly two flops per
+    /// window element of the busiest node.
     #[test]
     fn rank1_update_ranged_touches_only_the_window() {
-        for (kind, dr) in
-            [Dist::Block, Dist::Cyclic].into_iter().flat_map(|k| (0..=4).map(move |dr| (k, dr)))
-        {
-            let grid = ProcGrid::new(Cube::new(4), dr);
+        use vmp_layout::GridEncoding;
+        let windows =
+            [(3..7, 2..9), (4..5, 2..9), (3..7, 6..7), (5..5, 2..9), (3..7, 9..9), (0..9, 0..9)];
+        for (kind, dim, dr, enc) in [Dist::Block, Dist::Cyclic].into_iter().flat_map(|k| {
+            [(4u32, 0u32), (4, 1), (4, 2), (4, 3), (4, 4), (5, 2)].into_iter().flat_map(
+                move |(d, r)| [GridEncoding::Gray, GridEncoding::Binary].map(|e| (k, d, r, e)),
+            )
+        }) {
+            let grid = ProcGrid::with_encoding(Cube::new(dim), dr, enc);
             let layout = MatrixLayout::new(MatShape::new(9, 9), grid, kind, kind);
-            let mut hc = Hypercube::new(4, CostModel::unit());
-            let mut m = DistMatrix::from_fn(layout.clone(), |i, j| (i * 9 + j) as f64);
-            let mut expect = m.to_dense();
             let col_l = VectorLayout::aligned(
                 9,
                 layout.grid().clone(),
@@ -501,22 +519,33 @@ mod tests {
             );
             let col = DistVector::from_fn(col_l, |i| (i + 1) as f64);
             let row = DistVector::from_fn(row_l, |j| (j + 2) as f64);
-            // `f` reads the global indices, so a wrong index shows.
-            m.rank1_update_ranged(&mut hc, &col, &row, 3..7, 2..9, |i, j, a, c, r| {
-                a - c * r + (i * 100 + j) as f64
-            });
-            let mut window_slots = vec![0usize; layout.grid().p()];
-            for (i, row_e) in expect.iter_mut().enumerate() {
-                for (j, e) in row_e.iter_mut().enumerate() {
-                    if (3..7).contains(&i) && (2..9).contains(&j) {
-                        *e += (i * 100 + j) as f64 - (i + 1) as f64 * (j + 2) as f64;
-                        window_slots[layout.owner(i, j)] += 1;
+            for (rows, cols) in windows.clone() {
+                let what = format!("{kind:?} dim {dim} dr {dr} {enc:?} window {rows:?} x {cols:?}");
+                let mut hc = Hypercube::new(dim, CostModel::unit());
+                let mut m = DistMatrix::from_fn(layout.clone(), |i, j| (i * 9 + j) as f64);
+                let mut expect = m.to_dense();
+                // `f` reads the global indices, so a wrong index shows.
+                m.rank1_update_ranged(
+                    &mut hc,
+                    &col,
+                    &row,
+                    rows.clone(),
+                    cols.clone(),
+                    |i, j, a, c, r| a - c * r + (i * 100 + j) as f64,
+                );
+                let mut window_slots = vec![0usize; layout.grid().p()];
+                for (i, row_e) in expect.iter_mut().enumerate() {
+                    for (j, e) in row_e.iter_mut().enumerate() {
+                        if rows.contains(&i) && cols.contains(&j) {
+                            *e += (i * 100 + j) as f64 - (i + 1) as f64 * (j + 2) as f64;
+                            window_slots[layout.owner(i, j)] += 1;
+                        }
                     }
                 }
+                assert_eq!(m.to_dense(), expect, "{what}");
+                let critical = window_slots.into_iter().max().unwrap_or(0);
+                assert_eq!(hc.counters().flops, 2 * critical as u64, "{what}: charge");
             }
-            assert_eq!(m.to_dense(), expect, "{kind:?} dr {dr}");
-            let critical = window_slots.into_iter().max().unwrap_or(0);
-            assert_eq!(hc.counters().flops, 2 * critical as u64, "{kind:?} dr {dr}: charge");
         }
     }
 

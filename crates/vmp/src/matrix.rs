@@ -4,6 +4,7 @@ use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{MatShape, MatrixLayout};
 
 use crate::elem::Scalar;
+use crate::elementwise::IndexTables;
 
 /// A dense matrix distributed over the simulated machine according to a
 /// [`MatrixLayout`]. Each node stores its block row-major in local slot
@@ -27,17 +28,14 @@ impl<T: Scalar> DistMatrix<T> {
     /// paper's measurements).
     #[must_use]
     pub fn from_fn(layout: MatrixLayout, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let p = layout.grid().p();
-        let total: usize = (0..p).map(|node| layout.local_len(node)).sum();
-        let mut locals = NodeSlab::with_capacity(p, total);
-        for node in 0..p {
-            locals.push_seg_with(|buf| {
-                for (i, j, off) in layout.local_elements(node) {
-                    let _ = off;
-                    buf.push(f(i, j));
-                }
-            });
-        }
+        let grid = layout.grid();
+        let tables = IndexTables::new(&layout);
+        let locals = NodeSlab::build(grid.p(), layout.shape().elements(), |node, buf| {
+            let (gi, gj) = tables.at(grid.grid_coords(node));
+            for &i in gi {
+                buf.extend(gj.iter().map(|&j| f(i, j)));
+            }
+        });
         DistMatrix { layout, locals }
     }
 

@@ -81,7 +81,8 @@ pub fn extract<T: Scalar>(
 /// [`extract`] followed by replication across the orthogonal grid dims —
 /// the common composite when the extracted line immediately feeds an
 /// elementwise combination (Gaussian elimination's pivot row, simplex's
-/// pivot column). One local copy + `d_r` (resp. `d_c`) broadcast steps.
+/// pivot column). One local copy + `d_r` (resp. `d_c`) broadcast steps;
+/// the broadcast fans out the extracted chunks themselves.
 pub fn extract_replicated<T: Scalar>(
     hc: &mut Hypercube,
     m: &DistMatrix<T>,
@@ -89,7 +90,7 @@ pub fn extract_replicated<T: Scalar>(
     index: usize,
 ) -> DistVector<T> {
     let v = extract(hc, m, axis, index);
-    crate::remap::replicate(hc, &v)
+    crate::remap::replicate_owned(hc, v)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, MatrixLayout, Placement, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
-use crate::elementwise::index_tables;
+use crate::elementwise::IndexTables;
 use crate::matrix::DistMatrix;
 use crate::vector::DistVector;
 
@@ -26,26 +26,28 @@ pub(crate) fn local_fold<T: Scalar, U: Scalar, O: ReduceOp<U>, L: Fn(usize, usiz
     let layout = m.layout();
     let p = layout.grid().p();
     let locals = m.locals();
-    let partial_len = |node| {
-        let (lr, lc) = layout.local_shape(node);
-        match axis {
-            Axis::Row => lc,
-            Axis::Col => lr,
-        }
+    // Every grid line orthogonal to `axis` holds one partial per index.
+    let total_hint = match axis {
+        Axis::Row => layout.grid().pr() * layout.shape().cols,
+        Axis::Col => layout.grid().pc() * layout.shape().rows,
     };
-    let total_hint: usize = (0..p).map(partial_len).sum();
     let partials = NodeSlab::build(p, total_hint, |node, out| {
         // `out` may already hold earlier nodes' segments (the builder
         // hands one shared buffer); fold into this node's suffix only.
+        let (lr, lc) = layout.local_shape(node);
         let start = out.len();
-        out.extend(std::iter::repeat_with(|| op.identity()).take(partial_len(node)));
+        let len = match axis {
+            Axis::Row => lc,
+            Axis::Col => lr,
+        };
+        out.extend(std::iter::repeat_with(|| op.identity()).take(len));
         let buf = &locals[node];
         if buf.is_empty() {
             return;
         }
         let lift = at(node);
         let acc = &mut out[start..];
-        let rows = buf.chunks_exact(layout.local_shape(node).1).enumerate();
+        let rows = buf.chunks_exact(lc).enumerate();
         match axis {
             Axis::Row => {
                 for (li, row) in rows {
@@ -143,9 +145,10 @@ pub fn reduce_zip<T: Scalar, W: Scalar, U: Scalar, O: ReduceOp<U>>(
     let layout = m.layout();
     hc.charge_flops(layout.max_local_len()); // the zip pass
     let (f, v_locals) = (&f, v.locals());
+    let tables = IndexTables::new(layout);
     let partials = local_fold(hc, m, axis, op, |node| {
         let chunk = &v_locals[node];
-        let (gi, gj) = index_tables(layout, node);
+        let (gi, gj) = tables.at(layout.grid().grid_coords(node));
         move |li: usize, lj: usize, x| {
             // A row vector is indexed by the column slot, a column
             // vector by the row slot.

@@ -29,12 +29,8 @@ use crate::vector::DistVector;
 
 /// Is `node` the primary (first) holder of its chunk under `layout`?
 fn is_primary_holder(layout: &VectorLayout, node: usize) -> bool {
-    if layout.local_len(node) == 0 {
-        return false;
-    }
-    let part = layout.part_of(node);
-    let i0 = layout.dist().global_index(part, 0);
-    layout.primary_holder(i0) == node
+    let (mask, bits) = layout.primary_line();
+    node & mask == bits && layout.local_len(node) > 0
 }
 
 /// Replicate an axis-aligned vector across its orthogonal grid dims.
@@ -43,21 +39,27 @@ fn is_primary_holder(layout: &VectorLayout, node: usize) -> bool {
 /// # Panics
 /// Panics on linear vectors.
 pub fn replicate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>) -> DistVector<T> {
+    replicate_owned(hc, v.clone())
+}
+
+/// [`replicate`] of a vector the caller gives up: its own chunks are
+/// broadcast in place, with no copy taken first.
+pub(crate) fn replicate_owned<T: Scalar>(hc: &mut Hypercube, v: DistVector<T>) -> DistVector<T> {
     let (axis, placement) = match v.layout().embedding() {
         VecEmbedding::Aligned { axis, placement } => (*axis, *placement),
         VecEmbedding::Linear => panic!("replicate applies to axis-aligned vectors only"),
     };
     match placement {
-        Placement::Replicated => v.clone(),
+        Placement::Replicated => v,
         Placement::Concentrated(line) => {
-            let grid = v.layout().grid().clone();
+            let (layout, mut chunks) = v.into_parts();
+            let grid = layout.grid();
             let (dims, root) = match axis {
-                Axis::Row => (grid.row_dims().to_vec(), grid.row_coord(line)),
-                Axis::Col => (grid.col_dims().to_vec(), grid.col_coord(line)),
+                Axis::Row => (grid.row_dims(), grid.row_coord(line)),
+                Axis::Col => (grid.col_dims(), grid.col_coord(line)),
             };
-            let mut chunks = v.locals().clone();
-            collective::broadcast_slab(hc, &mut chunks, &dims, root);
-            DistVector::from_slab(v.layout().with_placement(Placement::Replicated), chunks)
+            collective::broadcast_slab(hc, &mut chunks, dims, root);
+            DistVector::from_slab(layout.with_placement(Placement::Replicated), chunks)
         }
     }
 }

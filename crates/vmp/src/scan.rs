@@ -96,7 +96,7 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
         }
         totals.push(acc);
     });
-    let max_chunk = v.locals().max_seg_len();
+    let max_chunk = layout.dist().max_count();
     hc.charge_flops(max_chunk);
 
     // 2. Exclusive scan of chunk totals across the chunk coordinate.

@@ -3,9 +3,45 @@
 use vmp_hypercube::collective::allreduce_slab;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, Placement, VecEmbedding, VectorLayout};
+use vmp_layout::{Axis, VecEmbedding, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
+
+/// A node's chunk part under one vector layout, decoded once per grid
+/// line for a whole call: a `pc`-entry table for a row vector (chunked
+/// over grid columns), a `pr`-entry one for a column vector; a linear
+/// vector's part is the node itself. Agrees with
+/// [`VectorLayout::part_of`].
+pub(crate) struct Parts {
+    /// Part of each grid line, indexed by the line's address bits.
+    lines: Vec<usize>,
+    /// Where the line bits sit in a node address.
+    shift: u32,
+}
+
+impl Parts {
+    pub(crate) fn new(layout: &VectorLayout) -> Self {
+        let grid = layout.grid();
+        match layout.embedding() {
+            VecEmbedding::Aligned { axis: Axis::Row, .. } => {
+                Parts { lines: (0..grid.pc()).map(|x| grid.grid_coords(x).1).collect(), shift: 0 }
+            }
+            VecEmbedding::Aligned { axis: Axis::Col, .. } => Parts {
+                lines: (0..grid.pr()).map(|x| grid.grid_coords(x << grid.dc()).0).collect(),
+                shift: grid.dc(),
+            },
+            VecEmbedding::Linear => Parts { lines: Vec::new(), shift: 0 },
+        }
+    }
+
+    pub(crate) fn of(&self, node: usize) -> usize {
+        if self.lines.is_empty() {
+            node
+        } else {
+            self.lines[(node >> self.shift) & (self.lines.len() - 1)]
+        }
+    }
+}
 
 /// A vector distributed over the simulated machine according to a
 /// [`VectorLayout`]. Replicated embeddings store every copy, and the
@@ -90,9 +126,21 @@ impl<T: Scalar> DistVector<T> {
         (&self.layout, &mut self.locals)
     }
 
+    /// The layout and the per-node chunks, by value (crate-internal;
+    /// kernels that reuse the arena).
+    pub(crate) fn into_parts(self) -> (VectorLayout, NodeSlab<T>) {
+        (self.layout, self.locals)
+    }
+
     /// Assemble directly from an arena (crate-internal; the hot path).
+    /// The chunk lengths must be the layout's: the kernels charge from
+    /// the layout's `max_count` instead of scanning them.
     pub(crate) fn from_slab(layout: VectorLayout, locals: NodeSlab<T>) -> Self {
         debug_assert_eq!(locals.p(), layout.grid().p());
+        debug_assert!(
+            (0..locals.p()).all(|node| locals.len_of(node) == layout.local_len(node)),
+            "chunk lengths disagree with the layout"
+        );
         DistVector { layout, locals }
     }
 
@@ -174,7 +222,7 @@ impl<T: Scalar> DistVector<T> {
         f: impl Fn(usize, T, W) -> U,
     ) -> U {
         assert_eq!(self.layout(), other.layout(), "zip operands must share a layout");
-        hc.charge_flops(self.locals.max_seg_len()); // the zip pass
+        hc.charge_flops(self.layout.dist().max_count()); // the zip pass
         let f = &f;
         self.fold(hc, op, |node| {
             let b = &other.locals[node];
@@ -182,9 +230,13 @@ impl<T: Scalar> DistVector<T> {
         })
     }
 
-    /// The one vector fold: every node folds its chunk, reading `slot`
+    /// The one vector fold: the nodes of the primary grid line (see
+    /// [`VectorLayout::primary_line`]) fold their chunks, reading `slot`
     /// (global index `i`) as `lift(i, slot, x)` with `lift = at(node)`;
-    /// then the partials combine machine-wide.
+    /// every other node contributes the identity. Then the partials
+    /// combine machine-wide. A replicated embedding holds each chunk `r`
+    /// times, and folding every copy would be wrong for non-idempotent ops
+    /// (sum), so only the primary copy is read.
     fn fold<U: Scalar, O: ReduceOp<U>, L: Fn(usize, usize, T) -> U>(
         &self,
         hc: &mut Hypercube,
@@ -193,41 +245,22 @@ impl<T: Scalar> DistVector<T> {
     ) -> U {
         let grid = self.layout.grid();
         let p = self.locals.p();
+        let dist = self.layout.dist();
+        let (mask, primary) = self.layout.primary_line();
+        let parts = Parts::new(&self.layout);
         // Local fold over the chunk: one scalar per node, in one arena.
         let mut partials = NodeSlab::build(p, p, |node, out| {
             let buf = &self.locals[node];
             let mut acc = op.identity();
-            if !buf.is_empty() {
-                let (dist, part, lift) = (self.layout.dist(), self.layout.part_of(node), at(node));
+            if node & mask == primary && !buf.is_empty() {
+                let (part, lift) = (parts.of(node), at(node));
                 for (slot, &v) in buf.iter().enumerate() {
                     acc = op.combine(acc, lift(dist.global_index(part, slot), slot, v));
                 }
             }
             out.push(acc);
         });
-        hc.charge_flops(self.locals.max_seg_len());
-
-        // Combine partials machine-wide over every cube dim. A replicated
-        // embedding holds each chunk `r` times, and folding every copy
-        // would be wrong for non-idempotent ops (sum), so the partials of
-        // all but the primary grid line (line 0, or the concentrating
-        // line) are reset to the identity first.
-        if let VecEmbedding::Aligned { axis, placement } = self.layout.embedding() {
-            let primary = match placement {
-                Placement::Replicated => 0,
-                Placement::Concentrated(line) => *line,
-            };
-            for node in 0..p {
-                let (gr, gc) = grid.grid_coords(node);
-                let ortho = match axis {
-                    Axis::Row => gr,
-                    Axis::Col => gc,
-                };
-                if ortho != primary {
-                    partials[node][0] = op.identity();
-                }
-            }
-        }
+        hc.charge_flops(dist.max_count());
         let dims: Vec<u32> = grid.cube().iter_dims().collect();
         allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
         partials[0][0]
@@ -255,7 +288,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
-    use vmp_layout::{Dist, ProcGrid};
+    use vmp_layout::{Dist, Placement, ProcGrid};
 
     fn grid(dim: u32, dr: u32) -> ProcGrid {
         ProcGrid::new(Cube::new(dim), dr)
@@ -286,6 +319,38 @@ mod tests {
                 assert_eq!(v.get(i), i as i64 * 3 - 5);
             }
             assert_eq!(v.to_dense(), (0..11).map(|i| i as i64 * 3 - 5).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn part_tables_agree_with_part_of() {
+        use vmp_layout::GridEncoding;
+        for (dim, dr) in [(0u32, 0u32), (4, 2), (5, 2), (5, 4), (3, 0), (3, 3)] {
+            for enc in [GridEncoding::Gray, GridEncoding::Binary] {
+                let g = ProcGrid::with_encoding(Cube::new(dim), dr, enc);
+                for layout in [
+                    VectorLayout::aligned(
+                        7,
+                        g.clone(),
+                        Axis::Row,
+                        Placement::Replicated,
+                        Dist::Block,
+                    ),
+                    VectorLayout::aligned(
+                        7,
+                        g.clone(),
+                        Axis::Col,
+                        Placement::Concentrated(g.pc() - 1),
+                        Dist::Cyclic,
+                    ),
+                    VectorLayout::linear(7, g.clone(), Dist::Cyclic),
+                ] {
+                    let parts = Parts::new(&layout);
+                    for node in 0..g.p() {
+                        assert_eq!(parts.of(node), layout.part_of(node), "{layout:?} node {node}");
+                    }
+                }
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use four_vmp::core::elem::Sum;
+use four_vmp::core::elem::{ArgMaxAbs, Loc, ReduceOp, Sum};
 use four_vmp::core::primitives;
 use four_vmp::hypercube::collective::{self, reference};
 use four_vmp::hypercube::cost::{Algo, Collective};
@@ -232,44 +232,67 @@ fn check_move_collectives(case: &Case) {
     }
 }
 
+/// Per-node buffers whose length is equal within every subcube spanned by
+/// `dims` but differs between subcubes (some empty): the combine
+/// collectives' ragged case.
+fn subcube_locals(dim: u32, dims: &[u32], max_len: usize, salt: usize) -> Vec<Vec<f64>> {
+    let p = 1usize << dim;
+    let mask = Cube::new(dim).dims_mask(dims);
+    (0..p)
+        .map(|n| {
+            let len = ((n & !mask) * 5 + salt) % (max_len + 1);
+            (0..len).map(|i| val(n + salt, i)).collect()
+        })
+        .collect()
+}
+
 /// Combine collectives (reduce / allreduce / inclusive scan) on uniform
-/// buffers.
+/// buffers and on buffers ragged across subcubes, under a commutative
+/// and a non-commutative operator. `a + b` is bitwise commutative, so
+/// only the second op tells `op(lo, hi)` from `op(hi, lo)`.
 fn check_combine_collectives(case: &Case) {
-    let nested = uniform_locals(case.dim, case.len, case.salt);
-    let add = |a: f64, b: f64| a + b;
-    for state in STATES {
-        let what = |op: &str| format!("{op} {state:?} {case:?}");
-        let mut want = nested.clone();
-        let mut got = NodeSlab::from_nested(&nested);
-        let mut hc = case.machine(state);
+    type Op = fn(f64, f64) -> f64;
+    let ops: [(&str, Op); 2] = [("a + b", |a, b| a + b), ("a - b/2", |a, b| a - 0.5 * b)];
+    let inputs = [
+        uniform_locals(case.dim, case.len, case.salt),
+        subcube_locals(case.dim, &case.dims, case.len, case.salt),
+    ];
+    for ((name, op), nested) in ops.into_iter().flat_map(|op| inputs.iter().map(move |n| (op, n))) {
+        let max_len = nested.iter().map(Vec::len).max().unwrap_or(0);
+        for state in STATES {
+            let what = |coll: &str| format!("{coll} with {name} {state:?} {case:?}");
+            let mut want = nested.clone();
+            let mut got = NodeSlab::from_nested(nested);
+            let mut hc = case.machine(state);
 
-        let hc_ref = case.oracle(state, Some((Collective::Allreduce, case.len)), |hc| {
-            want = nested.clone();
-            reference::allreduce(hc, &mut want, &case.dims, add);
-        });
-        collective::allreduce_slab(&mut hc, &mut got, &case.dims, add);
-        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("allreduce"));
-        assert_machines_identical(&hc_ref, &hc, &what("allreduce"));
+            let hc_ref = case.oracle(state, Some((Collective::Allreduce, max_len)), |hc| {
+                want = nested.clone();
+                reference::allreduce(hc, &mut want, &case.dims, op);
+            });
+            collective::allreduce_slab(&mut hc, &mut got, &case.dims, op);
+            assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("allreduce"));
+            assert_machines_identical(&hc_ref, &hc, &what("allreduce"));
 
-        let mut got = NodeSlab::from_nested(&nested);
-        let mut hc = case.machine(state);
-        let hc_ref = case.oracle(state, Some((Collective::Reduce, case.len)), |hc| {
-            want = nested.clone();
-            reference::reduce(hc, &mut want, &case.dims, case.root, add);
-        });
-        collective::reduce_slab(&mut hc, &mut got, &case.dims, case.root, add);
-        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("reduce"));
-        assert_machines_identical(&hc_ref, &hc, &what("reduce"));
+            let mut got = NodeSlab::from_nested(nested);
+            let mut hc = case.machine(state);
+            let hc_ref = case.oracle(state, Some((Collective::Reduce, max_len)), |hc| {
+                want = nested.clone();
+                reference::reduce(hc, &mut want, &case.dims, case.root, op);
+            });
+            collective::reduce_slab(&mut hc, &mut got, &case.dims, case.root, op);
+            assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("reduce"));
+            assert_machines_identical(&hc_ref, &hc, &what("reduce"));
 
-        let mut got = NodeSlab::from_nested(&nested);
-        let mut hc = case.machine(state);
-        let hc_ref = case.oracle(state, Some((Collective::Scan, case.len)), |hc| {
-            want = nested.clone();
-            reference::scan_inclusive(hc, &mut want, &case.dims, add);
-        });
-        collective::scan_inclusive_slab(&mut hc, &mut got, &case.dims, add);
-        assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("scan_inclusive"));
-        assert_machines_identical(&hc_ref, &hc, &what("scan_inclusive"));
+            let mut got = NodeSlab::from_nested(nested);
+            let mut hc = case.machine(state);
+            let hc_ref = case.oracle(state, Some((Collective::Scan, max_len)), |hc| {
+                want = nested.clone();
+                reference::scan_inclusive(hc, &mut want, &case.dims, op);
+            });
+            collective::scan_inclusive_slab(&mut hc, &mut got, &case.dims, op);
+            assert_eq!(bits(&want), bits(&got.to_nested()), "{}", what("scan_inclusive"));
+            assert_machines_identical(&hc_ref, &hc, &what("scan_inclusive"));
+        }
     }
 }
 
@@ -324,7 +347,8 @@ proptest! {
     }
 
     /// Combine collectives (reduce / allreduce / inclusive scan) on uniform
-    /// buffers.
+    /// and subcube-ragged buffers, under a commutative and a
+    /// non-commutative operator.
     #[test]
     fn combine_collectives_match_reference(case in cases(40)) {
         check_combine_collectives(&case);
@@ -489,4 +513,170 @@ fn collectives_match_reference_under_link_fault() {
         fault_events += c.transient_drops + c.retries + c.reroutes + c.detour_hops;
     }
     assert!(fault_events > 0, "the plans actually injected faults");
+}
+
+/// A sum whose identity is `-0.0`, the exact additive identity: a fold of
+/// `-0.0`s stays `-0.0` unless some path combines in a `+0.0`.
+#[derive(Debug, Clone, Copy)]
+struct SignedSum;
+
+impl ReduceOp<f64> for SignedSum {
+    fn identity(&self) -> f64 {
+        -0.0
+    }
+    fn combine(&self, a: f64, b: f64) -> f64 {
+        a + b
+    }
+}
+
+/// The vector fold spelled out as it was before it read only the primary
+/// line: every node folds its chunk (element `slot`, global index `i`,
+/// read as `lift(node, i, slot, x)`), the partials of every node off the
+/// primary grid line are reset to the identity, then the reference
+/// butterfly combines them over every cube dimension.
+fn spelled_out_fold<U: Copy, O: ReduceOp<U>>(
+    hc: &mut Hypercube,
+    v: &DistVector<f64>,
+    op: O,
+    lift: impl Fn(usize, usize, usize, f64) -> U,
+) -> U {
+    let layout = v.layout();
+    let grid = layout.grid();
+    let chunks = v.chunks();
+    let mut partials: Vec<Vec<U>> = (0..grid.p())
+        .map(|node| {
+            let part = layout.part_of(node);
+            let fold = chunks[node].iter().enumerate().fold(op.identity(), |acc, (slot, &x)| {
+                op.combine(acc, lift(node, layout.dist().global_index(part, slot), slot, x))
+            });
+            vec![fold]
+        })
+        .collect();
+    hc.charge_flops(chunks.max_seg_len());
+    if let VecEmbedding::Aligned { axis, placement } = layout.embedding() {
+        let primary = match placement {
+            Placement::Replicated => 0,
+            Placement::Concentrated(line) => *line,
+        };
+        for (node, partial) in partials.iter_mut().enumerate() {
+            let (gr, gc) = grid.grid_coords(node);
+            if (if *axis == Axis::Row { gr } else { gc }) != primary {
+                partial[0] = op.identity();
+            }
+        }
+    }
+    let dims: Vec<u32> = grid.cube().iter_dims().collect();
+    // One scalar per node: no cost model prices the ported schedule below
+    // the butterfly's, so the reference's own supersteps are the charge.
+    assert!(matches!(hc.choose_algo(Collective::Allreduce, dims.len(), 1), Algo::SinglePort));
+    reference::allreduce(hc, &mut partials, &dims, |a, b| op.combine(a, b));
+    partials[0][0]
+}
+
+/// `reduce_lifted` and `zip_reduce` fold only the primary line's chunks
+/// and feed the identity for every other node; result bits, clock bits
+/// and counters equal the spelled-out fold for replicated, concentrated
+/// (off line 0) and linear vectors, Gray and binary grids, square and
+/// non-square grids and one node, on both port models and under drops.
+/// Chunks hold `-0.0`, so a path that combined one identity more or less
+/// than the spelled-out fold would flip a sign.
+#[test]
+fn vector_folds_match_the_spelled_out_fold() {
+    use four_vmp::layout::GridEncoding;
+    type Machine = Box<dyn Fn() -> Hypercube>;
+    let grids = [
+        ProcGrid::with_encoding(Cube::new(4), 2, GridEncoding::Gray),
+        ProcGrid::with_encoding(Cube::new(5), 2, GridEncoding::Binary),
+        ProcGrid::with_encoding(Cube::new(5), 3, GridEncoding::Gray),
+        ProcGrid::with_encoding(Cube::new(0), 0, GridEncoding::Gray),
+    ];
+    let (mut checked, drops) = (0, std::cell::Cell::new(0u64));
+    for grid in grids {
+        let n = 23;
+        let (last_row, last_col) = (grid.pr() - 1, grid.pc() - 1);
+        let layouts = [
+            VectorLayout::aligned(n, grid.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
+            VectorLayout::aligned(n, grid.clone(), Axis::Col, Placement::Replicated, Dist::Block),
+            VectorLayout::aligned(
+                n,
+                grid.clone(),
+                Axis::Row,
+                Placement::Concentrated(last_row),
+                Dist::Block,
+            ),
+            VectorLayout::aligned(
+                n,
+                grid.clone(),
+                Axis::Col,
+                Placement::Concentrated(last_col),
+                Dist::Cyclic,
+            ),
+            VectorLayout::linear(n, grid.clone(), Dist::Cyclic),
+        ];
+        let dim = grid.cube().dim();
+        let machines: [(&str, Machine); 3] = [
+            ("cm2", Box::new(move || Hypercube::new(dim, CostModel::cm2()))),
+            ("cm2_allport", Box::new(move || Hypercube::new(dim, CostModel::cm2_allport()))),
+            (
+                "cm2 under drops",
+                Box::new(move || {
+                    let mut hc = Hypercube::new(dim, CostModel::cm2());
+                    hc.install_faults(FaultPlan::none(7).with_drops(0.3, 0, u64::MAX));
+                    hc
+                }),
+            ),
+        ];
+        for layout in layouts {
+            // Every third element `-0.0`, the rest signed values; and an
+            // all-`-0.0` twin.
+            let v =
+                DistVector::from_fn(layout.clone(), |i| if i % 3 == 0 { -0.0 } else { val(i, 1) });
+            let zeros = DistVector::constant(layout.clone(), -0.0f64);
+            let w = DistVector::from_fn(layout.clone(), |i| val(i, 2));
+            for (name, machine) in &machines {
+                let what = format!("{name} {layout:?}");
+                let pin =
+                    |run: &dyn Fn(&mut Hypercube) -> (u64, usize),
+                     oracle: &dyn Fn(&mut Hypercube) -> (u64, usize)| {
+                        let (mut hc, mut hc_ref) = (machine(), machine());
+                        assert_eq!(run(&mut hc), oracle(&mut hc_ref), "{what}: result bits");
+                        assert_machines_identical(&hc_ref, &hc, &what);
+                        drops.set(drops.get() + hc.counters().transient_drops);
+                    };
+                for x in [&v, &zeros] {
+                    pin(&|hc| (x.reduce_all(hc, Sum).to_bits(), 0), &|hc| {
+                        (spelled_out_fold(hc, x, Sum, |_, _, _, e| e).to_bits(), 0)
+                    });
+                    pin(&|hc| (x.reduce_all(hc, SignedSum).to_bits(), 0), &|hc| {
+                        (spelled_out_fold(hc, x, SignedSum, |_, _, _, e| e).to_bits(), 0)
+                    });
+                    // The pivot-search shape: masked entries lift to a
+                    // zero candidate, ties broken by index.
+                    let lift = |i: usize, e: f64| {
+                        if i >= 5 {
+                            Loc::new(e, i)
+                        } else {
+                            Loc::new(0.0, usize::MAX)
+                        }
+                    };
+                    let loc_bits = |l: Loc<f64>| (l.value.to_bits(), l.index);
+                    pin(&|hc| loc_bits(x.reduce_lifted(hc, ArgMaxAbs, lift)), &|hc| {
+                        loc_bits(spelled_out_fold(hc, x, ArgMaxAbs, |_, i, _, e| lift(i, e)))
+                    });
+                    // The back-substitution shape: a fused product, its
+                    // zip pass charged first.
+                    let wc = w.chunks();
+                    let f = |i: usize, a: f64, b: f64| a * b + i as f64;
+                    pin(&|hc| (x.zip_reduce(hc, &w, SignedSum, f).to_bits(), 0), &|hc| {
+                        hc.charge_flops(x.chunks().max_seg_len());
+                        let lift = |node: usize, i, slot: usize, a| f(i, a, wc[node][slot]);
+                        (spelled_out_fold(hc, x, SignedSum, lift).to_bits(), 0)
+                    });
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 4 * 5 * 3 * 2);
+    assert!(drops.get() > 0, "the drop plan injected drops");
 }
