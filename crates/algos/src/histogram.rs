@@ -78,9 +78,8 @@ pub fn histogram_sparse(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) 
         let mut partners = sparse.clone();
         exchange_slab(hc, &mut partners, d);
         // The exchange charged 1 element per (bin, count) pair; charge
-        // the second word of each pair explicitly.
-        let extra = partners.max_seg_len();
-        hc.charge_raw_us(hc.cost().beta * extra as f64);
+        // the second word of each pair on the same message.
+        hc.charge_elements(partners.max_seg_len());
         let mut merge_work = 0usize;
         sparse = NodeSlab::build(p, sparse.total_len() + partners.total_len(), |node, out| {
             let start = out.len();

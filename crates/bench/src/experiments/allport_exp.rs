@@ -8,7 +8,7 @@
 //! **bit-identical** between the two runs before any number is reported
 //! — the port model may only change the simulated clock, never the data
 //! plane (both arms execute the same movement and combine order; see
-//! `crates/hypercube/src/collective/allport.rs`).
+//! the `collective` module doc in `vmp-hypercube`).
 //!
 //! `len` is the per-node segment length, except for `allgather` where it
 //! is the **gathered** result length per node (the input segment is
@@ -225,7 +225,7 @@ mod tests {
                 let b = run_collective(&mut ap, kind, &dims, seg);
                 assert_eq!(a, b, "{} seg={seg} payload", kind_name(kind));
                 assert!(
-                    ap.elapsed_us() <= sp.elapsed_us() + 1e-9,
+                    ap.elapsed_us() <= sp.elapsed_us(),
                     "{} seg={seg}: all-port {} vs single-port {}",
                     kind_name(kind),
                     ap.elapsed_us(),

@@ -2,26 +2,30 @@
 
 use vmp_hypercube::collective;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_hypercube::spanning::{allreduce_rabenseifner, broadcast_with, BroadcastSchedule};
+use vmp_hypercube::spanning::{allreduce_rabenseifner, broadcast_scatter_allgather};
+use vmp_hypercube::{CostModel, Hypercube};
 
 use crate::common::cm2;
 use crate::table::{fmt_us, Table};
 
-/// Simulated broadcast time of `len` elements on a `dim`-cube under each
-/// schedule: `(binomial, scatter_allgather, allport_esbt)`.
+/// Simulated broadcast time of `len` elements on a `dim`-cube:
+/// `(binomial, scatter_allgather, allport)`. The first two are the
+/// one-port schedules on CM-2 constants; `allport` is the machine's own
+/// broadcast on the same constants with all ports, which charges the
+/// schedule [`CostModel::choose`] picks.
 #[must_use]
 pub fn broadcast_times(len: usize, dim: u32) -> (f64, f64, f64) {
     let dims: Vec<u32> = (0..dim).collect();
-    let run = |sched| {
-        let mut hc = cm2(dim);
+    let run = |cost, bcast: fn(&mut Hypercube, &mut NodeSlab<f64>, &[u32], usize)| {
+        let mut hc = Hypercube::new(dim, cost);
         let mut slab = root_payload(hc.p(), len);
-        broadcast_with(&mut hc, &mut slab, &dims, 0, sched);
+        bcast(&mut hc, &mut slab, &dims, 0);
         hc.elapsed_us()
     };
     (
-        run(BroadcastSchedule::Binomial),
-        run(BroadcastSchedule::ScatterAllgather),
-        run(BroadcastSchedule::AllPortEsbt),
+        run(CostModel::cm2(), collective::broadcast_slab),
+        run(CostModel::cm2(), broadcast_scatter_allgather),
+        run(CostModel::cm2_allport(), collective::broadcast_slab),
     )
 }
 
@@ -76,11 +80,18 @@ mod tests {
 
     #[test]
     fn crossover_exists() {
-        let (b_small, s_small, _) = broadcast_times(4, 8);
+        let (b_small, s_small, a_small) = broadcast_times(4, 8);
         assert!(b_small < s_small, "small messages: binomial wins");
         let (b_big, s_big, a_big) = broadcast_times(16384, 8);
         assert!(s_big < b_big, "large messages: scatter+allgather wins");
         assert!(a_big < s_big, "all-port pipelining wins biggest");
+        // The all-port column is the schedule the machine picks and prices.
+        let (c, kind) = (CostModel::cm2_allport(), vmp_hypercube::cost::Collective::Broadcast);
+        for (len, a) in [(4, a_small), (16384, a_big)] {
+            let priced =
+                c.price(CostModel::collective_time(kind, 8, len, c.choose(kind, 8, len, false)));
+            assert_eq!(a.to_bits(), priced.to_bits(), "L = {len}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Concatenation/segmentation order is subcube **coordinate order**. The
 //! scatter root is at subcube coordinate 0 (a caller needing a different
 //! root moves the payload there first, as
-//! [`crate::spanning::broadcast_with`] does).
+//! [`crate::spanning::broadcast_scatter_allgather`] does).
 //!
 //! Both run **charge-then-place** over the flat slab: the per-step
 //! loads of the binomial/recursive-doubling schedules are computed

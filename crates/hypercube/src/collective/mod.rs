@@ -18,10 +18,14 @@
 //! Ho, *Optimum Broadcasting and Personalized Communication in
 //! Hypercubes* (TR-610, reproduced in the source booklet). Healthy
 //! machines whose cost model lets a node drive all its ports charge the
-//! ported model instead wherever it is cheaper (see [`allport`]); payload
-//! movement and combine order are identical under every schedule.
-
-pub mod allport;
+//! ported model instead wherever it is cheaper; payload movement and
+//! combine order are identical under every schedule, only the charges
+//! differ. Each collective asks [`crate::Hypercube::choose_algo`] once,
+//! up front. Under single-port its movement passes charge per superstep;
+//! under all-port one [`crate::Hypercube::charge_allport`] call charges
+//! the whole [`crate::cost::allport_schedule`], pipelined over the
+//! edge-disjoint spanning binomial trees of
+//! [`crate::spanning::EsbtForest`].
 mod broadcast;
 mod exchange;
 mod gather;

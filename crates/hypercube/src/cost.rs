@@ -10,13 +10,21 @@
 //! baseline, where every element is injected into the general router as
 //! its own message.
 //!
+//! The machine counts each term as an integer ([`Ticks`]); predictions
+//! are `Ticks` too, and [`CostModel::price`] alone turns counts into
+//! time, so a prediction equals a charge exactly.
+//!
 //! All times are in microseconds; they are *simulated* times. The presets
 //! are in the right regime for the machines of the era (CM-2, iPSC/1) so
 //! the reproduced tables have plausible magnitudes, but the claims we
 //! verify are about *shape* (ratios, crossovers), which are insensitive to
 //! the exact constants — see `EXPERIMENTS.md`.
 
+use std::ops::{Add, Mul};
+
 use serde::{Deserialize, Serialize};
+
+use crate::fault::BACKOFF_US;
 
 /// Whether a node can use one channel at a time or all `d` channels
 /// concurrently. The CM-2 NEWS/hypercube hardware supported concurrent
@@ -134,6 +142,80 @@ pub fn allport_schedule(kind: Collective, k: usize, len: usize, chunks: usize) -
     }
 }
 
+/// Integer counts of the cost terms: what a machine charges and what a
+/// prediction names. [`CostModel::price`] converts them to microseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ticks {
+    /// Blocked message start-ups (`alpha` each).
+    pub startups: u64,
+    /// Critical-path message elements (`beta` each).
+    pub elements: u64,
+    /// Critical-path arithmetic operations (`gamma` each).
+    pub flops: u64,
+    /// Critical-path local element moves (`delta` each).
+    pub moves: u64,
+    /// Router injections on the busiest node (`router_alpha` each).
+    pub injections: u64,
+    /// Router petit cycles (`router_cycle` each).
+    pub router_cycles: u64,
+    /// Retransmission backoff units ([`BACKOFF_US`] each).
+    pub backoff: u64,
+}
+
+impl Ticks {
+    /// One blocked neighbour message of `n` elements.
+    #[must_use]
+    pub fn message(n: usize) -> Self {
+        Ticks { startups: 1, elements: n as u64, ..Ticks::default() }
+    }
+
+    /// `n` local arithmetic operations.
+    #[must_use]
+    pub fn flops(n: usize) -> Self {
+        Ticks { flops: n as u64, ..Ticks::default() }
+    }
+
+    /// `n` local element moves.
+    #[must_use]
+    pub fn moves(n: usize) -> Self {
+        Ticks { moves: n as u64, ..Ticks::default() }
+    }
+}
+
+impl Add for Ticks {
+    type Output = Ticks;
+
+    fn add(self, o: Ticks) -> Ticks {
+        Ticks {
+            startups: self.startups + o.startups,
+            elements: self.elements + o.elements,
+            flops: self.flops + o.flops,
+            moves: self.moves + o.moves,
+            injections: self.injections + o.injections,
+            router_cycles: self.router_cycles + o.router_cycles,
+            backoff: self.backoff + o.backoff,
+        }
+    }
+}
+
+/// `n` repetitions of the same charges.
+impl Mul<usize> for Ticks {
+    type Output = Ticks;
+
+    fn mul(self, n: usize) -> Ticks {
+        let n = n as u64;
+        Ticks {
+            startups: self.startups * n,
+            elements: self.elements * n,
+            flops: self.flops * n,
+            moves: self.moves * n,
+            injections: self.injections * n,
+            router_cycles: self.router_cycles * n,
+            backoff: self.backoff * n,
+        }
+    }
+}
+
 /// The machine cost parameters (all in microseconds).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
@@ -188,7 +270,7 @@ impl CostModel {
     }
 
     /// Unit-cost model: `alpha = beta = gamma = 1`, `delta = 0`. Used by
-    /// tests that check the analytic formulas exactly.
+    /// tests that spell out expected times by hand.
     #[must_use]
     pub fn unit() -> Self {
         CostModel {
@@ -202,12 +284,6 @@ impl CostModel {
         }
     }
 
-    /// Zero-latency model (`alpha = 0`): isolates bandwidth terms.
-    #[must_use]
-    pub fn zero_latency() -> Self {
-        CostModel { alpha: 0.0, ..Self::unit() }
-    }
-
     /// CM-2 constants with concurrent channel use enabled — the preset
     /// under which [`CostModel::choose`] considers all-port schedules.
     #[must_use]
@@ -215,39 +291,45 @@ impl CostModel {
         CostModel { ports: PortModel::AllPort, ..Self::cm2() }
     }
 
-    /// Predicted time of one collective over `k` dimensions with
+    /// The simulated time of `t`, in microseconds: each count times its
+    /// constant, summed in a fixed order. The only place the simulator
+    /// multiplies a cost constant by a count.
+    #[must_use]
+    pub fn price(&self, t: Ticks) -> f64 {
+        self.alpha * t.startups as f64
+            + self.beta * t.elements as f64
+            + self.gamma * t.flops as f64
+            + self.delta * t.moves as f64
+            + self.router_alpha * t.injections as f64
+            + self.router_cycle * t.router_cycles as f64
+            + BACKOFF_US * t.backoff as f64
+    }
+
+    /// The ticks of one collective over `k` dimensions with
     /// critical-path segment length `len` under schedule `algo`.
     ///
-    /// The single-port forms reproduce the per-superstep charges of the
-    /// slab collectives exactly (`k` exchange steps, allgather's
-    /// doubling lengths summed step by step), so `vmp::analysis` keeps
-    /// its exact-match property; the all-port form prices
-    /// [`allport_schedule`], which the machine charges verbatim.
+    /// The single-port forms are the per-superstep charges of the slab
+    /// collectives (`k` exchange steps, allgather's doubling lengths
+    /// summed step by step), so `vmp::analysis` predicts exactly what
+    /// the machine charges; the all-port form is [`allport_schedule`],
+    /// which the machine charges verbatim.
     #[must_use]
-    pub fn collective_time(&self, kind: Collective, k: usize, len: usize, algo: Algo) -> f64 {
+    pub fn collective_time(kind: Collective, k: usize, len: usize, algo: Algo) -> Ticks {
         match algo {
-            Algo::SinglePort => {
-                let kf = k as f64;
-                match kind {
-                    Collective::Broadcast => kf * self.message(len),
-                    Collective::Reduce | Collective::Allreduce => {
-                        kf * (self.message(len) + self.flops(len))
-                    }
-                    Collective::Scan => kf * (self.message(len) + self.flops(2 * len)),
-                    Collective::Allgather => {
-                        let mut t = 0.0;
-                        let mut l = len;
-                        for _ in 0..k {
-                            t += self.message(l);
-                            l *= 2;
-                        }
-                        t
-                    }
+            Algo::SinglePort => match kind {
+                Collective::Broadcast => Ticks::message(len) * k,
+                Collective::Reduce | Collective::Allreduce => {
+                    (Ticks::message(len) + Ticks::flops(len)) * k
                 }
-            }
+                Collective::Scan => (Ticks::message(len) + Ticks::flops(2 * len)) * k,
+                // Messages of len, 2 len, ..., 2^(k-1) len.
+                Collective::Allgather => {
+                    Ticks { startups: k as u64, ..Ticks::message(len * ((1 << k) - 1)) }
+                }
+            },
             Algo::AllPort { chunks } => {
                 let s = allport_schedule(kind, k, len, chunks);
-                s.steps as f64 * (self.message(s.per_port) + self.flops(s.per_step_flops))
+                (Ticks::message(s.per_port) + Ticks::flops(s.per_step_flops)) * s.steps
             }
         }
     }
@@ -265,34 +347,12 @@ impl CostModel {
             return Algo::SinglePort;
         }
         let ap = Algo::AllPort { chunks: len.div_ceil(k).div_ceil(DEFAULT_PIPELINE_CELL) };
-        if self.collective_time(kind, k, len, ap)
-            < self.collective_time(kind, k, len, Algo::SinglePort)
-        {
+        let time = |algo| self.price(Self::collective_time(kind, k, len, algo));
+        if time(ap) < time(Algo::SinglePort) {
             ap
         } else {
             Algo::SinglePort
         }
-    }
-
-    /// Time for one blocked neighbour message of `n` elements.
-    #[inline]
-    #[must_use]
-    pub fn message(&self, n: usize) -> f64 {
-        self.alpha + self.beta * n as f64
-    }
-
-    /// Time for `n` local arithmetic operations.
-    #[inline]
-    #[must_use]
-    pub fn flops(&self, n: usize) -> f64 {
-        self.gamma * n as f64
-    }
-
-    /// Time for `n` local element moves.
-    #[inline]
-    #[must_use]
-    pub fn moves(&self, n: usize) -> f64 {
-        self.delta * n as f64
     }
 }
 
@@ -305,15 +365,7 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn message_cost_is_affine_in_length() {
-        let c = CostModel::unit();
-        assert_eq!(c.message(0), 1.0);
-        assert_eq!(c.message(10), 11.0);
-        let z = CostModel::zero_latency();
-        assert_eq!(z.message(10), 10.0);
-    }
+    use crate::spanning::EsbtForest;
 
     #[test]
     fn presets_are_sane() {
@@ -330,11 +382,21 @@ mod tests {
     }
 
     #[test]
-    fn flops_and_moves_scale_linearly() {
-        let c = CostModel::cm2();
-        assert!((c.flops(100) - 100.0 * c.gamma).abs() < 1e-12);
-        assert!((c.moves(100) - 100.0 * c.delta).abs() < 1e-12);
-        assert_eq!(c.flops(0), 0.0);
+    fn price_weighs_every_term_by_its_constant() {
+        let c = CostModel::ipsc1();
+        let (startups, elements, flops, moves) = (1, 2, 3, 4);
+        let (injections, router_cycles, backoff) = (5, 6, 7);
+        let t = Ticks { startups, elements, flops, moves, injections, router_cycles, backoff };
+        let want = c.alpha
+            + 2.0 * c.beta
+            + 3.0 * c.gamma
+            + 4.0 * c.delta
+            + 5.0 * c.router_alpha
+            + 6.0 * c.router_cycle
+            + 7.0 * BACKOFF_US;
+        assert_eq!(c.price(t), want);
+        let steps = Ticks::message(3) * 4 + Ticks::flops(2);
+        assert_eq!(steps, Ticks { startups: 4, elements: 12, flops: 2, ..Ticks::default() });
     }
 
     #[test]
@@ -346,22 +408,14 @@ mod tests {
 
     #[test]
     fn single_port_times_match_per_step_charges() {
-        let c = CostModel::unit();
-        let (k, l) = (4usize, 10usize);
-        assert_eq!(c.collective_time(Collective::Broadcast, k, l, Algo::SinglePort), 4.0 * 11.0);
-        assert_eq!(
-            c.collective_time(Collective::Allreduce, k, l, Algo::SinglePort),
-            4.0 * (11.0 + 10.0)
-        );
-        assert_eq!(
-            c.collective_time(Collective::Scan, k, l, Algo::SinglePort),
-            4.0 * (11.0 + 20.0)
-        );
+        let time = |kind| CostModel::collective_time(kind, 4, 10, Algo::SinglePort);
+        let ticks =
+            |startups, elements, flops| Ticks { startups, elements, flops, ..Ticks::default() };
+        assert_eq!(time(Collective::Broadcast), ticks(4, 40, 0));
+        assert_eq!(time(Collective::Allreduce), ticks(4, 40, 40));
+        assert_eq!(time(Collective::Scan), ticks(4, 40, 80));
         // Allgather sums doubling message lengths: l, 2l, 4l, 8l.
-        assert_eq!(
-            c.collective_time(Collective::Allgather, k, l, Algo::SinglePort),
-            4.0 + (10 + 20 + 40 + 80) as f64
-        );
+        assert_eq!(time(Collective::Allgather), ticks(4, 10 + 20 + 40 + 80, 0));
     }
 
     #[test]
@@ -399,23 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_picks_all_port_for_large_broadcasts() {
-        let c = CostModel::cm2_allport();
-        let algo = c.choose(Collective::Broadcast, 10, 1 << 14, false);
-        let Algo::AllPort { chunks } = algo else {
-            panic!("expected all-port for a large broadcast, got {algo:?}");
-        };
-        assert!(chunks > 1, "large payload should pipeline");
-        let sp = c.collective_time(Collective::Broadcast, 10, 1 << 14, Algo::SinglePort);
-        let ap = c.collective_time(Collective::Broadcast, 10, 1 << 14, algo);
-        assert!(
-            sp / ap >= 2.0,
-            "acceptance regime: expected >= 2x at p=1024 large messages, got {:.2}x",
-            sp / ap
-        );
-    }
-
-    #[test]
     fn live_faults_force_single_port() {
         let c = CostModel::cm2_allport();
         let healthy = c.choose(Collective::Broadcast, 8, 4096, false);
@@ -423,5 +460,38 @@ mod tests {
         assert_eq!(c.choose(Collective::Broadcast, 8, 4096, true), Algo::SinglePort);
         assert_eq!(c.choose(Collective::Broadcast, 0, 4096, false), Algo::SinglePort);
         assert_eq!(c.choose(Collective::Broadcast, 8, 0, false), Algo::SinglePort);
+    }
+
+    #[test]
+    fn tree_schedules_match_forest_height() {
+        // The pipelined tree schedules must take exactly
+        // height + chunks - 1 supersteps — the forest is the ground
+        // truth for the cost model's step counts.
+        for k in 1..=8u32 {
+            let f = EsbtForest::new(k);
+            let h = f.height(0);
+            assert_eq!(h, esbt_height(k as usize));
+            for chunks in [1usize, 2, 7] {
+                for kind in [Collective::Broadcast, Collective::Reduce] {
+                    let s = allport_schedule(kind, k as usize, 4096, chunks);
+                    assert_eq!(s.steps, h + chunks - 1, "k={k} chunks={chunks} {kind:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allport_beats_single_port_where_it_should() {
+        // The selection rule is the priced comparison itself, so
+        // spot-check the two acceptance collectives at p = 1024: both go
+        // all-port, pipelined, at least 2x faster.
+        let c = CostModel::cm2_allport();
+        for kind in [Collective::Broadcast, Collective::Allgather] {
+            let algo = c.choose(kind, 10, 16384, false);
+            assert!(matches!(algo, Algo::AllPort { chunks: 2.. }), "{kind:?}: {algo:?}");
+            let sp = c.price(CostModel::collective_time(kind, 10, 16384, Algo::SinglePort));
+            let ap = c.price(CostModel::collective_time(kind, 10, 16384, algo));
+            assert!(sp / ap >= 2.0, "{kind:?}: {:.2}x", sp / ap);
+        }
     }
 }

@@ -125,7 +125,8 @@ impl FaultPlan {
 pub const MAX_RETRIES: u32 = 4;
 
 /// Backoff before the first retransmission, in microseconds; round `r`
-/// waits `BACKOFF_US * 2^r` (bounded exponential backoff). Drops are
+/// waits `BACKOFF_US * 2^min(r, 20)` (bounded exponential backoff),
+/// charged as that many backoff [`crate::cost::Ticks`]. Drops are
 /// detected by an end-to-end checksum as the message arrives, so no
 /// detection latency is added on top.
 pub const BACKOFF_US: f64 = 1.0;

@@ -10,8 +10,9 @@
 //! * [`gray`] — binary-reflected Gray codes for grid embeddings;
 //! * [`cost`] — the `alpha + n*beta` channel cost model (with CM-2 and
 //!   iPSC/1 presets) used throughout the contemporaneous literature;
-//! * [`machine`] — the [`machine::Hypercube`] simulator: a BSP-style
-//!   clock and event counters over caller-owned per-processor buffers;
+//! * [`machine`] — the [`machine::Hypercube`] simulator: BSP-style
+//!   integer cost-term counts (priced into a clock on read) and event
+//!   counters over caller-owned per-processor buffers;
 //! * [`fault`] — seeded deterministic fault plans (link failures and
 //!   transient drops) and the constants of the fixed bounded-retry/reroute
 //!   recovery policy the machine applies when one is installed;
@@ -49,7 +50,7 @@ pub mod slab;
 pub mod spanning;
 pub mod topology;
 
-pub use cost::{CostModel, PortModel};
+pub use cost::{CostModel, PortModel, Ticks};
 pub use counters::Counters;
 pub use fault::{FaultPlan, LinkFault};
 pub use machine::Hypercube;

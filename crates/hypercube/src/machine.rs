@@ -16,10 +16,15 @@
 //! per-processor) operation count. Because the simulator really moves the
 //! data, results are bit-exact and independently testable against serial
 //! oracles; only the *clock* is modelled.
+//!
+//! The clock is not a running sum: the machine counts each cost term as
+//! an integer ([`Hypercube::ticks`]) and [`Hypercube::elapsed_us`]
+//! prices the counts on read, so the clock's bits never depend on how
+//! charges were grouped or ordered.
 
-use crate::cost::{allport_schedule, Algo, Collective, CostModel};
+use crate::cost::{allport_schedule, Algo, Collective, CostModel, Ticks};
 use crate::counters::Counters;
-use crate::fault::{FaultPlan, BACKOFF_US, MAX_RETRIES};
+use crate::fault::{FaultPlan, MAX_RETRIES};
 use crate::topology::{Cube, NodeId};
 
 /// Fault-injection state installed on a machine: the plan and the
@@ -48,8 +53,10 @@ impl FaultCtx {
 pub struct Hypercube {
     cube: Cube,
     cost: CostModel,
-    clock_us: f64,
     counters: Counters,
+    /// The three [`Ticks`] terms [`Counters`] has no field for
+    /// (`elements`, `injections`, `backoff`); the others stay zero.
+    extra: Ticks,
     fault: Option<Box<FaultCtx>>,
 }
 
@@ -60,8 +67,8 @@ impl Hypercube {
         Hypercube {
             cube: Cube::new(dim),
             cost,
-            clock_us: 0.0,
             counters: Counters::default(),
+            extra: Ticks::default(),
             fault: None,
         }
     }
@@ -121,12 +128,13 @@ impl Hypercube {
     }
 
     /// Charge the all-port schedule for one collective: `steps`
-    /// concurrent supersteps of `message(per_port)` plus the per-step
-    /// critical-path combines. Each superstep advances the fault clock
-    /// like any other message step (all-port schedules only run when
-    /// [`Hypercube::live_faults`] is false, so there is no detour
-    /// machinery to consult). `total_elements` is the machine-wide
-    /// element count for the whole collective, booked on the first step.
+    /// concurrent supersteps of one `per_port`-element message plus the
+    /// per-step critical-path combines. Each superstep advances the
+    /// fault clock like any other message step (all-port schedules only
+    /// run when [`Hypercube::live_faults`] is false, so there is no
+    /// detour machinery to consult). `total_elements` is the
+    /// machine-wide element count for the whole collective, booked on
+    /// the first step.
     pub fn charge_allport(
         &mut self,
         kind: Collective,
@@ -146,11 +154,24 @@ impl Hypercube {
     }
 
     /// Simulated time elapsed since construction or the last
-    /// [`Hypercube::reset`], in microseconds.
+    /// [`Hypercube::reset`], in microseconds: [`Hypercube::ticks`]
+    /// priced by the cost model.
     #[inline]
     #[must_use]
     pub fn elapsed_us(&self) -> f64 {
-        self.clock_us
+        self.cost.price(self.ticks())
+    }
+
+    /// The cost-term counts charged since construction or the last
+    /// [`Hypercube::reset`]: four are [`Counters`] fields
+    /// (`message_steps` counts the start-ups), the machine keeps the
+    /// other three.
+    #[inline]
+    #[must_use]
+    pub fn ticks(&self) -> Ticks {
+        let c = &self.counters;
+        let (flops, moves, router_cycles) = (c.flops, c.local_moves, c.router_cycles);
+        Ticks { startups: c.message_steps, flops, moves, router_cycles, ..self.extra }
     }
 
     /// Event counters accumulated so far.
@@ -170,8 +191,8 @@ impl Hypercube {
     /// Zero the clock and counters (topology and cost model stay, as
     /// does any installed fault state).
     pub fn reset(&mut self) {
-        self.clock_us = 0.0;
         self.counters.reset();
+        self.extra = Ticks::default();
     }
 
     // ----- fault injection & graceful degradation ----------------------
@@ -264,7 +285,7 @@ impl Hypercube {
     /// at most `max_per_channel` elements with one neighbour.
     /// `total_elements` is the machine-wide element count, for counters.
     pub fn charge_message_step(&mut self, max_per_channel: usize, total_elements: u64) {
-        self.clock_us += self.cost.message(max_per_channel);
+        self.extra.elements += max_per_channel as u64;
         self.counters.message_steps += 1;
         self.counters.elements_transferred += total_elements;
         self.counters.max_channel_load = self.counters.max_channel_load.max(max_per_channel as u64);
@@ -352,8 +373,7 @@ impl Hypercube {
                 self.charge_detour(pending.len() as u64, max_per_channel);
                 break;
             }
-            self.counters.retries += 1;
-            self.charge_raw_us(BACKOFF_US * f64::from(1u32 << attempt.min(20)));
+            self.charge_retry(attempt);
             self.charge_message_step(
                 max_per_channel,
                 pending.len() as u64 * max_per_channel as u64,
@@ -362,6 +382,14 @@ impl Hypercube {
         }
 
         self.fault = Some(ctx);
+    }
+
+    /// Count one retransmission round and charge its bounded
+    /// exponential backoff: `2^min(round, 20)` backoff units before
+    /// re-sending (round 0 is the first retransmission).
+    pub(crate) fn charge_retry(&mut self, round: u32) {
+        self.counters.retries += 1;
+        self.extra.backoff += 1 << round.min(20);
     }
 
     /// Charge a two-hop detour for `n_links` channels' payloads.
@@ -378,15 +406,12 @@ impl Hypercube {
     /// `load_factor` logical nodes serializes their work, so the
     /// critical path scales by that factor.
     pub fn charge_flops(&mut self, critical_flops: usize) {
-        let effective = critical_flops * self.load_factor();
-        self.clock_us += self.cost.flops(effective);
-        self.counters.flops += effective as u64;
+        self.counters.flops += (critical_flops * self.load_factor()) as u64;
     }
 
     /// Charge a local data-movement superstep of `critical_moves` element
     /// copies on the busiest processor.
     pub fn charge_moves(&mut self, critical_moves: usize) {
-        self.clock_us += self.cost.moves(critical_moves);
         self.counters.local_moves += critical_moves as u64;
     }
 
@@ -394,20 +419,20 @@ impl Hypercube {
     /// (naive baseline): the busiest processor injects
     /// `max_injected_per_node` individually addressed elements.
     pub fn charge_router_injection(&mut self, max_injected_per_node: usize, total_elements: u64) {
-        self.clock_us += self.cost.router_alpha * max_injected_per_node as f64;
+        self.extra.injections += max_injected_per_node as u64;
         self.counters.router_elements += total_elements;
     }
 
     /// Charge `cycles` router petit cycles (naive baseline).
     pub fn charge_router_cycles(&mut self, cycles: u64) {
-        self.clock_us += self.cost.router_cycle * cycles as f64;
         self.counters.router_cycles += cycles;
     }
 
-    /// Add raw time (used by ablation schedules that price themselves).
-    pub fn charge_raw_us(&mut self, us: f64) {
-        debug_assert!(us >= 0.0);
-        self.clock_us += us;
+    /// Charge `n` more critical-path elements on the message superstep
+    /// just charged, with no start-up and no counter: a payload word
+    /// wider than the one element per entry the exchange counted.
+    pub fn charge_elements(&mut self, n: usize) {
+        self.extra.elements += n as u64;
     }
 }
 
@@ -570,6 +595,7 @@ mod tests {
         // 1 + 2 + 4 + 8 = 15us.
         let msg = 1.0 + 2.0;
         assert_eq!(hc.counters().message_steps, 7);
+        assert_eq!(hc.ticks().backoff, 15);
         assert_eq!(hc.elapsed_us(), 7.0 * msg + 15.0);
     }
 
@@ -639,23 +665,16 @@ mod tests {
             Collective::Scan,
         ];
         for kind in kinds {
-            let mut hc = Hypercube::new(6, CostModel::cm2_allport());
-            hc.charge_allport(kind, 6, 1000, 3, 5000);
-            let want = CostModel::cm2_allport().collective_time(
-                kind,
-                6,
-                1000,
-                Algo::AllPort { chunks: 3 },
-            );
-            assert!(
-                (hc.elapsed_us() - want).abs() < 1e-9,
-                "{kind:?}: charged {} vs priced {want}",
-                hc.elapsed_us()
-            );
-            let s = allport_schedule(kind, 6, 1000, 3);
-            assert_eq!(hc.counters().allport_steps, s.steps as u64);
-            assert_eq!(hc.counters().message_steps, s.steps as u64, "fault clock advances");
-            assert_eq!(hc.counters().elements_transferred, 5000);
+            for (k, len, chunks) in [(6, 1000, 3), (5, 333, 4)] {
+                let mut hc = Hypercube::new(6, CostModel::cm2_allport());
+                hc.charge_allport(kind, k, len, chunks, 5000);
+                let want = CostModel::collective_time(kind, k, len, Algo::AllPort { chunks });
+                assert_eq!(hc.ticks(), want, "{kind:?} {k} {len} {chunks}: charged vs priced");
+                let s = allport_schedule(kind, k, len, chunks);
+                assert_eq!(hc.counters().allport_steps, s.steps as u64);
+                assert_eq!(hc.counters().message_steps, s.steps as u64, "fault clock advances");
+                assert_eq!(hc.counters().elements_transferred, 5000);
+            }
         }
     }
 }

@@ -23,7 +23,7 @@
 //! can reassemble rows and columns in global index order without caring
 //! about routing or posting order.
 
-use crate::fault::{FaultPlan, BACKOFF_US, MAX_RETRIES};
+use crate::fault::{FaultPlan, MAX_RETRIES};
 use crate::machine::Hypercube;
 use crate::topology::{Cube, NodeId};
 
@@ -309,8 +309,7 @@ fn sweeps(hc: &mut Hypercube, heads: &mut [Header], faults: Option<&Faults>) {
         );
         // A retransmission round: bounded exponential backoff before the
         // re-sweep.
-        hc.counters_mut().retries += 1;
-        hc.charge_raw_us(BACKOFF_US * f64::from(1u32 << (pass - 1).min(20)));
+        hc.charge_retry(pass - 1);
     }
 }
 

@@ -6,120 +6,79 @@
 //! Personalized Communication in Hypercubes* (TR-610, abstract in the
 //! source booklet) shows large-message broadcasts can shed the factor `k`
 //! on the bandwidth term with balanced / edge-disjoint spanning trees.
-//! This module implements the two classical remedies in data-correct form:
+//! This module implements the one-port remedies in data-correct form:
 //!
 //! * **scatter + allgather** broadcast (`2k` start-ups,
 //!   `~2 * beta * L` transfer) — the "balanced tree" one-port schedule;
 //! * **reduce-scatter + allgather** all-reduce (Rabenseifner) with the
-//!   same trade;
-//! * **all-port pipelined broadcast** over `k` edge-disjoint spanning
-//!   binomial trees (nESBT): data movement is modelled (the clone is
-//!   performed directly) but the charge follows the nESBT schedule,
-//!   `k * (alpha + beta * ceil(L/k))` — the factor-`n` bandwidth win the
-//!   TR-610 abstract states.
+//!   same trade.
 //!
-//! Benchmark F4 sweeps message size against these schedules to reproduce
-//! the crossover: binomial wins small messages (fewer start-ups),
-//! balanced schedules win large ones.
+//! The all-port remedy — pipelining over the `k` edge-disjoint spanning
+//! binomial trees (nESBT) of [`EsbtForest`] — is not a schedule here: it
+//! is what [`crate::collective::broadcast_slab`] runs on a machine whose
+//! cost model has all ports, priced by
+//! [`crate::cost::allport_schedule`] like every other collective.
+//!
+//! Benchmark F4 sweeps message size against these schedules and the
+//! machine's all-port broadcast to reproduce the crossover: binomial
+//! wins small messages (fewer start-ups), balanced schedules win large
+//! ones.
 
-use crate::collective::{allgather_slab, broadcast_slab, check_dims, scatter_slab};
+use crate::collective::{allgather_slab, check_dims, scatter_slab};
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
 use crate::topology::NodeId;
 
-/// Which broadcast schedule to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BroadcastSchedule {
-    /// Spanning binomial tree: `k * (alpha + beta * L)`.
-    Binomial,
-    /// Scatter then allgather: `2k * alpha + ~2 * beta * L`.
-    ScatterAllgather,
-    /// All-port pipelining over `k` edge-disjoint spanning binomial trees:
-    /// `k * (alpha + beta * ceil(L/k))`.
-    AllPortEsbt,
-}
-
 /// Broadcast the segment at subcube coordinate `root_coord` to all
-/// subcube members using the chosen schedule. Semantics identical to
-/// [`crate::collective::broadcast_slab`]; only the schedule (and hence
-/// the charged time) differs.
-pub fn broadcast_with<T: Copy>(
+/// subcube members by scatter then allgather:
+/// `2k * alpha + ~2 * beta * L`. Semantics identical to
+/// [`crate::collective::broadcast_slab`] (the binomial tree,
+/// `k * (alpha + beta * L)` on one port); only the schedule, and hence
+/// the charged time, differs.
+pub fn broadcast_scatter_allgather<T: Copy>(
     hc: &mut Hypercube,
     slab: &mut NodeSlab<T>,
     dims: &[u32],
     root_coord: usize,
-    schedule: BroadcastSchedule,
 ) {
-    match schedule {
-        BroadcastSchedule::Binomial => broadcast_slab(hc, slab, dims, root_coord),
-        BroadcastSchedule::ScatterAllgather => {
-            let cube = hc.cube();
-            let k = dims.len();
-            if k == 0 {
-                return;
+    let cube = hc.cube();
+    let k = dims.len();
+    if k == 0 {
+        return;
+    }
+    // Move the payload to the coordinate-0 node of each subcube if the
+    // root is elsewhere (the scatter tree is rooted at coordinate 0).
+    // Only the charge is needed here: the staging below copies the
+    // root's segment directly.
+    if root_coord != 0 {
+        let mut max_len = 0usize;
+        let mut total = 0u64;
+        for node in cube.iter_nodes() {
+            if cube.extract_coords(node, dims) == root_coord {
+                max_len = max_len.max(slab.len_of(node));
+                total += slab.len_of(node) as u64;
             }
-            // Move the payload to the coordinate-0 node of each subcube if
-            // the root is elsewhere (the scatter tree is rooted at
-            // coordinate 0). Only the charge is needed here: the staging
-            // below copies the root's segment directly.
-            if root_coord != 0 {
-                let mut max_len = 0usize;
-                let mut total = 0u64;
-                for node in cube.iter_nodes() {
-                    if cube.extract_coords(node, dims) == root_coord {
-                        max_len = max_len.max(slab.len_of(node));
-                        total += slab.len_of(node) as u64;
-                    }
-                }
-                // Distance can be up to k, but the payload moves as one
-                // blocked message along each differing dimension.
-                let hops = (root_coord as u64).count_ones() as usize;
-                for _ in 0..hops {
-                    hc.charge_message_step(max_len, total);
-                }
-            }
-            // Stage each root's buffer at coordinate 0 and scatter it as
-            // 2^k near-equal pieces...
-            let mask = cube.dims_mask(dims);
-            let mut staged = NodeSlab::build(cube.nodes(), slab.total_len(), |node, buf| {
-                if node & mask == 0 {
-                    buf.extend_from_slice(&slab[cube.with_coords(node, root_coord, dims)]);
-                }
-            });
-            scatter_slab(hc, &mut staged, dims);
-            // ...then allgather: every node ends with the concatenation,
-            // which equals the original buffer.
-            allgather_slab(hc, &mut staged, dims);
-            slab.swap(&mut staged);
         }
-        BroadcastSchedule::AllPortEsbt => {
-            let cube = hc.cube();
-            let k = dims.len();
-            if k == 0 {
-                return;
-            }
-            // Perform the data movement directly (semantically a clone of
-            // the root buffer everywhere), charging the nESBT schedule.
-            let mut max_len = 0usize;
-            let mut clones = 0u64;
-            for node in cube.iter_nodes() {
-                if cube.extract_coords(node, dims) == root_coord {
-                    max_len = max_len.max(slab.len_of(node));
-                    clones += cube.subcube_nodes(node, dims).filter(|&m| m != node).count() as u64;
-                }
-            }
-            let total: u64 = clones * max_len as u64;
-            let mut out = NodeSlab::with_capacity(cube.nodes(), cube.nodes() * max_len);
-            for node in cube.iter_nodes() {
-                out.push_seg(&slab[cube.with_coords(node, root_coord, dims)]);
-            }
-            slab.swap(&mut out);
-            let piece = max_len.div_ceil(k);
-            for _ in 0..k {
-                hc.charge_message_step(piece, total / k as u64);
-            }
+        // Distance can be up to k, but the payload moves as one blocked
+        // message along each differing dimension.
+        let hops = (root_coord as u64).count_ones() as usize;
+        for _ in 0..hops {
+            hc.charge_message_step(max_len, total);
         }
     }
+    // Stage each root's buffer at coordinate 0 and scatter it as 2^k
+    // near-equal pieces...
+    let mask = cube.dims_mask(dims);
+    let mut staged = NodeSlab::build(cube.nodes(), slab.total_len(), |node, buf| {
+        if node & mask == 0 {
+            buf.extend_from_slice(&slab[cube.with_coords(node, root_coord, dims)]);
+        }
+    });
+    scatter_slab(hc, &mut staged, dims);
+    // ...then allgather: every node ends with the concatenation, which
+    // equals the original buffer.
+    allgather_slab(hc, &mut staged, dims);
+    slab.swap(&mut staged);
 }
 
 /// All-reduce via reduce-scatter + allgather (Rabenseifner's algorithm):
@@ -324,13 +283,13 @@ impl EsbtForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::broadcast_slab;
     use crate::collective::testutil::slab_from_fn;
     use crate::cost::CostModel;
 
     fn machine(dim: u32) -> Hypercube {
         Hypercube::new(dim, CostModel::unit())
     }
-
     #[test]
     fn esbt_small_tree_matches_hand_derivation() {
         // k = 3, tree 0: 0→1; 1→{3,5}; 3→{2,7}; 5→{4}; 7→{6}.
@@ -393,7 +352,7 @@ mod tests {
         let dims: Vec<u32> = hc.cube().iter_dims().collect();
         let payload: Vec<u64> = (0..37).collect();
         let mut locals = slab_from_fn(&hc, |n| if n == 0 { payload.clone() } else { vec![] });
-        broadcast_with(&mut hc, &mut locals, &dims, 0, BroadcastSchedule::ScatterAllgather);
+        broadcast_scatter_allgather(&mut hc, &mut locals, &dims, 0);
         for (n, buf) in locals.iter_segs().enumerate() {
             assert_eq!(buf, &payload, "node {n}");
         }
@@ -405,53 +364,36 @@ mod tests {
         let dims = [0u32, 1, 2];
         let payload: Vec<u64> = (0..16).collect();
         let mut locals = slab_from_fn(&hc, |n| if n == 5 { payload.clone() } else { vec![] });
-        broadcast_with(&mut hc, &mut locals, &dims, 5, BroadcastSchedule::ScatterAllgather);
+        broadcast_scatter_allgather(&mut hc, &mut locals, &dims, 5);
         for buf in locals.iter_segs() {
             assert_eq!(buf, &payload);
         }
     }
 
-    #[test]
-    fn allport_esbt_broadcast_is_semantically_a_broadcast() {
-        let mut hc = machine(3);
-        let dims = [0u32, 1, 2];
-        let payload: Vec<u64> = (0..24).collect();
-        let mut locals = slab_from_fn(&hc, |n| if n == 2 { payload.clone() } else { vec![] });
-        broadcast_with(&mut hc, &mut locals, &dims, 2, BroadcastSchedule::AllPortEsbt);
-        for buf in locals.iter_segs() {
-            assert_eq!(buf, &payload);
-        }
+    /// Broadcast `len` elements from node 0 over a 6-cube under `cost`:
+    /// `(binomial, scatter+allgather)` simulated times.
+    fn broadcast_pair(cost: CostModel, len: usize) -> (f64, f64) {
+        let dims: Vec<u32> = (0..6).collect();
+        let run = |bcast: fn(&mut Hypercube, &mut NodeSlab<f64>, &[u32], usize)| {
+            let mut hc = Hypercube::new(6, cost);
+            let mut locals = slab_from_fn(&hc, |n| if n == 0 { vec![1.0f64; len] } else { vec![] });
+            bcast(&mut hc, &mut locals, &dims, 0);
+            hc.elapsed_us()
+        };
+        (run(broadcast_slab), run(broadcast_scatter_allgather))
     }
 
     #[test]
     fn large_messages_favour_scatter_allgather() {
-        let len = 4096usize;
-        let dims: Vec<u32> = (0..6).collect();
-        let run = |sched| {
-            let mut hc = machine(6);
-            let mut locals = slab_from_fn(&hc, |n| if n == 0 { vec![1.0f64; len] } else { vec![] });
-            broadcast_with(&mut hc, &mut locals, &dims, 0, sched);
-            hc.elapsed_us()
-        };
-        let binomial = run(BroadcastSchedule::Binomial);
-        let balanced = run(BroadcastSchedule::ScatterAllgather);
-        let allport = run(BroadcastSchedule::AllPortEsbt);
+        let (binomial, balanced) = broadcast_pair(CostModel::unit(), 4096);
         assert!(balanced < binomial, "balanced {balanced} vs binomial {binomial}");
-        assert!(allport < balanced, "allport {allport} vs balanced {balanced}");
     }
 
     #[test]
     fn small_messages_favour_binomial() {
         // With alpha big relative to beta*L, fewer start-ups win.
-        let dims: Vec<u32> = (0..6).collect();
-        let run = |sched| {
-            let mut hc = Hypercube::new(6, CostModel { alpha: 100.0, ..CostModel::unit() });
-            let mut locals = slab_from_fn(&hc, |n| if n == 0 { vec![1.0f64; 4] } else { vec![] });
-            broadcast_with(&mut hc, &mut locals, &dims, 0, sched);
-            hc.elapsed_us()
-        };
-        let binomial = run(BroadcastSchedule::Binomial);
-        let balanced = run(BroadcastSchedule::ScatterAllgather);
+        let (binomial, balanced) =
+            broadcast_pair(CostModel { alpha: 100.0, ..CostModel::unit() }, 4);
         assert!(binomial < balanced, "binomial {binomial} vs balanced {balanced}");
     }
 
@@ -481,12 +423,13 @@ mod tests {
     fn rabenseifner_saves_bandwidth_on_large_buffers() {
         let dims: Vec<u32> = (0..6).collect();
         let len = 8192usize;
-        let mut hc1 = Hypercube::new(6, CostModel::zero_latency());
+        let mut hc1 = machine(6);
         let mut a = slab_from_fn(&hc1, |_| vec![1.0f64; len]);
         allreduce_rabenseifner(&mut hc1, &mut a, &dims, |x, y| x + y);
-        let mut hc2 = Hypercube::new(6, CostModel::zero_latency());
+        let mut hc2 = machine(6);
         let mut b = slab_from_fn(&hc2, |_| vec![1.0f64; len]);
         crate::collective::allreduce_slab(&mut hc2, &mut b, &dims, |x, y| x + y);
-        assert!(hc1.elapsed_us() < 0.7 * hc2.elapsed_us());
+        // The bandwidth term alone: critical-path elements.
+        assert!(10 * hc1.ticks().elements < 7 * hc2.ticks().elements);
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based tests of the machine substrate: random traffic through
-//! the routers, random subcube collectives against serial folds.
+//! the routers, random subcube collectives against serial folds, random
+//! charge sequences against the tick clock.
 
 // Proptest sweeps are far too slow under Miri's interpreter; the
 // dedicated Miri CI job covers the library's unsafe/aliasing surface
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 use vmp_hypercube::collective::{
     allgather_slab, allreduce_slab, broadcast_slab, reduce_slab, scan_inclusive_slab, scatter_slab,
 };
-use vmp_hypercube::cost::CostModel;
+use vmp_hypercube::cost::{CostModel, Ticks};
 use vmp_hypercube::counters::Counters;
 use vmp_hypercube::fault::FaultPlan;
 use vmp_hypercube::machine::Hypercube;
@@ -95,7 +96,7 @@ proptest! {
         // source's bits from `d` up. Each ascending dimension that moves
         // any element costs one message of the busiest node's forwarded
         // elements.
-        let mut clock = 0.0f64;
+        let mut ticks = Ticks::default();
         let mut want = Counters::default();
         for d in 0..dim {
             let bit = 1usize << d;
@@ -108,13 +109,14 @@ proptest! {
             }
             let max = fwd.iter().copied().max().unwrap_or(0);
             if max > 0 {
-                clock += CostModel::unit().message(max);
+                ticks = ticks + Ticks::message(max);
                 want.message_steps += 1;
                 want.elements_transferred += fwd.iter().sum::<usize>() as u64;
                 want.max_channel_load = want.max_channel_load.max(max as u64);
             }
         }
-        prop_assert_eq!(hc.elapsed_us(), clock);
+        prop_assert_eq!(hc.ticks(), ticks);
+        prop_assert_eq!(hc.elapsed_us(), CostModel::unit().price(ticks));
         prop_assert_eq!(*hc.counters(), want);
 
         // Posting order changes nothing, and neither does an installed
@@ -139,6 +141,53 @@ proptest! {
             prop_assert_eq!(&faulty_rev, &arrived);
             prop_assert_eq!(hc_f_rev.elapsed_us(), hc_f.elapsed_us());
             prop_assert_eq!(hc_f_rev.counters(), hc_f.counters());
+        }
+    }
+
+    #[test]
+    fn charge_grouping_and_order_leave_the_clock_bits_alone(
+        seed in 0u64..10_000,
+        len in 1usize..24,
+    ) {
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) as usize
+        };
+        // A random sequence of (charge kind, amount).
+        let seq: Vec<(usize, usize)> = (0..len).map(|_| (next() % 6, next() % 1000)).collect();
+        let run = |seq: &[(usize, usize)]| {
+            let mut hc = Hypercube::new(4, CostModel::cm2());
+            for &(kind, n) in seq {
+                match kind {
+                    0 => hc.charge_message_step(n, n as u64),
+                    1 => hc.charge_elements(n),
+                    2 => hc.charge_flops(n),
+                    3 => hc.charge_moves(n),
+                    4 => hc.charge_router_injection(n, n as u64),
+                    _ => hc.charge_router_cycles(n as u64),
+                }
+            }
+            hc
+        };
+        let whole = run(&seq);
+
+        // Every element, flop and move charge split in two...
+        let split: Vec<(usize, usize)> = seq
+            .iter()
+            .flat_map(|&(kind, n)| match kind {
+                1..=3 => vec![(kind, n / 3), (kind, n - n / 3)],
+                _ => vec![(kind, n)],
+            })
+            .collect();
+        // ...and the split sequence shuffled.
+        let mut shuffled = split.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, next() % (i + 1));
+        }
+        for (what, other) in [("split", run(&split)), ("shuffled", run(&shuffled))] {
+            prop_assert_eq!(other.ticks(), whole.ticks(), "{}", what);
+            prop_assert_eq!(other.elapsed_us().to_bits(), whole.elapsed_us().to_bits(), "{}", what);
         }
     }
 

@@ -194,10 +194,20 @@ impl VectorLayout {
         }
     }
 
-    /// The canonical (first) holder of element `i`.
+    /// The canonical (first) holder of element `i`: the first entry of
+    /// [`VectorLayout::holders_of`], without building the list.
     #[must_use]
     pub fn primary_holder(&self, i: usize) -> NodeId {
-        self.holders_of(i)[0]
+        let part = self.dist.owner(i);
+        match &self.embedding {
+            VecEmbedding::Aligned { axis, placement } => match (axis, placement) {
+                (Axis::Row, Placement::Replicated) => self.grid.node_at(0, part),
+                (Axis::Row, Placement::Concentrated(gr)) => self.grid.node_at(*gr, part),
+                (Axis::Col, Placement::Replicated) => self.grid.node_at(part, 0),
+                (Axis::Col, Placement::Concentrated(gc)) => self.grid.node_at(part, *gc),
+            },
+            VecEmbedding::Linear => part,
+        }
     }
 
     /// Total elements stored machine-wide (counts replicas).
@@ -337,6 +347,7 @@ mod tests {
                 assert_eq!(parts.len(), layout.dist().parts(), "{layout:?}");
                 for i in 0..9 {
                     assert!(on_line.contains(&layout.primary_holder(i)), "{layout:?} element {i}");
+                    assert_eq!(layout.primary_holder(i), layout.holders_of(i)[0], "{layout:?} {i}");
                 }
             }
         }

@@ -25,7 +25,7 @@ use vmp_algos::workloads;
 use vmp_algos::{gauss, matvec as mv, simplex};
 use vmp_core::degrade::apply_degradation;
 use vmp_core::{analysis, DistMatrix, DistVector};
-use vmp_hypercube::cost::CostModel;
+use vmp_hypercube::cost::{CostModel, Ticks};
 use vmp_hypercube::counters::Counters;
 use vmp_hypercube::fault::FaultPlan;
 use vmp_hypercube::machine::Hypercube;
@@ -126,35 +126,35 @@ impl JobSpec {
     }
 
     /// Predicted service time on a `2^order`-node subcube, from the
-    /// analysis chapter's closed forms. Only the *ranking* matters (it
-    /// drives shortest-predicted-job-first), so the per-kind models are
+    /// analysis chapter's closed forms: the predicted ticks, priced by
+    /// `cost`. Only the *ranking* matters (it drives
+    /// shortest-predicted-job-first), so the per-kind models are
     /// first-order: dominant primitive calls plus the elementwise flops.
     #[must_use]
     pub fn predicted_us(&self, order: u32, cost: &CostModel) -> f64 {
         let grid = ProcGrid::square(Cube::new(order));
-        match self.kind {
+        let ticks = match self.kind {
             JobKind::Matvec { n } => {
                 let layout = MatrixLayout::cyclic(MatShape::new(n, n), grid);
-                let block = analysis::local_block(&layout) as f64;
-                analysis::predicted_reduce(&layout, cost) + cost.gamma * block
+                analysis::predicted_reduce(&layout, cost)
+                    + Ticks::flops(analysis::local_block(&layout))
             }
             JobKind::Gauss { n } => {
                 let layout = MatrixLayout::cyclic(MatShape::new(n, n + 1), grid);
-                let block = analysis::local_block(&layout) as f64;
-                let per_step = 2.0 * analysis::predicted_extract_replicated(&layout, cost)
-                    + cost.gamma * 2.0 * block;
-                n as f64 * per_step
+                let per_step = analysis::predicted_extract_replicated(&layout, cost) * 2
+                    + Ticks::flops(2 * analysis::local_block(&layout));
+                per_step * n
             }
             JobKind::Simplex { n } => {
                 // Tableau is (n+1) x (2n+1); expect O(n) pivots, each two
                 // extractions (pivot row/column) plus a rank-1 update.
                 let layout = MatrixLayout::cyclic(MatShape::new(n + 1, 2 * n + 1), grid);
-                let block = analysis::local_block(&layout) as f64;
-                let per_pivot = 2.0 * analysis::predicted_extract_replicated(&layout, cost)
-                    + cost.gamma * 2.0 * block;
-                2.0 * n as f64 * per_pivot
+                let per_pivot = analysis::predicted_extract_replicated(&layout, cost) * 2
+                    + Ticks::flops(2 * analysis::local_block(&layout));
+                per_pivot * (2 * n)
             }
-        }
+        };
+        cost.price(ticks)
     }
 
     /// The body of one execution: build the working set, apply graceful
@@ -314,17 +314,13 @@ mod tests {
         let s = spec(JobKind::Matvec { n: 32 }, 4, 3, 0.0);
         let out = s.run_standalone(ap);
         let key = s.predicted_us(4, &ap);
-        assert!(
-            (out.service_us - key).abs() < 1e-9,
-            "matvec key {key} vs simulated {}",
-            out.service_us
-        );
+        assert_eq!(out.service_us.to_bits(), key.to_bits(), "matvec key {key} vs simulated");
 
         for kind in [JobKind::Matvec { n: 32 }, JobKind::Gauss { n: 16 }, JobKind::Simplex { n: 8 }]
         {
             let s = spec(kind, 4, 3, 0.0);
             assert!(
-                s.predicted_us(4, &ap) <= s.predicted_us(4, &sp) + 1e-9,
+                s.predicted_us(4, &ap) <= s.predicted_us(4, &sp),
                 "{}: all-port key must not exceed the single-port key",
                 kind.name()
             );

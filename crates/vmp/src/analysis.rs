@@ -12,12 +12,14 @@
 //! 3. *"Furthermore, the parallel time required is optimal to within a
 //!    constant factor"* (i.e. matches `Omega(m/p + lg p)`).
 //!
-//! The formulas below express the implemented schedules' costs under the
-//! [`CostModel`]; tests in this module and bench F1/F2 verify that the
-//! *simulated* machine agrees with the formulas, and that the optimality
-//! predicates behave as claimed across the `m = p lg p` threshold.
+//! The predictors below give the implemented schedules' charges as
+//! [`Ticks`], so the machine's charge equals them with `==`; the
+//! analytic bounds further down stay in microseconds. Tests in this
+//! module and bench F1/F2 verify that the *simulated* machine agrees
+//! with the formulas, and that the optimality predicates behave as
+//! claimed across the `m = p lg p` threshold.
 
-use vmp_hypercube::cost::{Collective, CostModel};
+use vmp_hypercube::cost::{Collective, CostModel, Ticks};
 use vmp_layout::MatrixLayout;
 
 /// Per-processor block bound `ceil(n_r/p_r) * ceil(n_c/p_c)` — the local
@@ -27,7 +29,7 @@ pub fn local_block(layout: &MatrixLayout) -> usize {
     layout.max_local_len()
 }
 
-/// Predicted time of one collective of `kind` over `k` dimensions with
+/// Predicted ticks of one collective of `kind` over `k` dimensions with
 /// critical-path segment length `len` on a healthy machine — exactly
 /// what a [`vmp_hypercube::machine::Hypercube`] with this cost model
 /// charges, since both ask [`CostModel::choose`] for the schedule.
@@ -35,68 +37,54 @@ pub fn local_block(layout: &MatrixLayout) -> usize {
 /// all-port model prices the same ported schedule the machine runs, so
 /// predictions track charges under either port model.
 #[must_use]
-pub fn collective_cost(cost: &CostModel, kind: Collective, k: usize, len: usize) -> f64 {
+pub fn collective_cost(cost: &CostModel, kind: Collective, k: usize, len: usize) -> Ticks {
     let algo = cost.choose(kind, k, len, false);
-    cost.collective_time(kind, k, len, algo)
+    CostModel::collective_time(kind, k, len, algo)
 }
 
-/// Predicted time of `reduce` along rows (the `Axis::Row` case; swap the
-/// grid factors for columns): local fold over the block plus an
+/// Predicted ticks of `reduce` along rows (the `Axis::Row` case; swap
+/// the grid factors for columns): local fold over the block plus an
 /// allreduce over the `d_r` row dimensions on chunks of `ceil(n_c/p_c)`
 /// elements (a `d_r`-step butterfly single-port; the staggered
 /// piece-butterflies under an all-port model).
 #[must_use]
-pub fn predicted_reduce(layout: &MatrixLayout, cost: &CostModel) -> f64 {
-    let block = local_block(layout) as f64;
+pub fn predicted_reduce(layout: &MatrixLayout, cost: &CostModel) -> Ticks {
     let chunk = layout.cols().max_count();
     let dr = layout.grid().dr() as usize;
-    cost.gamma * block + collective_cost(cost, Collective::Allreduce, dr, chunk)
+    Ticks::flops(local_block(layout)) + collective_cost(cost, Collective::Allreduce, dr, chunk)
 }
 
-/// Predicted time of `distribute` from a replicated row vector: pure
-/// local replication of the chunk into every local row.
-#[must_use]
-pub fn predicted_distribute_replicated(layout: &MatrixLayout, cost: &CostModel) -> f64 {
-    cost.moves(local_block(layout))
-}
-
-/// Predicted time of `distribute` from a concentrated row vector: a
+/// Predicted ticks of `distribute` from a concentrated row vector: a
 /// broadcast of the chunk over the `d_r` row dimensions, then local
 /// replication.
 #[must_use]
-pub fn predicted_distribute_concentrated(layout: &MatrixLayout, cost: &CostModel) -> f64 {
+pub fn predicted_distribute_concentrated(layout: &MatrixLayout, cost: &CostModel) -> Ticks {
     let chunk = layout.cols().max_count();
     let dr = layout.grid().dr() as usize;
-    collective_cost(cost, Collective::Broadcast, dr, chunk) + cost.moves(local_block(layout))
+    collective_cost(cost, Collective::Broadcast, dr, chunk) + Ticks::moves(local_block(layout))
 }
 
-/// Predicted time of `extract` (concentrated result): one local chunk
+/// Predicted ticks of `extract` (concentrated result): one local chunk
 /// copy on the owning grid line.
 #[must_use]
-pub fn predicted_extract(layout: &MatrixLayout, cost: &CostModel) -> f64 {
-    cost.moves(layout.cols().max_count())
+pub fn predicted_extract(layout: &MatrixLayout) -> Ticks {
+    Ticks::moves(layout.cols().max_count())
 }
 
-/// Predicted time of `extract` + replication: the local copy plus a
+/// Predicted ticks of `extract` + replication: the local copy plus a
 /// broadcast over the `d_r` row dimensions.
 #[must_use]
-pub fn predicted_extract_replicated(layout: &MatrixLayout, cost: &CostModel) -> f64 {
+pub fn predicted_extract_replicated(layout: &MatrixLayout, cost: &CostModel) -> Ticks {
     let chunk = layout.cols().max_count();
     let dr = layout.grid().dr() as usize;
-    cost.moves(chunk) + collective_cost(cost, Collective::Broadcast, dr, chunk)
+    Ticks::moves(chunk) + collective_cost(cost, Collective::Broadcast, dr, chunk)
 }
 
-/// Predicted time of `insert` from a replicated vector: one local chunk
-/// write.
-#[must_use]
-pub fn predicted_insert(layout: &MatrixLayout, cost: &CostModel) -> f64 {
-    cost.moves(layout.cols().max_count())
-}
-
-/// Predicted time of `reduce` along rows on a machine degraded by
+/// Predicted ticks of `reduce` along rows on a machine degraded by
 /// single-hop concentration with the given `load_factor` (the largest
 /// number of logical nodes co-hosted on one physical node; `1` means
-/// healthy and the formula collapses to [`predicted_reduce`]).
+/// healthy and the formula collapses to [`predicted_reduce`] under a
+/// one-port cost model).
 ///
 /// Degradation changes exactly one thing in the machine's charging: a
 /// host running `load_factor` logical nodes serializes their *compute*,
@@ -109,20 +97,18 @@ pub fn predicted_insert(layout: &MatrixLayout, cost: &CostModel) -> f64 {
 /// the one it may share a host with). Intra-host pairs within a step
 /// simply stop being channel traffic.
 ///
-/// Deliberately single-port: a machine with `load_factor > 1` reports
-/// live faults, and the schedule selector falls back to the single-port
-/// butterfly regardless of the cost model's port capability — so the
-/// degraded prediction never prices an all-port schedule.
+/// Deliberately single-port, and so free of the cost model: a machine
+/// with `load_factor > 1` reports live faults, and the schedule
+/// selector falls back to the single-port butterfly regardless of the
+/// cost model's port capability — so the degraded prediction never
+/// prices an all-port schedule.
 #[must_use]
-pub fn predicted_reduce_degraded(
-    layout: &MatrixLayout,
-    cost: &CostModel,
-    load_factor: usize,
-) -> f64 {
+pub fn predicted_reduce_degraded(layout: &MatrixLayout, load_factor: usize) -> Ticks {
     let block = local_block(layout);
     let chunk = layout.cols().max_count();
-    let dr = layout.grid().dr() as f64;
-    cost.flops(load_factor * block) + dr * (cost.message(chunk) + cost.flops(load_factor * chunk))
+    let dr = layout.grid().dr() as usize;
+    Ticks::flops(load_factor * block)
+        + (Ticks::message(chunk) + Ticks::flops(load_factor * chunk)) * dr
 }
 
 /// The generic lower bound for a primitive that must touch all `m`
@@ -184,40 +170,19 @@ mod tests {
     }
 
     #[test]
-    fn simulated_reduce_matches_formula_exactly_under_unit_model() {
-        let cost = CostModel::unit();
-        for (n, dim) in [(16usize, 4u32), (32, 6), (24, 4)] {
-            let l = layout(n, dim);
-            let m = DistMatrix::from_fn(l.clone(), |i, j| (i + j) as f64);
-            let mut hc = Hypercube::new(dim, cost);
-            let _ = primitives::reduce(&mut hc, &m, Axis::Row, Sum);
-            let predicted = predicted_reduce(&l, &cost);
-            assert!(
-                (hc.elapsed_us() - predicted).abs() < 1e-9,
-                "n={n} dim={dim}: simulated {} vs predicted {predicted}",
-                hc.elapsed_us()
-            );
-        }
-    }
-
-    #[test]
-    fn simulated_reduce_matches_formula_under_allport_model() {
+    fn simulated_reduce_matches_formula_exactly() {
         // The prediction routes its communication term through the same
         // schedule selector the machine uses, so it stays exact when the
         // cost model advertises all ports and the machine actually runs
         // the ported schedule.
-        let cost = CostModel::cm2_allport();
-        for (n, dim) in [(16usize, 4u32), (64, 6), (24, 4)] {
-            let l = layout(n, dim);
-            let m = DistMatrix::from_fn(l.clone(), |i, j| (i + j) as f64);
-            let mut hc = Hypercube::new(dim, cost);
-            let _ = primitives::reduce(&mut hc, &m, Axis::Row, Sum);
-            let predicted = predicted_reduce(&l, &cost);
-            assert!(
-                (hc.elapsed_us() - predicted).abs() < 1e-9,
-                "n={n} dim={dim}: simulated {} vs predicted {predicted}",
-                hc.elapsed_us()
-            );
+        for cost in [CostModel::unit(), CostModel::cm2(), CostModel::cm2_allport()] {
+            for (n, dim) in [(16usize, 4u32), (32, 6), (64, 6), (24, 4)] {
+                let l = layout(n, dim);
+                let m = DistMatrix::from_fn(l.clone(), |i, j| (i + j) as f64);
+                let mut hc = Hypercube::new(dim, cost);
+                let _ = primitives::reduce(&mut hc, &m, Axis::Row, Sum);
+                assert_eq!(hc.ticks(), predicted_reduce(&l, &cost), "n={n} dim={dim} {cost:?}");
+            }
         }
     }
 
@@ -228,11 +193,11 @@ mod tests {
         let m = DistMatrix::from_fn(l.clone(), |i, j| (i * j) as f64);
         let mut hc = Hypercube::new(6, cost);
         let _ = primitives::extract(&mut hc, &m, Axis::Row, 5);
-        assert!((hc.elapsed_us() - predicted_extract(&l, &cost)).abs() < 1e-9);
+        assert_eq!(hc.ticks(), predicted_extract(&l));
 
         let mut hc2 = Hypercube::new(6, cost);
         let _ = primitives::extract_replicated(&mut hc2, &m, Axis::Row, 5);
-        assert!((hc2.elapsed_us() - predicted_extract_replicated(&l, &cost)).abs() < 1e-9);
+        assert_eq!(hc2.ticks(), predicted_extract_replicated(&l, &cost));
     }
 
     #[test]
@@ -244,12 +209,7 @@ mod tests {
         let v = primitives::extract(&mut hc, &m, Axis::Row, 0);
         hc.reset();
         let _ = primitives::distribute(&mut hc, &v, 32, Dist::Cyclic);
-        assert!(
-            (hc.elapsed_us() - predicted_distribute_concentrated(&l, &cost)).abs() < 1e-9,
-            "simulated {} predicted {}",
-            hc.elapsed_us(),
-            predicted_distribute_concentrated(&l, &cost)
-        );
+        assert_eq!(hc.ticks(), predicted_distribute_concentrated(&l, &cost));
     }
 
     #[test]
@@ -258,7 +218,7 @@ mod tests {
             for (n, dim) in [(16usize, 4u32), (32, 6), (24, 4)] {
                 let l = layout(n, dim);
                 assert_eq!(
-                    predicted_reduce_degraded(&l, &cost, 1),
+                    predicted_reduce_degraded(&l, 1),
                     predicted_reduce(&l, &cost),
                     "lf = 1 must be the healthy formula (n={n} dim={dim})"
                 );
@@ -293,12 +253,8 @@ mod tests {
             let got = primitives::reduce(&mut hc, &m_d, Axis::Row, Sum).to_dense();
             assert_eq!(got, want, "degraded reduce must stay bit-identical");
 
-            let predicted = predicted_reduce_degraded(&l, &cost, map.load_factor());
-            assert!(
-                (hc.elapsed_us() - predicted).abs() < 1e-9,
-                "dead={dead:?} dim={dim} n={n}: simulated {} vs predicted {predicted}",
-                hc.elapsed_us()
-            );
+            let predicted = predicted_reduce_degraded(&l, map.load_factor());
+            assert_eq!(hc.ticks(), predicted, "dead={dead:?} dim={dim} n={n}");
         }
     }
 
@@ -307,16 +263,19 @@ mod tests {
         // Degradation serializes co-hosted *compute*; the butterfly's
         // message supersteps are unchanged while every step keeps at
         // least one physical link. The formula therefore predicts a gap
-        // of exactly (lf - 1) * (flops(block) + d_r * flops(chunk)).
+        // of exactly (lf - 1) * (block + d_r * chunk) flops.
         let cost = CostModel::cm2();
         let l = layout(32, 6);
         let block = local_block(&l);
         let chunk = l.cols().max_count();
-        let dr = l.grid().dr() as f64;
+        let dr = l.grid().dr() as usize;
         for lf in [2usize, 3, 4] {
-            let gap = predicted_reduce_degraded(&l, &cost, lf) - predicted_reduce(&l, &cost);
-            let expect = (lf - 1) as f64 * (cost.flops(block) + dr * cost.flops(chunk));
-            assert!((gap - expect).abs() < 1e-9, "lf={lf}: gap {gap} expected {expect}");
+            let extra = Ticks::flops((lf - 1) * (block + dr * chunk));
+            assert_eq!(
+                predicted_reduce_degraded(&l, lf),
+                predicted_reduce(&l, &cost) + extra,
+                "lf={lf}"
+            );
         }
     }
 

@@ -126,8 +126,7 @@ pub fn reduce<T: Scalar, O: ReduceOp<T>>(
 /// `reduce(hc, &m.zip_axis(hc, along, v, f), axis, op)` without the
 /// `m`-sized temporary: each `f(i, j, m[i][j], v[..])` is folded as soon
 /// as it is formed. Payload, clock and counters are bit-identical to the
-/// two-step spelling: same fold order, and the zip pass and the fold are
-/// charged as two separate flop charges.
+/// two-step spelling: same fold order, same charges.
 ///
 /// # Panics
 /// As [`DistMatrix::zip_axis`]: unless `v` is `along`-aligned,

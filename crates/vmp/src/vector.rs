@@ -210,7 +210,7 @@ impl<T: Scalar> DistVector<T> {
     /// `self.zip(hc, other, f).reduce_all(hc, op)` without the temporary:
     /// `f(i, self[i], other[i])` is folded as soon as it is formed. Payload,
     /// clock and counters are bit-identical to the two-step spelling (same
-    /// fold order; the zip pass and the fold are charged separately).
+    /// fold order, same charges).
     ///
     /// # Panics
     /// Panics unless the two vectors share a layout.

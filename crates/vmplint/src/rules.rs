@@ -260,7 +260,7 @@ mod tests {
         // The all-port collective engine rides the collective/ prefix
         // and the spanning-tree entry: P1 and S1 both armed.
         for file in
-            ["crates/hypercube/src/collective/allport.rs", "crates/hypercube/src/spanning.rs"]
+            ["crates/hypercube/src/collective/broadcast.rs", "crates/hypercube/src/spanning.rs"]
         {
             let scope = classify(file).unwrap();
             assert!(scope.panic_surface, "{file} must be a P1 hot path");

@@ -158,12 +158,13 @@ proptest! {
 /// `scan::pack` and `indexing::gather_by_index` (through `listrank`)
 /// route traffic but appear in no reproduced table, so the golden-table
 /// check cannot see their charges. Pin them exactly, fault-free and
-/// under transient drops.
+/// under transient drops: the cost-term ticks, the clock they price to
+/// (bit for bit) and the counters.
 #[test]
 fn routed_paths_outside_the_tables_charge_exactly() {
     use four_vmp::algos::listrank;
     use four_vmp::core::scan;
-    use four_vmp::hypercube::{Counters, FaultPlan};
+    use four_vmp::hypercube::{Counters, FaultPlan, Ticks};
 
     let drops = FaultPlan::none(5).with_drops(0.2, 0, u64::MAX);
     let machine = |plan: Option<&FaultPlan>| {
@@ -187,6 +188,13 @@ fn routed_paths_outside_the_tables_charge_exactly() {
         let ranks = listrank::list_rank(hc, &DistVector::from_fn(layout, |i| next[i]));
         assert_eq!(ranks.to_dense(), listrank::list_rank_serial(&next));
     };
+    let ticks = |startups, elements, flops, backoff| Ticks {
+        startups,
+        elements,
+        flops,
+        backoff,
+        ..Ticks::default()
+    };
     let msgs = |message_steps, elements_transferred, max_channel_load, flops| Counters {
         message_steps,
         elements_transferred,
@@ -198,22 +206,32 @@ fn routed_paths_outside_the_tables_charge_exactly() {
         |c: Counters, transient_drops, retries| Counters { transient_drops, retries, ..c };
 
     type Path<'a> = &'a dyn Fn(&mut Hypercube);
-    let cases: [(&str, Path, Option<&FaultPlan>, f64, Counters); 4] = [
-        ("pack", &pack, None, 271.6, msgs(8, 304, 8, 36)),
-        ("list_rank", &list_rank, None, 3375.150000000001, msgs(96, 1936, 19, 169)),
-        ("pack", &pack, Some(&drops), 598.6000000000001, with_drops(msgs(18, 331, 8, 36), 21, 10)),
+    type Case<'a> = (&'a str, Path<'a>, Option<&'a FaultPlan>, Ticks, f64, Counters);
+    let cases: [Case; 4] = [
+        ("pack", &pack, None, ticks(8, 19, 36, 0), 271.6, msgs(8, 304, 8, 36)),
+        ("list_rank", &list_rank, None, ticks(96, 436, 169, 0), 3375.15, msgs(96, 1936, 19, 169)),
+        (
+            "pack",
+            &pack,
+            Some(&drops),
+            ticks(18, 33, 36, 13),
+            598.6,
+            with_drops(msgs(18, 331, 8, 36), 21, 10),
+        ),
         (
             "list_rank",
             &list_rank,
             Some(&drops),
-            7199.1500000000015,
+            ticks(212, 604, 169, 176),
+            7199.15,
             with_drops(msgs(212, 1936, 17, 169), 553, 62),
         ),
     ];
-    for (name, run, plan, elapsed_us, counters) in cases {
+    for (name, run, plan, ticks, elapsed_us, counters) in cases {
         let mut hc = machine(plan);
         run(&mut hc);
-        assert_eq!(hc.elapsed_us(), elapsed_us, "{name} under {plan:?}");
+        assert_eq!(hc.ticks(), ticks, "{name} under {plan:?}");
+        assert_eq!(hc.elapsed_us().to_bits(), elapsed_us.to_bits(), "{name} under {plan:?}");
         assert_eq!(*hc.counters(), counters, "{name} under {plan:?}");
     }
 }

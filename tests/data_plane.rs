@@ -53,6 +53,7 @@ fn uniform_locals(dim: u32, len: usize, salt: usize) -> Vec<Vec<f64>> {
 }
 
 fn assert_machines_identical(seed: &Hypercube, slab: &Hypercube, what: &str) {
+    assert_eq!(seed.ticks(), slab.ticks(), "{what}: cost-term ticks diverged");
     assert_eq!(
         seed.elapsed_us().to_bits(),
         slab.elapsed_us().to_bits(),
