@@ -10,7 +10,6 @@
 //! results, only the modeled cost.
 
 use vmp_algos::{ge_solve, workloads};
-use vmp_core::degrade::apply_degradation;
 use vmp_core::prelude::*;
 use vmp_hypercube::counters::Counters;
 use vmp_hypercube::FaultPlan;
@@ -63,7 +62,7 @@ pub fn r1() -> Table {
             // Resident volume: the augmented matrix each node will hold.
             let layout = MatrixLayout::cyclic(MatShape::new(N, N + 1), square_grid(DIM));
             let resident: Vec<usize> = (0..hc.p()).map(|n| layout.local_len(n)).collect();
-            let _ = apply_degradation(&mut hc, &dead, &resident);
+            hc.degrade(&dead, &resident);
         }
         let (x, delta) = Counters::scoped(&mut hc, solve);
         t.row(vec![

@@ -9,10 +9,11 @@
 //! fault decision is a pure hash of `(seed, step, canonical link,
 //! attempt)` with no hidden state.
 //!
-//! Whole-node failures are not part of a plan. The layout layer models
-//! a dead node by concentrating its block onto a healthy neighbour (the
-//! `vmp-layout` degradation module), after which the machine's host map
-//! makes the dead node's traffic local to its host.
+//! Whole-node failures are not part of a plan.
+//! [`Hypercube::degrade`](crate::machine::Hypercube::degrade) models a
+//! dead node by hosting its logical block on a healthy neighbour, after
+//! which the machine's host map makes the dead node's traffic local to
+//! its host. A plan and a degradation compose in either order.
 //!
 //! What the machine does about it is fixed: a checksum detects a drop
 //! as the message arrives, up to [`MAX_RETRIES`] retransmissions with

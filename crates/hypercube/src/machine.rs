@@ -21,28 +21,36 @@
 //! an integer ([`Hypercube::ticks`]) and [`Hypercube::elapsed_us`]
 //! prices the counts on read, so the clock's bits never depend on how
 //! charges were grouped or ordered.
+//!
+//! Fault state is one context on the machine: the installed
+//! [`FaultPlan`] and the logical→physical host map that
+//! [`Hypercube::degrade`] sets after node failures. The two are set
+//! independently, in either order, and both the charging seam
+//! ([`Hypercube::charge_exchange_step`]) and the router
+//! ([`crate::route::route_blocks`]) read the context in place.
 
 use crate::cost::{allport_schedule, Algo, Collective, CostModel, Ticks};
 use crate::counters::Counters;
 use crate::fault::{FaultPlan, MAX_RETRIES};
 use crate::topology::{Cube, NodeId};
 
-/// Fault-injection state installed on a machine: the plan and the
-/// logical→physical host map used for graceful degradation after node
-/// failures.
+/// The machine's one fault context: the installed plan and the
+/// logical→physical host map of graceful degradation after node
+/// failures. [`Hypercube::install_faults`] replaces the plan and
+/// [`Hypercube::degrade`] the host map; each leaves the other alone.
 #[derive(Debug, Clone)]
-struct FaultCtx {
-    plan: FaultPlan,
+pub(crate) struct FaultCtx {
+    pub(crate) plan: FaultPlan,
     /// `host_map[logical] = physical` — which healthy node actually
-    /// hosts each logical node's block after degradation remaps.
-    host_map: Vec<NodeId>,
+    /// hosts each logical node's block after degradation.
+    pub(crate) host_map: Vec<NodeId>,
     /// Max logical nodes per physical host (1 = no degradation); local
     /// compute supersteps serialize by this factor.
     load_factor: usize,
 }
 
 impl FaultCtx {
-    /// A non-empty plan, or degradation remaps doubling up hosts.
+    /// A non-empty plan, or degradation doubling up hosts.
     fn is_live(&self) -> bool {
         !self.plan.is_empty() || self.load_factor > 1
     }
@@ -57,7 +65,7 @@ pub struct Hypercube {
     /// The three [`Ticks`] terms [`Counters`] has no field for
     /// (`elements`, `injections`, `backoff`); the others stay zero.
     extra: Ticks,
-    fault: Option<Box<FaultCtx>>,
+    pub(crate) fault: Option<Box<FaultCtx>>,
 }
 
 impl Hypercube {
@@ -200,15 +208,28 @@ impl Hypercube {
     /// Install a fault plan; the machine recovers from it with the fixed
     /// policy in [`crate::fault`]. Until this is called (or after
     /// [`Hypercube::clear_faults`]) the machine takes the plain
-    /// communication paths with zero overhead.
+    /// communication paths with zero overhead. Only the plan is
+    /// replaced: a host map set by [`Hypercube::degrade`] stays.
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        let host_map = (0..self.p()).collect();
-        self.fault = Some(Box::new(FaultCtx { plan, host_map, load_factor: 1 }));
+        self.fault_ctx().plan = plan;
     }
 
     /// Remove any installed fault state (host map included).
     pub fn clear_faults(&mut self) {
         self.fault = None;
+    }
+
+    /// The fault context, installed with an empty plan and the identity
+    /// host map if there is none yet.
+    fn fault_ctx(&mut self) -> &mut FaultCtx {
+        let p = self.p();
+        self.fault.get_or_insert_with(|| {
+            Box::new(FaultCtx {
+                plan: FaultPlan::none(0),
+                host_map: (0..p).collect(),
+                load_factor: 1,
+            })
+        })
     }
 
     /// The installed fault plan, if any.
@@ -226,7 +247,7 @@ impl Hypercube {
     }
 
     /// Physical host of `logical` under the degradation host map
-    /// (identity when no fault state or no remap has been applied).
+    /// (identity on a machine that was never degraded).
     #[must_use]
     pub fn host_of(&self, logical: NodeId) -> NodeId {
         match &self.fault {
@@ -241,42 +262,77 @@ impl Hypercube {
         self.fault.as_deref().map_or(1, |ctx| ctx.load_factor)
     }
 
-    /// Remap the dead node `dead` (and anything it was hosting) onto the
-    /// healthy node `host`: graceful degradation after a node failure.
-    /// Subsequent traffic between co-hosted logical nodes is local, and
-    /// local compute supersteps serialize by the resulting load factor.
+    /// Graceful degradation after node failures: host every node in
+    /// `dead` on a healthy cube neighbour, which from then on simulates
+    /// both logical nodes. The logical cube the primitives address never
+    /// changes, only this logical→physical host map does, so every
+    /// program keeps producing bit-identical results at reduced capacity:
+    /// traffic between co-hosted logical nodes becomes local, and local
+    /// compute supersteps serialize by the resulting load factor.
     ///
-    /// Installs an empty fault plan if none is present, so degradation
-    /// can be exercised without injected communication faults.
+    /// Dead nodes are taken in ascending order (duplicates ignored); each
+    /// goes to the healthy neighbour hosting the fewest logical nodes so
+    /// far, the lowest cube dimension on ties — a deterministic embedding.
+    ///
+    /// `resident_elements[n]` is the number of elements resident on
+    /// logical node `n` across all live distributed objects: the volume
+    /// that moves to the host. The migrations travel disjoint neighbour
+    /// links, so they are charged as one blocked message superstep of
+    /// the largest block and counted under `migrated_elements`; each
+    /// dead node counts one `node_remaps`. Installs an empty fault plan
+    /// if none is present, and leaves an installed plan in force.
     ///
     /// # Panics
-    /// Panics if `dead == host` or either node is out of range.
-    pub fn remap_node(&mut self, dead: NodeId, host: NodeId) {
-        assert!(dead != host, "cannot host a dead node on itself");
-        assert!(self.cube.contains(dead) && self.cube.contains(host), "remap node out of range");
-        if self.fault.is_none() {
-            self.install_faults(FaultPlan::none(0));
+    /// Panics if `resident_elements.len() != p`, a dead node is out of
+    /// range, every node is dead, a dead node has no healthy neighbour
+    /// (single-hop concentration cannot recover it), or the machine is
+    /// already degraded.
+    pub fn degrade(&mut self, dead: &[NodeId], resident_elements: &[usize]) {
+        let (cube, p) = (self.cube, self.p());
+        assert_eq!(resident_elements.len(), p, "one resident size per node expected");
+        let mut is_dead = vec![false; p];
+        for &n in dead {
+            assert!(cube.contains(n), "dead node {n} out of range");
+            is_dead[n] = true;
         }
-        let ctx = self.fault.as_deref_mut().expect("fault ctx just installed");
-        assert!(ctx.host_map[host] == host, "target host {host} is itself remapped away");
-        for h in ctx.host_map.iter_mut() {
-            if *h == dead {
-                *h = host;
-            }
+        let mut dead = dead.to_vec();
+        dead.sort_unstable();
+        dead.dedup();
+        if dead.is_empty() {
+            return;
         }
-        let p = ctx.host_map.len();
-        let mut mult = vec![0usize; p];
-        for &h in &ctx.host_map {
-            mult[h] += 1;
+        assert!(dead.len() < p, "every node is dead");
+        assert_eq!(self.load_factor(), 1, "machine is already degraded");
+
+        let mut mult: Vec<usize> = is_dead.iter().map(|&d| usize::from(!d)).collect();
+        let hosts: Vec<NodeId> = dead
+            .iter()
+            .map(|&n| {
+                let host = cube
+                    .iter_dims()
+                    .map(|d| cube.neighbor(n, d))
+                    .filter(|&nb| !is_dead[nb])
+                    .min_by_key(|&nb| mult[nb])
+                    .unwrap_or_else(|| panic!("dead node {n} has no healthy neighbour"));
+                mult[host] += 1;
+                host
+            })
+            .collect();
+
+        let max_block = dead.iter().map(|&n| resident_elements[n]).max().unwrap_or(0);
+        let total: u64 = dead.iter().map(|&n| resident_elements[n] as u64).sum();
+        if total > 0 {
+            // One hop each, disjoint links, all in parallel.
+            self.charge_message_step(max_block, total);
+        }
+        self.counters.migrated_elements += total;
+        self.counters.node_remaps += dead.len() as u64;
+
+        let ctx = self.fault_ctx();
+        for (&n, host) in dead.iter().zip(hosts) {
+            ctx.host_map[n] = host;
         }
         ctx.load_factor = mult.into_iter().max().unwrap_or(1);
-        self.counters.node_remaps += 1;
-    }
-
-    /// Record `elements` migrated off a dead node during a degradation
-    /// remap (the traffic itself is charged by the routing that moves it).
-    pub fn note_migration(&mut self, elements: u64) {
-        self.counters.migrated_elements += elements;
     }
 
     // ----- charging primitives (called by communication/compute code) ---
@@ -539,7 +595,8 @@ mod tests {
             "drops and a dead link" => hc.install_faults(
                 FaultPlan::none(5).with_drops(0.3, 0, u64::MAX).with_link_fault(2, 6, 0),
             ),
-            _ => hc.remap_node(5, 4),
+            // Node 5 goes to its dim-0 neighbour 4.
+            _ => hc.degrade(&[5], &[0; 8]),
         };
         let states = [
             ("no plan", false),
@@ -599,30 +656,157 @@ mod tests {
         assert_eq!(hc.elapsed_us(), 7.0 * msg + 15.0);
     }
 
+    /// Every node's physical host.
+    fn hosts(hc: &Hypercube) -> Vec<NodeId> {
+        (0..hc.p()).map(|n| hc.host_of(n)).collect()
+    }
+
     #[test]
-    fn remap_makes_traffic_local_and_scales_flops() {
+    fn healthy_machine_hosts_every_node_itself() {
         use crate::fault::FaultPlan;
+        let mut hc = Hypercube::new(3, CostModel::unit());
+        assert_eq!(hc.load_factor(), 1);
+        assert_eq!(hosts(&hc), (0..8).collect::<Vec<_>>());
+        hc.install_faults(FaultPlan::none(3).with_drops(0.5, 0, u64::MAX));
+        assert_eq!(hc.load_factor(), 1, "a plan alone doubles up no host");
+        assert_eq!(hosts(&hc), (0..8).collect::<Vec<_>>());
+        hc.degrade(&[], &[9; 8]);
+        assert_eq!(hosts(&hc), (0..8).collect::<Vec<_>>(), "an empty dead set changes nothing");
+        assert_eq!(*hc.counters(), Counters::default());
+    }
+
+    #[test]
+    fn degrade_makes_traffic_local_and_scales_flops() {
         let mut hc = Hypercube::new(2, CostModel::unit());
         assert_eq!(hc.host_of(3), 3);
-        hc.remap_node(3, 1);
-        assert!(hc.fault_plan().expect("remap auto-installs an empty plan").is_empty());
-        assert_eq!(hc.host_of(3), 1);
+        hc.degrade(&[3], &[0; 4]);
+        assert!(hc.fault_plan().expect("degrade installs an empty plan").is_empty());
+        assert_eq!(hc.host_of(3), 2, "the dim-0 neighbour wins the tie");
         assert_eq!(hc.load_factor(), 2);
         assert_eq!(hc.counters().node_remaps, 1);
-        // Traffic 1<->3 is now co-hosted: a local-move superstep.
-        hc.charge_exchange_step([(1, 3)], 4, 4);
+        // Traffic 2<->3 is now co-hosted: a local-move superstep.
+        hc.charge_exchange_step([(2, 3)], 4, 4);
         assert_eq!(hc.counters().message_steps, 0);
         assert_eq!(hc.counters().local_moves, 4);
         // Compute serializes 2x on the doubled-up host.
         let before = hc.counters().flops;
         hc.charge_flops(10);
         assert_eq!(hc.counters().flops - before, 20);
-        // Remapping the already-moved host's guest chains onto a new host.
-        hc.remap_node(1, 0);
-        assert_eq!(hc.host_of(3), 0);
-        assert_eq!(hc.host_of(1), 0);
-        assert_eq!(hc.load_factor(), 3);
-        let _ = FaultPlan::none(0);
+    }
+
+    #[test]
+    fn degradation_with_empty_node_is_free_traffic() {
+        let mut hc = Hypercube::new(2, CostModel::unit());
+        // No resident data anywhere: remap alone, no migration charge.
+        hc.degrade(&[3], &[0, 0, 0, 0]);
+        assert_eq!(hc.counters().migrated_elements, 0);
+        assert_eq!(hc.counters().message_steps, 0);
+        assert_eq!(hc.counters().node_remaps, 1);
+        assert_eq!(hc.host_of(3), 2);
+    }
+
+    #[test]
+    fn migration_is_one_superstep_of_the_largest_block() {
+        let mut hc = Hypercube::new(3, CostModel::unit());
+        hc.degrade(&[6, 2], &[1, 1, 5, 1, 1, 1, 7, 1]);
+        assert_eq!(hc.counters().message_steps, 1);
+        assert_eq!(hc.counters().max_channel_load, 7);
+        assert_eq!(hc.counters().elements_transferred, 12);
+        assert_eq!(hc.counters().migrated_elements, 12);
+        assert_eq!(hc.counters().node_remaps, 2);
+        assert_eq!(hc.elapsed_us(), 1.0 + 7.0);
+    }
+
+    #[test]
+    fn single_dead_node_concentrates_on_a_neighbour() {
+        let mut hc = Hypercube::new(4, CostModel::unit());
+        hc.degrade(&[6], &[0; 16]);
+        let h = hc.host_of(6);
+        assert_ne!(h, 6);
+        assert_eq!(hc.cube().distance(6, h), 1, "host is a cube neighbour");
+        assert_eq!(hc.load_factor(), 2);
+        // Healthy nodes keep their identity.
+        for n in 0..16 {
+            if n != 6 {
+                assert_eq!(hc.host_of(n), n);
+            }
+        }
+    }
+
+    #[test]
+    fn hosts_balance_across_neighbours() {
+        // Two dead nodes sharing neighbours must not pile onto one host
+        // when a lighter one is available.
+        let mut hc = Hypercube::new(3, CostModel::unit());
+        hc.degrade(&[0, 3], &[0; 8]);
+        assert_eq!(hc.load_factor(), 2, "no host takes two dead nodes here");
+        assert_ne!(hc.host_of(0), hc.host_of(3));
+    }
+
+    #[test]
+    fn dead_neighbours_are_skipped() {
+        // 0's dim-0 neighbour (1) is dead too; 0 must pick a live host,
+        // and a live host hosts itself.
+        let mut hc = Hypercube::new(3, CostModel::unit());
+        hc.degrade(&[0, 1], &[0; 8]);
+        for dead in [0, 1] {
+            let h = hc.host_of(dead);
+            assert!(h != 0 && h != 1 && hc.host_of(h) == h, "{dead} hosted by dead {h}");
+        }
+        assert_eq!(hc.cube().distance(0, hc.host_of(0)), 1);
+    }
+
+    #[test]
+    fn deterministic_regardless_of_input_order() {
+        let degraded = |dead: &[NodeId]| {
+            let mut hc = Hypercube::new(4, CostModel::unit());
+            hc.degrade(dead, &[3; 16]);
+            (hosts(&hc), hc.load_factor(), hc.ticks(), *hc.counters())
+        };
+        assert_eq!(degraded(&[3, 9, 12]), degraded(&[12, 3, 9]));
+        assert_eq!(degraded(&[3, 9, 12]), degraded(&[9, 3, 12, 9]), "duplicates count once");
+    }
+
+    #[test]
+    #[should_panic(expected = "no healthy neighbour")]
+    fn isolated_dead_node_panics() {
+        // Node 0's neighbours on a 2-cube are 1 and 2 — both dead, so
+        // single-hop concentration cannot recover.
+        Hypercube::new(2, CostModel::unit()).degrade(&[0, 1, 2], &[0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "every node is dead")]
+    fn fully_dead_cube_panics() {
+        Hypercube::new(1, CostModel::unit()).degrade(&[0, 1], &[0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already degraded")]
+    fn degrading_twice_panics() {
+        let mut hc = Hypercube::new(3, CostModel::unit());
+        hc.degrade(&[5], &[0; 8]);
+        hc.degrade(&[2], &[0; 8]);
+    }
+
+    #[test]
+    fn degradation_and_a_fault_plan_compose_in_either_order() {
+        use crate::fault::FaultPlan;
+        let plan = FaultPlan::none(9).with_drops(0.1, 0, u64::MAX).with_link_fault(0, 1, 0);
+        let mut plan_first = Hypercube::new(3, CostModel::unit());
+        plan_first.install_faults(plan.clone());
+        plan_first.degrade(&[5], &[2; 8]);
+        let mut degrade_first = Hypercube::new(3, CostModel::unit());
+        degrade_first.degrade(&[5], &[2; 8]);
+        degrade_first.install_faults(plan.clone());
+        for hc in [&plan_first, &degrade_first] {
+            assert_eq!(hc.fault_plan(), Some(&plan));
+            assert_eq!(hc.load_factor(), 2);
+            assert_eq!(hc.host_of(5), 4);
+        }
+        assert_eq!(plan_first.ticks(), degrade_first.ticks());
+        degrade_first.clear_faults();
+        assert_eq!(degrade_first.load_factor(), 1, "clearing drops the host map too");
     }
 
     #[test]
@@ -636,8 +820,8 @@ mod tests {
         hc.install_faults(FaultPlan::none(7).with_link_fault(0, 1, 0));
         assert!(hc.live_faults());
         hc.clear_faults();
-        hc.remap_node(3, 1);
-        assert!(hc.live_faults(), "degradation remaps count as live faults");
+        hc.degrade(&[3], &[0; 8]);
+        assert!(hc.live_faults(), "degradation counts as live faults");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! can reassemble rows and columns in global index order without caring
 //! about routing or posting order.
 
-use crate::fault::{FaultPlan, MAX_RETRIES};
-use crate::machine::Hypercube;
+use crate::fault::MAX_RETRIES;
+use crate::machine::{FaultCtx, Hypercube};
 use crate::topology::{Cube, NodeId};
 
 /// One posted message: the node holding it now, its destination, its
@@ -124,31 +124,25 @@ impl<T> Traffic<T> {
 /// superstep per cube dimension that carries any traffic.
 ///
 /// When fault state is installed on the machine the same sweep consults
-/// it: transiently dropped blocks genuinely stay at the sender and
-/// retransmit on a later pass (with backoff), traffic facing a
-/// permanently dead link genuinely detours through a healthy
-/// perpendicular dimension, and the e-cube sweep repeats until every
-/// block is home — so delivery under any recoverable plan is
+/// its one fault context (plan and degradation host map): transiently
+/// dropped blocks genuinely stay at the sender and retransmit on a later
+/// pass (with backoff), traffic facing a permanently dead link genuinely
+/// detours through a healthy perpendicular dimension, and the e-cube
+/// sweep repeats until every block is home — so delivery under any recoverable plan is
 /// bit-identical to the fault-free run, at a higher modeled cost.
 ///
 /// # Panics
 /// Panics if `traffic` was posted for a different machine size, or if
 /// the installed fault plan leaves some block with no usable route.
 pub fn route_blocks<T>(hc: &mut Hypercube, traffic: &mut Traffic<T>) {
-    let p = hc.p();
-    assert_eq!(traffic.p, p, "traffic posted for a {}-node machine", traffic.p);
-    let faults = hc
-        .fault_plan()
-        .map(|plan| Faults { plan: plan.clone(), hosts: (0..p).map(|n| hc.host_of(n)).collect() });
-    sweeps(hc, &mut traffic.heads, faults.as_ref());
+    assert_eq!(traffic.p, hc.p(), "traffic posted for a {}-node machine", traffic.p);
+    // The sweep charges the machine while it reads the fault context, so
+    // the context steps out for the duration; nothing the sweep charges
+    // reads it.
+    let faults = hc.fault.take();
+    sweeps(hc, &mut traffic.heads, faults.as_deref());
+    hc.fault = faults;
     traffic.deliver();
-}
-
-/// The machine's fault state, read once per [`route_blocks`] call.
-struct Faults {
-    plan: FaultPlan,
-    /// `hosts[logical]` = the physical node hosting it after degradation.
-    hosts: Vec<NodeId>,
 }
 
 /// What happens to a block whose next e-cube hop is `node -> node^bit`.
@@ -164,9 +158,9 @@ enum Hop {
     Stuck,
 }
 
-impl Faults {
+impl FaultCtx {
     fn hop(&self, cube: &Cube, node: NodeId, d: u32, step: u64, pass: u32) -> Hop {
-        let (pa, pb) = (self.hosts[node], self.hosts[node ^ (1usize << d)]);
+        let (pa, pb) = (self.host_map[node], self.host_map[node ^ (1usize << d)]);
         if pa == pb {
             Hop::Forward
         } else if self.plan.link_dead(pa, pb, step) {
@@ -183,7 +177,7 @@ impl Faults {
     /// link.
     fn detour_dim(&self, cube: &Cube, node: NodeId, avoid: u32, step: u64) -> Option<u32> {
         let healthy = |a: NodeId, b: NodeId| {
-            let (pa, pb) = (self.hosts[a], self.hosts[b]);
+            let (pa, pb) = (self.host_map[a], self.host_map[b]);
             pa == pb || !self.plan.link_dead(pa, pb, step)
         };
         cube.iter_dims().find(|&d2| {
@@ -243,7 +237,7 @@ impl Loads {
 /// be undone by the next pass's ascending sweep whenever `d2 < d`,
 /// ping-ponging forever. The bypass perturbs only dimension `d2`, which
 /// a later pass re-resolves over a different physical link.
-fn sweeps(hc: &mut Hypercube, heads: &mut [Header], faults: Option<&Faults>) {
+fn sweeps(hc: &mut Hypercube, heads: &mut [Header], faults: Option<&FaultCtx>) {
     let cube = hc.cube();
     let mut forwarded = Loads::new(cube.nodes());
     let mut detoured = Loads::new(cube.nodes());

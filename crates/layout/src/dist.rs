@@ -112,6 +112,17 @@ impl AxisDist {
         }
     }
 
+    /// The step between the global indices of consecutive slots of one
+    /// part: `global_index(part, slot + 1) - global_index(part, slot)`.
+    #[inline]
+    #[must_use]
+    pub fn slot_stride(&self) -> usize {
+        match self.kind {
+            Dist::Cyclic => self.parts(),
+            Dist::Block => 1,
+        }
+    }
+
     /// Number of indices owned by `part`.
     #[inline]
     #[must_use]
@@ -209,6 +220,10 @@ mod tests {
         for part in 0..d.parts() {
             assert_eq!(counts[part], d.count(part), "count of part {part}");
             assert!(d.count(part) <= d.max_count());
+            for slot in 1..d.count(part) {
+                let step = d.global_index(part, slot) - d.global_index(part, slot - 1);
+                assert_eq!(step, d.slot_stride(), "stride of part {part} at slot {slot}");
+            }
         }
         // Load balance: max - min <= 1.
         let max = counts.iter().max().copied().unwrap_or(0);

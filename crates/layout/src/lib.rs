@@ -12,20 +12,21 @@
 //! * [`matrix`] — the matrix embedding ([`MatrixLayout`]);
 //! * [`vector`] — vector embeddings ([`VectorLayout`]): axis-aligned
 //!   (replicated or concentrated) and linear, the states between which
-//!   the paper's primitives move vectors;
-//! * [`degrade`] — graceful-degradation host maps ([`DegradedMap`])
-//!   concentrating dead nodes' blocks onto healthy subcube neighbours.
+//!   the paper's primitives move vectors.
+//!
+//! Where the nodes physically are is not a layout matter: after node
+//! failures the machine's own host map moves logical nodes onto healthy
+//! neighbours (`Hypercube::degrade`), and every embedding here stays as
+//! it is.
 
 #![warn(missing_docs)]
 
-pub mod degrade;
 pub mod dist;
 pub mod grid;
 pub mod matrix;
 pub mod shape;
 pub mod vector;
 
-pub use degrade::DegradedMap;
 pub use dist::{AxisDist, Dist};
 pub use grid::{GridEncoding, ProcGrid};
 pub use matrix::MatrixLayout;

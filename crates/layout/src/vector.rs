@@ -56,6 +56,9 @@ pub struct VectorLayout {
     grid: ProcGrid,
     embedding: VecEmbedding,
     dist: AxisDist,
+    /// `(mask, bits)` of [`VectorLayout::primary_line`], fixed at
+    /// construction: folds test every node against it.
+    primary_line: (usize, usize),
 }
 
 impl VectorLayout {
@@ -76,14 +79,24 @@ impl VectorLayout {
             assert!(line < lines, "concentration line {line} out of range");
         }
         let dist = AxisDist::new(n, parts_log2, kind);
-        VectorLayout { n, grid, embedding: VecEmbedding::Aligned { axis, placement }, dist }
+        let line = match placement {
+            Placement::Replicated => 0,
+            Placement::Concentrated(line) => line,
+        };
+        let (dims, node) = match axis {
+            Axis::Row => (grid.row_dims(), grid.node_at(line, 0)),
+            Axis::Col => (grid.col_dims(), grid.node_at(0, line)),
+        };
+        let mask = grid.cube().dims_mask(dims);
+        let embedding = VecEmbedding::Aligned { axis, placement };
+        VectorLayout { n, grid, embedding, dist, primary_line: (mask, node & mask) }
     }
 
     /// A linear (balanced, node-order) layout.
     #[must_use]
     pub fn linear(n: usize, grid: ProcGrid, kind: Dist) -> Self {
         let dist = AxisDist::new(n, grid.cube().dim(), kind);
-        VectorLayout { n, grid, embedding: VecEmbedding::Linear, dist }
+        VectorLayout { n, grid, embedding: VecEmbedding::Linear, dist, primary_line: (0, 0) }
     }
 
     /// Vector length.
@@ -177,21 +190,17 @@ impl VectorLayout {
     /// one — the nodes [`VectorLayout::primary_holder`] names.
     #[must_use]
     pub fn primary_line(&self) -> (usize, usize) {
-        match &self.embedding {
-            VecEmbedding::Aligned { axis, placement } => {
-                let line = match placement {
-                    Placement::Replicated => 0,
-                    Placement::Concentrated(line) => *line,
-                };
-                let (dims, node) = match axis {
-                    Axis::Row => (self.grid.row_dims(), self.grid.node_at(line, 0)),
-                    Axis::Col => (self.grid.col_dims(), self.grid.node_at(0, line)),
-                };
-                let mask = self.grid.cube().dims_mask(dims);
-                (mask, node & mask)
-            }
-            VecEmbedding::Linear => (0, 0),
-        }
+        self.primary_line
+    }
+
+    /// Whether `node` is the primary (first) holder of a non-empty chunk:
+    /// on the [`VectorLayout::primary_line`] and holding data. Exactly
+    /// one node per non-empty chunk answers yes.
+    #[inline]
+    #[must_use]
+    pub fn is_primary_holder(&self, node: NodeId) -> bool {
+        let (mask, bits) = self.primary_line();
+        node & mask == bits && self.local_len(node) > 0
     }
 
     /// The canonical (first) holder of element `i`: the first entry of
@@ -349,6 +358,13 @@ mod tests {
                     assert!(on_line.contains(&layout.primary_holder(i)), "{layout:?} element {i}");
                     assert_eq!(layout.primary_holder(i), layout.holders_of(i)[0], "{layout:?} {i}");
                 }
+                // The predicate names the same nodes, one per non-empty chunk.
+                let primaries: Vec<NodeId> =
+                    (0..32).filter(|&n| layout.is_primary_holder(n)).collect();
+                let mut named: Vec<NodeId> = (0..9).map(|i| layout.primary_holder(i)).collect();
+                named.sort_unstable();
+                named.dedup();
+                assert_eq!(primaries, named, "{layout:?}");
             }
         }
     }

@@ -23,7 +23,6 @@ use serde::Serialize;
 use vmp_algos::serial::SimplexStatus;
 use vmp_algos::workloads;
 use vmp_algos::{gauss, matvec as mv, simplex};
-use vmp_core::degrade::apply_degradation;
 use vmp_core::{analysis, DistMatrix, DistVector};
 use vmp_hypercube::cost::{CostModel, Ticks};
 use vmp_hypercube::counters::Counters;
@@ -219,11 +218,10 @@ impl JobSpec {
         words
     }
 
-    /// Degrade around any dead logical nodes, then arm the fault plan.
+    /// Degrade around any dead logical nodes, then arm the fault plan
+    /// (which leaves the degraded host map in force).
     fn prepare(&self, hc: &mut Hypercube, dead_locals: &[NodeId], resident: &[usize]) {
-        if !dead_locals.is_empty() {
-            let _ = apply_degradation(hc, dead_locals, resident);
-        }
+        hc.degrade(dead_locals, resident);
         let plan = self.plan();
         if !plan.is_empty() {
             hc.install_faults(plan);
@@ -278,17 +276,24 @@ mod tests {
 
     #[test]
     fn degraded_run_is_bit_identical() {
-        for kind in [JobKind::Matvec { n: 24 }, JobKind::Gauss { n: 10 }, JobKind::Simplex { n: 6 }]
-        {
-            let s = spec(kind, 3, 11, 0.0);
-            let healthy = s.run_standalone(CostModel::cm2());
-            let degraded = s.execute(CostModel::cm2(), &[5]);
-            assert_eq!(healthy.words, degraded.words, "{} degraded bits", kind.name());
-            assert!(
-                degraded.service_us > healthy.service_us,
-                "{}: the doubled-up host serialises compute",
-                kind.name()
-            );
+        // Under a drop plan too: arming the plan must not undo the
+        // degradation, so the doubled-up host still doubles every flop.
+        for drop_rate in [0.0, 0.02] {
+            for kind in
+                [JobKind::Matvec { n: 24 }, JobKind::Gauss { n: 10 }, JobKind::Simplex { n: 6 }]
+            {
+                let s = spec(kind, 3, 11, drop_rate);
+                let healthy = s.run_standalone(CostModel::cm2());
+                let degraded = s.execute(CostModel::cm2(), &[5]);
+                let name = kind.name();
+                assert_eq!(healthy.words, degraded.words, "{name} @ {drop_rate}: degraded bits");
+                assert_eq!(
+                    degraded.counters.flops,
+                    2 * healthy.counters.flops,
+                    "{name} @ {drop_rate}: the doubled-up host serialises compute"
+                );
+                assert!(degraded.service_us > healthy.service_us, "{name} @ {drop_rate}");
+            }
         }
     }
 

@@ -240,12 +240,9 @@ mod tests {
 
             let mut hc = Hypercube::new(dim, cost);
             let m_d = DistMatrix::from_fn(l.clone(), gen);
-            let map = crate::degrade::apply_degradation(
-                &mut hc,
-                &dead,
-                &crate::degrade::resident_sizes(m_d.locals()),
-            );
-            assert!(map.load_factor() >= 2, "dead set must actually concentrate");
+            let resident: Vec<usize> = (0..hc.p()).map(|n| m_d.locals().len_of(n)).collect();
+            hc.degrade(&dead, &resident);
+            assert!(hc.load_factor() >= 2, "dead set must actually concentrate");
             // Drop the one-off migration charge; the host map and load
             // factor survive reset, so what remains is the steady-state
             // degraded cost of the primitive itself.
@@ -253,7 +250,7 @@ mod tests {
             let got = primitives::reduce(&mut hc, &m_d, Axis::Row, Sum).to_dense();
             assert_eq!(got, want, "degraded reduce must stay bit-identical");
 
-            let predicted = predicted_reduce_degraded(&l, map.load_factor());
+            let predicted = predicted_reduce_degraded(&l, hc.load_factor());
             assert_eq!(hc.ticks(), predicted, "dead={dead:?} dim={dim} n={n}");
         }
     }

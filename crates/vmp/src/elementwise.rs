@@ -16,7 +16,10 @@
 //! stored row-major in one contiguous slab segment, so the drivers
 //! build the global row/column index tables once per call
 //! (`IndexTables`) and then stream each local row with `chunks_exact`
-//! — a contiguous, bounds-check-free inner loop the compiler can autovectorise. The
+//! — a contiguous, bounds-check-free inner loop the compiler can autovectorise.
+//! The rank-1 kernel touches only a window of each block and needs no
+//! tables: a part's global indices are affine in its local slots
+//! (`AxisDist::slot_stride`), so it steps them instead. The
 //! visit order (local offset order) and the combine expressions are
 //! exactly those of the naive `local_elements` walk, so results are
 //! bit-identical; only the host-side address arithmetic changed.
@@ -188,10 +191,12 @@ impl<T: Scalar> DistMatrix<T> {
         DistMatrix::from_slab(layout, out)
     }
 
-    /// The rank-1 update kernel shared by Gaussian elimination and
-    /// simplex pivoting: `self[i][j] = f(i, j, self[i][j], col[i], row[j])`
-    /// with `col` a replicated column vector and `row` a replicated row
-    /// vector. Two aligned reads per element, still purely local.
+    /// The rank-1 update kernel shared by Gaussian elimination, simplex
+    /// pivoting and matrix multiply:
+    /// `self[i][j] = f(i, j, self[i][j], col[i], row[j])` with `col` a
+    /// replicated column vector and `row` a replicated row vector. Two
+    /// aligned reads per element, still purely local: the
+    /// [`DistMatrix::rank1_update_ranged`] kernel over the whole matrix.
     pub fn rank1_update<U: Scalar, V: Scalar>(
         &mut self,
         hc: &mut Hypercube,
@@ -199,36 +204,15 @@ impl<T: Scalar> DistMatrix<T> {
         row: &DistVector<V>,
         f: impl Fn(usize, usize, T, U, V) -> T,
     ) {
-        self.check_axis_aligned(Axis::Col, col);
-        self.check_axis_aligned(Axis::Row, row);
-        let layout = self.layout().clone();
-        let col_locals = col.locals();
-        let row_locals = row.locals();
-        let tables = IndexTables::new(&layout);
-        self.locals_mut().for_each_seg_mut(|node, buf| {
-            if buf.is_empty() {
-                return;
-            }
-            let (gi, gj) = tables.at(layout.grid().grid_coords(node));
-            let col_chunk = &col_locals[node];
-            let row_chunk = &row_locals[node];
-            for (li, mrow) in buf.chunks_exact_mut(gj.len()).enumerate() {
-                let i = gi[li];
-                let c = col_chunk[li];
-                for ((&j, &r), a) in gj.iter().zip(row_chunk).zip(mrow.iter_mut()) {
-                    *a = f(i, j, *a, c, r);
-                }
-            }
-        });
-        // Two flops (multiply + subtract) per element is the honest count
-        // for the canonical a -= c*r; charge 2 per element.
-        hc.charge_flops(2 * layout.max_local_len());
+        self.rank1_update_ranged(hc, col, row, 0..self.shape().rows, 0..self.shape().cols, f);
     }
 
     /// Range-restricted rank-1 update: apply
     /// `self[i][j] = f(i, j, self[i][j], col[i], row[j])` only for
     /// `i in rows`, `j in cols`, touching — and charging — only the local
-    /// slots inside the ranges. This is the active-submatrix update of
+    /// slots inside the ranges, two flops (multiply + subtract, the
+    /// honest count for the canonical `a -= c*r`) per slot on the
+    /// busiest node. This is the active-submatrix update of
     /// Gaussian elimination: with a cyclic layout the charged critical
     /// path shrinks with the active region, with a block layout it
     /// concentrates on the processors owning the trailing corner — the
@@ -244,40 +228,44 @@ impl<T: Scalar> DistMatrix<T> {
     ) {
         self.check_axis_aligned(Axis::Col, col);
         self.check_axis_aligned(Axis::Row, row);
-        let layout = self.layout().clone();
+        let (layout, locals) = self.layout_and_locals_mut();
         let (grid, row_dist, col_dist) = (layout.grid(), layout.rows(), layout.cols());
-        // The window's local slots on every grid row and grid column: only
-        // the blocks where both are non-empty are visited.
-        let li_ranges: Vec<_> =
-            (0..grid.pr()).map(|gr| row_dist.local_slot_range(gr, rows.start, rows.end)).collect();
+        // The window's local slots on every grid column, then on each grid
+        // row in turn: only the blocks where both are non-empty are visited.
         let lj_ranges: Vec<_> =
             (0..grid.pc()).map(|gc| col_dist.local_slot_range(gc, cols.start, cols.end)).collect();
+        // A part's global indices are affine in its slots.
+        let (di, dj) = (row_dist.slot_stride(), col_dist.slot_stride());
         let col_locals = col.locals();
         let row_locals = row.locals();
-        let locals = self.locals_mut();
-        for (gr, li_range) in li_ranges.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
+        let mut max_rows = 0;
+        for gr in 0..grid.pr() {
+            let li_range = row_dist.local_slot_range(gr, rows.start, rows.end);
+            max_rows = max_rows.max(li_range.len());
+            if li_range.is_empty() {
+                continue;
+            }
+            let i0 = row_dist.global_index(gr, li_range.start);
             for (gc, lj_range) in lj_ranges.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
                 let node = grid.node_at(gr, gc);
+                let j0 = col_dist.global_index(gc, lj_range.start);
                 let lc = col_dist.count(gc);
                 let col_chunk = &col_locals[node];
                 let row_window = &row_locals[node][lj_range.clone()];
                 let buf = locals.seg_mut(node);
-                for li in li_range.clone() {
-                    let i = row_dist.global_index(gr, li);
-                    let c = col_chunk[li];
+                for (t, li) in li_range.clone().enumerate() {
+                    let (i, c) = (i0 + t * di, col_chunk[li]);
                     let base = li * lc;
                     let window = &mut buf[base + lj_range.start..base + lj_range.end];
-                    for ((lj, &r), a) in lj_range.clone().zip(row_window).zip(window.iter_mut()) {
-                        *a = f(i, col_dist.global_index(gc, lj), *a, c, r);
+                    for ((u, &r), a) in row_window.iter().enumerate().zip(window.iter_mut()) {
+                        *a = f(i, j0 + u * dj, *a, c, r);
                     }
                 }
             }
         }
         // The busiest block holds the most window rows and window columns.
-        let longest = |ranges: &[std::ops::Range<usize>]| {
-            ranges.iter().map(ExactSizeIterator::len).max().unwrap_or(0)
-        };
-        hc.charge_flops(2 * longest(&li_ranges) * longest(&lj_ranges));
+        let max_cols = lj_ranges.iter().map(ExactSizeIterator::len).max().unwrap_or(0);
+        hc.charge_flops(2 * max_rows * max_cols);
     }
 
     pub(crate) fn check_axis_aligned<U: Scalar>(&self, axis: Axis, v: &DistVector<U>) {

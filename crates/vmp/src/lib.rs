@@ -25,10 +25,12 @@
 //!   (Blelloch's scan model on the same embeddings);
 //! * [`shift`] — NEWS-style torus/Dirichlet matrix shifts on the
 //!   Gray-coded grid;
-//! * [`indexing`] — irregular indexed gather (`out[i] = v[idx[i]]`);
-//! * [`degrade`] — graceful degradation: applying a
-//!   [`vmp_layout::DegradedMap`] to a live machine so the primitives keep
-//!   running (bit-identically) after node failures, at reduced capacity.
+//! * [`indexing`] — irregular indexed gather (`out[i] = v[idx[i]]`).
+//!
+//! Node failures need nothing from this crate: the machine degrades
+//! itself ([`Hypercube::degrade`](vmp_hypercube::machine::Hypercube::degrade))
+//! by remapping logical nodes onto healthy hosts, and the primitives keep
+//! running bit-identically on the same logical cube at reduced capacity.
 //!
 //! ```
 //! use vmp_core::prelude::*;
@@ -45,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod degrade;
 pub mod elem;
 pub mod elementwise;
 pub mod indexing;
@@ -63,7 +64,6 @@ pub use vector::DistVector;
 
 /// One-stop imports for applications built on the primitives.
 pub mod prelude {
-    pub use crate::degrade::apply_degradation;
     pub use crate::elem::{ArgMax, ArgMaxAbs, ArgMin, Loc, Max, Min, Numeric, Prod, ReduceOp, Sum};
     pub use crate::matrix::DistMatrix;
     pub use crate::primitives::{

@@ -92,6 +92,11 @@ impl<T: Scalar> DistMatrix<T> {
         &mut self.locals
     }
 
+    /// The layout and the mutable local blocks at once (crate-internal).
+    pub(crate) fn layout_and_locals_mut(&mut self) -> (&MatrixLayout, &mut NodeSlab<T>) {
+        (&self.layout, &mut self.locals)
+    }
+
     /// Assemble directly from an arena (crate-internal; the hot path —
     /// no per-node allocations).
     pub(crate) fn from_slab(layout: MatrixLayout, locals: NodeSlab<T>) -> Self {

@@ -171,14 +171,10 @@ pub fn naive_insert<T: Scalar>(
     // Primary holders push each element to the owning matrix node.
     let mut traffic = Traffic::new(p);
     for src in 0..p {
-        if v.locals()[src].is_empty() {
+        if !v.layout().is_primary_holder(src) {
             continue;
         }
         let part = v.layout().part_of(src);
-        let i0 = v.layout().dist().global_index(part, 0);
-        if v.layout().primary_holder(i0) != src {
-            continue;
-        }
         for (slot, &x) in v.locals()[src].iter().enumerate() {
             let gi = v.layout().dist().global_index(part, slot);
             let (i, j) = match axis {

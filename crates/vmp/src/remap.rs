@@ -27,12 +27,6 @@ use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
 use crate::vector::DistVector;
 
-/// Is `node` the primary (first) holder of its chunk under `layout`?
-fn is_primary_holder(layout: &VectorLayout, node: usize) -> bool {
-    let (mask, bits) = layout.primary_line();
-    node & mask == bits && layout.local_len(node) > 0
-}
-
 /// Replicate an axis-aligned vector across its orthogonal grid dims.
 /// Already-replicated vectors are returned unchanged (no charge).
 ///
@@ -136,7 +130,7 @@ pub fn remap_vector<T: Scalar>(
     let mut traffic = Traffic::new(p);
     let mut max_packed = 0usize;
     for src in 0..p {
-        if !is_primary_holder(old, src) {
+        if !old.is_primary_holder(src) {
             continue;
         }
         let part = old.part_of(src);
@@ -165,7 +159,7 @@ pub fn remap_vector<T: Scalar>(
     // element from that source's block.
     let mut max_unpacked = 0usize;
     let mut locals = NodeSlab::build(p, new_layout.n(), |dst, chunk| {
-        if !is_primary_holder(&new_layout, dst) {
+        if !new_layout.is_primary_holder(dst) {
             return;
         }
         let part = new_layout.part_of(dst);
@@ -210,7 +204,7 @@ pub fn remap_vector<T: Scalar>(
 /// of transposition from Johnsson & Ho's transposition report.
 pub fn transpose<T: Scalar>(hc: &mut Hypercube, m: &DistMatrix<T>) -> DistMatrix<T> {
     let new_layout = m.layout().transposed();
-    remap_matrix(hc, m, new_layout, |i, j| (j, i), |i, j| (j, i))
+    remap_with(hc, m, new_layout, |i, j| (j, i), |i, j| (j, i))
 }
 
 /// Re-embed a matrix into `new_layout` (same shape, same cube; the grid
@@ -222,7 +216,7 @@ pub fn redistribute<T: Scalar>(
     new_layout: MatrixLayout,
 ) -> DistMatrix<T> {
     assert_eq!(m.shape(), new_layout.shape(), "shape mismatch");
-    remap_matrix(hc, m, new_layout, |i, j| (i, j), |i, j| (i, j))
+    remap_with(hc, m, new_layout, |i, j| (i, j), |i, j| (i, j))
 }
 
 /// General bijective matrix re-embedding: `out[fwd(i, j)] = m[i][j]`
@@ -230,18 +224,6 @@ pub fn redistribute<T: Scalar>(
 /// inverse `inv` — transpose, redistribution, and torus shifts
 /// ([`crate::shift`]) are all instances. One blocked routed phase.
 pub fn remap_with<T: Scalar>(
-    hc: &mut Hypercube,
-    m: &DistMatrix<T>,
-    new_layout: MatrixLayout,
-    fwd: impl Fn(usize, usize) -> (usize, usize),
-    inv: impl Fn(usize, usize) -> (usize, usize),
-) -> DistMatrix<T> {
-    remap_matrix(hc, m, new_layout, fwd, inv)
-}
-
-/// Shared machinery for matrix re-embeddings. `fwd` maps an old element's
-/// global position to its new position; `inv` is its inverse.
-fn remap_matrix<T: Scalar>(
     hc: &mut Hypercube,
     m: &DistMatrix<T>,
     new_layout: MatrixLayout,

@@ -221,13 +221,10 @@ pub fn route_permutation<T: Scalar>(
     let mut traffic = Traffic::new(p);
     let mut max_packed = 0usize;
     for src in 0..p {
-        if v.locals()[src].is_empty() {
-            continue;
-        }
-        let part = layout.part_of(src);
-        if layout.primary_holder(layout.dist().global_index(part, 0)) != src {
+        if !layout.is_primary_holder(src) {
             continue; // only primary replicas send
         }
+        let part = layout.part_of(src);
         max_packed = max_packed.max(v.locals()[src].len());
         for (slot, &x) in v.locals()[src].iter().enumerate() {
             let i = layout.dist().global_index(part, slot);
@@ -240,16 +237,10 @@ pub fn route_permutation<T: Scalar>(
     hc.charge_moves(max_packed);
     route_blocks(hc, &mut traffic);
     let mut locals = NodeSlab::build(p, layout.n(), |dst, out| {
-        let part = layout.part_of(dst);
-        let len = layout.dist().count(part);
-        if len == 0 {
+        if !layout.is_primary_holder(dst) {
             return;
         }
-        let i0 = layout.dist().global_index(part, 0);
-        if layout.primary_holder(i0) != dst {
-            return;
-        }
-        let mut chunk: Vec<Option<T>> = vec![None; len];
+        let mut chunk: Vec<Option<T>> = vec![None; layout.local_len(dst)];
         for (j, payload) in traffic.inbox(dst) {
             chunk[layout.dist().local_index(j as usize)] = Some(payload[0]);
         }
@@ -300,13 +291,10 @@ pub fn pack<T: Scalar>(
     let p = old.grid().p();
     let mut traffic = Traffic::new(p);
     for src in 0..p {
-        if v.locals()[src].is_empty() {
+        if !old.is_primary_holder(src) {
             continue;
         }
         let part = old.part_of(src);
-        if old.primary_holder(old.dist().global_index(part, 0)) != src {
-            continue;
-        }
         for (slot, &x) in v.locals()[src].iter().enumerate() {
             let i = old.dist().global_index(part, slot);
             if !mask.get(i) {

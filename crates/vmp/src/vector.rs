@@ -230,8 +230,8 @@ impl<T: Scalar> DistVector<T> {
         })
     }
 
-    /// The one vector fold: the nodes of the primary grid line (see
-    /// [`VectorLayout::primary_line`]) fold their chunks, reading `slot`
+    /// The one vector fold: the primary holders (see
+    /// [`VectorLayout::is_primary_holder`]) fold their chunks, reading `slot`
     /// (global index `i`) as `lift(i, slot, x)` with `lift = at(node)`;
     /// every other node contributes the identity. Then the partials
     /// combine machine-wide. A replicated embedding holds each chunk `r`
@@ -246,13 +246,12 @@ impl<T: Scalar> DistVector<T> {
         let grid = self.layout.grid();
         let p = self.locals.p();
         let dist = self.layout.dist();
-        let (mask, primary) = self.layout.primary_line();
         let parts = Parts::new(&self.layout);
         // Local fold over the chunk: one scalar per node, in one arena.
         let mut partials = NodeSlab::build(p, p, |node, out| {
             let buf = &self.locals[node];
             let mut acc = op.identity();
-            if node & mask == primary && !buf.is_empty() {
+            if self.layout.is_primary_holder(node) {
                 let (part, lift) = (parts.of(node), at(node));
                 for (slot, &v) in buf.iter().enumerate() {
                     acc = op.combine(acc, lift(dist.global_index(part, slot), slot, v));

@@ -111,14 +111,16 @@ pub const SCANNED_CRATES: [&str; 5] = [
 ];
 
 /// The hot-path files where the panic-surface rule (P1) is armed: the
-/// collective layer, the slab arena, the routing layer, the four
-/// primitives and their per-node kernels, Gaussian elimination (the
+/// machine's charging seam (every collective superstep is charged
+/// there), the collective layer, the slab arena, the routing layer, the
+/// four primitives and their per-node kernels, Gaussian elimination (the
 /// longest-running application, thousands of supersteps per solve), and
 /// the whole multi-tenant scheduler (its event loop must never unwind
 /// mid-trace). An entry ending in `/` covers a directory; every entry
 /// must name a path that exists, or P1 silently disarms (checked by
 /// `every_listed_path_exists_in_the_workspace`).
-const P1_HOT_PATHS: [&str; 13] = [
+const P1_HOT_PATHS: [&str; 14] = [
+    "crates/hypercube/src/machine.rs",
     "crates/hypercube/src/collective/",
     "crates/hypercube/src/slab.rs",
     "crates/hypercube/src/spanning.rs",
@@ -257,6 +259,8 @@ mod tests {
         let sched = classify("crates/sched/src/sched.rs").unwrap();
         assert!(sched.determinism && sched.slab);
         assert!(sched.panic_surface, "the whole scheduler crate is a P1 hot path");
+        let machine = classify("crates/hypercube/src/machine.rs").unwrap();
+        assert!(machine.panic_surface, "the charging seam is a P1 hot path");
         // The all-port collective engine rides the collective/ prefix
         // and the spanning-tree entry: P1 and S1 both armed.
         for file in

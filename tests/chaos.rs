@@ -12,7 +12,6 @@
 use proptest::prelude::*;
 
 use four_vmp::algos::{ge_solve, simplex, workloads};
-use four_vmp::core::degrade::apply_degradation;
 use four_vmp::core::elem::Sum;
 use four_vmp::core::primitives;
 use four_vmp::hypercube::{Cube, FaultPlan};
@@ -103,7 +102,7 @@ proptest! {
         let node = dead_node % (1 << dim);
         if node != 0 {
             let resident = vec![1usize; faulty.p()];
-            let _ = apply_degradation(&mut faulty, &[node], &resident);
+            faulty.degrade(&[node], &resident);
         }
         let got = primitive_workload(&mut faulty, rows, cols);
         prop_assert_eq!(got, want);

@@ -123,7 +123,7 @@ impl Case {
 
     /// A fresh machine in `state`. The dead link lies on the first
     /// listed dimension, so the collective's own traffic meets it; the
-    /// remap doubles node `p - 1` onto node 0.
+    /// remap doubles node `p - 1` onto its dim-0 neighbour `p - 2`.
     fn machine(&self, state: State) -> Hypercube {
         let mut hc = Hypercube::new(self.dim, self.cost);
         let seed = self.salt as u64;
@@ -139,7 +139,7 @@ impl Case {
             }
             State::Remap => {
                 if self.p() > 1 {
-                    hc.remap_node(self.p() - 1, 0);
+                    hc.degrade(&[self.p() - 1], &vec![0; self.p()]);
                 }
             }
         }
