@@ -60,12 +60,12 @@ pub fn cg_solve(hc: &mut Hypercube, a: &DistMatrix<f64>, b: &[f64], opts: CgOpti
     let n = a.shape().rows;
     assert_eq!(a.shape().cols, n, "CG requires a square (SPD) matrix");
     assert_eq!(b.len(), n, "rhs length");
-    let grid = a.layout().grid().clone();
+    let grid = a.layout().grid();
     let row_layout =
         VectorLayout::aligned(n, grid, Axis::Row, Placement::Replicated, a.layout().cols().kind());
 
-    let bv = DistVector::from_slice(row_layout.clone(), b);
-    let mut x = DistVector::constant(row_layout.clone(), 0.0f64);
+    let bv = DistVector::from_slice(row_layout, b);
+    let mut x = DistVector::constant(row_layout, 0.0f64);
     let mut r = bv.clone(); // r = b - A*0
     let mut p = r.clone();
     let mut rs_old = dot(hc, &r, &r);
@@ -83,7 +83,7 @@ pub fn cg_solve(hc: &mut Hypercube, a: &DistMatrix<f64>, b: &[f64], opts: CgOpti
         // Ap: matvec produces a column-aligned vector; flip it back to
         // the iteration vectors' embedding (charged remap).
         let ap_col = matvec(hc, a, &p);
-        let ap = remap::remap_vector(hc, &ap_col, row_layout.clone());
+        let ap = remap::remap_vector(hc, &ap_col, row_layout);
 
         let p_ap = dot(hc, &p, &ap);
         let alpha = rs_old / p_ap;

@@ -100,7 +100,7 @@ pub fn ifft(hc: &mut Hypercube, v: &DistVector<Cplx>) -> DistVector<Cplx> {
 }
 
 fn fft_impl(hc: &mut Hypercube, v: &DistVector<Cplx>, inverse: bool) -> DistVector<Cplx> {
-    let layout = v.layout().clone();
+    let layout = *v.layout();
     assert!(matches!(layout.embedding(), VecEmbedding::Linear), "FFT expects the linear embedding");
     assert_eq!(layout.dist().kind(), Dist::Block, "FFT expects block chunking");
     let n = layout.n();
@@ -170,7 +170,7 @@ fn fft_impl(hc: &mut Hypercube, v: &DistVector<Cplx>, inverse: bool) -> DistVect
     }
 
     // Undo the bit-reversal with one blocked routed permutation.
-    let scrambled = DistVector::from_chunks(layout.clone(), chunks);
+    let scrambled = DistVector::from_chunks(layout, chunks);
     let reversed = route_permutation(hc, &scrambled, move |i| Some(bit_reverse(i, q)), None);
 
     if inverse {

@@ -167,7 +167,7 @@ pub fn back_substitute(hc: &mut Hypercube, aug: &DistMatrix<f64>) -> Vec<f64> {
     assert!(width > n, "augmented matrix expected (at least one rhs column)");
     let layout = VectorLayout::aligned(
         width,
-        aug.layout().grid().clone(),
+        aug.layout().grid(),
         Axis::Row,
         Placement::Replicated,
         aug.layout().cols().kind(),
@@ -380,18 +380,11 @@ mod tests {
         let grid = ProcGrid::new(Cube::new(4), 2);
         let (xs, ys) = (workloads::random_vector(37, 31), workloads::random_vector(37, 32));
         for layout in [
-            VectorLayout::linear(37, grid.clone(), Dist::Block),
-            VectorLayout::aligned(37, grid.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
-            VectorLayout::aligned(
-                37,
-                grid.clone(),
-                Axis::Col,
-                Placement::Concentrated(1),
-                Dist::Cyclic,
-            ),
+            VectorLayout::linear(37, grid, Dist::Block),
+            VectorLayout::aligned(37, grid, Axis::Row, Placement::Replicated, Dist::Cyclic),
+            VectorLayout::aligned(37, grid, Axis::Col, Placement::Concentrated(1), Dist::Cyclic),
         ] {
-            let (a, b) =
-                (DistVector::from_slice(layout.clone(), &xs), DistVector::from_slice(layout, &ys));
+            let (a, b) = (DistVector::from_slice(layout, &xs), DistVector::from_slice(layout, &ys));
             let f = |j: usize, r: f64, x: f64| {
                 (if j > 5 { r * x } else { 0.0 }, if j == 3 { r } else { 0.0 }, r / (1.0 + x * x))
             };

@@ -40,7 +40,7 @@ pub fn matmul<T: Numeric>(
         b.layout().grid(),
         "operands must live on the same processor grid"
     );
-    let grid = a.layout().grid().clone();
+    let grid = a.layout().grid();
     let c_layout = MatrixLayout::new(
         MatShape::new(m, n),
         grid,
@@ -76,7 +76,7 @@ pub fn matmul_panelled<T: Numeric>(
     let (k2, n) = (b.shape().rows, b.shape().cols);
     assert_eq!(k, k2, "inner dimensions must agree");
     assert_eq!(a.layout().grid(), b.layout().grid(), "operands must share a grid");
-    let grid = a.layout().grid().clone();
+    let grid = a.layout().grid();
     let c_layout = MatrixLayout::new(
         MatShape::new(m, n),
         grid,
@@ -88,10 +88,11 @@ pub fn matmul_panelled<T: Numeric>(
     let mut t0 = 0usize;
     while t0 < k {
         let width = panel.min(k - t0);
-        let a_panel = primitives::extract_col_panel_replicated(hc, a, t0, width);
-        let b_panel = primitives::extract_row_panel_replicated(hc, b, t0, width);
+        let a_panel = primitives::extract_panel_replicated(hc, a, Axis::Col, t0, width);
+        let b_panel = primitives::extract_panel_replicated(hc, b, Axis::Row, t0, width);
         // Local GEMM over the panel: every node multiplies its
-        // (local_rows x width) slab by the (width x local_cols) slab.
+        // (width x local_rows) column slab by the (width x local_cols)
+        // row slab.
         primitives::panel_gemm(hc, &mut c, &a_panel, &b_panel);
         t0 += width;
     }
@@ -135,7 +136,7 @@ mod tests {
             let da = workloads::random_matrix(m, k, 1);
             let db = workloads::random_matrix(k, n, 2);
             let grid = ProcGrid::square(Cube::new(dim));
-            let a = dist(&da, grid.clone());
+            let a = dist(&da, grid);
             let b = dist(&db, grid);
             let mut hc = Hypercube::new(dim, CostModel::cm2());
             let c = matmul(&mut hc, &a, &b);
@@ -150,7 +151,7 @@ mod tests {
         let da = workloads::random_matrix(m, k, 3);
         let db = workloads::random_matrix(k, n, 4);
         let grid = ProcGrid::square(Cube::new(4));
-        let a = dist(&da, grid.clone());
+        let a = dist(&da, grid);
         let b = dist(&db, grid);
         let mut h1 = Hypercube::new(4, CostModel::cm2());
         let c1 = matmul(&mut h1, &a, &b);
@@ -167,7 +168,7 @@ mod tests {
         let da = workloads::random_matrix(nsize, nsize, 5);
         let db = workloads::random_matrix(nsize, nsize, 6);
         let grid = ProcGrid::square(Cube::new(6));
-        let a = dist(&da, grid.clone());
+        let a = dist(&da, grid);
         let b = dist(&db, grid);
         let mut h1 = Hypercube::new(6, CostModel::cm2());
         let _ = matmul(&mut h1, &a, &b);
@@ -187,7 +188,7 @@ mod tests {
         let n = 9usize;
         let d = workloads::random_matrix(n, n, 7);
         let grid = ProcGrid::square(Cube::new(4));
-        let a = dist(&d, grid.clone());
+        let a = dist(&d, grid);
         let i_dense = Dense::identity(n);
         let id = dist(&i_dense, grid);
         let mut hc = Hypercube::new(4, CostModel::cm2());
@@ -204,8 +205,8 @@ mod tests {
         let db = workloads::random_matrix(6, 5, 9);
         let dc = workloads::random_matrix(5, 3, 10);
         let grid = ProcGrid::square(Cube::new(2));
-        let a = dist(&da, grid.clone());
-        let b = dist(&db, grid.clone());
+        let a = dist(&da, grid);
+        let b = dist(&db, grid);
         let c = dist(&dc, grid);
         let mut hc = Hypercube::new(2, CostModel::cm2());
         let ab = matmul(&mut hc, &a, &b);
@@ -225,7 +226,7 @@ mod tests {
     #[should_panic(expected = "inner dimensions")]
     fn dimension_mismatch_panics() {
         let grid = ProcGrid::square(Cube::new(2));
-        let a = dist(&workloads::random_matrix(3, 4, 1), grid.clone());
+        let a = dist(&workloads::random_matrix(3, 4, 1), grid);
         let b = dist(&workloads::random_matrix(5, 3, 2), grid);
         let mut hc = Hypercube::new(2, CostModel::cm2());
         let _ = matmul(&mut hc, &a, &b);

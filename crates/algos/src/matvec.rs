@@ -69,7 +69,7 @@ fn align<T: Numeric>(
 ) -> DistVector<T> {
     let want = VectorLayout::aligned(
         a.shape().vector_len(axis),
-        a.layout().grid().clone(),
+        a.layout().grid(),
         axis,
         Placement::Replicated,
         a.layout().vector_dist(axis).kind(),
@@ -118,7 +118,7 @@ mod tests {
             let (mut hc, a) = dist_matrix(&d, dim);
             let xl = VectorLayout::aligned(
                 rows,
-                a.layout().grid().clone(),
+                a.layout().grid(),
                 Axis::Col,
                 Placement::Replicated,
                 Dist::Cyclic,
@@ -137,7 +137,7 @@ mod tests {
         let (mut hc, a) = dist_matrix(&d, 4);
         let xl = VectorLayout::aligned(
             14,
-            a.layout().grid().clone(),
+            a.layout().grid(),
             Axis::Row,
             Placement::Replicated,
             Dist::Cyclic,
@@ -156,7 +156,7 @@ mod tests {
         let (mut hc, a) = dist_matrix(&d, 4);
         let xl = VectorLayout::aligned(
             12,
-            a.layout().grid().clone(),
+            a.layout().grid(),
             Axis::Col,
             Placement::Concentrated(1),
             Dist::Cyclic,
@@ -165,7 +165,7 @@ mod tests {
         close(&vecmat(&mut hc, &x, &a).to_dense(), &expect, 1e-10);
         // Linear input: remapped automatically (embedding change).
         let (mut hc2, a2) = dist_matrix(&d, 4);
-        let ll = VectorLayout::linear(12, a2.layout().grid().clone(), Dist::Block);
+        let ll = VectorLayout::linear(12, a2.layout().grid(), Dist::Block);
         let xlin = DistVector::from_slice(ll, &xh);
         close(&vecmat(&mut hc2, &xlin, &a2).to_dense(), &expect, 1e-10);
     }
@@ -177,7 +177,7 @@ mod tests {
         let (mut hc1, a1) = dist_matrix(&d, 4);
         let xl1 = VectorLayout::aligned(
             10,
-            a1.layout().grid().clone(),
+            a1.layout().grid(),
             Axis::Col,
             Placement::Replicated,
             Dist::Cyclic,
@@ -187,7 +187,7 @@ mod tests {
         let (mut hc2, a2) = dist_matrix(&d, 4);
         let xl2 = VectorLayout::aligned(
             10,
-            a2.layout().grid().clone(),
+            a2.layout().grid(),
             Axis::Col,
             Placement::Replicated,
             Dist::Cyclic,
@@ -205,7 +205,7 @@ mod tests {
         let (mut hc, a) = dist_matrix(&d, 0);
         let xl = VectorLayout::aligned(
             6,
-            a.layout().grid().clone(),
+            a.layout().grid(),
             Axis::Col,
             Placement::Replicated,
             Dist::Cyclic,

@@ -29,7 +29,7 @@ pub fn bitonic_sort<T: Scalar, K: PartialOrd>(
     v: &DistVector<T>,
     key: impl Fn(&T) -> K,
 ) -> DistVector<T> {
-    let layout = v.layout().clone();
+    let layout = *v.layout();
     assert!(
         matches!(layout.embedding(), VecEmbedding::Linear),
         "bitonic sort expects the linear embedding"

@@ -55,7 +55,7 @@ pub fn jacobi_poisson(
     h2: f64,
     iterations: usize,
 ) -> DistMatrix<f64> {
-    let mut u = DistMatrix::constant(f.layout().clone(), 0.0f64);
+    let mut u = DistMatrix::constant(*f.layout(), 0.0f64);
     for _ in 0..iterations {
         u = jacobi_step(hc, &u, f, h2);
     }

@@ -30,7 +30,7 @@ pub fn random_dist_matrix(n: usize, grid: ProcGrid) -> DistMatrix<f64> {
 pub fn random_aligned_vector(m: &DistMatrix<f64>, axis: Axis) -> DistVector<f64> {
     let layout = VectorLayout::aligned(
         m.shape().vector_len(axis),
-        m.layout().grid().clone(),
+        m.layout().grid(),
         axis,
         Placement::Replicated,
         m.layout().vector_dist(axis).kind(),

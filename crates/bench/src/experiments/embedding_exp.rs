@@ -29,8 +29,7 @@ pub fn t5() -> Table {
     };
 
     // Concentrated -> replicated (tree broadcast).
-    let conc =
-        VectorLayout::aligned(n, grid.clone(), Axis::Row, Placement::Concentrated(3), Dist::Cyclic);
+    let conc = VectorLayout::aligned(n, grid, Axis::Row, Placement::Concentrated(3), Dist::Cyclic);
     let v = DistVector::from_fn(conc, |i| hash_entry(i, 0));
     let mut hc = cm2(dim);
     let vr = remap::replicate(&mut hc, &v);
@@ -48,7 +47,7 @@ pub fn t5() -> Table {
 
     // Aligned -> linear (balanced).
     let mut hc = cm2(dim);
-    let lin = remap::remap_vector(&mut hc, &vr, VectorLayout::linear(n, grid.clone(), Dist::Block));
+    let lin = remap::remap_vector(&mut hc, &vr, VectorLayout::linear(n, grid, Dist::Block));
     add("aligned replicated -> linear", &hc);
 
     // Linear -> aligned replicated.
@@ -56,7 +55,7 @@ pub fn t5() -> Table {
     let _ = remap::remap_vector(
         &mut hc,
         &lin,
-        VectorLayout::aligned(n, grid.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
+        VectorLayout::aligned(n, grid, Axis::Row, Placement::Replicated, Dist::Cyclic),
     );
     add("linear -> aligned replicated", &hc);
 
@@ -65,18 +64,18 @@ pub fn t5() -> Table {
     let _ = remap::remap_vector(
         &mut hc,
         &vr,
-        VectorLayout::aligned(n, grid.clone(), Axis::Col, Placement::Replicated, Dist::Cyclic),
+        VectorLayout::aligned(n, grid, Axis::Col, Placement::Replicated, Dist::Cyclic),
     );
     add("row-aligned -> col-aligned (axis flip)", &hc);
 
     // Matrix transpose and redistribution.
-    let m = random_dist_matrix(512, grid.clone());
+    let m = random_dist_matrix(512, grid);
     let mut hc = cm2(dim);
     let _ = remap::transpose(&mut hc, &m);
     add("matrix transpose (512x512)", &hc);
 
     let mut hc = cm2(dim);
-    let block = MatrixLayout::block(MatShape::new(512, 512), grid.clone());
+    let block = MatrixLayout::block(MatShape::new(512, 512), grid);
     let _ = remap::redistribute(&mut hc, &m, block);
     add("matrix cyclic -> block redistribution (512x512)", &hc);
 
@@ -102,13 +101,8 @@ mod tests {
         // a vector remap.
         let dim = 4u32;
         let grid = square_grid(dim);
-        let conc = VectorLayout::aligned(
-            64,
-            grid.clone(),
-            Axis::Row,
-            Placement::Concentrated(1),
-            Dist::Cyclic,
-        );
+        let conc =
+            VectorLayout::aligned(64, grid, Axis::Row, Placement::Concentrated(1), Dist::Cyclic);
         let v = DistVector::from_fn(conc, |i| i as f64);
         let mut hc1 = cm2(dim);
         let vr = remap::replicate(&mut hc1, &v);
@@ -117,7 +111,7 @@ mod tests {
         assert!(hc1.elapsed_us() > 0.0);
         assert_eq!(hc2.elapsed_us(), 0.0, "dropping replicas is free");
 
-        let m = random_dist_matrix(32, grid.clone());
+        let m = random_dist_matrix(32, grid);
         let mut hc3 = cm2(dim);
         let _ = remap::transpose(&mut hc3, &m);
         let mut hc4 = cm2(dim);

@@ -152,9 +152,9 @@ pub fn x4() -> Table {
     );
     for dim in [0u32, 2, 4, 6, 8] {
         let grid = square_grid(dim);
-        let layout = VectorLayout::linear(n, grid.clone(), Dist::Block);
+        let layout = VectorLayout::linear(n, grid, Dist::Block);
         let x: Vec<Cplx> = (0..n).map(|i| Cplx::new(((i * 37) % 11) as f64 - 5.0, 0.0)).collect();
-        let v = DistVector::from_slice(layout.clone(), &x);
+        let v = DistVector::from_slice(layout, &x);
         let mut hc = cm2(dim);
         let _ = fft(&mut hc, &v);
         let (t_fft, steps_fft) = (hc.elapsed_us(), hc.counters().message_steps);

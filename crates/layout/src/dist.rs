@@ -13,10 +13,8 @@
 //! would idle the processors owning eliminated rows, while cyclic spreads
 //! the active region over everyone.
 
-use serde::{Deserialize, Serialize};
-
 /// The partitioning rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dist {
     /// Consecutive runs: part `t` owns a contiguous range.
     Block,
@@ -25,7 +23,7 @@ pub enum Dist {
 }
 
 /// A distribution of `n` global indices over `2^k` parts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AxisDist {
     n: usize,
     parts_log2: u32,
@@ -157,10 +155,23 @@ impl AxisDist {
         part * q + part.min(r)
     }
 
-    /// Iterate the global indices owned by `part`, in slot order.
-    pub fn part_indices(&self, part: usize) -> impl Iterator<Item = usize> + '_ {
-        let count = self.count(part);
-        (0..count).map(move |slot| self.global_index(part, slot))
+    /// The global index of `part`'s slot 0 — where it would be for an
+    /// empty part; slot `s` holds `first_index(part) + s * slot_stride()`.
+    #[inline]
+    #[must_use]
+    pub fn first_index(&self, part: usize) -> usize {
+        match self.kind {
+            Dist::Cyclic => part,
+            Dist::Block => self.part_start(part),
+        }
+    }
+
+    /// Iterate the global indices owned by `part`, in slot order: the
+    /// kernels zip a block's rows and columns with these.
+    #[inline]
+    pub fn part_indices(&self, part: usize) -> impl Iterator<Item = usize> {
+        let (first, stride) = (self.first_index(part), self.slot_stride());
+        (0..self.count(part)).map(move |slot| first + slot * stride)
     }
 
     /// The **contiguous** range of local slots at `part` whose global
@@ -249,6 +260,23 @@ mod tests {
         for n in [1usize, 5, 7, 9, 13, 17, 100] {
             for k in 0..5u32 {
                 check_consistency(AxisDist::new(n, k, Dist::Block));
+            }
+        }
+    }
+
+    #[test]
+    fn part_indices_step_through_global_index() {
+        for kind in [Dist::Block, Dist::Cyclic] {
+            for n in [0usize, 1, 3, 7, 13, 16, 33] {
+                for k in 0..5u32 {
+                    let d = AxisDist::new(n, k, kind);
+                    for part in 0..d.parts() {
+                        let got: Vec<usize> = d.part_indices(part).collect();
+                        let expect: Vec<usize> =
+                            (0..d.count(part)).map(|slot| d.global_index(part, slot)).collect();
+                        assert_eq!(got, expect, "{kind:?} n={n} k={k} part={part}");
+                    }
+                }
             }
         }
     }

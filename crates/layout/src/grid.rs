@@ -10,12 +10,25 @@
 //! Efficient Basic Linear Algebra Computations on Hypercube
 //! Architectures*).
 
-use serde::{Deserialize, Serialize};
 use vmp_hypercube::gray::{gray, gray_inverse};
 use vmp_hypercube::topology::{Cube, NodeId};
 
+use crate::shape::Axis;
+
+/// Cube dims `0..64`: a grid's row and column dims are sub-slices of it,
+/// so a grid is a `Copy` value with no storage of its own.
+static DIMS: [u32; 64] = {
+    let mut dims = [0u32; 64];
+    let mut d = 0;
+    while d < 64 {
+        dims[d] = d as u32;
+        d += 1;
+    }
+    dims
+};
+
 /// How grid coordinates map to cube address bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridEncoding {
     /// Plain binary: grid coordinate = packed address bits.
     Binary,
@@ -30,13 +43,20 @@ pub enum GridEncoding {
 /// (cube dims `0..d_c`, in order) and the grid-row index the `d_r` bits
 /// above them. [`ProcGrid::grid_coords`] and [`ProcGrid::node_at`] rely
 /// on it to split and join a node address with one shift and one mask.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The axis-generic accessors ([`ProcGrid::lines`],
+/// [`ProcGrid::line_coord`], [`ProcGrid::node_on`],
+/// [`ProcGrid::line_and_part`]) name a node by the *grid line* an
+/// `axis`-aligned vector's copy sits on and the *part* of the vector it
+/// holds: for `Axis::Row` the lines are grid rows and the parts grid
+/// columns, for `Axis::Col` the other way round. Code written against
+/// them serves both axes with one body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcGrid {
     dim: u32,
-    /// Cube dims encoding the grid-*column* index: `0..d_c`.
-    col_dims: Vec<u32>,
-    /// Cube dims encoding the grid-*row* index: `d_c..d`.
-    row_dims: Vec<u32>,
+    /// `d_c`: the grid-column index is cube dims `0..d_c`, the grid-row
+    /// index dims `d_c..d`.
+    dc: u32,
     encoding: GridEncoding,
 }
 
@@ -56,8 +76,7 @@ impl ProcGrid {
     pub fn with_encoding(cube: Cube, dr: u32, encoding: GridEncoding) -> Self {
         let d = cube.dim();
         assert!(dr <= d, "row dimension {dr} exceeds cube dimension {d}");
-        let dc = d - dr;
-        ProcGrid { dim: d, col_dims: (0..dc).collect(), row_dims: (dc..d).collect(), encoding }
+        ProcGrid { dim: d, dc: d - dr, encoding }
     }
 
     /// The squarest grid on `cube`: `ceil(d/2)` row dims.
@@ -75,25 +94,25 @@ impl ProcGrid {
     /// Number of grid rows `2^{d_r}`.
     #[must_use]
     pub fn pr(&self) -> usize {
-        1usize << self.row_dims.len()
+        1usize << self.dr()
     }
 
     /// Number of grid columns `2^{d_c}`.
     #[must_use]
     pub fn pc(&self) -> usize {
-        1usize << self.col_dims.len()
+        1usize << self.dc
     }
 
     /// `d_r`.
     #[must_use]
     pub fn dr(&self) -> u32 {
-        self.row_dims.len() as u32
+        self.dim - self.dc
     }
 
     /// `d_c`.
     #[must_use]
     pub fn dc(&self) -> u32 {
-        self.col_dims.len() as u32
+        self.dc
     }
 
     /// Total processors `p`.
@@ -105,15 +124,15 @@ impl ProcGrid {
     /// Cube dims encoding the grid-row index. Collectives **along a grid
     /// column** (combining different grid rows) run over these dims.
     #[must_use]
-    pub fn row_dims(&self) -> &[u32] {
-        &self.row_dims
+    pub fn row_dims(&self) -> &'static [u32] {
+        &DIMS[self.dc as usize..self.dim as usize]
     }
 
     /// Cube dims encoding the grid-column index. Collectives **along a
     /// grid row** (combining different grid columns) run over these dims.
     #[must_use]
-    pub fn col_dims(&self) -> &[u32] {
-        &self.col_dims
+    pub fn col_dims(&self) -> &'static [u32] {
+        &DIMS[..self.dc as usize]
     }
 
     /// The coordinate encoding in force.
@@ -142,7 +161,7 @@ impl ProcGrid {
     pub fn node_at(&self, gr: usize, gc: usize) -> NodeId {
         debug_assert!(gr < self.pr(), "grid row {gr} out of range");
         debug_assert!(gc < self.pc(), "grid col {gc} out of range");
-        (self.encode(gr) << self.col_dims.len()) | self.encode(gc)
+        (self.encode(gr) << self.dc) | self.encode(gc)
     }
 
     /// The grid position `(gr, gc)` of `node`: the column index is the
@@ -150,33 +169,51 @@ impl ProcGrid {
     #[must_use]
     pub fn grid_coords(&self, node: NodeId) -> (usize, usize) {
         debug_assert!(node < self.p(), "node {node} out of range");
-        let dc = self.col_dims.len();
-        (self.decode(node >> dc), self.decode(node & ((1usize << dc) - 1)))
+        (self.decode(node >> self.dc), self.decode(node & (self.pc() - 1)))
     }
 
-    /// The *subcube coordinate* (packed address bits at `row_dims`) of
-    /// grid row `gr` — what collectives take as a root coordinate.
+    /// The grid lines an `axis`-aligned vector's copies sit on: their
+    /// number and the cube dims encoding a line's index (grid rows and
+    /// [`ProcGrid::row_dims`] for `Axis::Row`, grid columns and
+    /// [`ProcGrid::col_dims`] for `Axis::Col`). Collectives *across* the
+    /// lines — broadcasting or combining one part's copies — run over
+    /// these dims; the vector's parts are `lines(axis.transpose())`.
     #[must_use]
-    pub fn row_coord(&self, gr: usize) -> usize {
-        debug_assert!(gr < self.pr());
-        self.encode(gr)
+    pub fn lines(&self, axis: Axis) -> (usize, &'static [u32]) {
+        match axis {
+            Axis::Row => (self.pr(), self.row_dims()),
+            Axis::Col => (self.pc(), self.col_dims()),
+        }
     }
 
-    /// The subcube coordinate of grid column `gc`.
+    /// The *subcube coordinate* of grid line `line` across `axis` (the
+    /// packed address bits at `lines(axis).1` of its nodes) — what
+    /// collectives take as a root coordinate.
     #[must_use]
-    pub fn col_coord(&self, gc: usize) -> usize {
-        debug_assert!(gc < self.pc());
-        self.encode(gc)
+    pub fn line_coord(&self, axis: Axis, line: usize) -> usize {
+        debug_assert!(line < self.lines(axis).0, "grid line {line} out of range");
+        self.encode(line)
     }
 
-    /// Iterate the nodes of grid row `gr` in grid-column order.
-    pub fn row_nodes(&self, gr: usize) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.pc()).map(move |gc| self.node_at(gr, gc))
+    /// The node on grid line `line` holding part `part` of an
+    /// `axis`-aligned vector: `node_at(line, part)` for `Axis::Row`,
+    /// `node_at(part, line)` for `Axis::Col`.
+    #[must_use]
+    pub fn node_on(&self, axis: Axis, line: usize, part: usize) -> NodeId {
+        match axis {
+            Axis::Row => self.node_at(line, part),
+            Axis::Col => self.node_at(part, line),
+        }
     }
 
-    /// Iterate the nodes of grid column `gc` in grid-row order.
-    pub fn col_nodes(&self, gc: usize) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.pr()).map(move |gr| self.node_at(gr, gc))
+    /// The inverse of [`ProcGrid::node_on`]: `(line, part)` of `node`.
+    #[must_use]
+    pub fn line_and_part(&self, axis: Axis, node: NodeId) -> (usize, usize) {
+        let (gr, gc) = self.grid_coords(node);
+        match axis {
+            Axis::Row => (gr, gc),
+            Axis::Col => (gc, gr),
+        }
     }
 }
 
@@ -242,13 +279,32 @@ mod tests {
     }
 
     #[test]
-    fn row_nodes_share_row_coordinate() {
-        let g = ProcGrid::new(Cube::new(4), 2);
-        let cube = g.cube();
-        for gr in 0..g.pr() {
-            let coord = g.row_coord(gr);
-            for node in g.row_nodes(gr) {
-                assert_eq!(cube.extract_coords(node, g.row_dims()), coord);
+    fn line_accessors_are_inverse_and_agree_on_coordinates() {
+        for dim in 0..=8u32 {
+            for dr in 0..=dim {
+                for enc in [GridEncoding::Binary, GridEncoding::Gray] {
+                    let g = ProcGrid::with_encoding(Cube::new(dim), dr, enc);
+                    let cube = g.cube();
+                    assert_eq!(g.lines(Axis::Row).0 * g.lines(Axis::Col).0, g.p());
+                    for axis in [Axis::Row, Axis::Col] {
+                        let (lines, dims) = g.lines(axis);
+                        let parts = g.lines(axis.transpose()).0;
+                        let mut seen = vec![false; g.p()];
+                        for line in 0..lines {
+                            for part in 0..parts {
+                                let node = g.node_on(axis, line, part);
+                                assert!(!seen[node], "{axis:?}: node {node} named twice");
+                                seen[node] = true;
+                                assert_eq!(g.line_and_part(axis, node), (line, part));
+                                assert_eq!(
+                                    g.line_coord(axis, line),
+                                    cube.extract_coords(node, dims)
+                                );
+                            }
+                        }
+                        assert!(seen.into_iter().all(|b| b), "{axis:?}: node_on is onto");
+                    }
+                }
             }
         }
     }

@@ -1,6 +1,5 @@
 //! The embedding of a dense matrix onto the processor grid.
 
-use serde::{Deserialize, Serialize};
 use vmp_hypercube::topology::NodeId;
 
 use crate::dist::{AxisDist, Dist};
@@ -12,7 +11,7 @@ use crate::shape::{Axis, MatShape};
 /// [`Dist`] rule. Every node stores its local elements as a dense
 /// row-major `local_rows x local_cols` block (in slot order along both
 /// axes).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixLayout {
     shape: MatShape,
     grid: ProcGrid,
@@ -51,8 +50,8 @@ impl MatrixLayout {
 
     /// The processor grid.
     #[must_use]
-    pub fn grid(&self) -> &ProcGrid {
-        &self.grid
+    pub fn grid(&self) -> ProcGrid {
+        self.grid
     }
 
     /// Row distribution (over grid rows).

@@ -1,7 +1,5 @@
 //! Axes and shapes for dense matrices and vectors.
 
-use serde::{Deserialize, Serialize};
-
 /// Which way a vector-matrix primitive is oriented.
 ///
 /// The convention follows the operand/result: `Axis::Row` means the
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// `extract(M, Row, i)` pulls out row `i`, `reduce(M, Row, +)` adds all
 /// rows together into one row, `distribute(v, Row, r)` stacks `r` copies
 /// of the row `v`. `Axis::Col` is the transposed family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// Row-vector orientation (vectors have length `cols`).
     Row,
@@ -29,7 +27,7 @@ impl Axis {
 }
 
 /// The shape of a dense matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatShape {
     /// Number of rows.
     pub rows: usize,

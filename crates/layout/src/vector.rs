@@ -18,7 +18,6 @@
 //! changes are data movements costed by the machine; `vmp-core`
 //! implements them (`remap`), this module describes who-holds-what.
 
-use serde::{Deserialize, Serialize};
 use vmp_hypercube::topology::NodeId;
 
 use crate::dist::{AxisDist, Dist};
@@ -26,7 +25,7 @@ use crate::grid::ProcGrid;
 use crate::shape::Axis;
 
 /// Where an axis-aligned vector's chunks physically sit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Every grid line orthogonal to the alignment holds a copy.
     Replicated,
@@ -34,8 +33,19 @@ pub enum Placement {
     Concentrated(usize),
 }
 
+impl Placement {
+    /// The grid line holding the primary copy: line 0 of a replicated
+    /// vector, the holding line of a concentrated one.
+    fn primary_line(self) -> usize {
+        match self {
+            Placement::Replicated => 0,
+            Placement::Concentrated(line) => line,
+        }
+    }
+}
+
 /// The embedding of a length-`n` vector on the grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VecEmbedding {
     /// Aligned with a matrix axis: a `Row` vector is chunked over grid
     /// columns (like matrix columns), a `Col` vector over grid rows.
@@ -50,7 +60,7 @@ pub enum VecEmbedding {
 }
 
 /// A vector layout: length, embedding, grid, and the chunking rule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorLayout {
     n: usize,
     grid: ProcGrid,
@@ -67,27 +77,13 @@ impl VectorLayout {
     /// arithmetic to be local).
     #[must_use]
     pub fn aligned(n: usize, grid: ProcGrid, axis: Axis, placement: Placement, kind: Dist) -> Self {
-        let parts_log2 = match axis {
-            Axis::Row => grid.dc(),
-            Axis::Col => grid.dr(),
-        };
-        if let Placement::Concentrated(line) = placement {
-            let lines = match axis {
-                Axis::Row => grid.pr(),
-                Axis::Col => grid.pc(),
-            };
-            assert!(line < lines, "concentration line {line} out of range");
-        }
-        let dist = AxisDist::new(n, parts_log2, kind);
-        let line = match placement {
-            Placement::Replicated => 0,
-            Placement::Concentrated(line) => line,
-        };
-        let (dims, node) = match axis {
-            Axis::Row => (grid.row_dims(), grid.node_at(line, 0)),
-            Axis::Col => (grid.col_dims(), grid.node_at(0, line)),
-        };
+        let (lines, dims) = grid.lines(axis);
+        let line = placement.primary_line();
+        assert!(line < lines, "concentration line {line} out of range");
+        // Chunked over the parts: one per grid line across the other axis.
+        let dist = AxisDist::new(n, grid.lines(axis.transpose()).1.len() as u32, kind);
         let mask = grid.cube().dims_mask(dims);
+        let node = grid.node_on(axis, line, 0);
         let embedding = VecEmbedding::Aligned { axis, placement };
         VectorLayout { n, grid, embedding, dist, primary_line: (mask, node & mask) }
     }
@@ -107,8 +103,8 @@ impl VectorLayout {
 
     /// The grid.
     #[must_use]
-    pub fn grid(&self) -> &ProcGrid {
-        &self.grid
+    pub fn grid(&self) -> ProcGrid {
+        self.grid
     }
 
     /// The embedding descriptor.
@@ -129,13 +125,7 @@ impl VectorLayout {
     #[must_use]
     pub fn part_of(&self, node: NodeId) -> usize {
         match &self.embedding {
-            VecEmbedding::Aligned { axis, .. } => {
-                let (gr, gc) = self.grid.grid_coords(node);
-                match axis {
-                    Axis::Row => gc,
-                    Axis::Col => gr,
-                }
-            }
+            VecEmbedding::Aligned { axis, .. } => self.grid.line_and_part(*axis, node).1,
             VecEmbedding::Linear => node,
         }
     }
@@ -144,17 +134,10 @@ impl VectorLayout {
     #[must_use]
     pub fn holds(&self, node: NodeId) -> bool {
         match &self.embedding {
-            VecEmbedding::Aligned { axis, placement } => {
-                let (gr, gc) = self.grid.grid_coords(node);
-                match placement {
-                    Placement::Replicated => true,
-                    Placement::Concentrated(line) => match axis {
-                        Axis::Row => gr == *line,
-                        Axis::Col => gc == *line,
-                    },
-                }
+            VecEmbedding::Aligned { axis, placement: Placement::Concentrated(line) } => {
+                self.grid.line_and_part(*axis, node).0 == *line
             }
-            VecEmbedding::Linear => true,
+            _ => true,
         }
     }
 
@@ -174,12 +157,14 @@ impl VectorLayout {
     pub fn holders_of(&self, i: usize) -> Vec<NodeId> {
         let part = self.dist.owner(i);
         match &self.embedding {
-            VecEmbedding::Aligned { axis, placement } => match (axis, placement) {
-                (Axis::Row, Placement::Replicated) => self.grid.col_nodes(part).collect(),
-                (Axis::Row, Placement::Concentrated(gr)) => vec![self.grid.node_at(*gr, part)],
-                (Axis::Col, Placement::Replicated) => self.grid.row_nodes(part).collect(),
-                (Axis::Col, Placement::Concentrated(gc)) => vec![self.grid.node_at(part, *gc)],
-            },
+            VecEmbedding::Aligned { axis, placement: Placement::Replicated } => {
+                (0..self.grid.lines(*axis).0)
+                    .map(|line| self.grid.node_on(*axis, line, part))
+                    .collect()
+            }
+            VecEmbedding::Aligned { axis, placement: Placement::Concentrated(line) } => {
+                vec![self.grid.node_on(*axis, *line, part)]
+            }
             VecEmbedding::Linear => vec![part],
         }
     }
@@ -209,12 +194,9 @@ impl VectorLayout {
     pub fn primary_holder(&self, i: usize) -> NodeId {
         let part = self.dist.owner(i);
         match &self.embedding {
-            VecEmbedding::Aligned { axis, placement } => match (axis, placement) {
-                (Axis::Row, Placement::Replicated) => self.grid.node_at(0, part),
-                (Axis::Row, Placement::Concentrated(gr)) => self.grid.node_at(*gr, part),
-                (Axis::Col, Placement::Replicated) => self.grid.node_at(part, 0),
-                (Axis::Col, Placement::Concentrated(gc)) => self.grid.node_at(part, *gc),
-            },
+            VecEmbedding::Aligned { axis, placement } => {
+                self.grid.node_on(*axis, placement.primary_line(), part)
+            }
             VecEmbedding::Linear => part,
         }
     }
@@ -233,7 +215,7 @@ impl VectorLayout {
     pub fn with_placement(&self, placement: Placement) -> VectorLayout {
         match &self.embedding {
             VecEmbedding::Aligned { axis, .. } => {
-                VectorLayout::aligned(self.n, self.grid.clone(), *axis, placement, self.dist.kind())
+                VectorLayout::aligned(self.n, self.grid, *axis, placement, self.dist.kind())
             }
             VecEmbedding::Linear => panic!("linear layouts have no placement"),
         }
@@ -331,23 +313,11 @@ mod tests {
         for enc in [GridEncoding::Gray, GridEncoding::Binary] {
             let g = ProcGrid::with_encoding(Cube::new(5), 2, enc);
             for layout in [
-                VectorLayout::aligned(9, g.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
-                VectorLayout::aligned(9, g.clone(), Axis::Col, Placement::Replicated, Dist::Block),
-                VectorLayout::aligned(
-                    9,
-                    g.clone(),
-                    Axis::Row,
-                    Placement::Concentrated(3),
-                    Dist::Block,
-                ),
-                VectorLayout::aligned(
-                    9,
-                    g.clone(),
-                    Axis::Col,
-                    Placement::Concentrated(5),
-                    Dist::Cyclic,
-                ),
-                VectorLayout::linear(9, g.clone(), Dist::Cyclic),
+                VectorLayout::aligned(9, g, Axis::Row, Placement::Replicated, Dist::Cyclic),
+                VectorLayout::aligned(9, g, Axis::Col, Placement::Replicated, Dist::Block),
+                VectorLayout::aligned(9, g, Axis::Row, Placement::Concentrated(3), Dist::Block),
+                VectorLayout::aligned(9, g, Axis::Col, Placement::Concentrated(5), Dist::Cyclic),
+                VectorLayout::linear(9, g, Dist::Cyclic),
             ] {
                 let (mask, bits) = layout.primary_line();
                 // Every part's first node on the line, whatever it holds.

@@ -89,7 +89,8 @@ pub struct JobOutput {
     pub words: Vec<u64>,
     /// Simulated service time of the run, microseconds.
     pub service_us: f64,
-    /// The run's own counter deltas ([`Counters::scoped`]).
+    /// The run's counters: the machine is fresh, so they are the run's
+    /// own.
     pub counters: Counters,
 }
 
@@ -120,8 +121,8 @@ impl JobSpec {
     #[must_use]
     pub fn execute(&self, cost: CostModel, dead_locals: &[NodeId]) -> JobOutput {
         let mut hc = Hypercube::new(self.order, cost);
-        let (words, counters) = Counters::scoped(&mut hc, |hc| self.run_on(hc, dead_locals));
-        JobOutput { words, service_us: hc.elapsed_us(), counters }
+        let words = self.run_on(&mut hc, dead_locals);
+        JobOutput { words, service_us: hc.elapsed_us(), counters: *hc.counters() }
     }
 
     /// Predicted service time on a `2^order`-node subcube, from the
@@ -165,10 +166,10 @@ impl JobSpec {
             JobKind::Matvec { n } => {
                 let d = workloads::random_matrix(n, n, self.seed);
                 let xh = workloads::random_vector(n, self.seed ^ 0x9e37_79b9);
-                let a = DistMatrix::from_fn(
-                    MatrixLayout::cyclic(MatShape::new(n, n), grid.clone()),
-                    |i, j| d.get(i, j),
-                );
+                let a =
+                    DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), grid), |i, j| {
+                        d.get(i, j)
+                    });
                 let x = DistVector::from_slice(
                     VectorLayout::aligned(n, grid, Axis::Row, Placement::Replicated, Dist::Cyclic),
                     &xh,
@@ -200,7 +201,7 @@ impl JobSpec {
                 let lp = workloads::random_dense_lp(n, n, self.seed);
                 // The solver builds an (n+1) x (2n+1) tableau; price that
                 // working set for degradation without materialising it.
-                let t_layout = MatrixLayout::cyclic(MatShape::new(n + 1, 2 * n + 1), grid.clone());
+                let t_layout = MatrixLayout::cyclic(MatShape::new(n + 1, 2 * n + 1), grid);
                 self.prepare(hc, dead_locals, &layout_sizes_mat(&t_layout, hc.p()));
                 let r = simplex::solve_parallel(hc, &lp, grid, 50 * n.max(1));
                 let status = match r.status {

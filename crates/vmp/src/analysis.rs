@@ -178,7 +178,7 @@ mod tests {
         for cost in [CostModel::unit(), CostModel::cm2(), CostModel::cm2_allport()] {
             for (n, dim) in [(16usize, 4u32), (32, 6), (64, 6), (24, 4)] {
                 let l = layout(n, dim);
-                let m = DistMatrix::from_fn(l.clone(), |i, j| (i + j) as f64);
+                let m = DistMatrix::from_fn(l, |i, j| (i + j) as f64);
                 let mut hc = Hypercube::new(dim, cost);
                 let _ = primitives::reduce(&mut hc, &m, Axis::Row, Sum);
                 assert_eq!(hc.ticks(), predicted_reduce(&l, &cost), "n={n} dim={dim} {cost:?}");
@@ -190,7 +190,7 @@ mod tests {
     fn simulated_extract_matches_formula() {
         let cost = CostModel::cm2();
         let l = layout(32, 6);
-        let m = DistMatrix::from_fn(l.clone(), |i, j| (i * j) as f64);
+        let m = DistMatrix::from_fn(l, |i, j| (i * j) as f64);
         let mut hc = Hypercube::new(6, cost);
         let _ = primitives::extract(&mut hc, &m, Axis::Row, 5);
         assert_eq!(hc.ticks(), predicted_extract(&l));
@@ -204,7 +204,7 @@ mod tests {
     fn simulated_distribute_matches_formula() {
         let cost = CostModel::cm2();
         let l = layout(32, 6);
-        let m = DistMatrix::from_fn(l.clone(), |i, j| (i * j) as f64);
+        let m = DistMatrix::from_fn(l, |i, j| (i * j) as f64);
         let mut hc = Hypercube::new(6, cost);
         let v = primitives::extract(&mut hc, &m, Axis::Row, 0);
         hc.reset();
@@ -235,11 +235,11 @@ mod tests {
             let gen = |i: usize, j: usize| ((i * 31 + j * 17) as f64).sin();
 
             let mut healthy = Hypercube::new(dim, cost);
-            let m_h = DistMatrix::from_fn(l.clone(), gen);
+            let m_h = DistMatrix::from_fn(l, gen);
             let want = primitives::reduce(&mut healthy, &m_h, Axis::Row, Sum).to_dense();
 
             let mut hc = Hypercube::new(dim, cost);
-            let m_d = DistMatrix::from_fn(l.clone(), gen);
+            let m_d = DistMatrix::from_fn(l, gen);
             let resident: Vec<usize> = (0..hc.p()).map(|n| m_d.locals().len_of(n)).collect();
             hc.degrade(&dead, &resident);
             assert!(hc.load_factor() >= 2, "dead set must actually concentrate");
@@ -292,7 +292,7 @@ mod tests {
         let mut effs = Vec::new();
         for n in [8usize, 16, 32, 64, 128, 256, 512] {
             let l = layout(n, dim);
-            let m = DistMatrix::from_fn(l.clone(), |i, j| (i + j) as f64);
+            let m = DistMatrix::from_fn(l, |i, j| (i + j) as f64);
             let mut hc = Hypercube::new(dim, cost);
             let _ = primitives::reduce(&mut hc, &m, Axis::Row, Sum);
             effs.push((n * n, efficiency(serial_reduce_us(n * n, &cost), p, hc.elapsed_us())));
@@ -319,7 +319,7 @@ mod tests {
         let n = 64usize;
         for dim in [2u32, 4, 6, 8] {
             let l = layout(n, dim);
-            let m = DistMatrix::from_fn(l.clone(), |i, j| (i + j) as f64);
+            let m = DistMatrix::from_fn(l, |i, j| (i + j) as f64);
             let mut hc = Hypercube::new(dim, cost);
             let _ = primitives::reduce(&mut hc, &m, Axis::Row, Sum);
             let lb = lower_bound(n * n, 1 << dim, &cost);

@@ -14,52 +14,25 @@
 //!
 //! Every matrix kernel here is *tiled by local row*: a node's block is
 //! stored row-major in one contiguous slab segment, so the drivers
-//! build the global row/column index tables once per call
-//! (`IndexTables`) and then stream each local row with `chunks_exact`
-//! — a contiguous, bounds-check-free inner loop the compiler can autovectorise.
-//! The rank-1 kernel touches only a window of each block and needs no
-//! tables: a part's global indices are affine in its local slots
-//! (`AxisDist::slot_stride`), so it steps them instead. The
-//! visit order (local offset order) and the combine expressions are
-//! exactly those of the naive `local_elements` walk, so results are
-//! bit-identical; only the host-side address arithmetic changed.
+//! stream each local row with `chunks_exact` — a contiguous,
+//! bounds-check-free inner loop the compiler can autovectorise. A part's
+//! global indices are affine in its local slots, so the kernels step
+//! them instead of looking them up: rows zip with
+//! `AxisDist::part_indices` of the node's grid row, each row's elements
+//! with those of its grid column, and the rank-1 kernel, which touches
+//! only a window of each block, steps from the window's first index by
+//! `AxisDist::slot_stride`. The visit order (local offset order) and the
+//! combine expressions are exactly those of the naive `local_elements`
+//! walk, so results are bit-identical; only the host-side address
+//! arithmetic changed.
 
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, AxisDist, MatrixLayout};
+use vmp_layout::Axis;
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
 use crate::vector::{DistVector, Parts};
-
-/// Global row / column index tables of a matrix layout, built once per
-/// call: the tiled kernels look indices up instead of calling
-/// `global_index` per element. One flat table per axis (`n_r + n_c`
-/// entries in all), segmented by grid line, so a node's two slices are
-/// found from its grid coordinates with no per-node allocation.
-pub(crate) struct IndexTables {
-    /// `rows[gr][li]`: the global row of local row `li` on grid row `gr`.
-    rows: NodeSlab<usize>,
-    /// `cols[gc][lj]`: the global column of local column `lj` on grid
-    /// column `gc`.
-    cols: NodeSlab<usize>,
-}
-
-impl IndexTables {
-    pub(crate) fn new(layout: &MatrixLayout) -> Self {
-        let axis = |dist: &AxisDist| {
-            NodeSlab::build(dist.parts(), dist.n(), |part, buf| buf.extend(dist.part_indices(part)))
-        };
-        IndexTables { rows: axis(layout.rows()), cols: axis(layout.cols()) }
-    }
-
-    /// `(gi, gj)` of the block at grid position `(gr, gc)`: `gi[li]` is
-    /// the global row of local row `li`, `gj[lj]` the global column of
-    /// local column `lj`; `gj.len()` is the block's row stride.
-    pub(crate) fn at(&self, (gr, gc): (usize, usize)) -> (&[usize], &[usize]) {
-        (&self.rows[gr], &self.cols[gc])
-    }
-}
 
 impl<T: Scalar> DistMatrix<T> {
     /// Elementwise map with access to global indices:
@@ -70,20 +43,18 @@ impl<T: Scalar> DistMatrix<T> {
         hc: &mut Hypercube,
         f: impl Fn(usize, usize, T) -> U,
     ) -> DistMatrix<U> {
-        let layout = self.layout().clone();
-        let grid = layout.grid();
+        let layout = *self.layout();
+        let (grid, rows, cols) = (layout.grid(), layout.rows(), layout.cols());
         let locals = self.locals();
-        let tables = IndexTables::new(&layout);
         let out = NodeSlab::build(grid.p(), locals.total_len(), |node, o| {
             let buf = &locals[node];
             if buf.is_empty() {
                 return;
             }
-            let (gi, gj) = tables.at(grid.grid_coords(node));
+            let (gr, gc) = grid.grid_coords(node);
             o.reserve(buf.len());
-            for (li, row) in buf.chunks_exact(gj.len()).enumerate() {
-                let i = gi[li];
-                for (&j, &x) in gj.iter().zip(row) {
+            for (i, row) in rows.part_indices(gr).zip(buf.chunks_exact(cols.count(gc))) {
+                for (j, &x) in cols.part_indices(gc).zip(row) {
                     o.push(f(i, j, x));
                 }
             }
@@ -94,16 +65,15 @@ impl<T: Scalar> DistMatrix<T> {
 
     /// In-place elementwise update: `self[i][j] = f(i, j, self[i][j])`.
     pub fn map_inplace(&mut self, hc: &mut Hypercube, f: impl Fn(usize, usize, T) -> T) {
-        let layout = self.layout().clone();
-        let tables = IndexTables::new(&layout);
+        let layout = *self.layout();
+        let (grid, rows, cols) = (layout.grid(), layout.rows(), layout.cols());
         self.locals_mut().for_each_seg_mut(|node, buf| {
             if buf.is_empty() {
                 return;
             }
-            let (gi, gj) = tables.at(layout.grid().grid_coords(node));
-            for (li, row) in buf.chunks_exact_mut(gj.len()).enumerate() {
-                let i = gi[li];
-                for (&j, x) in gj.iter().zip(row.iter_mut()) {
+            let (gr, gc) = grid.grid_coords(node);
+            for (i, row) in rows.part_indices(gr).zip(buf.chunks_exact_mut(cols.count(gc))) {
+                for (j, x) in cols.part_indices(gc).zip(row.iter_mut()) {
                     *x = f(i, j, *x);
                 }
             }
@@ -121,7 +91,7 @@ impl<T: Scalar> DistMatrix<T> {
         f: impl Fn(T, U) -> V,
     ) -> DistMatrix<V> {
         assert_eq!(self.layout(), other.layout(), "elementwise operands must share a layout");
-        let layout = self.layout().clone();
+        let layout = *self.layout();
         let p = layout.grid().p();
         let lhs = self.locals();
         let rhs = other.locals();
@@ -152,35 +122,32 @@ impl<T: Scalar> DistMatrix<T> {
         f: impl Fn(usize, usize, T, U) -> V,
     ) -> DistMatrix<V> {
         self.check_axis_aligned(axis, v);
-        let layout = self.layout().clone();
-        let grid = layout.grid();
+        let layout = *self.layout();
+        let (grid, rows, cols) = (layout.grid(), layout.rows(), layout.cols());
         let locals = self.locals();
         let v_locals = v.locals();
-        let tables = IndexTables::new(&layout);
         let out = NodeSlab::build(grid.p(), locals.total_len(), |node, o| {
             let buf = &locals[node];
             if buf.is_empty() {
                 return;
             }
             let chunk = &v_locals[node];
-            let (gi, gj) = tables.at(grid.grid_coords(node));
+            let (gr, gc) = grid.grid_coords(node);
             o.reserve(buf.len());
+            let block = rows.part_indices(gr).zip(buf.chunks_exact(cols.count(gc)));
             match axis {
                 // A row vector is indexed by the column slot.
                 Axis::Row => {
-                    for (li, row) in buf.chunks_exact(gj.len()).enumerate() {
-                        let i = gi[li];
-                        for ((&j, &x), &u) in gj.iter().zip(row).zip(chunk) {
+                    for (i, row) in block {
+                        for ((j, &x), &u) in cols.part_indices(gc).zip(row).zip(chunk) {
                             o.push(f(i, j, x, u));
                         }
                     }
                 }
                 // A column vector is constant across each local row.
                 Axis::Col => {
-                    for (li, row) in buf.chunks_exact(gj.len()).enumerate() {
-                        let i = gi[li];
-                        let u = chunk[li];
-                        for (&j, &x) in gj.iter().zip(row) {
+                    for ((i, row), &u) in block.zip(chunk) {
+                        for (j, &x) in cols.part_indices(gc).zip(row) {
                             o.push(f(i, j, x, u));
                         }
                     }
@@ -228,7 +195,8 @@ impl<T: Scalar> DistMatrix<T> {
     ) {
         self.check_axis_aligned(Axis::Col, col);
         self.check_axis_aligned(Axis::Row, row);
-        let (layout, locals) = self.layout_and_locals_mut();
+        let layout = *self.layout();
+        let locals = self.locals_mut();
         let (grid, row_dist, col_dist) = (layout.grid(), layout.rows(), layout.cols());
         // The window's local slots on every grid column, then on each grid
         // row in turn: only the blocks where both are non-empty are visited.
@@ -290,17 +258,11 @@ impl<T: Scalar> DistVector<T> {
     /// Elementwise map with the global index: `out[i] = f(i, self[i])`.
     #[must_use]
     pub fn map<U: Scalar>(&self, hc: &mut Hypercube, f: impl Fn(usize, T) -> U) -> DistVector<U> {
-        let layout = self.layout().clone();
+        let layout = *self.layout();
         let (dist, parts) = (layout.dist(), Parts::new(&layout));
         let locals = self.locals();
         let out = NodeSlab::build(locals.p(), locals.total_len(), |node, o| {
-            let buf = &locals[node];
-            if buf.is_empty() {
-                return;
-            }
-            let part = parts.of(node);
-            o.reserve(buf.len());
-            o.extend(buf.iter().enumerate().map(|(slot, &x)| f(dist.global_index(part, slot), x)));
+            o.extend(dist.part_indices(parts.of(node)).zip(&locals[node]).map(|(i, &x)| f(i, x)));
         });
         hc.charge_flops(dist.max_count());
         DistVector::from_slab(layout, out)
@@ -310,15 +272,11 @@ impl<T: Scalar> DistVector<T> {
     /// `self[i] = f(i, self[i])`. Charged exactly like
     /// [`DistVector::map`], without building a new vector.
     pub fn map_inplace(&mut self, hc: &mut Hypercube, f: impl Fn(usize, T) -> T) {
-        let (layout, locals) = self.layout_and_locals_mut();
-        let (dist, parts) = (layout.dist(), Parts::new(layout));
-        locals.for_each_seg_mut(|node, buf| {
-            if buf.is_empty() {
-                return;
-            }
-            let part = parts.of(node);
-            for (slot, x) in buf.iter_mut().enumerate() {
-                *x = f(dist.global_index(part, slot), *x);
+        let layout = *self.layout();
+        let (dist, parts) = (layout.dist(), Parts::new(&layout));
+        self.locals_mut().for_each_seg_mut(|node, buf| {
+            for (i, x) in dist.part_indices(parts.of(node)).zip(buf) {
+                *x = f(i, *x);
             }
         });
         hc.charge_flops(dist.max_count());
@@ -333,22 +291,12 @@ impl<T: Scalar> DistVector<T> {
         f: impl Fn(usize, T, U) -> V,
     ) -> DistVector<V> {
         assert_eq!(self.layout(), other.layout(), "zip operands must share a layout");
-        let layout = self.layout().clone();
+        let layout = *self.layout();
         let (dist, parts) = (layout.dist(), Parts::new(&layout));
         let locals = self.locals();
         let out = NodeSlab::build(locals.p(), locals.total_len(), |node, o| {
-            let (a, b) = (&locals[node], &other.locals()[node]);
-            if a.is_empty() {
-                return;
-            }
-            let part = parts.of(node);
-            o.reserve(a.len());
-            o.extend(
-                a.iter()
-                    .zip(b)
-                    .enumerate()
-                    .map(|(slot, (&x, &y))| f(dist.global_index(part, slot), x, y)),
-            );
+            let pairs = locals[node].iter().zip(&other.locals()[node]);
+            o.extend(dist.part_indices(parts.of(node)).zip(pairs).map(|(i, (&x, &y))| f(i, x, y)));
         });
         hc.charge_flops(dist.max_count());
         DistVector::from_slab(layout, out)
@@ -384,7 +332,7 @@ mod tests {
     #[test]
     fn zip_combines_same_layout_matrices() {
         let (mut hc, layout) = setup(5, 5);
-        let a = DistMatrix::from_fn(layout.clone(), |i, j| (i * 5 + j) as f64);
+        let a = DistMatrix::from_fn(layout, |i, j| (i * 5 + j) as f64);
         let b = DistMatrix::from_fn(layout, |i, j| (i as f64) - (j as f64));
         let c = a.zip(&mut hc, &b, |x, y| x * y);
         for i in 0..5 {
@@ -397,14 +345,9 @@ mod tests {
     #[test]
     fn zip_axis_row_vector_indexes_by_column() {
         let (mut hc, layout) = setup(4, 6);
-        let m = DistMatrix::from_fn(layout.clone(), |i, j| (i * 10 + j) as f64);
-        let vl = VectorLayout::aligned(
-            6,
-            layout.grid().clone(),
-            Axis::Row,
-            Placement::Replicated,
-            Dist::Cyclic,
-        );
+        let m = DistMatrix::from_fn(layout, |i, j| (i * 10 + j) as f64);
+        let vl =
+            VectorLayout::aligned(6, layout.grid(), Axis::Row, Placement::Replicated, Dist::Cyclic);
         let v = DistVector::from_fn(vl, |j| j as f64 + 100.0);
         let out = m.zip_axis(&mut hc, Axis::Row, &v, |_, j, a, x| {
             assert_eq!(x, j as f64 + 100.0);
@@ -420,14 +363,9 @@ mod tests {
     #[test]
     fn zip_axis_col_vector_indexes_by_row() {
         let (mut hc, layout) = setup(8, 3);
-        let m = DistMatrix::from_fn(layout.clone(), |i, j| (i * 10 + j) as f64);
-        let vl = VectorLayout::aligned(
-            8,
-            layout.grid().clone(),
-            Axis::Col,
-            Placement::Replicated,
-            Dist::Cyclic,
-        );
+        let m = DistMatrix::from_fn(layout, |i, j| (i * 10 + j) as f64);
+        let vl =
+            VectorLayout::aligned(8, layout.grid(), Axis::Col, Placement::Replicated, Dist::Cyclic);
         let v = DistVector::from_fn(vl, |i| (i * i) as f64);
         let out = m.zip_axis(&mut hc, Axis::Col, &v, |i, _, a, x| {
             assert_eq!(x, (i * i) as f64);
@@ -443,21 +381,11 @@ mod tests {
     #[test]
     fn rank1_update_is_the_ge_kernel() {
         let (mut hc, layout) = setup(6, 6);
-        let mut m = DistMatrix::from_fn(layout.clone(), |i, j| (i * 6 + j) as f64);
-        let col_l = VectorLayout::aligned(
-            6,
-            layout.grid().clone(),
-            Axis::Col,
-            Placement::Replicated,
-            Dist::Cyclic,
-        );
-        let row_l = VectorLayout::aligned(
-            6,
-            layout.grid().clone(),
-            Axis::Row,
-            Placement::Replicated,
-            Dist::Cyclic,
-        );
+        let mut m = DistMatrix::from_fn(layout, |i, j| (i * 6 + j) as f64);
+        let col_l =
+            VectorLayout::aligned(6, layout.grid(), Axis::Col, Placement::Replicated, Dist::Cyclic);
+        let row_l =
+            VectorLayout::aligned(6, layout.grid(), Axis::Row, Placement::Replicated, Dist::Cyclic);
         let col = DistVector::from_fn(col_l, |i| (i + 1) as f64);
         let row = DistVector::from_fn(row_l, |j| (j + 2) as f64);
         m.rank1_update(&mut hc, &col, &row, |_, _, a, c, r| a - c * r);
@@ -491,26 +419,16 @@ mod tests {
         }) {
             let grid = ProcGrid::with_encoding(Cube::new(dim), dr, enc);
             let layout = MatrixLayout::new(MatShape::new(9, 9), grid, kind, kind);
-            let col_l = VectorLayout::aligned(
-                9,
-                layout.grid().clone(),
-                Axis::Col,
-                Placement::Replicated,
-                kind,
-            );
-            let row_l = VectorLayout::aligned(
-                9,
-                layout.grid().clone(),
-                Axis::Row,
-                Placement::Replicated,
-                kind,
-            );
+            let col_l =
+                VectorLayout::aligned(9, layout.grid(), Axis::Col, Placement::Replicated, kind);
+            let row_l =
+                VectorLayout::aligned(9, layout.grid(), Axis::Row, Placement::Replicated, kind);
             let col = DistVector::from_fn(col_l, |i| (i + 1) as f64);
             let row = DistVector::from_fn(row_l, |j| (j + 2) as f64);
             for (rows, cols) in windows.clone() {
                 let what = format!("{kind:?} dim {dim} dr {dr} {enc:?} window {rows:?} x {cols:?}");
                 let mut hc = Hypercube::new(dim, CostModel::unit());
-                let mut m = DistMatrix::from_fn(layout.clone(), |i, j| (i * 9 + j) as f64);
+                let mut m = DistMatrix::from_fn(layout, |i, j| (i * 9 + j) as f64);
                 let mut expect = m.to_dense();
                 // `f` reads the global indices, so a wrong index shows.
                 m.rank1_update_ranged(
@@ -543,14 +461,14 @@ mod tests {
         let layout = MatrixLayout::new(MatShape::new(16, 16), grid, Dist::Cyclic, Dist::Cyclic);
         let col_l = VectorLayout::aligned(
             16,
-            layout.grid().clone(),
+            layout.grid(),
             Axis::Col,
             Placement::Replicated,
             Dist::Cyclic,
         );
         let row_l = VectorLayout::aligned(
             16,
-            layout.grid().clone(),
+            layout.grid(),
             Axis::Row,
             Placement::Replicated,
             Dist::Cyclic,
@@ -559,7 +477,7 @@ mod tests {
         let row = DistVector::from_fn(row_l, |j| j as f64);
 
         let mut hc_full = Hypercube::new(4, CostModel::unit());
-        let mut m1 = DistMatrix::from_fn(layout.clone(), |_, _| 1.0f64);
+        let mut m1 = DistMatrix::from_fn(layout, |_, _| 1.0f64);
         m1.rank1_update(&mut hc_full, &col, &row, |_, _, a, _, _| a);
 
         let mut hc_ranged = Hypercube::new(4, CostModel::unit());
@@ -579,7 +497,7 @@ mod tests {
         let grid = ProcGrid::new(Cube::new(3), 1);
         let mut hc = Hypercube::new(3, CostModel::unit());
         let layout = VectorLayout::linear(10, grid, Dist::Block);
-        let v = DistVector::from_fn(layout.clone(), |i| i as i64);
+        let v = DistVector::from_fn(layout, |i| i as i64);
         let w = v.map(&mut hc, |i, x| x * 2 + i as i64);
         assert_eq!(w.to_dense(), (0..10).map(|i| 3 * i as i64).collect::<Vec<_>>());
         let z = v.zip(&mut hc, &w, |_, a, b| a + b);
@@ -590,20 +508,14 @@ mod tests {
     fn vector_map_inplace_is_bit_identical_to_map() {
         let grid = ProcGrid::new(Cube::new(4), 2);
         let layouts = [
-            VectorLayout::linear(13, grid.clone(), Dist::Block),
-            VectorLayout::aligned(11, grid.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
-            VectorLayout::aligned(
-                9,
-                grid.clone(),
-                Axis::Col,
-                Placement::Concentrated(2),
-                Dist::Block,
-            ),
+            VectorLayout::linear(13, grid, Dist::Block),
+            VectorLayout::aligned(11, grid, Axis::Row, Placement::Replicated, Dist::Cyclic),
+            VectorLayout::aligned(9, grid, Axis::Col, Placement::Concentrated(2), Dist::Block),
             VectorLayout::linear(3, ProcGrid::new(Cube::new(0), 0), Dist::Cyclic),
         ];
         for layout in layouts {
             let dim = layout.grid().cube().dim();
-            let v = DistVector::from_fn(layout.clone(), |i| (i as f64 * 0.7).sin());
+            let v = DistVector::from_fn(layout, |i| (i as f64 * 0.7).sin());
             let f = |i: usize, x: f64| if i % 3 == 1 { x * 1.1 + 0.3 } else { x / 7.0 };
             // Pre-charged clocks, so a charge merged into another shows.
             let mut hc_map = Hypercube::new(dim, CostModel::cm2());
@@ -626,10 +538,10 @@ mod tests {
     #[should_panic(expected = "aligned and replicated")]
     fn zip_axis_rejects_concentrated_vectors() {
         let (mut hc, layout) = setup(4, 4);
-        let m = DistMatrix::from_fn(layout.clone(), |_, _| 0.0f64);
+        let m = DistMatrix::from_fn(layout, |_, _| 0.0f64);
         let vl = VectorLayout::aligned(
             4,
-            layout.grid().clone(),
+            layout.grid(),
             Axis::Row,
             Placement::Concentrated(0),
             Dist::Cyclic,
@@ -642,10 +554,10 @@ mod tests {
     #[should_panic(expected = "chunking must match")]
     fn zip_axis_rejects_mismatched_chunking() {
         let (mut hc, layout) = setup(4, 4);
-        let m = DistMatrix::from_fn(layout.clone(), |_, _| 0.0f64);
+        let m = DistMatrix::from_fn(layout, |_, _| 0.0f64);
         let vl = VectorLayout::aligned(
             4,
-            layout.grid().clone(),
+            layout.grid(),
             Axis::Row,
             Placement::Replicated,
             Dist::Block, // matrix is cyclic

@@ -27,7 +27,7 @@ pub fn gather_by_index<T: Scalar>(
     values: &DistVector<T>,
     index: &DistVector<usize>,
 ) -> DistVector<T> {
-    let layout = values.layout().clone();
+    let layout = *values.layout();
     assert_eq!(&layout, index.layout(), "values and index must share a layout");
     assert!(
         matches!(layout.embedding(), VecEmbedding::Linear),
@@ -87,7 +87,7 @@ mod tests {
     fn gathers_a_permutation() {
         let n = 20;
         let (mut hc, layout) = setup(n, 4);
-        let values = DistVector::from_fn(layout.clone(), |i| (i * 11) as i64);
+        let values = DistVector::from_fn(layout, |i| (i * 11) as i64);
         let index = DistVector::from_fn(layout, |i| (i * 7) % n);
         let out = gather_by_index(&mut hc, &values, &index);
         out.assert_consistent();
@@ -100,7 +100,7 @@ mod tests {
     fn repeated_indices_fan_out() {
         let n = 16;
         let (mut hc, layout) = setup(n, 3);
-        let values = DistVector::from_fn(layout.clone(), |i| i as i64);
+        let values = DistVector::from_fn(layout, |i| i as i64);
         let index = DistVector::constant(layout, 5usize); // everyone reads 5
         let out = gather_by_index(&mut hc, &values, &index);
         assert!(out.to_dense().iter().all(|&v| v == 5));
@@ -110,7 +110,7 @@ mod tests {
     fn identity_gather_is_identity() {
         let n = 13;
         let (mut hc, layout) = setup(n, 2);
-        let values = DistVector::from_fn(layout.clone(), |i| (i as f64).sin());
+        let values = DistVector::from_fn(layout, |i| (i as f64).sin());
         let index = DistVector::from_fn(layout, |i| i);
         let out = gather_by_index(&mut hc, &values, &index);
         assert_eq!(out.to_dense(), values.to_dense());
@@ -120,7 +120,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_index_panics() {
         let (mut hc, layout) = setup(4, 1);
-        let values = DistVector::from_fn(layout.clone(), |i| i as i64);
+        let values = DistVector::from_fn(layout, |i| i as i64);
         let index = DistVector::constant(layout, 9usize);
         let _ = gather_by_index(&mut hc, &values, &index);
     }

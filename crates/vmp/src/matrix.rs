@@ -4,7 +4,6 @@ use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{MatShape, MatrixLayout};
 
 use crate::elem::Scalar;
-use crate::elementwise::IndexTables;
 
 /// A dense matrix distributed over the simulated machine according to a
 /// [`MatrixLayout`]. Each node stores its block row-major in local slot
@@ -28,12 +27,11 @@ impl<T: Scalar> DistMatrix<T> {
     /// paper's measurements).
     #[must_use]
     pub fn from_fn(layout: MatrixLayout, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let grid = layout.grid();
-        let tables = IndexTables::new(&layout);
+        let (grid, rows, cols) = (layout.grid(), layout.rows(), layout.cols());
         let locals = NodeSlab::build(grid.p(), layout.shape().elements(), |node, buf| {
-            let (gi, gj) = tables.at(grid.grid_coords(node));
-            for &i in gi {
-                buf.extend(gj.iter().map(|&j| f(i, j)));
+            let (gr, gc) = grid.grid_coords(node);
+            for i in rows.part_indices(gr) {
+                buf.extend(cols.part_indices(gc).map(|j| f(i, j)));
             }
         });
         DistMatrix { layout, locals }
@@ -90,11 +88,6 @@ impl<T: Scalar> DistMatrix<T> {
     /// Mutable per-node local blocks (crate-internal).
     pub(crate) fn locals_mut(&mut self) -> &mut NodeSlab<T> {
         &mut self.locals
-    }
-
-    /// The layout and the mutable local blocks at once (crate-internal).
-    pub(crate) fn layout_and_locals_mut(&mut self) -> (&MatrixLayout, &mut NodeSlab<T>) {
-        (&self.layout, &mut self.locals)
     }
 
     /// Assemble directly from an arena (crate-internal; the hot path —

@@ -25,7 +25,7 @@ use vmp_layout::{Axis, Dist, Placement, ProcGrid, VecEmbedding, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
 use crate::matrix::DistMatrix;
-use crate::primitives::{local_fold, stack};
+use crate::primitives::{check_insert, local_fold, stack};
 use crate::vector::DistVector;
 
 /// Naive `reduce`: every node routes each element of its local partial
@@ -39,25 +39,21 @@ pub fn naive_reduce<T: Scalar, O: ReduceOp<T>>(
     axis: Axis,
     op: O,
 ) -> DistVector<T> {
-    let layout = m.layout().clone();
-    let grid = layout.grid().clone();
+    let layout = m.layout();
+    let grid = layout.grid();
     let p = grid.p();
     let n = layout.shape().vector_len(axis);
     let result_layout = VectorLayout::aligned(
         n,
-        grid.clone(),
+        grid,
         axis,
         Placement::Replicated,
         layout.vector_dist(axis).kind(),
     );
-    // Grid coordinates of `node`: is it on primary line 0 of the
-    // orthogonal direction, and which result part does it hold?
+    // Is `node` on primary line 0, and which result part does it hold?
     let primary_part = |node: usize| {
-        let (gr, gc) = grid.grid_coords(node);
-        match axis {
-            Axis::Row => (gr == 0, gc),
-            Axis::Col => (gc == 0, gr),
-        }
+        let (line, part) = grid.line_and_part(axis, node);
+        (line == 0, part)
     };
 
     // The local fold is the optimized one: the obvious code is local here.
@@ -97,7 +93,7 @@ pub fn naive_reduce<T: Scalar, O: ReduceOp<T>>(
     hc.charge_flops(max_folds);
 
     // Replicate element-by-element through the router, too.
-    let replicated = naive_fan_out(hc, &grid, axis, 0, &result);
+    let replicated = naive_fan_out(hc, grid, axis, 0, &result);
     DistVector::from_slab(result_layout, replicated)
 }
 
@@ -142,7 +138,7 @@ pub fn naive_extract_replicated<T: Scalar>(
 ) -> DistVector<T> {
     // Local pull of the line (same as optimized extract)...
     let v = crate::primitives::extract(hc, m, axis, index);
-    let layout = v.layout().clone();
+    let layout = *v.layout();
     let line = match layout.embedding() {
         VecEmbedding::Aligned { placement: Placement::Concentrated(l), .. } => *l,
         _ => unreachable!("extract returns a concentrated vector"),
@@ -154,6 +150,9 @@ pub fn naive_extract_replicated<T: Scalar>(
 
 /// Naive `insert`: each holder of the vector sends each element
 /// individually to the matrix element's owner.
+///
+/// # Panics
+/// As [`crate::primitives::insert`], before anything is charged.
 pub fn naive_insert<T: Scalar>(
     hc: &mut Hypercube,
     m: &mut DistMatrix<T>,
@@ -161,13 +160,9 @@ pub fn naive_insert<T: Scalar>(
     index: usize,
     v: &DistVector<T>,
 ) {
-    let layout = m.layout().clone();
+    let layout = *m.layout();
+    check_insert(&layout, axis, index, v);
     let p = layout.grid().p();
-    assert_eq!(
-        v.layout().dist(),
-        layout.vector_dist(axis),
-        "vector chunking must match the matrix's {axis:?} distribution"
-    );
     // Primary holders push each element to the owning matrix node.
     let mut traffic = Traffic::new(p);
     for src in 0..p {
@@ -192,43 +187,27 @@ pub fn naive_insert<T: Scalar>(
     });
 }
 
-/// Grid lines across the `axis` direction: the number of copies a
-/// replicated `axis`-aligned vector has.
-fn lines_across(grid: &ProcGrid, axis: Axis) -> usize {
-    match axis {
-        Axis::Row => grid.pr(),
-        Axis::Col => grid.pc(),
-    }
-}
-
 /// Element-granular fan-out of an `axis`-aligned vector's chunks from
 /// grid line `line` to every other line: each holder sends each element
 /// individually to the node holding the same part on every other line.
 /// Nodes that receive nothing keep their chunk from `chunks`.
 fn naive_fan_out<T: Scalar>(
     hc: &mut Hypercube,
-    grid: &ProcGrid,
+    grid: ProcGrid,
     axis: Axis,
     line: usize,
     chunks: &NodeSlab<T>,
 ) -> NodeSlab<T> {
     let p = grid.p();
-    let lines = lines_across(grid, axis);
+    let lines = grid.lines(axis).0;
     let mut traffic = Traffic::new(p);
     for node in 0..p {
-        let (gr, gc) = grid.grid_coords(node);
-        let (src_ok, part) = match axis {
-            Axis::Row => (gr == line, gc),
-            Axis::Col => (gc == line, gr),
-        };
-        if !src_ok {
+        let (src_line, part) = grid.line_and_part(axis, node);
+        if src_line != line {
             continue;
         }
         for other in (0..lines).filter(|&l| l != line) {
-            let dst = match axis {
-                Axis::Row => grid.node_at(other, part),
-                Axis::Col => grid.node_at(part, other),
-            };
+            let dst = grid.node_on(axis, other, part);
             for (slot, &x) in chunks[node].iter().enumerate() {
                 traffic.post(node, dst, slot as u64, [x]);
             }
@@ -329,6 +308,25 @@ mod tests {
         let mut hc_o = Hypercube::new(4, CostModel::cm2());
         primitives::insert(&mut hc_o, &mut m_o, Axis::Row, 6, &v);
         assert_eq!(m_n.to_dense(), m_o.to_dense());
+    }
+
+    #[test]
+    #[should_panic(expected = "Row index 6 out of range 0..6")]
+    fn naive_insert_checks_bounds() {
+        let (mut hc, mut m) = setup(6, 6);
+        let v = primitives::extract(&mut hc, &m, Axis::Row, 0);
+        naive_insert(&mut hc, &mut m, Axis::Row, 6, &v);
+    }
+
+    #[test]
+    #[should_panic(expected = "orientation must match")]
+    fn naive_insert_rejects_wrong_axis() {
+        // Square matrix, square grid, one rule: the row and column
+        // chunkings coincide, so only the orientation check catches it.
+        let (mut hc, mut m) = setup(6, 6);
+        let v = primitives::extract(&mut hc, &m, Axis::Col, 0);
+        assert_eq!(v.layout().dist(), m.layout().vector_dist(Axis::Row));
+        naive_insert(&mut hc, &mut m, Axis::Row, 0, &v);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! `distribute`: replicate a vector across all rows (or columns) of a new
 //! matrix — the APL-style broadcast, and the inverse of `reduce`.
 
-use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, Dist, MatShape, MatrixLayout, Placement, VecEmbedding, VectorLayout};
+use vmp_layout::{Axis, Dist, MatShape, MatrixLayout, VecEmbedding, VectorLayout};
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
@@ -33,27 +32,15 @@ pub fn distribute<T: Scalar>(
     count: usize,
     stack_kind: Dist,
 ) -> DistMatrix<T> {
-    let vl = v.layout().clone();
-    let (axis, placement) = match vl.embedding() {
-        VecEmbedding::Aligned { axis, placement } => (*axis, *placement),
+    let axis = match v.layout().embedding() {
+        VecEmbedding::Aligned { axis, .. } => *axis,
         VecEmbedding::Linear => {
             panic!("distribute requires an axis-aligned vector; remap the linear embedding first")
         }
     };
-    let grid = vl.grid().clone();
-
-    // Get every node a copy of its chunk (one arena clone, no per-node
-    // allocations).
-    let mut chunks: NodeSlab<T> = v.locals().clone();
-    if let Placement::Concentrated(line) = placement {
-        let (dims, root) = match axis {
-            Axis::Row => (grid.row_dims().to_vec(), grid.row_coord(line)),
-            Axis::Col => (grid.col_dims().to_vec(), grid.col_coord(line)),
-        };
-        collective::broadcast_slab(hc, &mut chunks, &dims, root);
-    }
-
-    stack(hc, &vl, &chunks, axis, count, stack_kind)
+    // Get every node a copy of its chunk.
+    let v = crate::remap::replicate(hc, v);
+    stack(hc, v.layout(), v.locals(), axis, count, stack_kind)
 }
 
 /// The local phase of [`distribute`]: every node replicates its chunk of
@@ -69,13 +56,10 @@ pub(crate) fn stack<T: Scalar>(
     stack_kind: Dist,
 ) -> DistMatrix<T> {
     let grid = vl.grid();
-    let shape = match axis {
-        Axis::Row => MatShape::new(count, vl.n()),
-        Axis::Col => MatShape::new(vl.n(), count),
-    };
+    let (n, kind) = (vl.n(), vl.dist().kind());
     let layout = match axis {
-        Axis::Row => MatrixLayout::new(shape, grid.clone(), stack_kind, vl.dist().kind()),
-        Axis::Col => MatrixLayout::new(shape, grid.clone(), vl.dist().kind(), stack_kind),
+        Axis::Row => MatrixLayout::new(MatShape::new(count, n), grid, stack_kind, kind),
+        Axis::Col => MatrixLayout::new(MatShape::new(n, count), grid, kind, stack_kind),
     };
     let p = grid.p();
     let total: usize = (0..p).map(|node| layout.local_len(node)).sum();
@@ -107,7 +91,7 @@ mod tests {
     use super::*;
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
-    use vmp_layout::{ProcGrid, VectorLayout};
+    use vmp_layout::{Placement, ProcGrid};
 
     fn machine(dim: u32) -> Hypercube {
         Hypercube::new(dim, CostModel::unit())

@@ -4,6 +4,7 @@ use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, Placement, VectorLayout};
 
+use super::{line_and_slot, local_line};
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
 use crate::vector::DistVector;
@@ -24,58 +25,30 @@ pub fn extract<T: Scalar>(
     index: usize,
 ) -> DistVector<T> {
     let layout = m.layout();
-    let grid = layout.grid().clone();
-    let shape = layout.shape();
-    let cube = grid.cube();
-
-    match axis {
-        Axis::Row => {
-            assert!(index < shape.rows, "row {index} out of range 0..{}", shape.rows);
-            let gr = layout.rows().owner(index);
-            let li = layout.rows().local_index(index);
-            // Grid row `gr` is the subcube whose row-dim bits match its
-            // first node's.
-            let mask = cube.dims_mask(grid.row_dims());
-            let on_line = grid.node_at(gr, 0) & mask;
-            let locals = NodeSlab::build(grid.p(), shape.cols, |node, buf| {
-                if node & mask == on_line {
-                    let lc = layout.local_shape(node).1;
-                    buf.extend_from_slice(&m.locals()[node][li * lc..(li + 1) * lc]);
-                }
-            });
-            hc.charge_moves(layout.cols().max_count());
-            let vl = VectorLayout::aligned(
-                shape.cols,
-                grid,
-                Axis::Row,
-                Placement::Concentrated(gr),
-                layout.cols().kind(),
-            );
-            DistVector::from_slab(vl, locals)
+    let (grid, shape) = (layout.grid(), layout.shape());
+    let count = shape.vector_count(axis);
+    assert!(index < count, "{axis:?} index {index} out of range 0..{count}");
+    let (line, slot) = line_and_slot(layout, axis, index);
+    // The grid line is the subcube whose line-dim bits match its first
+    // node's.
+    let mask = grid.cube().dims_mask(grid.lines(axis).1);
+    let on_line = grid.node_on(axis, line, 0) & mask;
+    let locals = NodeSlab::build(grid.p(), shape.vector_len(axis), |node, buf| {
+        if node & mask == on_line {
+            let block = m.locals()[node].iter();
+            buf.extend(local_line(block, axis, slot, layout.local_shape(node)));
         }
-        Axis::Col => {
-            assert!(index < shape.cols, "column {index} out of range 0..{}", shape.cols);
-            let gc = layout.cols().owner(index);
-            let lj = layout.cols().local_index(index);
-            let mask = cube.dims_mask(grid.col_dims());
-            let on_line = grid.node_at(0, gc) & mask;
-            let locals = NodeSlab::build(grid.p(), shape.rows, |node, buf| {
-                if node & mask == on_line {
-                    let (lr, lc) = layout.local_shape(node);
-                    buf.extend((0..lr).map(|li| m.locals()[node][li * lc + lj]));
-                }
-            });
-            hc.charge_moves(layout.rows().max_count());
-            let vl = VectorLayout::aligned(
-                shape.rows,
-                grid,
-                Axis::Col,
-                Placement::Concentrated(gc),
-                layout.rows().kind(),
-            );
-            DistVector::from_slab(vl, locals)
-        }
-    }
+    });
+    let along = layout.vector_dist(axis);
+    hc.charge_moves(along.max_count());
+    let vl = VectorLayout::aligned(
+        shape.vector_len(axis),
+        grid,
+        axis,
+        Placement::Concentrated(line),
+        along.kind(),
+    );
+    DistVector::from_slab(vl, locals)
 }
 
 /// [`extract`] followed by replication across the orthogonal grid dims —

@@ -1,8 +1,9 @@
 //! `insert`: overwrite one row (or column) of a matrix with a vector.
 
 use vmp_hypercube::machine::Hypercube;
-use vmp_layout::{Axis, Placement, VecEmbedding};
+use vmp_layout::{Axis, MatrixLayout, Placement, VecEmbedding};
 
+use super::{line_and_slot, local_line};
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
 use crate::remap::concentrate;
@@ -27,14 +28,53 @@ pub fn insert<T: Scalar>(
     index: usize,
     v: &DistVector<T>,
 ) {
-    let layout = m.layout().clone();
-    let grid = layout.grid().clone();
-    let shape = layout.shape();
-    assert!(
-        index < shape.vector_count(axis),
-        "{axis:?} index {index} out of range 0..{}",
-        shape.vector_count(axis)
-    );
+    let layout = *m.layout();
+    let placement = check_insert(&layout, axis, index, v);
+
+    // The grid line owning the target row/column, and `v`'s chunks on
+    // it: `v`'s own segments when it is replicated or already
+    // concentrated there, else one routed move.
+    let (target_line, slot) = line_and_slot(&layout, axis, index);
+    let moved;
+    let on_target = match placement {
+        Placement::Concentrated(line) if line != target_line => {
+            moved = concentrate(hc, v, target_line);
+            &moved
+        }
+        _ => v,
+    };
+    let chunks = on_target.locals();
+
+    // Local write on the target line.
+    let grid = layout.grid();
+    for part in 0..grid.lines(axis.transpose()).0 {
+        let node = grid.node_on(axis, target_line, part);
+        let chunk = &chunks[node];
+        let shape = layout.local_shape(node);
+        let line = local_line(m.locals_mut()[node].iter_mut(), axis, slot, shape);
+        debug_assert_eq!(line.len(), chunk.len());
+        for (x, &c) in line.zip(chunk) {
+            *x = c;
+        }
+    }
+    hc.charge_moves(layout.vector_dist(axis).max_count());
+}
+
+/// `insert`'s argument checks, shared with
+/// [`crate::naive::naive_insert`] so both reject the same calls before
+/// anything is charged: `index` in range, `v` aligned along `axis`
+/// and chunked like the matrix. Returns `v`'s placement.
+///
+/// # Panics
+/// Panics on any of those mistakes.
+pub(crate) fn check_insert<T: Scalar>(
+    layout: &MatrixLayout,
+    axis: Axis,
+    index: usize,
+    v: &DistVector<T>,
+) -> Placement {
+    let count = layout.shape().vector_count(axis);
+    assert!(index < count, "{axis:?} index {index} out of range 0..{count}");
     let (vaxis, placement) = match v.layout().embedding() {
         VecEmbedding::Aligned { axis: a, placement } => (*a, *placement),
         VecEmbedding::Linear => {
@@ -47,51 +87,7 @@ pub fn insert<T: Scalar>(
         layout.vector_dist(axis),
         "vector chunking must match the matrix's {axis:?} distribution"
     );
-
-    // The grid line owning the target row/column, and `v`'s chunks on
-    // it: `v`'s own segments when it is replicated or already
-    // concentrated there, else one routed move.
-    let target_line = match axis {
-        Axis::Row => layout.rows().owner(index),
-        Axis::Col => layout.cols().owner(index),
-    };
-    let moved;
-    let on_target = match placement {
-        Placement::Concentrated(line) if line != target_line => {
-            moved = concentrate(hc, v, target_line);
-            &moved
-        }
-        _ => v,
-    };
-    let chunks = on_target.locals();
-
-    // Local write on the target line.
-    match axis {
-        Axis::Row => {
-            let li = layout.rows().local_index(index);
-            for gc in 0..grid.pc() {
-                let node = grid.node_at(target_line, gc);
-                let (_, lc) = layout.local_shape(node);
-                let chunk = &chunks[node];
-                debug_assert_eq!(chunk.len(), lc);
-                m.locals_mut()[node][li * lc..(li + 1) * lc].copy_from_slice(chunk);
-            }
-            hc.charge_moves(layout.cols().max_count());
-        }
-        Axis::Col => {
-            let lj = layout.cols().local_index(index);
-            for gr in 0..grid.pr() {
-                let node = grid.node_at(gr, target_line);
-                let (lr, lc) = layout.local_shape(node);
-                let chunk = &chunks[node];
-                debug_assert_eq!(chunk.len(), lr);
-                for li in 0..lr {
-                    m.locals_mut()[node][li * lc + lj] = chunk[li];
-                }
-            }
-            hc.charge_moves(layout.rows().max_count());
-        }
-    }
+    placement
 }
 
 #[cfg(test)]
@@ -119,7 +115,7 @@ mod tests {
     ) -> DistVector<f64> {
         let vl = VectorLayout::aligned(
             m.shape().cols,
-            m.layout().grid().clone(),
+            m.layout().grid(),
             Axis::Row,
             placement,
             m.layout().cols().kind(),
@@ -174,7 +170,7 @@ mod tests {
         let (mut hc, mut m) = setup(7, 9, Dist::Block);
         let vl = VectorLayout::aligned(
             7,
-            m.layout().grid().clone(),
+            m.layout().grid(),
             Axis::Col,
             Placement::Replicated,
             m.layout().rows().kind(),
@@ -209,7 +205,7 @@ mod tests {
         let (mut hc, mut m) = setup(6, 6, Dist::Cyclic);
         let vl = VectorLayout::aligned(
             6,
-            m.layout().grid().clone(),
+            m.layout().grid(),
             Axis::Col,
             Placement::Replicated,
             Dist::Cyclic,
@@ -224,7 +220,7 @@ mod tests {
         let (mut hc, mut m) = setup(6, 6, Dist::Cyclic);
         let vl = VectorLayout::aligned(
             6,
-            m.layout().grid().clone(),
+            m.layout().grid(),
             Axis::Row,
             Placement::Replicated,
             Dist::Block,

@@ -10,160 +10,100 @@
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Traffic};
 use vmp_hypercube::slab::NodeSlab;
+use vmp_layout::Axis;
 
+use super::{line_and_slot, local_line};
 use crate::elem::{Numeric, Scalar};
 use crate::matrix::DistMatrix;
 
-/// A replicated column panel: columns `[t0, t0+width)` of a matrix, held
-/// at every node as a row-major `local_rows x width` slab aligned with
-/// the node's local rows.
+/// A replicated panel: rows (`Axis::Row`) or columns (`Axis::Col`)
+/// `[t0, t0+width)` of a matrix, held at every node line-major — line
+/// `t` of the panel is the node's `len`-element chunk of row (column)
+/// `t0 + t`, at `slab[t * len..(t + 1) * len]`, with `len` the node's
+/// local column (row) count.
 #[derive(Debug, Clone)]
-pub struct ColPanel<T> {
-    /// First global column of the panel.
+pub struct Panel<T> {
+    /// Which lines the panel holds: rows for `Axis::Row`, columns for
+    /// `Axis::Col`.
+    pub axis: Axis,
+    /// First global row (column) of the panel.
     pub t0: usize,
-    /// Panel width.
+    /// Panel width: the number of lines.
     pub width: usize,
     slabs: NodeSlab<T>,
 }
 
-impl<T: Scalar> ColPanel<T> {
-    /// The node's slab (row-major `local_rows x width`).
+impl<T: Scalar> Panel<T> {
+    /// The node's slab (line-major `width x len`).
     #[must_use]
     pub fn slab(&self, node: usize) -> &[T] {
         &self.slabs[node]
     }
 }
 
-/// A replicated row panel: rows `[t0, t0+width)`, held at every node as
-/// a row-major `width x local_cols` slab aligned with local columns.
-#[derive(Debug, Clone)]
-pub struct RowPanel<T> {
-    /// First global row of the panel.
-    pub t0: usize,
-    /// Panel height.
-    pub width: usize,
-    slabs: NodeSlab<T>,
-}
-
-impl<T: Scalar> RowPanel<T> {
-    /// The node's slab (row-major `width x local_cols`).
-    #[must_use]
-    pub fn slab(&self, node: usize) -> &[T] {
-        &self.slabs[node]
-    }
-}
-
-/// Extract columns `[t0, t0+width)` of `m`, replicated across grid
-/// columns: one blocked routed fan-out carrying the whole panel.
+/// Extract rows (`Axis::Row`) or columns (`Axis::Col`) `[t0, t0+width)`
+/// of `m`, replicated across the grid lines: one blocked routed fan-out
+/// carrying the whole panel.
 ///
 /// # Panics
-/// Panics if the column range exceeds the matrix.
-pub fn extract_col_panel_replicated<T: Numeric>(
+/// Panics if the range exceeds the matrix.
+pub fn extract_panel_replicated<T: Scalar>(
     hc: &mut Hypercube,
     m: &DistMatrix<T>,
+    axis: Axis,
     t0: usize,
     width: usize,
-) -> ColPanel<T> {
-    let layout = m.layout().clone();
-    assert!(t0 + width <= layout.shape().cols, "column panel out of range");
-    let grid = layout.grid().clone();
+) -> Panel<T> {
+    let layout = m.layout();
+    let count = layout.shape().vector_count(axis);
+    assert!(t0 + width <= count, "{axis:?} panel out of range 0..{count}");
+    let grid = layout.grid();
     let p = grid.p();
+    let (lines, parts) = (grid.lines(axis).0, grid.lines(axis.transpose()).0);
     let mut traffic = Traffic::new(p);
     let mut max_packed = 0usize;
     for dt in 0..width {
-        let j = t0 + dt;
-        let gc = layout.cols().owner(j);
-        let lj = layout.cols().local_index(j);
-        for gr in 0..grid.pr() {
-            let src = grid.node_at(gr, gc);
-            let (lr, lc) = layout.local_shape(src);
-            let chunk: Vec<T> = (0..lr).map(|li| m.locals()[src][li * lc + lj]).collect();
+        let (line, slot) = line_and_slot(layout, axis, t0 + dt);
+        for part in 0..parts {
+            let src = grid.node_on(axis, line, part);
+            let chunk = local_line(m.locals()[src].iter(), axis, slot, layout.local_shape(src));
             max_packed = max_packed.max(chunk.len() * width);
-            for dst_gc in 0..grid.pc() {
-                let dst = grid.node_at(gr, dst_gc);
-                traffic.post(src, dst, dt as u64, chunk.iter().copied());
+            for dst_line in 0..lines {
+                let dst = grid.node_on(axis, dst_line, part);
+                traffic.post(src, dst, dt as u64, chunk.clone().copied());
             }
         }
     }
     hc.charge_moves(max_packed);
     route_blocks(hc, &mut traffic);
-    let slabs = NodeSlab::build(p, layout.shape().rows * grid.pc() * width, |node, buf| {
-        let start = buf.len();
-        buf.resize(start + layout.local_shape(node).0 * width, T::ZERO);
-        let slab = &mut buf[start..];
-        for (dt, column) in traffic.inbox(node) {
-            for (li, &v) in column.iter().enumerate() {
-                slab[li * width + dt as usize] = v;
-            }
+    // Every node receives line `dt` of its part once, in tag order.
+    let total = width * layout.shape().vector_len(axis) * lines;
+    let slabs = NodeSlab::build(p, total, |node, buf| {
+        for (_, line) in traffic.inbox(node) {
+            buf.extend_from_slice(line);
         }
     });
-    ColPanel { t0, width, slabs }
-}
-
-/// Extract rows `[t0, t0+width)` of `m`, replicated across grid rows.
-///
-/// # Panics
-/// Panics if the row range exceeds the matrix.
-pub fn extract_row_panel_replicated<T: Numeric>(
-    hc: &mut Hypercube,
-    m: &DistMatrix<T>,
-    t0: usize,
-    width: usize,
-) -> RowPanel<T> {
-    let layout = m.layout().clone();
-    assert!(t0 + width <= layout.shape().rows, "row panel out of range");
-    let grid = layout.grid().clone();
-    let p = grid.p();
-    let mut traffic = Traffic::new(p);
-    let mut max_packed = 0usize;
-    for dt in 0..width {
-        let i = t0 + dt;
-        let gr = layout.rows().owner(i);
-        let li = layout.rows().local_index(i);
-        for gc in 0..grid.pc() {
-            let src = grid.node_at(gr, gc);
-            let lc = layout.local_shape(src).1;
-            let chunk: Vec<T> = m.locals()[src][li * lc..(li + 1) * lc].to_vec();
-            max_packed = max_packed.max(chunk.len() * width);
-            for dst_gr in 0..grid.pr() {
-                let dst = grid.node_at(dst_gr, gc);
-                traffic.post(src, dst, dt as u64, chunk.iter().copied());
-            }
-        }
-    }
-    hc.charge_moves(max_packed);
-    route_blocks(hc, &mut traffic);
-    let slabs = NodeSlab::build(p, width * layout.shape().cols * grid.pr(), |node, buf| {
-        let lc = layout.local_shape(node).1;
-        let start = buf.len();
-        buf.resize(start + width * lc, T::ZERO);
-        let slab = &mut buf[start..];
-        for (dt, row) in traffic.inbox(node) {
-            let dt = dt as usize;
-            slab[dt * lc..(dt + 1) * lc].copy_from_slice(row);
-        }
-    });
-    RowPanel { t0, width, slabs }
+    Panel { axis, t0, width, slabs }
 }
 
 /// Local blocked GEMM: `c += col_panel * row_panel` at every node. Both
 /// panels must come from matrices whose row/column distributions match
-/// `c`'s — which [`extract_col_panel_replicated`] /
-/// [`extract_row_panel_replicated`] guarantee when the operands share a
-/// grid and distribution rules.
+/// `c`'s — which [`extract_panel_replicated`] guarantees when the
+/// operands share a grid and distribution rules.
 ///
 /// # Panics
-/// Panics if the panel widths differ or slab shapes do not match `c`'s
-/// local blocks.
+/// Panics if the panels are not a column and a row panel of one width,
+/// or their slab shapes do not match `c`'s local blocks.
 pub fn panel_gemm<T: Numeric>(
     hc: &mut Hypercube,
     c: &mut DistMatrix<T>,
-    col_panel: &ColPanel<T>,
-    row_panel: &RowPanel<T>,
+    col_panel: &Panel<T>,
+    row_panel: &Panel<T>,
 ) {
+    assert_eq!((col_panel.axis, row_panel.axis), (Axis::Col, Axis::Row), "panel axes");
     assert_eq!(col_panel.width, row_panel.width, "panel widths must agree");
     let width = col_panel.width;
-    let layout = c.layout().clone();
+    let layout = *c.layout();
     let mut critical = 0usize;
     for node in 0..layout.grid().p() {
         let (lr, lc) = layout.local_shape(node);
@@ -179,7 +119,7 @@ pub fn panel_gemm<T: Numeric>(
         let b_slab = row_panel.slab(node);
         for li in 0..lr {
             for t in 0..width {
-                let aval = a_slab[li * width + t];
+                let aval = a_slab[t * lr + li];
                 let brow = &b_slab[t * lc..(t + 1) * lc];
                 let crow = &mut buf[li * lc..(li + 1) * lc];
                 for (cv, &bv) in crow.iter_mut().zip(brow) {
@@ -208,7 +148,7 @@ mod tests {
     #[test]
     fn col_panel_contains_the_columns() {
         let (mut hc, m) = setup(9, 11, 4);
-        let panel = extract_col_panel_replicated(&mut hc, &m, 3, 4);
+        let panel = extract_panel_replicated(&mut hc, &m, Axis::Col, 3, 4);
         let layout = m.layout();
         for node in 0..layout.grid().p() {
             let (lr, _) = layout.local_shape(node);
@@ -218,7 +158,7 @@ mod tests {
             for li in 0..lr {
                 let i = layout.rows().global_index(gr, li);
                 for dt in 0..4 {
-                    assert_eq!(slab[li * 4 + dt], (i * 100 + 3 + dt) as f64, "node {node}");
+                    assert_eq!(slab[dt * lr + li], (i * 100 + 3 + dt) as f64, "node {node}");
                 }
             }
         }
@@ -227,7 +167,7 @@ mod tests {
     #[test]
     fn row_panel_contains_the_rows() {
         let (mut hc, m) = setup(10, 7, 4);
-        let panel = extract_row_panel_replicated(&mut hc, &m, 5, 3);
+        let panel = extract_panel_replicated(&mut hc, &m, Axis::Row, 5, 3);
         let layout = m.layout();
         for node in 0..layout.grid().p() {
             let (_, lc) = layout.local_shape(node);
@@ -249,15 +189,11 @@ mod tests {
         let (mut hc, a) = setup(6, 8, 2);
         let b_layout = MatrixLayout::cyclic(MatShape::new(8, 5), ProcGrid::square(Cube::new(2)));
         let b = DistMatrix::from_fn(b_layout, |i, j| (i + 2 * j) as f64);
-        let c_layout = MatrixLayout::new(
-            MatShape::new(6, 5),
-            a.layout().grid().clone(),
-            Dist::Cyclic,
-            Dist::Cyclic,
-        );
+        let c_layout =
+            MatrixLayout::new(MatShape::new(6, 5), a.layout().grid(), Dist::Cyclic, Dist::Cyclic);
         let mut c = DistMatrix::constant(c_layout, 0.0f64);
-        let cp = extract_col_panel_replicated(&mut hc, &a, 2, 3);
-        let rp = extract_row_panel_replicated(&mut hc, &b, 2, 3);
+        let cp = extract_panel_replicated(&mut hc, &a, Axis::Col, 2, 3);
+        let rp = extract_panel_replicated(&mut hc, &b, Axis::Row, 2, 3);
         panel_gemm(&mut hc, &mut c, &cp, &rp);
         for i in 0..6 {
             for j in 0..5 {
@@ -270,9 +206,8 @@ mod tests {
     #[test]
     fn width_one_panel_matches_extract_replicated() {
         use crate::primitives::extract_replicated;
-        use vmp_layout::Axis;
         let (mut hc, m) = setup(8, 8, 4);
-        let panel = extract_col_panel_replicated(&mut hc, &m, 5, 1);
+        let panel = extract_panel_replicated(&mut hc, &m, Axis::Col, 5, 1);
         let col = extract_replicated(&mut hc, &m, Axis::Col, 5);
         for node in 0..m.layout().grid().p() {
             assert_eq!(panel.slab(node), &col_chunk(&col, node)[..]);
@@ -292,6 +227,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn oversized_panel_panics() {
         let (mut hc, m) = setup(4, 4, 2);
-        let _ = extract_col_panel_replicated(&mut hc, &m, 2, 3);
+        let _ = extract_panel_replicated(&mut hc, &m, Axis::Col, 2, 3);
     }
 }

@@ -6,7 +6,6 @@ use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, MatrixLayout, Placement, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
-use crate::elementwise::IndexTables;
 use crate::matrix::DistMatrix;
 use crate::vector::DistVector;
 
@@ -27,10 +26,7 @@ pub(crate) fn local_fold<T: Scalar, U: Scalar, O: ReduceOp<U>, L: Fn(usize, usiz
     let p = layout.grid().p();
     let locals = m.locals();
     // Every grid line orthogonal to `axis` holds one partial per index.
-    let total_hint = match axis {
-        Axis::Row => layout.grid().pr() * layout.shape().cols,
-        Axis::Col => layout.grid().pc() * layout.shape().rows,
-    };
+    let total_hint = layout.grid().lines(axis).0 * layout.shape().vector_len(axis);
     let partials = NodeSlab::build(p, total_hint, |node, out| {
         // `out` may already hold earlier nodes' segments (the builder
         // hands one shared buffer); fold into this node's suffix only.
@@ -82,24 +78,18 @@ fn combine_partials<U: Scalar, O: ReduceOp<U>>(
     placement: Placement,
 ) -> DistVector<U> {
     let grid = layout.grid();
-    let dims = match axis {
-        Axis::Row => grid.row_dims(),
-        Axis::Col => grid.col_dims(),
-    };
+    let dims = grid.lines(axis).1;
     match placement {
         Placement::Replicated => {
             collective::allreduce_slab(hc, &mut partials, dims, |a, b| op.combine(a, b));
         }
         Placement::Concentrated(line) => {
-            let root = match axis {
-                Axis::Row => grid.row_coord(line),
-                Axis::Col => grid.col_coord(line),
-            };
+            let root = grid.line_coord(axis, line);
             collective::reduce_slab(hc, &mut partials, dims, root, |a, b| op.combine(a, b));
         }
     }
     let (n, kind) = (layout.shape().vector_len(axis), layout.vector_dist(axis).kind());
-    DistVector::from_slab(VectorLayout::aligned(n, grid.clone(), axis, placement, kind), partials)
+    DistVector::from_slab(VectorLayout::aligned(n, grid, axis, placement, kind), partials)
 }
 
 /// Reduce all rows (`Axis::Row`) or columns (`Axis::Col`) of `m` into one
@@ -144,10 +134,12 @@ pub fn reduce_zip<T: Scalar, W: Scalar, U: Scalar, O: ReduceOp<U>>(
     let layout = m.layout();
     hc.charge_flops(layout.max_local_len()); // the zip pass
     let (f, v_locals) = (&f, v.locals());
-    let tables = IndexTables::new(layout);
+    let (rows, cols) = (layout.rows(), layout.cols());
+    let (di, dj) = (rows.slot_stride(), cols.slot_stride());
     let partials = local_fold(hc, m, axis, op, |node| {
         let chunk = &v_locals[node];
-        let (gi, gj) = tables.at(layout.grid().grid_coords(node));
+        let (gr, gc) = layout.grid().grid_coords(node);
+        let (i0, j0) = (rows.first_index(gr), cols.first_index(gc));
         move |li: usize, lj: usize, x| {
             // A row vector is indexed by the column slot, a column
             // vector by the row slot.
@@ -155,7 +147,7 @@ pub fn reduce_zip<T: Scalar, W: Scalar, U: Scalar, O: ReduceOp<U>>(
                 Axis::Row => chunk[lj],
                 Axis::Col => chunk[li],
             };
-            f(gi[li], gj[lj], x, u)
+            f(i0 + li * di, j0 + lj * dj, x, u)
         }
     });
     combine_partials(hc, layout, axis, op, partials, Placement::Replicated)
@@ -321,11 +313,11 @@ mod tests {
                     kind,
                     kind,
                 );
-                let m = DistMatrix::from_fn(layout.clone(), |_, _| rng.gen_range(-1.0..1.0));
+                let m = DistMatrix::from_fn(layout, |_, _| rng.gen_range(-1.0..1.0));
                 for along in [Axis::Row, Axis::Col] {
                     let vl = VectorLayout::aligned(
                         layout.shape().vector_len(along),
-                        layout.grid().clone(),
+                        layout.grid(),
                         along,
                         Placement::Replicated,
                         kind,
@@ -374,7 +366,7 @@ mod tests {
         let (mut hc, m) = setup(4, 4, 4, 2, Dist::Cyclic);
         let vl = VectorLayout::aligned(
             4,
-            m.layout().grid().clone(),
+            m.layout().grid(),
             Axis::Row,
             Placement::Concentrated(0),
             Dist::Cyclic,
@@ -389,7 +381,7 @@ mod tests {
         let (mut hc, m) = setup(4, 4, 4, 2, Dist::Cyclic);
         let vl = VectorLayout::aligned(
             4,
-            m.layout().grid().clone(),
+            m.layout().grid(),
             Axis::Row,
             Placement::Replicated,
             Dist::Block, // matrix is cyclic

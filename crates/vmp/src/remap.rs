@@ -21,7 +21,7 @@ use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Traffic};
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, MatrixLayout, Placement, VecEmbedding, VectorLayout};
+use vmp_layout::{MatrixLayout, Placement, VecEmbedding, VectorLayout};
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
@@ -48,10 +48,7 @@ pub(crate) fn replicate_owned<T: Scalar>(hc: &mut Hypercube, v: DistVector<T>) -
         Placement::Concentrated(line) => {
             let (layout, mut chunks) = v.into_parts();
             let grid = layout.grid();
-            let (dims, root) = match axis {
-                Axis::Row => (grid.row_dims(), grid.row_coord(line)),
-                Axis::Col => (grid.col_dims(), grid.col_coord(line)),
-            };
+            let (dims, root) = (grid.lines(axis).1, grid.line_coord(axis, line));
             collective::broadcast_slab(hc, &mut chunks, dims, root);
             DistVector::from_slab(layout.with_placement(Placement::Replicated), chunks)
         }
@@ -82,17 +79,11 @@ pub fn concentrate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>, line: usize
             DistVector::from_slab(new_layout, locals)
         }
         Placement::Concentrated(src_line) => {
-            let grid = v.layout().grid().clone();
-            let parts = match axis {
-                Axis::Row => grid.pc(),
-                Axis::Col => grid.pr(),
-            };
+            let grid = v.layout().grid();
             let mut traffic = Traffic::new(grid.p());
-            for part in 0..parts {
-                let (src, dst) = match axis {
-                    Axis::Row => (grid.node_at(src_line, part), grid.node_at(line, part)),
-                    Axis::Col => (grid.node_at(part, src_line), grid.node_at(part, line)),
-                };
+            for part in 0..grid.lines(axis.transpose()).0 {
+                let (src, dst) =
+                    (grid.node_on(axis, src_line, part), grid.node_on(axis, line, part));
                 traffic.post(src, dst, part as u64, v.locals()[src].iter().copied());
             }
             route_blocks(hc, &mut traffic);
@@ -158,7 +149,7 @@ pub fn remap_vector<T: Scalar>(
     // recomputes each element's old primary holder, and pulls the next
     // element from that source's block.
     let mut max_unpacked = 0usize;
-    let mut locals = NodeSlab::build(p, new_layout.n(), |dst, chunk| {
+    let locals = NodeSlab::build(p, new_layout.n(), |dst, chunk| {
         if !new_layout.is_primary_holder(dst) {
             return;
         }
@@ -180,21 +171,26 @@ pub fn remap_vector<T: Scalar>(
         }
     });
     hc.charge_moves(max_unpacked);
+    from_primary_holders(hc, new_layout, locals)
+}
 
-    // Replicated target: broadcast from the primary line.
-    if let VecEmbedding::Aligned { axis, placement: Placement::Replicated } = new_layout.embedding()
-    {
-        let grid = new_layout.grid().clone();
-        let dims = match axis {
-            Axis::Row => grid.row_dims().to_vec(),
-            Axis::Col => grid.col_dims().to_vec(),
-        };
-        // Primary holders sit on grid line 0, whose subcube coordinate is
-        // encoding(0) == 0 for both encodings.
-        collective::broadcast_slab(hc, &mut locals, &dims, 0);
+/// The vector laid out as `layout` from `locals` holding data on the
+/// primary holders only ([`VectorLayout::is_primary_holder`]): a
+/// replicated layout's primary copy sits on grid line 0 and is
+/// broadcast from there by [`replicate_owned`]; every other layout is
+/// complete as it stands.
+pub(crate) fn from_primary_holders<T: Scalar>(
+    hc: &mut Hypercube,
+    layout: VectorLayout,
+    locals: NodeSlab<T>,
+) -> DistVector<T> {
+    match layout.embedding() {
+        VecEmbedding::Aligned { placement: Placement::Replicated, .. } => {
+            let primary = layout.with_placement(Placement::Concentrated(0));
+            replicate_owned(hc, DistVector::from_slab(primary, locals))
+        }
+        _ => DistVector::from_slab(layout, locals),
     }
-
-    DistVector::from_slab(new_layout, locals)
 }
 
 /// Transpose a matrix: the result has the transposed shape on the
@@ -289,7 +285,7 @@ mod tests {
     use super::*;
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
-    use vmp_layout::{Dist, MatShape, ProcGrid};
+    use vmp_layout::{Axis, Dist, MatShape, ProcGrid};
 
     fn machine(dim: u32) -> Hypercube {
         Hypercube::new(dim, CostModel::unit())
@@ -341,10 +337,9 @@ mod tests {
     fn remap_aligned_to_linear_and_back() {
         let mut hc = machine(4);
         let g = grid(4, 2);
-        let vl =
-            VectorLayout::aligned(13, g.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic);
+        let vl = VectorLayout::aligned(13, g, Axis::Row, Placement::Replicated, Dist::Cyclic);
         let v = DistVector::from_fn(vl, |i| (i * i) as f64);
-        let lin = remap_vector(&mut hc, &v, VectorLayout::linear(13, g.clone(), Dist::Block));
+        let lin = remap_vector(&mut hc, &v, VectorLayout::linear(13, g, Dist::Block));
         lin.assert_consistent();
         assert_eq!(lin.to_dense(), v.to_dense());
         let back = remap_vector(
@@ -362,13 +357,7 @@ mod tests {
         // algorithm asks for.
         let mut hc = machine(4);
         let g = grid(4, 2);
-        let vl = VectorLayout::aligned(
-            10,
-            g.clone(),
-            Axis::Row,
-            Placement::Concentrated(2),
-            Dist::Block,
-        );
+        let vl = VectorLayout::aligned(10, g, Axis::Row, Placement::Concentrated(2), Dist::Block);
         let v = DistVector::from_fn(vl, |i| i as f64 - 4.5);
         let flipped = remap_vector(
             &mut hc,
@@ -384,7 +373,7 @@ mod tests {
         let mut hc = machine(4);
         let g = grid(4, 2);
         let vl = VectorLayout::linear(16, g, Dist::Block);
-        let v = DistVector::from_fn(vl.clone(), |i| i as i64);
+        let v = DistVector::from_fn(vl, |i| i as i64);
         let w = remap_vector(&mut hc, &v, vl);
         assert_eq!(w.to_dense(), v.to_dense());
         assert_eq!(hc.counters().message_steps, 0, "nothing moves between nodes");
@@ -420,7 +409,7 @@ mod tests {
     fn redistribute_changes_dist_rule() {
         let mut hc = machine(4);
         let g = grid(4, 2);
-        let block = MatrixLayout::new(MatShape::new(9, 9), g.clone(), Dist::Block, Dist::Block);
+        let block = MatrixLayout::new(MatShape::new(9, 9), g, Dist::Block, Dist::Block);
         let cyclic = MatrixLayout::new(MatShape::new(9, 9), g, Dist::Cyclic, Dist::Cyclic);
         let m = DistMatrix::from_fn(block, |i, j| (i * 9 + j) as i64);
         let r = redistribute(&mut hc, &m, cyclic);

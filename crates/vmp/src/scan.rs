@@ -19,7 +19,7 @@ use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Traffic};
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, Dist, Placement, VecEmbedding, VectorLayout};
+use vmp_layout::{Dist, VecEmbedding, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
 use crate::vector::DistVector;
@@ -58,13 +58,13 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
     op: O,
     inclusive: bool,
 ) -> DistVector<T> {
-    let layout = v.layout().clone();
+    let layout = *v.layout();
     assert_eq!(
         layout.dist().kind(),
         Dist::Block,
         "index-order scans require the block (consecutive) distribution"
     );
-    let grid = layout.grid().clone();
+    let grid = layout.grid();
     let p = grid.p();
 
     // The cube dims along which the chunks are laid out, and the
@@ -75,10 +75,7 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
     // identities, which is harmless.
     let chunk_dims: Vec<u32> = match layout.embedding() {
         VecEmbedding::Linear => grid.cube().iter_dims().collect(),
-        VecEmbedding::Aligned { axis, .. } => match axis {
-            Axis::Row => grid.col_dims().to_vec(),
-            Axis::Col => grid.row_dims().to_vec(),
-        },
+        VecEmbedding::Aligned { axis, .. } => grid.lines(axis.transpose()).1.to_vec(),
     };
 
     // 1. Local pass: per-chunk inclusive scan, remembering the total.
@@ -216,7 +213,7 @@ pub fn route_permutation<T: Scalar>(
     dest: impl Fn(usize) -> Option<usize>,
     fill: Option<T>,
 ) -> DistVector<T> {
-    let layout = v.layout().clone();
+    let layout = *v.layout();
     let p = layout.grid().p();
     let mut traffic = Traffic::new(p);
     let mut max_packed = 0usize;
@@ -236,7 +233,7 @@ pub fn route_permutation<T: Scalar>(
     }
     hc.charge_moves(max_packed);
     route_blocks(hc, &mut traffic);
-    let mut locals = NodeSlab::build(p, layout.n(), |dst, out| {
+    let locals = NodeSlab::build(p, layout.n(), |dst, out| {
         if !layout.is_primary_holder(dst) {
             return;
         }
@@ -251,16 +248,8 @@ pub fn route_permutation<T: Scalar>(
                 .map(|slot| slot.or(fill).expect("uncovered position with no fill value")),
         );
     });
-    // Replicated targets: broadcast along orthogonal dims.
-    if let VecEmbedding::Aligned { axis, placement: Placement::Replicated } = layout.embedding() {
-        let grid = layout.grid().clone();
-        let dims = match axis {
-            Axis::Row => grid.row_dims().to_vec(),
-            Axis::Col => grid.col_dims().to_vec(),
-        };
-        collective::broadcast_slab(hc, &mut locals, &dims, 0);
-    }
-    DistVector::from_slab(layout, locals)
+    // Replicated targets: broadcast from the primary line.
+    crate::remap::from_primary_holders(hc, layout, locals)
 }
 
 /// Exclusive count of `true`s before each position — Blelloch's
@@ -282,11 +271,11 @@ pub fn pack<T: Scalar>(
     mask: &DistVector<bool>,
 ) -> DistVector<T> {
     assert_eq!(v.layout(), mask.layout(), "mask must share the value vector's layout");
-    let old = v.layout().clone();
+    let old = *v.layout();
     let positions = enumerate(hc, mask);
     let kept: usize = mask.reduce_lifted(hc, crate::elem::Sum, |_, b| usize::from(b));
 
-    let grid = old.grid().clone();
+    let grid = old.grid();
     let new_layout = VectorLayout::linear(kept, grid, Dist::Block);
     let p = old.grid().p();
     let mut traffic = Traffic::new(p);
@@ -356,7 +345,7 @@ mod tests {
     use crate::elem::{Max, Sum};
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
-    use vmp_layout::{ProcGrid, VectorLayout};
+    use vmp_layout::{Axis, Placement, ProcGrid, VectorLayout};
 
     fn machine(dim: u32) -> Hypercube {
         Hypercube::new(dim, CostModel::unit())
@@ -365,8 +354,8 @@ mod tests {
     fn layouts(n: usize, dim: u32) -> Vec<VectorLayout> {
         let g = ProcGrid::square(Cube::new(dim));
         vec![
-            VectorLayout::linear(n, g.clone(), Dist::Block),
-            VectorLayout::aligned(n, g.clone(), Axis::Row, Placement::Replicated, Dist::Block),
+            VectorLayout::linear(n, g, Dist::Block),
+            VectorLayout::aligned(n, g, Axis::Row, Placement::Replicated, Dist::Block),
             VectorLayout::aligned(n, g, Axis::Col, Placement::Replicated, Dist::Block),
         ]
     }
@@ -425,7 +414,7 @@ mod tests {
         let n = 20;
         let flag_at = |i: usize| i == 0 || i == 5 || i == 6 || i == 13;
         for layout in layouts(n, 4) {
-            let v = DistVector::from_fn(layout.clone(), |i| (i + 1) as i64);
+            let v = DistVector::from_fn(layout, |i| (i + 1) as i64);
             let f = DistVector::from_fn(layout, flag_at);
             let mut hc = machine(4);
             let s = segmented_scan_inclusive(&mut hc, &v, &f, Sum);
@@ -445,7 +434,7 @@ mod tests {
     fn segmented_scan_with_single_segment_equals_plain_scan() {
         let n = 17;
         for layout in layouts(n, 2) {
-            let v = DistVector::from_fn(layout.clone(), |i| i as i64 * 2 - 9);
+            let v = DistVector::from_fn(layout, |i| i as i64 * 2 - 9);
             let f = DistVector::from_fn(layout, |i| i == 0);
             let mut hc = machine(2);
             let seg = segmented_scan_inclusive(&mut hc, &v, &f, Sum);
@@ -459,7 +448,7 @@ mod tests {
         let n = 15;
         let flag_at = |i: usize| i == 0 || i == 4 || i == 9;
         for layout in layouts(n, 4) {
-            let v = DistVector::from_fn(layout.clone(), |i| (i + 1) as i64);
+            let v = DistVector::from_fn(layout, |i| (i + 1) as i64);
             let f = DistVector::from_fn(layout, flag_at);
             let mut hc = machine(4);
             let r = segmented_reduce(&mut hc, &v, &f, Sum);
@@ -505,7 +494,7 @@ mod tests {
         let keep = |i: usize| i % 4 != 1;
         let g = ProcGrid::square(Cube::new(4));
         let layout = VectorLayout::linear(n, g, Dist::Block);
-        let v = DistVector::from_fn(layout.clone(), |i| (i * 10) as i64);
+        let v = DistVector::from_fn(layout, |i| (i * 10) as i64);
         let mask = DistVector::from_fn(layout, keep);
         let mut hc = machine(4);
         let packed = pack(&mut hc, &v, &mask);
@@ -520,9 +509,9 @@ mod tests {
         let n = 12;
         let g = ProcGrid::square(Cube::new(2));
         let layout = VectorLayout::linear(n, g, Dist::Block);
-        let v = DistVector::from_fn(layout.clone(), |i| i as i64);
+        let v = DistVector::from_fn(layout, |i| i as i64);
         let mut hc = machine(2);
-        let all = pack(&mut hc, &v, &DistVector::constant(layout.clone(), true));
+        let all = pack(&mut hc, &v, &DistVector::constant(layout, true));
         assert_eq!(all.to_dense(), (0..n as i64).collect::<Vec<_>>());
         let none = pack(&mut hc, &v, &DistVector::constant(layout, false));
         assert_eq!(none.n(), 0);

@@ -45,30 +45,26 @@ pub fn shift<T: Scalar>(
     offset: isize,
     boundary: Boundary<T>,
 ) -> DistMatrix<T> {
-    let shape = m.shape();
-    let extent = match axis {
-        Axis::Col => shape.rows,
-        Axis::Row => shape.cols,
-    } as isize;
+    // A shift of rows slides column vectors, and the other way round.
+    let extent = m.shape().vector_len(axis) as isize;
     if extent == 0 || offset == 0 {
         return m.clone();
     }
     let off = offset.rem_euclid(extent);
 
-    // Torus shift as a bijective remap (same layout).
-    let fwd = move |i: usize, j: usize| -> (usize, usize) {
-        match axis {
-            Axis::Col => ((((i as isize + off) % extent) as usize), j),
-            Axis::Row => (i, (((j as isize + off) % extent) as usize)),
+    // Torus shift as a bijective remap (same layout): `by(off)` moves
+    // every element `off` places along the shifted direction, `by(-off)`
+    // moves it back.
+    let by = move |off: isize| {
+        move |i: usize, j: usize| {
+            let step = |x: usize| (x as isize + off).rem_euclid(extent) as usize;
+            match axis {
+                Axis::Col => (step(i), j),
+                Axis::Row => (i, step(j)),
+            }
         }
     };
-    let inv = move |i: usize, j: usize| -> (usize, usize) {
-        match axis {
-            Axis::Col => ((((i as isize - off).rem_euclid(extent)) as usize), j),
-            Axis::Row => (i, (((j as isize - off).rem_euclid(extent)) as usize)),
-        }
-    };
-    let mut out = remap::remap_with(hc, m, m.layout().clone(), fwd, inv);
+    let mut out = remap::remap_with(hc, m, *m.layout(), by(off), by(-off));
 
     // Fill boundary: overwrite the vacated lines with the constant.
     if let Boundary::Fill(v) = boundary {

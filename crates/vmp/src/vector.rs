@@ -3,7 +3,7 @@
 use vmp_hypercube::collective::allreduce_slab;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, VecEmbedding, VectorLayout};
+use vmp_layout::{VecEmbedding, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
 
@@ -21,17 +21,15 @@ pub(crate) struct Parts {
 
 impl Parts {
     pub(crate) fn new(layout: &VectorLayout) -> Self {
+        let VecEmbedding::Aligned { axis, .. } = *layout.embedding() else {
+            return Parts { lines: Vec::new(), shift: 0 };
+        };
+        // A part's index bits are the dims of the grid lines across the
+        // other axis: a contiguous run of the address.
         let grid = layout.grid();
-        match layout.embedding() {
-            VecEmbedding::Aligned { axis: Axis::Row, .. } => {
-                Parts { lines: (0..grid.pc()).map(|x| grid.grid_coords(x).1).collect(), shift: 0 }
-            }
-            VecEmbedding::Aligned { axis: Axis::Col, .. } => Parts {
-                lines: (0..grid.pr()).map(|x| grid.grid_coords(x << grid.dc()).0).collect(),
-                shift: grid.dc(),
-            },
-            VecEmbedding::Linear => Parts { lines: Vec::new(), shift: 0 },
-        }
+        let (count, dims) = grid.lines(axis.transpose());
+        let shift = dims.first().map_or(0, |&d| d);
+        Parts { lines: (0..count).map(|x| grid.line_and_part(axis, x << shift).1).collect(), shift }
     }
 
     pub(crate) fn of(&self, node: usize) -> usize {
@@ -60,19 +58,11 @@ impl<T: Scalar> DistVector<T> {
     /// Materialise a vector from `f(i)` (host-side; no machine charge).
     #[must_use]
     pub fn from_fn(layout: VectorLayout, mut f: impl FnMut(usize) -> T) -> Self {
-        let p = layout.grid().p();
-        let mut locals = NodeSlab::with_capacity(p, layout.stored_elements());
-        for node in 0..p {
-            let len = layout.local_len(node);
-            locals.push_seg_with(|buf| {
-                if len > 0 {
-                    let part = layout.part_of(node);
-                    for slot in 0..len {
-                        buf.push(f(layout.dist().global_index(part, slot)));
-                    }
-                }
-            });
-        }
+        let locals = NodeSlab::build(layout.grid().p(), layout.stored_elements(), |node, buf| {
+            if layout.holds(node) {
+                buf.extend(layout.dist().part_indices(layout.part_of(node)).map(&mut f));
+            }
+        });
         DistVector { layout, locals }
     }
 
@@ -120,10 +110,9 @@ impl<T: Scalar> DistVector<T> {
         &self.locals
     }
 
-    /// The layout together with the per-node chunks, mutably
-    /// (crate-internal; in-place kernels).
-    pub(crate) fn layout_and_locals_mut(&mut self) -> (&VectorLayout, &mut NodeSlab<T>) {
-        (&self.layout, &mut self.locals)
+    /// Mutable per-node chunks (crate-internal; in-place kernels).
+    pub(crate) fn locals_mut(&mut self) -> &mut NodeSlab<T> {
+        &mut self.locals
     }
 
     /// The layout and the per-node chunks, by value (crate-internal;
@@ -252,9 +241,9 @@ impl<T: Scalar> DistVector<T> {
             let buf = &self.locals[node];
             let mut acc = op.identity();
             if self.layout.is_primary_holder(node) {
-                let (part, lift) = (parts.of(node), at(node));
-                for (slot, &v) in buf.iter().enumerate() {
-                    acc = op.combine(acc, lift(dist.global_index(part, slot), slot, v));
+                let (indices, lift) = (dist.part_indices(parts.of(node)), at(node));
+                for ((slot, &v), i) in buf.iter().enumerate().zip(indices) {
+                    acc = op.combine(acc, lift(i, slot, v));
                 }
             }
             out.push(acc);
@@ -287,7 +276,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
-    use vmp_layout::{Dist, Placement, ProcGrid};
+    use vmp_layout::{Axis, Dist, Placement, ProcGrid};
 
     fn grid(dim: u32, dr: u32) -> ProcGrid {
         ProcGrid::new(Cube::new(dim), dr)
@@ -301,16 +290,10 @@ mod tests {
     fn from_fn_get_roundtrip_all_embeddings() {
         let g = grid(4, 2);
         for layout in [
-            VectorLayout::aligned(11, g.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
-            VectorLayout::aligned(
-                11,
-                g.clone(),
-                Axis::Row,
-                Placement::Concentrated(3),
-                Dist::Block,
-            ),
-            VectorLayout::aligned(11, g.clone(), Axis::Col, Placement::Replicated, Dist::Block),
-            VectorLayout::linear(11, g.clone(), Dist::Cyclic),
+            VectorLayout::aligned(11, g, Axis::Row, Placement::Replicated, Dist::Cyclic),
+            VectorLayout::aligned(11, g, Axis::Row, Placement::Concentrated(3), Dist::Block),
+            VectorLayout::aligned(11, g, Axis::Col, Placement::Replicated, Dist::Block),
+            VectorLayout::linear(11, g, Dist::Cyclic),
         ] {
             let v = DistVector::from_fn(layout, |i| i as i64 * 3 - 5);
             v.assert_consistent();
@@ -328,21 +311,15 @@ mod tests {
             for enc in [GridEncoding::Gray, GridEncoding::Binary] {
                 let g = ProcGrid::with_encoding(Cube::new(dim), dr, enc);
                 for layout in [
+                    VectorLayout::aligned(7, g, Axis::Row, Placement::Replicated, Dist::Block),
                     VectorLayout::aligned(
                         7,
-                        g.clone(),
-                        Axis::Row,
-                        Placement::Replicated,
-                        Dist::Block,
-                    ),
-                    VectorLayout::aligned(
-                        7,
-                        g.clone(),
+                        g,
                         Axis::Col,
                         Placement::Concentrated(g.pc() - 1),
                         Dist::Cyclic,
                     ),
-                    VectorLayout::linear(7, g.clone(), Dist::Cyclic),
+                    VectorLayout::linear(7, g, Dist::Cyclic),
                 ] {
                     let parts = Parts::new(&layout);
                     for node in 0..g.p() {
@@ -368,13 +345,7 @@ mod tests {
     fn reduce_all_concentrated_and_linear() {
         let g = grid(3, 1);
         let mut hc = machine(3);
-        let conc = VectorLayout::aligned(
-            9,
-            g.clone(),
-            Axis::Col,
-            Placement::Concentrated(2),
-            Dist::Cyclic,
-        );
+        let conc = VectorLayout::aligned(9, g, Axis::Col, Placement::Concentrated(2), Dist::Cyclic);
         let v = DistVector::from_fn(conc, |i| i as f64);
         assert_eq!(v.reduce_all(&mut hc, Sum), 36.0);
         let lin = VectorLayout::linear(9, g, Dist::Block);
@@ -454,17 +425,11 @@ mod tests {
             // One node: no collective step follows the fold, so the clock
             // shows the two flop charges as they are.
             VectorLayout::linear(60, grid(0, 0), Dist::Cyclic),
-            VectorLayout::linear(60, g.clone(), Dist::Block),
-            VectorLayout::aligned(60, g.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
-            VectorLayout::aligned(
-                60,
-                g.clone(),
-                Axis::Col,
-                Placement::Concentrated(2),
-                Dist::Block,
-            ),
+            VectorLayout::linear(60, g, Dist::Block),
+            VectorLayout::aligned(60, g, Axis::Row, Placement::Replicated, Dist::Cyclic),
+            VectorLayout::aligned(60, g, Axis::Col, Placement::Concentrated(2), Dist::Block),
         ] {
-            let a = DistVector::from_fn(layout.clone(), |_| rng.gen_range(-1.0..1.0));
+            let a = DistVector::from_fn(layout, |_| rng.gen_range(-1.0..1.0));
             let b = DistVector::from_fn(layout, |_| rng.gen_range(-1.0..1.0));
             let (got, want) = both(&a, &b, Sum, |i, x, y| x * y + i as f64 / 7.0);
             assert_eq!(got.to_bits(), want.to_bits());

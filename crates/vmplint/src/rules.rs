@@ -113,13 +113,15 @@ pub const SCANNED_CRATES: [&str; 5] = [
 /// The hot-path files where the panic-surface rule (P1) is armed: the
 /// machine's charging seam (every collective superstep is charged
 /// there), the collective layer, the slab arena, the routing layer, the
-/// four primitives and their per-node kernels, Gaussian elimination (the
+/// four primitives and their per-node kernels, the distributed vector's
+/// folds, the layout's grid geometry and vector embeddings (every
+/// primitive asks them which node holds what), Gaussian elimination (the
 /// longest-running application, thousands of supersteps per solve), and
 /// the whole multi-tenant scheduler (its event loop must never unwind
 /// mid-trace). An entry ending in `/` covers a directory; every entry
 /// must name a path that exists, or P1 silently disarms (checked by
 /// `every_listed_path_exists_in_the_workspace`).
-const P1_HOT_PATHS: [&str; 14] = [
+const P1_HOT_PATHS: [&str; 17] = [
     "crates/hypercube/src/machine.rs",
     "crates/hypercube/src/collective/",
     "crates/hypercube/src/slab.rs",
@@ -132,6 +134,9 @@ const P1_HOT_PATHS: [&str; 14] = [
     "crates/vmp/src/remap.rs",
     "crates/vmp/src/indexing.rs",
     "crates/vmp/src/elementwise.rs",
+    "crates/vmp/src/vector.rs",
+    "crates/layout/src/grid.rs",
+    "crates/layout/src/vector.rs",
     "crates/algos/src/gauss.rs",
     "crates/sched/src/",
 ];
@@ -251,10 +256,15 @@ mod tests {
         let slab = classify("crates/hypercube/src/slab.rs").unwrap();
         assert!(!slab.slab, "slab.rs is exempt from S1");
         assert!(slab.panic_surface, "slab.rs is a P1 hot path");
-        let layout = classify("crates/layout/src/grid.rs").unwrap();
+        let layout = classify("crates/layout/src/shape.rs").unwrap();
         assert!(layout.determinism);
         assert!(layout.slab);
         assert!(!layout.panic_surface);
+        for file in
+            ["crates/vmp/src/vector.rs", "crates/layout/src/grid.rs", "crates/layout/src/vector.rs"]
+        {
+            assert!(classify(file).unwrap().panic_surface, "{file} must be a P1 hot path");
+        }
         assert!(classify("crates/vmp/src/primitives/reduce.rs").unwrap().panic_surface);
         let sched = classify("crates/sched/src/sched.rs").unwrap();
         assert!(sched.determinism && sched.slab);

@@ -21,8 +21,8 @@ fn main() {
 
     // --- scans -------------------------------------------------------
     let n = 64usize;
-    let layout = VectorLayout::linear(n, grid.clone(), Dist::Block);
-    let v = DistVector::from_fn(layout.clone(), |i| (i + 1) as i64);
+    let layout = VectorLayout::linear(n, grid, Dist::Block);
+    let v = DistVector::from_fn(layout, |i| (i + 1) as i64);
     let hc = &mut Hypercube::cm2(dim);
     let prefix = scan_inclusive(hc, &v, Sum);
     println!(
@@ -32,7 +32,7 @@ fn main() {
     );
 
     // --- segmented reduce ---------------------------------------------
-    let flags = DistVector::from_fn(layout.clone(), |i| i % 16 == 0);
+    let flags = DistVector::from_fn(layout, |i| i % 16 == 0);
     hc.reset();
     let seg = segmented_reduce(hc, &v, &flags, Sum);
     println!(
@@ -55,10 +55,7 @@ fn main() {
 
     // --- histogram ------------------------------------------------------
     let values: Vec<usize> = (0..256).map(|i| (i * i) % 16).collect();
-    let hv = DistVector::from_slice(
-        VectorLayout::linear(values.len(), grid.clone(), Dist::Block),
-        &values,
-    );
+    let hv = DistVector::from_slice(VectorLayout::linear(values.len(), grid, Dist::Block), &values);
     let mut hd = Hypercube::cm2(dim);
     let dense = histogram_dense(&mut hd, &hv, 16);
     let mut hs = Hypercube::cm2(dim);

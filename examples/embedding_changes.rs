@@ -26,8 +26,7 @@ fn main() {
     };
 
     // Start from a concentrated row vector (what extract returns).
-    let conc =
-        VectorLayout::aligned(n, grid.clone(), Axis::Row, Placement::Concentrated(5), Dist::Cyclic);
+    let conc = VectorLayout::aligned(n, grid, Axis::Row, Placement::Concentrated(5), Dist::Cyclic);
     let v = DistVector::from_fn(conc, |i| (i as f64).sqrt());
 
     let mut hc = Hypercube::cm2(dim);
@@ -43,7 +42,7 @@ fn main() {
     show("concentrated line 5 -> line 12 (routed)", &hc);
 
     let mut hc = Hypercube::cm2(dim);
-    let lin = remap::remap_vector(&mut hc, &vr, VectorLayout::linear(n, grid.clone(), Dist::Block));
+    let lin = remap::remap_vector(&mut hc, &vr, VectorLayout::linear(n, grid, Dist::Block));
     show("row-aligned -> linear (balanced)", &hc);
     assert_eq!(lin.to_dense(), v.to_dense(), "content preserved");
 
@@ -51,13 +50,13 @@ fn main() {
     let flipped = remap::remap_vector(
         &mut hc,
         &vr,
-        VectorLayout::aligned(n, grid.clone(), Axis::Col, Placement::Replicated, Dist::Cyclic),
+        VectorLayout::aligned(n, grid, Axis::Col, Placement::Replicated, Dist::Cyclic),
     );
     show("row-aligned -> col-aligned (axis flip)", &hc);
     assert_eq!(flipped.to_dense(), v.to_dense());
 
     // Matrix-level changes.
-    let a = DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), grid.clone()), |i, j| {
+    let a = DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), grid), |i, j| {
         (i * n + j) as f64
     });
 

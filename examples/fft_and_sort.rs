@@ -18,7 +18,7 @@ fn main() {
     assert!(n.is_power_of_two(), "n must be a power of two");
 
     let grid = ProcGrid::square(Cube::new(dim));
-    let layout = VectorLayout::linear(n, grid.clone(), Dist::Block);
+    let layout = VectorLayout::linear(n, grid, Dist::Block);
 
     // --- FFT: two tones + verification against the naive DFT ---------
     let x: Vec<Cplx> = (0..n)
@@ -28,7 +28,7 @@ fn main() {
             Cplx::new(th1.sin() + 0.5 * th2.cos(), 0.0)
         })
         .collect();
-    let v = DistVector::from_slice(layout.clone(), &x);
+    let v = DistVector::from_slice(layout, &x);
 
     let hc = &mut Hypercube::cm2(dim);
     let spectrum = fft(hc, &v);

@@ -20,7 +20,7 @@ fn main() {
     let make = || {
         let grid = ProcGrid::square(Cube::new(dim));
         (
-            DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), grid.clone()), |i, j| {
+            DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), grid), |i, j| {
                 da.get(i, j)
             }),
             DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), grid), |i, j| {

@@ -33,7 +33,7 @@ fn main() {
         let x = DistVector::from_fn(
             VectorLayout::aligned(
                 n,
-                a.layout().grid().clone(),
+                a.layout().grid(),
                 Axis::Col,
                 Placement::Replicated,
                 Dist::Cyclic,

@@ -71,13 +71,7 @@ fn main() {
 
     // Compose: y = x A in two primitive operations.
     let x = DistVector::from_fn(
-        VectorLayout::aligned(
-            n,
-            a.layout().grid().clone(),
-            Axis::Col,
-            Placement::Replicated,
-            Dist::Cyclic,
-        ),
+        VectorLayout::aligned(n, a.layout().grid(), Axis::Col, Placement::Replicated, Dist::Cyclic),
         |i| (i % 7) as f64,
     );
     hc.reset();

@@ -119,7 +119,7 @@ proptest! {
     ) {
         let grid = ProcGrid::square(Cube::new(dim));
         let narrow = DistMatrix::from_fn(
-            MatrixLayout::cyclic(MatShape::new(n, n), grid.clone()), |i, j| (i + j) as f64);
+            MatrixLayout::cyclic(MatShape::new(n, n), grid), |i, j| (i + j) as f64);
         let wide = DistMatrix::from_fn(
             MatrixLayout::cyclic(MatShape::new(n, n + extra), grid), |i, j| (i + j) as f64);
         let mut h1 = Hypercube::cm2(dim);
@@ -176,7 +176,7 @@ fn routed_paths_outside_the_tables_charge_exactly() {
     };
     let pack = |hc: &mut Hypercube| {
         let layout = VectorLayout::linear(50, ProcGrid::square(hc.cube()), Dist::Block);
-        let v = DistVector::from_fn(layout.clone(), |i| i as f64 * 0.5);
+        let v = DistVector::from_fn(layout, |i| i as f64 * 0.5);
         let mask = DistVector::from_fn(layout, |i| i % 3 != 1);
         let packed = scan::pack(hc, &v, &mask);
         let want: Vec<f64> = (0..50).filter(|i| i % 3 != 1).map(|i| i as f64 * 0.5).collect();

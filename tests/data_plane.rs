@@ -392,7 +392,7 @@ proptest! {
         let dr = dr_frac.min(dim);
         let grid = ProcGrid::new(Cube::new(dim), dr);
         let layout = MatrixLayout::cyclic(MatShape::new(rows, cols), grid);
-        let m = DistMatrix::from_fn(layout.clone(), val);
+        let m = DistMatrix::from_fn(layout, val);
 
         // Seed oracle: nested locals, offset-order fold, reference butterfly.
         let p = layout.grid().p();
@@ -431,12 +431,12 @@ proptest! {
         let dr = dr_frac.min(dim);
         let grid = ProcGrid::new(Cube::new(dim), dr);
         let layout = MatrixLayout::new(MatShape::new(rows, cols), grid, kind, kind);
-        let mut m = DistMatrix::from_fn(layout.clone(), val);
+        let mut m = DistMatrix::from_fn(layout, val);
 
         let mk_vec = |axis: Axis, salt: usize| {
             let vl = VectorLayout::aligned(
                 layout.shape().vector_len(axis),
-                layout.grid().clone(),
+                layout.grid(),
                 axis,
                 Placement::Replicated,
                 layout.vector_dist(axis).kind(),
@@ -596,23 +596,23 @@ fn vector_folds_match_the_spelled_out_fold() {
         let n = 23;
         let (last_row, last_col) = (grid.pr() - 1, grid.pc() - 1);
         let layouts = [
-            VectorLayout::aligned(n, grid.clone(), Axis::Row, Placement::Replicated, Dist::Cyclic),
-            VectorLayout::aligned(n, grid.clone(), Axis::Col, Placement::Replicated, Dist::Block),
+            VectorLayout::aligned(n, grid, Axis::Row, Placement::Replicated, Dist::Cyclic),
+            VectorLayout::aligned(n, grid, Axis::Col, Placement::Replicated, Dist::Block),
             VectorLayout::aligned(
                 n,
-                grid.clone(),
+                grid,
                 Axis::Row,
                 Placement::Concentrated(last_row),
                 Dist::Block,
             ),
             VectorLayout::aligned(
                 n,
-                grid.clone(),
+                grid,
                 Axis::Col,
                 Placement::Concentrated(last_col),
                 Dist::Cyclic,
             ),
-            VectorLayout::linear(n, grid.clone(), Dist::Cyclic),
+            VectorLayout::linear(n, grid, Dist::Cyclic),
         ];
         let dim = grid.cube().dim();
         let machines: [(&str, Machine); 3] = [
@@ -630,10 +630,9 @@ fn vector_folds_match_the_spelled_out_fold() {
         for layout in layouts {
             // Every third element `-0.0`, the rest signed values; and an
             // all-`-0.0` twin.
-            let v =
-                DistVector::from_fn(layout.clone(), |i| if i % 3 == 0 { -0.0 } else { val(i, 1) });
-            let zeros = DistVector::constant(layout.clone(), -0.0f64);
-            let w = DistVector::from_fn(layout.clone(), |i| val(i, 2));
+            let v = DistVector::from_fn(layout, |i| if i % 3 == 0 { -0.0 } else { val(i, 1) });
+            let zeros = DistVector::constant(layout, -0.0f64);
+            let w = DistVector::from_fn(layout, |i| val(i, 2));
             for (name, machine) in &machines {
                 let what = format!("{name} {layout:?}");
                 let pin =

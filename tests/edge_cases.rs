@@ -60,7 +60,7 @@ fn single_processor_machine_runs_the_whole_stack() {
     let g = grid(0);
     let a = four_vmp::algos::workloads::random_matrix(10, 10, 1);
     let b = four_vmp::algos::workloads::random_vector(10, 2);
-    let (x, _) = gauss::ge_solve(&mut hc, &a, &b, g.clone()).expect("nonsingular");
+    let (x, _) = gauss::ge_solve(&mut hc, &a, &b, g).expect("nonsingular");
     let serial = four_vmp::algos::serial::lu_solve(&a, &b).expect("nonsingular");
     for (u, v) in x.iter().zip(&serial) {
         assert!((u - v).abs() < 1e-9);

@@ -15,7 +15,7 @@ fn grid(dim: u32) -> ProcGrid {
     ProcGrid::square(Cube::new(dim))
 }
 
-use four_vmp::hypercube::{Counters, Cube};
+use four_vmp::hypercube::Cube;
 
 #[test]
 fn full_linear_solve_pipeline() {
@@ -57,9 +57,7 @@ fn matvec_pipeline_with_embedding_changes() {
     let d = workloads::random_matrix(n, n, 9);
     let xh = workloads::random_vector(n, 10);
     let g = grid(4);
-    let a = DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), g.clone()), |i, j| {
-        d.get(i, j)
-    });
+    let a = DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), g), |i, j| d.get(i, j));
     let x = DistVector::from_slice(VectorLayout::linear(n, g, Dist::Block), &xh);
     let mut hc = machine(4);
     let y = vecmat(&mut hc, &x, &a);
@@ -76,7 +74,7 @@ fn primitives_compose_into_power_iteration() {
     // positive matrix.
     let n = 16;
     let g = grid(4);
-    let a = DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), g.clone()), |i, j| {
+    let a = DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), g), |i, j| {
         1.0 / ((i + j + 1) as f64) + if i == j { 2.0 } else { 0.0 }
     });
     let mut hc = machine(4);
@@ -90,7 +88,7 @@ fn primitives_compose_into_power_iteration() {
         lambda = ay.reduce_all(&mut hc, Max);
         // Normalise and re-orient for the next multiply.
         let normalised = ay.map(&mut hc, |_, v| v / lambda);
-        y = four_vmp::core::remap::remap_vector(&mut hc, &normalised, y.layout().clone());
+        y = four_vmp::core::remap::remap_vector(&mut hc, &normalised, *y.layout());
     }
     // Rayleigh-quotient check: A y ~= lambda y.
     let ay = four_vmp::algos::matvec(&mut hc, &a, &y);
@@ -126,16 +124,15 @@ fn counters_tell_a_consistent_story() {
     let a =
         DistMatrix::from_fn(MatrixLayout::cyclic(MatShape::new(n, n), g), |i, j| (i + j) as f64);
     let mut hc = machine(6);
-    let (_, extract_delta) =
-        Counters::scoped(&mut hc, |hc| primitives::extract(hc, &a, Axis::Row, 3));
-    assert_eq!(extract_delta.message_steps, 0, "extract is local");
-    assert!(extract_delta.local_moves > 0);
+    let _ = primitives::extract(&mut hc, &a, Axis::Row, 3);
+    assert_eq!(hc.counters().message_steps, 0, "extract is local");
+    assert!(hc.counters().local_moves > 0);
 
     let cost = *hc.cost();
+    hc.reset();
     let t0 = hc.elapsed_us();
-    let (_, reduce_delta) =
-        Counters::scoped(&mut hc, |hc| primitives::reduce(hc, &a, Axis::Row, Sum));
+    let _ = primitives::reduce(&mut hc, &a, Axis::Row, Sum);
     let dt = hc.elapsed_us() - t0;
-    let steps = reduce_delta.message_steps;
+    let steps = hc.counters().message_steps;
     assert!(dt >= cost.alpha * steps as f64, "every superstep pays at least alpha");
 }

@@ -166,11 +166,11 @@ proptest! {
         let grid = ProcGrid::new(Cube::new(dim), dr);
         let pick = |sel: usize, kind: Dist, line: usize| -> VectorLayout {
             match sel % 3 {
-                0 => VectorLayout::aligned(n, grid.clone(), Axis::Row,
+                0 => VectorLayout::aligned(n, grid, Axis::Row,
                         if sel % 2 == 0 { Placement::Replicated } else { Placement::Concentrated(line % grid.pr()) }, kind),
-                1 => VectorLayout::aligned(n, grid.clone(), Axis::Col,
+                1 => VectorLayout::aligned(n, grid, Axis::Col,
                         if sel % 2 == 0 { Placement::Replicated } else { Placement::Concentrated(line % grid.pc()) }, kind),
-                _ => VectorLayout::linear(n, grid.clone(), kind),
+                _ => VectorLayout::linear(n, grid, kind),
             }
         };
         let src = pick(src_sel, src_kind, line_pick);
@@ -187,7 +187,7 @@ proptest! {
         (dim, dr, rows, cols, rk, ck) in layout_strategy(),
     ) {
         let grid = ProcGrid::new(Cube::new(dim), dr);
-        let layout = MatrixLayout::new(MatShape::new(rows, cols), grid.clone(), rk, ck);
+        let layout = MatrixLayout::new(MatShape::new(rows, cols), grid, rk, ck);
         let a = DistMatrix::from_fn(layout, |i, j| ((i + 2 * j) % 9) as i64 - 4);
         let x = DistVector::from_fn(
             VectorLayout::aligned(rows, grid, Axis::Col, Placement::Replicated, rk),
@@ -258,7 +258,7 @@ proptest! {
         let layout = VectorLayout::linear(n, grid, Dist::Block);
         let flag_at = move |i: usize| i == 0 || (flag_mask >> (i % 64)) & 1 == 1;
         let vals: Vec<i64> = (0..n).map(|i| (i as i64) * 3 - 7).collect();
-        let v = DistVector::from_fn(layout.clone(), |i| vals[i]);
+        let v = DistVector::from_fn(layout, |i| vals[i]);
         let f = DistVector::from_fn(layout, flag_at);
         let mut hc = Hypercube::cm2(dim);
         let r = segmented_reduce(&mut hc, &v, &f, Sum);
@@ -319,7 +319,7 @@ proptest! {
         use four_vmp::algos::matmul;
         let grid = ProcGrid::square(Cube::new(dim));
         let a = DistMatrix::from_fn(
-            MatrixLayout::cyclic(MatShape::new(m, k), grid.clone()),
+            MatrixLayout::cyclic(MatShape::new(m, k), grid),
             |i, j| ((i * 5 + j * 3) % 7) as i64 - 3,
         );
         let b = DistMatrix::from_fn(
