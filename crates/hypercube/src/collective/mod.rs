@@ -36,7 +36,7 @@ mod scan;
 pub use broadcast::broadcast_slab;
 pub use exchange::exchange_slab;
 pub use gather::{allgather_slab, scatter_slab};
-pub use reduce::{allreduce_slab, reduce_slab};
+pub use reduce::{allreduce_scalar, allreduce_slab, reduce_slab};
 pub use scan::scan_inclusive_slab;
 
 use crate::topology::{Cube, NodeId};

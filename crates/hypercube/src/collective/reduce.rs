@@ -120,8 +120,6 @@ pub fn allreduce_slab<T: Copy>(
     let max_len = nodes_where(p, mask, 0).map(|rep| slab.len_of(rep)).max().unwrap_or(0);
     let total = slab.total_len() as u64;
 
-    let algo = hc.choose_algo(Collective::Allreduce, dims.len(), max_len);
-    let mut allport_total: u64 = 0;
     let mut combined = 0usize;
     for &d in dims {
         let chan = 1usize << d;
@@ -129,17 +127,8 @@ pub fn allreduce_slab<T: Copy>(
         for lo in nodes_where(p, combined, 0) {
             slab.fold_seg(lo, lo | chan, &op);
         }
-        match algo {
-            Algo::SinglePort => {
-                hc.charge_exchange_step(channel_pairs(p, chan), max_len, total);
-                hc.charge_flops(max_len);
-            }
-            Algo::AllPort { .. } => allport_total += total,
-        }
     }
-    if let Algo::AllPort { chunks } = algo {
-        hc.charge_allport(Collective::Allreduce, dims.len(), max_len, chunks, allport_total);
-    }
+    charge_allreduce(hc, dims, max_len, total);
 
     // Copy out. A subcube's members come in runs of `2^t` consecutive
     // nodes, `t` being how many of the lowest address bits `dims` spans:
@@ -153,10 +142,92 @@ pub fn allreduce_slab<T: Copy>(
     }
 }
 
+/// All-reduce of one value per node over `dims` on a machine whose
+/// subcubes all hold the same values — the replicas of a replicated
+/// vector's grid line, or the one subcube `dims` spans when it is the
+/// whole cube. Returns the value every node holds afterwards.
+///
+/// The host evaluates one subcube's combine tree: `leaves` yields
+/// `(coordinate, value)` in ascending subcube coordinate (see
+/// [`crate::Cube::extract_coords`]) for the members whose value is not
+/// `identity`; every other member holds `identity`. Operands and their
+/// order are [`allreduce_slab`]'s, so the result bits are those of the
+/// butterfly on a one-element slab. An all-identity subtree at level `j`
+/// folds to the same `e_j` everywhere, so it is computed once per level:
+/// the host makes `O(leaves × |dims|)` combines, not `O(p)`.
+///
+/// Charged exactly as [`allreduce_slab`] on a one-element segment per
+/// node, on every subcube.
+///
+/// # Panics
+/// Panics on an invalid `dims`, or if the coordinates are not strictly
+/// ascending and below `2^{|dims|}`.
+pub fn allreduce_scalar<T: Copy>(
+    hc: &mut Hypercube,
+    dims: &[u32],
+    identity: T,
+    leaves: impl IntoIterator<Item = (usize, T)>,
+    op: impl Fn(T, T) -> T,
+) -> T {
+    check_dims(hc.cube(), dims);
+    let mut level: Vec<(usize, T)> = leaves.into_iter().collect();
+    assert!(
+        level.windows(2).all(|w| w[0].0 < w[1].0)
+            && level.last().is_none_or(|&(c, _)| c >> dims.len() == 0),
+        "allreduce_scalar: coordinates must be ascending and inside the subcube"
+    );
+    // `level` holds the level-`j` subtrees that are not all identity,
+    // keyed by their coordinate shifted right by `j`; `e` is `e_j`.
+    let mut e = identity;
+    for _ in dims {
+        let (mut read, mut write) = (0, 0);
+        while read < level.len() {
+            let (c, v) = level[read];
+            let folded = match level.get(read + 1) {
+                Some(&(hi, w)) if c & 1 == 0 && hi == c | 1 => {
+                    read += 1;
+                    op(v, w)
+                }
+                _ if c & 1 == 0 => op(v, e),
+                _ => op(e, v),
+            };
+            level[write] = (c >> 1, folded);
+            (read, write) = (read + 1, write + 1);
+        }
+        level.truncate(write);
+        e = op(e, e);
+    }
+    charge_allreduce(hc, dims, 1, hc.p() as u64);
+    level.first().map_or(e, |&(_, v)| v)
+}
+
+/// The all-reduce's charge over `dims`: the butterfly's `|dims|`
+/// supersteps, each an exchange over every channel pair of the step's
+/// dimension with `max_len` elements on the busiest channel and `total`
+/// machine-wide, then `max_len` combines; or, where the machine picks
+/// it, the ported schedule.
+fn charge_allreduce(hc: &mut Hypercube, dims: &[u32], max_len: usize, total: u64) {
+    let p = hc.p();
+    match hc.choose_algo(Collective::Allreduce, dims.len(), max_len) {
+        Algo::SinglePort => {
+            for &d in dims {
+                hc.charge_exchange_step(channel_pairs(p, 1usize << d), max_len, total);
+                hc.charge_flops(max_len);
+            }
+        }
+        Algo::AllPort { chunks } => {
+            let total = total * dims.len() as u64;
+            hc.charge_allport(Collective::Allreduce, dims.len(), max_len, chunks, total);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{labelled_locals, slab_from_fn, unit_machine};
     use super::*;
+    use crate::cost::CostModel;
+    use crate::topology::Cube;
 
     #[test]
     fn reduce_whole_cube_sums() {
@@ -208,6 +279,51 @@ mod tests {
             assert_eq!(locals[n], expected, "node {n}");
         }
         assert_eq!(hc.counters().message_steps, 4);
+    }
+
+    /// One subcube's values through `allreduce_scalar` against the
+    /// one-element slab through `allreduce_slab`: same result bits (under
+    /// a non-commutative op, with gaps whose "identity" the op moves, so
+    /// each level's `e_j` differs) and the same charge, in any dim order,
+    /// whole cube or one subcube of many.
+    #[test]
+    fn allreduce_scalar_matches_the_one_element_slab() {
+        let op = |a: f64, b: f64| a - 0.5 * b;
+        for cost in [CostModel::cm2(), CostModel::cm2_allport()] {
+            for dims in [vec![], vec![1], vec![0, 1, 2, 3], vec![3, 0, 2], vec![2, 1]] {
+                let cube = Cube::new(4);
+                let cases = [0usize, 0b1011, 0xffff, 0b100_0000_0001]
+                    .into_iter()
+                    .flat_map(|present| [(present, -0.0), (present, 1.0)]);
+                for (present, identity) in cases {
+                    // Leaf `c` is present when bit `c` of `present` is set:
+                    // every subcube holds the same values.
+                    let value = |c: usize| (c as f64).mul_add(0.37, 1.0);
+                    let at = |n: usize| {
+                        let c = cube.extract_coords(n, &dims);
+                        if present >> c & 1 == 1 {
+                            value(c)
+                        } else {
+                            identity
+                        }
+                    };
+                    let mut hc_ref = Hypercube::new(4, cost);
+                    let mut slab = NodeSlab::build(16, 16, |n, out| out.push(at(n)));
+                    allreduce_slab(&mut hc_ref, &mut slab, &dims, op);
+                    let mut hc = Hypercube::new(4, cost);
+                    let leaves = (0..1usize << dims.len())
+                        .filter(|c| present >> c & 1 == 1)
+                        .map(|c| (c, value(c)));
+                    let got = allreduce_scalar(&mut hc, &dims, identity, leaves, op);
+                    let what = format!("{cost:?} dims {dims:?} present {present:#b} e {identity}");
+                    for n in 0..16 {
+                        assert_eq!(slab[n][0].to_bits(), got.to_bits(), "{what} node {n}");
+                    }
+                    assert_eq!(hc.ticks(), hc_ref.ticks(), "{what}");
+                    assert_eq!(hc.counters(), hc_ref.counters(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -121,6 +121,13 @@ impl ProcGrid {
         1usize << self.dim
     }
 
+    /// Every cube dim, `0..d`: collectives over the whole machine run
+    /// over these.
+    #[must_use]
+    pub fn dims(&self) -> &'static [u32] {
+        &DIMS[..self.dim as usize]
+    }
+
     /// Cube dims encoding the grid-row index. Collectives **along a grid
     /// column** (combining different grid rows) run over these dims.
     #[must_use]

@@ -119,6 +119,28 @@ impl VectorLayout {
         &self.dist
     }
 
+    /// The cube dims indexing the parts: the part dims of an aligned
+    /// vector's grid lines (`grid.lines(axis.transpose()).1`), every cube
+    /// dim for a linear one.
+    #[must_use]
+    pub fn part_dims(&self) -> &'static [u32] {
+        match self.embedding {
+            VecEmbedding::Aligned { axis, .. } => self.grid.lines(axis.transpose()).1,
+            VecEmbedding::Linear => self.grid.dims(),
+        }
+    }
+
+    /// The cube dims a fold of this vector combines over: a replicated
+    /// vector's [`VectorLayout::part_dims`], since every grid line holds
+    /// a full copy and folds it in place; every cube dim otherwise.
+    #[must_use]
+    pub fn fold_dims(&self) -> &'static [u32] {
+        match self.embedding {
+            VecEmbedding::Aligned { placement: Placement::Replicated, .. } => self.part_dims(),
+            _ => self.grid.dims(),
+        }
+    }
+
     /// The chunk *part* a node is associated with (its grid column for
     /// row vectors, grid row for column vectors, node id for linear) —
     /// regardless of whether the node currently holds data.

@@ -20,7 +20,7 @@
 //! claimed across the `m = p lg p` threshold.
 
 use vmp_hypercube::cost::{Collective, CostModel, Ticks};
-use vmp_layout::MatrixLayout;
+use vmp_layout::{MatrixLayout, VectorLayout};
 
 /// Per-processor block bound `ceil(n_r/p_r) * ceil(n_c/p_c)` — the local
 /// work unit of every primitive.
@@ -109,6 +109,18 @@ pub fn predicted_reduce_degraded(layout: &MatrixLayout, load_factor: usize) -> T
     let dr = layout.grid().dr() as usize;
     Ticks::flops(load_factor * block)
         + (Ticks::message(chunk) + Ticks::flops(load_factor * chunk)) * dr
+}
+
+/// Predicted ticks of a vector fold (`reduce_all`, `reduce_lifted`;
+/// `zip_reduce` adds its zip pass, `Ticks::flops(max_count)`): the local
+/// fold over the largest chunk, then an all-reduce of one scalar per
+/// node over [`VectorLayout::fold_dims`] — a replicated vector's part
+/// dims, so each grid line folds its own copy and a line of one node
+/// exchanges nothing; every cube dim for a concentrated or linear one.
+#[must_use]
+pub fn predicted_fold(layout: &VectorLayout, cost: &CostModel) -> Ticks {
+    let k = layout.fold_dims().len();
+    Ticks::flops(layout.dist().max_count()) + collective_cost(cost, Collective::Allreduce, k, 1)
 }
 
 /// The generic lower bound for a primitive that must touch all `m`
@@ -210,6 +222,65 @@ mod tests {
         hc.reset();
         let _ = primitives::distribute(&mut hc, &v, 32, Dist::Cyclic);
         assert_eq!(hc.ticks(), predicted_distribute_concentrated(&l, &cost));
+    }
+
+    #[test]
+    fn simulated_fold_matches_formula_exactly() {
+        use crate::elem::{ArgMaxAbs, Loc};
+        use crate::vector::DistVector;
+        use vmp_layout::{GridEncoding, Placement, VectorLayout};
+        // Square and non-square grids, one node, and grids whose rows
+        // (`dr = dim`) or columns (`dr = 0`) are single nodes, where a
+        // replicated vector's line has no dims and its fold no exchange.
+        let grids = [
+            (4, 2, GridEncoding::Gray),
+            (5, 2, GridEncoding::Binary),
+            (5, 3, GridEncoding::Gray),
+            (0, 0, GridEncoding::Gray),
+            (4, 0, GridEncoding::Gray),
+            (4, 4, GridEncoding::Binary),
+        ];
+        for cost in [CostModel::unit(), CostModel::cm2(), CostModel::cm2_allport()] {
+            for (dim, dr, enc) in grids {
+                let g = ProcGrid::with_encoding(Cube::new(dim), dr, enc);
+                let (last_row, last_col) = (g.pr() - 1, g.pc() - 1);
+                for n in [0usize, 5, 37] {
+                    for layout in [
+                        VectorLayout::aligned(n, g, Axis::Row, Placement::Replicated, Dist::Cyclic),
+                        VectorLayout::aligned(n, g, Axis::Col, Placement::Replicated, Dist::Block),
+                        VectorLayout::aligned(
+                            n,
+                            g,
+                            Axis::Row,
+                            Placement::Concentrated(last_row),
+                            Dist::Block,
+                        ),
+                        VectorLayout::aligned(
+                            n,
+                            g,
+                            Axis::Col,
+                            Placement::Concentrated(last_col),
+                            Dist::Cyclic,
+                        ),
+                        VectorLayout::linear(n, g, Dist::Cyclic),
+                    ] {
+                        let what = format!("{cost:?} {layout:?}");
+                        let v = DistVector::from_fn(layout, |i| (i as f64).sin());
+                        let want = predicted_fold(&layout, &cost);
+                        let mut hc = Hypercube::new(dim, cost);
+                        let _ = v.reduce_all(&mut hc, Sum);
+                        assert_eq!(hc.ticks(), want, "reduce_all {what}");
+                        let mut hc = Hypercube::new(dim, cost);
+                        let _ = v.reduce_lifted(&mut hc, ArgMaxAbs, |i, x| Loc::new(x, i));
+                        assert_eq!(hc.ticks(), want, "reduce_lifted {what}");
+                        let mut hc = Hypercube::new(dim, cost);
+                        let _ = v.zip_reduce(&mut hc, &v, Sum, |_, a, b| a * b);
+                        let zip = Ticks::flops(layout.dist().max_count());
+                        assert_eq!(hc.ticks(), want + zip, "zip_reduce {what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

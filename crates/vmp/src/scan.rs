@@ -19,7 +19,7 @@ use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Traffic};
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Dist, VecEmbedding, VectorLayout};
+use vmp_layout::{Dist, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
 use crate::vector::DistVector;
@@ -73,10 +73,7 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
     // (replicas stay consistent); concentrated lines only have data on
     // one line, and the subcube scan on the others operates on
     // identities, which is harmless.
-    let chunk_dims: Vec<u32> = match layout.embedding() {
-        VecEmbedding::Linear => grid.cube().iter_dims().collect(),
-        VecEmbedding::Aligned { axis, .. } => grid.lines(axis.transpose()).1.to_vec(),
-    };
+    let chunk_dims = layout.part_dims();
 
     // 1. Local pass: per-chunk inclusive scan, remembering the total.
     let mut totals: Vec<T> = Vec::with_capacity(p);
@@ -107,7 +104,7 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
     // extra bandwidth is `p_c` scalars, well below one chunk.
     let mut tagged =
         NodeSlab::build(p, p, |node, buf| buf.push((layout.part_of(node), totals[node])));
-    collective::allgather_slab(hc, &mut tagged, &chunk_dims);
+    collective::allgather_slab(hc, &mut tagged, chunk_dims);
     let parts = 1usize << chunk_dims.len();
     let offsets: Vec<T> = (0..p)
         .map(|node| {

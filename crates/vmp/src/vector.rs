@@ -1,6 +1,6 @@
 //! The distributed vector.
 
-use vmp_hypercube::collective::allreduce_slab;
+use vmp_hypercube::collective::allreduce_scalar;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{VecEmbedding, VectorLayout};
@@ -179,8 +179,11 @@ impl<T: Scalar> DistVector<T> {
     }
 
     /// Reduce the whole vector to one scalar with `op`, lifting each
-    /// element through `lift(global_index, value)` first. The result is
-    /// replicated machine-wide (this is a collective and is charged).
+    /// element through `lift(global_index, value)` first. The result
+    /// lands on every node. This is a collective and is charged: a
+    /// replicated vector combines inside each grid line (`lg` of the
+    /// line's length exchange steps), a concentrated or linear one over
+    /// every cube dim ([`crate::analysis::predicted_fold`] prices it).
     ///
     /// The `lift` hook makes masked reductions free of special cases:
     /// return `op.identity()` for indices outside the range of interest —
@@ -199,7 +202,8 @@ impl<T: Scalar> DistVector<T> {
     /// `self.zip(hc, other, f).reduce_all(hc, op)` without the temporary:
     /// `f(i, self[i], other[i])` is folded as soon as it is formed. Payload,
     /// clock and counters are bit-identical to the two-step spelling (same
-    /// fold order, same charges).
+    /// fold order, same charges: the zip pass, then the fold of
+    /// [`DistVector::reduce_lifted`]).
     ///
     /// # Panics
     /// Panics unless the two vectors share a layout.
@@ -221,40 +225,48 @@ impl<T: Scalar> DistVector<T> {
 
     /// The one vector fold: the primary holders (see
     /// [`VectorLayout::is_primary_holder`]) fold their chunks, reading `slot`
-    /// (global index `i`) as `lift(i, slot, x)` with `lift = at(node)`;
-    /// every other node contributes the identity. Then the partials
-    /// combine machine-wide. A replicated embedding holds each chunk `r`
-    /// times, and folding every copy would be wrong for non-idempotent ops
-    /// (sum), so only the primary copy is read.
+    /// (global index `i`) as `lift(i, slot, x)` with `lift = at(node)`,
+    /// and every other node contributes the identity. Then the partials
+    /// combine in one all-reduce of a scalar per node.
+    ///
+    /// A replicated embedding holds a full copy on every grid line, so
+    /// each line combines its own copy over its part dims only
+    /// ([`VectorLayout::fold_dims`], `lg` of the line's length) and the
+    /// result lands on every node without crossing lines; the host
+    /// evaluates the primary line alone, since the replicas are
+    /// identical. A concentrated or linear vector combines over every
+    /// cube dim. Either way only the primary holders' chunks are read, so
+    /// a non-idempotent op (sum) sees each element once, and the host
+    /// combines `O(holders × lg p)` times ([`allreduce_scalar`]).
     fn fold<U: Scalar, O: ReduceOp<U>, L: Fn(usize, usize, T) -> U>(
         &self,
         hc: &mut Hypercube,
         op: O,
         at: impl Fn(usize) -> L,
     ) -> U {
-        let grid = self.layout.grid();
-        let p = self.locals.p();
+        let cube = self.layout.grid().cube();
         let dist = self.layout.dist();
-        let parts = Parts::new(&self.layout);
-        // Local fold over the chunk: one scalar per node, in one arena.
-        let mut partials = NodeSlab::build(p, p, |node, out| {
-            let buf = &self.locals[node];
-            let mut acc = op.identity();
-            if self.layout.is_primary_holder(node) {
-                let (indices, lift) = (dist.part_indices(parts.of(node)), at(node));
-                for ((slot, &v), i) in buf.iter().enumerate().zip(indices) {
-                    acc = op.combine(acc, lift(i, slot, v));
-                }
-            }
-            out.push(acc);
-        });
+        // The primary line's nodes are its fixed `bits` plus every
+        // assignment of the part dims; the all-reduce runs over `dims`.
+        let (part_dims, dims) = (self.layout.part_dims(), self.layout.fold_dims());
+        let (_, bits) = self.layout.primary_line();
+        let leaves = (0..1usize << part_dims.len())
+            .map(|c| bits | cube.deposit_coords(c, part_dims))
+            .filter(|&node| self.layout.local_len(node) > 0)
+            .map(|node| {
+                let indices = dist.part_indices(self.layout.part_of(node));
+                let lift = at(node);
+                let chunk = self.locals[node].iter().enumerate().zip(indices);
+                let acc = chunk
+                    .fold(op.identity(), |acc, ((slot, &v), i)| op.combine(acc, lift(i, slot, v)));
+                (cube.extract_coords(node, dims), acc)
+            });
         hc.charge_flops(dist.max_count());
-        let dims: Vec<u32> = grid.cube().iter_dims().collect();
-        allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
-        partials[0][0]
+        allreduce_scalar(hc, dims, op.identity(), leaves, |a, b| op.combine(a, b))
     }
 
-    /// Reduce to a scalar with `op` (replicated machine-wide; charged).
+    /// Reduce to a scalar with `op`, landing on every node; charged as
+    /// [`DistVector::reduce_lifted`].
     pub fn reduce_all<O: ReduceOp<T>>(&self, hc: &mut Hypercube, op: O) -> T {
         self.reduce_lifted(hc, op, |_, v| v)
     }
@@ -436,6 +448,53 @@ mod tests {
             // Rounded to three values, so most candidates tie.
             let (got, want) = both(&a, &b, ArgMin, |i, x, y| Loc::new((x + y).round(), i));
             assert_eq!((got.value.to_bits(), got.index), (want.value.to_bits(), want.index));
+        }
+    }
+
+    /// A sum that counts its combines.
+    #[derive(Clone, Copy)]
+    struct CountingSum<'a>(&'a std::cell::Cell<usize>);
+
+    impl ReduceOp<f64> for CountingSum<'_> {
+        fn identity(&self) -> f64 {
+            0.0
+        }
+        fn combine(&self, a: f64, b: f64) -> f64 {
+            self.0.set(self.0.get() + 1);
+            a + b
+        }
+    }
+
+    /// Host work of a fold follows the holders, not `p`: at p = 4096 a
+    /// replicated fold of 64 elements combines within one grid line (its
+    /// 64 elements, then a 64-leaf tree), and a concentrated one folds
+    /// its line's 64 leaves through `lg p` levels of memoised identity
+    /// subtrees. A fold over a `p`-entry slab made more than `p`.
+    #[test]
+    fn fold_combines_scale_with_the_holders() {
+        let (dim, n) = (12u32, 64usize);
+        let g = grid(dim, dim / 2);
+        let p = g.p();
+        let line_len = g.pc().max(g.pr());
+        let lg_p = dim as usize;
+        for axis in [Axis::Row, Axis::Col] {
+            let line = g.lines(axis).0 - 1;
+            for (placement, bound) in [
+                (Placement::Replicated, p / 8 - 1),
+                (Placement::Concentrated(line), n + line_len * lg_p),
+            ] {
+                let layout = VectorLayout::aligned(n, g, axis, placement, Dist::Cyclic);
+                let v = DistVector::from_fn(layout, |i| i as f64);
+                let combines = std::cell::Cell::new(0);
+                let mut hc = machine(dim);
+                let sum = v.reduce_all(&mut hc, CountingSum(&combines));
+                assert_eq!(sum, (0..n).sum::<usize>() as f64);
+                assert!(
+                    combines.get() <= bound,
+                    "{axis:?} {placement:?}: {} combines, bound {bound}",
+                    combines.get()
+                );
+            }
         }
     }
 }

@@ -530,11 +530,12 @@ impl ReduceOp<f64> for SignedSum {
     }
 }
 
-/// The vector fold spelled out as it was before it read only the primary
-/// line: every node folds its chunk (element `slot`, global index `i`,
-/// read as `lift(node, i, slot, x)`), the partials of every node off the
-/// primary grid line are reset to the identity, then the reference
-/// butterfly combines them over every cube dimension.
+/// The vector fold spelled out: every node folds its chunk (element
+/// `slot`, global index `i`, read as `lift(node, i, slot, x)`), the
+/// partials of every node off a concentrated vector's grid line are reset
+/// to the identity, then the reference butterfly combines them — over a
+/// replicated vector's part dims (`grid.lines(axis.transpose()).1`: every
+/// grid line folds its own copy), over every cube dimension otherwise.
 fn spelled_out_fold<U: Copy, O: ReduceOp<U>>(
     hc: &mut Hypercube,
     v: &DistVector<f64>,
@@ -554,19 +555,21 @@ fn spelled_out_fold<U: Copy, O: ReduceOp<U>>(
         })
         .collect();
     hc.charge_flops(chunks.max_seg_len());
-    if let VecEmbedding::Aligned { axis, placement } = layout.embedding() {
-        let primary = match placement {
-            Placement::Replicated => 0,
-            Placement::Concentrated(line) => *line,
-        };
-        for (node, partial) in partials.iter_mut().enumerate() {
-            let (gr, gc) = grid.grid_coords(node);
-            if (if *axis == Axis::Row { gr } else { gc }) != primary {
-                partial[0] = op.identity();
+    let mut dims: Vec<u32> = grid.cube().iter_dims().collect();
+    match layout.embedding() {
+        VecEmbedding::Aligned { axis, placement: Placement::Replicated } => {
+            dims = grid.lines(axis.transpose()).1.to_vec();
+        }
+        VecEmbedding::Aligned { axis, placement: Placement::Concentrated(line) } => {
+            for (node, partial) in partials.iter_mut().enumerate() {
+                let (gr, gc) = grid.grid_coords(node);
+                if (if *axis == Axis::Row { gr } else { gc }) != *line {
+                    partial[0] = op.identity();
+                }
             }
         }
+        VecEmbedding::Linear => {}
     }
-    let dims: Vec<u32> = grid.cube().iter_dims().collect();
     // One scalar per node: no cost model prices the ported schedule below
     // the butterfly's, so the reference's own supersteps are the charge.
     assert!(matches!(hc.choose_algo(Collective::Allreduce, dims.len(), 1), Algo::SinglePort));
@@ -574,13 +577,64 @@ fn spelled_out_fold<U: Copy, O: ReduceOp<U>>(
     partials[0][0]
 }
 
-/// `reduce_lifted` and `zip_reduce` fold only the primary line's chunks
-/// and feed the identity for every other node; result bits, clock bits
-/// and counters equal the spelled-out fold for replicated, concentrated
-/// (off line 0) and linear vectors, Gray and binary grids, square and
-/// non-square grids and one node, on both port models and under drops.
-/// Chunks hold `-0.0`, so a path that combined one identity more or less
-/// than the spelled-out fold would flip a sign.
+/// `reduce_all`, `reduce_lifted` and `zip_reduce` of `layout`-shaped
+/// vectors on fresh `machine()`s: result bits, clock bits and counters
+/// equal the spelled-out fold. Chunks hold `-0.0`, so a path that
+/// combined one identity more or less than the spelled-out fold would
+/// flip a sign. Returns the transient drops the runs met.
+fn check_vector_folds(layout: VectorLayout, machine: &dyn Fn() -> Hypercube, what: &str) -> u64 {
+    // Every third element `-0.0`, the rest signed values; and an
+    // all-`-0.0` twin.
+    let v = DistVector::from_fn(layout, |i| if i % 3 == 0 { -0.0 } else { val(i, 1) });
+    let zeros = DistVector::constant(layout, -0.0f64);
+    let w = DistVector::from_fn(layout, |i| val(i, 2));
+    let what = format!("{what} {layout:?}");
+    let drops = std::cell::Cell::new(0u64);
+    let pin = |run: &dyn Fn(&mut Hypercube) -> (u64, usize),
+               oracle: &dyn Fn(&mut Hypercube) -> (u64, usize)| {
+        let (mut hc, mut hc_ref) = (machine(), machine());
+        assert_eq!(run(&mut hc), oracle(&mut hc_ref), "{what}: result bits");
+        assert_machines_identical(&hc_ref, &hc, &what);
+        drops.set(drops.get() + hc.counters().transient_drops);
+    };
+    for x in [&v, &zeros] {
+        pin(&|hc| (x.reduce_all(hc, Sum).to_bits(), 0), &|hc| {
+            (spelled_out_fold(hc, x, Sum, |_, _, _, e| e).to_bits(), 0)
+        });
+        pin(&|hc| (x.reduce_all(hc, SignedSum).to_bits(), 0), &|hc| {
+            (spelled_out_fold(hc, x, SignedSum, |_, _, _, e| e).to_bits(), 0)
+        });
+        // The pivot-search shape: masked entries lift to a zero
+        // candidate, ties broken by index.
+        let lift = |i: usize, e: f64| {
+            if i >= 5 {
+                Loc::new(e, i)
+            } else {
+                Loc::new(0.0, usize::MAX)
+            }
+        };
+        let loc_bits = |l: Loc<f64>| (l.value.to_bits(), l.index);
+        pin(&|hc| loc_bits(x.reduce_lifted(hc, ArgMaxAbs, lift)), &|hc| {
+            loc_bits(spelled_out_fold(hc, x, ArgMaxAbs, |_, i, _, e| lift(i, e)))
+        });
+        // The back-substitution shape: a fused product, its zip pass
+        // charged first.
+        let wc = w.chunks();
+        let f = |i: usize, a: f64, b: f64| a * b + i as f64;
+        pin(&|hc| (x.zip_reduce(hc, &w, SignedSum, f).to_bits(), 0), &|hc| {
+            hc.charge_flops(x.chunks().max_seg_len());
+            let lift = |node: usize, i, slot: usize, a| f(i, a, wc[node][slot]);
+            (spelled_out_fold(hc, x, SignedSum, lift).to_bits(), 0)
+        });
+    }
+    drops.get()
+}
+
+/// The vector folds match the spelled-out fold for replicated,
+/// concentrated (off line 0) and linear vectors, Gray and binary grids,
+/// square and non-square grids, a grid whose rows are single nodes
+/// (`dr = dim`: a row vector's line has no dims, so its fold exchanges
+/// nothing) and one node, on both port models and under drops.
 #[test]
 fn vector_folds_match_the_spelled_out_fold() {
     use four_vmp::layout::GridEncoding;
@@ -589,9 +643,10 @@ fn vector_folds_match_the_spelled_out_fold() {
         ProcGrid::with_encoding(Cube::new(4), 2, GridEncoding::Gray),
         ProcGrid::with_encoding(Cube::new(5), 2, GridEncoding::Binary),
         ProcGrid::with_encoding(Cube::new(5), 3, GridEncoding::Gray),
+        ProcGrid::with_encoding(Cube::new(4), 4, GridEncoding::Gray),
         ProcGrid::with_encoding(Cube::new(0), 0, GridEncoding::Gray),
     ];
-    let (mut checked, drops) = (0, std::cell::Cell::new(0u64));
+    let (mut checked, mut drops) = (0, 0u64);
     for grid in grids {
         let n = 23;
         let (last_row, last_col) = (grid.pr() - 1, grid.pc() - 1);
@@ -628,55 +683,83 @@ fn vector_folds_match_the_spelled_out_fold() {
             ),
         ];
         for layout in layouts {
-            // Every third element `-0.0`, the rest signed values; and an
-            // all-`-0.0` twin.
-            let v = DistVector::from_fn(layout, |i| if i % 3 == 0 { -0.0 } else { val(i, 1) });
-            let zeros = DistVector::constant(layout, -0.0f64);
-            let w = DistVector::from_fn(layout, |i| val(i, 2));
             for (name, machine) in &machines {
-                let what = format!("{name} {layout:?}");
-                let pin =
-                    |run: &dyn Fn(&mut Hypercube) -> (u64, usize),
-                     oracle: &dyn Fn(&mut Hypercube) -> (u64, usize)| {
-                        let (mut hc, mut hc_ref) = (machine(), machine());
-                        assert_eq!(run(&mut hc), oracle(&mut hc_ref), "{what}: result bits");
-                        assert_machines_identical(&hc_ref, &hc, &what);
-                        drops.set(drops.get() + hc.counters().transient_drops);
-                    };
-                for x in [&v, &zeros] {
-                    pin(&|hc| (x.reduce_all(hc, Sum).to_bits(), 0), &|hc| {
-                        (spelled_out_fold(hc, x, Sum, |_, _, _, e| e).to_bits(), 0)
-                    });
-                    pin(&|hc| (x.reduce_all(hc, SignedSum).to_bits(), 0), &|hc| {
-                        (spelled_out_fold(hc, x, SignedSum, |_, _, _, e| e).to_bits(), 0)
-                    });
-                    // The pivot-search shape: masked entries lift to a
-                    // zero candidate, ties broken by index.
-                    let lift = |i: usize, e: f64| {
-                        if i >= 5 {
-                            Loc::new(e, i)
-                        } else {
-                            Loc::new(0.0, usize::MAX)
-                        }
-                    };
-                    let loc_bits = |l: Loc<f64>| (l.value.to_bits(), l.index);
-                    pin(&|hc| loc_bits(x.reduce_lifted(hc, ArgMaxAbs, lift)), &|hc| {
-                        loc_bits(spelled_out_fold(hc, x, ArgMaxAbs, |_, i, _, e| lift(i, e)))
-                    });
-                    // The back-substitution shape: a fused product, its
-                    // zip pass charged first.
-                    let wc = w.chunks();
-                    let f = |i: usize, a: f64, b: f64| a * b + i as f64;
-                    pin(&|hc| (x.zip_reduce(hc, &w, SignedSum, f).to_bits(), 0), &|hc| {
-                        hc.charge_flops(x.chunks().max_seg_len());
-                        let lift = |node: usize, i, slot: usize, a| f(i, a, wc[node][slot]);
-                        (spelled_out_fold(hc, x, SignedSum, lift).to_bits(), 0)
-                    });
-                    checked += 1;
-                }
+                drops += check_vector_folds(layout, machine, name);
+                checked += 1;
             }
         }
     }
-    assert_eq!(checked, 4 * 5 * 3 * 2);
-    assert!(drops.get() > 0, "the drop plan injected drops");
+    assert_eq!(checked, 5 * 5 * 3);
+    assert!(drops > 0, "the drop plan injected drops");
+}
+
+/// One random fold case: a vector layout on a grid of up to 256 nodes,
+/// a port model and an optional drop plan.
+#[derive(Debug, Clone)]
+struct FoldCase {
+    layout: VectorLayout,
+    cost: CostModel,
+    drops: Option<(u64, f64)>,
+}
+
+fn fold_cases() -> impl Strategy<Value = FoldCase> {
+    use four_vmp::layout::GridEncoding;
+    (
+        (0u32..=8, 0u32..=8, proptest::bool::ANY),
+        (0usize..5, 0usize..256, 0usize..=40, proptest::bool::ANY),
+        (proptest::bool::ANY, 0usize..3, 0u64..1 << 20),
+    )
+        .prop_map(|((dim, dr, gray), (embedding, line, n, cyclic), (allport, plan, seed))| {
+            let encoding = if gray { GridEncoding::Gray } else { GridEncoding::Binary };
+            let grid = ProcGrid::with_encoding(Cube::new(dim), dr % (dim + 1), encoding);
+            let dist = if cyclic { Dist::Cyclic } else { Dist::Block };
+            let axis = if embedding % 2 == 0 { Axis::Row } else { Axis::Col };
+            let placement = if embedding < 2 {
+                Placement::Replicated
+            } else {
+                Placement::Concentrated(line % grid.lines(axis).0)
+            };
+            let layout = if embedding == 4 {
+                VectorLayout::linear(n, grid, dist)
+            } else {
+                VectorLayout::aligned(n, grid, axis, placement, dist)
+            };
+            let cost = if allport { CostModel::cm2_allport() } else { CostModel::cm2() };
+            let drops = [None, Some((seed, 0.1)), Some((seed, 0.3))][plan];
+            FoldCase { layout, cost, drops }
+        })
+}
+
+fn check_fold_case(case: &FoldCase) {
+    let machine = || {
+        let mut hc = Hypercube::new(case.layout.grid().cube().dim(), case.cost);
+        if let Some((seed, rate)) = case.drops {
+            hc.install_faults(FaultPlan::none(seed).with_drops(rate, 0, u64::MAX));
+        }
+        hc
+    };
+    check_vector_folds(case.layout, &machine, &format!("{case:?}"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random fold cases against the spelled-out fold.
+    #[test]
+    fn vector_folds_match_the_spelled_out_fold_random(case in fold_cases()) {
+        check_fold_case(&case);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The fold sweep above, 2,000 cases: the coordinate walk over the
+    /// primary line and the memoised identity subtrees are where a
+    /// grid-shape bug would hide.
+    #[test]
+    #[ignore = "deep sweep; CI runs it"]
+    fn vector_folds_match_the_spelled_out_fold_deep_sweep(case in fold_cases()) {
+        check_fold_case(&case);
+    }
 }
