@@ -22,8 +22,6 @@
 
 use std::ops::{Add, Mul};
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::BACKOFF_US;
 
 /// Whether a node can use one channel at a time or all `d` channels
@@ -31,7 +29,7 @@ use crate::fault::BACKOFF_US;
 /// channel use; one-port is the conservative model most algorithms are
 /// analysed under. [`CostModel::choose`] consults this: one-port machines
 /// always run the single-port collective schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortModel {
     /// One channel per node active per step.
     OnePort,
@@ -41,7 +39,7 @@ pub enum PortModel {
 
 /// Which collective a schedule is selected or priced for. The five
 /// kinds the slab data plane implements all-port schedules for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Collective {
     /// One-to-all within each subcube.
     Broadcast,
@@ -217,7 +215,7 @@ impl Mul<usize> for Ticks {
 }
 
 /// The machine cost parameters (all in microseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Communication start-up per (blocked) neighbour message.
     pub alpha: f64,

@@ -6,10 +6,8 @@
 //! supersteps") independent of the cost constants, and let the benchmark
 //! harness report traffic alongside time.
 
-use serde::{Deserialize, Serialize};
-
 /// Raw event tallies accumulated by a [`crate::machine::Hypercube`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Blocked neighbour-message supersteps executed (one per exchange
     /// phase, regardless of how many node pairs exchange in parallel).
@@ -32,15 +30,17 @@ pub struct Counters {
     pub router_elements: u64,
     /// Router petit cycles consumed (naive baseline only).
     pub router_cycles: u64,
-    /// Transient message drops injected by the fault plan (one per
-    /// affected link per failed transmission round).
+    /// Transient drops injected by the fault plan: in a collective's
+    /// exchange step, one per affected link per failed transmission
+    /// round; in the blocked router, one per dropped message per pass.
     pub transient_drops: u64,
     /// Retransmission rounds performed by the resilient path.
     pub retries: u64,
-    /// Link traversals redirected around a failed (or retry-exhausted)
-    /// link via a detour.
+    /// Detours around a failed (or retry-exhausted) link: in a
+    /// collective's exchange step, one per link; in the blocked router,
+    /// one per detoured message.
     pub reroutes: u64,
-    /// Extra store-and-forward hops charged for detours.
+    /// Extra store-and-forward hops charged for detours: two per reroute.
     pub detour_hops: u64,
     /// Dead-node remaps applied to the machine's host map.
     pub node_remaps: u64,

@@ -5,8 +5,11 @@
 //! its messages into one [`Traffic`]: each payload is appended to a
 //! single arena and described by a header `(at, dst, tag, range)`. The
 //! routers move headers, never payloads, and finish by sorting the
-//! headers by `(dst, tag)` into a per-node inbox index that callers read
-//! through [`Traffic::inbox`].
+//! headers by `(dst, tag)` into a per-node inbox index. A move that
+//! builds each node's chunk tags every message with the destination slot
+//! of its first element and reads the result with one
+//! [`Traffic::assemble`]; request traffic that is answered rather than
+//! stored reads [`Traffic::inbox`].
 //!
 //! [`route_blocks`] is the blocked router: it delivers the posted blocks
 //! in `d` store-and-forward supersteps, resolving dimension 0 first,
@@ -19,12 +22,12 @@
 //! [`crate::router`] for that baseline).
 //!
 //! Delivery is deterministic: arrivals at each node are ordered by the
-//! caller-supplied `tag` (unique per destination), so downstream code
-//! can reassemble rows and columns in global index order without caring
-//! about routing or posting order.
+//! caller-supplied `tag` (unique per destination), so a chunk assembles
+//! in slot order whatever the routing or posting order.
 
 use crate::fault::MAX_RETRIES;
 use crate::machine::{FaultCtx, Hypercube};
+use crate::slab::NodeSlab;
 use crate::topology::{Cube, NodeId};
 
 /// One posted message: the node holding it now, its destination, its
@@ -44,8 +47,9 @@ pub(crate) struct Header {
 /// header per message.
 ///
 /// Post with [`Traffic::post`], route with [`route_blocks`] or
-/// [`crate::router::route_elements`], then read each node's arrivals,
-/// ordered by tag, with [`Traffic::inbox`].
+/// [`crate::router::route_elements`], then read every node's chunk with
+/// [`Traffic::assemble`] or each node's arrivals, ordered by tag, with
+/// [`Traffic::inbox`].
 #[derive(Debug, Clone)]
 pub struct Traffic<T> {
     p: usize,
@@ -65,9 +69,10 @@ impl<T> Traffic<T> {
     }
 
     /// Post `payload` from node `src` to node `dst`. `tag` orders
-    /// arrivals at `dst` and must be unique per destination; callers use
-    /// global indices (e.g. the first global element index of the run) so
-    /// reassembly is order-independent.
+    /// arrivals at `dst` and must be unique per destination. For traffic
+    /// read with [`Traffic::assemble`] it is the slot, in `dst`'s chunk,
+    /// of the payload's first element. A message posted to its own node
+    /// never moves, and [`route_blocks`] charges nothing for it.
     ///
     /// # Panics
     /// Panics if `src` or `dst` is out of range.
@@ -102,6 +107,30 @@ impl<T> Traffic<T> {
         self.heads[self.inbox[node]..self.inbox[node + 1]]
             .iter()
             .map(|h| (h.tag, &self.arena[h.start..h.start + h.len]))
+    }
+
+    /// Every node's arrivals laid end to end in tag order: the chunks of
+    /// a move whose tags are destination slots (see [`Traffic::post`]).
+    ///
+    /// # Panics
+    /// Panics if the traffic has not been routed since the last post, or
+    /// if some node's arrivals do not tile its chunk from slot 0 (a tag
+    /// other than the count of elements before it is a gap or an
+    /// overlap).
+    #[must_use]
+    pub fn assemble(&self) -> NodeSlab<T>
+    where
+        T: Clone,
+    {
+        assert!(!self.inbox.is_empty(), "traffic read before it was routed");
+        NodeSlab::build(self.p, self.arena.len(), |node, buf| {
+            let start = buf.len();
+            for h in &self.heads[self.inbox[node]..self.inbox[node + 1]] {
+                let slot = (buf.len() - start) as u64;
+                assert_eq!(h.tag, slot, "arrivals at node {node} do not tile its chunk");
+                buf.extend_from_slice(&self.arena[h.start..h.start + h.len]);
+            }
+        })
     }
 
     /// Sort the delivered headers by `(dst, tag)` and index them per node.
@@ -459,6 +488,54 @@ mod tests {
         assert!(hc.counters().detour_hops > 0);
         // Direct route is 1 hop; the detour path is longer.
         assert!(hc.counters().message_steps > 1);
+    }
+
+    /// Route `posts` as `(src, dst, tag, payload)` on a 3-cube and
+    /// assemble the chunks.
+    fn assembled(posts: &[(NodeId, NodeId, u64, &[u32])]) -> NodeSlab<u32> {
+        let mut hc = machine(3);
+        let mut traffic = Traffic::new(hc.p());
+        for &(src, dst, tag, payload) in posts {
+            traffic.post(src, dst, tag, payload.iter().copied());
+        }
+        route_blocks(&mut hc, &mut traffic);
+        traffic.assemble()
+    }
+
+    #[test]
+    fn assemble_tiles_arrivals_in_tag_order() {
+        let posts: [(NodeId, NodeId, u64, &[u32]); 4] =
+            [(0, 6, 0, &[10, 11]), (7, 6, 2, &[12, 13, 14]), (6, 6, 5, &[15]), (2, 1, 0, &[20])];
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
+            let slab = assembled(&order.map(|k| posts[k]));
+            assert_eq!(slab[6], [10, 11, 12, 13, 14, 15], "posting order {order:?}");
+            assert_eq!(slab[1], [20]);
+            assert_eq!(slab.total_len(), 7, "no other node receives anything");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not tile")]
+    fn assemble_rejects_a_gap() {
+        let _ = assembled(&[(0, 6, 0, &[1, 2]), (3, 6, 3, &[4])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not tile")]
+    fn assemble_rejects_an_overlap() {
+        let _ = assembled(&[(0, 6, 0, &[1, 2]), (3, 6, 1, &[3])]);
+    }
+
+    #[test]
+    fn self_posted_message_is_free_even_under_faults() {
+        let mut hc = machine(3);
+        hc.install_faults(FaultPlan::none(11).with_drops(1.0, 0, u64::MAX));
+        let mut traffic = Traffic::new(hc.p());
+        traffic.post(5, 5, 0, [7u8; 4]);
+        route_blocks(&mut hc, &mut traffic);
+        assert_eq!(traffic.assemble()[5], [7u8; 4]);
+        assert_eq!(hc.ticks(), crate::cost::Ticks::default(), "no tick");
+        assert_eq!(*hc.counters(), crate::counters::Counters::default(), "no counter");
     }
 
     #[test]

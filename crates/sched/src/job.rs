@@ -19,7 +19,6 @@
 //! when or where the job is scheduled.
 
 use rand::Rng;
-use serde::Serialize;
 use vmp_algos::serial::SimplexStatus;
 use vmp_algos::workloads;
 use vmp_algos::{gauss, matvec as mv, simplex};
@@ -32,7 +31,7 @@ use vmp_hypercube::topology::{Cube, NodeId};
 use vmp_layout::{Axis, Dist, MatShape, MatrixLayout, Placement, ProcGrid, VectorLayout};
 
 /// Which of the paper's applications a job runs, with its problem size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
     /// `y = A x` on an `n x n` matrix: one elementwise pass + reduce.
     Matvec {
@@ -64,7 +63,7 @@ impl JobKind {
 }
 
 /// One job in an arrival trace.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Trace-unique identifier.
     pub id: usize,
@@ -82,7 +81,7 @@ pub struct JobSpec {
 }
 
 /// The canonical result of one job execution.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobOutput {
     /// Result bytes as `f64::to_bits` words plus status tags — the
     /// bit-identity contract is equality of this vector.

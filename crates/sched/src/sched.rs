@@ -42,7 +42,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use vmp_hypercube::cost::CostModel;
 
 /// Admission order for queued jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// Strict arrival order; the head blocks until it fits.
     Fifo,
@@ -63,7 +63,7 @@ impl Policy {
 }
 
 /// Everything that happened to one job.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct JobRecord {
     /// Trace id of the job.
     pub id: usize,
@@ -115,7 +115,7 @@ pub struct Metrics {
 }
 
 /// One scheduler run over a trace: per-job records plus the aggregate.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SimOutcome {
     /// Per-job fates, in trace id order.
     pub records: Vec<JobRecord>,

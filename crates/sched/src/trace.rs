@@ -21,7 +21,7 @@ use vmp_hypercube::topology::NodeId;
 /// A node failure injected at machine level: at `at_us`, physical
 /// `node` dies for good. The allocator quarantines it; a job running
 /// on a subcube containing it is aborted and re-queued.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FailureEvent {
     /// Simulated wall-clock time of the failure, microseconds.
     pub at_us: f64,

@@ -3,8 +3,8 @@
 //! The primitives are generic over the element type (the CM implementation
 //! handled fixed- and floating-point fields of any width) and over the
 //! combining operator of `reduce`. Operators are small `Copy` structs
-//! implementing [`ReduceOp`]; the indexed variants ([`ArgMax`],
-//! [`ArgMin`], [`ArgMaxAbs`]) reduce `(value, index)` pairs and are what
+//! implementing [`ReduceOp`]; the indexed variants ([`ArgMin`],
+//! [`ArgMaxAbs`]) reduce `(value, index)` pairs and are what
 //! Gaussian elimination (pivot search) and simplex (entering-variable and
 //! ratio test) consume.
 
@@ -116,19 +116,6 @@ impl ReduceOp<usize> for Sum {
     }
 }
 
-/// Elementwise product.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Prod;
-
-impl<T: Numeric> ReduceOp<T> for Prod {
-    fn identity(&self) -> T {
-        T::ONE
-    }
-    fn combine(&self, a: T, b: T) -> T {
-        a * b
-    }
-}
-
 /// Elementwise maximum.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Max;
@@ -180,23 +167,6 @@ impl<T> Loc<T> {
     }
 }
 
-/// Arg-max: largest value, ties broken toward the smallest index.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ArgMax;
-
-impl<T: Numeric> ReduceOp<Loc<T>> for ArgMax {
-    fn identity(&self) -> Loc<T> {
-        Loc::new(T::MIN_VALUE, usize::MAX)
-    }
-    fn combine(&self, a: Loc<T>, b: Loc<T>) -> Loc<T> {
-        if b.value > a.value || (b.value == a.value && b.index < a.index) {
-            b
-        } else {
-            a
-        }
-    }
-}
-
 /// Arg-min: smallest value, ties broken toward the smallest index.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ArgMin;
@@ -241,11 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_prod_identities() {
+    fn sum_identity() {
         assert_eq!(fold(Sum, [1.0f64, 2.0, 3.5]), 6.5);
         assert_eq!(fold(Sum, Vec::<f64>::new()), 0.0);
-        assert_eq!(fold(Prod, [2i64, 3, 4]), 24);
-        assert_eq!(fold(Prod, Vec::<i64>::new()), 1);
     }
 
     #[test]
@@ -254,14 +222,6 @@ mod tests {
         assert_eq!(fold(Min, [-5i32, -2, -9]), -9);
         assert_eq!(fold(Max, Vec::<f64>::new()), f64::NEG_INFINITY);
         assert_eq!(fold(Min, Vec::<i32>::new()), i32::MAX);
-    }
-
-    #[test]
-    fn argmax_prefers_smallest_index_on_ties() {
-        let v = vec![Loc::new(3.0f64, 4), Loc::new(7.0, 2), Loc::new(7.0, 1), Loc::new(1.0, 0)];
-        let r = fold(ArgMax, v);
-        assert_eq!(r.index, 1);
-        assert_eq!(r.value, 7.0);
     }
 
     #[test]

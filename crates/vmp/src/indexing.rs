@@ -9,7 +9,6 @@
 
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Traffic};
-use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::VecEmbedding;
 
 use crate::elem::Scalar;
@@ -49,26 +48,21 @@ pub fn gather_by_index<T: Scalar>(
     route_blocks(hc, &mut requests);
 
     // Phase 2: replies. Owners look up and send back to the asker's
-    // owner, tagged with the asking index.
+    // owner, tagged with the asker's slot there.
     let mut replies = Traffic::new(p);
     let mut lookup_work = 0usize;
     for node in 0..p {
         lookup_work = lookup_work.max(requests.inbox(node).len());
         for (asker, payload) in requests.inbox(node) {
             let v = values.chunks()[node][layout.dist().local_index(payload[0])];
-            replies.post(node, layout.primary_holder(asker as usize), asker, [v]);
+            let asker = asker as usize;
+            let slot = layout.dist().local_index(asker) as u64;
+            replies.post(node, layout.primary_holder(asker), slot, [v]);
         }
     }
     hc.charge_flops(lookup_work);
     route_blocks(hc, &mut replies);
-
-    // Assemble: every local slot asked exactly once, and slots ascend
-    // with the global index, so each inbox in tag order is the chunk.
-    let locals = NodeSlab::build(p, n, |node, out| {
-        debug_assert_eq!(replies.inbox(node).len(), layout.local_len(node));
-        out.extend(replies.inbox(node).map(|(_, payload)| payload[0]));
-    });
-    DistVector::from_slab(layout, locals)
+    DistVector::from_slab(layout, replies.assemble())
 }
 
 #[cfg(test)]

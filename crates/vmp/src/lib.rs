@@ -58,13 +58,13 @@ pub mod scan;
 pub mod shift;
 pub mod vector;
 
-pub use elem::{ArgMax, ArgMaxAbs, ArgMin, Loc, Max, Min, Numeric, Prod, ReduceOp, Scalar, Sum};
+pub use elem::{ArgMaxAbs, ArgMin, Loc, Max, Min, Numeric, ReduceOp, Scalar, Sum};
 pub use matrix::DistMatrix;
 pub use vector::DistVector;
 
 /// One-stop imports for applications built on the primitives.
 pub mod prelude {
-    pub use crate::elem::{ArgMax, ArgMaxAbs, ArgMin, Loc, Max, Min, Numeric, Prod, ReduceOp, Sum};
+    pub use crate::elem::{ArgMaxAbs, ArgMin, Loc, Max, Min, Numeric, ReduceOp, Sum};
     pub use crate::matrix::DistMatrix;
     pub use crate::primitives::{
         distribute, extract, extract_replicated, insert, reduce, reduce_to,

@@ -70,20 +70,13 @@ pub fn extract_panel_replicated<T: Scalar>(
             max_packed = max_packed.max(chunk.len() * width);
             for dst_line in 0..lines {
                 let dst = grid.node_on(axis, dst_line, part);
-                traffic.post(src, dst, dt as u64, chunk.clone().copied());
+                traffic.post(src, dst, (dt * chunk.len()) as u64, chunk.clone().copied());
             }
         }
     }
     hc.charge_moves(max_packed);
     route_blocks(hc, &mut traffic);
-    // Every node receives line `dt` of its part once, in tag order.
-    let total = width * layout.shape().vector_len(axis) * lines;
-    let slabs = NodeSlab::build(p, total, |node, buf| {
-        for (_, line) in traffic.inbox(node) {
-            buf.extend_from_slice(line);
-        }
-    });
-    Panel { axis, t0, width, slabs }
+    Panel { axis, t0, width, slabs: traffic.assemble() }
 }
 
 /// Local blocked GEMM: `c += col_panel * row_panel` at every node. Both

@@ -21,6 +21,7 @@ use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Traffic};
 use vmp_hypercube::slab::NodeSlab;
+use vmp_hypercube::topology::NodeId;
 use vmp_layout::{MatrixLayout, Placement, VecEmbedding, VectorLayout};
 
 use crate::elem::Scalar;
@@ -84,15 +85,10 @@ pub fn concentrate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>, line: usize
             for part in 0..grid.lines(axis.transpose()).0 {
                 let (src, dst) =
                     (grid.node_on(axis, src_line, part), grid.node_on(axis, line, part));
-                traffic.post(src, dst, part as u64, v.locals()[src].iter().copied());
+                traffic.post(src, dst, 0, v.locals()[src].iter().copied());
             }
             route_blocks(hc, &mut traffic);
-            let locals = NodeSlab::build(grid.p(), new_layout.n(), |node, buf| {
-                for (_, payload) in traffic.inbox(node) {
-                    buf.extend_from_slice(payload);
-                }
-            });
-            DistVector::from_slab(new_layout, locals)
+            DistVector::from_slab(new_layout, traffic.assemble())
         }
     }
 }
@@ -104,93 +100,91 @@ pub fn concentrate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>, line: usize
 /// Elements are routed in blocks from the old embedding's primary holders
 /// to the new embedding's primary holders (dimension-ordered, so at most
 /// `d` blocked supersteps), then broadcast across the orthogonal dims if
-/// the target is replicated. Delivery order is reconstructed on the
-/// receiving side from the layouts — no per-element indices travel.
+/// the target is replicated. No per-element indices travel: each message
+/// carries a run of consecutive slots of its destination chunk, tagged
+/// with the first.
 pub fn remap_vector<T: Scalar>(
     hc: &mut Hypercube,
     v: &DistVector<T>,
     new_layout: VectorLayout,
 ) -> DistVector<T> {
-    let old = v.layout();
-    assert_eq!(old.n(), new_layout.n(), "length mismatch");
-    assert_eq!(old.grid().cube(), new_layout.grid().cube(), "grid cube mismatch");
-    let p = old.grid().p();
-
-    // Pack: every old-primary node buckets its chunk by new-primary
-    // destination, in ascending global index order (= slot order).
-    let mut traffic = Traffic::new(p);
-    let mut max_packed = 0usize;
-    for src in 0..p {
-        if !old.is_primary_holder(src) {
-            continue;
-        }
-        let part = old.part_of(src);
-        let chunk = &v.locals()[src];
-        max_packed = max_packed.max(chunk.len());
-        // dst -> data, filled in ascending slot order.
-        let mut buckets: Vec<(usize, Vec<T>)> = Vec::new();
-        for (slot, &x) in chunk.iter().enumerate() {
-            let i = old.dist().global_index(part, slot);
-            let dst = new_layout.primary_holder(i);
-            match buckets.iter_mut().find(|(d, _)| *d == dst) {
-                Some((_, data)) => data.push(x),
-                None => buckets.push((dst, vec![x])),
-            }
-        }
-        for (dst, data) in buckets {
-            traffic.post(src, dst, src as u64, data);
-        }
-    }
-    hc.charge_moves(max_packed);
-
-    route_blocks(hc, &mut traffic);
-
-    // Unpack: each new-primary node walks its new chunk in slot order,
-    // recomputes each element's old primary holder, and pulls the next
-    // element from that source's block.
-    let mut max_unpacked = 0usize;
-    let locals = NodeSlab::build(p, new_layout.n(), |dst, chunk| {
-        if !new_layout.is_primary_holder(dst) {
-            return;
-        }
-        let part = new_layout.part_of(dst);
-        let len = new_layout.dist().count(part);
-        max_unpacked = max_unpacked.max(len);
-        let arrived: Vec<(u64, &[T])> = traffic.inbox(dst).collect();
-        let mut cursors = vec![0usize; arrived.len()];
-        for slot in 0..len {
-            let i = new_layout.dist().global_index(part, slot);
-            let src = old.primary_holder(i) as u64;
-            let bi = arrived
-                .iter()
-                .position(|&(tag, _)| tag == src)
-                // vmplint: allow(p1) — the send phase computed the same owner arithmetic, so the block is present
-                .expect("block from the predicted source");
-            chunk.push(arrived[bi].1[cursors[bi]]);
-            cursors[bi] += 1;
-        }
-    });
-    hc.charge_moves(max_unpacked);
-    from_primary_holders(hc, new_layout, locals)
+    assert_eq!(v.n(), new_layout.n(), "length mismatch");
+    // The receivers' unpack: one pass over the new chunk.
+    hc.charge_moves(new_layout.dist().max_count());
+    move_elements(hc, v, new_layout, Some, None)
 }
 
-/// The vector laid out as `layout` from `locals` holding data on the
-/// primary holders only ([`VectorLayout::is_primary_holder`]): a
-/// replicated layout's primary copy sits on grid line 0 and is
-/// broadcast from there by [`replicate_owned`]; every other layout is
-/// complete as it stands.
-pub(crate) fn from_primary_holders<T: Scalar>(
+/// Send element `i` of `v` to position `dest(i)` of a vector laid out as
+/// `layout` on the same cube, and fill every position no element reaches
+/// with `fill`: the one sender behind [`remap_vector`] and
+/// [`crate::scan::route_permutation`]. Only primary holders send; a
+/// replicated target is assembled on its primary line and broadcast from
+/// there. An uncovered position's holder posts the fill to itself, which
+/// is never routed or charged.
+///
+/// # Panics
+/// Panics if the arrivals do not fill every target chunk exactly: a
+/// position reached twice, or not at all with `fill` `None`.
+pub(crate) fn move_elements<T: Scalar>(
     hc: &mut Hypercube,
+    v: &DistVector<T>,
     layout: VectorLayout,
-    locals: NodeSlab<T>,
+    dest: impl Fn(usize) -> Option<usize>,
+    fill: Option<T>,
 ) -> DistVector<T> {
-    match layout.embedding() {
-        VecEmbedding::Aligned { placement: Placement::Replicated, .. } => {
-            let primary = layout.with_placement(Placement::Concentrated(0));
-            replicate_owned(hc, DistVector::from_slab(primary, locals))
+    let old = v.layout();
+    assert_eq!(old.grid().cube(), layout.grid().cube(), "grid cube mismatch");
+    let p = layout.grid().p();
+    let mut covered = vec![false; if fill.is_some() { layout.n() } else { 0 }];
+    let mut traffic = Traffic::new(p);
+    let mut staged = Vec::new();
+    for src in (0..p).filter(|&node| old.is_primary_holder(node)) {
+        let part = old.part_of(src);
+        for (slot, &x) in v.locals()[src].iter().enumerate() {
+            let Some(j) = dest(old.dist().global_index(part, slot)) else { continue };
+            if fill.is_some() {
+                covered[j] = true;
+            }
+            staged.push((layout.primary_holder(j), layout.dist().local_index(j), x));
         }
-        _ => DistVector::from_slab(layout, locals),
+        post_runs(&mut traffic, src, &mut staged);
     }
+    if let Some(x) = fill {
+        for j in (0..layout.n()).filter(|&j| !covered[j]) {
+            let holder = layout.primary_holder(j);
+            traffic.post(holder, holder, layout.dist().local_index(j) as u64, [x]);
+        }
+    }
+    hc.charge_moves(old.dist().max_count());
+    route_blocks(hc, &mut traffic);
+
+    let replicated = matches!(
+        layout.embedding(),
+        VecEmbedding::Aligned { placement: Placement::Replicated, .. }
+    );
+    let primary =
+        if replicated { layout.with_placement(Placement::Concentrated(0)) } else { layout };
+    let moved = DistVector::from_chunks(primary, traffic.assemble());
+    if replicated {
+        replicate_owned(hc, moved)
+    } else {
+        moved
+    }
+}
+
+/// Post `staged` `(dst, slot, value)` moves from `src`: one message per
+/// run of consecutive slots of one destination chunk, tagged with the
+/// run's first slot. Leaves `staged` empty.
+fn post_runs<T: Scalar>(
+    traffic: &mut Traffic<T>,
+    src: NodeId,
+    staged: &mut Vec<(NodeId, usize, T)>,
+) {
+    staged.sort_unstable_by_key(|&(dst, slot, _)| (dst, slot));
+    for run in staged.chunk_by(|a, b| a.0 == b.0 && b.1 == a.1 + 1) {
+        traffic.post(src, run[0].0, run[0].1 as u64, run.iter().map(|&(_, _, x)| x));
+    }
+    staged.clear();
 }
 
 /// Transpose a matrix: the result has the transposed shape on the
@@ -200,7 +194,7 @@ pub(crate) fn from_primary_holders<T: Scalar>(
 /// of transposition from Johnsson & Ho's transposition report.
 pub fn transpose<T: Scalar>(hc: &mut Hypercube, m: &DistMatrix<T>) -> DistMatrix<T> {
     let new_layout = m.layout().transposed();
-    remap_with(hc, m, new_layout, |i, j| (j, i), |i, j| (j, i))
+    remap_with(hc, m, new_layout, |i, j| (j, i))
 }
 
 /// Re-embed a matrix into `new_layout` (same shape, same cube; the grid
@@ -212,72 +206,44 @@ pub fn redistribute<T: Scalar>(
     new_layout: MatrixLayout,
 ) -> DistMatrix<T> {
     assert_eq!(m.shape(), new_layout.shape(), "shape mismatch");
-    remap_with(hc, m, new_layout, |i, j| (i, j), |i, j| (i, j))
+    remap_with(hc, m, new_layout, |i, j| (i, j))
 }
 
 /// General bijective matrix re-embedding: `out[fwd(i, j)] = m[i][j]`
-/// under `new_layout`. `fwd` must be a bijection on index pairs with
-/// inverse `inv` — transpose, redistribution, and torus shifts
+/// under `new_layout`. `fwd` must be a bijection onto the new shape's
+/// index pairs — transpose, redistribution, and torus shifts
 /// ([`crate::shift`]) are all instances. One blocked routed phase.
+///
+/// # Panics
+/// Panics if `fwd` is not a bijection: some new element is reached
+/// twice or not at all.
 pub fn remap_with<T: Scalar>(
     hc: &mut Hypercube,
     m: &DistMatrix<T>,
     new_layout: MatrixLayout,
     fwd: impl Fn(usize, usize) -> (usize, usize),
-    inv: impl Fn(usize, usize) -> (usize, usize),
 ) -> DistMatrix<T> {
     let old = m.layout();
     assert_eq!(old.grid().cube(), new_layout.grid().cube(), "grid cube mismatch");
     let p = old.grid().p();
-
-    // Pack: bucket local elements by destination node, ordered by the
-    // destination's local offset so the receiver can unpack positionally.
     let mut traffic = Traffic::new(p);
-    let mut max_packed = 0usize;
+    let mut staged = Vec::new();
     for src in 0..p {
         let buf = &m.locals()[src];
-        if buf.is_empty() {
-            continue;
-        }
-        max_packed = max_packed.max(buf.len());
-        let mut staged: Vec<(usize, usize, T)> = Vec::with_capacity(buf.len()); // (dst, new_off, value)
-        for (i, j, off) in old.local_elements(src) {
+        staged.extend(old.local_elements(src).map(|(i, j, off)| {
             let (ni, nj) = fwd(i, j);
-            let dst = new_layout.owner(ni, nj);
-            staged.push((dst, new_layout.local_offset(ni, nj), buf[off]));
-        }
-        staged.sort_unstable_by_key(|&(dst, noff, _)| (dst, noff));
-        for run in staged.chunk_by(|a, b| a.0 == b.0) {
-            traffic.post(src, run[0].0, src as u64, run.iter().map(|&(_, _, x)| x));
-        }
+            (new_layout.owner(ni, nj), new_layout.local_offset(ni, nj), buf[off])
+        }));
+        post_runs(&mut traffic, src, &mut staged);
     }
-    hc.charge_moves(max_packed);
-
+    // Pack at the senders, unpack at the receivers.
+    hc.charge_moves(old.max_local_len());
+    hc.charge_moves(new_layout.max_local_len());
     route_blocks(hc, &mut traffic);
 
-    // Unpack: walk new local offsets in order; each element's source node
-    // is recomputed via `inv`, and elements from one source arrive in
-    // new-offset order.
-    let mut max_unpacked = 0usize;
-    let locals = NodeSlab::build(p, m.locals().total_len(), |dst, buf| {
-        max_unpacked = max_unpacked.max(new_layout.local_len(dst));
-        let arrived: Vec<(u64, &[T])> = traffic.inbox(dst).collect();
-        let mut cursors = vec![0usize; arrived.len()];
-        for (ni, nj, _off) in new_layout.local_elements(dst) {
-            let (i, j) = inv(ni, nj);
-            let src = old.owner(i, j) as u64;
-            let bi = arrived
-                .iter()
-                .position(|&(tag, _)| tag == src)
-                // vmplint: allow(p1) — the send phase computed the same owner arithmetic, so the block is present
-                .expect("block from the predicted source");
-            buf.push(arrived[bi].1[cursors[bi]]);
-            cursors[bi] += 1;
-        }
-    });
-    hc.charge_moves(max_unpacked);
-
-    DistMatrix::from_slab(new_layout, locals)
+    let out = DistMatrix::from_slab(new_layout, traffic.assemble());
+    out.assert_consistent();
+    out
 }
 
 #[cfg(test)]

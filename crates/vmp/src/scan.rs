@@ -203,50 +203,15 @@ pub fn reverse<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>) -> DistVector<T
 /// embeddings.
 ///
 /// # Panics
-/// Panics if some position receives no element and `fill` is `None`.
+/// Panics if some position receives two elements, or none and `fill` is
+/// `None`.
 pub fn route_permutation<T: Scalar>(
     hc: &mut Hypercube,
     v: &DistVector<T>,
     dest: impl Fn(usize) -> Option<usize>,
     fill: Option<T>,
 ) -> DistVector<T> {
-    let layout = *v.layout();
-    let p = layout.grid().p();
-    let mut traffic = Traffic::new(p);
-    let mut max_packed = 0usize;
-    for src in 0..p {
-        if !layout.is_primary_holder(src) {
-            continue; // only primary replicas send
-        }
-        let part = layout.part_of(src);
-        max_packed = max_packed.max(v.locals()[src].len());
-        for (slot, &x) in v.locals()[src].iter().enumerate() {
-            let i = layout.dist().global_index(part, slot);
-            let Some(j) = dest(i) else { continue };
-            debug_assert!(j < layout.n(), "destination index out of range");
-            let dst = layout.primary_holder(j);
-            traffic.post(src, dst, j as u64, [x]);
-        }
-    }
-    hc.charge_moves(max_packed);
-    route_blocks(hc, &mut traffic);
-    let locals = NodeSlab::build(p, layout.n(), |dst, out| {
-        if !layout.is_primary_holder(dst) {
-            return;
-        }
-        let mut chunk: Vec<Option<T>> = vec![None; layout.local_len(dst)];
-        for (j, payload) in traffic.inbox(dst) {
-            chunk[layout.dist().local_index(j as usize)] = Some(payload[0]);
-        }
-        out.extend(
-            chunk
-                .into_iter()
-                // vmplint: allow(p1) — documented contract: callers without a fill value must cover every position
-                .map(|slot| slot.or(fill).expect("uncovered position with no fill value")),
-        );
-    });
-    // Replicated targets: broadcast from the primary line.
-    crate::remap::from_primary_holders(hc, layout, locals)
+    crate::remap::move_elements(hc, v, *v.layout(), dest, fill)
 }
 
 /// Exclusive count of `true`s before each position — Blelloch's
@@ -287,18 +252,13 @@ pub fn pack<T: Scalar>(
                 continue;
             }
             let target = positions.get(i);
-            let dst = new_layout.primary_holder(target);
-            traffic.post(src, dst, target as u64, [x]);
+            let (dst, slot) =
+                (new_layout.primary_holder(target), new_layout.dist().local_index(target));
+            traffic.post(src, dst, slot as u64, [x]);
         }
     }
     route_blocks(hc, &mut traffic);
-    // Pack ranks are a permutation of 0..kept and a block chunk holds
-    // ascending ranks, so each inbox, in tag order, is the dense chunk.
-    let locals = NodeSlab::build(p, kept, |dst, out| {
-        debug_assert_eq!(traffic.inbox(dst).len(), new_layout.local_len(dst));
-        out.extend(traffic.inbox(dst).map(|(_, payload)| payload[0]));
-    });
-    DistVector::from_slab(new_layout, locals)
+    DistVector::from_slab(new_layout, traffic.assemble())
 }
 
 /// The segmented-operator transform: associative on `(flag, value)`
@@ -524,6 +484,14 @@ mod tests {
             r.assert_consistent();
             assert_eq!(r.to_dense(), (0..13).rev().collect::<Vec<i64>>());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk length")]
+    fn uncovered_last_position_without_fill_panics() {
+        let g = ProcGrid::square(Cube::new(2));
+        let v = DistVector::from_fn(VectorLayout::linear(8, g, Dist::Block), |i| i as i64);
+        let _ = route_permutation(&mut machine(2), &v, |i| i.checked_sub(1), None);
     }
 
     #[test]

@@ -52,40 +52,25 @@ pub fn shift<T: Scalar>(
     }
     let off = offset.rem_euclid(extent);
 
-    // Torus shift as a bijective remap (same layout): `by(off)` moves
-    // every element `off` places along the shifted direction, `by(-off)`
-    // moves it back.
-    let by = move |off: isize| {
-        move |i: usize, j: usize| {
-            let step = |x: usize| (x as isize + off).rem_euclid(extent) as usize;
-            match axis {
-                Axis::Col => (step(i), j),
-                Axis::Row => (i, step(j)),
-            }
-        }
-    };
-    let mut out = remap::remap_with(hc, m, *m.layout(), by(off), by(-off));
+    // Torus shift as a bijective remap (same layout): every element moves
+    // `off` places along the shifted direction.
+    let step = move |x: usize| (x as isize + off).rem_euclid(extent) as usize;
+    let mut out = remap::remap_with(hc, m, *m.layout(), move |i, j| match axis {
+        Axis::Col => (step(i), j),
+        Axis::Row => (i, step(j)),
+    });
 
-    // Fill boundary: overwrite the vacated lines with the constant.
+    // Fill boundary: a masked elementwise pass (local; one flop per
+    // element) writes the constant into the vacated lines.
     if let Boundary::Fill(v) = boundary {
-        let vacated: Vec<usize> = if offset > 0 {
-            (0..offset.unsigned_abs().min(extent as usize)).collect()
-        } else {
-            let k = offset.unsigned_abs().min(extent as usize);
-            ((extent as usize - k)..extent as usize).collect()
-        };
-        // A masked elementwise pass writes the constant into the vacated
-        // lines (local; one flop per element).
-        // vmplint: allow(p1) — this branch runs only for offset != 0, so at least one line is vacated
-        let first = *vacated.first().expect("nonzero offset");
-        // vmplint: allow(p1) — same invariant as the line above
-        let last = *vacated.last().expect("nonzero offset");
+        let (extent, k) = (extent as usize, offset.unsigned_abs().min(extent as usize));
+        let vacated = if offset > 0 { 0..k } else { extent - k..extent };
         out.map_inplace(hc, move |i, j, x| {
             let line = match axis {
                 Axis::Col => i,
                 Axis::Row => j,
             };
-            if line >= first && line <= last {
+            if vacated.contains(&line) {
                 v
             } else {
                 x

@@ -155,11 +155,16 @@ proptest! {
     }
 }
 
-/// `scan::pack` and `indexing::gather_by_index` (through `listrank`)
-/// route traffic but appear in no reproduced table, so the golden-table
-/// check cannot see their charges. Pin them exactly, fault-free and
-/// under transient drops: the cost-term ticks, the clock they price to
-/// (bit for bit) and the counters.
+/// `scan::pack`, `indexing::gather_by_index` (through `listrank`),
+/// `scan::reverse`, the panel fan-out and the vector and matrix
+/// re-embeddings route traffic that no reproduced table covers (or covers
+/// only fault-free), so the golden-table check cannot see all their
+/// charges. Pin them exactly, fault-free and under transient drops: the
+/// cost-term ticks, the clock they price to (bit for bit) and the
+/// counters. The routed `transient_drops` count messages, one per run of
+/// consecutive destination slots: the remap case moves a cyclic vector
+/// onto block chunks, so each of its elements travels alone, while
+/// reverse sends one run from each source node to each destination.
 #[test]
 fn routed_paths_outside_the_tables_charge_exactly() {
     use four_vmp::algos::listrank;
@@ -167,8 +172,8 @@ fn routed_paths_outside_the_tables_charge_exactly() {
     use four_vmp::hypercube::{Counters, FaultPlan, Ticks};
 
     let drops = FaultPlan::none(5).with_drops(0.2, 0, u64::MAX);
-    let machine = |plan: Option<&FaultPlan>| {
-        let mut hc = Hypercube::cm2(4);
+    let machine = |dim: u32, plan: Option<&FaultPlan>| {
+        let mut hc = Hypercube::cm2(dim);
         if let Some(plan) = plan {
             hc.install_faults(plan.clone());
         }
@@ -187,6 +192,38 @@ fn routed_paths_outside_the_tables_charge_exactly() {
         let layout = VectorLayout::linear(40, ProcGrid::square(hc.cube()), Dist::Block);
         let ranks = listrank::list_rank(hc, &DistVector::from_fn(layout, |i| next[i]));
         assert_eq!(ranks.to_dense(), listrank::list_rank_serial(&next));
+    };
+    let remap = |hc: &mut Hypercube| {
+        let grid = ProcGrid::square(hc.cube());
+        let row = |placement, dist| VectorLayout::aligned(300, grid, Axis::Row, placement, dist);
+        let v = DistVector::from_fn(row(Placement::Concentrated(3), Dist::Cyclic), |i| i as f64);
+        let w = remap_vector(hc, &v, row(Placement::Replicated, Dist::Block));
+        assert_eq!(w.to_dense(), v.to_dense());
+    };
+    let reembed = |hc: &mut Hypercube| {
+        let grid = ProcGrid::square(hc.cube());
+        let shape = MatShape::new(40, 56);
+        let m = DistMatrix::from_fn(MatrixLayout::block(shape, grid), |i, j| (i * 56 + j) as f64);
+        let cyclic = redistribute(hc, &m, MatrixLayout::cyclic(shape, grid));
+        let t = transpose(hc, &cyclic);
+        let want: Vec<Vec<f64>> =
+            (0..56).map(|j| (0..40).map(|i| (i * 56 + j) as f64).collect()).collect();
+        assert_eq!(t.to_dense(), want);
+    };
+    let reverse = |hc: &mut Hypercube| {
+        let layout = VectorLayout::linear(300, ProcGrid::square(hc.cube()), Dist::Block);
+        let r = scan::reverse(hc, &DistVector::from_fn(layout, |i| i as f64));
+        assert_eq!(r.to_dense(), (0..300).rev().map(|i| i as f64).collect::<Vec<_>>());
+    };
+    let panel = |hc: &mut Hypercube| {
+        let m = matrix(40, hc.cube().dim());
+        let panel = primitives::extract_panel_replicated(hc, &m, Axis::Col, 5, 4);
+        for node in 0..hc.p() {
+            let (gr, _) = m.layout().grid().grid_coords(node);
+            let rows: Vec<usize> = m.layout().rows().part_indices(gr).collect();
+            let want = (5..9).flat_map(|j| rows.iter().map(move |&i| (i + j) as f64));
+            assert!(panel.slab(node).iter().copied().eq(want), "node {node}");
+        }
     };
     let ticks = |startups, elements, flops, backoff| Ticks {
         startups,
@@ -227,8 +264,28 @@ fn routed_paths_outside_the_tables_charge_exactly() {
             with_drops(msgs(212, 1936, 17, 169), 553, 62),
         ),
     ];
-    for (name, run, plan, ticks, elapsed_us, counters) in cases {
-        let mut hc = machine(plan);
+    // At p = 64: ticks `[startups, elements, moves, backoff]`, the clock,
+    // and counters `[elements_transferred, max_channel_load,
+    // transient_drops, retries]` beside the message steps and local moves
+    // the ticks already give.
+    type Raw<'a> = (&'a str, Path<'a>, Option<&'a FaultPlan>, [u64; 4], f64, [u64; 4]);
+    let cases64: [Raw; 8] = [
+        ("remap", &remap, None, [7, 212, 76, 0], 431.12, [2852, 38, 0, 0]),
+        ("reembed", &reembed, None, [12, 587, 140, 0], 963.8, [12928, 140, 0, 0]),
+        ("reverse", &reverse, None, [6, 30, 5, 0], 210.6, [1240, 5, 0, 0]),
+        ("panel", &panel, None, [3, 55, 20, 0], 147.4, [1920, 20, 0, 0]),
+        ("remap", &remap, Some(&drops), [17, 479, 76, 16], 1014.12, [3498, 38, 221, 8]),
+        ("reembed", &reembed, Some(&drops), [42, 1230, 140, 38], 2544.8, [12928, 140, 1910, 8]),
+        ("reverse", &reverse, Some(&drops), [19, 101, 5, 7], 678.6, [1240, 9, 93, 3]),
+        ("panel", &panel, Some(&drops), [7, 115, 20, 3], 330.4, [1920, 20, 85, 2]),
+    ];
+    let cases64 = cases64.map(|(name, run, plan, [s, e, m, b], us, [t, l, d, r])| {
+        let (ticks, counters) = (ticks(s, e, 0, b), with_drops(msgs(s, t, l, 0), d, r));
+        (name, run, plan, Ticks { moves: m, ..ticks }, us, Counters { local_moves: m, ..counters })
+    });
+    let all = cases.iter().map(|c| (4, c)).chain(cases64.iter().map(|c| (6, c)));
+    for (dim, &(name, run, plan, ticks, elapsed_us, counters)) in all {
+        let mut hc = machine(dim, plan);
         run(&mut hc);
         assert_eq!(hc.ticks(), ticks, "{name} under {plan:?}");
         assert_eq!(hc.elapsed_us().to_bits(), elapsed_us.to_bits(), "{name} under {plan:?}");
