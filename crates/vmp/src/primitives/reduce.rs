@@ -12,9 +12,13 @@ use crate::vector::DistVector;
 /// The one fold kernel: fold every node's local block along `axis` into
 /// a partial vector (for `Axis::Row`, partial `[lj] = op-fold over li`;
 /// for `Axis::Col`, partial `[li] = op-fold over lj`), reading element
-/// `(li, lj)` as `lift(li, lj, x)` with `lift = at(node)`. Rows stream
-/// with `chunks_exact` in local offset order, the combine order of the
-/// naive offset walk. Charges the fold's flops.
+/// `(li, lj)` as `lift(li, lj, x)` with `lift = at(node)`. Each partial
+/// is its own left fold, the identity first and then its elements in
+/// local offset order, as in the naive offset walk; only independent
+/// partials interleave, so no bit changes. Over rows, `chunks_exact(lc)`
+/// rows stream into the `lc` partials; over columns, four rows are
+/// folded at a time as four independent chains, and the `lr % 4` rows
+/// left over one chain each. Charges the fold's flops.
 pub(crate) fn local_fold<T: Scalar, U: Scalar, O: ReduceOp<U>, L: Fn(usize, usize, T) -> U>(
     hc: &mut Hypercube,
     m: &DistMatrix<T>,
@@ -43,17 +47,35 @@ pub(crate) fn local_fold<T: Scalar, U: Scalar, O: ReduceOp<U>, L: Fn(usize, usiz
         }
         let lift = at(node);
         let acc = &mut out[start..];
-        let rows = buf.chunks_exact(lc).enumerate();
         match axis {
             Axis::Row => {
-                for (li, row) in rows {
+                for (li, row) in buf.chunks_exact(lc).enumerate() {
                     for (lj, (a, &x)) in acc.iter_mut().zip(row).enumerate() {
                         *a = op.combine(*a, lift(li, lj, x));
                     }
                 }
             }
             Axis::Col => {
-                for ((li, row), a) in rows.zip(acc) {
+                // Four rows' chains side by side, so no add waits on the
+                // one before it; zipped slices keep the loads unchecked.
+                let mut quads = buf.chunks_exact(4 * lc);
+                let mut acc4 = acc.chunks_exact_mut(4);
+                for (q, (quad, a)) in (&mut quads).zip(&mut acc4).enumerate() {
+                    let (r01, r23) = quad.split_at(2 * lc);
+                    let ((r0, r1), (r2, r3)) = (r01.split_at(lc), r23.split_at(lc));
+                    let li = 4 * q;
+                    let mut s = [op.identity(); 4];
+                    let cols = r0.iter().zip(r1).zip(r2).zip(r3).enumerate();
+                    for (lj, (((&x0, &x1), &x2), &x3)) in cols {
+                        s[0] = op.combine(s[0], lift(li, lj, x0));
+                        s[1] = op.combine(s[1], lift(li + 1, lj, x1));
+                        s[2] = op.combine(s[2], lift(li + 2, lj, x2));
+                        s[3] = op.combine(s[3], lift(li + 3, lj, x3));
+                    }
+                    a.copy_from_slice(&s);
+                }
+                let rest = quads.remainder().chunks_exact(lc).zip(acc4.into_remainder());
+                for (li, (row, a)) in (lr - lr % 4..).zip(rest) {
                     *a = row
                         .iter()
                         .enumerate()
@@ -270,6 +292,51 @@ mod tests {
         let (mut hc2, m2) = setup(16, 16, 4, 3, Dist::Block);
         let _ = reduce(&mut hc2, &m2, Axis::Col, Sum);
         assert_eq!(hc2.counters().message_steps, 1, "d_c butterfly steps");
+    }
+
+    /// `combine(a, b) = a * K ^ b` is neither associative nor commutative:
+    /// its result pins the exact left-fold sequence of each output.
+    #[derive(Debug, Clone, Copy)]
+    struct Chain;
+
+    impl ReduceOp<u64> for Chain {
+        fn identity(&self) -> u64 {
+            0
+        }
+        fn combine(&self, a: u64, b: u64) -> u64 {
+            a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b
+        }
+    }
+
+    /// Every output of the local fold is its own left fold, identity
+    /// first and then in index order, whatever the local block's shape:
+    /// empty, fewer rows than the four-row fold takes at once, and every
+    /// remainder past whole groups of four.
+    #[test]
+    fn local_fold_keeps_each_outputs_left_fold_order() {
+        for lr in 0..=9 {
+            for lc in 0..=5 {
+                let layout = MatrixLayout::new(
+                    MatShape::new(lr, lc),
+                    ProcGrid::new(Cube::new(0), 0),
+                    Dist::Block,
+                    Dist::Block,
+                );
+                let m = DistMatrix::from_fn(layout, |i, j| (i * 8 + j + 1) as u64 * 0x1234_5677);
+                let d = m.to_dense();
+                let fold =
+                    |xs: &mut dyn Iterator<Item = u64>| xs.fold(0, |a, x| Chain.combine(a, x));
+                let by_col: Vec<u64> =
+                    (0..lc).map(|j| fold(&mut d.iter().map(|row| row[j]))).collect();
+                let by_row: Vec<u64> = d.iter().map(|row| fold(&mut row.iter().copied())).collect();
+                for (axis, want) in [(Axis::Row, by_col), (Axis::Col, by_row)] {
+                    let mut hc = Hypercube::new(0, CostModel::unit());
+                    let case = format!("{lr}x{lc} {axis:?}");
+                    assert_eq!(reduce(&mut hc, &m, axis, Chain).to_dense(), want, "{case}");
+                    assert_eq!(reduce_to(&mut hc, &m, axis, Chain, 0).to_dense(), want, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 // via the unit tests instead (see .github/workflows/ci.yml).
 #![cfg(not(miri))]
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use four_vmp::core::elem::{ArgMaxAbs, Loc, ReduceOp, Sum};
@@ -376,46 +378,142 @@ proptest! {
     }
 }
 
+/// Matrix layouts on cubes of up to `2^max_dim` nodes, with every grid
+/// split, up to `max_len` rows and columns, and either `Dist` kind.
+fn fold_layouts(max_dim: u32, max_len: usize) -> impl Strategy<Value = MatrixLayout> {
+    (0..=max_dim, 0..=max_dim, 1..=max_len, 1..=max_len, proptest::bool::ANY).prop_map(
+        |(dim, dr, rows, cols, cyclic)| {
+            let kind = if cyclic { Dist::Cyclic } else { Dist::Block };
+            let grid = ProcGrid::new(Cube::new(dim), dr.min(dim));
+            MatrixLayout::new(MatShape::new(rows, cols), grid, kind, kind)
+        },
+    )
+}
+
+/// The seed's local fold: every node's elements visited in offset order
+/// `off = li * lc + lj`, each added into the partial it feeds (`off % lc`
+/// for a fold over rows, `off / lc` for a fold over columns).
+fn seed_partials(
+    layout: &MatrixLayout,
+    axis: Axis,
+    elem: impl Fn(usize, usize) -> f64,
+) -> Vec<Vec<f64>> {
+    (0..layout.grid().p())
+        .map(|node| {
+            let (lr, lc) = layout.local_shape(node);
+            let mut acc = vec![0.0f64; if axis == Axis::Row { lc } else { lr }];
+            for (i, j, off) in layout.local_elements(node) {
+                acc[if axis == Axis::Row { off % lc } else { off / lc }] += elem(i, j);
+            }
+            acc
+        })
+        .collect()
+}
+
+/// Every fold that runs through the local fold kernel on `layout`, along
+/// both axes, against the seed fold and the reference collectives: payload
+/// bits, clock and counters. `reduce` all-reduces its partials; `reduce_to`
+/// reduces them onto the last grid line; `reduce_zip` folds `f(a, v)` for a
+/// vector along either axis, which covers the matvec shape (a row vector,
+/// folded over columns) and the vecmat shape (a column vector, folded over
+/// rows). The zip charges its pass before the fold, as the spelled-out
+/// `zip_axis` + `reduce` does.
+fn check_local_folds(layout: MatrixLayout) {
+    let grid = layout.grid();
+    let dim = grid.cube().dim();
+    let m = DistMatrix::from_fn(layout, val);
+    let f = |i: usize, j: usize, a: f64, x: f64| a * x + (i as f64 - j as f64) / 7.0;
+    let fold = |hc: &mut Hypercube, axis: Axis, elem: &dyn Fn(usize, usize) -> f64| {
+        hc.charge_flops(layout.max_local_len());
+        seed_partials(&layout, axis, elem)
+    };
+    for axis in [Axis::Row, Axis::Col] {
+        let (lines, dims) = grid.lines(axis);
+        let what = |op: &str| format!("{op} over {axis:?} on {layout:?}");
+
+        let mut hc_seed = Hypercube::cm2(dim);
+        let mut want = fold(&mut hc_seed, axis, &val);
+        reference::allreduce(&mut hc_seed, &mut want, dims, |a, b| a + b);
+        let mut hc = Hypercube::cm2(dim);
+        let got = primitives::reduce(&mut hc, &m, axis, Sum);
+        assert_eq!(bits(&want), bits(&got.chunks().to_nested()), "{}", what("reduce"));
+        assert_machines_identical(&hc_seed, &hc, &what("reduce"));
+
+        // Only the root line's nodes keep their chunk of a concentrated
+        // result.
+        let line = lines - 1;
+        let root = grid.line_coord(axis, line);
+        let mut hc_seed = Hypercube::cm2(dim);
+        let mut want = fold(&mut hc_seed, axis, &val);
+        reference::reduce(&mut hc_seed, &mut want, dims, root, |a, b| a + b);
+        for (node, chunk) in want.iter_mut().enumerate() {
+            if grid.cube().extract_coords(node, dims) != root {
+                chunk.clear();
+            }
+        }
+        let mut hc = Hypercube::cm2(dim);
+        let got = primitives::reduce_to(&mut hc, &m, axis, Sum, line);
+        assert_eq!(bits(&want), bits(&got.chunks().to_nested()), "{}", what("reduce_to"));
+        assert_machines_identical(&hc_seed, &hc, &what("reduce_to"));
+
+        for along in [Axis::Row, Axis::Col] {
+            let what = |op: &str| format!("{op} along {along:?} over {axis:?} on {layout:?}");
+            let vl = VectorLayout::aligned(
+                layout.shape().vector_len(along),
+                grid,
+                along,
+                Placement::Replicated,
+                layout.vector_dist(along).kind(),
+            );
+            let v = DistVector::from_fn(vl, |k| val(k, 7));
+            // A row vector is indexed by the column, a column vector by the row.
+            let elem = |i: usize, j: usize| {
+                f(i, j, val(i, j), val(if along == Axis::Row { j } else { i }, 7))
+            };
+            let mut hc_seed = Hypercube::cm2(dim);
+            hc_seed.charge_flops(layout.max_local_len());
+            let mut want = fold(&mut hc_seed, axis, &elem);
+            reference::allreduce(&mut hc_seed, &mut want, dims, |a, b| a + b);
+            let mut hc = Hypercube::cm2(dim);
+            let got = primitives::reduce_zip(&mut hc, &m, along, &v, f, axis, Sum);
+            assert_eq!(bits(&want), bits(&got.chunks().to_nested()), "{}", what("reduce_zip"));
+            assert_machines_identical(&hc_seed, &hc, &what("reduce_zip"));
+        }
+    }
+}
+
+/// Fixed layouts whose local blocks between them have every row count
+/// the local fold treats apart: empty blocks, blocks with rows but no
+/// columns, fewer than four rows, and each remainder past whole groups of
+/// four.
+#[test]
+fn local_folds_match_seed_fold_on_every_row_remainder() {
+    let mut seen = BTreeSet::new();
+    let shapes = (1..=11).flat_map(|rows| [(rows, 5, 0, 0), (2 * rows + 1, 3, 2, 1)]);
+    for (rows, cols, dim, dr) in shapes.chain([(3, 5, 3, 3), (5, 2, 3, 0)]) {
+        for kind in [Dist::Block, Dist::Cyclic] {
+            let grid = ProcGrid::new(Cube::new(dim), dr);
+            let layout = MatrixLayout::new(MatShape::new(rows, cols), grid, kind, kind);
+            seen.extend((0..grid.p()).map(|node| layout.local_shape(node)));
+            check_local_folds(layout);
+        }
+    }
+    let lrs: BTreeSet<usize> = seen.iter().map(|&(lr, _)| lr).collect();
+    assert!((0..=11).all(|lr| lrs.contains(&lr)), "row counts covered: {lrs:?}");
+    assert!(seen.iter().any(|&(lr, lc)| lr > 0 && lc == 0), "no block with rows but no columns");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tiled `reduce` local fold + slab butterfly is bit-identical to
-    /// the seed per-node fold + hop-by-hop butterfly (f64: combine order
-    /// matters, so this checks order, not just algebra).
+    /// `reduce`, `reduce_to` and `reduce_zip` (the local fold + slab
+    /// combine collectives) are bit-identical to the seed per-node
+    /// offset-order fold + hop-by-hop reference collectives, on both axes
+    /// and both `Dist` kinds (f64: combine order matters, so this checks
+    /// order, not just algebra).
     #[test]
-    fn tiled_reduce_matches_seed_fold(
-        dim in 0u32..=4,
-        dr_frac in 0u32..=4,
-        rows in 1usize..=17,
-        cols in 1usize..=17,
-    ) {
-        let dr = dr_frac.min(dim);
-        let grid = ProcGrid::new(Cube::new(dim), dr);
-        let layout = MatrixLayout::cyclic(MatShape::new(rows, cols), grid);
-        let m = DistMatrix::from_fn(layout, val);
-
-        // Seed oracle: nested locals, offset-order fold, reference butterfly.
-        let p = layout.grid().p();
-        let nested: Vec<Vec<f64>> = (0..p)
-            .map(|node| layout.local_elements(node).map(|(i, j, _)| val(i, j)).collect())
-            .collect();
-        let mut hc_seed = Hypercube::cm2(dim);
-        let mut partials: Vec<Vec<f64>> = Vec::with_capacity(p);
-        for node in 0..p {
-            let (_, lc) = layout.local_shape(node);
-            let mut acc = vec![0.0f64; lc];
-            for (_, _, off) in layout.local_elements(node) {
-                acc[off % lc.max(1)] += nested[node][off];
-            }
-            partials.push(acc);
-        }
-        hc_seed.charge_flops(layout.max_local_len());
-        reference::allreduce(&mut hc_seed, &mut partials, layout.grid().row_dims(), |a, b| a + b);
-
-        let mut hc_slab = Hypercube::cm2(dim);
-        let v = primitives::reduce(&mut hc_slab, &m, Axis::Row, Sum);
-        prop_assert_eq!(v.chunks().to_nested(), partials, "reduce payload");
-        assert_machines_identical(&hc_seed, &hc_slab, "reduce primitive");
+    fn tiled_reduce_matches_seed_fold(layout in fold_layouts(4, 17)) {
+        check_local_folds(layout);
     }
 
     /// The tiled rank-1 kernel is bit-identical to the seed per-element
@@ -472,6 +570,19 @@ proptest! {
                 prop_assert_eq!(d, nested[node][off], "divergence at ({}, {})", i, j);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The matrix-fold check above, 2,000 cases on cubes of up to 64
+    /// nodes with up to 67 rows and columns: many four-row groups, long
+    /// local rows, and grid shapes the shallow run rarely draws.
+    #[test]
+    #[ignore = "deep sweep; CI runs it"]
+    fn tiled_reduce_matches_seed_fold_deep_sweep(layout in fold_layouts(6, 67)) {
+        check_local_folds(layout);
     }
 }
 
