@@ -39,12 +39,12 @@ pub fn histogram_dense(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) -
         let start = buf.len();
         buf.resize(start + bins, 0u64);
         let h = &mut buf[start..];
-        for &x in &v.chunks()[node] {
+        for &x in primary_chunk(v, node) {
             assert!(x < bins, "value {x} out of range 0..{bins}");
             h[x] += 1;
         }
     });
-    hc.charge_flops(v.chunks().max_seg_len());
+    hc.charge_flops(v.layout().dist().max_count());
 
     // Butterfly: all B bins per stage.
     let dims: Vec<u32> = hc.cube().iter_dims().collect();
@@ -62,7 +62,7 @@ pub fn histogram_sparse(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) 
     // Local sparse counting (sorted by bin).
     let mut sparse = NodeSlab::build(p, 0, |node, buf| {
         let mut dense = vec![0u64; bins];
-        for &x in &v.chunks()[node] {
+        for &x in primary_chunk(v, node) {
             assert!(x < bins, "value {x} out of range 0..{bins}");
             dense[x] += 1;
         }
@@ -70,7 +70,7 @@ pub fn histogram_sparse(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) 
             dense.into_iter().enumerate().filter(|&(_, c)| c > 0).map(|(b, c)| (b as u32, c)),
         );
     });
-    hc.charge_flops(v.chunks().max_seg_len());
+    hc.charge_flops(v.layout().dist().max_count());
 
     // Butterfly with sparse merge: per stage, exchange the non-zero
     // lists (2 machine words per entry, charged as 2 elements) and merge.
@@ -94,6 +94,16 @@ pub fn histogram_sparse(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) 
         out[b as usize] = c;
     }
     out
+}
+
+/// The elements `node` counts: its chunk if it is the primary holder of
+/// its part, else none, so a replica is never counted twice.
+fn primary_chunk(v: &DistVector<usize>, node: usize) -> &[usize] {
+    if v.layout().is_primary_holder(node) {
+        v.node_chunk(node)
+    } else {
+        &[]
+    }
 }
 
 /// Merge two bin-sorted sparse histograms, appending the result to `out`.
@@ -147,6 +157,29 @@ mod tests {
             assert_eq!(histogram_dense(&mut hc1, &v1, bins), expect, "dense n={n} bins={bins}");
             let (mut hc2, v2) = dist(&vals, dim);
             assert_eq!(histogram_sparse(&mut hc2, &v2, bins), expect, "sparse n={n} bins={bins}");
+        }
+    }
+
+    /// Each element counts once whatever the embedding: a replicated
+    /// vector's copies on the other grid lines are not counted again.
+    #[test]
+    fn every_embedding_counts_each_element_once() {
+        let grid = ProcGrid::square(Cube::new(4)); // 4 x 4
+        let vals: Vec<usize> = (0..10).map(|i| i % 4).collect();
+        let expect = histogram_serial(&vals, 4);
+        assert_eq!(expect, [3, 3, 2, 2]);
+        for layout in [
+            VectorLayout::linear(10, grid, Dist::Block),
+            VectorLayout::aligned(10, grid, Axis::Row, Placement::Replicated, Dist::Cyclic),
+            VectorLayout::aligned(10, grid, Axis::Col, Placement::Replicated, Dist::Block),
+            VectorLayout::aligned(10, grid, Axis::Row, Placement::Concentrated(2), Dist::Block),
+            VectorLayout::aligned(10, grid, Axis::Col, Placement::Concentrated(3), Dist::Cyclic),
+        ] {
+            let v = DistVector::from_slice(layout, &vals);
+            let mut hc = Hypercube::new(4, CostModel::cm2());
+            assert_eq!(histogram_dense(&mut hc, &v, 4), expect, "dense {layout:?}");
+            let mut hc = Hypercube::new(4, CostModel::cm2());
+            assert_eq!(histogram_sparse(&mut hc, &v, 4), expect, "sparse {layout:?}");
         }
     }
 

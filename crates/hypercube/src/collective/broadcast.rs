@@ -10,18 +10,11 @@ use crate::slab::NodeSlab;
 /// (overwriting their segments).
 ///
 /// Runs the classic spanning-binomial-tree schedule: `|dims|` supersteps,
-/// step `j` doubling the set of informed nodes along `dims[j]`. Time
-/// `|dims| * (alpha + beta * L)` for buffers of length `L` — the
-/// one-port-optimal start-up count.
-///
-/// The spanning-binomial-tree *schedule* is charged step by step from
-/// the roots' segment lengths alone: every informed sender holds exactly
-/// its root's buffer, so step `j`'s busiest channel carries the longest
-/// root segment and its volume is `2^j` times the roots' total. The data
+/// step `j` doubling the set of informed nodes along `dims[j]`, charged
+/// from the roots' segment lengths alone ([`charge_broadcast`]). The data
 /// is then placed in **one** pass instead of being recopied at every
-/// hop. Same simulated clock, counters, and fault interaction as the
-/// hop-by-hop seed implementation ([`super::reference::broadcast`]), `k`
-/// times less host copying.
+/// hop: same clock, counters and fault interaction as the hop-by-hop
+/// seed implementation ([`super::reference::broadcast`]).
 ///
 /// # Panics
 /// Panics if `dims` is invalid or `root_coord >= 2^{|dims|}`.
@@ -33,23 +26,46 @@ pub fn broadcast_slab<T: Copy>(
 ) {
     let cube = hc.cube();
     check_dims(cube, dims);
-    let k = dims.len();
-    assert!(root_coord < (1usize << k), "root coordinate out of range");
     assert_eq!(slab.p(), cube.nodes());
-    if k == 0 {
-        return;
-    }
-
     // Each node's subcube root is the node with its `dims` bits replaced
     // by `root_bits`; the roots' segments are the only payload any
-    // informed node ever holds.
-    let p = slab.p();
-    let mask = cube.dims_mask(dims);
+    // informed node ever holds. The charge rejects a root out of range.
+    let (p, mask) = (slab.p(), cube.dims_mask(dims));
     let root_bits = cube.deposit_coords(root_coord, dims);
     let (root_len, root_total) = nodes_where(p, mask, root_bits)
         .map(|root| slab.len_of(root))
         .fold((0usize, 0u64), |(max, total), len| (max.max(len), total + len as u64));
+    charge_broadcast(hc, dims, root_coord, root_len, root_total);
+    *slab = NodeSlab::build(p, (root_total as usize) << dims.len(), |node, buf| {
+        buf.extend_from_slice(&slab[(node & !mask) | root_bits]);
+    });
+}
 
+/// The charge of [`broadcast_slab`] alone, from the roots' longest
+/// segment `root_len` and their total `root_total`, for a caller that
+/// already holds the result (an aligned vector's parts broadcast as
+/// `(dist.max_count(), n)`). Every informed sender holds its root's
+/// buffer, so step `j`'s busiest channel carries `root_len` elements
+/// and its volume is `2^j · root_total`: `|dims| · (alpha + beta · L)`,
+/// the one-port-optimal start-up count.
+///
+/// # Panics
+/// Panics if `dims` is invalid or `root_coord >= 2^{|dims|}`.
+pub fn charge_broadcast(
+    hc: &mut Hypercube,
+    dims: &[u32],
+    root_coord: usize,
+    root_len: usize,
+    root_total: u64,
+) {
+    let cube = hc.cube();
+    check_dims(cube, dims);
+    let k = dims.len();
+    assert!(root_coord < (1usize << k), "root coordinate out of range");
+    if k == 0 {
+        return;
+    }
+    let root_bits = cube.deposit_coords(root_coord, dims);
     match hc.choose_algo(Collective::Broadcast, k, root_len) {
         Algo::SinglePort => {
             for (j, &d) in dims.iter().enumerate() {
@@ -57,7 +73,7 @@ pub fn broadcast_slab<T: Copy>(
                 // Informed senders: relative coordinate below 2^j, i.e.
                 // bits `dims[j..]` agree with the root's.
                 let side = cube.dims_mask(&dims[j..]);
-                let senders = nodes_where(p, side, root_bits & side);
+                let senders = nodes_where(cube.nodes(), side, root_bits & side);
                 hc.charge_exchange_step(
                     senders.map(|node| (node, node ^ chan)),
                     root_len,
@@ -71,12 +87,6 @@ pub fn broadcast_slab<T: Copy>(
             hc.charge_allport(Collective::Broadcast, k, root_len, chunks, total);
         }
     }
-
-    let mut out = NodeSlab::with_capacity(p, (root_total as usize) << k);
-    for node in 0..p {
-        out.push_seg(&slab[(node & !mask) | root_bits]);
-    }
-    slab.swap(&mut out);
 }
 
 #[cfg(test)]

@@ -33,10 +33,10 @@ mod reduce;
 pub mod reference;
 mod scan;
 
-pub use broadcast::broadcast_slab;
+pub use broadcast::{broadcast_slab, charge_broadcast};
 pub use exchange::exchange_slab;
 pub use gather::{allgather_slab, scatter_slab};
-pub use reduce::{allreduce_scalar, allreduce_slab, reduce_slab};
+pub use reduce::{allreduce_scalar, allreduce_slab, allreduce_to_representatives, reduce_slab};
 pub use scan::scan_inclusive_slab;
 
 use crate::topology::{Cube, NodeId};

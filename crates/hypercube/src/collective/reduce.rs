@@ -89,14 +89,8 @@ pub fn reduce_slab<T: Copy>(
 /// needed). Every step is charged from the longest and the total segment
 /// length: a butterfly step moves every segment once each way.
 ///
-/// The host computes each subcube's combine tree once. After butterfly
-/// step `j` every member of a `dims[0..=j]` sub-subcube holds the same
-/// bits, so at step `j` only the nodes whose bits `dims[0..=j]` are all
-/// zero combine `op(lo, lo | chan)` — the butterfly's own operands, in
-/// its own order — and one final pass copies each subcube's result to
-/// its other members. Payload bits are the butterfly's, from
-/// `p - p / 2^{|dims|}` combines per element slot where the butterfly
-/// made `p * |dims| / 2`.
+/// The host computes each subcube's combine tree once
+/// ([`allreduce_to_representatives`]), then copies the result out.
 ///
 /// # Panics
 /// Panics if the segments within a subcube have different lengths, or on
@@ -107,15 +101,36 @@ pub fn allreduce_slab<T: Copy>(
     dims: &[u32],
     op: impl Fn(T, T) -> T,
 ) {
+    allreduce_to_representatives(hc, slab, dims, op);
+    let mask = hc.cube().dims_mask(dims);
+    *slab = NodeSlab::build(slab.p(), slab.total_len(), |node, buf| {
+        buf.extend_from_slice(&slab[node & !mask]);
+    });
+}
+
+/// [`allreduce_slab`] without its copy-out, charged the same: only each
+/// subcube's representative, its member with every `dims` bit clear,
+/// holds the result; the others hold partial combines. After butterfly
+/// step `j` every member of a `dims[0..=j]` sub-subcube holds the same
+/// bits, so at step `j` only the nodes whose bits `dims[0..=j]` are all
+/// zero combine `op(lo, lo | chan)`: the butterfly's operands, in its
+/// order, from `p - p / 2^{|dims|}` combines per slot, not `p·|dims|/2`.
+///
+/// # Panics
+/// As [`allreduce_slab`].
+pub fn allreduce_to_representatives<T: Copy>(
+    hc: &mut Hypercube,
+    slab: &mut NodeSlab<T>,
+    dims: &[u32],
+    op: impl Fn(T, T) -> T,
+) {
     let cube = hc.cube();
     check_dims(cube, dims);
     assert_eq!(slab.p(), cube.nodes());
     let p = slab.p();
-    // A subcube's representative is its member with every `dims` bit
-    // clear: the node the last combine writes. The combine tree folds
-    // every other member into a node of its subcube exactly once, and
-    // `fold_seg` asserts the two lengths agree, so the representatives'
-    // lengths are all the lengths there are.
+    // The combine tree folds every other member into a node of its
+    // subcube exactly once, and `fold_seg` asserts the two lengths agree,
+    // so the representatives' lengths are all the lengths there are.
     let mask = cube.dims_mask(dims);
     let max_len = nodes_where(p, mask, 0).map(|rep| slab.len_of(rep)).max().unwrap_or(0);
     let total = slab.total_len() as u64;
@@ -129,17 +144,6 @@ pub fn allreduce_slab<T: Copy>(
         }
     }
     charge_allreduce(hc, dims, max_len, total);
-
-    // Copy out. A subcube's members come in runs of `2^t` consecutive
-    // nodes, `t` being how many of the lowest address bits `dims` spans:
-    // each run's first node takes the result, then the run fills itself.
-    let run = 1usize << mask.trailing_ones();
-    for first in (0..p).step_by(run) {
-        if first & mask != 0 {
-            slab.copy_seg(first & !mask, first);
-        }
-        slab.fill_run(first, run);
-    }
 }
 
 /// All-reduce of one value per node over `dims` on a machine whose
@@ -279,6 +283,25 @@ mod tests {
             assert_eq!(locals[n], expected, "node {n}");
         }
         assert_eq!(hc.counters().message_steps, 4);
+    }
+
+    /// Without the copy-out, each subcube's representative (every `dims`
+    /// bit clear) holds the all-reduce's bits, under a non-commutative
+    /// op and a non-contiguous dim set, and the charge is the same.
+    #[test]
+    fn representatives_hold_the_allreduce_result() {
+        let op = |a: f64, b: f64| a - 0.5 * b;
+        let dims = [2u32, 0];
+        let (mut hc_all, mut hc_rep) = (unit_machine(4), unit_machine(4));
+        let mut all = labelled_locals(&hc_all, 3);
+        let mut reps = all.clone();
+        allreduce_slab(&mut hc_all, &mut all, &dims, op);
+        allreduce_to_representatives(&mut hc_rep, &mut reps, &dims, op);
+        for rep in (0..16).filter(|n| n & 0b101 == 0) {
+            assert_eq!(reps[rep], all[rep], "representative {rep}");
+        }
+        assert_eq!(hc_rep.ticks(), hc_all.ticks());
+        assert_eq!(hc_rep.counters(), hc_all.counters());
     }
 
     /// One subcube's values through `allreduce_scalar` against the

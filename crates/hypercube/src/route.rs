@@ -19,7 +19,9 @@
 //! start-up cost is at most `d * alpha` regardless of how many blocks
 //! are in flight — this blocking is precisely what the paper's
 //! primitives buy over the naive element-per-message router (see
-//! [`crate::router`] for that baseline).
+//! [`crate::router`] for that baseline). [`charge_blocks`] runs the same
+//! sweeps over payload-free blocks, for a move whose result the caller
+//! already holds.
 //!
 //! Delivery is deterministic: arrivals at each node are ordered by the
 //! caller-supplied `tag` (unique per destination), so a chunk assembles
@@ -165,13 +167,26 @@ impl<T> Traffic<T> {
 /// the installed fault plan leaves some block with no usable route.
 pub fn route_blocks<T>(hc: &mut Hypercube, traffic: &mut Traffic<T>) {
     assert_eq!(traffic.p, hc.p(), "traffic posted for a {}-node machine", traffic.p);
-    // The sweep charges the machine while it reads the fault context, so
-    // the context steps out for the duration; nothing the sweep charges
-    // reads it.
-    let faults = hc.fault.take();
-    sweeps(hc, &mut traffic.heads, faults.as_deref());
-    hc.fault = faults;
+    sweeps(hc, &mut traffic.heads);
     traffic.deliver();
+}
+
+/// Charge what [`route_blocks`] charges for `(src, dst, len)` blocks,
+/// moving no payload: the same sweeps, drops, retries, detours and
+/// degraded hosts. An empty block can be dropped, as an empty post can.
+///
+/// # Panics
+/// As [`route_blocks`], and on a node out of range.
+pub fn charge_blocks(hc: &mut Hypercube, moves: impl IntoIterator<Item = (NodeId, NodeId, usize)>) {
+    let p = hc.p();
+    let mut heads: Vec<Header> = moves
+        .into_iter()
+        .map(|(src, dst, len)| {
+            assert!(src < p && dst < p, "block {src} -> {dst} out of range");
+            Header { at: src, dst, tag: 0, start: 0, len, parked: false }
+        })
+        .collect();
+    sweeps(hc, &mut heads);
 }
 
 /// What happens to a block whose next e-cube hop is `node -> node^bit`.
@@ -255,10 +270,10 @@ impl Loads {
 /// E-cube sweeps until every block is delivered: one sweep resolves
 /// everything on a machine without fault state.
 ///
-/// Under `faults`, pass `k` is retransmission round `k` for any block
-/// dropped in pass `k-1` (the block really stayed put); once the retry
-/// budget is spent, drop decisions stop applying — the escalation path —
-/// so delivery is guaranteed for any plan that leaves the cube
+/// Under a fault context, pass `k` is retransmission round `k` for any
+/// block dropped in pass `k-1` (the block really stayed put); once the
+/// retry budget is spent, drop decisions stop applying — the escalation
+/// path — so delivery is guaranteed for any plan that leaves the cube
 /// connected. Blocks whose next e-cube hop crosses a dead link take a
 /// two-hop bypass through a healthy perpendicular dimension
 /// (`u -> u^d2 -> u^d2^d`), which *completes* the dead dimension —
@@ -266,8 +281,11 @@ impl Loads {
 /// be undone by the next pass's ascending sweep whenever `d2 < d`,
 /// ping-ponging forever. The bypass perturbs only dimension `d2`, which
 /// a later pass re-resolves over a different physical link.
-fn sweeps(hc: &mut Hypercube, heads: &mut [Header], faults: Option<&FaultCtx>) {
-    let cube = hc.cube();
+fn sweeps(hc: &mut Hypercube, heads: &mut [Header]) {
+    // The sweep charges the machine while it reads the fault context, so
+    // the context steps out for the duration; no charge reads it.
+    let fault_ctx = hc.fault.take();
+    let (faults, cube) = (fault_ctx.as_deref(), hc.cube());
     let mut forwarded = Loads::new(cube.nodes());
     let mut detoured = Loads::new(cube.nodes());
     let mut pass: u32 = 0;
@@ -334,6 +352,7 @@ fn sweeps(hc: &mut Hypercube, heads: &mut [Header], faults: Option<&FaultCtx>) {
         // re-sweep.
         hc.charge_retry(pass - 1);
     }
+    hc.fault = fault_ctx;
 }
 
 #[cfg(test)]
@@ -536,6 +555,44 @@ mod tests {
         assert_eq!(traffic.assemble()[5], [7u8; 4]);
         assert_eq!(hc.ticks(), crate::cost::Ticks::default(), "no tick");
         assert_eq!(*hc.counters(), crate::counters::Counters::default(), "no counter");
+    }
+
+    /// The payload-free sweep charges what routing the payloads charges:
+    /// fault-free, under drops, around a dead link and on a degraded
+    /// machine, with an empty and a self-addressed block among the moves.
+    #[test]
+    fn charge_blocks_charges_what_route_blocks_charges() {
+        let moves: Vec<(NodeId, NodeId, usize)> =
+            vec![(0, 7, 3), (1, 6, 0), (5, 5, 2), (2, 4, 1), (6, 1, 4), (3, 0, 2)];
+        let machines: [fn() -> Hypercube; 4] = [
+            || machine(3),
+            || {
+                let mut hc = machine(3);
+                hc.install_faults(FaultPlan::none(5).with_drops(0.5, 0, u64::MAX));
+                hc
+            },
+            || {
+                let mut hc = machine(3);
+                hc.install_faults(FaultPlan::none(2).with_link_fault(0, 1, 0));
+                hc
+            },
+            || {
+                let mut hc = machine(3);
+                hc.degrade(&[7], &[0; 8]);
+                hc
+            },
+        ];
+        for make in machines {
+            let (mut routed, mut charged) = (make(), make());
+            let mut traffic = Traffic::new(8);
+            for &(src, dst, len) in &moves {
+                traffic.post(src, dst, 0, vec![1u8; len]);
+            }
+            route_blocks(&mut routed, &mut traffic);
+            charge_blocks(&mut charged, moves.iter().copied());
+            assert_eq!(charged.ticks(), routed.ticks());
+            assert_eq!(charged.counters(), routed.counters());
+        }
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //! Segments never overlap and are stored in node order, so two distinct
 //! nodes' buffers can be borrowed mutably at once through
 //! [`NodeSlab::pair_mut`] (a `split_at_mut` under the hood) — this is
-//! what lets the combine collectives fold one partner into the other,
-//! and the all-reduce copy a subcube's result to its members, in place
-//! with no buffer taken or cloned. The
-//! simulated-clock charging of the collectives is computed from segment
-//! *lengths* only and is therefore unchanged by the representation; see
-//! DESIGN.md § Data plane.
+//! what lets the combine collectives fold one partner into the other in
+//! place, with no buffer taken or cloned. The simulated-clock charging
+//! of the collectives is computed from segment *lengths* only and is
+//! therefore unchanged by the representation; see DESIGN.md § Data plane.
 
 use std::ops::{Index, IndexMut};
 
@@ -115,11 +113,6 @@ impl<T> NodeSlab<T> {
         &self.data
     }
 
-    /// The raw backing storage, mutably.
-    pub fn data_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Iterate over the segments in node order.
     pub fn iter_segs(&self) -> impl Iterator<Item = &[T]> {
         (0..self.p()).map(move |i| self.seg(i))
@@ -179,33 +172,6 @@ impl<T: Copy> NodeSlab<T> {
         assert_eq!(len, self.len_of(src), "fold_seg needs equal segment lengths");
         for i in 0..len {
             self.data[d + i] = op(self.data[d + i], self.data[s + i]);
-        }
-    }
-
-    /// Overwrite the `count - 1` segments after node `first`'s with
-    /// copies of it, in `lg count` doubling block copies. All `count`
-    /// segments must have `first`'s length.
-    pub(crate) fn fill_run(&mut self, first: usize, count: usize) {
-        let (start, len) = (self.offsets[first], self.len_of(first));
-        assert!(
-            (1..=count).all(|i| self.offsets[first + i] == start + i * len),
-            "fill_run needs equal segment lengths"
-        );
-        let mut filled = 1;
-        while filled < count {
-            let n = filled.min(count - filled);
-            self.data.copy_within(start..start + n * len, start + filled * len);
-            filled += n;
-        }
-    }
-
-    /// Overwrite node `dst`'s segment with a copy of node `src`'s, which
-    /// must have the same length.
-    pub(crate) fn copy_seg(&mut self, src: usize, dst: usize) {
-        let (d, s, len) = (self.offsets[dst], self.offsets[src], self.len_of(dst));
-        assert_eq!(len, self.len_of(src), "copy_seg needs equal segment lengths");
-        for i in 0..len {
-            self.data[d + i] = self.data[s + i];
         }
     }
 
@@ -368,23 +334,10 @@ mod tests {
     }
 
     #[test]
-    fn fold_seg_copy_seg_and_fill_run_touch_only_their_targets() {
+    fn fold_seg_touches_only_its_target() {
         let mut slab = NodeSlab::from_nested(&[vec![1.0, 2.0], vec![9.0], vec![10.0, 20.0]]);
         slab.fold_seg(2, 0, |a: f64, b| a - 0.5 * b);
         assert_eq!(slab.to_nested(), vec![vec![1.0, 2.0], vec![9.0], vec![9.5, 19.0]]);
-        slab.copy_seg(2, 0);
-        assert_eq!(slab.to_nested(), vec![vec![9.5, 19.0], vec![9.0], vec![9.5, 19.0]]);
-        let mut slab =
-            NodeSlab::from_nested(&[vec![7], vec![1, 2], vec![3, 4], vec![5, 6], vec![8, 9]]);
-        slab.fill_run(1, 3);
-        assert_eq!(slab.to_nested(), vec![vec![7], vec![1, 2], vec![1, 2], vec![1, 2], vec![8, 9]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal segment lengths")]
-    fn fill_run_rejects_ragged_runs() {
-        let mut slab = NodeSlab::from_nested(&[vec![1, 2], vec![3, 4], vec![5], vec![6, 7, 8]]);
-        slab.fill_run(0, 4);
     }
 
     #[test]

@@ -174,23 +174,6 @@ impl VectorLayout {
         }
     }
 
-    /// The nodes holding the chunk of global element `i`, in grid order.
-    #[must_use]
-    pub fn holders_of(&self, i: usize) -> Vec<NodeId> {
-        let part = self.dist.owner(i);
-        match &self.embedding {
-            VecEmbedding::Aligned { axis, placement: Placement::Replicated } => {
-                (0..self.grid.lines(*axis).0)
-                    .map(|line| self.grid.node_on(*axis, line, part))
-                    .collect()
-            }
-            VecEmbedding::Aligned { axis, placement: Placement::Concentrated(line) } => {
-                vec![self.grid.node_on(*axis, *line, part)]
-            }
-            VecEmbedding::Linear => vec![part],
-        }
-    }
-
     /// The primary copy's grid line as a mask test: `node & mask == bits`
     /// holds exactly on grid line 0 of a replicated vector, on the
     /// holding line of a concentrated one and on every node of a linear
@@ -210,11 +193,18 @@ impl VectorLayout {
         node & mask == bits && self.local_len(node) > 0
     }
 
-    /// The canonical (first) holder of element `i`: the first entry of
-    /// [`VectorLayout::holders_of`], without building the list.
+    /// The canonical holder of element `i`: the
+    /// [`VectorLayout::primary_node`] of its part.
     #[must_use]
     pub fn primary_holder(&self, i: usize) -> NodeId {
-        let part = self.dist.owner(i);
+        self.primary_node(self.dist.owner(i))
+    }
+
+    /// The node on the [`VectorLayout::primary_line`] associated with
+    /// `part`: on grid line 0 of a replicated vector, on the holding line
+    /// of a concentrated one, the node `part` itself for a linear one.
+    #[must_use]
+    pub fn primary_node(&self, part: usize) -> NodeId {
         match &self.embedding {
             VecEmbedding::Aligned { axis, placement } => {
                 self.grid.node_on(*axis, placement.primary_line(), part)
@@ -223,7 +213,8 @@ impl VectorLayout {
         }
     }
 
-    /// Total elements stored machine-wide (counts replicas).
+    /// Total elements the embedding places machine-wide (counts
+    /// replicas): what the modelled nodes hold, not what the host stores.
     #[must_use]
     pub fn stored_elements(&self) -> usize {
         (0..self.grid.p()).map(|n| self.local_len(n)).sum()
@@ -254,6 +245,13 @@ mod tests {
         ProcGrid::new(Cube::new(4), 2) // 4x4
     }
 
+    /// The nodes holding element `i`, spelled out from `holds` and
+    /// `part_of`, in node order.
+    fn holders(l: &VectorLayout, i: usize) -> Vec<NodeId> {
+        let part = l.dist().owner(i);
+        (0..l.grid().p()).filter(|&n| l.holds(n) && l.part_of(n) == part).collect()
+    }
+
     #[test]
     fn replicated_row_vector_is_held_by_every_row() {
         let l = VectorLayout::aligned(10, grid(), Axis::Row, Placement::Replicated, Dist::Block);
@@ -263,7 +261,7 @@ mod tests {
         }
         assert_eq!(l.stored_elements(), 40, "4 replicas of 10 elements");
         for i in 0..10 {
-            assert_eq!(l.holders_of(i).len(), 4);
+            assert_eq!(holders(&l, i).len(), 4);
         }
     }
 
@@ -277,9 +275,12 @@ mod tests {
             assert_eq!(l.grid().grid_coords(n).0, 2);
         }
         assert_eq!(l.stored_elements(), 10);
+        // Block chunking of 10 over 4 grid columns: 3, 3, 2, 2 elements;
+        // grid row 2 is Gray code 3, its columns 0..4 Gray codes 0, 1, 3, 2.
+        let primary: Vec<NodeId> = (0..10).map(|i| l.primary_holder(i)).collect();
+        assert_eq!(primary, [12, 12, 12, 13, 13, 13, 15, 15, 14, 14]);
         for i in 0..10 {
-            assert_eq!(l.holders_of(i).len(), 1);
-            assert!(held.contains(&l.primary_holder(i)));
+            assert_eq!(holders(&l, i), [primary[i]]);
         }
     }
 
@@ -289,11 +290,15 @@ mod tests {
         assert_eq!(l.dist().parts(), 4);
         // Element 5 (cyclic) belongs to part 1 = grid row 1; holders are
         // all 4 nodes of grid row 1.
-        let holders = l.holders_of(5);
+        let holders = holders(&l, 5);
         assert_eq!(holders.len(), 4);
         for &n in &holders {
             assert_eq!(l.grid().grid_coords(n).0, 1);
         }
+        // The primary holders sit on grid column 0: grid row `r` is the
+        // Gray code of `r` in the high two address bits.
+        let primary: Vec<NodeId> = (0..12).map(|i| l.primary_holder(i)).collect();
+        assert_eq!(primary, [0, 4, 12, 8].repeat(3));
     }
 
     #[test]
@@ -304,7 +309,7 @@ mod tests {
         let lens: Vec<usize> = (0..16).map(|n| l.local_len(n)).collect();
         assert!(lens.iter().all(|&c| c == 2 || c == 3));
         for i in 0..33 {
-            assert_eq!(l.holders_of(i).len(), 1);
+            assert_eq!(holders(&l, i), [l.primary_holder(i)]);
         }
     }
 
@@ -319,7 +324,7 @@ mod tests {
             let mut per_node = [0usize; 16];
             for i in 0..9 {
                 let slot = layout.dist().local_index(i);
-                for n in layout.holders_of(i) {
+                for n in holders(&layout, i) {
                     per_node[n] += 1;
                     assert!(slot < layout.local_len(n));
                 }
@@ -348,7 +353,7 @@ mod tests {
                 assert_eq!(parts.len(), layout.dist().parts(), "{layout:?}");
                 for i in 0..9 {
                     assert!(on_line.contains(&layout.primary_holder(i)), "{layout:?} element {i}");
-                    assert_eq!(layout.primary_holder(i), layout.holders_of(i)[0], "{layout:?} {i}");
+                    assert_eq!(layout.primary_holder(i), holders(&layout, i)[0], "{layout:?} {i}");
                 }
                 // The predicate names the same nodes, one per non-empty chunk.
                 let primaries: Vec<NodeId> =

@@ -20,7 +20,7 @@
 //! claimed across the `m = p lg p` threshold.
 
 use vmp_hypercube::cost::{Collective, CostModel, Ticks};
-use vmp_layout::{MatrixLayout, VectorLayout};
+use vmp_layout::{MatrixLayout, VecEmbedding, VectorLayout};
 
 /// Per-processor block bound `ceil(n_r/p_r) * ceil(n_c/p_c)` — the local
 /// work unit of every primitive.
@@ -121,6 +121,28 @@ pub fn predicted_reduce_degraded(layout: &MatrixLayout, load_factor: usize) -> T
 pub fn predicted_fold(layout: &VectorLayout, cost: &CostModel) -> Ticks {
     let k = layout.fold_dims().len();
     Ticks::flops(layout.dist().max_count()) + collective_cost(cost, Collective::Allreduce, k, 1)
+}
+
+/// Predicted ticks of `concentrate` of an aligned vector laid out as
+/// `layout` from grid line `from` onto line `to`: one blocked message of
+/// the largest part per cube dim in which the lines' addresses differ,
+/// on either port model. An `insert` of a vector concentrated off the
+/// owning line adds its local write, `Ticks::moves` of the chunk; a row
+/// swap is two such inserts.
+///
+/// # Panics
+/// Panics on a linear layout.
+#[must_use]
+pub fn predicted_concentrate(layout: &VectorLayout, from: usize, to: usize) -> Ticks {
+    let VecEmbedding::Aligned { axis, .. } = *layout.embedding() else {
+        panic!("concentrate applies to axis-aligned vectors only")
+    };
+    let grid = layout.grid();
+    let hops = (grid.line_coord(axis, from) ^ grid.line_coord(axis, to)).count_ones() as usize;
+    match layout.dist().max_count() {
+        0 => Ticks::default(),
+        max => Ticks::message(max) * hops,
+    }
 }
 
 /// The generic lower bound for a primitive that must touch all `m`
@@ -277,6 +299,58 @@ mod tests {
                         let _ = v.zip_reduce(&mut hc, &v, Sum, |_, a, b| a * b);
                         let zip = Ticks::flops(layout.dist().max_count());
                         assert_eq!(hc.ticks(), want + zip, "zip_reduce {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Routed inserts charge their prediction exactly: both axes, Gray
+    /// and binary grids, square and non-square grids (including rows or
+    /// columns of one node), both port models, from every source line
+    /// into rows owned by several target lines.
+    #[test]
+    fn simulated_insert_and_concentrate_match_formula_exactly() {
+        use crate::remap::concentrate;
+        use crate::vector::DistVector;
+        use vmp_layout::{GridEncoding, Placement};
+        let grids = [
+            (4, 2, GridEncoding::Gray),
+            (5, 2, GridEncoding::Binary),
+            (5, 3, GridEncoding::Gray),
+            (3, 0, GridEncoding::Gray),
+            (3, 3, GridEncoding::Binary),
+        ];
+        for cost in [CostModel::cm2(), CostModel::cm2_allport()] {
+            for (dim, dr, enc) in grids {
+                let g = ProcGrid::with_encoding(Cube::new(dim), dr, enc);
+                let l = MatrixLayout::new(MatShape::new(11, 6), g, Dist::Cyclic, Dist::Block);
+                let m = DistMatrix::from_fn(l, |i, j| (i * 10 + j) as f64);
+                for axis in [Axis::Row, Axis::Col] {
+                    let count = l.shape().vector_count(axis);
+                    for from in 0..g.lines(axis).0 {
+                        let vl = VectorLayout::aligned(
+                            l.shape().vector_len(axis),
+                            g,
+                            axis,
+                            Placement::Concentrated(from),
+                            l.vector_dist(axis).kind(),
+                        );
+                        let v = DistVector::from_fn(vl, |i| -(i as f64));
+                        for to in 0..g.lines(axis).0 {
+                            let mut hc = Hypercube::new(dim, cost);
+                            let _ = concentrate(&mut hc, &v, to);
+                            let want = predicted_concentrate(&vl, from, to);
+                            assert_eq!(hc.ticks(), want, "{cost:?} {g:?} {axis:?} {from}->{to}");
+                        }
+                        for index in [0, count / 2, count - 1] {
+                            let mut hc = Hypercube::new(dim, cost);
+                            primitives::insert(&mut hc, &mut m.clone(), axis, index, &v);
+                            let to = l.vector_dist(axis.transpose()).owner(index);
+                            let write = Ticks::moves(l.vector_dist(axis).max_count());
+                            let want = predicted_concentrate(&vl, from, to) + write;
+                            assert_eq!(hc.ticks(), want, "{cost:?} {g:?} {axis:?} {from} {index}");
+                        }
                     }
                 }
             }

@@ -32,7 +32,7 @@ use vmp_layout::Axis;
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
-use crate::vector::{DistVector, Parts};
+use crate::vector::DistVector;
 
 impl<T: Scalar> DistMatrix<T> {
     /// Elementwise map with access to global indices:
@@ -124,15 +124,15 @@ impl<T: Scalar> DistMatrix<T> {
         self.check_axis_aligned(axis, v);
         let layout = *self.layout();
         let (grid, rows, cols) = (layout.grid(), layout.rows(), layout.cols());
-        let locals = self.locals();
-        let v_locals = v.locals();
+        let (locals, v_parts) = (self.locals(), v.chunks());
         let out = NodeSlab::build(grid.p(), locals.total_len(), |node, o| {
             let buf = &locals[node];
             if buf.is_empty() {
                 return;
             }
-            let chunk = &v_locals[node];
             let (gr, gc) = grid.grid_coords(node);
+            // A row vector's part is the grid column, a column vector's the row.
+            let chunk = &v_parts[if axis == Axis::Row { gc } else { gr }];
             o.reserve(buf.len());
             let block = rows.part_indices(gr).zip(buf.chunks_exact(cols.count(gc)));
             match axis {
@@ -204,8 +204,7 @@ impl<T: Scalar> DistMatrix<T> {
             (0..grid.pc()).map(|gc| col_dist.local_slot_range(gc, cols.start, cols.end)).collect();
         // A part's global indices are affine in its slots.
         let (di, dj) = (row_dist.slot_stride(), col_dist.slot_stride());
-        let col_locals = col.locals();
-        let row_locals = row.locals();
+        let (col_parts, row_parts) = (col.chunks(), row.chunks());
         let mut max_rows = 0;
         for gr in 0..grid.pr() {
             let li_range = row_dist.local_slot_range(gr, rows.start, rows.end);
@@ -218,8 +217,8 @@ impl<T: Scalar> DistMatrix<T> {
                 let node = grid.node_at(gr, gc);
                 let j0 = col_dist.global_index(gc, lj_range.start);
                 let lc = col_dist.count(gc);
-                let col_chunk = &col_locals[node];
-                let row_window = &row_locals[node][lj_range.clone()];
+                let col_chunk = &col_parts[gr];
+                let row_window = &row_parts[gc][lj_range.clone()];
                 let buf = locals.seg_mut(node);
                 for (t, li) in li_range.clone().enumerate() {
                     let (i, c) = (i0 + t * di, col_chunk[li]);
@@ -256,26 +255,26 @@ impl<T: Scalar> DistMatrix<T> {
 
 impl<T: Scalar> DistVector<T> {
     /// Elementwise map with the global index: `out[i] = f(i, self[i])`.
+    /// One pass over the parts; charged as one pass over every holder's
+    /// chunk.
     #[must_use]
     pub fn map<U: Scalar>(&self, hc: &mut Hypercube, f: impl Fn(usize, T) -> U) -> DistVector<U> {
         let layout = *self.layout();
-        let (dist, parts) = (layout.dist(), Parts::new(&layout));
-        let locals = self.locals();
-        let out = NodeSlab::build(locals.p(), locals.total_len(), |node, o| {
-            o.extend(dist.part_indices(parts.of(node)).zip(&locals[node]).map(|(i, &x)| f(i, x)));
+        let (dist, parts) = (layout.dist(), self.chunks());
+        let out = NodeSlab::build(parts.p(), parts.total_len(), |part, o| {
+            o.extend(dist.part_indices(part).zip(&parts[part]).map(|(i, &x)| f(i, x)));
         });
         hc.charge_flops(dist.max_count());
-        DistVector::from_slab(layout, out)
+        DistVector::from_chunks(layout, out)
     }
 
     /// In-place elementwise update with the global index:
     /// `self[i] = f(i, self[i])`. Charged exactly like
     /// [`DistVector::map`], without building a new vector.
     pub fn map_inplace(&mut self, hc: &mut Hypercube, f: impl Fn(usize, T) -> T) {
-        let layout = *self.layout();
-        let (dist, parts) = (layout.dist(), Parts::new(&layout));
-        self.locals_mut().for_each_seg_mut(|node, buf| {
-            for (i, x) in dist.part_indices(parts.of(node)).zip(buf) {
+        let dist = *self.layout().dist();
+        self.parts_mut().for_each_seg_mut(|part, buf| {
+            for (i, x) in dist.part_indices(part).zip(buf) {
                 *x = f(i, *x);
             }
         });
@@ -292,14 +291,13 @@ impl<T: Scalar> DistVector<T> {
     ) -> DistVector<V> {
         assert_eq!(self.layout(), other.layout(), "zip operands must share a layout");
         let layout = *self.layout();
-        let (dist, parts) = (layout.dist(), Parts::new(&layout));
-        let locals = self.locals();
-        let out = NodeSlab::build(locals.p(), locals.total_len(), |node, o| {
-            let pairs = locals[node].iter().zip(&other.locals()[node]);
-            o.extend(dist.part_indices(parts.of(node)).zip(pairs).map(|(i, (&x, &y))| f(i, x, y)));
+        let (dist, lhs, rhs) = (layout.dist(), self.chunks(), other.chunks());
+        let out = NodeSlab::build(lhs.p(), lhs.total_len(), |part, o| {
+            let pairs = lhs[part].iter().zip(&rhs[part]);
+            o.extend(dist.part_indices(part).zip(pairs).map(|(i, (&x, &y))| f(i, x, y)));
         });
         hc.charge_flops(dist.max_count());
-        DistVector::from_slab(layout, out)
+        DistVector::from_chunks(layout, out)
     }
 }
 

@@ -62,7 +62,7 @@ pub fn gather_by_index<T: Scalar>(
     }
     hc.charge_flops(lookup_work);
     route_blocks(hc, &mut replies);
-    DistVector::from_slab(layout, replies.assemble())
+    DistVector::from_chunks(layout, replies.assemble())
 }
 
 #[cfg(test)]

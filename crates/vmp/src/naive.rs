@@ -21,7 +21,7 @@ use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::Traffic;
 use vmp_hypercube::router::route_elements;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, Dist, Placement, ProcGrid, VecEmbedding, VectorLayout};
+use vmp_layout::{Axis, Dist, Placement, VecEmbedding, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
 use crate::matrix::DistMatrix;
@@ -77,10 +77,8 @@ pub fn naive_reduce<T: Scalar, O: ReduceOp<T>>(
 
     // Serial fold of arrivals at each primary node.
     let mut max_folds = 0usize;
-    let result = NodeSlab::build(p, n, |node, out| {
-        if !primary_part(node).0 {
-            return;
-        }
+    let result = NodeSlab::build(dist.parts(), n, |part, out| {
+        let node = result_layout.primary_node(part);
         let start = out.len();
         out.extend_from_slice(&partials[node]);
         let acc = &mut out[start..];
@@ -93,8 +91,9 @@ pub fn naive_reduce<T: Scalar, O: ReduceOp<T>>(
     hc.charge_flops(max_folds);
 
     // Replicate element-by-element through the router, too.
-    let replicated = naive_fan_out(hc, grid, axis, 0, &result);
-    DistVector::from_slab(result_layout, replicated)
+    let result = DistVector::from_chunks(result_layout, result);
+    naive_fan_out(hc, &result, 0);
+    result
 }
 
 /// Naive `distribute`: every node fetches each element of its chunk
@@ -106,25 +105,19 @@ pub fn naive_distribute<T: Scalar>(
     count: usize,
     stack_kind: Dist,
 ) -> DistMatrix<T> {
-    let vl = v.layout();
-    let (axis, placement) = match vl.embedding() {
+    let (axis, placement) = match v.layout().embedding() {
         VecEmbedding::Aligned { axis, placement } => (*axis, *placement),
         VecEmbedding::Linear => panic!("distribute requires an axis-aligned vector"),
     };
 
     // Everyone needs a copy of its chunk; a naive program pulls each
     // element individually from the (single) holder.
-    let fetched;
-    let chunks = match placement {
-        Placement::Concentrated(line) => {
-            fetched = naive_fan_out(hc, vl.grid(), axis, line, v.locals());
-            &fetched
-        }
-        Placement::Replicated => v.locals(),
-    };
+    if let Placement::Concentrated(line) = placement {
+        naive_fan_out(hc, v, line);
+    }
 
     // The local replication is the optimized one.
-    stack(hc, vl, chunks, axis, count, stack_kind)
+    stack(hc, v, axis, count, stack_kind)
 }
 
 /// Naive `extract` + replication: the owning grid line's nodes send each
@@ -144,8 +137,8 @@ pub fn naive_extract_replicated<T: Scalar>(
         _ => unreachable!("extract returns a concentrated vector"),
     };
     // ...then element-granular fan-out instead of a tree broadcast.
-    let chunks = naive_fan_out(hc, layout.grid(), axis, line, v.locals());
-    DistVector::from_slab(layout.with_placement(Placement::Replicated), chunks)
+    naive_fan_out(hc, &v, line);
+    v.relabel(layout.with_placement(Placement::Replicated))
 }
 
 /// Naive `insert`: each holder of the vector sends each element
@@ -170,7 +163,7 @@ pub fn naive_insert<T: Scalar>(
             continue;
         }
         let part = v.layout().part_of(src);
-        for (slot, &x) in v.locals()[src].iter().enumerate() {
+        for (slot, &x) in v.node_chunk(src).iter().enumerate() {
             let gi = v.layout().dist().global_index(part, slot);
             let (i, j) = match axis {
                 Axis::Row => (index, gi),
@@ -187,17 +180,16 @@ pub fn naive_insert<T: Scalar>(
     });
 }
 
-/// Element-granular fan-out of an `axis`-aligned vector's chunks from
-/// grid line `line` to every other line: each holder sends each element
+/// Element-granular fan-out of an aligned vector's parts from grid line
+/// `line` to every other line: each holder sends each element
 /// individually to the node holding the same part on every other line.
-/// Nodes that receive nothing keep their chunk from `chunks`.
-fn naive_fan_out<T: Scalar>(
-    hc: &mut Hypercube,
-    grid: ProcGrid,
-    axis: Axis,
-    line: usize,
-    chunks: &NodeSlab<T>,
-) -> NodeSlab<T> {
+/// Every line then holds `v`'s parts, which the caller already has, so
+/// only the router's charges are kept.
+fn naive_fan_out<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>, line: usize) {
+    let VecEmbedding::Aligned { axis, .. } = *v.layout().embedding() else {
+        unreachable!("only aligned vectors fan out across grid lines")
+    };
+    let grid = v.layout().grid();
     let p = grid.p();
     let lines = grid.lines(axis).0;
     let mut traffic = Traffic::new(p);
@@ -208,19 +200,12 @@ fn naive_fan_out<T: Scalar>(
         }
         for other in (0..lines).filter(|&l| l != line) {
             let dst = grid.node_on(axis, other, part);
-            for (slot, &x) in chunks[node].iter().enumerate() {
+            for (slot, &x) in v.chunks()[part].iter().enumerate() {
                 traffic.post(node, dst, slot as u64, [x]);
             }
         }
     }
     route_elements(hc, &mut traffic);
-    NodeSlab::build(p, chunks.total_len() * lines, |node, buf| {
-        if traffic.inbox(node).len() == 0 {
-            buf.extend_from_slice(&chunks[node]);
-        } else {
-            buf.extend(traffic.inbox(node).map(|(_, payload)| payload[0]));
-        }
-    })
 }
 
 #[cfg(test)]
@@ -230,7 +215,7 @@ mod tests {
     use crate::primitives;
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
-    use vmp_layout::{MatShape, MatrixLayout};
+    use vmp_layout::{MatShape, MatrixLayout, ProcGrid};
 
     fn setup(rows: usize, cols: usize) -> (Hypercube, DistMatrix<f64>) {
         let layout = MatrixLayout::new(

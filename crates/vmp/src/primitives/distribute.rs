@@ -3,7 +3,7 @@
 
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, Dist, MatShape, MatrixLayout, VecEmbedding, VectorLayout};
+use vmp_layout::{Axis, Dist, MatShape, MatrixLayout, VecEmbedding};
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
@@ -40,21 +40,21 @@ pub fn distribute<T: Scalar>(
     };
     // Get every node a copy of its chunk.
     let v = crate::remap::replicate(hc, v);
-    stack(hc, v.layout(), v.locals(), axis, count, stack_kind)
+    stack(hc, &v, axis, count, stack_kind)
 }
 
-/// The local phase of [`distribute`]: every node replicates its chunk of
-/// the `axis`-aligned vector laid out as `vl` into its block of the
-/// `count x n` (Row) or `n x count` (Col) matrix. No communication;
-/// charges the moves.
+/// The local phase of [`distribute`]: every node replicates its part of
+/// the `axis`-aligned `v`, which it holds once `v` is replicated, into
+/// its block of the `count x n` (Row) or `n x count` (Col) matrix. No
+/// communication; charges the moves.
 pub(crate) fn stack<T: Scalar>(
     hc: &mut Hypercube,
-    vl: &VectorLayout,
-    chunks: &NodeSlab<T>,
+    v: &DistVector<T>,
     axis: Axis,
     count: usize,
     stack_kind: Dist,
 ) -> DistMatrix<T> {
+    let vl = v.layout();
     let grid = vl.grid();
     let (n, kind) = (vl.n(), vl.dist().kind());
     let layout = match axis {
@@ -66,7 +66,9 @@ pub(crate) fn stack<T: Scalar>(
     let mut locals = NodeSlab::with_capacity(p, total);
     for node in 0..p {
         let (lr, lc) = layout.local_shape(node);
-        let chunk = &chunks[node];
+        // A row vector's part is the grid column, a column vector's the row.
+        let (gr, gc) = grid.grid_coords(node);
+        let chunk = &v.chunks()[if axis == Axis::Row { gc } else { gr }];
         locals.push_seg_with(|buf| match axis {
             Axis::Row => {
                 debug_assert_eq!(chunk.len(), lc, "node {node} chunk/column mismatch");
@@ -91,7 +93,7 @@ mod tests {
     use super::*;
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
-    use vmp_layout::{Placement, ProcGrid};
+    use vmp_layout::{Placement, ProcGrid, VectorLayout};
 
     fn machine(dim: u32) -> Hypercube {
         Hypercube::new(dim, CostModel::unit())

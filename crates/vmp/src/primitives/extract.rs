@@ -29,15 +29,11 @@ pub fn extract<T: Scalar>(
     let count = shape.vector_count(axis);
     assert!(index < count, "{axis:?} index {index} out of range 0..{count}");
     let (line, slot) = line_and_slot(layout, axis, index);
-    // The grid line is the subcube whose line-dim bits match its first
-    // node's.
-    let mask = grid.cube().dims_mask(grid.lines(axis).1);
-    let on_line = grid.node_on(axis, line, 0) & mask;
-    let locals = NodeSlab::build(grid.p(), shape.vector_len(axis), |node, buf| {
-        if node & mask == on_line {
-            let block = m.locals()[node].iter();
-            buf.extend(local_line(block, axis, slot, layout.local_shape(node)));
-        }
+    // Part `q` is the local line of the node on `line` holding it.
+    let parts = grid.lines(axis.transpose()).0;
+    let chunks = NodeSlab::build(parts, shape.vector_len(axis), |part, buf| {
+        let node = grid.node_on(axis, line, part);
+        buf.extend(local_line(m.locals()[node].iter(), axis, slot, layout.local_shape(node)));
     });
     let along = layout.vector_dist(axis);
     hc.charge_moves(along.max_count());
@@ -48,14 +44,14 @@ pub fn extract<T: Scalar>(
         Placement::Concentrated(line),
         along.kind(),
     );
-    DistVector::from_slab(vl, locals)
+    DistVector::from_chunks(vl, chunks)
 }
 
 /// [`extract`] followed by replication across the orthogonal grid dims —
 /// the common composite when the extracted line immediately feeds an
 /// elementwise combination (Gaussian elimination's pivot row, simplex's
-/// pivot column). One local copy + `d_r` (resp. `d_c`) broadcast steps;
-/// the broadcast fans out the extracted chunks themselves.
+/// pivot column). One local copy + `d_r` (resp. `d_c`) broadcast steps,
+/// charged without copying: every grid line holds the extracted parts.
 pub fn extract_replicated<T: Scalar>(
     hc: &mut Hypercube,
     m: &DistMatrix<T>,

@@ -6,7 +6,7 @@ use vmp_layout::{Axis, MatrixLayout, Placement, VecEmbedding};
 use super::{line_and_slot, local_line};
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
-use crate::remap::concentrate;
+use crate::remap::charge_line_move;
 use crate::vector::DistVector;
 
 /// Overwrite row `index` (`Axis::Row`) or column `index` (`Axis::Col`) of
@@ -31,25 +31,20 @@ pub fn insert<T: Scalar>(
     let layout = *m.layout();
     let placement = check_insert(&layout, axis, index, v);
 
-    // The grid line owning the target row/column, and `v`'s chunks on
-    // it: `v`'s own segments when it is replicated or already
-    // concentrated there, else one routed move.
+    // The grid line owning the target row/column already holds `v`'s
+    // parts when `v` is replicated or concentrated there; from another
+    // line they move there in one routed move.
     let (target_line, slot) = line_and_slot(&layout, axis, index);
-    let moved;
-    let on_target = match placement {
-        Placement::Concentrated(line) if line != target_line => {
-            moved = concentrate(hc, v, target_line);
-            &moved
+    if let Placement::Concentrated(line) = placement {
+        if line != target_line {
+            charge_line_move(hc, v.layout(), line, target_line);
         }
-        _ => v,
-    };
-    let chunks = on_target.locals();
+    }
 
     // Local write on the target line.
     let grid = layout.grid();
-    for part in 0..grid.lines(axis.transpose()).0 {
+    for (part, chunk) in v.chunks().iter_segs().enumerate() {
         let node = grid.node_on(axis, target_line, part);
-        let chunk = &chunks[node];
         let shape = layout.local_shape(node);
         let line = local_line(m.locals_mut()[node].iter_mut(), axis, slot, shape);
         debug_assert_eq!(line.len(), chunk.len());

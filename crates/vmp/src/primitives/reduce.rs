@@ -90,7 +90,8 @@ pub(crate) fn local_fold<T: Scalar, U: Scalar, O: ReduceOp<U>, L: Fn(usize, usiz
 
 /// Combine the partials over the cube dims encoding the grid-row
 /// (`Axis::Row`) or grid-column (`Axis::Col`) index: a butterfly for a
-/// replicated result, a binomial tree for a concentrated one.
+/// replicated result, a binomial tree for a concentrated one. The result
+/// keeps one copy of each part, from its primary line.
 fn combine_partials<U: Scalar, O: ReduceOp<U>>(
     hc: &mut Hypercube,
     layout: &MatrixLayout,
@@ -103,7 +104,10 @@ fn combine_partials<U: Scalar, O: ReduceOp<U>>(
     let dims = grid.lines(axis).1;
     match placement {
         Placement::Replicated => {
-            collective::allreduce_slab(hc, &mut partials, dims, |a, b| op.combine(a, b));
+            // Every line ends up with the same parts: keep line 0's, the
+            // subcubes' representatives.
+            let combine = |a, b| op.combine(a, b);
+            collective::allreduce_to_representatives(hc, &mut partials, dims, combine);
         }
         Placement::Concentrated(line) => {
             let root = grid.line_coord(axis, line);
@@ -111,7 +115,7 @@ fn combine_partials<U: Scalar, O: ReduceOp<U>>(
         }
     }
     let (n, kind) = (layout.shape().vector_len(axis), layout.vector_dist(axis).kind());
-    DistVector::from_slab(VectorLayout::aligned(n, grid, axis, placement, kind), partials)
+    DistVector::from_primary_line(VectorLayout::aligned(n, grid, axis, placement, kind), &partials)
 }
 
 /// Reduce all rows (`Axis::Row`) or columns (`Axis::Col`) of `m` into one
@@ -155,12 +159,13 @@ pub fn reduce_zip<T: Scalar, W: Scalar, U: Scalar, O: ReduceOp<U>>(
     m.check_axis_aligned(along, v);
     let layout = m.layout();
     hc.charge_flops(layout.max_local_len()); // the zip pass
-    let (f, v_locals) = (&f, v.locals());
+    let (f, v_parts) = (&f, v.chunks());
     let (rows, cols) = (layout.rows(), layout.cols());
     let (di, dj) = (rows.slot_stride(), cols.slot_stride());
     let partials = local_fold(hc, m, axis, op, |node| {
-        let chunk = &v_locals[node];
         let (gr, gc) = layout.grid().grid_coords(node);
+        // A row vector's part is the grid column, a column vector's the row.
+        let chunk = &v_parts[if along == Axis::Row { gc } else { gr }];
         let (i0, j0) = (rows.first_index(gr), cols.first_index(gc));
         move |li: usize, lj: usize, x| {
             // A row vector is indexed by the column slot, a column

@@ -16,13 +16,16 @@
 //!   flips), via blocked dimension-ordered routing to the target's
 //!   primary holders plus a final broadcast if the target is replicated;
 //! * [`transpose`] / [`redistribute`] — whole-matrix re-embeddings.
+//!
+//! A vector stores each part once ([`DistVector`]), so `replicate` and
+//! `concentrate` move no data on the host: the machine is charged for
+//! the broadcast or the routed move, and the layout changes.
 
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Traffic};
-use vmp_hypercube::slab::NodeSlab;
+use vmp_hypercube::route::{charge_blocks, route_blocks, Traffic};
 use vmp_hypercube::topology::NodeId;
-use vmp_layout::{MatrixLayout, Placement, VecEmbedding, VectorLayout};
+use vmp_layout::{Axis, MatrixLayout, Placement, VecEmbedding, VectorLayout};
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
@@ -37,59 +40,55 @@ pub fn replicate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>) -> DistVector
     replicate_owned(hc, v.clone())
 }
 
-/// [`replicate`] of a vector the caller gives up: its own chunks are
-/// broadcast in place, with no copy taken first.
+/// [`replicate`] of a vector the caller gives up: the broadcast is
+/// charged from the parts' lengths and the parts stay where they are.
 pub(crate) fn replicate_owned<T: Scalar>(hc: &mut Hypercube, v: DistVector<T>) -> DistVector<T> {
-    let (axis, placement) = match v.layout().embedding() {
-        VecEmbedding::Aligned { axis, placement } => (*axis, *placement),
-        VecEmbedding::Linear => panic!("replicate applies to axis-aligned vectors only"),
-    };
-    match placement {
-        Placement::Replicated => v,
-        Placement::Concentrated(line) => {
-            let (layout, mut chunks) = v.into_parts();
-            let grid = layout.grid();
-            let (dims, root) = (grid.lines(axis).1, grid.line_coord(axis, line));
-            collective::broadcast_slab(hc, &mut chunks, dims, root);
-            DistVector::from_slab(layout.with_placement(Placement::Replicated), chunks)
-        }
+    let (axis, placement) = aligned(v.layout(), "replicate");
+    if let Placement::Concentrated(line) = placement {
+        let layout = v.layout();
+        let grid = layout.grid();
+        let (dims, root) = (grid.lines(axis).1, grid.line_coord(axis, line));
+        let (max, n) = (layout.dist().max_count(), layout.n() as u64);
+        collective::charge_broadcast(hc, dims, root, max, n);
     }
+    let replicated = v.layout().with_placement(Placement::Replicated);
+    v.relabel(replicated)
 }
 
 /// Concentrate an axis-aligned vector onto grid line `line`. From a
 /// replicated embedding this is free — the copies are simply dropped.
-/// From another concentrated line it is one blocked routed move.
+/// From another concentrated line it is one blocked routed move, charged
+/// through [`charge_blocks`] while the parts stay where they are.
 ///
 /// # Panics
 /// Panics on linear vectors.
 pub fn concentrate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>, line: usize) -> DistVector<T> {
-    let (axis, placement) = match v.layout().embedding() {
+    if let (_, Placement::Concentrated(src)) = aligned(v.layout(), "concentrate") {
+        if src != line {
+            charge_line_move(hc, v.layout(), src, line);
+        }
+    }
+    v.clone().relabel(v.layout().with_placement(Placement::Concentrated(line)))
+}
+
+/// Charge the routed move of an aligned vector laid out as `layout` from
+/// grid line `from` to line `to`: each part as one block from its node on
+/// `from` to its node on `to`, through [`charge_blocks`].
+pub(crate) fn charge_line_move(hc: &mut Hypercube, layout: &VectorLayout, from: usize, to: usize) {
+    let (axis, _) = aligned(layout, "a line move");
+    let (grid, dist) = (layout.grid(), layout.dist());
+    let blocks = (0..dist.parts()).map(|part| {
+        (grid.node_on(axis, from, part), grid.node_on(axis, to, part), dist.count(part))
+    });
+    charge_blocks(hc, blocks);
+}
+
+/// The axis and placement of an aligned layout; `what` names the caller
+/// in the panic on a linear one.
+fn aligned(layout: &VectorLayout, what: &str) -> (Axis, Placement) {
+    match layout.embedding() {
         VecEmbedding::Aligned { axis, placement } => (*axis, *placement),
-        VecEmbedding::Linear => panic!("concentrate applies to axis-aligned vectors only"),
-    };
-    let new_layout = v.layout().with_placement(Placement::Concentrated(line));
-    match placement {
-        Placement::Concentrated(src) if src == line => v.clone(),
-        Placement::Replicated => {
-            // Free: keep only the target line's copies.
-            let locals = NodeSlab::build(v.locals().p(), new_layout.n(), |node, buf| {
-                if new_layout.holds(node) {
-                    buf.extend_from_slice(&v.locals()[node]);
-                }
-            });
-            DistVector::from_slab(new_layout, locals)
-        }
-        Placement::Concentrated(src_line) => {
-            let grid = v.layout().grid();
-            let mut traffic = Traffic::new(grid.p());
-            for part in 0..grid.lines(axis.transpose()).0 {
-                let (src, dst) =
-                    (grid.node_on(axis, src_line, part), grid.node_on(axis, line, part));
-                traffic.post(src, dst, 0, v.locals()[src].iter().copied());
-            }
-            route_blocks(hc, &mut traffic);
-            DistVector::from_slab(new_layout, traffic.assemble())
-        }
+        VecEmbedding::Linear => panic!("{what} applies to axis-aligned vectors only"),
     }
 }
 
@@ -140,7 +139,7 @@ pub(crate) fn move_elements<T: Scalar>(
     let mut staged = Vec::new();
     for src in (0..p).filter(|&node| old.is_primary_holder(node)) {
         let part = old.part_of(src);
-        for (slot, &x) in v.locals()[src].iter().enumerate() {
+        for (slot, &x) in v.node_chunk(src).iter().enumerate() {
             let Some(j) = dest(old.dist().global_index(part, slot)) else { continue };
             if fill.is_some() {
                 covered[j] = true;
@@ -164,7 +163,7 @@ pub(crate) fn move_elements<T: Scalar>(
     );
     let primary =
         if replicated { layout.with_placement(Placement::Concentrated(0)) } else { layout };
-    let moved = DistVector::from_chunks(primary, traffic.assemble());
+    let moved = DistVector::from_primary_line(primary, &traffic.assemble());
     if replicated {
         replicate_owned(hc, moved)
     } else {

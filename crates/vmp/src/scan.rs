@@ -77,9 +77,9 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
 
     // 1. Local pass: per-chunk inclusive scan, remembering the total.
     let mut totals: Vec<T> = Vec::with_capacity(p);
-    let mut locals = NodeSlab::build(p, v.locals().total_len(), |node, out| {
+    let mut locals = NodeSlab::build(p, layout.stored_elements(), |node, out| {
         let mut acc = op.identity();
-        for &x in &v.locals()[node] {
+        for &x in v.node_chunk(node) {
             if inclusive {
                 acc = op.combine(acc, x);
                 out.push(acc);
@@ -135,7 +135,7 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
     });
     hc.charge_flops(max_chunk);
 
-    DistVector::from_slab(layout, locals)
+    DistVector::from_primary_line(layout, &locals)
 }
 
 /// A segment-boundary flag: `true` starts a new segment at that index.
@@ -246,7 +246,7 @@ pub fn pack<T: Scalar>(
             continue;
         }
         let part = old.part_of(src);
-        for (slot, &x) in v.locals()[src].iter().enumerate() {
+        for (slot, &x) in v.node_chunk(src).iter().enumerate() {
             let i = old.dist().global_index(part, slot);
             if !mask.get(i) {
                 continue;
@@ -258,7 +258,7 @@ pub fn pack<T: Scalar>(
         }
     }
     route_blocks(hc, &mut traffic);
-    DistVector::from_slab(new_layout, traffic.assemble())
+    DistVector::from_chunks(new_layout, traffic.assemble())
 }
 
 /// The segmented-operator transform: associative on `(flag, value)`

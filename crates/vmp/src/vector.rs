@@ -3,67 +3,43 @@
 use vmp_hypercube::collective::allreduce_scalar;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{VecEmbedding, VectorLayout};
+use vmp_hypercube::topology::NodeId;
+use vmp_layout::VectorLayout;
 
 use crate::elem::{ReduceOp, Scalar};
 
-/// A node's chunk part under one vector layout, decoded once per grid
-/// line for a whole call: a `pc`-entry table for a row vector (chunked
-/// over grid columns), a `pr`-entry one for a column vector; a linear
-/// vector's part is the node itself. Agrees with
-/// [`VectorLayout::part_of`].
-pub(crate) struct Parts {
-    /// Part of each grid line, indexed by the line's address bits.
-    lines: Vec<usize>,
-    /// Where the line bits sit in a node address.
-    shift: u32,
-}
-
-impl Parts {
-    pub(crate) fn new(layout: &VectorLayout) -> Self {
-        let VecEmbedding::Aligned { axis, .. } = *layout.embedding() else {
-            return Parts { lines: Vec::new(), shift: 0 };
-        };
-        // A part's index bits are the dims of the grid lines across the
-        // other axis: a contiguous run of the address.
-        let grid = layout.grid();
-        let (count, dims) = grid.lines(axis.transpose());
-        let shift = dims.first().map_or(0, |&d| d);
-        Parts { lines: (0..count).map(|x| grid.line_and_part(axis, x << shift).1).collect(), shift }
-    }
-
-    pub(crate) fn of(&self, node: usize) -> usize {
-        if self.lines.is_empty() {
-            node
-        } else {
-            self.lines[(node >> self.shift) & (self.lines.len() - 1)]
-        }
-    }
-}
-
 /// A vector distributed over the simulated machine according to a
-/// [`VectorLayout`]. Replicated embeddings store every copy, and the
-/// copies are maintained bit-identical by every operation (checked by
-/// [`DistVector::assert_consistent`]).
+/// [`VectorLayout`].
 ///
-/// Storage is a single arena-backed [`NodeSlab`] — all chunks in one
+/// The host stores each *part* of the vector once: one segment per part
+/// of the layout's chunking (`layout.dist().parts()` of them: one per
+/// grid line across the vector's axis for an aligned vector, whatever
+/// its placement, and one per node for a linear one). Which nodes hold a
+/// part is the layout's business: node `n`'s chunk is its part's segment
+/// when `layout.holds(n)` and empty otherwise
+/// ([`DistVector::node_chunk`]). So replicas cannot diverge, and an
+/// embedding change that only moves copies between nodes (replicating,
+/// or concentrating onto another grid line) is charged to the machine
+/// without touching the data.
+///
+/// Storage is a single arena-backed [`NodeSlab`] — all parts in one
 /// contiguous allocation; see DESIGN.md § Data plane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistVector<T> {
     layout: VectorLayout,
-    locals: NodeSlab<T>,
+    parts: NodeSlab<T>,
 }
 
 impl<T: Scalar> DistVector<T> {
     /// Materialise a vector from `f(i)` (host-side; no machine charge).
+    /// `f` is called once per element, part by part.
     #[must_use]
     pub fn from_fn(layout: VectorLayout, mut f: impl FnMut(usize) -> T) -> Self {
-        let locals = NodeSlab::build(layout.grid().p(), layout.stored_elements(), |node, buf| {
-            if layout.holds(node) {
-                buf.extend(layout.dist().part_indices(layout.part_of(node)).map(&mut f));
-            }
+        let dist = layout.dist();
+        let parts = NodeSlab::build(dist.parts(), layout.n(), |part, buf| {
+            buf.extend(dist.part_indices(part).map(&mut f));
         });
-        DistVector { layout, locals }
+        DistVector { layout, parts }
     }
 
     /// Materialise from a host slice.
@@ -94,8 +70,8 @@ impl<T: Scalar> DistVector<T> {
     /// Host-side read of element `i` (tests / output only).
     #[must_use]
     pub fn get(&self, i: usize) -> T {
-        let node = self.layout.primary_holder(i);
-        self.locals[node][self.layout.dist().local_index(i)]
+        let dist = self.layout.dist();
+        self.parts[dist.owner(i)][dist.local_index(i)]
     }
 
     /// Host-side copy to a dense `Vec` (tests / output only).
@@ -104,77 +80,84 @@ impl<T: Scalar> DistVector<T> {
         (0..self.n()).map(|i| self.get(i)).collect()
     }
 
-    /// Per-node local chunks (crate-internal). Node `n`'s chunk is the
-    /// slice `locals()[n]`.
-    pub(crate) fn locals(&self) -> &NodeSlab<T> {
-        &self.locals
+    /// Node `node`'s chunk: its part's segment if the node holds one
+    /// under the layout, else empty.
+    #[must_use]
+    pub fn node_chunk(&self, node: NodeId) -> &[T] {
+        if self.layout.holds(node) {
+            &self.parts[self.layout.part_of(node)]
+        } else {
+            &[]
+        }
     }
 
-    /// Mutable per-node chunks (crate-internal; in-place kernels).
-    pub(crate) fn locals_mut(&mut self) -> &mut NodeSlab<T> {
-        &mut self.locals
+    /// The parts, mutably (crate-internal; in-place kernels).
+    pub(crate) fn parts_mut(&mut self) -> &mut NodeSlab<T> {
+        &mut self.parts
     }
 
-    /// The layout and the per-node chunks, by value (crate-internal;
-    /// kernels that reuse the arena).
-    pub(crate) fn into_parts(self) -> (VectorLayout, NodeSlab<T>) {
-        (self.layout, self.locals)
+    /// The same parts under `layout`, which must chunk them the same way
+    /// (crate-internal): an embedding change that moves no data.
+    pub(crate) fn relabel(self, layout: VectorLayout) -> Self {
+        assert_eq!(self.layout.dist(), layout.dist(), "relabelling must keep the chunking");
+        DistVector { layout, parts: self.parts }
     }
 
-    /// Assemble directly from an arena (crate-internal; the hot path).
-    /// The chunk lengths must be the layout's: the kernels charge from
-    /// the layout's `max_count` instead of scanning them.
-    pub(crate) fn from_slab(layout: VectorLayout, locals: NodeSlab<T>) -> Self {
-        debug_assert_eq!(locals.p(), layout.grid().p());
-        debug_assert!(
-            (0..locals.p()).all(|node| locals.len_of(node) == layout.local_len(node)),
-            "chunk lengths disagree with the layout"
-        );
-        DistVector { layout, locals }
-    }
-
-    /// Assemble from externally computed per-node chunks — the backend
-    /// escape hatch for algorithms (e.g. the hypercube FFT) that run
-    /// custom per-node kernels between primitive operations. Chunk
-    /// lengths are validated against the layout.
+    /// Assemble from a per-node slab in which the nodes of the layout's
+    /// primary line ([`VectorLayout::primary_node`]) hold the parts; the
+    /// other nodes' segments are ignored (crate-internal: the result of
+    /// a routed move or a collective).
     ///
     /// # Panics
-    /// Panics if any node's chunk length disagrees with the layout.
-    #[must_use]
-    pub fn from_chunks(layout: VectorLayout, locals: NodeSlab<T>) -> Self {
-        assert_eq!(locals.p(), layout.grid().p(), "one chunk per node");
-        for node in 0..locals.p() {
-            assert_eq!(locals.len_of(node), layout.local_len(node), "node {node} chunk length");
-        }
-        DistVector { layout, locals }
+    /// Panics if a part's segment length disagrees with the layout.
+    pub(crate) fn from_primary_line(layout: VectorLayout, slab: &NodeSlab<T>) -> Self {
+        let dist = layout.dist();
+        let parts = NodeSlab::build(dist.parts(), layout.n(), |part, buf| {
+            let seg = &slab[layout.primary_node(part)];
+            assert_eq!(seg.len(), dist.count(part), "part {part} chunk length");
+            buf.extend_from_slice(seg);
+        });
+        DistVector { layout, parts }
     }
 
-    /// Read-only view of the per-node chunks (backend counterpart of
-    /// [`DistVector::from_chunks`]): node `n`'s chunk is `chunks()[n]`,
-    /// and `chunks().to_nested()` recovers the nested `Vec<Vec<T>>` form.
+    /// Assemble from externally computed parts — the backend escape
+    /// hatch for algorithms (e.g. the hypercube FFT) that run custom
+    /// per-node kernels between primitive operations. Segment `q` of
+    /// `parts` is part `q` of the layout's chunking: for a linear vector
+    /// that is node `q`'s chunk, for an aligned one the chunk every
+    /// holder of part `q` holds. Lengths are validated against the
+    /// layout.
+    ///
+    /// # Panics
+    /// Panics if there is not one segment per part, or a segment's length
+    /// disagrees with the layout.
+    #[must_use]
+    pub fn from_chunks(layout: VectorLayout, parts: NodeSlab<T>) -> Self {
+        let vector = DistVector { layout, parts };
+        vector.assert_consistent();
+        vector
+    }
+
+    /// Read-only view of the parts (backend counterpart of
+    /// [`DistVector::from_chunks`]): segment `q` is part `q`. For a linear
+    /// vector that is node `q`'s chunk, so `chunks().to_nested()`
+    /// recovers the nested per-node `Vec<Vec<T>>` form; for an aligned
+    /// vector node `n`'s chunk is [`DistVector::node_chunk`].
     #[must_use]
     pub fn chunks(&self) -> &NodeSlab<T> {
-        &self.locals
+        &self.parts
     }
 
-    /// Validate chunk lengths and (for replicated embeddings) that all
-    /// replicas agree.
+    /// Validate the storage against the layout: one segment per part,
+    /// each of its part's length.
+    ///
+    /// # Panics
+    /// Panics on any disagreement.
     pub fn assert_consistent(&self) {
-        assert_eq!(self.locals.p(), self.layout.grid().p());
-        for node in 0..self.locals.p() {
-            assert_eq!(
-                self.locals.len_of(node),
-                self.layout.local_len(node),
-                "node {node} chunk length"
-            );
-        }
-        for i in 0..self.n() {
-            let holders = self.layout.holders_of(i);
-            let slot = self.layout.dist().local_index(i);
-            let first = self.locals[holders[0]][slot];
-            for &h in &holders[1..] {
-                assert_eq!(self.locals[h][slot], first, "replica divergence at element {i}");
-            }
+        let dist = self.layout.dist();
+        assert_eq!(self.parts.p(), dist.parts(), "one segment per part");
+        for part in 0..self.parts.p() {
+            assert_eq!(self.parts.len_of(part), dist.count(part), "part {part} chunk length");
         }
     }
 
@@ -217,24 +200,24 @@ impl<T: Scalar> DistVector<T> {
         assert_eq!(self.layout(), other.layout(), "zip operands must share a layout");
         hc.charge_flops(self.layout.dist().max_count()); // the zip pass
         let f = &f;
-        self.fold(hc, op, |node| {
-            let b = &other.locals[node];
+        self.fold(hc, op, |part| {
+            let b = &other.parts[part];
             move |i, slot: usize, x| f(i, x, b[slot])
         })
     }
 
     /// The one vector fold: the primary holders (see
     /// [`VectorLayout::is_primary_holder`]) fold their chunks, reading `slot`
-    /// (global index `i`) as `lift(i, slot, x)` with `lift = at(node)`,
-    /// and every other node contributes the identity. Then the partials
-    /// combine in one all-reduce of a scalar per node.
+    /// (global index `i`) of part `q` as `lift(i, slot, x)` with
+    /// `lift = at(q)`, and every other node contributes the identity.
+    /// Then the partials combine in one all-reduce of a scalar per node.
     ///
     /// A replicated embedding holds a full copy on every grid line, so
     /// each line combines its own copy over its part dims only
     /// ([`VectorLayout::fold_dims`], `lg` of the line's length) and the
     /// result lands on every node without crossing lines; the host
-    /// evaluates the primary line alone, since the replicas are
-    /// identical. A concentrated or linear vector combines over every
+    /// evaluates the primary line alone, since every line holds the same
+    /// parts. A concentrated or linear vector combines over every
     /// cube dim. Either way only the primary holders' chunks are read, so
     /// a non-idempotent op (sum) sees each element once, and the host
     /// combines `O(holders × lg p)` times ([`allreduce_scalar`]).
@@ -254,9 +237,9 @@ impl<T: Scalar> DistVector<T> {
             .map(|c| bits | cube.deposit_coords(c, part_dims))
             .filter(|&node| self.layout.local_len(node) > 0)
             .map(|node| {
-                let indices = dist.part_indices(self.layout.part_of(node));
-                let lift = at(node);
-                let chunk = self.locals[node].iter().enumerate().zip(indices);
+                let part = self.layout.part_of(node);
+                let lift = at(part);
+                let chunk = self.parts[part].iter().enumerate().zip(dist.part_indices(part));
                 let acc = chunk
                     .fold(op.identity(), |acc, ((slot, &v), i)| op.combine(acc, lift(i, slot, v)));
                 (cube.extract_coords(node, dims), acc)
@@ -313,32 +296,6 @@ mod tests {
                 assert_eq!(v.get(i), i as i64 * 3 - 5);
             }
             assert_eq!(v.to_dense(), (0..11).map(|i| i as i64 * 3 - 5).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn part_tables_agree_with_part_of() {
-        use vmp_layout::GridEncoding;
-        for (dim, dr) in [(0u32, 0u32), (4, 2), (5, 2), (5, 4), (3, 0), (3, 3)] {
-            for enc in [GridEncoding::Gray, GridEncoding::Binary] {
-                let g = ProcGrid::with_encoding(Cube::new(dim), dr, enc);
-                for layout in [
-                    VectorLayout::aligned(7, g, Axis::Row, Placement::Replicated, Dist::Block),
-                    VectorLayout::aligned(
-                        7,
-                        g,
-                        Axis::Col,
-                        Placement::Concentrated(g.pc() - 1),
-                        Dist::Cyclic,
-                    ),
-                    VectorLayout::linear(7, g, Dist::Cyclic),
-                ] {
-                    let parts = Parts::new(&layout);
-                    for node in 0..g.p() {
-                        assert_eq!(parts.of(node), layout.part_of(node), "{layout:?} node {node}");
-                    }
-                }
-            }
         }
     }
 
@@ -496,5 +453,43 @@ mod tests {
                 );
             }
         }
+    }
+    /// Host work follows the parts, not the replicas: at p = 4096 a
+    /// 64 x 64 matrix's rows and columns have √p = 64 parts, and an
+    /// `extract_replicated`, a cross-line `concentrate` and a replicated
+    /// `map_inplace` each build or visit 64 one-element segments. With
+    /// every replica stored, each visited p = 4096.
+    #[test]
+    fn host_work_follows_the_parts() {
+        use crate::matrix::DistMatrix;
+        use crate::{primitives, remap};
+        use vmp_layout::{MatShape, MatrixLayout};
+        let dim = 12u32;
+        let root_p = 1usize << (dim / 2);
+        let layout = MatrixLayout::cyclic(MatShape::new(root_p, root_p), grid(dim, dim / 2));
+        let m = DistMatrix::from_fn(layout, |i, j| (i * root_p + j) as f64);
+        let mut hc = machine(dim);
+        let visits = std::cell::Cell::new(0usize);
+        let counted = |_: usize, x: f64| {
+            visits.set(visits.get() + 1);
+            x
+        };
+
+        let mut row = primitives::extract_replicated(&mut hc, &m, Axis::Row, 5);
+        assert_eq!((row.chunks().p(), row.chunks().total_len()), (root_p, root_p));
+        row.map_inplace(&mut hc, counted);
+        assert_eq!(visits.replace(0), root_p, "replicated map_inplace");
+
+        let col = primitives::extract(&mut hc, &m, Axis::Col, 3);
+        hc.reset();
+        let moved = remap::concentrate(&mut hc, &col, root_p - 1);
+        assert!(hc.counters().message_steps > 0, "the move crossed grid lines");
+        assert_eq!((moved.chunks().p(), moved.chunks().total_len()), (root_p, root_p));
+        let _ = moved.map(&mut hc, counted);
+        assert_eq!(visits.get(), root_p, "concentrated map");
+        assert_eq!(
+            moved.to_dense(),
+            (0..root_p).map(|i| (i * root_p + 3) as f64).collect::<Vec<_>>()
+        );
     }
 }

@@ -64,6 +64,13 @@ fn assert_machines_identical(seed: &Hypercube, slab: &Hypercube, what: &str) {
     assert_eq!(seed.counters(), slab.counters(), "{what}: event counters diverged");
 }
 
+/// Every node's chunk of `v`, in node order: a replicated vector's
+/// copies on every grid line, and empty chunks off a concentrated
+/// vector's line.
+fn node_chunks<T: four_vmp::core::Scalar>(v: &DistVector<T>) -> Vec<Vec<T>> {
+    (0..v.layout().grid().p()).map(|node| v.node_chunk(node).to_vec()).collect()
+}
+
 /// Payload bits, so `-0.0` vs `0.0` or a NaN payload cannot hide.
 fn bits(v: &[Vec<f64>]) -> Vec<Vec<u64>> {
     v.iter().map(|seg| seg.iter().map(|x| x.to_bits()).collect()).collect()
@@ -436,7 +443,7 @@ fn check_local_folds(layout: MatrixLayout) {
         reference::allreduce(&mut hc_seed, &mut want, dims, |a, b| a + b);
         let mut hc = Hypercube::cm2(dim);
         let got = primitives::reduce(&mut hc, &m, axis, Sum);
-        assert_eq!(bits(&want), bits(&got.chunks().to_nested()), "{}", what("reduce"));
+        assert_eq!(bits(&want), bits(&node_chunks(&got)), "{}", what("reduce"));
         assert_machines_identical(&hc_seed, &hc, &what("reduce"));
 
         // Only the root line's nodes keep their chunk of a concentrated
@@ -453,7 +460,7 @@ fn check_local_folds(layout: MatrixLayout) {
         }
         let mut hc = Hypercube::cm2(dim);
         let got = primitives::reduce_to(&mut hc, &m, axis, Sum, line);
-        assert_eq!(bits(&want), bits(&got.chunks().to_nested()), "{}", what("reduce_to"));
+        assert_eq!(bits(&want), bits(&node_chunks(&got)), "{}", what("reduce_to"));
         assert_machines_identical(&hc_seed, &hc, &what("reduce_to"));
 
         for along in [Axis::Row, Axis::Col] {
@@ -476,7 +483,7 @@ fn check_local_folds(layout: MatrixLayout) {
             reference::allreduce(&mut hc_seed, &mut want, dims, |a, b| a + b);
             let mut hc = Hypercube::cm2(dim);
             let got = primitives::reduce_zip(&mut hc, &m, along, &v, f, axis, Sum);
-            assert_eq!(bits(&want), bits(&got.chunks().to_nested()), "{}", what("reduce_zip"));
+            assert_eq!(bits(&want), bits(&node_chunks(&got)), "{}", what("reduce_zip"));
             assert_machines_identical(&hc_seed, &hc, &what("reduce_zip"));
         }
     }
@@ -549,8 +556,8 @@ proptest! {
         let mut nested: Vec<Vec<f64>> = (0..p)
             .map(|node| layout.local_elements(node).map(|(i, j, _)| val(i, j)).collect())
             .collect();
-        let col_chunks = col.chunks().to_nested();
-        let row_chunks = row.chunks().to_nested();
+        let col_chunks = node_chunks(&col);
+        let row_chunks = node_chunks(&row);
         for node in 0..p {
             let lc = layout.local_shape(node).1;
             for (_, _, off) in layout.local_elements(node) {
@@ -655,7 +662,7 @@ fn spelled_out_fold<U: Copy, O: ReduceOp<U>>(
 ) -> U {
     let layout = v.layout();
     let grid = layout.grid();
-    let chunks = v.chunks();
+    let chunks = node_chunks(v);
     let mut partials: Vec<Vec<U>> = (0..grid.p())
         .map(|node| {
             let part = layout.part_of(node);
@@ -665,7 +672,7 @@ fn spelled_out_fold<U: Copy, O: ReduceOp<U>>(
             vec![fold]
         })
         .collect();
-    hc.charge_flops(chunks.max_seg_len());
+    hc.charge_flops(chunks.iter().map(Vec::len).max().unwrap_or(0));
     let mut dims: Vec<u32> = grid.cube().iter_dims().collect();
     match layout.embedding() {
         VecEmbedding::Aligned { axis, placement: Placement::Replicated } => {
@@ -730,10 +737,10 @@ fn check_vector_folds(layout: VectorLayout, machine: &dyn Fn() -> Hypercube, wha
         });
         // The back-substitution shape: a fused product, its zip pass
         // charged first.
-        let wc = w.chunks();
+        let wc = node_chunks(&w);
         let f = |i: usize, a: f64, b: f64| a * b + i as f64;
         pin(&|hc| (x.zip_reduce(hc, &w, SignedSum, f).to_bits(), 0), &|hc| {
-            hc.charge_flops(x.chunks().max_seg_len());
+            hc.charge_flops(wc.iter().map(Vec::len).max().unwrap_or(0));
             let lift = |node: usize, i, slot: usize, a| f(i, a, wc[node][slot]);
             (spelled_out_fold(hc, x, SignedSum, lift).to_bits(), 0)
         });
@@ -872,5 +879,211 @@ proptest! {
     #[ignore = "deep sweep; CI runs it"]
     fn vector_folds_match_the_spelled_out_fold_deep_sweep(case in fold_cases()) {
         check_fold_case(&case);
+    }
+}
+
+/// The machine states an embedding move runs under: fault-free, a drop
+/// plan, a dead link on the move's first hop, and a degraded machine.
+#[derive(Debug, Clone, Copy)]
+enum MoveState {
+    FaultFree,
+    Drops,
+    DeadLink,
+    Degraded,
+}
+
+/// One embedding-move case: an `axis`-aligned vector of the matrix
+/// `layout`, concentrated on grid line `from`, moved to grid line `to`
+/// (replicated, concentrated there, or inserted into matrix line `index`,
+/// which some grid line owns).
+#[derive(Debug, Clone)]
+struct MoveCase {
+    layout: MatrixLayout,
+    axis: Axis,
+    from: usize,
+    to: usize,
+    index: usize,
+    state: MoveState,
+    seed: u64,
+}
+
+fn move_cases(max_dim: u32, max_len: usize) -> impl Strategy<Value = MoveCase> {
+    use four_vmp::layout::GridEncoding;
+    (
+        (0u32..=max_dim, 0u32..=max_dim, proptest::bool::ANY, proptest::bool::ANY),
+        (1usize..=max_len, 1usize..=max_len, proptest::bool::ANY, proptest::bool::ANY),
+        (0usize..64, 0usize..64, 0usize..=max_len, 0usize..4, 0u64..1 << 20),
+    )
+        .prop_map(
+            |(
+                (dim, dr, gray, allport),
+                (rows, cols, cyclic, row),
+                (from, to, index, state, seed),
+            )| {
+                let encoding = if gray { GridEncoding::Gray } else { GridEncoding::Binary };
+                let grid = ProcGrid::with_encoding(Cube::new(dim), dr % (dim + 1), encoding);
+                let kind = if cyclic { Dist::Cyclic } else { Dist::Block };
+                let layout = MatrixLayout::new(MatShape::new(rows, cols), grid, kind, kind);
+                let axis = if row { Axis::Row } else { Axis::Col };
+                let lines = grid.lines(axis).0;
+                let state = [
+                    MoveState::FaultFree,
+                    MoveState::Drops,
+                    MoveState::DeadLink,
+                    MoveState::Degraded,
+                ][state];
+                let index = index % layout.shape().vector_count(axis);
+                let seed = seed * 2 + u64::from(allport);
+                MoveCase { layout, axis, from: from % lines, to: to % lines, index, state, seed }
+            },
+        )
+}
+
+impl MoveCase {
+    /// A fresh machine in the case's state, on a one-port model for even
+    /// seeds and an all-port one for odd seeds. The dead link is the first
+    /// hop of part 0's move from `from` towards `to` (or of the broadcast
+    /// out of `from`, when the lines agree), beside a light drop plan.
+    fn machine(&self) -> Hypercube {
+        let grid = self.layout.grid();
+        let p = grid.p();
+        let cost = if self.seed % 2 == 1 { CostModel::cm2_allport() } else { CostModel::cm2() };
+        let mut hc = Hypercube::new(grid.cube().dim(), cost);
+        match self.state {
+            MoveState::FaultFree => {}
+            MoveState::Drops => {
+                hc.install_faults(FaultPlan::none(self.seed).with_drops(0.25, 0, u64::MAX));
+            }
+            MoveState::DeadLink => {
+                let src = grid.node_on(self.axis, self.from, 0);
+                let apart = grid.node_on(self.axis, self.to, 0) ^ src;
+                let line_dims = grid.cube().dims_mask(grid.lines(self.axis).1);
+                let bit = if apart != 0 { apart } else { line_dims };
+                let mut plan = FaultPlan::none(self.seed).with_drops(0.1, 0, u64::MAX);
+                // A cube of one dimension has no way around a dead link.
+                if bit != 0 && grid.cube().dim() > 1 {
+                    plan = plan.with_link_fault(src, src ^ (1 << bit.trailing_zeros()), 0);
+                }
+                hc.install_faults(plan);
+            }
+            MoveState::Degraded => {
+                if p > 1 {
+                    hc.degrade(&[p - 1], &vec![0; p]);
+                }
+            }
+        }
+        hc
+    }
+}
+
+/// Each part of `v` (concentrated on `from`) posted as one block from its
+/// node on `from` to its node on `to` and routed: the data move that
+/// `concentrate` and a routed `insert` charge without making. Returns
+/// every node's chunk afterwards.
+fn route_parts(hc: &mut Hypercube, v: &DistVector<f64>, from: usize, to: usize) -> Vec<Vec<f64>> {
+    use four_vmp::hypercube::route::{route_blocks, Traffic};
+    let VecEmbedding::Aligned { axis, .. } = *v.layout().embedding() else { unreachable!() };
+    let grid = v.layout().grid();
+    let mut traffic = Traffic::new(grid.p());
+    for part in 0..v.layout().dist().parts() {
+        let (src, dst) = (grid.node_on(axis, from, part), grid.node_on(axis, to, part));
+        traffic.post(src, dst, 0, v.node_chunk(src).iter().copied());
+    }
+    route_blocks(hc, &mut traffic);
+    traffic.assemble().to_nested()
+}
+
+/// `replicate`, a cross-line `concentrate` and an `insert` from another
+/// line move no data on the host; each must charge what moving the data
+/// charges, spelled out with public APIs: a per-node slab through
+/// `broadcast_slab`, and the parts posted to a `Traffic` and routed with
+/// `route_blocks`. Clock bits, counters and every node's chunk must agree.
+fn check_embedding_moves(case: &MoveCase) -> u64 {
+    let what = |op: &str| format!("{op} {case:?}");
+    let (layout, axis) = (case.layout, case.axis);
+    let grid = layout.grid();
+    let vl = VectorLayout::aligned(
+        layout.shape().vector_len(axis),
+        grid,
+        axis,
+        Placement::Concentrated(case.from),
+        layout.vector_dist(axis).kind(),
+    );
+    let v = DistVector::from_fn(vl, |i| val(i, case.index));
+
+    let mut hc = case.machine();
+    let got = replicate(&mut hc, &v);
+    let mut hc_ref = case.machine();
+    let mut want = NodeSlab::from_nested(&node_chunks(&v));
+    let (dims, root) = (grid.lines(axis).1, grid.line_coord(axis, case.from));
+    collective::broadcast_slab(&mut hc_ref, &mut want, dims, root);
+    assert_eq!(bits(&node_chunks(&got)), bits(&want.to_nested()), "{}", what("replicate"));
+    assert_machines_identical(&hc_ref, &hc, &what("replicate"));
+
+    let mut hc = case.machine();
+    let got = concentrate(&mut hc, &v, case.to);
+    let mut hc_ref = case.machine();
+    let want = route_parts(&mut hc_ref, &v, case.from, case.to);
+    assert_eq!(bits(&node_chunks(&got)), bits(&want), "{}", what("concentrate"));
+    assert_machines_identical(&hc_ref, &hc, &what("concentrate"));
+    let mut faults = hc.counters().transient_drops + hc.counters().reroutes;
+
+    // Insert from `from`: the reference routes the parts onto the owning
+    // line itself, then inserts them from there, which is local.
+    let m = DistMatrix::from_fn(layout, val);
+    let target = layout.vector_dist(axis.transpose()).owner(case.index);
+    let mut hc = case.machine();
+    let mut got = m.clone();
+    primitives::insert(&mut hc, &mut got, axis, case.index, &v);
+    let mut hc_ref = case.machine();
+    let routed = route_parts(&mut hc_ref, &v, case.from, target);
+    let parts = (0..vl.dist().parts()).map(|part| routed[grid.node_on(axis, target, part)].clone());
+    let on_target = DistVector::from_chunks(
+        vl.with_placement(Placement::Concentrated(target)),
+        NodeSlab::from_nested(&parts.collect::<Vec<_>>()),
+    );
+    let mut want = m;
+    primitives::insert(&mut hc_ref, &mut want, axis, case.index, &on_target);
+    assert_eq!(bits(&got.to_dense()), bits(&want.to_dense()), "{}", what("insert"));
+    assert_machines_identical(&hc_ref, &hc, &what("insert"));
+    faults += hc.counters().transient_drops + hc.counters().reroutes;
+    faults
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Charge-only embedding moves cost what the data moves cost.
+    #[test]
+    fn charge_only_moves_cost_what_data_moves_cost(case in move_cases(5, 13)) {
+        check_embedding_moves(&case);
+    }
+}
+
+/// The fixed cases meet every fault state on a grid where the lines lie
+/// several dims apart, so drops and detours really fire.
+#[test]
+fn charge_only_moves_meet_faults() {
+    let grid = ProcGrid::new(Cube::new(6), 3);
+    let layout = MatrixLayout::new(MatShape::new(13, 10), grid, Dist::Cyclic, Dist::Cyclic);
+    let mut faults = 0;
+    for state in [MoveState::FaultFree, MoveState::Drops, MoveState::DeadLink, MoveState::Degraded]
+    {
+        for (axis, seed) in [(Axis::Row, 6), (Axis::Col, 7)] {
+            let case = MoveCase { layout, axis, from: 0, to: 5, index: 2, state, seed };
+            faults += check_embedding_moves(&case);
+        }
+    }
+    assert!(faults > 0, "the plans actually dropped or detoured a block");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// The embedding-move check, 1,000 cases on cubes of up to 64 nodes.
+    #[test]
+    #[ignore = "deep sweep; CI runs it"]
+    fn charge_only_moves_cost_what_data_moves_cost_deep_sweep(case in move_cases(6, 40)) {
+        check_embedding_moves(&case);
     }
 }
