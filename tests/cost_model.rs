@@ -155,11 +155,13 @@ proptest! {
     }
 }
 
-/// `scan::pack`, `indexing::gather_by_index` (through `listrank`),
-/// `scan::reverse`, the panel fan-out and the vector and matrix
+/// `scan::pack`, `indexing::gather_by_index` (through `listrank` and on a
+/// hot spot of repeated indices), `scan::reverse`, the filled shift
+/// inside `scan::segmented_reduce`, a torus `shift`, the panel fan-out,
+/// the vector re-embeddings (to replicated and to linear) and the matrix
 /// re-embeddings route traffic that no reproduced table covers (or covers
-/// only fault-free), so the golden-table check cannot see all their
-/// charges. Pin them exactly, fault-free and under transient drops: the
+/// only fault-free), and the scans' allgather of part totals runs on a
+/// Gray grid, so the golden-table check cannot see all their charges. Pin them exactly, fault-free and under transient drops: the
 /// cost-term ticks, the clock they price to (bit for bit) and the
 /// counters. The routed `transient_drops` count messages, one per run of
 /// consecutive destination slots: the remap case moves a cyclic vector
@@ -225,6 +227,62 @@ fn routed_paths_outside_the_tables_charge_exactly() {
             assert!(panel.slab(node).iter().copied().eq(want), "node {node}");
         }
     };
+    let shift = |hc: &mut Hypercube| {
+        use four_vmp::core::shift::{shift, Boundary};
+        let grid = ProcGrid::square(hc.cube());
+        let layout = MatrixLayout::block(MatShape::new(40, 56), grid);
+        let m = DistMatrix::from_fn(layout, |i, j| (i * 56 + j) as f64);
+        let s = shift(hc, &m, Axis::Col, 3, Boundary::Wrap);
+        let want: Vec<Vec<f64>> =
+            (0..40).map(|i| (0..56).map(|j| ((i + 37) % 40 * 56 + j) as f64).collect()).collect();
+        assert_eq!(s.to_dense(), want);
+    };
+    let segmented_reduce = |hc: &mut Hypercube| {
+        let layout = VectorLayout::linear(50, ProcGrid::square(hc.cube()), Dist::Block);
+        let starts = |i: usize| i % 7 == 0 || i == 3;
+        let v = DistVector::from_fn(layout, |i| i as f64 * 0.5);
+        let r = scan::segmented_reduce(hc, &v, &DistVector::from_fn(layout, starts), Sum);
+        let mut want = vec![0.0; 50];
+        for i in 0..50 {
+            let first = (0..=i).rev().find(|&k| starts(k)).unwrap_or(0);
+            let end = (i + 1..50).find(|&k| starts(k)).unwrap_or(50);
+            want[i] = (first..end).map(|k| k as f64 * 0.5).sum();
+        }
+        assert_eq!(r.to_dense(), want);
+    };
+    let remap_to_linear = |hc: &mut Hypercube| {
+        let grid = ProcGrid::square(hc.cube());
+        let col =
+            VectorLayout::aligned(300, grid, Axis::Col, Placement::Concentrated(5), Dist::Block);
+        let v = DistVector::from_fn(col, |i| i as f64 * 0.25);
+        let w = remap_vector(hc, &v, VectorLayout::linear(300, grid, Dist::Cyclic));
+        assert_eq!(w.to_dense(), v.to_dense());
+    };
+    let hot_gather = |hc: &mut Hypercube| {
+        use four_vmp::core::indexing::gather_by_index;
+        let layout = VectorLayout::linear(60, ProcGrid::square(hc.cube()), Dist::Block);
+        let values = DistVector::from_fn(layout, |i| i as f64 * 1.5);
+        let index = DistVector::from_fn(layout, |i| i * i % 7);
+        let out = gather_by_index(hc, &values, &index);
+        assert_eq!(out.to_dense(), (0..60).map(|i| (i * i % 7) as f64 * 1.5).collect::<Vec<_>>());
+    };
+    let prefix = |inclusive: bool| -> Vec<f64> {
+        let skip = usize::from(!inclusive);
+        (0..300).map(|i| (0..i + 1 - skip).map(|k| k as f64 * 0.5).sum()).collect()
+    };
+    let scan_gray = |hc: &mut Hypercube| {
+        let grid = ProcGrid::square(hc.cube());
+        let row = VectorLayout::aligned(300, grid, Axis::Row, Placement::Replicated, Dist::Block);
+        let s = scan::scan_inclusive(hc, &DistVector::from_fn(row, |i| i as f64 * 0.5), Sum);
+        assert_eq!(s.to_dense(), prefix(true));
+    };
+    let scan_concentrated = |hc: &mut Hypercube| {
+        let grid = ProcGrid::square(hc.cube());
+        let col =
+            VectorLayout::aligned(300, grid, Axis::Col, Placement::Concentrated(3), Dist::Block);
+        let s = scan::scan_exclusive(hc, &DistVector::from_fn(col, |i| i as f64 * 0.5), Sum);
+        assert_eq!(s.to_dense(), prefix(false));
+    };
     let ticks = |startups, elements, flops, backoff| Ticks {
         startups,
         elements,
@@ -283,7 +341,66 @@ fn routed_paths_outside_the_tables_charge_exactly() {
         let (ticks, counters) = (ticks(s, e, 0, b), with_drops(msgs(s, t, l, 0), d, r));
         (name, run, plan, Ticks { moves: m, ..ticks }, us, Counters { local_moves: m, ..counters })
     });
-    let all = cases.iter().map(|c| (4, c)).chain(cases64.iter().map(|c| (6, c)));
+    // More sites at p = 64, with flops: ticks `[startups, elements,
+    // flops, moves, backoff]`, the clock, and counters as above plus
+    // `[reroutes, detour_hops]`. The segmented reduce's drop plan makes
+    // one exchange step of its scans detour.
+    type Full<'a> = (&'a str, Path<'a>, Option<&'a FaultPlan>, [u64; 5], f64, [u64; 6]);
+    let more: [Full; 12] = [
+        ("shift", &shift, None, [3, 63, 0, 70, 0], 161.4, [1344, 21, 0, 0, 0, 0]),
+        (
+            "seg_reduce",
+            &segmented_reduce,
+            None,
+            [33, 147, 138, 4, 0],
+            1185.78,
+            [8621, 32, 0, 0, 0, 0],
+        ),
+        ("to_linear", &remap_to_linear, None, [6, 43, 0, 43, 0], 228.16, [870, 19, 0, 0, 0, 0]),
+        ("hot_gather", &hot_gather, None, [12, 48, 17, 0, 0], 413.95, [342, 9, 0, 0, 0, 0]),
+        ("scan_gray", &scan_gray, None, [3, 7, 84, 0, 0], 126.4, [448, 4, 0, 0, 0, 0]),
+        ("scan_conc", &scan_concentrated, None, [3, 7, 84, 0, 0], 126.4, [448, 4, 0, 0, 0, 0]),
+        ("shift", &shift, Some(&drops), [8, 168, 0, 70, 3], 419.4, [1344, 21, 15, 2, 0, 0]),
+        (
+            "seg_reduce",
+            &segmented_reduce,
+            Some(&drops),
+            [89, 521, 138, 4, 74],
+            3313.78,
+            [9585, 32, 223, 35, 1, 2],
+        ),
+        (
+            "to_linear",
+            &remap_to_linear,
+            Some(&drops),
+            [23, 103, 0, 43, 31],
+            829.16,
+            [870, 19, 251, 5, 0, 0],
+        ),
+        (
+            "hot_gather",
+            &hot_gather,
+            Some(&drops),
+            [30, 93, 17, 0, 18],
+            1016.95,
+            [342, 9, 91, 6, 0, 0],
+        ),
+        ("scan_gray", &scan_gray, Some(&drops), [10, 25, 84, 0, 13], 367.4, [505, 4, 26, 7, 0, 0]),
+        (
+            "scan_conc",
+            &scan_concentrated,
+            Some(&drops),
+            [10, 24, 84, 0, 15],
+            368.4,
+            [505, 4, 24, 7, 0, 0],
+        ),
+    ];
+    let more = more.map(|(name, run, plan, [s, e, f, m, b], us, [t, l, d, r, rr, dh])| {
+        let (ticks, counters) = (ticks(s, e, f, b), with_drops(msgs(s, t, l, f), d, r));
+        let counters = Counters { local_moves: m, reroutes: rr, detour_hops: dh, ..counters };
+        (name, run, plan, Ticks { moves: m, ..ticks }, us, counters)
+    });
+    let all = cases.iter().map(|c| (4, c)).chain(cases64.iter().chain(&more).map(|c| (6, c)));
     for (dim, &(name, run, plan, ticks, elapsed_us, counters)) in all {
         let mut hc = machine(dim, plan);
         run(&mut hc);
