@@ -24,22 +24,49 @@ use crate::slab::NodeSlab;
 /// Recursive doubling: step `j` exchanges the current accumulation along
 /// `dims[j]`, so time is `sum_j (alpha + beta * L_j)` with `L_j`
 /// doubling — `|dims| * alpha + beta * (total - own)` overall, the
-/// one-port lower bound to within a constant.
+/// one-port lower bound to within a constant. Charged by
+/// [`charge_allgather`].
 pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims: &[u32]) {
     let cube = hc.cube();
-    check_dims(cube, dims);
-    assert_eq!(slab.p(), cube.nodes());
-    let k = dims.len();
     let p = slab.p();
+    let lens: Vec<usize> = (0..p).map(|n| slab.len_of(n)).collect();
+    charge_allgather(hc, dims, &lens);
+    if dims.is_empty() {
+        return;
+    }
 
-    let seg_len = slab.max_seg_len();
+    // One placement pass: node <- concat of its subcube, coordinate order.
+    let mut out = NodeSlab::with_capacity(p, slab.total_len() << dims.len());
+    for node in 0..p {
+        out.push_seg_with(|data| {
+            for member in cube.subcube_nodes(node, dims) {
+                data.extend_from_slice(&slab[member]);
+            }
+        });
+    }
+    slab.swap(&mut out);
+}
+
+/// Charge what [`allgather_slab`] charges for segments of lengths `lens`
+/// (one per node), moving nothing: the recursive-doubling schedule's
+/// per-step loads, walked from the lengths alone.
+///
+/// # Panics
+/// Panics if `dims` is invalid or there is not one length per node.
+pub fn charge_allgather(hc: &mut Hypercube, dims: &[u32], lens: &[usize]) {
+    let cube = hc.cube();
+    check_dims(cube, dims);
+    let p = cube.nodes();
+    assert_eq!(lens.len(), p, "one segment length per node");
+    let k = dims.len();
+
+    let seg_len = lens.iter().copied().max().unwrap_or(0);
     let algo = hc.choose_algo(Collective::Allgather, k, seg_len);
     let mut allport_total: u64 = 0;
 
-    // Walk the recursive-doubling schedule from lengths alone (the
-    // merged lengths are needed for the totals under every schedule);
+    // The merged lengths are needed for the totals under every schedule;
     // charge per step only on the single-port path.
-    let mut lens: Vec<usize> = (0..p).map(|n| slab.len_of(n)).collect();
+    let mut lens = lens.to_vec();
     for &d in dims {
         let chan = 1usize << d;
         let mut max_len = 0usize;
@@ -60,21 +87,6 @@ pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims:
     if let Algo::AllPort { chunks } = algo {
         hc.charge_allport(Collective::Allgather, k, seg_len, chunks, allport_total);
     }
-    if k == 0 {
-        return;
-    }
-
-    // One placement pass: node <- concat of its subcube, coordinate order.
-    let total_out: usize = lens.iter().sum();
-    let mut out = NodeSlab::with_capacity(p, total_out);
-    for node in 0..p {
-        out.push_seg_with(|data| {
-            for member in cube.subcube_nodes(node, dims) {
-                data.extend_from_slice(&slab[member]);
-            }
-        });
-    }
-    slab.swap(&mut out);
 }
 
 /// Where piece `c` of a `len`-element buffer cut into `2^k` pieces

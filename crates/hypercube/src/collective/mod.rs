@@ -35,7 +35,7 @@ mod scan;
 
 pub use broadcast::{broadcast_slab, charge_broadcast};
 pub use exchange::exchange_slab;
-pub use gather::{allgather_slab, scatter_slab};
+pub use gather::{allgather_slab, charge_allgather, scatter_slab};
 pub use reduce::{allreduce_scalar, allreduce_slab, allreduce_to_representatives, reduce_slab};
 pub use scan::scan_inclusive_slab;
 

@@ -20,7 +20,7 @@
 //! bounded exponential backoff from [`BACKOFF_US`] follow, and traffic
 //! still failing is escalated to a detour around the link (charged as
 //! extra hops). The recovery machinery only affects the modeled clock
-//! and counters; the simulator still really moves the data, so results
+//! and counters; results are computed whatever the plan, so results
 //! under any recoverable plan are bit-identical to the fault-free run —
 //! which is exactly what the chaos tests assert.
 

@@ -22,19 +22,18 @@
 //!   primitives, applications and experiments call, and no others;
 //! * [`slab`] — the flat arena data plane ([`slab::NodeSlab`]) the
 //!   collectives operate on;
-//! * [`route`] — the message plane ([`route::Traffic`]: one payload
-//!   arena, routed headers, per-node inboxes) and blocked
-//!   dimension-ordered routing for irregular moves;
-//! * [`router`] — the cycle-accurate element-granular general router
-//!   over the same message plane, modelling the paper's **naive**
+//! * [`route`] — blocked dimension-ordered routing for irregular moves,
+//!   charged from a `(src, dst, len)` message list;
+//! * [`router`] — the cycle-accurate element-granular general router,
+//!   charged from a `(src, dst)` list, modelling the paper's **naive**
 //!   baseline;
 //! * [`spanning`] — alternative (balanced / all-port) broadcast and
 //!   reduction schedules for the spanning-tree ablation.
 //!
-//! Everything really moves the data — results are bit-exact and checked
-//! against serial oracles — while the simulated clock and counters follow
-//! the standard cost model, so the reproduced evaluation compares *time
-//! shapes*, not just operation counts.
+//! Results are computed on the host, bit-exact and checked against serial
+//! oracles, while the simulated clock and counters follow the standard
+//! cost model, so the reproduced evaluation compares *time shapes*, not
+//! just operation counts.
 
 #![warn(missing_docs)]
 

@@ -3,19 +3,21 @@
 //! [`Hypercube`] bundles the cube topology, the cost model, a simulated
 //! clock and event counters. It does **not** own application data:
 //! distributed data lives in caller-held per-processor buffers — a flat
-//! [`crate::slab::NodeSlab`] indexed by [`NodeId`] — and the
-//! communication routines in [`crate::collective`] and [`crate::route`]
-//! transform those buffers while charging the machine for the time the
-//! operation would take.
+//! [`crate::slab::NodeSlab`] indexed by [`NodeId`]. The collectives in
+//! [`crate::collective`] transform those buffers while charging the
+//! machine for the time the operation would take; an irregular move
+//! places its result on the host and charges the machine from its
+//! message list ([`crate::route::charge_blocks`],
+//! [`crate::router::route_elements`]).
 //!
 //! The accounting discipline is BSP-like and matches the analyses in the
 //! Johnsson/Ho reports: execution is a sequence of *supersteps*; a
 //! communication superstep in which every node exchanges at most `n`
 //! elements with a neighbour costs `alpha + n * beta`; a local compute
 //! superstep costs `gamma * f` where `f` is the critical-path (maximum
-//! per-processor) operation count. Because the simulator really moves the
-//! data, results are bit-exact and independently testable against serial
-//! oracles; only the *clock* is modelled.
+//! per-processor) operation count. Results are computed on the host,
+//! bit-exact and testable against serial oracles; only the *clock* is
+//! modelled.
 //!
 //! The clock is not a running sum: the machine counts each cost term as
 //! an integer ([`Hypercube::ticks`]) and [`Hypercube::elapsed_us`]
@@ -26,8 +28,8 @@
 //! [`FaultPlan`] and the logical→physical host map that
 //! [`Hypercube::degrade`] sets after node failures. The two are set
 //! independently, in either order, and both the charging seam
-//! ([`Hypercube::charge_exchange_step`]) and the router
-//! ([`crate::route::route_blocks`]) read the context in place.
+//! ([`Hypercube::charge_exchange_step`]) and the blocked router
+//! ([`crate::route::charge_blocks`]) read the context in place.
 
 use crate::cost::{allport_schedule, Algo, Collective, CostModel, Ticks};
 use crate::counters::Counters;
@@ -684,7 +686,7 @@ mod tests {
         assert_eq!(hc.host_of(3), 2, "the dim-0 neighbour wins the tie");
         assert_eq!(hc.load_factor(), 2);
         assert_eq!(hc.counters().node_remaps, 1);
-        // Traffic 2<->3 is now co-hosted: a local-move superstep.
+        // Nodes 2 and 3 are now co-hosted: a local-move superstep.
         hc.charge_exchange_step([(2, 3)], 4, 4);
         assert_eq!(hc.counters().message_steps, 0);
         assert_eq!(hc.counters().local_moves, 4);

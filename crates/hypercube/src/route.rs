@@ -1,189 +1,62 @@
-//! The message plane and blocked dimension-ordered (e-cube) routing.
+//! Blocked dimension-ordered (e-cube) routing, charged from a message
+//! list.
 //!
 //! Every irregular data movement in the library (embedding changes,
-//! transposes, extract/insert traffic, the naive element router) posts
-//! its messages into one [`Traffic`]: each payload is appended to a
-//! single arena and described by a header `(at, dst, tag, range)`. The
-//! routers move headers, never payloads, and finish by sorting the
-//! headers by `(dst, tag)` into a per-node inbox index. A move that
-//! builds each node's chunk tags every message with the destination slot
-//! of its first element and reads the result with one
-//! [`Traffic::assemble`]; request traffic that is answered rather than
-//! stored reads [`Traffic::inbox`].
+//! transposes, shifts, stream compaction, indexed gather, the panel
+//! fan-out) computes its result on the host and charges the machine for
+//! the messages that would carry it: [`charge_blocks`] takes each message
+//! as `(src, dst, len)` and routes it in `d` store-and-forward
+//! supersteps, resolving dimension 0 first, then 1, and so on. In each
+//! superstep a node bundles everything it holds that still differs from
+//! its destination in the current dimension into **one** message to the
+//! corresponding neighbour, so the start-up cost is at most `d * alpha`
+//! regardless of how many blocks are in flight — this blocking is
+//! precisely what the paper's primitives buy over the naive
+//! element-per-message router (see [`crate::router`] for that baseline).
 //!
-//! [`route_blocks`] is the blocked router: it delivers the posted blocks
-//! in `d` store-and-forward supersteps, resolving dimension 0 first,
-//! then 1, and so on. In each superstep a node bundles everything it
-//! holds that still differs from its destination in the current
-//! dimension into **one** message to the corresponding neighbour, so the
-//! start-up cost is at most `d * alpha` regardless of how many blocks
-//! are in flight — this blocking is precisely what the paper's
-//! primitives buy over the naive element-per-message router (see
-//! [`crate::router`] for that baseline). [`charge_blocks`] runs the same
-//! sweeps over payload-free blocks, for a move whose result the caller
-//! already holds.
-//!
-//! Delivery is deterministic: arrivals at each node are ordered by the
-//! caller-supplied `tag` (unique per destination), so a chunk assembles
-//! in slot order whatever the routing or posting order.
+//! No payload travels. A hop decision reads only the node, the
+//! dimension, the step and the pass, so the charge does not depend on the
+//! order the messages are listed in, and a block addressed to its own
+//! node never moves and is never charged.
 
 use crate::fault::MAX_RETRIES;
 use crate::machine::{FaultCtx, Hypercube};
-use crate::slab::NodeSlab;
 use crate::topology::{Cube, NodeId};
 
-/// One posted message: the node holding it now, its destination, its
-/// arrival key, and its payload's range in the arena.
+/// One block in flight: the node holding it now, its destination and its
+/// length.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Header {
-    pub(crate) at: NodeId,
-    pub(crate) dst: NodeId,
-    tag: u64,
-    start: usize,
+struct Header {
+    at: NodeId,
+    dst: NodeId,
     len: usize,
     /// Took a detour this pass; rests until the next pass.
     parked: bool,
 }
 
-/// The machine's message plane: every posted payload in one arena, one
-/// header per message.
-///
-/// Post with [`Traffic::post`], route with [`route_blocks`] or
-/// [`crate::router::route_elements`], then read every node's chunk with
-/// [`Traffic::assemble`] or each node's arrivals, ordered by tag, with
-/// [`Traffic::inbox`].
-#[derive(Debug, Clone)]
-pub struct Traffic<T> {
-    p: usize,
-    arena: Vec<T>,
-    pub(crate) heads: Vec<Header>,
-    /// After delivery: `p + 1` offsets into `heads`, which are then
-    /// sorted by `(dst, tag)`; node `n`'s inbox is
-    /// `heads[inbox[n]..inbox[n + 1]]`. Empty until delivered.
-    inbox: Vec<usize>,
-}
-
-impl<T> Traffic<T> {
-    /// An empty message plane for a `p`-node machine.
-    #[must_use]
-    pub fn new(p: usize) -> Self {
-        Traffic { p, arena: Vec::new(), heads: Vec::new(), inbox: Vec::new() }
-    }
-
-    /// Post `payload` from node `src` to node `dst`. `tag` orders
-    /// arrivals at `dst` and must be unique per destination. For traffic
-    /// read with [`Traffic::assemble`] it is the slot, in `dst`'s chunk,
-    /// of the payload's first element. A message posted to its own node
-    /// never moves, and [`route_blocks`] charges nothing for it.
-    ///
-    /// # Panics
-    /// Panics if `src` or `dst` is out of range.
-    pub fn post(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        tag: u64,
-        payload: impl IntoIterator<Item = T>,
-    ) {
-        assert!(src < self.p, "source {src} out of range");
-        assert!(dst < self.p, "destination {dst} out of range");
-        let start = self.arena.len();
-        self.arena.extend(payload);
-        let len = self.arena.len() - start;
-        self.heads.push(Header { at: src, dst, tag, start, len, parked: false });
-        self.inbox.clear();
-    }
-
-    /// Number of nodes the traffic is addressed over.
-    #[must_use]
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Node `node`'s arrivals as `(tag, payload)`, in ascending tag order.
-    ///
-    /// # Panics
-    /// Panics if the traffic has not been routed since the last post.
-    pub fn inbox(&self, node: NodeId) -> impl ExactSizeIterator<Item = (u64, &[T])> + '_ {
-        assert!(!self.inbox.is_empty(), "traffic read before it was routed");
-        self.heads[self.inbox[node]..self.inbox[node + 1]]
-            .iter()
-            .map(|h| (h.tag, &self.arena[h.start..h.start + h.len]))
-    }
-
-    /// Every node's arrivals laid end to end in tag order: the chunks of
-    /// a move whose tags are destination slots (see [`Traffic::post`]).
-    ///
-    /// # Panics
-    /// Panics if the traffic has not been routed since the last post, or
-    /// if some node's arrivals do not tile its chunk from slot 0 (a tag
-    /// other than the count of elements before it is a gap or an
-    /// overlap).
-    #[must_use]
-    pub fn assemble(&self) -> NodeSlab<T>
-    where
-        T: Clone,
-    {
-        assert!(!self.inbox.is_empty(), "traffic read before it was routed");
-        NodeSlab::build(self.p, self.arena.len(), |node, buf| {
-            let start = buf.len();
-            for h in &self.heads[self.inbox[node]..self.inbox[node + 1]] {
-                let slot = (buf.len() - start) as u64;
-                assert_eq!(h.tag, slot, "arrivals at node {node} do not tile its chunk");
-                buf.extend_from_slice(&self.arena[h.start..h.start + h.len]);
-            }
-        })
-    }
-
-    /// Sort the delivered headers by `(dst, tag)` and index them per node.
-    pub(crate) fn deliver(&mut self) {
-        debug_assert!(self.heads.iter().all(|h| h.at == h.dst), "all messages delivered");
-        self.heads.sort_by_key(|h| (h.dst, h.tag));
-        self.inbox.clear();
-        self.inbox.resize(self.p + 1, 0);
-        for h in &self.heads {
-            self.inbox[h.dst + 1] += 1;
-        }
-        for n in 0..self.p {
-            self.inbox[n + 1] += self.inbox[n];
-        }
-    }
-}
-
-/// Deliver every posted block to its destination via dimension-ordered
-/// store-and-forward routing, charging the machine one blocked message
+/// Charge the machine for delivering `(src, dst, len)` blocks by
+/// dimension-ordered store-and-forward routing: one blocked message
 /// superstep per cube dimension that carries any traffic.
 ///
 /// When fault state is installed on the machine the same sweep consults
-/// its one fault context (plan and degradation host map): transiently
-/// dropped blocks genuinely stay at the sender and retransmit on a later
-/// pass (with backoff), traffic facing a permanently dead link genuinely
-/// detours through a healthy perpendicular dimension, and the e-cube
-/// sweep repeats until every block is home — so delivery under any recoverable plan is
-/// bit-identical to the fault-free run, at a higher modeled cost.
+/// its one fault context (plan and degradation host map): a transiently
+/// dropped block stays at the sender and retransmits on a later pass
+/// (with backoff), a block facing a permanently dead link detours through
+/// a healthy perpendicular dimension, and the e-cube sweep repeats until
+/// every block is home — so any recoverable plan costs more modeled time
+/// and changes nothing else. An empty block can be dropped like any
+/// other, so it counts.
 ///
 /// # Panics
-/// Panics if `traffic` was posted for a different machine size, or if
-/// the installed fault plan leaves some block with no usable route.
-pub fn route_blocks<T>(hc: &mut Hypercube, traffic: &mut Traffic<T>) {
-    assert_eq!(traffic.p, hc.p(), "traffic posted for a {}-node machine", traffic.p);
-    sweeps(hc, &mut traffic.heads);
-    traffic.deliver();
-}
-
-/// Charge what [`route_blocks`] charges for `(src, dst, len)` blocks,
-/// moving no payload: the same sweeps, drops, retries, detours and
-/// degraded hosts. An empty block can be dropped, as an empty post can.
-///
-/// # Panics
-/// As [`route_blocks`], and on a node out of range.
+/// Panics on a node out of range, or if the installed fault plan leaves
+/// some block with no usable route.
 pub fn charge_blocks(hc: &mut Hypercube, moves: impl IntoIterator<Item = (NodeId, NodeId, usize)>) {
     let p = hc.p();
     let mut heads: Vec<Header> = moves
         .into_iter()
         .map(|(src, dst, len)| {
             assert!(src < p && dst < p, "block {src} -> {dst} out of range");
-            Header { at: src, dst, tag: 0, start: 0, len, parked: false }
+            Header { at: src, dst, len, parked: false }
         })
         .collect();
     sweeps(hc, &mut heads);
@@ -365,57 +238,35 @@ mod tests {
         Hypercube::new(dim, CostModel::unit())
     }
 
-    /// Every node's inbox as owned `(tag, payload)` pairs.
-    fn inboxes<T: Clone>(traffic: &Traffic<T>) -> Vec<Vec<(u64, Vec<T>)>> {
-        (0..traffic.p()).map(|n| traffic.inbox(n).map(|(t, d)| (t, d.to_vec())).collect()).collect()
-    }
-
     #[test]
     fn empty_routing_is_free() {
         let mut hc = machine(4);
-        let mut traffic: Traffic<u32> = Traffic::new(hc.p());
-        route_blocks(&mut hc, &mut traffic);
-        assert!((0..hc.p()).all(|n| traffic.inbox(n).len() == 0));
+        charge_blocks(&mut hc, []);
         assert_eq!(hc.elapsed_us(), 0.0, "no traffic, no charge");
         assert_eq!(hc.counters().message_steps, 0);
     }
 
     #[test]
-    fn local_block_is_not_charged() {
-        let mut hc = machine(3);
-        let mut traffic = Traffic::new(hc.p());
-        traffic.post(5, 5, 0, [1.0f64, 2.0]);
-        route_blocks(&mut hc, &mut traffic);
-        assert_eq!(inboxes(&traffic)[5], vec![(0, vec![1.0, 2.0])]);
-        assert_eq!(hc.counters().message_steps, 0);
+    fn self_posted_message_is_free_even_under_faults() {
+        for plan in [None, Some(FaultPlan::none(11).with_drops(1.0, 0, u64::MAX))] {
+            let mut hc = machine(3);
+            if let Some(plan) = plan {
+                hc.install_faults(plan);
+            }
+            charge_blocks(&mut hc, [(5, 5, 4)]);
+            assert_eq!(hc.ticks(), crate::cost::Ticks::default(), "no tick");
+            assert_eq!(*hc.counters(), crate::counters::Counters::default(), "no counter");
+        }
     }
 
     #[test]
     fn single_block_crosses_hamming_distance_steps() {
         let mut hc = machine(4);
-        let mut traffic = Traffic::new(hc.p());
         // 0b0000 -> 0b1011: distance 3, so 3 charged supersteps.
-        traffic.post(0b0000, 0b1011, 7, [42u32; 10]);
-        route_blocks(&mut hc, &mut traffic);
-        assert_eq!(inboxes(&traffic)[0b1011], vec![(7, vec![42u32; 10])]);
+        charge_blocks(&mut hc, [(0b0000, 0b1011, 10)]);
         assert_eq!(hc.counters().message_steps, 3);
         // Each step carries the full 10 elements on the critical channel.
         assert_eq!(hc.elapsed_us(), 3.0 * (1.0 + 10.0));
-    }
-
-    #[test]
-    fn all_to_one_concentrates_and_sorts_by_tag() {
-        let mut hc = machine(3);
-        let p = hc.p();
-        let mut traffic = Traffic::new(p);
-        for n in 0..p {
-            traffic.post(n, 0, (p - n) as u64, [n]);
-        }
-        route_blocks(&mut hc, &mut traffic);
-        let tags: Vec<u64> = traffic.inbox(0).map(|(t, _)| t).collect();
-        assert_eq!(tags, (1..=p as u64).collect::<Vec<_>>(), "arrivals sorted by tag");
-        let values: Vec<usize> = traffic.inbox(0).map(|(_, d)| d[0]).collect();
-        assert_eq!(values, (0..p).rev().collect::<Vec<_>>());
     }
 
     #[test]
@@ -424,15 +275,7 @@ mod tests {
         // cross every dimension, but blocking keeps it to d supersteps.
         let mut hc = machine(5);
         let p = hc.p();
-        let mask = p - 1;
-        let mut traffic = Traffic::new(p);
-        for n in 0..p {
-            traffic.post(n, n ^ mask, n as u64, vec![n; 4]);
-        }
-        route_blocks(&mut hc, &mut traffic);
-        for (n, inbox) in inboxes(&traffic).into_iter().enumerate() {
-            assert_eq!(inbox, vec![((n ^ mask) as u64, vec![n ^ mask; 4])]);
-        }
+        charge_blocks(&mut hc, (0..p).map(|n| (n, n ^ (p - 1), 4)));
         assert_eq!(hc.counters().message_steps, 5, "exactly d supersteps");
         // Each node forwards exactly its one 4-element block per step.
         assert_eq!(hc.elapsed_us(), 5.0 * (1.0 + 4.0));
@@ -444,12 +287,7 @@ mod tests {
         // concentrates the traffic as it goes, so late channels carry
         // many blocks at once.
         let mut hc = machine(4);
-        let p = hc.p();
-        let mut traffic = Traffic::new(p);
-        for n in 1..p {
-            traffic.post(n, 0, n as u64, [0u8; 8]);
-        }
-        route_blocks(&mut hc, &mut traffic);
+        charge_blocks(&mut hc, (1..16).map(|n| (n, 0, 8)));
         assert!(
             hc.counters().max_channel_load >= 8 * 8 / 2,
             "tree concentration loads late channels"
@@ -458,21 +296,12 @@ mod tests {
 
     #[test]
     fn resilient_route_with_empty_plan_matches_plain_cost() {
-        let mk = |p: usize| {
-            let mut traffic = Traffic::new(p);
-            for n in 0..p {
-                traffic.post(n, (n * 5 + 3) % p, n as u64, [n as u32; 6]);
-            }
-            traffic
-        };
+        let blocks = |p: usize| (0..p).map(move |n| (n, (n * 5 + 3) % p, 6));
         let mut plain = machine(4);
-        let mut plain_traffic = mk(plain.p());
-        route_blocks(&mut plain, &mut plain_traffic);
+        charge_blocks(&mut plain, blocks(16));
         let mut resil = machine(4);
         resil.install_faults(FaultPlan::none(3));
-        let mut resil_traffic = mk(resil.p());
-        route_blocks(&mut resil, &mut resil_traffic);
-        assert_eq!(inboxes(&plain_traffic), inboxes(&resil_traffic), "identical delivery");
+        charge_blocks(&mut resil, blocks(16));
         assert_eq!(plain.elapsed_us(), resil.elapsed_us(), "identical modeled cost");
         assert_eq!(plain.counters(), resil.counters());
     }
@@ -482,14 +311,7 @@ mod tests {
         let mut hc = machine(3);
         hc.install_faults(FaultPlan::none(11).with_drops(0.6, 0, u64::MAX));
         let p = hc.p();
-        let mut traffic = Traffic::new(p);
-        for n in 0..p {
-            traffic.post(n, p - 1 - n, n as u64, [n; 4]);
-        }
-        route_blocks(&mut hc, &mut traffic);
-        for (n, inbox) in inboxes(&traffic).into_iter().enumerate() {
-            assert_eq!(inbox, vec![((p - 1 - n) as u64, vec![p - 1 - n; 4])], "node {n}");
-        }
+        charge_blocks(&mut hc, (0..p).map(|n| (n, p - 1 - n, 4)));
         assert!(hc.counters().transient_drops > 0, "plan actually fired");
         assert!(hc.counters().retries > 0, "recovery actually retried");
     }
@@ -499,114 +321,16 @@ mod tests {
         let mut hc = machine(3);
         // Kill the dim-0 link 0-1 from the start; 0 -> 1 must detour.
         hc.install_faults(FaultPlan::none(1).with_link_fault(0, 1, 0));
-        let mut traffic = Traffic::new(hc.p());
-        traffic.post(0, 1, 0, [7u8; 3]);
-        route_blocks(&mut hc, &mut traffic);
-        assert_eq!(inboxes(&traffic)[1], vec![(0, vec![7u8; 3])]);
+        charge_blocks(&mut hc, [(0, 1, 3)]);
         assert!(hc.counters().reroutes > 0, "detour actually taken");
         assert!(hc.counters().detour_hops > 0);
         // Direct route is 1 hop; the detour path is longer.
         assert!(hc.counters().message_steps > 1);
     }
 
-    /// Route `posts` as `(src, dst, tag, payload)` on a 3-cube and
-    /// assemble the chunks.
-    fn assembled(posts: &[(NodeId, NodeId, u64, &[u32])]) -> NodeSlab<u32> {
-        let mut hc = machine(3);
-        let mut traffic = Traffic::new(hc.p());
-        for &(src, dst, tag, payload) in posts {
-            traffic.post(src, dst, tag, payload.iter().copied());
-        }
-        route_blocks(&mut hc, &mut traffic);
-        traffic.assemble()
-    }
-
-    #[test]
-    fn assemble_tiles_arrivals_in_tag_order() {
-        let posts: [(NodeId, NodeId, u64, &[u32]); 4] =
-            [(0, 6, 0, &[10, 11]), (7, 6, 2, &[12, 13, 14]), (6, 6, 5, &[15]), (2, 1, 0, &[20])];
-        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
-            let slab = assembled(&order.map(|k| posts[k]));
-            assert_eq!(slab[6], [10, 11, 12, 13, 14, 15], "posting order {order:?}");
-            assert_eq!(slab[1], [20]);
-            assert_eq!(slab.total_len(), 7, "no other node receives anything");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "do not tile")]
-    fn assemble_rejects_a_gap() {
-        let _ = assembled(&[(0, 6, 0, &[1, 2]), (3, 6, 3, &[4])]);
-    }
-
-    #[test]
-    #[should_panic(expected = "do not tile")]
-    fn assemble_rejects_an_overlap() {
-        let _ = assembled(&[(0, 6, 0, &[1, 2]), (3, 6, 1, &[3])]);
-    }
-
-    #[test]
-    fn self_posted_message_is_free_even_under_faults() {
-        let mut hc = machine(3);
-        hc.install_faults(FaultPlan::none(11).with_drops(1.0, 0, u64::MAX));
-        let mut traffic = Traffic::new(hc.p());
-        traffic.post(5, 5, 0, [7u8; 4]);
-        route_blocks(&mut hc, &mut traffic);
-        assert_eq!(traffic.assemble()[5], [7u8; 4]);
-        assert_eq!(hc.ticks(), crate::cost::Ticks::default(), "no tick");
-        assert_eq!(*hc.counters(), crate::counters::Counters::default(), "no counter");
-    }
-
-    /// The payload-free sweep charges what routing the payloads charges:
-    /// fault-free, under drops, around a dead link and on a degraded
-    /// machine, with an empty and a self-addressed block among the moves.
-    #[test]
-    fn charge_blocks_charges_what_route_blocks_charges() {
-        let moves: Vec<(NodeId, NodeId, usize)> =
-            vec![(0, 7, 3), (1, 6, 0), (5, 5, 2), (2, 4, 1), (6, 1, 4), (3, 0, 2)];
-        let machines: [fn() -> Hypercube; 4] = [
-            || machine(3),
-            || {
-                let mut hc = machine(3);
-                hc.install_faults(FaultPlan::none(5).with_drops(0.5, 0, u64::MAX));
-                hc
-            },
-            || {
-                let mut hc = machine(3);
-                hc.install_faults(FaultPlan::none(2).with_link_fault(0, 1, 0));
-                hc
-            },
-            || {
-                let mut hc = machine(3);
-                hc.degrade(&[7], &[0; 8]);
-                hc
-            },
-        ];
-        for make in machines {
-            let (mut routed, mut charged) = (make(), make());
-            let mut traffic = Traffic::new(8);
-            for &(src, dst, len) in &moves {
-                traffic.post(src, dst, 0, vec![1u8; len]);
-            }
-            route_blocks(&mut routed, &mut traffic);
-            charge_blocks(&mut charged, moves.iter().copied());
-            assert_eq!(charged.ticks(), routed.ticks());
-            assert_eq!(charged.counters(), routed.counters());
-        }
-    }
-
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_destination_panics() {
-        let mut traffic = Traffic::new(4);
-        traffic.post(0, 99, 0, [1u8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "before it was routed")]
-    fn unrouted_inbox_panics() {
-        let mut traffic = Traffic::new(4);
-        traffic.post(0, 1, 0, [1u8]);
-        let _ = traffic.inbox(1);
+        charge_blocks(&mut machine(2), [(0, 99, 1)]);
     }
 }

@@ -16,7 +16,7 @@ use vmp_hypercube::cost::{CostModel, Ticks};
 use vmp_hypercube::counters::Counters;
 use vmp_hypercube::fault::FaultPlan;
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Traffic};
+use vmp_hypercube::route::charge_blocks;
 use vmp_hypercube::router::route_elements;
 use vmp_hypercube::slab::NodeSlab;
 
@@ -24,32 +24,22 @@ fn machine(dim: u32) -> Hypercube {
     Hypercube::new(dim, CostModel::unit())
 }
 
-/// One posted block: `(src, dst, tag, payload)`.
-type Post = (usize, usize, u64, Vec<u64>);
+/// One block: `(src, dst, len)`.
+type Block = (usize, usize, usize);
 
-/// Every node's arrivals as `(tag, payload)` pairs.
-type Inboxes = Vec<Vec<(u64, Vec<u64>)>>;
-
-/// Post `posts` in iteration order on a fresh unit-cost `dim`-cube
-/// (with `plan` installed, if any), route them blocked, and return every
-/// node's inbox with the machine that routed them.
-fn route_posted<'a>(
+/// Charge `blocks` in iteration order on a fresh unit-cost `dim`-cube
+/// (with `plan` installed, if any) and return the machine.
+fn charge_listed<'a>(
     dim: u32,
     plan: Option<FaultPlan>,
-    posts: impl Iterator<Item = &'a Post>,
-) -> (Inboxes, Hypercube) {
+    blocks: impl Iterator<Item = &'a Block>,
+) -> Hypercube {
     let mut hc = machine(dim);
     if let Some(plan) = plan {
         hc.install_faults(plan);
     }
-    let mut traffic = Traffic::new(hc.p());
-    for (src, dst, tag, data) in posts {
-        traffic.post(*src, *dst, *tag, data.iter().copied());
-    }
-    route_blocks(&mut hc, &mut traffic);
-    let inboxes =
-        (0..hc.p()).map(|n| traffic.inbox(n).map(|(t, d)| (t, d.to_vec())).collect()).collect();
-    (inboxes, hc)
+    charge_blocks(&mut hc, blocks.copied());
+    hc
 }
 
 /// A strategy for a dimension subset of a `dim`-cube, as a bitmask.
@@ -73,23 +63,14 @@ proptest! {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (s >> 33) as usize
         };
-        let mut expected: Inboxes = vec![Vec::new(); p];
-        let mut posts: Vec<Post> = Vec::new();
+        let mut blocks: Vec<Block> = Vec::new();
         for src in 0..p {
             for _ in 0..(next() % 4) {
                 let dst = next() % p;
-                let len = next() % 5;
-                let data: Vec<u64> = (0..len).map(|_| next() as u64).collect();
-                let tag = posts.len() as u64;
-                expected[dst].push((tag, data.clone()));
-                posts.push((src, dst, tag, data));
+                blocks.push((src, dst, next() % 5));
             }
         }
-        let (arrived, hc) = route_posted(dim, None, posts.iter());
-        for node in 0..p {
-            expected[node].sort_by_key(|(t, _)| *t);
-        }
-        prop_assert_eq!(&arrived, &expected);
+        let hc = charge_listed(dim, None, blocks.iter());
 
         // Independent e-cube model: while dimension `d` is resolved a
         // block sits at its destination's bits below `d` over its
@@ -102,9 +83,9 @@ proptest! {
             let bit = 1usize << d;
             let low = bit - 1;
             let mut fwd = vec![0usize; p];
-            for (src, dst, _, data) in &posts {
+            for (src, dst, len) in &blocks {
                 if (src ^ dst) & bit != 0 {
-                    fwd[(dst & low) | (src & !low)] += data.len();
+                    fwd[(dst & low) | (src & !low)] += len;
                 }
             }
             let max = fwd.iter().copied().max().unwrap_or(0);
@@ -119,26 +100,22 @@ proptest! {
         prop_assert_eq!(hc.elapsed_us(), CostModel::unit().price(ticks));
         prop_assert_eq!(*hc.counters(), want);
 
-        // Posting order changes nothing, and neither does an installed
+        // Listing order changes nothing, and neither does an installed
         // but empty fault plan.
-        let (reversed, hc_rev) = route_posted(dim, None, posts.iter().rev());
-        prop_assert_eq!(&reversed, &arrived);
+        let hc_rev = charge_listed(dim, None, blocks.iter().rev());
         prop_assert_eq!(hc_rev.elapsed_us(), hc.elapsed_us());
         prop_assert_eq!(hc_rev.counters(), hc.counters());
-        let (replayed, resil) = route_posted(dim, Some(FaultPlan::none(seed)), posts.iter());
-        prop_assert_eq!(&replayed, &arrived);
+        let resil = charge_listed(dim, Some(FaultPlan::none(seed)), blocks.iter());
         prop_assert_eq!(resil.elapsed_us(), hc.elapsed_us());
         prop_assert_eq!(resil.counters(), hc.counters());
 
-        // Under drops and a dead link (detours, parking, retries) the
-        // delivery is unchanged and the charge is still independent of
-        // posting order. A 1-cube has no bypass around its one link.
+        // Under drops and a dead link (detours, parking, retries) every
+        // block is still delivered, and the charge is still independent
+        // of listing order. A 1-cube has no bypass around its one link.
         if dim >= 2 {
             let plan = FaultPlan::none(seed).with_drops(0.3, 0, u64::MAX).with_link_fault(0, 1, 0);
-            let (faulty, hc_f) = route_posted(dim, Some(plan.clone()), posts.iter());
-            let (faulty_rev, hc_f_rev) = route_posted(dim, Some(plan), posts.iter().rev());
-            prop_assert_eq!(&faulty, &arrived);
-            prop_assert_eq!(&faulty_rev, &arrived);
+            let hc_f = charge_listed(dim, Some(plan.clone()), blocks.iter());
+            let hc_f_rev = charge_listed(dim, Some(plan), blocks.iter().rev());
             prop_assert_eq!(hc_f_rev.elapsed_us(), hc_f.elapsed_us());
             prop_assert_eq!(hc_f_rev.counters(), hc_f.counters());
         }
@@ -202,40 +179,26 @@ proptest! {
             (s >> 33) as usize
         };
         let p = 1usize << dim;
-        let traffic: Vec<(usize, usize, u64)> = (0..p * 2)
-            .map(|k| (next() % p, next() % p, k as u64))
+        let moves: Vec<(usize, usize)> = (0..p * 2).map(|_| (next() % p, next() % p)).collect();
+        let grouped: Vec<(usize, usize)> = (0..p)
+            .flat_map(|n| moves.iter().copied().filter(move |&(src, _)| src == n))
             .collect();
-        let grouped: Vec<(usize, usize, u64)> = (0..p)
-            .flat_map(|n| traffic.iter().copied().filter(move |&(src, _, _)| src == n))
-            .collect();
-        let post = |order: &[(usize, usize, u64)]| {
-            let mut t = Traffic::new(p);
-            for &(src, dst, v) in order {
-                t.post(src, dst, v, [v]);
-            }
-            t
-        };
-        let values = |t: &Traffic<u64>| -> Vec<Vec<u64>> {
-            (0..p).map(|n| t.inbox(n).map(|(_, d)| d[0]).collect()).collect()
-        };
 
         let mut hc1 = machine(dim);
-        let mut elems1 = post(&grouped);
-        let stats1 = route_elements(&mut hc1, &mut elems1);
+        let stats1 = route_elements(&mut hc1, grouped.iter().copied());
 
-        // Interleaving the sources' posts, each source's own order kept,
-        // injects the same queues: same cycles, same arrivals.
+        // Interleaving the sources' moves, each source's own order kept,
+        // injects the same queues: same statistics, same clock.
         let mut hc2 = machine(dim);
-        let mut elems2 = post(&traffic);
-        let stats2 = route_elements(&mut hc2, &mut elems2);
+        let stats2 = route_elements(&mut hc2, moves.iter().copied());
         prop_assert_eq!(stats2, stats1);
-        prop_assert_eq!(values(&elems2), values(&elems1));
         prop_assert_eq!(hc2.elapsed_us(), hc1.elapsed_us());
 
+        // Both routers follow the same e-cube paths: the element router's
+        // hops are the blocked router's transferred elements.
         let mut hc3 = machine(dim);
-        let mut blocks = post(&grouped);
-        route_blocks(&mut hc3, &mut blocks);
-        prop_assert_eq!(values(&blocks), values(&elems1));
+        charge_blocks(&mut hc3, moves.iter().map(|&(src, dst)| (src, dst, 1)));
+        prop_assert_eq!(stats1.hops, hc3.counters().elements_transferred);
     }
 
     #[test]

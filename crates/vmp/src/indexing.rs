@@ -8,7 +8,7 @@
 //! operations in the surrounding corpus.
 
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Traffic};
+use vmp_hypercube::route::charge_blocks;
 use vmp_layout::VecEmbedding;
 
 use crate::elem::Scalar;
@@ -33,36 +33,23 @@ pub fn gather_by_index<T: Scalar>(
         "indexed gather addresses the linear embedding"
     );
     let n = layout.n();
-    let p = layout.grid().p();
 
-    // Phase 1: requests. Each position i asks the owner of index[i].
-    let mut requests = Traffic::new(p);
-    for src in 0..p {
-        let part = layout.part_of(src);
-        for (slot, &t) in index.chunks()[src].iter().enumerate() {
+    // Phase 1: each position asks the owner of its index, one message per
+    // position. Phase 2: the owner looks the value up and replies.
+    let mut requests = Vec::with_capacity(n);
+    let mut lookups = vec![0usize; layout.grid().p()];
+    for (asker, chunk) in index.chunks().iter_segs().enumerate() {
+        for &t in chunk {
             assert!(t < n, "index {t} out of range 0..{n}");
-            let i = layout.dist().global_index(part, slot);
-            requests.post(src, layout.primary_holder(t), i as u64, [t]);
+            let owner = layout.primary_holder(t);
+            lookups[owner] += 1;
+            requests.push((asker, owner, 1));
         }
     }
-    route_blocks(hc, &mut requests);
-
-    // Phase 2: replies. Owners look up and send back to the asker's
-    // owner, tagged with the asker's slot there.
-    let mut replies = Traffic::new(p);
-    let mut lookup_work = 0usize;
-    for node in 0..p {
-        lookup_work = lookup_work.max(requests.inbox(node).len());
-        for (asker, payload) in requests.inbox(node) {
-            let v = values.chunks()[node][layout.dist().local_index(payload[0])];
-            let asker = asker as usize;
-            let slot = layout.dist().local_index(asker) as u64;
-            replies.post(node, layout.primary_holder(asker), slot, [v]);
-        }
-    }
-    hc.charge_flops(lookup_work);
-    route_blocks(hc, &mut replies);
-    DistVector::from_chunks(layout, replies.assemble())
+    charge_blocks(hc, requests.iter().copied());
+    hc.charge_flops(lookups.into_iter().max().unwrap_or(0));
+    charge_blocks(hc, requests.into_iter().map(|(asker, owner, len)| (owner, asker, len)));
+    DistVector::from_fn(layout, |i| values.get(index.get(i)))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! [`panel_gemm`], the local `C += A_panel * B_panel` kernel.
 
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Traffic};
+use vmp_hypercube::route::charge_blocks;
 use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::Axis;
 
@@ -58,25 +58,35 @@ pub fn extract_panel_replicated<T: Scalar>(
     let count = layout.shape().vector_count(axis);
     assert!(t0 + width <= count, "{axis:?} panel out of range 0..{count}");
     let grid = layout.grid();
-    let p = grid.p();
     let (lines, parts) = (grid.lines(axis).0, grid.lines(axis.transpose()).0);
-    let mut traffic = Traffic::new(p);
+    // Line `dt` of the panel at every node of part `part`: the chunk its
+    // owner `src` holds.
+    let chunk = |dt: usize, part: usize| {
+        let (line, slot) = line_and_slot(layout, axis, t0 + dt);
+        let src = grid.node_on(axis, line, part);
+        (src, local_line(m.locals()[src].iter(), axis, slot, layout.local_shape(src)))
+    };
+    // Each owner sends its chunk of each panel line to every line, its
+    // own included.
+    let mut blocks = Vec::with_capacity(width * parts * lines);
     let mut max_packed = 0usize;
     for dt in 0..width {
-        let (line, slot) = line_and_slot(layout, axis, t0 + dt);
         for part in 0..parts {
-            let src = grid.node_on(axis, line, part);
-            let chunk = local_line(m.locals()[src].iter(), axis, slot, layout.local_shape(src));
-            max_packed = max_packed.max(chunk.len() * width);
-            for dst_line in 0..lines {
-                let dst = grid.node_on(axis, dst_line, part);
-                traffic.post(src, dst, (dt * chunk.len()) as u64, chunk.clone().copied());
-            }
+            let (src, line) = chunk(dt, part);
+            max_packed = max_packed.max(line.len() * width);
+            let dsts = (0..lines).map(|dst_line| grid.node_on(axis, dst_line, part));
+            blocks.extend(dsts.map(|dst| (src, dst, line.len())));
         }
     }
     hc.charge_moves(max_packed);
-    route_blocks(hc, &mut traffic);
-    Panel { axis, t0, width, slabs: traffic.assemble() }
+    charge_blocks(hc, blocks);
+    let slabs = NodeSlab::build(grid.p(), max_packed * grid.p(), |node, buf| {
+        let part = grid.line_and_part(axis, node).1;
+        for dt in 0..width {
+            buf.extend(chunk(dt, part).1.copied());
+        }
+    });
+    Panel { axis, t0, width, slabs }
 }
 
 /// Local blocked GEMM: `c += col_panel * row_panel` at every node. Both

@@ -23,7 +23,7 @@
 
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{charge_blocks, route_blocks, Traffic};
+use vmp_hypercube::route::charge_blocks;
 use vmp_hypercube::topology::NodeId;
 use vmp_layout::{Axis, MatrixLayout, Placement, VecEmbedding, VectorLayout};
 
@@ -100,8 +100,7 @@ fn aligned(layout: &VectorLayout, what: &str) -> (Axis, Placement) {
 /// to the new embedding's primary holders (dimension-ordered, so at most
 /// `d` blocked supersteps), then broadcast across the orthogonal dims if
 /// the target is replicated. No per-element indices travel: each message
-/// carries a run of consecutive slots of its destination chunk, tagged
-/// with the first.
+/// carries a run of consecutive slots of its destination chunk.
 pub fn remap_vector<T: Scalar>(
     hc: &mut Hypercube,
     v: &DistVector<T>,
@@ -115,15 +114,16 @@ pub fn remap_vector<T: Scalar>(
 
 /// Send element `i` of `v` to position `dest(i)` of a vector laid out as
 /// `layout` on the same cube, and fill every position no element reaches
-/// with `fill`: the one sender behind [`remap_vector`] and
-/// [`crate::scan::route_permutation`]. Only primary holders send; a
-/// replicated target is assembled on its primary line and broadcast from
-/// there. An uncovered position's holder posts the fill to itself, which
-/// is never routed or charged.
+/// with `fill`: the one move behind [`remap_vector`] and
+/// [`crate::scan::route_permutation`]. The result is placed on the host;
+/// the machine is charged for one block from each primary holder of `v`
+/// per run of consecutive slots of a target primary holder's chunk. A
+/// replicated target is then broadcast from its primary line. A filled
+/// position never leaves its holder, so it costs nothing.
 ///
 /// # Panics
-/// Panics if the arrivals do not fill every target chunk exactly: a
-/// position reached twice, or not at all with `fill` `None`.
+/// Panics if a position is reached twice, or not at all with `fill`
+/// `None`.
 pub(crate) fn move_elements<T: Scalar>(
     hc: &mut Hypercube,
     v: &DistVector<T>,
@@ -133,29 +133,18 @@ pub(crate) fn move_elements<T: Scalar>(
 ) -> DistVector<T> {
     let old = v.layout();
     assert_eq!(old.grid().cube(), layout.grid().cube(), "grid cube mismatch");
-    let p = layout.grid().p();
-    let mut covered = vec![false; if fill.is_some() { layout.n() } else { 0 }];
-    let mut traffic = Traffic::new(p);
-    let mut staged = Vec::new();
-    for src in (0..p).filter(|&node| old.is_primary_holder(node)) {
-        let part = old.part_of(src);
-        for (slot, &x) in v.node_chunk(src).iter().enumerate() {
+    let mut moved = vec![None; layout.n()];
+    let (mut blocks, mut staged) = (Vec::new(), Vec::new());
+    for (part, chunk) in v.chunks().iter_segs().enumerate() {
+        for (slot, &x) in chunk.iter().enumerate() {
             let Some(j) = dest(old.dist().global_index(part, slot)) else { continue };
-            if fill.is_some() {
-                covered[j] = true;
-            }
-            staged.push((layout.primary_holder(j), layout.dist().local_index(j), x));
+            assert!(moved[j].replace(x).is_none(), "position {j} is reached twice");
+            staged.push((layout.primary_holder(j), layout.dist().local_index(j)));
         }
-        post_runs(&mut traffic, src, &mut staged);
-    }
-    if let Some(x) = fill {
-        for j in (0..layout.n()).filter(|&j| !covered[j]) {
-            let holder = layout.primary_holder(j);
-            traffic.post(holder, holder, layout.dist().local_index(j) as u64, [x]);
-        }
+        push_runs(&mut blocks, old.primary_node(part), &mut staged);
     }
     hc.charge_moves(old.dist().max_count());
-    route_blocks(hc, &mut traffic);
+    charge_blocks(hc, blocks);
 
     let replicated = matches!(
         layout.embedding(),
@@ -163,7 +152,10 @@ pub(crate) fn move_elements<T: Scalar>(
     );
     let primary =
         if replicated { layout.with_placement(Placement::Concentrated(0)) } else { layout };
-    let moved = DistVector::from_primary_line(primary, &traffic.assemble());
+    let moved = DistVector::from_fn(primary, |j| match (moved[j], fill) {
+        (Some(x), _) | (None, Some(x)) => x,
+        (None, None) => panic!("position {j} is never reached and there is no fill"),
+    });
     if replicated {
         replicate_owned(hc, moved)
     } else {
@@ -171,18 +163,17 @@ pub(crate) fn move_elements<T: Scalar>(
     }
 }
 
-/// Post `staged` `(dst, slot, value)` moves from `src`: one message per
-/// run of consecutive slots of one destination chunk, tagged with the
-/// run's first slot. Leaves `staged` empty.
-fn post_runs<T: Scalar>(
-    traffic: &mut Traffic<T>,
+/// Append to `blocks` one `(src, dst, len)` block per run of consecutive
+/// slots of one destination chunk among the `staged` `(dst, slot)`
+/// moves from `src`. Leaves `staged` empty.
+fn push_runs(
+    blocks: &mut Vec<(NodeId, NodeId, usize)>,
     src: NodeId,
-    staged: &mut Vec<(NodeId, usize, T)>,
+    staged: &mut Vec<(NodeId, usize)>,
 ) {
-    staged.sort_unstable_by_key(|&(dst, slot, _)| (dst, slot));
-    for run in staged.chunk_by(|a, b| a.0 == b.0 && b.1 == a.1 + 1) {
-        traffic.post(src, run[0].0, run[0].1 as u64, run.iter().map(|&(_, _, x)| x));
-    }
+    staged.sort_unstable();
+    let runs = staged.chunk_by(|a, b| a.0 == b.0 && b.1 == a.1 + 1);
+    blocks.extend(runs.map(|run| (src, run[0].0, run.len())));
     staged.clear();
 }
 
@@ -211,11 +202,13 @@ pub fn redistribute<T: Scalar>(
 /// General bijective matrix re-embedding: `out[fwd(i, j)] = m[i][j]`
 /// under `new_layout`. `fwd` must be a bijection onto the new shape's
 /// index pairs — transpose, redistribution, and torus shifts
-/// ([`crate::shift`]) are all instances. One blocked routed phase.
+/// ([`crate::shift`]) are all instances. One blocked routed phase: one
+/// block from each node per run of consecutive local offsets of one
+/// destination node.
 ///
 /// # Panics
 /// Panics if `fwd` is not a bijection: some new element is reached
-/// twice or not at all.
+/// twice or not at all, or lies outside the new shape.
 pub fn remap_with<T: Scalar>(
     hc: &mut Hypercube,
     m: &DistMatrix<T>,
@@ -224,25 +217,29 @@ pub fn remap_with<T: Scalar>(
 ) -> DistMatrix<T> {
     let old = m.layout();
     assert_eq!(old.grid().cube(), new_layout.grid().cube(), "grid cube mismatch");
-    let p = old.grid().p();
-    let mut traffic = Traffic::new(p);
-    let mut staged = Vec::new();
+    let (p, shape) = (old.grid().p(), new_layout.shape());
+    let mut moved: Vec<Option<T>> = vec![None; shape.elements()];
+    let (mut blocks, mut staged) = (Vec::new(), Vec::new());
     for src in 0..p {
         let buf = &m.locals()[src];
-        staged.extend(old.local_elements(src).map(|(i, j, off)| {
+        for (i, j, off) in old.local_elements(src) {
             let (ni, nj) = fwd(i, j);
-            (new_layout.owner(ni, nj), new_layout.local_offset(ni, nj), buf[off])
-        }));
-        post_runs(&mut traffic, src, &mut staged);
+            assert!(ni < shape.rows && nj < shape.cols, "({i}, {j}) maps outside {shape:?}");
+            let at = ni * shape.cols + nj;
+            assert!(moved[at].replace(buf[off]).is_none(), "({ni}, {nj}) is reached twice");
+            staged.push((new_layout.owner(ni, nj), new_layout.local_offset(ni, nj)));
+        }
+        push_runs(&mut blocks, src, &mut staged);
     }
     // Pack at the senders, unpack at the receivers.
     hc.charge_moves(old.max_local_len());
     hc.charge_moves(new_layout.max_local_len());
-    route_blocks(hc, &mut traffic);
+    charge_blocks(hc, blocks);
 
-    let out = DistMatrix::from_slab(new_layout, traffic.assemble());
-    out.assert_consistent();
-    out
+    DistMatrix::from_fn(new_layout, |i, j| match moved[i * shape.cols + j] {
+        Some(x) => x,
+        None => panic!("({i}, {j}) is never reached"),
+    })
 }
 
 #[cfg(test)]
@@ -381,6 +378,22 @@ mod tests {
         r.assert_consistent();
         assert_eq!(r.to_dense(), m.to_dense());
         assert!(hc.counters().message_steps >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "(0, 0) is reached twice")]
+    fn non_bijective_remap_panics() {
+        let layout = MatrixLayout::cyclic(MatShape::new(4, 5), grid(2, 1));
+        let m = DistMatrix::from_fn(layout, |i, j| (i * 5 + j) as i64);
+        let _ = remap_with(&mut machine(2), &m, layout, |_, j| (0, j));
+    }
+
+    #[test]
+    #[should_panic(expected = "maps outside")]
+    fn remap_outside_the_shape_panics() {
+        let layout = MatrixLayout::cyclic(MatShape::new(4, 5), grid(2, 1));
+        let m = DistMatrix::from_fn(layout, |i, j| (i * 5 + j) as i64);
+        let _ = remap_with(&mut machine(2), &m, layout, |i, j| (i + 1, j));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Traffic};
+use vmp_hypercube::route::charge_blocks;
 use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Dist, VectorLayout};
 
@@ -59,83 +59,39 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
     inclusive: bool,
 ) -> DistVector<T> {
     let layout = *v.layout();
+    let dist = layout.dist();
     assert_eq!(
-        layout.dist().kind(),
+        dist.kind(),
         Dist::Block,
         "index-order scans require the block (consecutive) distribution"
     );
-    let grid = layout.grid();
-    let p = grid.p();
 
-    // The cube dims along which the chunks are laid out, and the
-    // coordinate (within those dims) of each node's part. For aligned
-    // embeddings all orthogonal lines perform the same scan in parallel
-    // (replicas stay consistent); concentrated lines only have data on
-    // one line, and the subcube scan on the others operates on
-    // identities, which is harmless.
-    let chunk_dims = layout.part_dims();
-
-    // 1. Local pass: per-chunk inclusive scan, remembering the total.
-    let mut totals: Vec<T> = Vec::with_capacity(p);
-    let mut locals = NodeSlab::build(p, layout.stored_elements(), |node, out| {
+    // Part by part, in part order: a local scan offset by the fold of the
+    // earlier parts' totals. On the machine every holder scans its chunk,
+    // allgathers one total per node across the dims the parts are laid
+    // out along (every grid line at once; lines without data gather
+    // identities), folds the totals of the parts before its own and fixes
+    // its chunk up.
+    let mut offset = op.identity();
+    let parts = NodeSlab::build(dist.parts(), layout.n(), |part, out| {
         let mut acc = op.identity();
-        for &x in v.node_chunk(node) {
+        for &x in &v.chunks()[part] {
             if inclusive {
                 acc = op.combine(acc, x);
-                out.push(acc);
+                out.push(op.combine(offset, acc));
             } else {
-                out.push(acc);
+                out.push(op.combine(offset, acc));
                 acc = op.combine(acc, x);
             }
         }
-        totals.push(acc);
+        offset = op.combine(offset, acc);
     });
-    let max_chunk = layout.dist().max_count();
+    let max_chunk = dist.max_count();
     hc.charge_flops(max_chunk);
-
-    // 2. Exclusive scan of chunk totals across the chunk coordinate.
-    //
-    // Subcube coordinate order equals part order only under the Binary
-    // grid encoding; under Gray encoding part `t` sits at coordinate
-    // `gray(t)`. The hypercube scan is coordinate-ordered, so for Gray
-    // grids we route totals through a coordinate-ordered arrangement:
-    // simplest correct scheme — allgather the (part, total) pairs and
-    // fold locally in part order. `2^k` tiny elements per node; the
-    // extra bandwidth is `p_c` scalars, well below one chunk.
-    let mut tagged =
-        NodeSlab::build(p, p, |node, buf| buf.push((layout.part_of(node), totals[node])));
-    collective::allgather_slab(hc, &mut tagged, chunk_dims);
-    let parts = 1usize << chunk_dims.len();
-    let offsets: Vec<T> = (0..p)
-        .map(|node| {
-            let my_part = layout.part_of(node);
-            let mut sorted: Vec<Option<T>> = vec![None; parts];
-            for &(part, t) in &tagged[node] {
-                sorted[part] = Some(t);
-            }
-            let mut acc = op.identity();
-            for (part, entry) in sorted.into_iter().enumerate() {
-                if part == my_part {
-                    break;
-                }
-                if let Some(t) = entry {
-                    acc = op.combine(acc, t);
-                }
-            }
-            acc
-        })
-        .collect();
-    hc.charge_flops(parts);
-
-    // 3. Local fix-up.
-    locals.for_each_seg_mut(|node, chunk| {
-        for x in chunk {
-            *x = op.combine(offsets[node], *x);
-        }
-    });
+    collective::charge_allgather(hc, layout.part_dims(), &vec![1; layout.grid().p()]);
+    hc.charge_flops(dist.parts());
     hc.charge_flops(max_chunk);
-
-    DistVector::from_primary_line(layout, &locals)
+    DistVector::from_chunks(layout, parts)
 }
 
 /// A segment-boundary flag: `true` starts a new segment at that index.
@@ -237,28 +193,25 @@ pub fn pack<T: Scalar>(
     let positions = enumerate(hc, mask);
     let kept: usize = mask.reduce_lifted(hc, crate::elem::Sum, |_, b| usize::from(b));
 
-    let grid = old.grid();
-    let new_layout = VectorLayout::linear(kept, grid, Dist::Block);
-    let p = old.grid().p();
-    let mut traffic = Traffic::new(p);
-    for src in 0..p {
-        if !old.is_primary_holder(src) {
-            continue;
-        }
-        let part = old.part_of(src);
-        for (slot, &x) in v.node_chunk(src).iter().enumerate() {
+    // One message per kept element, from its part's primary holder.
+    let new_layout = VectorLayout::linear(kept, old.grid(), Dist::Block);
+    let mut packed = Vec::with_capacity(kept);
+    let mut blocks = Vec::with_capacity(kept);
+    for (part, chunk) in v.chunks().iter_segs().enumerate() {
+        for (slot, &x) in chunk.iter().enumerate() {
             let i = old.dist().global_index(part, slot);
-            if !mask.get(i) {
-                continue;
+            if mask.get(i) {
+                packed.push(x);
+                blocks.push((
+                    old.primary_node(part),
+                    new_layout.primary_holder(positions.get(i)),
+                    1,
+                ));
             }
-            let target = positions.get(i);
-            let (dst, slot) =
-                (new_layout.primary_holder(target), new_layout.dist().local_index(target));
-            traffic.post(src, dst, slot as u64, [x]);
         }
     }
-    route_blocks(hc, &mut traffic);
-    DistVector::from_chunks(new_layout, traffic.assemble())
+    charge_blocks(hc, blocks);
+    DistVector::from_slice(new_layout, &packed)
 }
 
 /// The segmented-operator transform: associative on `(flag, value)`
@@ -487,11 +440,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "chunk length")]
+    #[should_panic(expected = "position 7 is never reached")]
     fn uncovered_last_position_without_fill_panics() {
         let g = ProcGrid::square(Cube::new(2));
         let v = DistVector::from_fn(VectorLayout::linear(8, g, Dist::Block), |i| i as i64);
         let _ = route_permutation(&mut machine(2), &v, |i| i.checked_sub(1), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "position 0 is reached twice")]
+    fn position_reached_twice_panics() {
+        let g = ProcGrid::square(Cube::new(2));
+        let v = DistVector::from_fn(VectorLayout::linear(8, g, Dist::Block), |i| i as i64);
+        let _ = route_permutation(&mut machine(2), &v, |i| Some(i / 2), Some(0));
     }
 
     #[test]

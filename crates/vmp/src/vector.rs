@@ -106,7 +106,7 @@ impl<T: Scalar> DistVector<T> {
     /// Assemble from a per-node slab in which the nodes of the layout's
     /// primary line ([`VectorLayout::primary_node`]) hold the parts; the
     /// other nodes' segments are ignored (crate-internal: the result of
-    /// a routed move or a collective).
+    /// a collective).
     ///
     /// # Panics
     /// Panics if a part's segment length disagrees with the layout.

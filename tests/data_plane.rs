@@ -976,28 +976,32 @@ impl MoveCase {
     }
 }
 
-/// Each part of `v` (concentrated on `from`) posted as one block from its
-/// node on `from` to its node on `to` and routed: the data move that
-/// `concentrate` and a routed `insert` charge without making. Returns
-/// every node's chunk afterwards.
-fn route_parts(hc: &mut Hypercube, v: &DistVector<f64>, from: usize, to: usize) -> Vec<Vec<f64>> {
-    use four_vmp::hypercube::route::{route_blocks, Traffic};
+/// `v` (concentrated on `from`) moved onto line `to` with public APIs:
+/// each part charged as one block from its node on `from` to its node on
+/// `to` through `charge_blocks`, the move that `concentrate` and a routed
+/// `insert` make, and the parts relabelled as held on `to`.
+fn route_parts(hc: &mut Hypercube, v: &DistVector<f64>, from: usize, to: usize) -> DistVector<f64> {
+    use four_vmp::hypercube::route::charge_blocks;
     let VecEmbedding::Aligned { axis, .. } = *v.layout().embedding() else { unreachable!() };
-    let grid = v.layout().grid();
-    let mut traffic = Traffic::new(grid.p());
-    for part in 0..v.layout().dist().parts() {
-        let (src, dst) = (grid.node_on(axis, from, part), grid.node_on(axis, to, part));
-        traffic.post(src, dst, 0, v.node_chunk(src).iter().copied());
-    }
-    route_blocks(hc, &mut traffic);
-    traffic.assemble().to_nested()
+    let (grid, dist) = (v.layout().grid(), v.layout().dist());
+    charge_blocks(
+        hc,
+        (0..dist.parts()).map(|part| {
+            (grid.node_on(axis, from, part), grid.node_on(axis, to, part), dist.count(part))
+        }),
+    );
+    DistVector::from_chunks(
+        v.layout().with_placement(Placement::Concentrated(to)),
+        v.chunks().clone(),
+    )
 }
 
 /// `replicate`, a cross-line `concentrate` and an `insert` from another
-/// line move no data on the host; each must charge what moving the data
+/// line move no data on the host; each must charge what the data move
 /// charges, spelled out with public APIs: a per-node slab through
-/// `broadcast_slab`, and the parts posted to a `Traffic` and routed with
-/// `route_blocks`. Clock bits, counters and every node's chunk must agree.
+/// `broadcast_slab`, and the parts charged as blocks through
+/// `charge_blocks`. Clock bits, counters and every node's chunk must
+/// agree.
 fn check_embedding_moves(case: &MoveCase) -> u64 {
     let what = |op: &str| format!("{op} {case:?}");
     let (layout, axis) = (case.layout, case.axis);
@@ -1024,11 +1028,11 @@ fn check_embedding_moves(case: &MoveCase) -> u64 {
     let got = concentrate(&mut hc, &v, case.to);
     let mut hc_ref = case.machine();
     let want = route_parts(&mut hc_ref, &v, case.from, case.to);
-    assert_eq!(bits(&node_chunks(&got)), bits(&want), "{}", what("concentrate"));
+    assert_eq!(bits(&node_chunks(&got)), bits(&node_chunks(&want)), "{}", what("concentrate"));
     assert_machines_identical(&hc_ref, &hc, &what("concentrate"));
     let mut faults = hc.counters().transient_drops + hc.counters().reroutes;
 
-    // Insert from `from`: the reference routes the parts onto the owning
+    // Insert from `from`: the reference moves the parts onto the owning
     // line itself, then inserts them from there, which is local.
     let m = DistMatrix::from_fn(layout, val);
     let target = layout.vector_dist(axis.transpose()).owner(case.index);
@@ -1036,12 +1040,7 @@ fn check_embedding_moves(case: &MoveCase) -> u64 {
     let mut got = m.clone();
     primitives::insert(&mut hc, &mut got, axis, case.index, &v);
     let mut hc_ref = case.machine();
-    let routed = route_parts(&mut hc_ref, &v, case.from, target);
-    let parts = (0..vl.dist().parts()).map(|part| routed[grid.node_on(axis, target, part)].clone());
-    let on_target = DistVector::from_chunks(
-        vl.with_placement(Placement::Concentrated(target)),
-        NodeSlab::from_nested(&parts.collect::<Vec<_>>()),
-    );
+    let on_target = route_parts(&mut hc_ref, &v, case.from, target);
     let mut want = m;
     primitives::insert(&mut hc_ref, &mut want, axis, case.index, &on_target);
     assert_eq!(bits(&got.to_dense()), bits(&want.to_dense()), "{}", what("insert"));
